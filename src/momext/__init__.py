@@ -9,7 +9,8 @@ and verifies each output against the prescribed moments:
 - Gram-space model, block shift, defect subspaces, forbidden parameter,
 - self-adjoint extensions and their atomic spectral measures,
 - generalized resolvents, the matrix Stieltjes transform of a solution,
-  contour recovery of moments, and smoothed density inversion,
+  closed-form recovery of its moments and cell masses (smoothed density
+  inversion for lam-dependent parameters),
 - the even-length scalar variant with its four-way classification.
 
 The JSON file formats and the command line live in momext.jsonio and
@@ -20,12 +21,10 @@ from .errors import (DependentDomain, DimensionMismatch,
                      IllConditionedProjection, InsufficientMoments,
                      MomentProblemError, NormViolation, NormalizationFail,
                      NotAdmissible, NotConverged, NotPSD,
-                     NullSpaceNotOneDim, ProblemFileError, RadiusTooSmall,
-                     SingularSystem)
+                     NullSpaceNotOneDim, ProblemFileError, SingularSystem)
 from .extensions import (ExtensionParameter, SelfAdjointExtension,
-                         apply_generalized_resolvent, default_contour_radius,
-                         pencil_spectral_radius, resolvent_matrix,
-                         selfadjoint_extension)
+                         apply_generalized_resolvent, pencil_spectral_radius,
+                         resolvent_matrix, selfadjoint_extension)
 from .gram import GramSpace, factor_psd
 from .hankel import (BlockHankel, ConditionReport, MomentSequence,
                      build_block_hankel, check_solvability_prefix,
@@ -56,12 +55,12 @@ __all__ = [
     "InsufficientMoments", "MomentProblemError", "MomentSequence",
     "NormViolation", "NormalizationFail", "NotAdmissible", "NotConverged",
     "NotPSD", "NullSpaceNotOneDim", "PerronResult", "ProblemFileError",
-    "RadiusTooSmall", "ScalarEvenResult", "SelfAdjointExtension",
+    "ScalarEvenResult", "SelfAdjointExtension",
     "ShiftOperator", "SingularSystem", "SolveResult", "StieltjesTransform",
     "SweepEntry", "SweepResult", "Tolerances", "VerificationReport",
     "Workspace", "apply_generalized_resolvent", "build_block_hankel",
     "build_shift", "check_solvability_prefix", "check_truncated_conditions",
-    "compute_rank_r", "default_contour_radius", "default_parameter",
+    "compute_rank_r", "default_parameter",
     "deficiency_subspaces", "dual_vandermonde_solve", "factor_psd",
     "forbidden_operator", "is_admissible", "measure_distance",
     "moments_from_transform", "null_vector_c", "pencil_spectral_radius",

@@ -103,20 +103,6 @@ def _parse_grid(text: str):
     return start, stop, width
 
 
-def _parse_eps_sequence(text: str | None):
-    if text is None:
-        return None
-    try:
-        eps = [float(p) for p in text.split(",") if p.strip()]
-    except ValueError:
-        raise ProblemFileError(
-            f"--eps-sequence: {text!r} is not a comma-separated number list"
-        ) from None
-    if not eps:
-        raise ProblemFileError("--eps-sequence is empty")
-    return eps
-
-
 def _resolve_parameter(args, seq, file_spec, tol):
     """The parameter to solve with, or None for the default scan.
 
@@ -214,11 +200,8 @@ def _cmd_solve(args) -> int:
     seq, file_spec, tol = parse_problem(_load_text(args.problem))
     tol = _apply_tol_flags(tol, args.tol)
     grid = _parse_grid(args.grid) if args.grid else None
-    eps_sequence = _parse_eps_sequence(args.eps_sequence)
     parameter = _resolve_parameter(args, seq, file_spec, tol)
-    result = solve_truncated(seq, parameter=parameter, tol=tol,
-                             contour_radius=args.contour_radius,
-                             contour_points=args.contour_points)
+    result = solve_truncated(seq, parameter=parameter, tol=tol)
     out = _solve_result_json(result)
     ws = result.workspace
     if args.dump_gram:
@@ -234,8 +217,7 @@ def _cmd_solve(args) -> int:
     perron = None
     if grid is not None:
         transform = StieltjesTransform(ws.shift, ws.pair, result.parameter, tol)
-        perron = perron_inversion(transform, grid[0], grid[1], grid[2],
-                                  eps_sequence=eps_sequence, tol=tol)
+        perron = perron_inversion(transform, *grid, tol=tol)
         out["perron"] = perron_to_json(perron)
     if args.csv:
         if perron is not None:
@@ -330,14 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="extension parameter JSON file")
     group.add_argument("--theta", type=float, metavar="THETA",
                        help="use the unimodular parameter e^{i THETA} I")
-    p.add_argument("--contour-radius", type=float, default=None,
-                   help="contour radius for moment recovery (transform route)")
-    p.add_argument("--contour-points", type=int, default=256,
-                   help="contour quadrature points (default 256)")
     p.add_argument("--grid", metavar="START:STOP:WIDTH",
                    help="also recover cell masses on this half-open grid")
-    p.add_argument("--eps-sequence", metavar="E1,E2,...",
-                   help="decreasing smoothing levels for --grid")
     p.add_argument("--csv", metavar="PATH",
                    help="write atoms (or --grid cells) as CSV")
     p.add_argument("--dump-gram", action="store_true",

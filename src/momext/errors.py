@@ -64,10 +64,6 @@ class SingularSystem(MomentProblemError):
     """A resolvent linear system was singular or left a large residual."""
 
 
-class RadiusTooSmall(MomentProblemError):
-    """Doubling the contour radius moved the recovered moments."""
-
-
 class NotConverged(MomentProblemError):
     """An approximation sweep did not stabilize within its budget.
 

@@ -258,9 +258,3 @@ def pencil_spectral_radius(shift: ShiftOperator, pair: DeficiencyPair,
     if finite.size == 0:
         return 0.0
     return float(np.max(np.abs(finite)))
-
-
-def default_contour_radius(shift: ShiftOperator, pair: DeficiencyPair,
-                           vmat: np.ndarray) -> float:
-    """Radius 2 (1 + rho) comfortably enclosing all resolvent singularities."""
-    return 2.0 * (1.0 + pencil_spectral_radius(shift, pair, vmat))

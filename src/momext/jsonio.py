@@ -100,12 +100,6 @@ def matrix_to_json(m) -> list:
             for i in range(m.shape[0])]
 
 
-def real_matrix_to_json(m) -> list:
-    m = np.asarray(m, dtype=float)
-    return [[float(m[i, j]) for j in range(m.shape[1])]
-            for i in range(m.shape[0])]
-
-
 def real_vector_to_json(v) -> list:
     return [float(x) for x in np.asarray(v, dtype=float).reshape(-1)]
 
@@ -329,12 +323,7 @@ def verification_to_json(report: VerificationReport | None) -> dict | None:
 def recovery_to_json(rec: ContourRecovery | None) -> dict | None:
     if rec is None:
         return None
-    return {
-        "radius": float(rec.radius),
-        "n_points": rec.n_points,
-        "doubling_gap": float(rec.doubling_gap),
-        "moments": [matrix_to_json(m) for m in rec.moments],
-    }
+    return {"moments": [matrix_to_json(m) for m in rec.moments]}
 
 
 def perron_to_json(res: PerronResult) -> dict:
@@ -343,6 +332,7 @@ def perron_to_json(res: PerronResult) -> dict:
         "eps_used": float(res.eps_used),
         "increments": [matrix_to_json(w) for w in res.increments],
         "history": [[float(e), float(c)] for e, c in res.history],
+        "method": res.method,
     }
 
 

@@ -10,16 +10,23 @@ parameters are certified instead through the transform
 
     T(lam)[k, l] = (R(lam) x_k, x_l),
 
-a matrix Herglotz function whose boundary behavior carries the measure:
-moments come back through a contour integral of the rational continuation,
-and densities through Stieltjes-Perron inversion
+a matrix Herglotz function whose boundary behavior carries the measure
+through Stieltjes-Perron inversion
 
     M([a, b)) = limit over eps of (1/pi) integral over [a, b) of
                 Im T(u + i eps) du .
 
+For a constant parameter T(lam)[k, l] = (x_l, (G - lam)^{-1} x_k) with
+G = img dom^{-1}, a rational function, so both recoveries are closed forms:
+the moments are S_n[k, l] = (x_l, G^n x_k), and the cell masses are sums of
+logarithms over the poles of T (or, for an isometric parameter, sums of
+atom weights).  Only lam-dependent samplers need the eps limit itself,
+taken numerically over a decreasing eps ladder.
+
 Cells are half-open [x, x+h); an atom sitting exactly on a cell boundary
-splits its mass roughly 1/4 / 1/4 between the two adjacent cells at finite
-eps, so checks around atoms should sum windows, not single cells.
+gives exactly half its weight to each of the two adjacent cells (the
+Stieltjes-Perron limit), so checks around atoms should sum windows, not
+single cells.
 """
 
 from __future__ import annotations
@@ -28,14 +35,14 @@ import dataclasses
 
 import numpy as np
 
-from .errors import NotConverged, RadiusTooSmall
+from .errors import NotAdmissible, NotConverged
 from .hankel import MomentSequence
 from .linalg import max_abs, read_only, solve_with_residual_check
-from .extensions import (ExtensionParameter, SelfAdjointExtension,
-                         apply_generalized_resolvent, default_contour_radius,
-                         extension_blocks, pencil_spectral_radius,
-                         resolvent_systems)
-from .shift import DeficiencyPair, ShiftOperator
+from .extensions import (KIND_ISOMETRIC, ExtensionParameter,
+                         SelfAdjointExtension, apply_generalized_resolvent,
+                         extension_blocks, quasi_extension_matrix,
+                         selfadjoint_extension)
+from .shift import DeficiencyPair, ShiftOperator, is_admissible
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -184,7 +191,7 @@ def verify_moments(measure: AtomicMatrixMeasure, seq: MomentSequence,
 
 def verify_recovered_moments(recovered, seq: MomentSequence,
                              rel_tol: float = 1e-6) -> VerificationReport:
-    """Same report for moments recovered by other means (contour, Perron)."""
+    """Same report for moments recovered by other means (the transform)."""
     if len(recovered) < len(seq):
         raise ValueError("recovered moment list shorter than the sequence")
     return _verification(recovered, seq, rel_tol)
@@ -221,9 +228,11 @@ class StieltjesTransform:
         """Vectorized upper-branch evaluation at many points.
 
         For a constant parameter this evaluates the single rational function
-        that continues the upper branch, at arbitrary complex points; that is
-        exactly what the contour integrator needs.  Samplers fall back to a
-        per-point loop and are only meaningful for Im lam > 0.
+        that continues the upper branch, at arbitrary complex points
+        (including the real axis away from its poles), by a direct batched
+        solve; it is the reference the closed-form cell masses are checked
+        against.  Samplers fall back to a per-point loop and are only
+        meaningful for Im lam > 0.
         """
         lams = np.asarray(lams, dtype=complex).reshape(-1)
         n = self.shift.block_dim
@@ -231,14 +240,7 @@ class StieltjesTransform:
         out = np.empty((lams.size, n, n), dtype=complex)
         if not self.parameter.is_constant:
             for i, lam in enumerate(lams):
-                sys_mat, lift = resolvent_systems(self.shift, self.pair,
-                                                  self.parameter, complex(lam),
-                                                  self.tol)
-                sol = solve_with_residual_check(sys_mat, xn.T.copy(),
-                                                self.tol.solve_rel,
-                                                context=f"transform at {lam}")
-                h = lift @ sol
-                out[i] = (np.conj(xn) @ h).T
+                out[i] = self(lam)
             return out
         vmat = self.parameter.constant_matrix(self.pair.defect, self.tol)
         dom, img = extension_blocks(self.shift, self.pair, vmat)
@@ -269,91 +271,52 @@ def stieltjes_transform(shift: ShiftOperator, pair: DeficiencyPair,
 
 @dataclasses.dataclass(frozen=True)
 class ContourRecovery:
-    """Moments S_hat_n recovered by contour integration of the transform."""
+    """Moments S_hat_n of the transform, n = 0..n_max, as (N, N) arrays."""
 
-    moments: tuple              # of (N, N) arrays, n = 0..n_max
-    radius: float
-    n_points: int
-    doubling_gap: float         # max deviation between radius R and 2R runs
+    moments: tuple
 
 
-def _contour_moments(transform: StieltjesTransform, n_max: int,
-                     radius: float, n_points: int) -> tuple:
-    """Moments at one radius, plus max |T| on that circle (for error bars)."""
-    ks = np.arange(n_points)
-    lams = radius * np.exp(2j * np.pi * (ks + 0.5) / n_points)
-    tvals = transform.eval_upper_many(lams)            # (B, N, N)
-    out = []
-    for n in range(n_max + 1):
-        coef = lams ** (n + 1)
-        out.append(-np.einsum("b,bkl->kl", coef, tvals) / n_points)
-    return out, float(np.abs(tvals).max(initial=0.0))
+def _extension_matrix(transform: StieltjesTransform,
+                      tol: Tolerances) -> np.ndarray:
+    """G = img dom^{-1}, so that T(lam)[k, l] = (x_l, (G - lam)^{-1} x_k).
 
-
-def moments_from_transform(transform: StieltjesTransform, n_max: int,
-                           radius: float | None = None, n_points: int = 256,
-                           tol: Tolerances | None = None) -> ContourRecovery:
-    """Recover S_0..S_{n_max} via -(1/2 pi i) contour integral of lam^n T.
-
-    The transform of a constant parameter is rational with all singularities
-    inside a computable radius, so the integrand is evaluated as that single
-    rational function on the whole circle (half-shifted trapezoid grid, which
-    is spectrally accurate).  The radius is doubled once as a safety check;
-    disagreement raises RadiusTooSmall.  Samplers are rejected: a lam-slice
-    of samples does not determine the lower branch, so only the smoothed
-    inversion path applies to them.
+    An inadmissible parameter makes dom singular; it is rejected with its
+    margin as NotAdmissible rather than left to surface from the inverse.
     """
-    tol = tol or transform.tol
+    shift, pair = transform.shift, transform.pair
+    vmat = transform.parameter.constant_matrix(pair.defect, tol)
+    report = is_admissible(vmat, shift, pair, None, tol)
+    if report.admissible:
+        try:
+            return quasi_extension_matrix(shift, pair, vmat)
+        except np.linalg.LinAlgError:
+            pass
+    margin = "n/a" if report.margin is None else f"{report.margin:.3e}"
+    raise NotAdmissible(f"parameter is not admissible (margin {margin}, "
+                        f"floor {tol.adm_abs:.1e})", margin=report.margin)
+
+
+def moments_from_transform(transform: StieltjesTransform,
+                           n_max: int) -> ContourRecovery:
+    """S_0..S_{n_max} of a constant parameter's transform, in closed form.
+
+    T(lam) = -sum over n of S_n / lam^{n+1} at large |lam|, so by the
+    residue theorem S_n[k, l] = (x_l, G^n x_k), taken by repeated
+    multiplication.  Samplers are rejected (a lam-slice of samples does not
+    determine the lower branch), and so is an inadmissible parameter, with
+    NotAdmissible.
+    """
     if not transform.parameter.is_constant:
-        raise ValueError("contour recovery needs a constant parameter; "
+        raise ValueError("moment recovery needs a constant parameter; "
                          "use perron_inversion for sampled families")
-    vmat = transform.parameter.constant_matrix(transform.pair.defect, tol)
-    rho = pencil_spectral_radius(transform.shift, transform.pair, vmat)
-    if radius is None:
-        radius = default_contour_radius(transform.shift, transform.pair, vmat)
-        # The summands of the n-th recovered moment grow like R^{n+1}, so a
-        # generous radius amplifies machine epsilon in high moments.  When
-        # the cautious default would push eps * R^{n_max+1} past 1e-9, back
-        # off toward the poles, but never below a 1.25x clearance (the
-        # trapezoid rule converges geometrically in the clearance ratio, so
-        # 1.25x is already overkill at the default point count).
-        round_cap = (1e-9 / float(np.finfo(float).eps)) ** (1.0 / (n_max + 1))
-        radius = min(radius, max(1.25 * rho + 1.0, round_cap))
-    radius = float(radius)
-    if radius <= 0.0:
-        raise ValueError("contour radius must be positive")
-    # The singularities of the rational continuation are known exactly (the
-    # finite pencil eigenvalues), so a contour that fails to enclose them is
-    # rejected up front; the doubling comparison below only has to catch
-    # quadrature trouble, not topology.
-    if radius <= rho * (1.0 + 1e-9):
-        raise RadiusTooSmall(
-            f"contour radius {radius:g} does not enclose every singularity "
-            f"of the transform (outermost at modulus {rho:g})")
-    base, _tmax_base = _contour_moments(transform, n_max, radius, n_points)
-    check, tmax_check = _contour_moments(transform, n_max, 2.0 * radius,
-                                         n_points)
-    scale = max(1.0, max(max_abs(b) for b in base))
-    eps = float(np.finfo(float).eps)
-    gap = 0.0
-    for n, (b, c) in enumerate(zip(base, check)):
-        gap_n = float(max_abs(b - c))
-        gap = max(gap, gap_n)
-        # The summands at radius 2R have magnitude up to (2R)^{n+1} |T|, so
-        # even an exact quadrature rule leaves roundoff of that order times
-        # machine epsilon; an under-resolved or barely-enclosing contour
-        # errs at the scale of the moments themselves, far above this bar.
-        roundoff = 16.0 * eps * (2.0 * radius) ** (n + 1) * tmax_check
-        if gap_n > max(tol.contour_rel * scale, roundoff):
-            raise RadiusTooSmall(
-                f"moment {n} recovered at radius {radius:g} and "
-                f"{2 * radius:g} differs by {gap_n:.3e} (allowed "
-                f"{tol.contour_rel:.1e} * {scale:.3g} or roundoff "
-                f"{roundoff:.1e}); the contour integral is not trustworthy "
-                f"at this radius and point count")
-    return ContourRecovery(moments=tuple(read_only(b) for b in base),
-                           radius=radius, n_points=n_points,
-                           doubling_gap=float(gap))
+    g = _extension_matrix(transform, transform.tol)
+    xn = transform._first_coords()
+    h = xn.T.copy()                                     # columns G^n x_k
+    moments = []
+    for _ in range(n_max + 1):
+        moments.append(read_only((np.conj(xn) @ h).T))
+        h = g @ h
+    return ContourRecovery(moments=tuple(moments))
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
@@ -388,44 +351,92 @@ def _smoothed_cell_integrals(transform: StieltjesTransform, edges: np.ndarray,
 class PerronResult:
     """Cell masses from Stieltjes-Perron inversion.
 
-    increments[i] approximates M([edges[i], edges[i+1])) and is exactly PSD
-    (positive quadrature weights on a PSD integrand at the reported eps).
-    extrapolated holds the eps -> 0 Richardson extrapolant used for the
-    stabilization decision.
+    increments[i] is M([edges[i], edges[i+1])), an atom on an edge giving
+    half its weight to each side.  method is "atoms" (an isometric
+    parameter's spectral measure, binned), "residue" (closed form over the
+    poles of a contraction's transform; eps_used 0 and no history for
+    both) or "eps-ladder" (smoothed integrals at eps_used, exactly PSD).
     """
 
     edges: np.ndarray           # (K+1,)
-    increments: np.ndarray      # (K, N, N) at eps_used
-    extrapolated: np.ndarray    # (K, N, N)
-    eps_used: float
-    history: tuple              # of (eps, max-abs change of extrapolant)
+    increments: np.ndarray      # (K, N, N)
+    method: str
+    eps_used: float = 0.0
+    history: tuple = ()         # of (eps, max-abs change of extrapolant)
 
 
-def perron_inversion(transform: StieltjesTransform, start: float, stop: float,
-                     cell_width: float, eps_sequence=None,
-                     tol: Tolerances | None = None) -> PerronResult:
-    """Masses of half-open cells [x, x+h) on [start, stop).
+def _atom_cells(transform: StieltjesTransform, edges: np.ndarray,
+                tol: Tolerances) -> PerronResult:
+    """Bin the atoms of an isometric parameter's spectral measure; one
+    within cluster_rel (of the grid scale) of an edge goes half to each
+    side, the limit of the smoothed integrals."""
+    ext = selfadjoint_extension(transform.shift, transform.pair,
+                                transform.parameter, tol)
+    measure = spectral_measure(ext, transform.shift, tol)
+    n, k = transform.block_dim, len(edges) - 1
+    masses = np.zeros((k, n, n), dtype=complex)
+    near = tol.cluster_rel * max(1.0, max_abs(edges))
+    for t, w in zip(measure.locations, measure.weights):
+        e = int(np.argmin(np.abs(edges - t)))
+        if abs(edges[e] - t) <= near:
+            for cell in (e - 1, e):
+                if 0 <= cell < k:
+                    masses[cell] += 0.5 * w
+            continue
+        cell = int(np.searchsorted(edges, t, side="right")) - 1
+        if 0 <= cell < k:
+            masses[cell] += w
+    return PerronResult(edges, read_only(masses), "atoms")
 
-    For each eps in the decreasing sequence the smoothed cell integrals are
-    computed; consecutive pairs form a linear-in-eps Richardson extrapolant,
-    and the sweep stops once two successive extrapolants agree within
-    perron_abs.  Raises NotConverged (with diagnostics) when the sequence is
-    exhausted first.
+
+def _residue_cells(transform: StieltjesTransform, edges: np.ndarray,
+                   tol: Tolerances) -> PerronResult | None:
+    """Cell masses of a contraction's transform from its poles and residues.
+
+    With G = Z diag(mu) Z^{-1}, T(lam) = sum_j r_j / (mu_j - lam) where
+    r_j[k, l] = (Z^{-1} X)[j, k] (X^H Z)[l, j].  With every pole strictly
+    below the real axis there is no eps limit: a cell [a, b) has mass
+    (1/pi) Herm-Im sum_j r_j (log(mu_j - a) - log(mu_j - b)).  None unless
+    the residue form matches the direct solve within perron_abs at the cell
+    midpoints lifted by one cell width.
     """
-    tol = tol or transform.tol
-    if not (stop > start and cell_width > 0.0):
-        raise ValueError("need stop > start and a positive cell width")
-    n_cells = int(np.floor((stop - start) / cell_width + 1e-9))
-    if n_cells < 1:
-        raise ValueError("grid holds no complete cell")
-    edges = start + cell_width * np.arange(n_cells + 1)
-    if eps_sequence is None:
-        eps_sequence = [0.01 * 0.5 ** k for k in range(11)]
-    eps_sequence = [float(e) for e in eps_sequence]
-    if any(e <= 0 for e in eps_sequence) or any(
-            b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
-        raise ValueError("eps_sequence must be positive and decreasing")
+    g = _extension_matrix(transform, tol)
+    mu, z = np.linalg.eig(g)
+    if not np.all(mu.imag < 0.0):
+        return None
+    xn = transform._first_coords()                      # (N, m)
+    try:
+        right = np.linalg.solve(z, xn.T)                # Z^{-1} X, (m, N)
+    except np.linalg.LinAlgError:
+        return None
+    left = np.conj(xn) @ z                              # X^H Z, (N, m)
 
+    def residue_sum(coef):                              # coef: (B, m)
+        return np.einsum("jk,bj,lj->bkl", right, coef, left)
+
+    widths = np.diff(edges)
+    probes = 0.5 * (edges[:-1] + edges[1:]) + 1j * widths
+    direct = transform.eval_upper_many(probes)
+    gap = max_abs(residue_sum(1.0 / (mu[None, :] - probes[:, None]))
+                  - direct)
+    if not gap <= tol.perron_abs:                       # also rejects nan
+        return None
+    logs = (np.log(mu[None, :] - edges[:-1, None])
+            - np.log(mu[None, :] - edges[1:, None]))
+    f = residue_sum(logs)
+    masses = (f - np.conj(np.swapaxes(f, -1, -2))) / (2j * np.pi)
+    return PerronResult(edges, read_only(masses), "residue")
+
+
+def _eps_ladder(transform: StieltjesTransform, edges: np.ndarray,
+                eps_sequence: list, tol: Tolerances) -> PerronResult:
+    """Smoothed cell integrals over a decreasing eps sequence.
+
+    Consecutive pairs form a linear-in-eps Richardson extrapolant, and the
+    sweep stops once two successive extrapolants agree within perron_abs.
+    Raises NotConverged (with diagnostics) when the sequence is exhausted
+    first.
+    """
     prev_integral = None
     prev_eps = None
     prev_extrap = None
@@ -439,10 +450,8 @@ def perron_inversion(transform: StieltjesTransform, start: float, stop: float,
                 change = max_abs(extrap - prev_extrap)
                 history.append((eps, float(change)))
                 if change <= tol.perron_abs:
-                    return PerronResult(edges=read_only(edges),
-                                        increments=read_only(integral),
-                                        extrapolated=read_only(extrap),
-                                        eps_used=eps,
+                    return PerronResult(edges, read_only(integral),
+                                        "eps-ladder", eps_used=eps,
                                         history=tuple(history))
             prev_extrap = extrap
         prev_integral, prev_eps = integral, eps
@@ -450,6 +459,42 @@ def perron_inversion(transform: StieltjesTransform, start: float, stop: float,
         f"smoothed inversion did not stabilize within {tol.perron_abs:.1e} "
         f"over eps sequence {eps_sequence}",
         diagnostics={"history": history, "edges": edges})
+
+
+def perron_inversion(transform: StieltjesTransform, start: float, stop: float,
+                     cell_width: float, eps_sequence=None,
+                     tol: Tolerances | None = None) -> PerronResult:
+    """Masses of half-open cells [x, x+h) on [start, stop).
+
+    Constant parameters are inverted exactly: isometric ones by binning the
+    atoms of their self-adjoint extension, contractions through the poles
+    and residues of their rational transform.  Lam-dependent samplers, and
+    contractions whose residue form fails its check, go through the
+    smoothed eps ladder.  Raises NotAdmissible for an inadmissible constant
+    parameter.
+    """
+    tol = tol or transform.tol
+    if not (stop > start and cell_width > 0.0):
+        raise ValueError("need stop > start and a positive cell width")
+    n_cells = int(np.floor((stop - start) / cell_width + 1e-9))
+    if n_cells < 1:
+        raise ValueError("grid holds no complete cell")
+    edges = read_only(start + cell_width * np.arange(n_cells + 1))
+    if eps_sequence is None:
+        eps_sequence = [0.01 * 0.5 ** k for k in range(11)]
+    eps_sequence = [float(e) for e in eps_sequence]
+    if any(e <= 0 for e in eps_sequence) or any(
+            b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
+        raise ValueError("eps_sequence must be positive and decreasing")
+
+    parameter = transform.parameter
+    if parameter.is_constant:
+        if parameter.kind == KIND_ISOMETRIC:
+            return _atom_cells(transform, edges, tol)
+        exact = _residue_cells(transform, edges, tol)
+        if exact is not None:
+            return exact
+    return _eps_ladder(transform, edges, eps_sequence, tol)
 
 
 def measure_distance(m1: AtomicMatrixMeasure, m2: AtomicMatrixMeasure,

@@ -121,15 +121,14 @@ class SolveResult:
 
 def solve_truncated(seq: MomentSequence,
                     parameter: ExtensionParameter | None = None,
-                    tol: Tolerances = DEFAULT,
-                    contour_radius: float | None = None,
-                    contour_points: int = 256) -> SolveResult:
+                    tol: Tolerances = DEFAULT) -> SolveResult:
     """Produce a solution of the truncated problem for one parameter choice.
 
     Isometric constant parameters give an atomic measure verified against
     every prescribed moment; contractive ones give the transform route with
-    contour-recovered moments.  With no parameter supplied, the best
-    unimodular candidate is used (the unique choice when the defect is 0).
+    moments recovered from the transform in closed form.  With no parameter
+    supplied, the best unimodular candidate is used (the unique choice when
+    the defect is 0).
     """
     ws = prepare(seq, tol)
     theta = None
@@ -169,9 +168,7 @@ def solve_truncated(seq: MomentSequence,
     recovery = None
     verification = None
     if parameter.is_constant:
-        recovery = moments_from_transform(transform, 2 * ws.condition.order,
-                                          radius=contour_radius,
-                                          n_points=contour_points, tol=tol)
+        recovery = moments_from_transform(transform, 2 * ws.condition.order)
         verification = verify_recovered_moments(recovery.moments, seq,
                                                 rel_tol=1e-6)
     return SolveResult(kind="transform", measure=None, extension=None,

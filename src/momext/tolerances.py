@@ -24,8 +24,7 @@ class Tolerances:
     solve_rel: float = 1e-8     # relative residual allowed in resolvent solves
     cluster_rel: float = 1e-9   # eigenvalue clustering gap, rel. spectral radius
     weight_rel: float = 1e-12   # atom weight drop threshold, rel. total mass
-    contour_rel: float = 1e-8   # agreement required between radius R and 2R
-    perron_abs: float = 1e-3    # stabilization threshold for smoothed inversion
+    perron_abs: float = 1e-3    # eps-ladder stabilization; residue-form check
     root_rel: float = 1e-8      # allowed imaginary part of kernel-poly roots
     sep_rel: float = 1e-8       # root separation floor, relative to root spread
 

@@ -129,7 +129,7 @@ def test_solve_with_parameter_file(tmp_path, capsys):
     assert data["kind"] == "transform"
     assert data["measure"] is None
     assert data["verification"]["passed"] is True
-    assert data["recovery"]["doubling_gap"] <= 1e-10
+    assert data["verification"]["max_deviation"] <= 1e-10
     # T(i) = 0.75 i for the zero contraction.
     sample = data["transform_samples"][0]
     assert sample["lambda"] == [0.0, 1.0]
@@ -167,6 +167,7 @@ def test_solve_grid_and_csv(tmp_path, capsys):
     assert code == 0
     per = data["perron"]
     assert len(per["edges"]) == 9
+    assert per["method"] == "residue" and per["history"] == []
     total = sum(w[0][0][0] for w in per["increments"])
     exact = (2.0 / np.pi) * (2.0 / 5.0 + np.arctan(2.0))
     assert total == pytest.approx(exact, abs=5e-3)

@@ -7,9 +7,8 @@ Checked here:
 - resolvents of self-adjoint extensions agree with the direct inverse
   (A - lam)^{-1}, and the hand value (A(0) - i)^{-1} e_0 = (i/2, 1/2),
 - the mirror symmetry R(conj lam) = R(lam)^H for contractive parameters,
-- contour geometry: singularities of the (1, 0, 1) family sit at the atom
-  positions +-1, so the default radius is 4 and smaller user radii are
-  rejected,
+- pencil geometry: singularities of the (1, 0, 1) family sit at the atom
+  positions +-1,
 - parameter validation (shape, norm, isometry defect).
 """
 
@@ -19,11 +18,9 @@ import numpy as np
 import pytest
 
 from momext import (DimensionMismatch, ExtensionParameter, MomentSequence,
-                    NormViolation, NotAdmissible, RadiusTooSmall,
-                    StieltjesTransform, apply_generalized_resolvent,
+                    NormViolation, NotAdmissible, apply_generalized_resolvent,
                     build_block_hankel, build_shift, deficiency_subspaces,
-                    default_contour_radius, factor_psd, forbidden_operator,
-                    moments_from_transform, pencil_spectral_radius,
+                    factor_psd, forbidden_operator, pencil_spectral_radius,
                     resolvent_matrix, selfadjoint_extension)
 from momext.sampling import (random_admissible_isometry,
                              random_feasible_instance,
@@ -144,16 +141,6 @@ def test_singularities_sit_at_the_atoms(seq_101):
     _, shift, pair = _operator_stage(seq_101)
     vmat = np.eye(1, dtype=complex)
     # A(0) has eigenvalues -1 and +1, so the outermost singularity has
-    # modulus 1 and the default contour radius is 2 (1 + 1) = 4.
+    # modulus 1.
     assert pencil_spectral_radius(shift, pair, vmat) == pytest.approx(
         1.0, abs=1e-10)
-    assert default_contour_radius(shift, pair, vmat) == pytest.approx(
-        4.0, abs=1e-9)
-
-
-def test_too_small_contour_radius_is_rejected(seq_101):
-    _, shift, pair = _operator_stage(seq_101)
-    parameter = ExtensionParameter.unimodular(0.0, defect=1)
-    transform = StieltjesTransform(shift, pair, parameter)
-    with pytest.raises(RadiusTooSmall):
-        moments_from_transform(transform, 2, radius=0.5)

@@ -10,9 +10,14 @@ Checked here:
 - structural transform properties: Herglotz positivity, mirror symmetry,
   agreement with sum of W_j / (t_j - lam) on atomic solutions, and the
   batch evaluator matching pointwise calls,
-- contour recovery exactness and its failure modes,
-- smoothed inversion: density mass, boundary-atom splitting over window
-  sums, PSD increments, and NotConverged diagnostics,
+- closed-form moment recovery: S_n = (x_l, G^n x_k) against the data, and
+  the rejection of samplers and of forbidden parameters,
+- exact cell masses: the residue form against an adaptive real-axis
+  quadrature of the direct solve, the defective (double-pole) zero
+  contraction against its closed-form CDF, atoms binned whole inside cells
+  and split exactly in half on edges,
+- the smoothed eps ladder for lam-dependent parameters: NotConverged
+  diagnostics and the eps-sequence validation,
 - measure verification and the distance used by the parameter sweep.
 """
 
@@ -22,19 +27,21 @@ import numpy as np
 import pytest
 
 from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
-                    NotConverged, StieltjesTransform, build_block_hankel,
-                    build_shift, default_parameter, deficiency_subspaces,
-                    factor_psd, measure_distance, moments_from_transform,
-                    perron_inversion, prepare, selfadjoint_extension,
-                    spectral_measure, verify_moments)
+                    NotAdmissible, NotConverged, StieltjesTransform,
+                    build_block_hankel, build_shift, default_parameter,
+                    deficiency_subspaces, factor_psd, measure_distance,
+                    moments_from_transform, perron_inversion, prepare,
+                    selfadjoint_extension, spectral_measure, verify_moments)
 from momext.sampling import (random_admissible_isometry,
-                             random_feasible_instance)
+                             random_feasible_instance,
+                             random_strict_contraction)
 
 from conftest import moments_of_atoms
 
 RNG_SEED = 20260805
 ORACLE_ATOL = 1e-12
 DENSITY_ATOL = 5e-3
+EXACT_CELL_ATOL = 1e-10
 
 
 def _operator_stage(seq):
@@ -210,21 +217,38 @@ def test_lambda_dependent_parameters_evaluate(seq_101):
 
 # ------------------------------------------------------------ moment recovery
 
-def test_contour_recovery_is_exact_for_rational_transforms():
+def _random_contraction_transforms(rng):
+    """One strict-contraction transform per N in {1, 2, 4}, d in {1, 2, 3}."""
+    for n in (1, 2, 4):
+        for d in (1, 2, 3):
+            seq, _ = random_feasible_instance(rng, n, d)
+            _, shift, pair = _operator_stage(seq)
+            f = random_strict_contraction(rng, pair.defect)
+            yield seq, StieltjesTransform(shift, pair,
+                                          ExtensionParameter.contraction(f))
+
+
+def test_power_moments_match_the_data():
     rng = np.random.default_rng(RNG_SEED + 4)
-    for _ in range(10):
-        n = int(rng.integers(1, 3))
-        d = int(rng.integers(1, 3))
-        seq, _ = random_feasible_instance(rng, n, d)
-        _, shift, pair = _operator_stage(seq)
-        f = rng.standard_normal((pair.defect, pair.defect)) \
-            + 1j * rng.standard_normal((pair.defect, pair.defect))
-        f *= 0.6 / max(1.0, np.linalg.norm(f, 2))
-        t = StieltjesTransform(shift, pair, ExtensionParameter.contraction(f))
-        rec = moments_from_transform(t, 2 * d)
+    for seq, t in _random_contraction_transforms(rng):
+        rec = moments_from_transform(t, len(seq) - 1)
         scale = max(1.0, seq.scale)
-        for k in range(2 * d + 1):
-            assert np.allclose(rec.moments[k], seq[k], atol=1e-8 * scale)
+        worst = max(float(np.abs(rec.moments[k] - seq[k]).max())
+                    for k in range(len(seq)))
+        assert worst <= 1e-10 * scale, (seq.dim, len(seq), worst)
+
+
+def test_forbidden_parameter_is_rejected_on_the_transform_route():
+    # theta = 0 is the forbidden angle of (1, 0, 1/4): its margin is 0, and
+    # the would-be transform -1/lam (one atom at 0) misses S_2.
+    seq = MomentSequence.scalar([1.0, 0.0, 0.25])
+    t = _transform(seq, ExtensionParameter.unimodular(0.0, defect=1))
+    with pytest.raises(NotAdmissible) as exc_info:
+        perron_inversion(t, -1.0, 1.0, 1.0)
+    assert exc_info.value.margin == pytest.approx(0.0, abs=1e-12)
+    with pytest.raises(NotAdmissible) as exc_info:
+        moments_from_transform(t, 2)
+    assert exc_info.value.margin == pytest.approx(0.0, abs=1e-12)
 
 
 def test_contour_recovery_rejects_samplers(seq_101):
@@ -275,16 +299,89 @@ def test_atoms_on_cell_boundaries_split_between_windows(seq_101):
 
 
 def test_interior_atoms_are_captured_whole():
-    # Atoms at -0.5 and +0.5 are interior to [-1, 0) and [0, 1).
+    # theta = pi puts atoms at -0.5 and +0.5, interior to [-1, 0) and [0, 1).
     seq = MomentSequence.scalar([1.0, 0.0, 0.25])
-    t = _transform(seq, ExtensionParameter.unimodular(0.0, defect=1))
+    t = _transform(seq, ExtensionParameter.unimodular(np.pi, defect=1))
     res = perron_inversion(t, -1.0, 1.0, 1.0)
     cells = np.array([w[0, 0].real for w in res.increments])
     assert np.allclose(cells, 0.5, atol=5e-3)
 
 
-def test_exhausted_eps_sequence_raises_with_diagnostics(seq_101):
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(12)
+
+
+def _real_axis_masses(t, edges, tol=1e-13, max_depth=40):
+    """(1/pi) int Im T(u) du per cell by adaptive Gauss-Legendre on the axis.
+
+    T is evaluated by the direct batched solve.  An interval is accepted
+    once its rule and the sum of the rules on its halves agree within tol.
+    """
+    def rule(lo, hi):
+        half = 0.5 * (hi - lo)
+        u = 0.5 * (lo + hi) + half * _GL_NODES
+        tv = t.eval_upper_many(u)
+        imt = (tv - np.conj(np.swapaxes(tv, -1, -2))) / 2j
+        return half * np.einsum("s,skl->kl", _GL_WEIGHTS, imt) / np.pi
+
+    def integrate(lo, hi, whole, depth):
+        mid = 0.5 * (lo + hi)
+        left, right = rule(lo, mid), rule(mid, hi)
+        if np.abs(left + right - whole).max() <= tol:
+            return left + right
+        assert depth < max_depth, "reference quadrature did not converge"
+        return (integrate(lo, mid, left, depth + 1)
+                + integrate(mid, hi, right, depth + 1))
+
+    return np.array([integrate(a, b, rule(a, b), 0)
+                     for a, b in zip(edges[:-1], edges[1:])])
+
+
+def test_residue_cells_match_real_axis_quadrature():
+    rng = np.random.default_rng(RNG_SEED + 5)
+    for seq, t in _random_contraction_transforms(rng):
+        res = perron_inversion(t, -3.0, 3.0, 0.5)
+        assert res.method == "residue" and res.eps_used == 0.0
+        err = np.abs(res.increments - _real_axis_masses(t, res.edges)).max()
+        assert err <= EXACT_CELL_ATOL, (seq.dim, len(seq), err)
+
+
+def test_defective_zero_contraction_matches_its_cdf(seq_101):
+    # F = 0 on (1, 0, 1) has density 2 / (pi (1 + u^2)^2): a double pole
+    # at -i, so the eigenvector matrix Z of G has cond(Z) ~ 2e8 and the
+    # residue sum cancels terms of size cond(Z), which costs about
+    # eps cond(Z) ~ 1e-8 of absolute accuracy.
     t = _transform(seq_101, ExtensionParameter.contraction(np.zeros((1, 1))))
+    res = perron_inversion(t, -2.0, 2.0, 0.25)
+    assert res.method == "residue"
+
+    def cdf(u):
+        return (1.0 / np.pi) * (u / (1.0 + u * u) + np.arctan(u))
+
+    exact = cdf(res.edges[1:]) - cdf(res.edges[:-1])
+    assert np.abs(res.increments[:, 0, 0] - exact).max() <= 1e-8
+
+
+def test_boundary_atoms_split_exactly_in_half(seq_101, seq_identity_2):
+    # theta = 0 puts half the mass at each of -1 and +1, both on edges; the
+    # outer edge -1 of [-1, 1) keeps only the inner half of its atom.
+    for seq in (seq_101, seq_identity_2):
+        eye = np.eye(seq.dim)
+        t = _transform(seq, ExtensionParameter.unimodular(0.0, seq.dim))
+        res = perron_inversion(t, -2.0, 2.0, 1.0)
+        assert res.method == "atoms"
+        for w in res.increments:
+            assert np.abs(w - 0.25 * eye).max() <= 1e-12
+        res = perron_inversion(t, -1.0, 1.0, 1.0)
+        for w in res.increments:
+            assert np.abs(w - 0.25 * eye).max() <= 1e-12
+
+
+def test_exhausted_eps_sequence_raises_with_diagnostics(seq_101):
+    # Only lam-dependent parameters reach the eps ladder; two levels give a
+    # single extrapolant, which can never be confirmed.
+    parameter = ExtensionParameter.from_sampler(
+        lambda lam: 0.5 * (lam - 1j) / (lam + 1j) * np.eye(1))
+    t = _transform(seq_101, parameter)
     with pytest.raises(NotConverged) as exc_info:
         perron_inversion(t, -2.0, 2.0, 0.5, eps_sequence=[0.1, 0.05])
     assert exc_info.value.diagnostics

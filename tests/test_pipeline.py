@@ -4,7 +4,8 @@ Checked here:
 - the worked instance (1, 0, 1): preparation report, best-margin default
   parameter theta = 0, the frozen two-atom measure,
 - both solution routes (atomic for isometric parameters, transform plus
-  contour recovery for contractions, samples only for lam-dependent ones),
+  closed-form moment recovery for contractions, samples only for
+  lam-dependent ones),
 - the admissibility gate on supplied parameters,
 - the unique-extension case (defect 0) and the sweep refusing it,
 - the theta sweep on (1, 0, 1): seven admissible angles, pi flagged
@@ -73,7 +74,7 @@ def test_contraction_route_recovers_the_moments(seq_101):
     assert result.measure is None
     assert result.recovery is not None
     assert result.verification.passed
-    assert result.recovery.doubling_gap <= 1e-10
+    assert result.verification.max_deviation <= 1e-10
     assert len(result.transform_samples) == 3
 
 
