@@ -77,49 +77,42 @@ def phase_canonicalize(q: np.ndarray) -> np.ndarray:
     argmax would then pick an arbitrary, platform-dependent pivot.
     """
     q = np.array(q, dtype=complex)
-    for j in range(q.shape[1]):
-        col = q[:, j]
-        mags = np.abs(col)
-        top = float(mags.max()) if mags.size else 0.0
-        if top <= 0.0:
-            continue
-        idx = int(np.argmax(mags >= (1.0 - 1e-9) * top))
-        piv = col[idx]
-        q[:, j] = col * (np.conj(piv) / abs(piv))
-    return q
+    if q.size == 0:
+        return q
+    mags = np.abs(q)
+    top = mags.max(axis=0)
+    lead = np.argmax(mags >= (1.0 - 1e-9) * top, axis=0)
+    piv = q[lead, np.arange(q.shape[1])]
+    piv[top <= 0.0] = 1.0
+    return q * (np.conj(piv) / np.abs(piv))
 
 
-def orthonormal_columns(a: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Orthonormal basis of the column span of ``a`` (m x k -> m x rank).
+def range_and_complement(a: np.ndarray, rel_tol: float):
+    """Orthonormal bases of col(a) and of its orthogonal complement in C^m.
 
-    Column-pivoted QR; pivots below rel_tol times the largest pivot are
-    treated as dependent columns.
+    One complete column-pivoted QR of the m x k matrix ``a``: pivots below
+    rel_tol times the largest count as dependent columns, so the first
+    basis has the numerical rank of ``a`` and the second the rest of C^m.
+    The complement is then made canonical, a function of the subspace
+    alone: it is the Gram-Schmidt basis of the columns of the projector
+    P = C C^H taken in pivoted order, obtained as C Q_c from the small
+    pivoted QR of C^H (whose columns have the geometry of P's).
     """
     a = np.asarray(a, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError("orthonormal_columns expects a matrix")
-    m = a.shape[0]
-    if a.shape[1] == 0 or a.size == 0:
-        return np.zeros((m, 0), dtype=complex)
-    q, r, _ = scipy.linalg.qr(a, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(np.atleast_2d(r)))
-    if diag.size == 0 or diag[0] == 0.0:
-        return np.zeros((m, 0), dtype=complex)
-    rank = int(np.sum(diag > rel_tol * diag[0]))
-    return phase_canonicalize(q[:, :rank])
-
-
-def orthonormal_complement(a: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Orthonormal basis of the orthogonal complement of col(a) in C^m."""
-    a = np.asarray(a, dtype=complex)
-    m = a.shape[0]
-    basis = orthonormal_columns(a, rel_tol)
-    r = basis.shape[1]
-    if r >= m:
-        return np.zeros((m, 0), dtype=complex)
-    proj = np.eye(m, dtype=complex) - basis @ np.conj(basis.T)
-    q, _, _ = scipy.linalg.qr(proj, mode="economic", pivoting=True)
-    return phase_canonicalize(q[:, :m - r])
+    m, k = a.shape
+    rank = 0
+    q = np.eye(m, dtype=complex)
+    if k:
+        q, r, _ = scipy.linalg.qr(a, mode="full", pivoting=True)
+        diag = np.abs(np.diag(r))
+        if diag.size and diag[0] > 0.0:
+            rank = int(np.sum(diag > rel_tol * diag[0]))
+    comp = q[:, rank:]
+    if m - rank > 1:                    # one column is canonical already
+        canon, _, _ = scipy.linalg.qr(np.conj(comp.T), mode="economic",
+                                      pivoting=True)
+        comp = comp @ canon
+    return phase_canonicalize(q[:, :rank]), phase_canonicalize(comp)
 
 
 def solve_with_residual_check(sys_mat, rhs, rel_tol: float,

@@ -81,29 +81,27 @@ class AtomicMatrixMeasure:
             block_dim = w.shape[1] if w.shape[0] else 1
         order = np.argsort(locs, kind="stable")
         locs, w = locs[order], w[order]
-        out_locs, out_w = [], []
-        i = 0
-        while i < len(locs):
-            j = i + 1
-            while j < len(locs) and locs[j] - locs[j - 1] <= merge_tol:
-                j += 1
-            out_locs.append(float(np.mean(locs[i:j])))
-            out_w.append(w[i:j].sum(axis=0))
-            i = j
-        locs = np.array(out_locs, dtype=float)
-        w = (np.array(out_w, dtype=complex) if out_w
-             else np.zeros((0, block_dim, block_dim), dtype=complex))
+        # runs of atoms with gaps <= merge_tol become one atom at their mean
+        starts = np.flatnonzero(np.concatenate(
+            ([True], ~(locs[1:] - locs[:-1] <= merge_tol))))
+        if len(starts) < len(locs):
+            sizes = np.diff(np.append(starts, len(locs)))
+            locs = np.add.reduceat(locs, starts) / sizes
+            w = np.add.reduceat(w, starts, axis=0)
+        if not len(locs):
+            w = np.zeros((0, block_dim, block_dim), dtype=complex)
         w = 0.5 * (w + np.conj(np.swapaxes(w, -1, -2)))
         if drop_tol > 0.0 and len(locs):
-            keep = np.array([max_abs(w[j]) > drop_tol for j in range(len(locs))])
+            keep = np.max(np.abs(w), axis=(1, 2)) > drop_tol
             locs, w = locs[keep], w[keep]
         if validate and len(locs):
             scale = max(max_abs(w), 1.0)
-            for j in range(len(locs)):
-                emin = float(np.linalg.eigvalsh(w[j])[0])
-                if emin < -psd_rel * scale:
-                    raise ValueError(f"weight at t = {locs[j]:.6g} is not PSD: "
-                                     f"min eigenvalue {emin:.3e}")
+            emin = np.linalg.eigvalsh(w)[:, 0]
+            bad = np.flatnonzero(emin < -psd_rel * scale)
+            if bad.size:
+                j = bad[0]
+                raise ValueError(f"weight at t = {locs[j]:.6g} is not PSD: "
+                                 f"min eigenvalue {emin[j]:.3e}")
         return cls(locations=read_only(locs), weights=read_only(w))
 
     def moment(self, n: int) -> np.ndarray:
@@ -140,25 +138,14 @@ def spectral_measure(extension: SelfAdjointExtension, shift: ShiftOperator,
                                               np.zeros((0, n, n)), block_dim=n)
     vals, vecs = np.linalg.eigh(extension.matrix)
     xn = shift.space.coords[:n]                      # (N, m)
-    c = xn @ np.conj(vecs)                           # c[k, i] = (x_k, v_i)
-    radius = max_abs(vals)
-    gap = tol.cluster_rel * radius
-    mass = c @ np.conj(c.T)                          # equals S_0
+    c = (xn @ np.conj(vecs)).T                       # c[i, k] = (x_k, v_i)
+    mass = c.T @ np.conj(c)                          # equals S_0
     drop = tol.weight_rel * max(max_abs(mass), 0.0)
-    locs, weights = [], []
-    i = 0
-    while i < m:
-        j = i + 1
-        while j < m and vals[j] - vals[j - 1] <= gap:
-            j += 1
-        block = c[:, i:j]
-        locs.append(float(np.mean(vals[i:j])))
-        weights.append(block @ np.conj(block.T))
-        i = j
-    return AtomicMatrixMeasure.from_atoms(np.array(locs), np.array(weights),
-                                          block_dim=n, merge_tol=0.0,
-                                          drop_tol=drop, psd_rel=tol.psd_rel,
-                                          validate=True)
+    # one rank-one weight per eigenvector; from_atoms sums each cluster
+    weights = c[:, :, None] * np.conj(c[:, None, :])
+    return AtomicMatrixMeasure.from_atoms(
+        vals, weights, block_dim=n, merge_tol=tol.cluster_rel * max_abs(vals),
+        drop_tol=drop, psd_rel=tol.psd_rel, validate=True)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -174,9 +161,11 @@ class VerificationReport:
 
 def _verification(recovered, seq: MomentSequence,
                   rel_tol: float) -> VerificationReport:
-    devs = tuple(float(max_abs(recovered[k] - seq[k])) for k in range(len(seq)))
-    scale = max(1.0, seq.scale)
-    worst = max(devs) if devs else 0.0
+    data = np.array(seq.moments)
+    gaps = np.abs(np.asarray(recovered)[:len(data)] - data)
+    devs = tuple(gaps.max(axis=(1, 2)).tolist())
+    scale = max(1.0, float(np.abs(data).max()))
+    worst = max(devs)
     return VerificationReport(deviations=devs, max_deviation=worst,
                               scale=scale, rel_tol=rel_tol,
                               passed=bool(worst <= rel_tol * scale))
@@ -185,7 +174,8 @@ def _verification(recovered, seq: MomentSequence,
 def verify_moments(measure: AtomicMatrixMeasure, seq: MomentSequence,
                    rel_tol: float = 1e-8) -> VerificationReport:
     """Compare integral x^n dM against S_n for every prescribed n."""
-    rec = [measure.moment(k) for k in range(len(seq))]
+    powers = measure.locations[None, :] ** np.arange(len(seq))[:, None]
+    rec = np.einsum("nj,jkl->nkl", powers, measure.weights)
     return _verification(rec, seq, rel_tol)
 
 
@@ -501,27 +491,28 @@ def measure_distance(m1: AtomicMatrixMeasure, m2: AtomicMatrixMeasure,
                      site_tol: float = 1e-6) -> float:
     """Largest weight discrepancy over the merged atom sites of two measures.
 
-    Sites of both measures are merged when closer than site_tol; a site
-    carried by only one measure contributes its full weight norm, so the
-    value is positive exactly when the measures differ as atom sets (up to
-    site_tol) or in any weight entry.
+    The atom locations of both measures are pooled and sorted, and merged
+    greedily: a location starts a new site when it lies more than site_tol
+    above the site currently open, otherwise it joins it.  At each site s,
+    each measure contributes the sum of its weights at |t - s| <= site_tol,
+    and the distance is the largest |entry| of the difference over all
+    sites.  A site carried by one measure only thus contributes the largest
+    |entry| of its weight, and the value is positive exactly when the
+    measures differ as atom sets (up to site_tol) or in any weight entry.
     """
-    sites = np.concatenate([m1.locations, m2.locations])
-    if sites.size == 0:
-        return 0.0
-    sites = np.sort(sites)
+    sites = np.sort(np.concatenate([m1.locations, m2.locations]))
+    if np.all(np.diff(sites) > site_tol):
+        # every site holds exactly one atom of one measure
+        return max(max_abs(m1.weights), max_abs(m2.weights))
     merged = [sites[0]]
-    for s in sites[1:]:
+    for s in sites[1:].tolist():
         if s - merged[-1] > site_tol:
             merged.append(s)
-    n = max(m1.block_dim, m2.block_dim)
+    merged = np.array(merged)
 
-    def site_weight(measure, s):
-        total = np.zeros((n, n), dtype=complex)
-        for j in range(measure.n_atoms):
-            if abs(measure.locations[j] - s) <= site_tol:
-                total += measure.weights[j]
-        return total
+    def site_weights(measure):
+        offsets = measure.locations[None, :] - merged[:, None]
+        flat = measure.weights.reshape(measure.n_atoms, measure.block_dim ** 2)
+        return (np.abs(offsets) <= site_tol) @ flat
 
-    return max(max_abs(site_weight(m1, s) - site_weight(m2, s))
-               for s in merged)
+    return max_abs(site_weights(m1) - site_weights(m2))

@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import (DependentDomain, IllConditionedProjection, NormViolation)
 from .gram import GramSpace
-from .linalg import (max_abs, orthonormal_columns, orthonormal_complement,
-                     read_only, singular_values, operator_norm)
+from .linalg import (range_and_complement, read_only, singular_values,
+                     operator_norm)
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -43,7 +43,9 @@ class ShiftOperator:
     dom_matrix / shift_matrix hold the vectors x_0..x_{dN-1} and their images
     x_N..x_{dN+N-1} as columns; dom_basis is an orthonormal basis of D(A) and
     action maps dom_basis coordinates to the image in ambient coordinates,
-    so A v = action @ (dom_basis^H v) for v in D(A).
+    so A v = action @ (dom_basis^H v) for v in D(A).  complement is an
+    orthonormal basis of the orthogonal complement of D(A) (m x q, from the
+    same complete QR as dom_basis); every admissibility check reads it.
     """
 
     space: GramSpace
@@ -53,6 +55,7 @@ class ShiftOperator:
     shift_matrix: np.ndarray    # m x dN
     dom_basis: np.ndarray       # m x dN, orthonormal
     action: np.ndarray          # m x dN
+    complement: np.ndarray      # m x q, orthonormal, orthogonal to D(A)
 
     @property
     def ambient_dim(self) -> int:
@@ -95,19 +98,20 @@ def build_shift(space: GramSpace, tol: Tolerances = DEFAULT) -> ShiftOperator:
             raise DependentDomain(
                 f"domain vectors are numerically dependent: smallest singular "
                 f"value {sv[dn - 1]:.3e} vs largest {sv[0]:.3e}")
-    basis = orthonormal_columns(dom, tol.rank_rel)
+    basis, complement = range_and_complement(dom, tol.rank_rel)
     if basis.shape[1] != dn:
         raise DependentDomain(
             f"domain rank {basis.shape[1]} < {dn} after orthogonalization")
     if dn > 0:
-        coeff, *_ = np.linalg.lstsq(dom, basis, rcond=None)
-        action = img @ coeff
+        # dom coeff = basis; basis^H dom is R up to pivoting and phases
+        action = img @ np.linalg.inv(np.conj(basis.T) @ dom)
     else:
         action = np.zeros((m, 0), dtype=complex)
     return ShiftOperator(
         space=space, block_dim=n, order=d,
         dom_matrix=read_only(dom), shift_matrix=read_only(img),
         dom_basis=read_only(basis), action=read_only(action),
+        complement=read_only(complement),
     )
 
 
@@ -124,8 +128,8 @@ def deficiency_subspaces(shift: ShiftOperator,
                          tol: Tolerances = DEFAULT) -> DeficiencyPair:
     """Compute N_plus and N_minus; both have dimension m - dN."""
     dom, img = shift.dom_matrix, shift.shift_matrix
-    basis_plus = orthonormal_complement(img - 1j * dom, tol.rank_rel)
-    basis_minus = orthonormal_complement(img + 1j * dom, tol.rank_rel)
+    _, basis_plus = range_and_complement(img - 1j * dom, tol.rank_rel)
+    _, basis_minus = range_and_complement(img + 1j * dom, tol.rank_rel)
     expected = shift.ambient_dim - shift.dom_dim
     if basis_plus.shape[1] != expected or basis_minus.shape[1] != expected:
         raise IllConditionedProjection(
@@ -143,12 +147,10 @@ class ForbiddenOperator:
 
     For h in the orthogonal complement of D(A), X maps the projection of h
     onto N_plus to the projection of h onto N_minus.  matrix expresses X in
-    the (basis_plus, basis_minus) coordinate pair; dom_basis is an
-    orthonormal basis (in basis_plus coordinates) of the projected domain,
-    which fills all of N_plus when the construction is healthy.
+    the (basis_plus, basis_minus) coordinate pair; forbidden_operator
+    checks that the projections fill all of N_plus.
     """
 
-    dom_basis: np.ndarray       # q x q
     matrix: np.ndarray          # q x q
 
 
@@ -159,15 +161,9 @@ def forbidden_operator(shift: ShiftOperator, pair: DeficiencyPair,
     Raises IllConditionedProjection when projecting the complement onto
     N_plus loses rank, which would leave X defined on a proper subspace.
     """
-    q = pair.defect
-    if q == 0:
-        empty = np.zeros((0, 0), dtype=complex)
-        return ForbiddenOperator(dom_basis=read_only(empty.copy()),
-                                 matrix=read_only(empty.copy()))
-    perp = orthonormal_complement(shift.dom_matrix, tol.rank_rel)
-    if perp.shape[1] != q:
-        raise IllConditionedProjection(
-            f"complement of D(A) has dimension {perp.shape[1]}, expected {q}")
+    if pair.defect == 0:
+        return ForbiddenOperator(matrix=read_only(np.zeros((0, 0), complex)))
+    perp = shift.complement
     u = np.conj(pair.basis_plus.T) @ perp       # q x q
     w = np.conj(pair.basis_minus.T) @ perp      # q x q
     sv = singular_values(u)
@@ -176,8 +172,7 @@ def forbidden_operator(shift: ShiftOperator, pair: DeficiencyPair,
             f"projection of the domain complement onto N_plus is nearly "
             f"singular: smallest singular value {sv[-1]:.3e}")
     x_mat = np.linalg.solve(u.T, w.T).T
-    return ForbiddenOperator(dom_basis=read_only(orthonormal_columns(u, tol.rank_rel)),
-                             matrix=read_only(x_mat))
+    return ForbiddenOperator(matrix=read_only(x_mat))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -221,8 +216,8 @@ def is_admissible(matrix: np.ndarray, shift: ShiftOperator,
                                    parameter_norm=norm, forbidden_gap=None,
                                    coincides_with_forbidden=False,
                                    borderline=False)
-    perp = orthonormal_complement(shift.dom_matrix, tol.rank_rel)
-    adm = np.conj(perp.T) @ (pair.basis_minus @ v - pair.basis_plus)
+    adm = np.conj(shift.complement.T) @ (pair.basis_minus @ v
+                                         - pair.basis_plus)
     margin = float(singular_values(adm)[-1])
     gap = None
     coincides = False

@@ -5,7 +5,8 @@ Checked here:
 - representing-vector inner products return the prescribed moments,
 - the hand-checked rank-1 example (1, 1, 1) with eigenvalues {2, 0},
 - the deterministic phase convention (leading entry of each eigenvector
-  column real positive), byte-stable across repeated factorizations,
+  column real positive), byte-stable across repeated factorizations, and
+  phase_canonicalize against a per-column loop (zero columns, ties),
 - indefinite input is rejected with the trailing-section error.
 """
 
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from momext import (MomentSequence, NotPSD, build_block_hankel, factor_psd)
-from momext.linalg import inner
+from momext.linalg import inner, phase_canonicalize
 from momext.sampling import random_feasible_instance
 
 RNG_SEED = 20260802
@@ -72,6 +73,35 @@ def test_inner_products_return_moments():
             expected = build_block_hankel(seq, d).matrix[a, b]
             got = inner(space.vector(a), space.vector(b))
             assert abs(got - expected) <= 1e-10 * scale
+
+
+def _reference_phase_canonicalize(q):
+    q = np.array(q, dtype=complex)
+    for j in range(q.shape[1]):
+        col = q[:, j]
+        mags = np.abs(col)
+        top = float(mags.max()) if mags.size else 0.0
+        if top <= 0.0:
+            continue
+        piv = col[int(np.argmax(mags >= (1.0 - 1e-9) * top))]
+        q[:, j] = col * (np.conj(piv) / abs(piv))
+    return q
+
+
+def test_phase_canonicalize_matches_the_column_loop():
+    rng = np.random.default_rng(RNG_SEED + 3)
+    for trial in range(200):
+        m, k = (int(x) for x in rng.integers(0, 7, size=2))
+        q = rng.standard_normal((m, k)) + 1j * rng.standard_normal((m, k))
+        if trial % 3 == 0 and m and k:
+            q[:, 0] = 0.0                        # left as it is
+        if trial % 4 == 0 and m > 1:
+            q[1] = q[0] * 1j                     # ties go to the lower index
+        expected = _reference_phase_canonicalize(q)
+        got = phase_canonicalize(q)
+        assert got.shape == expected.shape
+        assert np.abs(got - expected).max(initial=0.0) <= 1e-15 * max(
+            1.0, np.abs(q).max(initial=0.0))
 
 
 def test_first_nonnegligible_entry_of_each_column_is_real_positive():

@@ -418,3 +418,84 @@ def test_measure_distance_merges_close_sites():
     assert measure_distance(a, b, site_tol=1e-6) == pytest.approx(0.0,
                                                                   abs=1e-12)
     assert measure_distance(a, b, site_tol=1e-12) == pytest.approx(1.0)
+
+
+def _reference_distance(m1, m2, site_tol=1e-6):
+    """measure_distance as a plain loop over merged sites and atoms."""
+    sites = np.concatenate([m1.locations, m2.locations])
+    if sites.size == 0:
+        return 0.0
+    sites = np.sort(sites)
+    merged = [sites[0]]
+    for s in sites[1:]:
+        if s - merged[-1] > site_tol:
+            merged.append(s)
+    n = max(m1.block_dim, m2.block_dim)
+
+    def site_weight(measure, s):
+        total = np.zeros((n, n), dtype=complex)
+        for j in range(measure.n_atoms):
+            if abs(measure.locations[j] - s) <= site_tol:
+                total += measure.weights[j]
+        return total
+
+    return max(np.abs(site_weight(m1, s) - site_weight(m2, s)).max()
+               for s in merged)
+
+
+def _random_measure(rng, n, n_atoms, locations=None):
+    if locations is None:
+        locations = np.sort(rng.uniform(-2.0, 2.0, n_atoms))
+    c = (rng.standard_normal((n_atoms, n, n))
+         + 1j * rng.standard_normal((n_atoms, n, n)))
+    weights = c @ np.conj(np.swapaxes(c, -1, -2))
+    return AtomicMatrixMeasure.from_atoms(locations, weights, block_dim=n)
+
+
+def test_measure_distance_matches_the_reference_loop():
+    rng = np.random.default_rng(RNG_SEED + 10)
+    site_tol = 1e-3
+    for trial in range(200):
+        n = 1 + trial % 2
+        if trial % 4 < 2:
+            # well-separated sites: the result is the largest |entry|, bit
+            # for bit
+            a = _random_measure(rng, n, int(rng.integers(1, 6)))
+            b = _random_measure(rng, n, int(rng.integers(1, 6)))
+            expected = _reference_distance(a, b, site_tol)
+            assert measure_distance(a, b, site_tol) == expected
+            continue
+        # sites on a coarse grid with sub-site_tol jitter: shared and
+        # near-shared sites, windows holding several atoms, atoms inside
+        # two merged windows
+        grid = 0.8e-3 * rng.integers(-6, 6, size=(2, 5))
+        jitter = rng.uniform(-0.3e-3, 0.3e-3, size=(2, 5))
+        a, b = (_random_measure(rng, n, 5, np.unique(g + j))
+                for g, j in zip(grid, jitter))
+        expected = _reference_distance(a, b, site_tol)
+        scale = max(np.abs(a.weights).max(), np.abs(b.weights).max())
+        assert measure_distance(a, b, site_tol) == pytest.approx(
+            expected, abs=1e-13 * scale)
+        assert measure_distance(a, a, site_tol) == 0.0
+
+
+def test_measure_distance_window_cases():
+    one = [[1.0]]
+    # 0.9 joins the site opened at 0 and also lies in the window of the
+    # site opened at 1.5, so it counts at both.
+    a = AtomicMatrixMeasure.from_atoms([0.0, 1.5], [one, [[4.0]]])
+    b = AtomicMatrixMeasure.from_atoms([0.9], [[[2.0]]])
+    assert measure_distance(a, b, site_tol=1.0) == \
+        _reference_distance(a, b, site_tol=1.0) == 2.0
+    # sites closer than site_tol on both sides
+    a = AtomicMatrixMeasure.from_atoms([0.0, 0.4, 3.0], [one, one, one])
+    b = AtomicMatrixMeasure.from_atoms([0.2, 3.5], [[[2.0]], [[3.0]]])
+    assert measure_distance(a, b, site_tol=1.0) == \
+        _reference_distance(a, b, site_tol=1.0) == 2.0
+    empty = AtomicMatrixMeasure.from_atoms([], np.zeros((0, 2, 2)),
+                                           block_dim=2)
+    m = AtomicMatrixMeasure.from_atoms([0.0, 1.0],
+                                       [np.eye(2), np.diag([1.0, 5.0])])
+    assert measure_distance(empty, empty) == 0.0
+    assert measure_distance(empty, m) == measure_distance(m, empty) == 5.0
+    assert measure_distance(m, m) == 0.0

@@ -9,7 +9,8 @@ Checked here:
 - the admissibility gate on supplied parameters,
 - the unique-extension case (defect 0) and the sweep refusing it,
 - the theta sweep on (1, 0, 1): seven admissible angles, pi flagged
-  forbidden, pairwise distinct measures,
+  forbidden, pairwise distinct measures; on random instances its distance
+  matrix is exactly the pairwise measure_distance,
 - determinism of repeated solves,
 - unitary invariance: conjugating the data by a unitary U conjugates the
   solution weights by U, once the parameter is transported through the
@@ -121,6 +122,22 @@ def test_sweep_flags_the_forbidden_angle(seq_101):
             else:
                 assert dm[i, j] > 1e-3
                 assert dm[i, j] == pytest.approx(dm[j, i], rel=1e-12)
+
+
+def test_sweep_distances_are_the_pairwise_measure_distances():
+    rng = np.random.default_rng(RNG_SEED + 3)
+    thetas = np.linspace(1.0, 2.0 * np.pi - 1.0, 12)
+    for n in (1, 2):
+        seq, _ = random_feasible_instance(rng, n, 4)
+        res = theta_sweep(seq, thetas=np.append(thetas, np.pi))
+        k = len(res.entries)
+        expected = np.full((k, k), np.nan)
+        for i, ei in enumerate(res.entries):
+            for j, ej in enumerate(res.entries):
+                if ei.measure is not None and ej.measure is not None:
+                    expected[i, j] = (0.0 if i == j else measure_distance(
+                        ei.measure, ej.measure, site_tol=1e-3))
+        assert np.array_equal(res.distance_matrix, expected, equal_nan=True)
 
 
 def test_repeated_solves_are_bitwise_identical():

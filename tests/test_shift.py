@@ -9,19 +9,27 @@ Checked here:
   vanishing exactly at theta = pi,
 - defect bounds 0 <= q <= N with equal dimensions on both sides, and the
   engineered rank-drop family with q = N - 1,
-- norm validation of parameters.
+- norm validation of parameters,
+- the complement of D(A) cached on the shift: orthonormal, orthogonal to
+  the domain, giving the same margins as a from-scratch SVD reference, and
+  factored once per prepare (no QR runs per parameter afterwards).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from momext import (MomentSequence, NormViolation, build_block_hankel,
-                    build_shift, deficiency_subspaces, factor_psd,
-                    forbidden_operator, is_admissible)
+from momext import (ExtensionParameter, MomentSequence, NormViolation,
+                    StieltjesTransform, build_block_hankel, build_shift,
+                    default_parameter, deficiency_subspaces, factor_psd,
+                    forbidden_operator, is_admissible, moments_from_transform,
+                    perron_inversion, prepare, solve_truncated, theta_sweep)
 from momext.linalg import inner
-from momext.sampling import random_deficient_instance, random_feasible_instance
+from momext.sampling import (haar_unitary, random_deficient_instance,
+                             random_feasible_instance,
+                             random_strict_contraction)
 
 RNG_SEED = 20260803
 N_RANDOM_INSTANCES = 30
@@ -152,3 +160,78 @@ def test_strict_contractions_are_always_admissible():
         # The forbidden operator is an isometry on its domain, so a strict
         # contraction keeps a positive gap from it.
         assert report.forbidden_gap is None or report.forbidden_gap > 0.0
+
+
+# ------------------------------------------------ the cached D(A) complement
+
+def _reference_margin(v, shift, pair):
+    """sigma_min(P_perp^H (B_minus V - B_plus)) with P_perp from a fresh SVD."""
+    u, _, _ = np.linalg.svd(shift.dom_matrix)
+    perp = u[:, shift.dom_dim:]
+    adm = np.conj(perp.T) @ (pair.basis_minus @ v - pair.basis_plus)
+    return float(np.linalg.svd(adm, compute_uv=False)[-1])
+
+
+def test_complement_is_an_orthonormal_basis_of_the_domain_complement():
+    rng = np.random.default_rng(RNG_SEED + 5)
+    for _ in range(N_RANDOM_INSTANCES):
+        n = int(rng.integers(1, 5))
+        seq, _ = random_feasible_instance(rng, n, int(rng.integers(1, 4)))
+        _, shift, pair = _operator_stage(seq)
+        c = shift.complement
+        assert c.shape == (shift.ambient_dim, pair.defect)
+        assert not c.flags.writeable
+        assert np.abs(np.conj(c.T) @ c - np.eye(pair.defect)).max() <= 1e-12
+        dom = shift.dom_matrix
+        assert np.abs(np.conj(c.T) @ dom).max() <= 1e-12 * max(
+            1.0, np.abs(dom).max())
+
+
+def test_admissibility_margins_match_a_from_scratch_reference():
+    rng = np.random.default_rng(RNG_SEED + 6)
+    for n in (1, 2, 4):
+        for _ in range(5):
+            seq, _ = random_feasible_instance(rng, n, int(rng.integers(1, 4)))
+            _, shift, pair, forbidden = _operator_stage(seq,
+                                                        with_forbidden=True)
+            q = pair.defect
+            unitary = haar_unitary(rng, q)
+            contraction = random_strict_contraction(rng, q)
+            for v in (unitary, contraction, forbidden.matrix):
+                report = is_admissible(v, shift, pair, forbidden)
+                assert report.margin == pytest.approx(
+                    _reference_margin(v, shift, pair), abs=1e-12)
+
+
+def test_no_complement_is_factored_after_prepare(monkeypatch):
+    # Every QR in momext goes through scipy.linalg.qr; count the calls.
+    calls = []
+    real_qr = scipy.linalg.qr
+
+    def counting_qr(*args, **kwargs):
+        calls.append(1)
+        return real_qr(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "qr", counting_qr)
+
+    def qr_calls(fn, *args, **kwargs):
+        calls.clear()
+        result = fn(*args, **kwargs)
+        return len(calls), result
+
+    rng = np.random.default_rng(RNG_SEED + 7)
+    seq, _ = random_feasible_instance(rng, 2, 2)
+    in_prepare, ws = qr_calls(prepare, seq)
+    assert in_prepare > 0
+    assert qr_calls(default_parameter, ws)[0] == 0
+    assert qr_calls(solve_truncated, seq)[0] == in_prepare
+    thetas = np.linspace(1.0, 2.0 * np.pi - 1.0, 16)
+    assert qr_calls(theta_sweep, seq, thetas=thetas)[0] == in_prepare
+    contraction = ExtensionParameter.contraction(
+        random_strict_contraction(rng, ws.defect))
+    count, result = qr_calls(solve_truncated, seq, contraction)
+    assert count == in_prepare
+    transform = StieltjesTransform(ws.shift, ws.pair, contraction)
+    assert qr_calls(perron_inversion, transform, -3.0, 3.0, 0.5)[0] == 0
+    assert qr_calls(moments_from_transform, transform, 4)[0] == 0
+    assert result.verification.passed
