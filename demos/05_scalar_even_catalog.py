@@ -6,8 +6,10 @@ classifies the data into exactly one of four outcomes:
     unique-zero              all moments vanish; only the zero measure fits
     solvable-nondegenerate   every Hankel section is positive definite;
                              infinitely many solutions, one witness built
-    unique-degenerate        positivity stops early; the kernel polynomial
-                             pins down the only possible atoms
+    unique-degenerate        positivity stops at order r < d; the shift of
+                             s_0..s_{2r+2} has defect zero, and its one
+                             self-adjoint extension gives the only possible
+                             atoms (the kernel-polynomial roots)
     infeasible               no positive measure reproduces the data
 
 This script runs one worked example per verdict and finishes with a random

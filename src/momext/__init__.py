@@ -19,9 +19,8 @@ momext.cli.
 
 from .errors import (DependentDomain, DimensionMismatch,
                      IllConditionedProjection, InsufficientMoments,
-                     MomentProblemError, NormViolation, NormalizationFail,
-                     NotAdmissible, NotConverged, NotPSD,
-                     NullSpaceNotOneDim, ProblemFileError, SingularSystem)
+                     MomentProblemError, NormViolation, NotAdmissible,
+                     NotConverged, NotPSD, ProblemFileError, SingularSystem)
 from .extensions import (ExtensionParameter, SelfAdjointExtension,
                          apply_generalized_resolvent, pencil_spectral_radius,
                          resolvent_matrix, selfadjoint_extension)
@@ -38,8 +37,7 @@ from .measures import (AtomicMatrixMeasure, ContourRecovery, PerronResult,
 from .pipeline import (SolveResult, SweepEntry, SweepResult, Workspace,
                        default_parameter, prepare, solve_truncated,
                        theta_sweep)
-from .scalar import (ScalarEvenResult, compute_rank_r, dual_vandermonde_solve,
-                     null_vector_c, solve_scalar_even)
+from .scalar import ScalarEvenResult, compute_rank_r, solve_scalar_even
 from .shift import (AdmissibilityReport, DeficiencyPair, ForbiddenOperator,
                     ShiftOperator, build_shift, deficiency_subspaces,
                     forbidden_operator, is_admissible)
@@ -53,17 +51,17 @@ __all__ = [
     "DependentDomain", "DimensionMismatch", "ExtensionParameter",
     "ForbiddenOperator", "GramSpace", "IllConditionedProjection",
     "InsufficientMoments", "MomentProblemError", "MomentSequence",
-    "NormViolation", "NormalizationFail", "NotAdmissible", "NotConverged",
-    "NotPSD", "NullSpaceNotOneDim", "PerronResult", "ProblemFileError",
+    "NormViolation", "NotAdmissible", "NotConverged", "NotPSD",
+    "PerronResult", "ProblemFileError",
     "ScalarEvenResult", "SelfAdjointExtension",
     "ShiftOperator", "SingularSystem", "SolveResult", "StieltjesTransform",
     "SweepEntry", "SweepResult", "Tolerances", "VerificationReport",
     "Workspace", "apply_generalized_resolvent", "build_block_hankel",
     "build_shift", "check_solvability_prefix", "check_truncated_conditions",
     "compute_rank_r", "default_parameter",
-    "deficiency_subspaces", "dual_vandermonde_solve", "factor_psd",
+    "deficiency_subspaces", "factor_psd",
     "forbidden_operator", "is_admissible", "measure_distance",
-    "moments_from_transform", "null_vector_c", "pencil_spectral_radius",
+    "moments_from_transform", "pencil_spectral_radius",
     "perron_inversion", "prepare", "resolvent_matrix", "selfadjoint_extension",
     "solve_scalar_even", "solve_truncated", "spectral_measure",
     "stieltjes_transform", "theta_sweep", "verify_moments",

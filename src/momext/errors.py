@@ -74,10 +74,3 @@ class NotConverged(MomentProblemError):
         super().__init__(message)
         self.diagnostics = diagnostics
 
-
-class NullSpaceNotOneDim(MomentProblemError):
-    """A kernel that must be one-dimensional is not, within tolerance."""
-
-
-class NormalizationFail(MomentProblemError):
-    """A canonical normalization could not be applied (zero pivot entry)."""

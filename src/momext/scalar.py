@@ -5,17 +5,21 @@ the line has exactly these power moments, and produce evidence:
 
   unique-zero             all moments vanish; the zero measure, uniquely.
   solvable-nondegenerate  every Hankel section up to order d is positive
-                          definite; solutions form a genuine family, and a
-                          witness measure is produced by augmenting one
-                          moment and delegating to the operator pipeline.
-  unique-degenerate       positivity degenerates at some order r < d; the
-                          kernel of the order-(r+1) section pins down an
-                          atomic measure with r+1 atoms, which is then the
-                          unique candidate and is verified on all data.
+                          definite; solutions form a genuine family.  The
+                          witness solves s_0..s_{2d+2}, where the extra
+                          moment makes H_{d+1} positive definite.
+  unique-degenerate       positivity stops at order r < d: H_r is positive
+                          definite and H_{r+1} singular.  The shift of
+                          s_0..s_{2r+2} then has defect zero, so it has
+                          exactly one self-adjoint extension; its r+1 atoms
+                          (the kernel-polynomial roots) are the only
+                          candidate, which is verified on all data.
   infeasible              a certificate explains which positivity or
                           reproduction requirement failed.
 
-The rank index r is the largest k <= d with H_0..H_k all positive definite
+Both constructions run the operator pipeline (solve_truncated) on an
+odd-length sequence and verify its measure against all 2d+2 moments.  The
+rank index r is the largest k <= d with H_0..H_k all positive definite
 (scanned in order, stopping at the first failure), so Sylvester's criterion
 applies to everything at or below r.
 """
@@ -26,9 +30,8 @@ import dataclasses
 
 import numpy as np
 
-from .errors import (InsufficientMoments, NormalizationFail, NotPSD,
-                     NullSpaceNotOneDim)
-from .hankel import MomentSequence, build_block_hankel
+from .errors import InsufficientMoments, NotPSD
+from .hankel import MomentSequence
 from .linalg import max_abs
 from .measures import AtomicMatrixMeasure, verify_moments
 from .tolerances import DEFAULT, Tolerances
@@ -45,18 +48,39 @@ class ScalarEvenResult:
 
     verdict: str
     rank_index: int | None          # r, when it was computed
-    null_coeffs: np.ndarray | None  # kernel polynomial coefficients, monic
-    roots: np.ndarray | None        # atom locations (degenerate case)
-    atom_weights: np.ndarray | None
+    null_coeffs: np.ndarray | None  # monic polynomial of the forced atoms
     measure: AtomicMatrixMeasure | None
     certificate: str
     max_deviation: float | None     # worst reproduction error of the evidence
     augmented_moment: float | None  # s_{2d+2} used for the witness, case b
 
+    @property
+    def roots(self) -> np.ndarray | None:
+        """Atom locations of the evidence measure."""
+        return None if self.measure is None else self.measure.locations
 
-def _sections(values: np.ndarray, upto: int) -> list:
-    seq = MomentSequence.scalar(values)
-    return [build_block_hankel(seq, k).matrix.real for k in range(upto + 1)]
+    @property
+    def atom_weights(self) -> np.ndarray | None:
+        if self.measure is None:
+            return None
+        return self.measure.weights[:, 0, 0].real
+
+
+def _hankel(values: np.ndarray, order: int) -> np.ndarray:
+    idx = np.arange(order + 1)
+    return values[idx[:, None] + idx[None, :]]
+
+
+def _rank_scan(h: np.ndarray, tol: Tolerances) -> tuple[int, float]:
+    """r for the section h = H_d, and the last smallest eigenvalue seen."""
+    r = -1
+    for k in range(h.shape[0]):
+        lead = h[:k + 1, :k + 1]
+        emin = float(np.linalg.eigvalsh(lead)[0])
+        if emin <= tol.pos_rel * max_abs(lead):
+            break
+        r = k
+    return r, emin
 
 
 def compute_rank_r(values, order_d: int, tol: Tolerances = DEFAULT) -> int:
@@ -70,111 +94,24 @@ def compute_rank_r(values, order_d: int, tol: Tolerances = DEFAULT) -> int:
         raise InsufficientMoments(
             f"rank scan to order {order_d} needs {2 * order_d + 2} moments, "
             f"got {len(values)}")
-    r = -1
-    for k in range(order_d + 1):
-        h = _sections(values, k)[k]
-        emin = float(np.linalg.eigvalsh(h)[0])
-        if emin <= tol.pos_rel * max_abs(h):
-            break
-        r = k
-    return r
+    return _rank_scan(_hankel(values, order_d), tol)[0]
 
 
-def null_vector_c(values, rank_index: int,
-                  tol: Tolerances = DEFAULT) -> np.ndarray:
-    """Monic coefficient vector spanning the kernel of H_{r+1}.
-
-    The kernel must be one-dimensional (guaranteed when H_r is positive
-    definite and H_{r+1} is singular PSD) and its last entry nonzero, so the
-    vector can be normalized to a monic polynomial of degree r+1.
-    """
-    values = np.asarray(values, dtype=float)
-    h = _sections(values, rank_index + 1)[rank_index + 1]
-    scale = max(max_abs(h), 1.0)
-    w, u = np.linalg.eigh(h)
-    if w[0] < -tol.psd_rel * scale:
-        raise NotPSD(f"section of order {rank_index + 1} has negative "
-                     f"eigenvalue {w[0]:.6e}", min_eigenvalue=float(w[0]))
-    kernel_count = int(np.sum(w <= tol.pos_rel * scale))
-    if kernel_count == 0:
-        raise ValueError(f"section of order {rank_index + 1} is positive "
-                         f"definite; there is no kernel vector")
-    if kernel_count > 1:
-        raise NullSpaceNotOneDim(
-            f"kernel of the order-{rank_index + 1} section has dimension "
-            f"{kernel_count}, expected 1")
-    c = u[:, 0].real
-    lead = c[-1]
-    if abs(lead) <= 1e-12:
-        raise NormalizationFail(
-            f"kernel vector has numerically zero leading entry {lead:.3e}; "
-            f"cannot normalize to a monic polynomial")
-    return c / lead
-
-
-def dual_vandermonde_solve(nodes, rhs) -> np.ndarray:
-    """Solve sum_k mu_k nodes_k^j = rhs_j, j = 0..len(nodes)-1, in place.
-
-    This is the transposed divided-difference elimination: apply the
-    transposed Newton-to-monomial updates first, then the transposed
-    divided-difference stage.  O(n^2), no Vandermonde matrix is formed, and
-    distinct real nodes keep every divisor nonzero.
-    """
-    x = np.asarray(nodes, dtype=float)
-    g = np.array(rhs, dtype=float)
-    if x.ndim != 1 or g.shape != x.shape:
-        raise ValueError("nodes and right-hand side must be equal-length 1-d")
-    n = len(x) - 1
-    for k in range(n):
-        for j in range(n - 1, k - 1, -1):
-            g[j + 1] -= x[k] * g[j]
-    for k in range(n - 1, -1, -1):
-        for i in range(k, n + 1):
-            t = g[i] / (x[i] - x[i - k - 1]) if i >= k + 1 else g[i]
-            if i + 1 <= n:
-                t -= g[i + 1] / (x[i + 1] - x[i - k])
-            g[i] = t
-    return g
-
-
-def _augment_for_witness(values: np.ndarray, order_d: int) -> float:
-    """One extra moment making the order-(d+1) section positive definite.
-
-    Expanding det H_{d+1} along its last row, only the corner entry holds the
-    new moment; choosing it as (1 + |rest|) / det H_d forces the determinant
-    to be at least 1, and interlacing with H_d > 0 gives definiteness.
-    """
-    d = order_d
-    padded = np.concatenate([values, [0.0]])
-    h_next = _sections(padded, d + 1)[d + 1]
-    det_d = float(np.linalg.det(_sections(values, d)[d]))
-    rest = 0.0
-    size = d + 2
-    for j in range(size - 1):
-        minor = np.delete(np.delete(h_next, size - 1, axis=0), j, axis=1)
-        rest += h_next[size - 1, j] * (-1.0) ** ((size - 1) + j) \
-            * float(np.linalg.det(minor))
-    return (1.0 + abs(rest)) / det_d
-
-
-def _measure_from_scalar_atoms(roots: np.ndarray,
-                               weights: np.ndarray) -> AtomicMatrixMeasure:
-    return AtomicMatrixMeasure.from_atoms(
-        roots, weights.reshape(-1, 1, 1).astype(complex), block_dim=1,
-        validate=False)
+def _prefix(seq: MomentSequence, count: int) -> MomentSequence:
+    return dataclasses.replace(seq, moments=seq.moments[:count])
 
 
 def _infeasible(certificate: str, rank_index=None, max_dev=None,
                 null_coeffs=None) -> ScalarEvenResult:
     return ScalarEvenResult(verdict=VERDICT_INFEASIBLE, rank_index=rank_index,
-                            null_coeffs=null_coeffs, roots=None,
-                            atom_weights=None, measure=None,
+                            null_coeffs=null_coeffs, measure=None,
                             certificate=certificate, max_deviation=max_dev,
                             augmented_moment=None)
 
 
 def solve_scalar_even(values, tol: Tolerances = DEFAULT) -> ScalarEvenResult:
     """Classify s_0..s_{2d+1} and return evidence for the verdict."""
+    from .pipeline import solve_truncated    # local import, no cycle at load
     values = np.asarray(values, dtype=float).reshape(-1)
     if len(values) < 2 or len(values) % 2 != 0:
         raise InsufficientMoments(
@@ -185,8 +122,8 @@ def solve_scalar_even(values, tol: Tolerances = DEFAULT) -> ScalarEvenResult:
     if scale == 0.0:
         return ScalarEvenResult(
             verdict=VERDICT_ZERO, rank_index=None, null_coeffs=None,
-            roots=np.zeros(0), atom_weights=np.zeros(0),
-            measure=_measure_from_scalar_atoms(np.zeros(0), np.zeros(0)),
+            measure=AtomicMatrixMeasure.from_atoms(
+                np.zeros(0), np.zeros((0, 1, 1)), block_dim=1, validate=False),
             certificate="all moments vanish; the zero measure is the unique "
                         "solution", max_deviation=0.0, augmented_moment=None)
     if values[0] < 0.0:
@@ -196,59 +133,46 @@ def solve_scalar_even(values, tol: Tolerances = DEFAULT) -> ScalarEvenResult:
         return _infeasible("total mass s_0 is zero but higher moments are "
                            "not; only the zero measure has zero mass")
 
-    r = compute_rank_r(values, d, tol)
+    h = _hankel(values, d)
+    r, emin = _rank_scan(h, tol)
     if r < 0:
         return _infeasible(f"the order-0 section [s_0] = [{values[0]:.6g}] "
                            f"is not positive definite", rank_index=r)
 
     if r == d:
-        extra = _augment_for_witness(values, d)
-        augmented = np.concatenate([values, [extra]])
-        from .pipeline import solve_truncated    # local import, no cycle at load
-        solved = solve_truncated(MomentSequence.scalar(augmented), tol=tol)
-        measure = solved.measure
-        report = verify_moments(measure, MomentSequence.scalar(values),
+        # H_{d+1} = [[H_d, b], [b^T, s_{2d+2}]] has Schur complement
+        # s_{2d+2} - b^T H_d^{-1} b; setting it to lambda_min(H_d) > 0 makes
+        # H_{d+1} positive definite at the scale of H_d itself
+        b = values[d + 1:]
+        extra = float(b @ np.linalg.solve(h, b)) + emin
+        augmented = MomentSequence.scalar(np.append(values, extra))
+        measure = solve_truncated(augmented, tol=tol).measure
+        report = verify_moments(measure, _prefix(augmented, len(values)),
                                 rel_tol=1e-8)
         return ScalarEvenResult(
             verdict=VERDICT_NONDEGENERATE, rank_index=r, null_coeffs=None,
-            roots=measure.locations.copy(),
-            atom_weights=measure.weights[:, 0, 0].real.copy(),
             measure=measure,
             certificate=f"all sections through order d = {d} are positive "
                         f"definite; witness built from the augmented moment "
                         f"s_{2 * d + 2} = {extra:.12g}",
-            max_deviation=report.max_deviation,
-            augmented_moment=float(extra))
+            max_deviation=report.max_deviation, augmented_moment=extra)
 
-    # degenerate branch: H_r > 0, H_{r+1} must be singular PSD
-    section = _sections(values, r + 1)[r + 1]
-    emin = float(np.linalg.eigvalsh(section)[0])
-    if emin < -tol.psd_rel * max(max_abs(section), 1.0):
+    # Degenerate: the rank scan found H_{r+1} singular at pos_rel.  Factoring
+    # at that same cutoff keeps the Gram space at dimension r+1 (defect 0,
+    # one extension); at the default rank_rel a tiny positive eigenvalue
+    # would survive and the solve would pick one member of a family instead
+    # of the forced candidate.
+    data = MomentSequence.scalar(values)
+    try:
+        measure = solve_truncated(_prefix(data, 2 * r + 3),
+                                  tol=tol.replace(rank_rel=tol.pos_rel)).measure
+    except NotPSD as exc:
         return _infeasible(
-            f"the order-{r + 1} section has negative eigenvalue {emin:.6e}; "
-            f"no nonnegative measure matches", rank_index=r)
-    coeffs = null_vector_c(values, r, tol)
-    roots = np.polynomial.polynomial.polyroots(coeffs)
-    spread = max(float(np.max(np.abs(roots))), 1.0) if roots.size else 1.0
-    if roots.size and max_abs(roots.imag) > tol.root_rel * spread:
-        return _infeasible(
-            f"kernel polynomial has non-real roots (max imaginary part "
-            f"{max_abs(roots.imag):.3e}); the degenerate case admits no "
-            f"measure", rank_index=r, null_coeffs=coeffs)
-    nodes = np.sort(roots.real)
-    if nodes.size >= 2 and float(np.min(np.diff(nodes))) <= tol.sep_rel * spread:
-        return _infeasible(
-            f"kernel polynomial roots are not separated (min gap "
-            f"{float(np.min(np.diff(nodes))):.3e}); the degenerate case "
-            f"admits no measure", rank_index=r, null_coeffs=coeffs)
-    mu = dual_vandermonde_solve(nodes, values[:len(nodes)])
-    if mu.size and float(np.min(mu)) < -tol.psd_rel * max(scale, 1.0):
-        return _infeasible(
-            f"kernel-root weights include a negative value "
-            f"{float(np.min(mu)):.6e}", rank_index=r, null_coeffs=coeffs)
-    measure = _measure_from_scalar_atoms(nodes, np.maximum(mu, 0.0))
-    report = verify_moments(measure, MomentSequence.scalar(values),
-                            rel_tol=1e-8)
+            f"the order-{r + 1} section has negative eigenvalue "
+            f"{exc.min_eigenvalue:.6e}; no nonnegative measure matches",
+            rank_index=r)
+    coeffs = np.polynomial.polynomial.polyfromroots(measure.locations)
+    report = verify_moments(measure, data, rel_tol=1e-8)
     if not report.passed:
         return _infeasible(
             f"the forced atomic candidate misses the data by "
@@ -257,8 +181,8 @@ def solve_scalar_even(values, tol: Tolerances = DEFAULT) -> ScalarEvenResult:
             null_coeffs=coeffs, max_dev=report.max_deviation)
     return ScalarEvenResult(
         verdict=VERDICT_DEGENERATE, rank_index=r, null_coeffs=coeffs,
-        roots=nodes, atom_weights=mu, measure=measure,
-        certificate=f"positivity degenerates at order {r + 1}; the kernel "
-                    f"polynomial pins {len(nodes)} atoms and they reproduce "
-                    f"all {len(values)} moments",
+        measure=measure,
+        certificate=f"positivity degenerates at order {r + 1}; the unique "
+                    f"extension of the defect-zero shift reproduces all "
+                    f"{len(values)} moments with {measure.n_atoms} atom(s)",
         max_deviation=report.max_deviation, augmented_moment=None)

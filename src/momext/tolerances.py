@@ -25,8 +25,6 @@ class Tolerances:
     cluster_rel: float = 1e-9   # eigenvalue clustering gap, rel. spectral radius
     weight_rel: float = 1e-12   # atom weight drop threshold, rel. total mass
     perron_abs: float = 1e-3    # eps-ladder stabilization; residue-form check
-    root_rel: float = 1e-8      # allowed imaginary part of kernel-poly roots
-    sep_rel: float = 1e-8       # root separation floor, relative to root spread
 
     def replace(self, **kw) -> "Tolerances":
         return dataclasses.replace(self, **kw)

@@ -1,8 +1,8 @@
 """The even-length scalar variant and its four-way classification.
 
 Worked cases frozen here (each checked by hand):
-- (1, 0, 1, 0): all sections positive definite; the minimal augmentation is
-  s_4 = (1 + |rest|) / det H_1 = 2, and the witness measure is
+- (1, 0, 1, 0): all sections positive definite; the augmentation is
+  s_4 = b^T H_1^{-1} b + lambda_min(H_1) = 2, and the witness measure is
   {(-sqrt(2), 1/4), (0, 1/2), (sqrt(2), 1/4)},
 - (1, 1, 1, 1): positivity stops at r = 0; unique solution delta_1,
 - (1, 0, 1, 0, 1, 0): stops at r = 1 < d = 2 with kernel polynomial
@@ -13,9 +13,9 @@ Worked cases frozen here (each checked by hand):
 - (1, 0, 1, 0, 0.5, 0): an indefinite section is infeasible,
 - (0, 0, 0, 0): the zero measure, unique.
 
-Also: the rank scan, kernel-vector extraction, the transposed divided-
-difference solver against a dense solve, and a randomized round-trip fuzz
-over genuine atomic measures and their degenerate truncations.
+Also: the rank scan, witnesses for clustered atoms, the rank-cutoff
+boundary between rank_rel and pos_rel, and a randomized round-trip fuzz over
+genuine atomic measures and their degenerate truncations.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momext import (InsufficientMoments, compute_rank_r,
-                    dual_vandermonde_solve, null_vector_c, solve_scalar_even)
+from momext import InsufficientMoments, compute_rank_r, solve_scalar_even
 from momext.scalar import (VERDICT_DEGENERATE, VERDICT_INFEASIBLE,
                            VERDICT_NONDEGENERATE, VERDICT_ZERO)
 
@@ -122,25 +121,33 @@ def test_rank_scan_stops_at_first_failure():
     assert compute_rank_r(np.array([-1.0, 0.0, 1.0, 0.0]), 1) == -1
 
 
-def test_kernel_vector_is_the_monic_annihilator():
-    values = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0])
-    c = null_vector_c(values, 1)
-    assert np.allclose(c, [-1.0, 0.0, 1.0], atol=1e-12)
+def test_clustered_atoms_get_a_verified_witness():
+    # Clustered atoms make H_d ill-conditioned (det H_d is tiny), so the
+    # augmented moment must come from a margin on the scale of H_d: one
+    # that grows like 1 / det H_d leaves a witness that misses the data
+    # (atoms 0.3, 0.5, 0.7) or a Gram domain that collapses (four atoms).
+    for locs in (np.array([0.3, 0.5, 0.7]), np.linspace(0.4, 0.6, 4)):
+        values = _scalar_moments(locs, np.ones(len(locs)), 2 * len(locs))
+        result = solve_scalar_even(values)
+        assert result.verdict == VERDICT_NONDEGENERATE
+        assert result.rank_index == len(locs) - 1
+        assert result.max_deviation <= 1e-12
+        _assert_measure_matches(result, values, atol=1e-12)
 
 
-def test_divided_difference_solver_matches_dense_solve():
-    rng = np.random.default_rng(RNG_SEED)
-    for _ in range(25):
-        n = int(rng.integers(1, 8))
-        nodes = np.sort(rng.uniform(-3.0, 3.0, n))
-        while np.any(np.diff(nodes) < 1e-3):
-            nodes = np.sort(rng.uniform(-3.0, 3.0, n))
-        rhs = rng.standard_normal(n)
-        got = dual_vandermonde_solve(nodes, rhs)
-        vandermonde_t = np.vander(nodes, n, increasing=True).T
-        expected = np.linalg.solve(vandermonde_t, rhs)
-        assert np.allclose(got, expected, atol=3e-12 * max(
-            1.0, np.abs(expected).max()))
+def test_rank_cutoff_boundary_stays_degenerate():
+    # lambda_min(H_4) / lambda_max sits near 6e-11, between rank_rel and
+    # pos_rel: the scan calls H_4 singular, and the solve must agree (the
+    # Gram space keeps dimension 4, so the defect is zero).
+    values = _scalar_moments(np.linspace(-0.1, 0.1, 5), np.ones(5), 12)
+    h4 = np.array([[values[i + j] for j in range(5)] for i in range(5)])
+    w = np.linalg.eigvalsh(h4)
+    assert 1e-12 < w[0] / w[-1] < 1e-10
+    result = solve_scalar_even(values)
+    assert result.verdict == VERDICT_DEGENERATE
+    assert result.rank_index == 3
+    assert result.measure.n_atoms == 4
+    assert len(result.null_coeffs) == 5 and result.null_coeffs[-1] == 1.0
 
 
 # --------------------------------------------------------------------- fuzz
