@@ -43,7 +43,7 @@ from .jsonio import (admissibility_to_json, complex_to_pair, condition_to_json,
                      parse_scalar_sequence, perron_to_json, recovery_to_json,
                      scalar_result_to_json, verification_to_json)
 from .measures import (StieltjesTransform, perron_inversion, verify_moments)
-from .pipeline import prepare, solve_truncated, theta_sweep
+from .pipeline import _solve, prepare, theta_sweep
 from .scalar import VERDICT_INFEASIBLE, solve_scalar_even
 from .tolerances import Tolerances
 
@@ -103,12 +103,14 @@ def _parse_grid(text: str):
     return start, stop, width
 
 
-def _resolve_parameter(args, seq, file_spec, tol):
-    """The parameter to solve with, or None for the default scan.
+def _prepare_with_parameter(args, seq, file_spec, tol):
+    """The prepared workspace and the parameter to solve with (None for the
+    default scan).
 
     --parameter FILE wins over --theta, which wins over the spec embedded in
-    the problem file.  Unimodular-theta specs need the defect, which costs a
-    preparatory pass.
+    the problem file.  Unimodular-theta specs are sized by the defect of the
+    workspace; other specs are parsed before the data is prepared, so a
+    malformed parameter is reported first.
     """
     spec = None
     if getattr(args, "parameter", None) is not None:
@@ -119,15 +121,14 @@ def _resolve_parameter(args, seq, file_spec, tol):
                 f"parameter file is not valid JSON: {exc}") from exc
     elif getattr(args, "theta", None) is not None:
         ws = prepare(seq, tol)
-        return ExtensionParameter.unimodular(args.theta, defect=ws.defect)
+        return ws, ExtensionParameter.unimodular(args.theta, defect=ws.defect)
     elif file_spec is not None:
         spec = file_spec
-    if spec is None:
-        return None
     if isinstance(spec, dict) and "constant_unimodular_theta" in spec:
         ws = prepare(seq, tol)
-        return parse_parameter(spec, defect_hint=ws.defect)
-    return parse_parameter(spec)
+        return ws, parse_parameter(spec, defect_hint=ws.defect)
+    parameter = None if spec is None else parse_parameter(spec)
+    return prepare(seq, tol), parameter
 
 
 def _write_weight_csv(path: str, xs, mats, block_dim: int) -> None:
@@ -200,10 +201,9 @@ def _cmd_solve(args) -> int:
     seq, file_spec, tol = parse_problem(_load_text(args.problem))
     tol = _apply_tol_flags(tol, args.tol)
     grid = _parse_grid(args.grid) if args.grid else None
-    parameter = _resolve_parameter(args, seq, file_spec, tol)
-    result = solve_truncated(seq, parameter=parameter, tol=tol)
+    ws, parameter = _prepare_with_parameter(args, seq, file_spec, tol)
+    result = _solve(ws, parameter, tol)
     out = _solve_result_json(result)
-    ws = result.workspace
     if args.dump_gram:
         out["gram_coords"] = matrix_to_json(ws.space.coords)
     if args.dump_operator:

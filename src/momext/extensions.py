@@ -23,7 +23,6 @@ import dataclasses
 from typing import Callable
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DimensionMismatch, NormViolation, NotAdmissible
 from .linalg import (as_complex_matrix, herm_defect, max_abs, read_only,
@@ -221,9 +220,9 @@ def apply_generalized_resolvent(shift: ShiftOperator, pair: DeficiencyPair,
                                 tol: Tolerances = DEFAULT) -> np.ndarray:
     """R(lam) applied to one vector or to the columns of a matrix.
 
-    Solves the mixed-coordinate system by column-pivoted least squares and
-    raises SingularSystem when the residual is large; for admissible
-    parameters and nonreal lam the system is provably nonsingular.
+    Solves the mixed-coordinate system by least squares and raises
+    SingularSystem when the residual is large; for admissible parameters
+    and nonreal lam the system is provably nonsingular.
     """
     lam = complex(lam)
     sys_mat, lift = resolvent_systems(shift, pair, parameter, lam, tol)
@@ -247,14 +246,20 @@ def pencil_spectral_radius(shift: ShiftOperator, pair: DeficiencyPair,
 
     The system matrix is image_block - lam * domain_block, so the
     singularities are the finite generalized eigenvalues of that pencil.
+    They are found through the shifted inverse at lam = i, which is never
+    one of them: image_block - i * domain_block has the columns
+    (A - i)x_a and 2i B_plus, which span (A - i)D(A) and its orthogonal
+    complement N_plus, whatever V is.  With M = (image - i dom)^{-1} dom,
+    each eigenvalue mu of M is 1 / (lam - i); mu = 0 (at roundoff) is an
+    infinite eigenvalue of the pencil and is dropped.
     """
     dom, img = extension_blocks(shift, pair, vmat)
     if dom.shape[1] != dom.shape[0]:
         raise DimensionMismatch("resolvent pencil is not square")
     if dom.shape[0] == 0:
         return 0.0
-    eigs = scipy.linalg.eig(img, dom, right=False)
-    finite = eigs[np.isfinite(eigs)]
+    mu = np.linalg.eigvals(np.linalg.solve(img - 1j * dom, dom))
+    finite = mu[np.abs(mu) > mu.size * np.finfo(float).eps * max_abs(mu)]
     if finite.size == 0:
         return 0.0
-    return float(np.max(np.abs(finite)))
+    return float(np.max(np.abs(1j + 1.0 / finite)))

@@ -1,16 +1,18 @@
 """Shared dense linear-algebra helpers.
 
-Everything here is deterministic for identical inputs: rank decisions use
-column-pivoted QR (largest pivot first), and orthonormal bases are
-phase-canonicalized (the largest-magnitude entry of each column is rotated to
-be real positive, ties to the lowest index) so repeated runs serialize
-byte-identically and basis-dependent conventions are reproducible.
+Everything here is numpy-only and deterministic for identical inputs:
+complement bases are canonical (a column-pivoted Gram-Schmidt, largest column
+first), and orthonormal bases are phase-canonicalized (the largest-magnitude
+entry of each column is rotated to be real positive, ties to the lowest index)
+so repeated runs serialize byte-identically and basis-dependent conventions
+are reproducible.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-import scipy.linalg
 
 from .errors import SingularSystem
 
@@ -87,37 +89,64 @@ def phase_canonicalize(q: np.ndarray) -> np.ndarray:
     return q * (np.conj(piv) / np.abs(piv))
 
 
+def _pivoted_gram_schmidt(x: np.ndarray) -> np.ndarray:
+    """q x q orthonormal basis from Gram-Schmidt on the columns of x (q x m,
+    rank q), taking at each step the column with the largest remaining norm;
+    ties (squared norms within the relative whisker phase_canonicalize
+    uses) go to the lowest index."""
+    x = np.array(x, dtype=complex)
+    q = x.shape[0]
+    basis = np.empty((q, q), dtype=complex)
+    sq = np.einsum("ij,ij->j", x.conj(), x).real     # remaining norms^2
+    for j in range(q):
+        p = (sq >= (1.0 - 1e-9) * sq.max()).argmax()
+        v = x[:, p]
+        v = v / math.sqrt(np.vdot(v, v).real)
+        basis[:, j] = v
+        if j + 1 < q:
+            w = v.conj() @ x
+            x -= v[:, None] * w
+            sq -= np.abs(w) ** 2
+    return basis
+
+
 def range_and_complement(a: np.ndarray, rel_tol: float):
     """Orthonormal bases of col(a) and of its orthogonal complement in C^m.
 
-    One complete column-pivoted QR of the m x k matrix ``a``: pivots below
-    rel_tol times the largest count as dependent columns, so the first
-    basis has the numerical rank of ``a`` and the second the rest of C^m.
-    The complement is then made canonical, a function of the subspace
+    One complete Householder QR of the m x k matrix ``a``, k <= m.  It is
+    not pivoted, so its diagonal only checks rank, it does not reveal it:
+    sigma_min(a) <= |R_jj| <= sigma_max(a), so an ``a`` with sigma_min
+    above rel_tol * sigma_max keeps all k columns, while a |R_jj| at or
+    below rel_tol times the largest makes the first basis come out with
+    fewer than k columns, which callers treat as a rank failure (the split
+    is only meaningful at full column rank).  Callers certify that rank
+    beforehand.
+
+    The complement C is then made canonical, a function of the subspace
     alone: it is the Gram-Schmidt basis of the columns of the projector
-    P = C C^H taken in pivoted order, obtained as C Q_c from the small
-    pivoted QR of C^H (whose columns have the geometry of P's).
+    P = C C^H taken largest first, obtained as C Q_c with Q_c from the
+    pivoted Gram-Schmidt of C^H (whose columns have the geometry of P's),
+    so that a parameter matrix between two such bases keeps its meaning.
+    The range basis is returned as the QR leaves it.
     """
     a = np.asarray(a, dtype=complex)
     m, k = a.shape
     rank = 0
     q = np.eye(m, dtype=complex)
     if k:
-        q, r, _ = scipy.linalg.qr(a, mode="full", pivoting=True)
+        q, r = np.linalg.qr(a, mode="complete")
         diag = np.abs(np.diag(r))
-        if diag.size and diag[0] > 0.0:
-            rank = int(np.sum(diag > rel_tol * diag[0]))
+        if diag.max() > 0.0:
+            rank = int(np.sum(diag > rel_tol * diag.max()))
     comp = q[:, rank:]
     if m - rank > 1:                    # one column is canonical already
-        canon, _, _ = scipy.linalg.qr(np.conj(comp.T), mode="economic",
-                                      pivoting=True)
-        comp = comp @ canon
-    return phase_canonicalize(q[:, :rank]), phase_canonicalize(comp)
+        comp = comp @ _pivoted_gram_schmidt(np.conj(comp.T))
+    return q[:, :rank], phase_canonicalize(comp)
 
 
 def solve_with_residual_check(sys_mat, rhs, rel_tol: float,
                               context="linear system"):
-    """Solve sys_mat @ x = rhs by column-pivoted least squares.
+    """Solve sys_mat @ x = rhs by SVD-based least squares.
 
     A large residual relative to the data raises SingularSystem; that is how
     an inadmissible parameter shows up at solve time.
@@ -137,7 +166,7 @@ def solve_with_residual_check(sys_mat, rhs, rel_tol: float,
             raise SingularSystem(f"{context}: empty system cannot match "
                                  f"nonzero right-hand side (|rhs| = {resid:.3e})")
         return sol[:, 0] if one_d else sol
-    sol, _, _, _ = scipy.linalg.lstsq(sys_mat, b, lapack_driver="gelsy")
+    sol = np.linalg.lstsq(sys_mat, b, rcond=None)[0]
     resid = max_abs(sys_mat @ sol - b)
     scale = max(max_abs(b), max_abs(sys_mat) * max(max_abs(sol), 1.0), 1.0)
     if resid > rel_tol * scale:

@@ -130,7 +130,13 @@ def solve_truncated(seq: MomentSequence,
     supplied, the best unimodular candidate is used (the unique choice when
     the defect is 0).
     """
-    ws = prepare(seq, tol)
+    return _solve(prepare(seq, tol), parameter, tol)
+
+
+def _solve(ws: Workspace, parameter: ExtensionParameter | None,
+           tol: Tolerances) -> SolveResult:
+    """solve_truncated on an already prepared workspace."""
+    seq = ws.sequence
     theta = None
     if parameter is None:
         parameter, report, theta = default_parameter(ws, tol)

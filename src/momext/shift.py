@@ -31,8 +31,8 @@ import numpy as np
 
 from .errors import (DependentDomain, IllConditionedProjection, NormViolation)
 from .gram import GramSpace
-from .linalg import (range_and_complement, read_only, singular_values,
-                     operator_norm)
+from .linalg import (phase_canonicalize, range_and_complement, read_only,
+                     singular_values, operator_norm)
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -45,7 +45,8 @@ class ShiftOperator:
     action maps dom_basis coordinates to the image in ambient coordinates,
     so A v = action @ (dom_basis^H v) for v in D(A).  complement is an
     orthonormal basis of the orthogonal complement of D(A) (m x q, from the
-    same complete QR as dom_basis); every admissibility check reads it.
+    same complete QR as dom_basis, in canonical form); every admissibility
+    check reads it.
     """
 
     space: GramSpace
@@ -99,11 +100,12 @@ def build_shift(space: GramSpace, tol: Tolerances = DEFAULT) -> ShiftOperator:
                 f"domain vectors are numerically dependent: smallest singular "
                 f"value {sv[dn - 1]:.3e} vs largest {sv[0]:.3e}")
     basis, complement = range_and_complement(dom, tol.rank_rel)
+    basis = phase_canonicalize(basis)
     if basis.shape[1] != dn:
         raise DependentDomain(
             f"domain rank {basis.shape[1]} < {dn} after orthogonalization")
     if dn > 0:
-        # dom coeff = basis; basis^H dom is R up to pivoting and phases
+        # basis^H dom is the triangular R, its rows rotated by phases
         action = img @ np.linalg.inv(np.conj(basis.T) @ dom)
     else:
         action = np.zeros((m, 0), dtype=complex)
@@ -128,6 +130,9 @@ def deficiency_subspaces(shift: ShiftOperator,
                          tol: Tolerances = DEFAULT) -> DeficiencyPair:
     """Compute N_plus and N_minus; both have dimension m - dN."""
     dom, img = shift.dom_matrix, shift.shift_matrix
+    # The unpivoted rank check is safe here: A is symmetric, so
+    # ||(A -+ i)u||^2 = ||Au||^2 + ||u||^2 and sigma_min(img -+ i dom) >=
+    # sigma_min(dom), which build_shift has certified against rank_rel.
     _, basis_plus = range_and_complement(img - 1j * dom, tol.rank_rel)
     _, basis_minus = range_and_complement(img + 1j * dom, tol.rank_rel)
     expected = shift.ambient_dim - shift.dom_dim

@@ -15,6 +15,8 @@ import sys
 import numpy as np
 import pytest
 
+import momext.cli
+import momext.pipeline
 from momext.cli import main
 
 PROBLEM_101 = {"version": 1, "N": 1, "moments": [1.0, 0.0, 1.0]}
@@ -112,6 +114,31 @@ def test_solve_with_explicit_theta(tmp_path, capsys):
     atoms = [a["t"] for a in data["measure"]["atoms"]]
     assert atoms == pytest.approx([-1.0 - np.sqrt(2.0), -1.0 + np.sqrt(2.0)],
                                   abs=1e-10)
+
+
+@pytest.mark.parametrize("embedded", [False, True])
+def test_solve_with_a_theta_prepares_once(tmp_path, capsys, monkeypatch,
+                                          embedded):
+    # The defect that sizes a theta parameter comes from the workspace the
+    # solve then uses; count prepare wherever the CLI could reach it.
+    calls = []
+    real_prepare = momext.pipeline.prepare
+
+    def counting_prepare(*args, **kwargs):
+        calls.append(1)
+        return real_prepare(*args, **kwargs)
+
+    monkeypatch.setattr(momext.pipeline, "prepare", counting_prepare)
+    monkeypatch.setattr(momext.cli, "prepare", counting_prepare)
+    payload = {"N": 1, "moments": [1.0, 0.0, 1.0, 0.0, 2.0]}
+    argv = ["--theta=3.14159"]
+    if embedded:
+        payload["parameter"] = {"constant_unimodular_theta": 3.14159}
+        argv = []
+    path = _write(tmp_path, "p.json", payload)
+    code, data = _run(capsys, "solve", path, *argv)
+    assert code == 0 and data["verification"]["passed"]
+    assert len(calls) == 1
 
 
 def test_solve_forbidden_theta_exits_two(tmp_path, capsys):
@@ -253,3 +280,25 @@ def test_console_script_is_installed(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["solvable"] is True
+
+
+def test_the_package_runs_without_scipy():
+    script = """
+import sys
+from momext import (ExtensionParameter, MomentSequence, StieltjesTransform,
+                    perron_inversion, solve_scalar_even, solve_truncated)
+import momext.cli
+seq = MomentSequence.scalar([1.0, 0.0, 1.0])
+assert solve_truncated(seq).verification.passed
+contraction = ExtensionParameter.contraction([[0.5]])
+result = solve_truncated(seq, contraction)
+ws = result.workspace
+perron_inversion(StieltjesTransform(ws.shift, ws.pair, contraction),
+                 -2.0, 2.0, 0.5)
+solve_scalar_even([1.0, 0.0, 1.0, 0.0])
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
