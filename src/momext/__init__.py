@@ -8,9 +8,9 @@ and verifies each output against the prescribed moments:
 - solvability check on the two nested block Hankel sections,
 - Gram-space model, block shift, defect subspaces, forbidden parameter,
 - self-adjoint extensions and their atomic spectral measures,
-- generalized resolvents, the matrix Stieltjes transform of a solution,
-  closed-form recovery of its moments and cell masses (smoothed density
-  inversion for lam-dependent parameters),
+- generalized resolvents of constant contractive parameters, the matrix
+  Stieltjes transform of a solution, and closed-form recovery of its
+  moments and cell masses,
 - the even-length scalar variant with its four-way classification.
 
 The JSON file formats and the command line live in momext.jsonio and
@@ -20,19 +20,16 @@ momext.cli.
 from .errors import (DependentDomain, DimensionMismatch,
                      IllConditionedProjection, InsufficientMoments,
                      MomentProblemError, NormViolation, NotAdmissible,
-                     NotConverged, NotPSD, ProblemFileError, SingularSystem)
+                     NotPSD, ProblemFileError, SingularSystem)
 from .extensions import (ExtensionParameter, SelfAdjointExtension,
-                         apply_generalized_resolvent, pencil_spectral_radius,
-                         resolvent_matrix, selfadjoint_extension)
+                         pencil_spectral_radius, selfadjoint_extension)
 from .gram import GramSpace, factor_psd
 from .hankel import (BlockHankel, ConditionReport, MomentSequence,
-                     build_block_hankel, check_solvability_prefix,
-                     check_truncated_conditions)
+                     build_block_hankel, check_truncated_conditions)
 from .measures import (AtomicMatrixMeasure, ContourRecovery, PerronResult,
                        StieltjesTransform, VerificationReport,
                        measure_distance, moments_from_transform,
-                       perron_inversion, spectral_measure,
-                       stieltjes_transform, verify_moments,
+                       perron_inversion, spectral_measure, verify_moments,
                        verify_recovered_moments)
 from .pipeline import (SolveResult, SweepEntry, SweepResult, Workspace,
                        default_parameter, prepare, solve_truncated,
@@ -51,19 +48,19 @@ __all__ = [
     "DependentDomain", "DimensionMismatch", "ExtensionParameter",
     "ForbiddenOperator", "GramSpace", "IllConditionedProjection",
     "InsufficientMoments", "MomentProblemError", "MomentSequence",
-    "NormViolation", "NotAdmissible", "NotConverged", "NotPSD",
+    "NormViolation", "NotAdmissible", "NotPSD",
     "PerronResult", "ProblemFileError",
     "ScalarEvenResult", "SelfAdjointExtension",
     "ShiftOperator", "SingularSystem", "SolveResult", "StieltjesTransform",
     "SweepEntry", "SweepResult", "Tolerances", "VerificationReport",
-    "Workspace", "apply_generalized_resolvent", "build_block_hankel",
-    "build_shift", "check_solvability_prefix", "check_truncated_conditions",
+    "Workspace", "build_block_hankel", "build_shift",
+    "check_truncated_conditions",
     "compute_rank_r", "default_parameter",
     "deficiency_subspaces", "factor_psd",
     "forbidden_operator", "is_admissible", "measure_distance",
     "moments_from_transform", "pencil_spectral_radius",
-    "perron_inversion", "prepare", "resolvent_matrix", "selfadjoint_extension",
+    "perron_inversion", "prepare", "selfadjoint_extension",
     "solve_scalar_even", "solve_truncated", "spectral_measure",
-    "stieltjes_transform", "theta_sweep", "verify_moments",
+    "theta_sweep", "verify_moments",
     "verify_recovered_moments", "__version__",
 ]

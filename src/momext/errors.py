@@ -61,16 +61,6 @@ class DimensionMismatch(MomentProblemError):
 
 
 class SingularSystem(MomentProblemError):
-    """A resolvent linear system was singular or left a large residual."""
-
-
-class NotConverged(MomentProblemError):
-    """An approximation sweep did not stabilize within its budget.
-
-    ``diagnostics`` carries partial data useful for choosing better inputs.
-    """
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics
+    """A resolvent linear system was singular or left a large residual, or
+    a transform's pole-residue form failed its check."""
 

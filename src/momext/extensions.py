@@ -1,4 +1,4 @@
-"""Extensions of the block shift and their generalized resolvents.
+"""Extensions of the block shift, one per constant parameter.
 
 An admissible isometric parameter V: N_plus -> N_minus produces a
 self-adjoint extension A_V acting on the whole Gram space:
@@ -6,29 +6,24 @@ self-adjoint extension A_V acting on the whole Gram space:
     domain column block   [ x_0..x_{dN-1} | B_minus V - B_plus ]
     image  column block   [ x_N..x_{dN+N-1} | i (B_minus V + B_plus) ]
 
-and A_V = image @ inverse(domain).  Contractive parameters (constant or
-sampled along the upper half-plane) do not give an operator on the space but
-still define a generalized resolvent through the same mixed linear system:
+and A_V = image @ inverse(domain).  A contractive V gives no operator on
+the space, but the same blocks still define its generalized resolvent
 
-    (A - lam) f + ((i - lam) B_minus V + (i + lam) B_plus) psi = g,
-    R(lam) g = f + (B_minus V - B_plus) psi            for Im lam > 0,
+    R(lam) = domain (image - lam domain)^{-1}      for Im lam > 0,
 
-with a mirrored formula (driven by the adjoint of the parameter at conj(lam))
-on the lower half-plane, so that R(conj lam) = R(lam)^H.
+and R(conj lam) = R(lam)^H on the lower half-plane.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable
 
 import numpy as np
 
 from .errors import DimensionMismatch, NormViolation, NotAdmissible
 from .linalg import (as_complex_matrix, herm_defect, max_abs, read_only,
-                     singular_values, solve_with_residual_check)
-from .shift import (DeficiencyPair, ForbiddenOperator, ShiftOperator,
-                    is_admissible)
+                     singular_values)
+from .shift import DeficiencyPair, ShiftOperator, is_admissible
 from .tolerances import DEFAULT, Tolerances
 
 KIND_ISOMETRIC = "isometric"
@@ -37,27 +32,18 @@ KIND_CONTRACTION = "contraction"
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ExtensionParameter:
-    """A contraction from N_plus to N_minus, constant or lam-dependent.
+    """A constant q x q contraction from N_plus to N_minus.
 
     kind is "isometric" (unitary between the defect subspaces; required for
-    self-adjoint extensions) or "contraction".  Exactly one of matrix /
-    sampler is set; a sampler maps lam in the open upper half-plane to a
-    q x q matrix and is validated per sample.
+    self-adjoint extensions) or "contraction".
     """
 
     kind: str
-    matrix: np.ndarray | None = None
-    sampler: Callable[[complex], np.ndarray] | None = None
+    matrix: np.ndarray
 
     def __post_init__(self):
         if self.kind not in (KIND_ISOMETRIC, KIND_CONTRACTION):
             raise ValueError(f"unknown parameter kind {self.kind!r}")
-        if (self.matrix is None) == (self.sampler is None):
-            raise ValueError("exactly one of matrix / sampler must be given")
-
-    @property
-    def is_constant(self) -> bool:
-        return self.matrix is not None
 
     @classmethod
     def isometric(cls, matrix) -> "ExtensionParameter":
@@ -79,28 +65,9 @@ class ExtensionParameter:
         """The unique parameter when the defect is zero."""
         return cls.isometric(np.zeros((0, 0), dtype=complex))
 
-    @classmethod
-    def from_sampler(cls, fn: Callable[[complex], np.ndarray],
-                     kind: str = KIND_CONTRACTION) -> "ExtensionParameter":
-        return cls(kind=kind, matrix=None, sampler=fn)
-
     def constant_matrix(self, defect: int, tol: Tolerances = DEFAULT) -> np.ndarray:
-        if not self.is_constant:
-            raise ValueError("this operation needs a constant parameter, "
-                             "not a lam-dependent sampler")
-        return self._validate(self.matrix, defect, tol)
-
-    def at(self, lam: complex, defect: int,
-           tol: Tolerances = DEFAULT) -> np.ndarray:
-        """The parameter matrix used at a point of the upper half-plane."""
-        if self.is_constant:
-            return self._validate(self.matrix, defect, tol)
-        return self._validate(as_complex_matrix(self.sampler(lam),
-                                                "sampled parameter"),
-                              defect, tol)
-
-    def _validate(self, v: np.ndarray, defect: int,
-                  tol: Tolerances) -> np.ndarray:
+        """The matrix, checked for shape, norm and (if isometric) isometry."""
+        v = self.matrix
         if v.shape != (defect, defect):
             raise DimensionMismatch(
                 f"parameter has shape {v.shape}, expected ({defect}, {defect})")
@@ -157,7 +124,7 @@ class SelfAdjointExtension:
 def selfadjoint_extension(shift: ShiftOperator, pair: DeficiencyPair,
                           parameter: ExtensionParameter,
                           tol: Tolerances = DEFAULT) -> SelfAdjointExtension:
-    """Build A_V for an admissible, isometric, constant parameter."""
+    """Build A_V for an admissible isometric parameter."""
     if parameter.kind != KIND_ISOMETRIC:
         raise ValueError("self-adjoint extensions need an isometric parameter")
     v = parameter.constant_matrix(pair.defect, tol)
@@ -173,71 +140,6 @@ def selfadjoint_extension(shift: ShiftOperator, pair: DeficiencyPair,
     return SelfAdjointExtension(matrix=read_only(0.5 * (g + np.conj(g.T))),
                                 parameter=parameter,
                                 herm_residual=float(residual))
-
-
-def _upper_system(shift: ShiftOperator, pair: DeficiencyPair,
-                  vmat: np.ndarray, lam: complex):
-    """System matrix and h-assembly block for the upper-branch formula."""
-    bp, bm = pair.basis_plus, pair.basis_minus
-    sys_mat = np.hstack([
-        shift.shift_matrix - lam * shift.dom_matrix,
-        (1j - lam) * (bm @ vmat) + (1j + lam) * bp,
-    ])
-    lift = np.hstack([shift.dom_matrix, bm @ vmat - bp])
-    return sys_mat, lift
-
-
-def _lower_system(shift: ShiftOperator, pair: DeficiencyPair,
-                  vmat_at_conj: np.ndarray, lam: complex):
-    """Mirror-branch system; driven by the adjoint of the parameter."""
-    bp, bm = pair.basis_plus, pair.basis_minus
-    c = np.conj(vmat_at_conj.T)
-    sys_mat = np.hstack([
-        shift.shift_matrix - lam * shift.dom_matrix,
-        (-1j - lam) * (bp @ c) + (lam - 1j) * bm,
-    ])
-    lift = np.hstack([shift.dom_matrix, bp @ c - bm])
-    return sys_mat, lift
-
-
-def resolvent_systems(shift: ShiftOperator, pair: DeficiencyPair,
-                      parameter: ExtensionParameter, lam: complex,
-                      tol: Tolerances = DEFAULT):
-    """Dispatch to the branch formula matching the sign of Im lam."""
-    if lam.imag == 0.0:
-        raise ValueError("the spectral parameter must have nonzero "
-                         "imaginary part")
-    q = pair.defect
-    if lam.imag > 0.0:
-        return _upper_system(shift, pair, parameter.at(lam, q, tol), lam)
-    return _lower_system(shift, pair,
-                         parameter.at(np.conj(lam), q, tol), lam)
-
-
-def apply_generalized_resolvent(shift: ShiftOperator, pair: DeficiencyPair,
-                                parameter: ExtensionParameter, lam: complex,
-                                rhs: np.ndarray,
-                                tol: Tolerances = DEFAULT) -> np.ndarray:
-    """R(lam) applied to one vector or to the columns of a matrix.
-
-    Solves the mixed-coordinate system by least squares and raises
-    SingularSystem when the residual is large; for admissible parameters
-    and nonreal lam the system is provably nonsingular.
-    """
-    lam = complex(lam)
-    sys_mat, lift = resolvent_systems(shift, pair, parameter, lam, tol)
-    sol = solve_with_residual_check(sys_mat, rhs, tol.solve_rel,
-                                    context=f"resolvent at lam = {lam}")
-    return lift @ sol
-
-
-def resolvent_matrix(shift: ShiftOperator, pair: DeficiencyPair,
-                     parameter: ExtensionParameter, lam: complex,
-                     tol: Tolerances = DEFAULT) -> np.ndarray:
-    """The m x m matrix of R(lam)."""
-    m = shift.ambient_dim
-    return apply_generalized_resolvent(shift, pair, parameter, lam,
-                                       np.eye(m, dtype=complex), tol)
 
 
 def pencil_spectral_radius(shift: ShiftOperator, pair: DeficiencyPair,

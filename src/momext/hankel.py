@@ -152,15 +152,3 @@ def check_truncated_conditions(seq: MomentSequence,
         scale_trailing=s_trail,
     )
 
-
-def check_solvability_prefix(seq: MomentSequence, max_order: int | None = None,
-                             tol: Tolerances = DEFAULT) -> list[bool]:
-    """PSD flags for H_0, H_1, ... as far as the data (or max_order) allows."""
-    top = seq.max_hankel_order if max_order is None else min(
-        max_order, seq.max_hankel_order)
-    flags = []
-    for k in range(top + 1):
-        h = build_block_hankel(seq, k)
-        flags.append(bool(min_eigenvalue(h.matrix)
-                          >= -tol.psd_rel * max_abs(h.matrix)))
-    return flags

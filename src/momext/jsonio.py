@@ -329,9 +329,7 @@ def recovery_to_json(rec: ContourRecovery | None) -> dict | None:
 def perron_to_json(res: PerronResult) -> dict:
     return {
         "edges": real_vector_to_json(res.edges),
-        "eps_used": float(res.eps_used),
         "increments": [matrix_to_json(w) for w in res.increments],
-        "history": [[float(e), float(c)] for e, c in res.history],
         "method": res.method,
     }
 

@@ -16,12 +16,10 @@ through Stieltjes-Perron inversion
     M([a, b)) = limit over eps of (1/pi) integral over [a, b) of
                 Im T(u + i eps) du .
 
-For a constant parameter T(lam)[k, l] = (x_l, (G - lam)^{-1} x_k) with
-G = img dom^{-1}, a rational function, so both recoveries are closed forms:
-the moments are S_n[k, l] = (x_l, G^n x_k), and the cell masses are sums of
-logarithms over the poles of T (or, for an isometric parameter, sums of
-atom weights).  Only lam-dependent samplers need the eps limit itself,
-taken numerically over a decreasing eps ladder.
+With G = img dom^{-1}, T(lam)[k, l] = (x_l, (G - lam)^{-1} x_k) is a
+rational function, so both recoveries are closed forms: the moments are
+S_n[k, l] = (x_l, G^n x_k), and the cell masses are sums over the poles of
+T (or, for an isometric parameter, over the atoms of its measure).
 
 Cells are half-open [x, x+h); an atom sitting exactly on a cell boundary
 gives exactly half its weight to each of the two adjacent cells (the
@@ -35,13 +33,12 @@ import dataclasses
 
 import numpy as np
 
-from .errors import NotAdmissible, NotConverged
+from .errors import NotAdmissible, SingularSystem
 from .hankel import MomentSequence
 from .linalg import max_abs, read_only, solve_with_residual_check
 from .extensions import (KIND_ISOMETRIC, ExtensionParameter,
-                         SelfAdjointExtension, apply_generalized_resolvent,
-                         extension_blocks, quasi_extension_matrix,
-                         selfadjoint_extension)
+                         SelfAdjointExtension, extension_blocks,
+                         quasi_extension_matrix, selfadjoint_extension)
 from .shift import DeficiencyPair, ShiftOperator, is_admissible
 from .tolerances import DEFAULT, Tolerances
 
@@ -191,8 +188,8 @@ def verify_recovered_moments(recovered, seq: MomentSequence,
 class StieltjesTransform:
     """T(lam)[k, l] = (R(lam) x_k, x_l) for a fixed parameter.
 
-    Callable on any nonreal lam; the lower half-plane uses the mirror branch
-    so T(conj lam) = T(lam)^H.  Im T(lam) is PSD for Im lam > 0.
+    Callable on any nonreal lam; the lower half-plane mirrors the upper one,
+    T(conj lam) = T(lam)^H.  Im T(lam) is PSD for Im lam > 0.
     """
 
     shift: ShiftOperator
@@ -208,30 +205,27 @@ class StieltjesTransform:
         return self.shift.space.coords[:self.shift.block_dim]   # (N, m)
 
     def __call__(self, lam: complex) -> np.ndarray:
-        xn = self._first_coords()
-        h = apply_generalized_resolvent(self.shift, self.pair, self.parameter,
-                                        complex(lam), xn.T.copy(), self.tol)
-        return (np.conj(xn) @ h).T        # [k, l] = (h_k, x_l)
+        lam = complex(lam)
+        if lam.imag == 0.0:
+            raise ValueError("the spectral parameter must have nonzero "
+                             "imaginary part")
+        if lam.imag > 0.0:
+            return self.eval_upper_many([lam])[0]
+        return np.conj(self.eval_upper_many([np.conj(lam)])[0].T)
 
     def eval_upper_many(self, lams: np.ndarray,
                         chunk: int = 8192) -> np.ndarray:
         """Vectorized upper-branch evaluation at many points.
 
-        For a constant parameter this evaluates the single rational function
-        that continues the upper branch, at arbitrary complex points
-        (including the real axis away from its poles), by a direct batched
-        solve; it is the reference the closed-form cell masses are checked
-        against.  Samplers fall back to a per-point loop and are only
-        meaningful for Im lam > 0.
+        This evaluates the single rational function that continues the
+        upper branch, at arbitrary complex points (including the real axis
+        away from its poles), by a direct batched solve; it is the reference
+        the closed-form cell masses are checked against.
         """
         lams = np.asarray(lams, dtype=complex).reshape(-1)
         n = self.shift.block_dim
         xn = self._first_coords()
         out = np.empty((lams.size, n, n), dtype=complex)
-        if not self.parameter.is_constant:
-            for i, lam in enumerate(lams):
-                out[i] = self(lam)
-            return out
         vmat = self.parameter.constant_matrix(self.pair.defect, self.tol)
         dom, img = extension_blocks(self.shift, self.pair, vmat)
         rhs = xn.T.copy()                                  # (m, N)
@@ -250,13 +244,6 @@ class StieltjesTransform:
             h = dom @ sols                                 # (B, m, N)
             out[start:start + chunk] = np.swapaxes(np.conj(xn) @ h, -1, -2)
         return out
-
-
-def stieltjes_transform(shift: ShiftOperator, pair: DeficiencyPair,
-                        parameter: ExtensionParameter, lam: complex,
-                        tol: Tolerances = DEFAULT) -> np.ndarray:
-    """One-shot evaluation of T(lam)."""
-    return StieltjesTransform(shift, pair, parameter, tol)(lam)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -292,13 +279,9 @@ def moments_from_transform(transform: StieltjesTransform,
 
     T(lam) = -sum over n of S_n / lam^{n+1} at large |lam|, so by the
     residue theorem S_n[k, l] = (x_l, G^n x_k), taken by repeated
-    multiplication.  Samplers are rejected (a lam-slice of samples does not
-    determine the lower branch), and so is an inadmissible parameter, with
+    multiplication.  An inadmissible parameter is rejected with
     NotAdmissible.
     """
-    if not transform.parameter.is_constant:
-        raise ValueError("moment recovery needs a constant parameter; "
-                         "use perron_inversion for sampled families")
     g = _extension_matrix(transform, transform.tol)
     xn = transform._first_coords()
     h = xn.T.copy()                                     # columns G^n x_k
@@ -309,64 +292,32 @@ def moments_from_transform(transform: StieltjesTransform,
     return ContourRecovery(moments=tuple(moments))
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(4)
-
-
-def _smoothed_cell_integrals(transform: StieltjesTransform, edges: np.ndarray,
-                             eps: float, max_subdiv: int = 2000) -> np.ndarray:
-    """(1/pi) integral over each cell of Im T(u + i eps) du.
-
-    Composite 4-point Gauss-Legendre with subintervals no wider than about
-    eps, so the Poisson peaks of near-atoms are resolved; everything is
-    evaluated in one vectorized batch.
-    """
-    widths = np.diff(edges)
-    h = float(np.max(widths))
-    nsub = int(min(max(4, int(np.ceil(h / eps))), max_subdiv))
-    k = len(widths)
-    # nodes for all cells at once: (K, nsub, 4)
-    sub_edges = edges[:-1, None] + widths[:, None] * np.arange(nsub + 1)[None, :] / nsub
-    mid = 0.5 * (sub_edges[:, :-1] + sub_edges[:, 1:])
-    half = 0.5 * (sub_edges[:, 1:] - sub_edges[:, :-1])
-    nodes = mid[:, :, None] + half[:, :, None] * _GL_NODES[None, None, :]
-    wts = half[:, :, None] * _GL_WEIGHTS[None, None, :]
-    tvals = transform.eval_upper_many(nodes.reshape(-1) + 1j * eps)
-    n = transform.block_dim
-    tvals = tvals.reshape(k, nsub * 4, n, n)
-    imt = (tvals - np.conj(np.swapaxes(tvals, -1, -2))) / 2j
-    return np.einsum("ks,ksab->kab", wts.reshape(k, nsub * 4), imt) / np.pi
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class PerronResult:
     """Cell masses from Stieltjes-Perron inversion.
 
     increments[i] is M([edges[i], edges[i+1])), an atom on an edge giving
     half its weight to each side.  method is "atoms" (an isometric
-    parameter's spectral measure, binned), "residue" (closed form over the
-    poles of a contraction's transform; eps_used 0 and no history for
-    both) or "eps-ladder" (smoothed integrals at eps_used, exactly PSD).
+    parameter's spectral measure, binned) or "residue" (closed form over
+    the poles of a contraction's transform).  Both are exact, so history
+    is always empty.
     """
 
     edges: np.ndarray           # (K+1,)
     increments: np.ndarray      # (K, N, N)
     method: str
-    eps_used: float = 0.0
-    history: tuple = ()         # of (eps, max-abs change of extrapolant)
+    history: tuple = ()
 
 
-def _atom_cells(transform: StieltjesTransform, edges: np.ndarray,
-                tol: Tolerances) -> PerronResult:
-    """Bin the atoms of an isometric parameter's spectral measure; one
-    within cluster_rel (of the grid scale) of an edge goes half to each
-    side, the limit of the smoothed integrals."""
-    ext = selfadjoint_extension(transform.shift, transform.pair,
-                                transform.parameter, tol)
-    measure = spectral_measure(ext, transform.shift, tol)
-    n, k = transform.block_dim, len(edges) - 1
-    masses = np.zeros((k, n, n), dtype=complex)
+def _bin_atoms(locations, weights, edges: np.ndarray,
+               tol: Tolerances) -> np.ndarray:
+    """Masses the atoms give the cells [edges[i], edges[i+1]); an atom within
+    cluster_rel (of the grid scale) of an edge goes half to each side, the
+    Stieltjes-Perron limit."""
+    k = len(edges) - 1
+    masses = np.zeros((k,) + np.shape(weights)[1:], dtype=complex)
     near = tol.cluster_rel * max(1.0, max_abs(edges))
-    for t, w in zip(measure.locations, measure.weights):
+    for t, w in zip(locations, weights):
         e = int(np.argmin(np.abs(edges - t)))
         if abs(edges[e] - t) <= near:
             for cell in (e - 1, e):
@@ -376,29 +327,41 @@ def _atom_cells(transform: StieltjesTransform, edges: np.ndarray,
         cell = int(np.searchsorted(edges, t, side="right")) - 1
         if 0 <= cell < k:
             masses[cell] += w
+    return masses
+
+
+def _atom_cells(transform: StieltjesTransform, edges: np.ndarray,
+                tol: Tolerances) -> PerronResult:
+    """Bin the atoms of an isometric parameter's spectral measure."""
+    ext = selfadjoint_extension(transform.shift, transform.pair,
+                                transform.parameter, tol)
+    measure = spectral_measure(ext, transform.shift, tol)
+    masses = _bin_atoms(measure.locations, measure.weights, edges, tol)
     return PerronResult(edges, read_only(masses), "atoms")
 
 
 def _residue_cells(transform: StieltjesTransform, edges: np.ndarray,
-                   tol: Tolerances) -> PerronResult | None:
+                   tol: Tolerances) -> PerronResult:
     """Cell masses of a contraction's transform from its poles and residues.
 
     With G = Z diag(mu) Z^{-1}, T(lam) = sum_j r_j / (mu_j - lam) where
-    r_j[k, l] = (Z^{-1} X)[j, k] (X^H Z)[l, j].  With every pole strictly
-    below the real axis there is no eps limit: a cell [a, b) has mass
-    (1/pi) Herm-Im sum_j r_j (log(mu_j - a) - log(mu_j - b)).  None unless
-    the residue form matches the direct solve within perron_abs at the cell
+    r_j[k, l] = (Z^{-1} X)[j, k] (X^H Z)[l, j].  A pole within cluster_rel
+    (of the spectral radius of G) of the real axis is an atom at Re mu_j
+    with weight Herm r_j, binned as in _atom_cells.  Every other pole lies
+    below the axis, and there is no eps limit: it gives a cell [a, b) the
+    mass (1/pi) Herm-Im r_j (log(mu_j - a) - log(mu_j - b)).  Raises
+    SingularSystem when G has no eigenvector basis, or when the residue
+    form misses the direct solve by more than perron_abs at the cell
     midpoints lifted by one cell width.
     """
     g = _extension_matrix(transform, tol)
-    mu, z = np.linalg.eig(g)
-    if not np.all(mu.imag < 0.0):
-        return None
     xn = transform._first_coords()                      # (N, m)
     try:
+        mu, z = np.linalg.eig(g)
         right = np.linalg.solve(z, xn.T)                # Z^{-1} X, (m, N)
-    except np.linalg.LinAlgError:
-        return None
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(f"pole-residue form unavailable: the "
+                             f"eigen-decomposition of G failed ({exc})") from None
     left = np.conj(xn) @ z                              # X^H Z, (N, m)
 
     def residue_sum(coef):                              # coef: (B, m)
@@ -410,58 +373,32 @@ def _residue_cells(transform: StieltjesTransform, edges: np.ndarray,
     gap = max_abs(residue_sum(1.0 / (mu[None, :] - probes[:, None]))
                   - direct)
     if not gap <= tol.perron_abs:                       # also rejects nan
-        return None
-    logs = (np.log(mu[None, :] - edges[:-1, None])
-            - np.log(mu[None, :] - edges[1:, None]))
+        raise SingularSystem(
+            f"pole-residue form misses the direct solve by {gap:.3e} "
+            f"> perron_abs {tol.perron_abs:.1e}")
+    real = np.abs(mu.imag) <= tol.cluster_rel * max(1.0, max_abs(mu))
+    off = mu[~real]
+    logs = np.zeros((len(widths), mu.size), dtype=complex)
+    logs[:, ~real] = (np.log(off[None, :] - edges[:-1, None])
+                      - np.log(off[None, :] - edges[1:, None]))
     f = residue_sum(logs)
     masses = (f - np.conj(np.swapaxes(f, -1, -2))) / (2j * np.pi)
+    atoms = right[real][:, :, None] * left.T[real][:, None, :]
+    masses += _bin_atoms(mu[real].real,
+                         0.5 * (atoms + np.conj(np.swapaxes(atoms, -1, -2))),
+                         edges, tol)
     return PerronResult(edges, read_only(masses), "residue")
 
 
-def _eps_ladder(transform: StieltjesTransform, edges: np.ndarray,
-                eps_sequence: list, tol: Tolerances) -> PerronResult:
-    """Smoothed cell integrals over a decreasing eps sequence.
-
-    Consecutive pairs form a linear-in-eps Richardson extrapolant, and the
-    sweep stops once two successive extrapolants agree within perron_abs.
-    Raises NotConverged (with diagnostics) when the sequence is exhausted
-    first.
-    """
-    prev_integral = None
-    prev_eps = None
-    prev_extrap = None
-    history = []
-    for eps in eps_sequence:
-        integral = _smoothed_cell_integrals(transform, edges, eps)
-        if prev_integral is not None:
-            extrap = ((prev_eps * integral - eps * prev_integral)
-                      / (prev_eps - eps))
-            if prev_extrap is not None:
-                change = max_abs(extrap - prev_extrap)
-                history.append((eps, float(change)))
-                if change <= tol.perron_abs:
-                    return PerronResult(edges, read_only(integral),
-                                        "eps-ladder", eps_used=eps,
-                                        history=tuple(history))
-            prev_extrap = extrap
-        prev_integral, prev_eps = integral, eps
-    raise NotConverged(
-        f"smoothed inversion did not stabilize within {tol.perron_abs:.1e} "
-        f"over eps sequence {eps_sequence}",
-        diagnostics={"history": history, "edges": edges})
-
-
 def perron_inversion(transform: StieltjesTransform, start: float, stop: float,
-                     cell_width: float, eps_sequence=None,
+                     cell_width: float,
                      tol: Tolerances | None = None) -> PerronResult:
-    """Masses of half-open cells [x, x+h) on [start, stop).
+    """Masses of half-open cells [x, x+h) on [start, stop), in closed form.
 
-    Constant parameters are inverted exactly: isometric ones by binning the
-    atoms of their self-adjoint extension, contractions through the poles
-    and residues of their rational transform.  Lam-dependent samplers, and
-    contractions whose residue form fails its check, go through the
-    smoothed eps ladder.  Raises NotAdmissible for an inadmissible constant
-    parameter.
+    Isometric parameters bin the atoms of their self-adjoint extension;
+    contractions go through the poles and residues of their rational
+    transform.  Raises NotAdmissible for an inadmissible parameter and
+    SingularSystem when the pole-residue form fails its check.
     """
     tol = tol or transform.tol
     if not (stop > start and cell_width > 0.0):
@@ -470,21 +407,9 @@ def perron_inversion(transform: StieltjesTransform, start: float, stop: float,
     if n_cells < 1:
         raise ValueError("grid holds no complete cell")
     edges = read_only(start + cell_width * np.arange(n_cells + 1))
-    if eps_sequence is None:
-        eps_sequence = [0.01 * 0.5 ** k for k in range(11)]
-    eps_sequence = [float(e) for e in eps_sequence]
-    if any(e <= 0 for e in eps_sequence) or any(
-            b >= a for a, b in zip(eps_sequence, eps_sequence[1:])):
-        raise ValueError("eps_sequence must be positive and decreasing")
-
-    parameter = transform.parameter
-    if parameter.is_constant:
-        if parameter.kind == KIND_ISOMETRIC:
-            return _atom_cells(transform, edges, tol)
-        exact = _residue_cells(transform, edges, tol)
-        if exact is not None:
-            return exact
-    return _eps_ladder(transform, edges, eps_sequence, tol)
+    if transform.parameter.kind == KIND_ISOMETRIC:
+        return _atom_cells(transform, edges, tol)
+    return _residue_cells(transform, edges, tol)
 
 
 def measure_distance(m1: AtomicMatrixMeasure, m2: AtomicMatrixMeasure,

@@ -141,19 +141,13 @@ def _solve(ws: Workspace, parameter: ExtensionParameter | None,
     if parameter is None:
         parameter, report, theta = default_parameter(ws, tol)
     else:
-        if parameter.is_constant:
-            report = is_admissible(
-                parameter.constant_matrix(ws.defect, tol), ws.shift, ws.pair,
-                ws.forbidden, tol)
-            if not report.admissible:
-                raise NotAdmissible(
-                    f"supplied parameter is not admissible "
-                    f"(margin {report.margin:.3e})", margin=report.margin)
-        else:
-            report = AdmissibilityReport(
-                admissible=True, margin=None, parameter_norm=float("nan"),
-                forbidden_gap=None, coincides_with_forbidden=False,
-                borderline=False)
+        report = is_admissible(
+            parameter.constant_matrix(ws.defect, tol), ws.shift, ws.pair,
+            ws.forbidden, tol)
+        if not report.admissible:
+            raise NotAdmissible(
+                f"supplied parameter is not admissible "
+                f"(margin {report.margin:.3e})", margin=report.margin)
 
     common = dict(condition=ws.condition, defect=ws.defect,
                   gram_rank=ws.space.ambient_dim,
@@ -161,7 +155,7 @@ def _solve(ws: Workspace, parameter: ExtensionParameter | None,
                   parameter=parameter, parameter_theta=theta,
                   admissibility=report, workspace=ws)
 
-    if parameter.is_constant and parameter.kind == KIND_ISOMETRIC:
+    if parameter.kind == KIND_ISOMETRIC:
         ext = selfadjoint_extension(ws.shift, ws.pair, parameter, tol)
         measure = spectral_measure(ext, ws.shift, tol)
         verification = verify_moments(measure, seq, rel_tol=1e-8)
@@ -170,13 +164,11 @@ def _solve(ws: Workspace, parameter: ExtensionParameter | None,
                            transform_samples=None, **common)
 
     transform = StieltjesTransform(ws.shift, ws.pair, parameter, tol)
-    samples = tuple((lam, transform(lam)) for lam in TRANSFORM_SAMPLE_POINTS)
-    recovery = None
-    verification = None
-    if parameter.is_constant:
-        recovery = moments_from_transform(transform, 2 * ws.condition.order)
-        verification = verify_recovered_moments(recovery.moments, seq,
-                                                rel_tol=1e-6)
+    samples = tuple(zip(TRANSFORM_SAMPLE_POINTS,
+                        transform.eval_upper_many(TRANSFORM_SAMPLE_POINTS)))
+    recovery = moments_from_transform(transform, 2 * ws.condition.order)
+    verification = verify_recovered_moments(recovery.moments, seq,
+                                            rel_tol=1e-6)
     return SolveResult(kind="transform", measure=None, extension=None,
                        verification=verification, recovery=recovery,
                        transform_samples=samples, **common)

@@ -24,7 +24,7 @@ class Tolerances:
     solve_rel: float = 1e-8     # relative residual allowed in resolvent solves
     cluster_rel: float = 1e-9   # eigenvalue clustering gap, rel. spectral radius
     weight_rel: float = 1e-12   # atom weight drop threshold, rel. total mass
-    perron_abs: float = 1e-3    # eps-ladder stabilization; residue-form check
+    perron_abs: float = 1e-3    # pole-residue form vs direct solve, abs.
 
     def replace(self, **kw) -> "Tolerances":
         return dataclasses.replace(self, **kw)

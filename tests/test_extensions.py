@@ -1,12 +1,13 @@
-"""Self-adjoint extensions, their resolvents, and parameter validation.
+"""Self-adjoint extensions, their transforms, and parameter validation.
 
 Checked here:
 - the hand-derived one-parameter family for (1, 0, 1):
   A(theta) = [[0, 1], [1, -2 tan(theta/2)]] on the admissible angles,
 - extensions restrict the shift on its domain and are Hermitian,
-- resolvents of self-adjoint extensions agree with the direct inverse
-  (A - lam)^{-1}, and the hand value (A(0) - i)^{-1} e_0 = (i/2, 1/2),
-- the mirror symmetry R(conj lam) = R(lam)^H for contractive parameters,
+- the hand value T(i) = ((A(0) - i)^{-1} e_0, e_0) = i/2,
+- the mirror branch T(conj lam) = T(lam)^H: for isometric parameters it is
+  the rational upper branch continued below the axis, and real lam is
+  rejected,
 - pencil geometry: singularities of the (1, 0, 1) family sit at the atom
   positions +-1,
 - parameter validation (shape, norm, isometry defect).
@@ -17,11 +18,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momext import (DimensionMismatch, ExtensionParameter, MomentSequence,
-                    NormViolation, NotAdmissible, apply_generalized_resolvent,
-                    build_block_hankel, build_shift, deficiency_subspaces,
-                    factor_psd, forbidden_operator, pencil_spectral_radius,
-                    resolvent_matrix, selfadjoint_extension)
+from momext import (DimensionMismatch, ExtensionParameter, NormViolation,
+                    NotAdmissible, StieltjesTransform, build_block_hankel,
+                    build_shift, deficiency_subspaces, factor_psd,
+                    pencil_spectral_radius, selfadjoint_extension)
 from momext.sampling import (random_admissible_isometry,
                              random_feasible_instance,
                              random_strict_contraction)
@@ -89,52 +89,39 @@ def test_extensions_are_hermitian_and_extend_the_shift():
                            atol=1e-8 * scale)
 
 
-def test_resolvent_matches_direct_inverse():
-    rng = np.random.default_rng(RNG_SEED + 1)
-    for _ in range(10):
-        n = int(rng.integers(1, 3))
-        d = int(rng.integers(1, 3))
-        seq, _ = random_feasible_instance(rng, n, d)
-        _, shift, pair = _operator_stage(seq)
-        parameter = random_admissible_isometry(rng, shift, pair)
-        ext = selfadjoint_extension(shift, pair, parameter)
-        lam = complex(rng.standard_normal(), 0.3 + rng.random())
-        if rng.random() < 0.5:
-            lam = np.conj(lam)
-        got = resolvent_matrix(shift, pair, parameter, lam)
-        expected = np.linalg.inv(
-            ext.matrix - lam * np.eye(shift.ambient_dim))
-        assert np.allclose(got, expected, atol=1e-8)
-
-
 def test_hand_resolvent_value(seq_101):
+    # (A(0) - i)^{-1} e_0 = (i/2, 1/2), so T(i) = i/2.
     shift, pair, _ = _family_member(seq_101, 0.0)
     parameter = ExtensionParameter.unimodular(0.0, defect=1)
-    e0 = np.eye(2, dtype=complex)[:, :1]
-    h = apply_generalized_resolvent(shift, pair, parameter, 1j, e0)
-    assert np.allclose(h.ravel(), [0.5j, 0.5], atol=ORACLE_ATOL)
+    t = StieltjesTransform(shift, pair, parameter)
+    assert np.allclose(t(1j), [[0.5j]], atol=ORACLE_ATOL)
 
 
 def test_mirror_branch_is_the_adjoint():
+    # For an isometric parameter T is rational with real poles, so the
+    # mirror branch must equal the upper branch continued below the axis;
+    # for a strict contraction it is the adjoint by construction.
     rng = np.random.default_rng(RNG_SEED + 2)
     for _ in range(10):
         n = int(rng.integers(1, 3))
         d = int(rng.integers(1, 3))
         seq, _ = random_feasible_instance(rng, n, d)
         _, shift, pair = _operator_stage(seq)
-        f = random_strict_contraction(rng, pair.defect)
-        parameter = ExtensionParameter.contraction(f)
         lam = complex(rng.standard_normal(), 0.3 + rng.random())
-        upper = resolvent_matrix(shift, pair, parameter, lam)
-        lower = resolvent_matrix(shift, pair, parameter, np.conj(lam))
-        assert np.allclose(lower, upper.conj().T, atol=1e-8)
+        t = StieltjesTransform(shift, pair,
+                               random_admissible_isometry(rng, shift, pair))
+        continued = t.eval_upper_many([np.conj(lam)])[0]
+        assert np.allclose(t(np.conj(lam)), continued, atol=1e-8)
+        t = StieltjesTransform(shift, pair, ExtensionParameter.contraction(
+            random_strict_contraction(rng, pair.defect)))
+        assert np.allclose(t(np.conj(lam)), t(lam).conj().T, atol=1e-8)
 
 
 def test_real_lambda_is_rejected(seq_101):
     _, shift, pair = _operator_stage(seq_101)
     parameter = ExtensionParameter.unimodular(0.0, defect=1)
     with pytest.raises(ValueError):
-        resolvent_matrix(shift, pair, parameter, 0.5)
+        StieltjesTransform(shift, pair, parameter)(0.5)
 
 
 def test_singularities_sit_at_the_atoms(seq_101):

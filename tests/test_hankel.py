@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from momext import (InsufficientMoments, MomentSequence, build_block_hankel,
-                    check_solvability_prefix, check_truncated_conditions)
+                    check_truncated_conditions)
 from momext.sampling import random_feasible_instance
 
 RNG_SEED = 20260801
@@ -135,9 +135,3 @@ def test_corrupted_top_moment_fails_trailing_only():
         assert report.leading_positive
         assert not report.trailing_psd
 
-
-def test_prefix_flags_match_section_checks():
-    seq = MomentSequence.scalar([1.0, 0.0, 1.0, 0.0, -5.0])
-    flags = check_solvability_prefix(seq)
-    # H_0 = [1] ok, H_1 = I ok, H_2 contains s_4 = -5 on the diagonal.
-    assert flags == [True, True, False]

@@ -11,13 +11,13 @@ Checked here:
   agreement with sum of W_j / (t_j - lam) on atomic solutions, and the
   batch evaluator matching pointwise calls,
 - closed-form moment recovery: S_n = (x_l, G^n x_k) against the data, and
-  the rejection of samplers and of forbidden parameters,
+  the rejection of forbidden parameters,
 - exact cell masses: the residue form against an adaptive real-axis
   quadrature of the direct solve, the defective (double-pole) zero
   contraction against its closed-form CDF, atoms binned whole inside cells
-  and split exactly in half on edges,
-- the smoothed eps ladder for lam-dependent parameters: NotConverged
-  diagnostics and the eps-sequence validation,
+  and split exactly in half on edges, contractions with a unit singular
+  value (poles on the real axis) binned as atoms, and SingularSystem when
+  the residue form misses the direct solve,
 - measure verification and the distance used by the parameter sweep.
 """
 
@@ -27,7 +27,7 @@ import numpy as np
 import pytest
 
 from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
-                    NotAdmissible, NotConverged, StieltjesTransform,
+                    NotAdmissible, SingularSystem, StieltjesTransform,
                     build_block_hankel, build_shift, default_parameter,
                     deficiency_subspaces, factor_psd, measure_distance,
                     moments_from_transform, perron_inversion, prepare,
@@ -204,17 +204,6 @@ def test_batch_evaluator_matches_pointwise(seq_101):
         assert np.allclose(batch[k], t(complex(lam)), atol=1e-11)
 
 
-def test_lambda_dependent_parameters_evaluate(seq_101):
-    # V(lam) = 0.5 (lam - i) / (lam + i) is a strict contraction upper-half.
-    parameter = ExtensionParameter.from_sampler(
-        lambda lam: 0.5 * (lam - 1j) / (lam + 1j) * np.eye(1))
-    t = _transform(seq_101, parameter)
-    tv = t(1j)     # sampler gives V(i) = 0, so this must match F = 0
-    assert np.allclose(tv, [[0.75j]], atol=1e-10)
-    imt = (t(0.3 + 1.1j) - t(0.3 + 1.1j).conj().T) / 2j
-    assert np.linalg.eigvalsh(imt).min() >= -1e-9
-
-
 # ------------------------------------------------------------ moment recovery
 
 def _random_contraction_transforms(rng):
@@ -251,13 +240,6 @@ def test_forbidden_parameter_is_rejected_on_the_transform_route():
     assert exc_info.value.margin == pytest.approx(0.0, abs=1e-12)
 
 
-def test_contour_recovery_rejects_samplers(seq_101):
-    parameter = ExtensionParameter.from_sampler(
-        lambda lam: np.zeros((1, 1), dtype=complex))
-    with pytest.raises(ValueError):
-        moments_from_transform(_transform(seq_101, parameter), 2)
-
-
 # ---------------------------------------------------------- density recovery
 
 def test_density_mass_of_zero_contraction(seq_101):
@@ -268,7 +250,7 @@ def test_density_mass_of_zero_contraction(seq_101):
     exact = (2.0 / np.pi) * (2.0 / 5.0 + np.arctan(2.0))
     total = res.increments.sum(axis=0)[0, 0].real
     assert total == pytest.approx(exact, abs=DENSITY_ATOL)
-    # Every increment is PSD at the reported eps.
+    # Every increment is PSD.
     for w in res.increments:
         assert np.linalg.eigvalsh((w + w.conj().T) / 2).min() >= -1e-12
 
@@ -340,7 +322,7 @@ def test_residue_cells_match_real_axis_quadrature():
     rng = np.random.default_rng(RNG_SEED + 5)
     for seq, t in _random_contraction_transforms(rng):
         res = perron_inversion(t, -3.0, 3.0, 0.5)
-        assert res.method == "residue" and res.eps_used == 0.0
+        assert res.method == "residue"
         err = np.abs(res.increments - _real_axis_masses(t, res.edges)).max()
         assert err <= EXACT_CELL_ATOL, (seq.dim, len(seq), err)
 
@@ -376,21 +358,35 @@ def test_boundary_atoms_split_exactly_in_half(seq_101, seq_identity_2):
             assert np.abs(w - 0.25 * eye).max() <= 1e-12
 
 
-def test_exhausted_eps_sequence_raises_with_diagnostics(seq_101):
-    # Only lam-dependent parameters reach the eps ladder; two levels give a
-    # single extrapolant, which can never be confirmed.
-    parameter = ExtensionParameter.from_sampler(
-        lambda lam: 0.5 * (lam - 1j) / (lam + 1j) * np.eye(1))
-    t = _transform(seq_101, parameter)
-    with pytest.raises(NotConverged) as exc_info:
-        perron_inversion(t, -2.0, 2.0, 0.5, eps_sequence=[0.1, 0.05])
-    assert exc_info.value.diagnostics
+def test_unit_singular_values_give_exact_atoms(seq_101, seq_identity_2):
+    # A contraction with a unit singular value has poles on the real axis.
+    # V = [[1]] on (1, 0, 1) gives atoms 1/2 at -1 and +1, both on edges
+    # of the grid, so the four cells next to them hold 1/4 each and the
+    # others nothing.  The N = 2 data s_n I with V = diag(1, 0.5) decouple:
+    # the unit block carries the same atoms, the other block the density
+    # of V = [[0.5]] on (1, 0, 1).
+    expected = np.array([0.0, 0.25, 0.25, 0.0, 0.0, 0.25, 0.25, 0.0])
+    for seq, v in ((seq_101, [[1.0]]),
+                   (seq_identity_2, np.diag([1.0, 0.5]))):
+        t = _transform(seq, ExtensionParameter.contraction(v))
+        res = perron_inversion(t, -2.0, 2.0, 0.5)
+        assert res.method in ("residue", "atoms")
+        assert np.abs(res.increments[:, 0, 0] - expected).max() <= 1e-12
+    half = perron_inversion(
+        _transform(seq_101, ExtensionParameter.contraction([[0.5]])),
+        -2.0, 2.0, 0.5)
+    assert np.abs(res.increments[:, 1, 1]
+                  - half.increments[:, 0, 0]).max() <= 1e-12
+    assert np.abs(res.increments[:, 0, 1]).max() <= 1e-12
 
 
-def test_eps_sequence_must_decrease(seq_101):
+def test_residue_form_off_the_direct_solve_raises(seq_101):
+    # The double pole of the zero contraction costs the residue form about
+    # 1e-8, far above a zero allowance; there is no fallback route.
     t = _transform(seq_101, ExtensionParameter.contraction(np.zeros((1, 1))))
-    with pytest.raises(ValueError):
-        perron_inversion(t, -2.0, 2.0, 0.5, eps_sequence=[0.01, 0.02])
+    with pytest.raises(SingularSystem, match="misses the direct solve by"):
+        perron_inversion(t, -2.0, 2.0, 0.5,
+                         tol=t.tol.replace(perron_abs=0.0))
 
 
 # ------------------------------------------------------------- verification

@@ -4,8 +4,7 @@ Checked here:
 - the worked instance (1, 0, 1): preparation report, best-margin default
   parameter theta = 0, the frozen two-atom measure,
 - both solution routes (atomic for isometric parameters, transform plus
-  closed-form moment recovery for contractions, samples only for
-  lam-dependent ones),
+  closed-form moment recovery for contractions),
 - the admissibility gate on supplied parameters,
 - the unique-extension case (defect 0) and the sweep refusing it,
 - the theta sweep on (1, 0, 1): seven admissible angles, pi flagged
@@ -77,17 +76,6 @@ def test_contraction_route_recovers_the_moments(seq_101):
     assert result.verification.passed
     assert result.verification.max_deviation <= 1e-10
     assert len(result.transform_samples) == 3
-
-
-def test_sampler_route_returns_samples_only(seq_101):
-    parameter = ExtensionParameter.from_sampler(
-        lambda lam: 0.5 * (lam - 1j) / (lam + 1j) * np.eye(1))
-    result = solve_truncated(seq_101, parameter=parameter)
-    assert result.kind == "transform"
-    assert result.recovery is None and result.verification is None
-    for lam, tv in result.transform_samples:
-        imt = (tv - tv.conj().T) / 2j
-        assert np.linalg.eigvalsh(imt).min() >= -1e-9
 
 
 def test_unique_extension_when_the_defect_vanishes():
