@@ -31,15 +31,12 @@ import csv
 import json
 import sys
 
-import numpy as np
-
 from .errors import (DimensionMismatch, MomentProblemError, NotPSD,
                      ProblemFileError)
-from .extensions import ExtensionParameter
 from .hankel import check_truncated_conditions
 from .jsonio import (admissibility_to_json, complex_to_pair, condition_to_json,
                      dumps_canonical, matrix_to_json, measure_to_json,
-                     parse_measure, parse_parameter, parse_problem,
+                     opt_float, parse_measure, parse_parameter, parse_problem,
                      parse_scalar_sequence, perron_to_json, recovery_to_json,
                      scalar_result_to_json, verification_to_json)
 from .measures import (StieltjesTransform, perron_inversion, verify_moments)
@@ -79,15 +76,15 @@ def _apply_tol_flags(tol: Tolerances, pairs) -> Tolerances:
         name = name.strip()
         if not eq:
             raise ProblemFileError(f"--tol expects NAME=VALUE, got {item!r}")
-        if name not in Tolerances.names():
-            raise ProblemFileError(
-                f"unknown tolerance {name!r}; known: {list(Tolerances.names())}")
         try:
             overrides[name] = float(value)
         except ValueError:
             raise ProblemFileError(
                 f"--tol {name}: {value!r} is not a number") from None
-    return tol.replace(**overrides) if overrides else tol
+    try:
+        return tol.override(overrides)
+    except ValueError as exc:
+        raise ProblemFileError(str(exc)) from None
 
 
 def _parse_grid(text: str):
@@ -108,25 +105,23 @@ def _prepare_with_parameter(args, seq, file_spec, tol):
     default scan).
 
     --parameter FILE wins over --theta, which wins over the spec embedded in
-    the problem file.  Unimodular-theta specs are sized by the defect of the
-    workspace; other specs are parsed before the data is prepared, so a
-    malformed parameter is reported first.
+    the problem file; --theta T is the spec {"constant_unimodular_theta": T}.
+    Unimodular-theta specs are sized by the defect of the workspace; other
+    specs are parsed before the data is prepared, so a malformed parameter
+    is reported first.
     """
-    spec = None
-    if getattr(args, "parameter", None) is not None:
+    spec = file_spec
+    if args.parameter is not None:
         try:
             spec = json.loads(_load_text(args.parameter))
         except json.JSONDecodeError as exc:
             raise ProblemFileError(
                 f"parameter file is not valid JSON: {exc}") from exc
-    elif getattr(args, "theta", None) is not None:
-        ws = prepare(seq, tol)
-        return ws, ExtensionParameter.unimodular(args.theta, defect=ws.defect)
-    elif file_spec is not None:
-        spec = file_spec
+    elif args.theta is not None:
+        spec = {"constant_unimodular_theta": args.theta}
     if isinstance(spec, dict) and "constant_unimodular_theta" in spec:
         ws = prepare(seq, tol)
-        return ws, parse_parameter(spec, defect_hint=ws.defect)
+        return ws, parse_parameter(spec, defect=ws.defect)
     parameter = None if spec is None else parse_parameter(spec)
     return prepare(seq, tol), parameter
 
@@ -152,13 +147,6 @@ def _emit(obj) -> None:
     print(dumps_canonical(obj))
 
 
-def _opt(x):
-    if x is None:
-        return None
-    x = float(x)
-    return x if np.isfinite(x) else None
-
-
 # --------------------------------------------------------------- subcommands
 
 def _cmd_check(args) -> int:
@@ -180,7 +168,7 @@ def _solve_result_json(result) -> dict:
         "defect": result.defect,
         "gram_rank": result.gram_rank,
         "gram_eigenvalues": [float(x) for x in result.gram_eigenvalues],
-        "parameter_theta": _opt(result.parameter_theta),
+        "parameter_theta": opt_float(result.parameter_theta),
         "admissibility": admissibility_to_json(result.admissibility),
         "measure": (None if result.measure is None
                     else measure_to_json(result.measure)),
@@ -217,7 +205,7 @@ def _cmd_solve(args) -> int:
     perron = None
     if grid is not None:
         transform = StieltjesTransform(ws.shift, ws.pair, result.parameter, tol)
-        perron = perron_inversion(transform, *grid, tol=tol)
+        perron = perron_inversion(transform, *grid)
         out["perron"] = perron_to_json(perron)
     if args.csv:
         if perron is not None:
@@ -250,7 +238,7 @@ def _cmd_sweep(args) -> int:
                         else measure_to_json(entry.measure)),
             "verification": verification_to_json(entry.verification),
         })
-    distance = [[_opt(v) for v in row] for row in res.distance_matrix]
+    distance = [[opt_float(v) for v in row] for row in res.distance_matrix]
     _emit({
         "defect": res.workspace.defect,
         "thetas": [float(t) for t in res.thetas],

@@ -61,6 +61,6 @@ class DimensionMismatch(MomentProblemError):
 
 
 class SingularSystem(MomentProblemError):
-    """A resolvent linear system was singular or left a large residual, or
-    a transform's pole-residue form failed its check."""
+    """A resolvent linear system was singular at a point, or a transform's
+    pole-residue form failed its check."""
 

@@ -93,19 +93,34 @@ def extension_blocks(shift: ShiftOperator, pair: DeficiencyPair,
     return dom, img
 
 
-def quasi_extension_matrix(shift: ShiftOperator, pair: DeficiencyPair,
-                           vmat: np.ndarray) -> np.ndarray:
-    """The m x m matrix of the quasi-extension A_V (Hermitian iff V admissible
-    isometric).  Raises DimensionMismatch if dN + q != m, and propagates a
-    LinAlgError when the domain block is singular (inadmissible V)."""
-    dom, img = extension_blocks(shift, pair, vmat)
-    m = shift.ambient_dim
-    if dom.shape[1] != m:
-        raise DimensionMismatch(
-            f"domain block is {dom.shape[0]} x {dom.shape[1]}, expected "
-            f"square of size {m} (dom {shift.dom_dim} + defect "
-            f"{pair.defect} != {m})")
-    return img @ np.linalg.inv(dom)
+def quasi_extension(shift: ShiftOperator, pair: DeficiencyPair,
+                    parameter: ExtensionParameter,
+                    tol: Tolerances = DEFAULT) -> np.ndarray:
+    """G = img dom^{-1}, the m x m matrix of the quasi-extension A_V
+    (Hermitian iff V is admissible and isometric).
+
+    The one admissibility gate of the construction: an inadmissible V makes
+    dom singular, and is rejected with its margin as NotAdmissible rather
+    than left to surface from the inverse.  Raises DimensionMismatch if
+    dN + q != m.
+    """
+    vmat = parameter.constant_matrix(pair.defect, tol)
+    report = is_admissible(vmat, shift, pair, None, tol)
+    if report.admissible:
+        dom, img = extension_blocks(shift, pair, vmat)
+        m = shift.ambient_dim
+        if dom.shape[1] != m:
+            raise DimensionMismatch(
+                f"domain block is {dom.shape[0]} x {dom.shape[1]}, expected "
+                f"square of size {m} (dom {shift.dom_dim} + defect "
+                f"{pair.defect} != {m})")
+        try:
+            return img @ np.linalg.inv(dom)
+        except np.linalg.LinAlgError:
+            pass
+    margin = "n/a" if report.margin is None else f"{report.margin:.3e}"
+    raise NotAdmissible(f"parameter is not admissible (margin {margin}, "
+                        f"floor {tol.adm_abs:.1e})", margin=report.margin)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -127,14 +142,7 @@ def selfadjoint_extension(shift: ShiftOperator, pair: DeficiencyPair,
     """Build A_V for an admissible isometric parameter."""
     if parameter.kind != KIND_ISOMETRIC:
         raise ValueError("self-adjoint extensions need an isometric parameter")
-    v = parameter.constant_matrix(pair.defect, tol)
-    report = is_admissible(v, shift, pair, None, tol)
-    if not report.admissible:
-        raise NotAdmissible(
-            f"parameter is not admissible: margin "
-            f"{report.margin if report.margin is not None else 'n/a'} "
-            f"<= {tol.adm_abs:.1e}", margin=report.margin)
-    g = quasi_extension_matrix(shift, pair, v)
+    g = quasi_extension(shift, pair, parameter, tol)
     scale = max(max_abs(g), 1.0)
     residual = herm_defect(g) / scale
     return SelfAdjointExtension(matrix=read_only(0.5 * (g + np.conj(g.T))),

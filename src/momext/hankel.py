@@ -24,6 +24,9 @@ from .errors import InsufficientMoments
 from .linalg import as_complex_matrix, hermitize, max_abs, read_only
 from .tolerances import DEFAULT, Tolerances
 
+#: Hermitian-symmetry defect allowed in a moment, relative to its scale
+HERM_REL = 1e-10
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class MomentSequence:
@@ -33,7 +36,7 @@ class MomentSequence:
     moments: tuple
 
     @classmethod
-    def from_arrays(cls, arrays, herm_rel: float = DEFAULT.herm_rel):
+    def from_arrays(cls, arrays):
         mats = [as_complex_matrix(a, f"moment S_{i}") for i, a in enumerate(arrays)]
         if not mats:
             raise InsufficientMoments("a moment sequence needs at least S_0")
@@ -43,14 +46,13 @@ class MomentSequence:
             if m.shape != (dim, dim):
                 raise ValueError(f"moment S_{i} has shape {m.shape}, "
                                  f"expected ({dim}, {dim})")
-            fixed.append(read_only(hermitize(m, herm_rel, f"moment S_{i}")))
+            fixed.append(read_only(hermitize(m, HERM_REL, f"moment S_{i}")))
         return cls(dim=dim, moments=tuple(fixed))
 
     @classmethod
-    def scalar(cls, values, herm_rel: float = DEFAULT.herm_rel):
+    def scalar(cls, values):
         """Convenience constructor for N = 1 from plain numbers."""
-        return cls.from_arrays([np.array([[v]], dtype=complex) for v in values],
-                               herm_rel=herm_rel)
+        return cls.from_arrays([np.array([[v]], dtype=complex) for v in values])
 
     def __len__(self) -> int:
         return len(self.moments)

@@ -104,7 +104,8 @@ def real_vector_to_json(v) -> list:
     return [float(x) for x in np.asarray(v, dtype=float).reshape(-1)]
 
 
-def _opt_float(x):
+def opt_float(x):
+    """float(x), or None for None and non-finite values."""
     if x is None:
         return None
     x = float(x)
@@ -143,7 +144,9 @@ def _moment_to_matrix(m, dim: int, where: str) -> np.ndarray:
     return np.array(rows, dtype=complex)
 
 
-def parse_parameter(spec, defect_hint: int | None = None) -> ExtensionParameter:
+def parse_parameter(spec, defect: int = 1) -> ExtensionParameter:
+    """A parameter object; a constant_unimodular_theta spec is sized by
+    defect."""
     _expect(isinstance(spec, dict), "parameter must be an object")
     if "constant_unimodular_theta" in spec:
         extra = set(spec) - {"constant_unimodular_theta"}
@@ -151,8 +154,7 @@ def parse_parameter(spec, defect_hint: int | None = None) -> ExtensionParameter:
         theta = spec["constant_unimodular_theta"]
         _expect(isinstance(theta, (int, float)) and not isinstance(theta, bool),
                 "constant_unimodular_theta must be a number")
-        return ExtensionParameter.unimodular(float(theta),
-                                             defect=defect_hint or 1)
+        return ExtensionParameter.unimodular(float(theta), defect=defect)
     _expect(set(spec) == {"kind", "matrix"},
             'parameter needs keys {"kind", "matrix"} or '
             '{"constant_unimodular_theta"}')
@@ -175,7 +177,7 @@ def parse_problem(text: str):
 
     The parameter spec is validated but returned raw, because a
     constant_unimodular_theta spec can only be sized once the defect of the
-    problem is known; resolve it with parse_parameter(spec, defect_hint=q).
+    problem is known; resolve it with parse_parameter(spec, defect=q).
     Raises ProblemFileError for anything malformed, naming the failing field.
     """
     try:
@@ -215,8 +217,7 @@ def parse_problem(text: str):
         _expect(isinstance(v, (int, float)) and not isinstance(v, bool),
                 f"tolerance {k!r} must be a number")
     try:
-        tol = Tolerances.from_overrides(
-            {k: float(v) for k, v in overrides.items()})
+        tol = Tolerances().override(overrides)
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from exc
     return seq, parameter_spec, tol
@@ -300,9 +301,9 @@ def condition_to_json(report: ConditionReport) -> dict:
 def admissibility_to_json(report: AdmissibilityReport) -> dict:
     return {
         "admissible": report.admissible,
-        "margin": _opt_float(report.margin),
-        "parameter_norm": _opt_float(report.parameter_norm),
-        "forbidden_gap": _opt_float(report.forbidden_gap),
+        "margin": opt_float(report.margin),
+        "parameter_norm": opt_float(report.parameter_norm),
+        "forbidden_gap": opt_float(report.forbidden_gap),
         "coincides_with_forbidden": report.coincides_with_forbidden,
         "borderline": report.borderline,
     }
@@ -344,6 +345,6 @@ def scalar_result_to_json(res: ScalarEvenResult) -> dict:
         "atoms": (None if res.roots is None else
                   [{"t": float(t), "w": float(w)}
                    for t, w in zip(res.roots, res.atom_weights)]),
-        "max_deviation": _opt_float(res.max_deviation),
-        "augmented_moment": _opt_float(res.augmented_moment),
+        "max_deviation": opt_float(res.max_deviation),
+        "augmented_moment": opt_float(res.augmented_moment),
     }

@@ -1,4 +1,6 @@
-"""Shared dense linear-algebra helpers.
+"""Shared dense linear-algebra helpers: input and Hermitian checks, norms,
+singular values, and orthonormal range and complement bases.  Linear
+solves are not here; each caller runs numpy's directly.
 
 Everything here is numpy-only and deterministic for identical inputs:
 complement bases are canonical (a column-pivoted Gram-Schmidt, largest column
@@ -13,8 +15,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from .errors import SingularSystem
 
 
 def as_complex_matrix(a, name="matrix") -> np.ndarray:
@@ -142,37 +142,6 @@ def range_and_complement(a: np.ndarray, rel_tol: float):
     if m - rank > 1:                    # one column is canonical already
         comp = comp @ _pivoted_gram_schmidt(np.conj(comp.T))
     return q[:, :rank], phase_canonicalize(comp)
-
-
-def solve_with_residual_check(sys_mat, rhs, rel_tol: float,
-                              context="linear system"):
-    """Solve sys_mat @ x = rhs by SVD-based least squares.
-
-    A large residual relative to the data raises SingularSystem; that is how
-    an inadmissible parameter shows up at solve time.
-    """
-    sys_mat = np.asarray(sys_mat, dtype=complex)
-    b = np.asarray(rhs, dtype=complex)
-    one_d = b.ndim == 1
-    if one_d:
-        b = b[:, None]
-    if sys_mat.shape[0] != b.shape[0]:
-        raise ValueError(f"{context}: shape mismatch "
-                         f"{sys_mat.shape} vs {b.shape}")
-    if sys_mat.shape[1] == 0:
-        sol = np.zeros((0, b.shape[1]), dtype=complex)
-        resid = max_abs(b)
-        if resid > rel_tol * max(max_abs(b), 1.0):
-            raise SingularSystem(f"{context}: empty system cannot match "
-                                 f"nonzero right-hand side (|rhs| = {resid:.3e})")
-        return sol[:, 0] if one_d else sol
-    sol = np.linalg.lstsq(sys_mat, b, rcond=None)[0]
-    resid = max_abs(sys_mat @ sol - b)
-    scale = max(max_abs(b), max_abs(sys_mat) * max(max_abs(sol), 1.0), 1.0)
-    if resid > rel_tol * scale:
-        raise SingularSystem(f"{context}: residual {resid:.3e} exceeds "
-                             f"{rel_tol:.1e} * {scale:.3e}")
-    return sol[:, 0] if one_d else sol
 
 
 def read_only(a: np.ndarray) -> np.ndarray:

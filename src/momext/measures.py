@@ -19,7 +19,10 @@ through Stieltjes-Perron inversion
 With G = img dom^{-1}, T(lam)[k, l] = (x_l, (G - lam)^{-1} x_k) is a
 rational function, so both recoveries are closed forms: the moments are
 S_n[k, l] = (x_l, G^n x_k), and the cell masses are sums over the poles of
-T (or, for an isometric parameter, over the atoms of its measure).
+T (or, for an isometric parameter, over the atoms of its measure).  G comes
+from extensions.quasi_extension, the one admissibility gate; the direct
+batched solve of the transform has no fallback and raises SingularSystem at
+a pole.
 
 Cells are half-open [x, x+h); an atom sitting exactly on a cell boundary
 gives exactly half its weight to each of the two adjacent cells (the
@@ -33,14 +36,17 @@ import dataclasses
 
 import numpy as np
 
-from .errors import NotAdmissible, SingularSystem
+from .errors import SingularSystem
 from .hankel import MomentSequence
-from .linalg import max_abs, read_only, solve_with_residual_check
+from .linalg import max_abs, read_only
 from .extensions import (KIND_ISOMETRIC, ExtensionParameter,
                          SelfAdjointExtension, extension_blocks,
-                         quasi_extension_matrix, selfadjoint_extension)
-from .shift import DeficiencyPair, ShiftOperator, is_admissible
+                         quasi_extension, selfadjoint_extension)
+from .shift import DeficiencyPair, ShiftOperator
 from .tolerances import DEFAULT, Tolerances
+
+#: points per batched solve in StieltjesTransform.eval_upper_many
+_EVAL_CHUNK = 8192
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -110,13 +116,6 @@ class AtomicMatrixMeasure:
 
     def total_mass(self) -> np.ndarray:
         return self.moment(0)
-
-    def transform(self, lam: complex) -> np.ndarray:
-        """Sum of W_j / (t_j - lam)."""
-        if self.n_atoms == 0:
-            return np.zeros((self.block_dim, self.block_dim), dtype=complex)
-        coef = 1.0 / (self.locations - complex(lam))
-        return np.einsum("j,jkl->kl", coef, self.weights)
 
 
 def spectral_measure(extension: SelfAdjointExtension, shift: ShiftOperator,
@@ -213,14 +212,14 @@ class StieltjesTransform:
             return self.eval_upper_many([lam])[0]
         return np.conj(self.eval_upper_many([np.conj(lam)])[0].T)
 
-    def eval_upper_many(self, lams: np.ndarray,
-                        chunk: int = 8192) -> np.ndarray:
+    def eval_upper_many(self, lams: np.ndarray) -> np.ndarray:
         """Vectorized upper-branch evaluation at many points.
 
         This evaluates the single rational function that continues the
         upper branch, at arbitrary complex points (including the real axis
         away from its poles), by a direct batched solve; it is the reference
-        the closed-form cell masses are checked against.
+        the closed-form cell masses are checked against.  A point where the
+        resolvent system is exactly singular (a pole) raises SingularSystem.
         """
         lams = np.asarray(lams, dtype=complex).reshape(-1)
         n = self.shift.block_dim
@@ -229,20 +228,19 @@ class StieltjesTransform:
         vmat = self.parameter.constant_matrix(self.pair.defect, self.tol)
         dom, img = extension_blocks(self.shift, self.pair, vmat)
         rhs = xn.T.copy()                                  # (m, N)
-        for start in range(0, lams.size, chunk):
-            lb = lams[start:start + chunk]
+        for start in range(0, lams.size, _EVAL_CHUNK):
+            lb = lams[start:start + _EVAL_CHUNK]
             sys_block = img[None, :, :] - lb[:, None, None] * dom[None, :, :]
             try:
                 sols = np.linalg.solve(sys_block,
                                        np.broadcast_to(rhs, (lb.size,) + rhs.shape))
             except np.linalg.LinAlgError:
-                sols = np.empty((lb.size,) + rhs.shape, dtype=complex)
-                for i, lam in enumerate(lb):
-                    sols[i] = solve_with_residual_check(
-                        img - lam * dom, rhs, self.tol.solve_rel,
-                        context=f"transform at {lam}")
+                # det runs the same LU, so it is exactly 0 at the failing point
+                lam = lb[np.argmin(np.abs(np.linalg.det(sys_block)))]
+                raise SingularSystem(f"transform at {lam}: the resolvent "
+                                     f"system is singular") from None
             h = dom @ sols                                 # (B, m, N)
-            out[start:start + chunk] = np.swapaxes(np.conj(xn) @ h, -1, -2)
+            out[start:start + lb.size] = np.swapaxes(np.conj(xn) @ h, -1, -2)
         return out
 
 
@@ -251,26 +249,6 @@ class ContourRecovery:
     """Moments S_hat_n of the transform, n = 0..n_max, as (N, N) arrays."""
 
     moments: tuple
-
-
-def _extension_matrix(transform: StieltjesTransform,
-                      tol: Tolerances) -> np.ndarray:
-    """G = img dom^{-1}, so that T(lam)[k, l] = (x_l, (G - lam)^{-1} x_k).
-
-    An inadmissible parameter makes dom singular; it is rejected with its
-    margin as NotAdmissible rather than left to surface from the inverse.
-    """
-    shift, pair = transform.shift, transform.pair
-    vmat = transform.parameter.constant_matrix(pair.defect, tol)
-    report = is_admissible(vmat, shift, pair, None, tol)
-    if report.admissible:
-        try:
-            return quasi_extension_matrix(shift, pair, vmat)
-        except np.linalg.LinAlgError:
-            pass
-    margin = "n/a" if report.margin is None else f"{report.margin:.3e}"
-    raise NotAdmissible(f"parameter is not admissible (margin {margin}, "
-                        f"floor {tol.adm_abs:.1e})", margin=report.margin)
 
 
 def moments_from_transform(transform: StieltjesTransform,
@@ -282,7 +260,8 @@ def moments_from_transform(transform: StieltjesTransform,
     multiplication.  An inadmissible parameter is rejected with
     NotAdmissible.
     """
-    g = _extension_matrix(transform, transform.tol)
+    g = quasi_extension(transform.shift, transform.pair, transform.parameter,
+                        transform.tol)
     xn = transform._first_coords()
     h = xn.T.copy()                                     # columns G^n x_k
     moments = []
@@ -330,9 +309,10 @@ def _bin_atoms(locations, weights, edges: np.ndarray,
     return masses
 
 
-def _atom_cells(transform: StieltjesTransform, edges: np.ndarray,
-                tol: Tolerances) -> PerronResult:
+def _atom_cells(transform: StieltjesTransform,
+                edges: np.ndarray) -> PerronResult:
     """Bin the atoms of an isometric parameter's spectral measure."""
+    tol = transform.tol
     ext = selfadjoint_extension(transform.shift, transform.pair,
                                 transform.parameter, tol)
     measure = spectral_measure(ext, transform.shift, tol)
@@ -340,8 +320,8 @@ def _atom_cells(transform: StieltjesTransform, edges: np.ndarray,
     return PerronResult(edges, read_only(masses), "atoms")
 
 
-def _residue_cells(transform: StieltjesTransform, edges: np.ndarray,
-                   tol: Tolerances) -> PerronResult:
+def _residue_cells(transform: StieltjesTransform,
+                   edges: np.ndarray) -> PerronResult:
     """Cell masses of a contraction's transform from its poles and residues.
 
     With G = Z diag(mu) Z^{-1}, T(lam) = sum_j r_j / (mu_j - lam) where
@@ -354,7 +334,9 @@ def _residue_cells(transform: StieltjesTransform, edges: np.ndarray,
     form misses the direct solve by more than perron_abs at the cell
     midpoints lifted by one cell width.
     """
-    g = _extension_matrix(transform, tol)
+    tol = transform.tol
+    g = quasi_extension(transform.shift, transform.pair, transform.parameter,
+                        tol)
     xn = transform._first_coords()                      # (N, m)
     try:
         mu, z = np.linalg.eig(g)
@@ -391,16 +373,15 @@ def _residue_cells(transform: StieltjesTransform, edges: np.ndarray,
 
 
 def perron_inversion(transform: StieltjesTransform, start: float, stop: float,
-                     cell_width: float,
-                     tol: Tolerances | None = None) -> PerronResult:
+                     cell_width: float) -> PerronResult:
     """Masses of half-open cells [x, x+h) on [start, stop), in closed form.
 
     Isometric parameters bin the atoms of their self-adjoint extension;
     contractions go through the poles and residues of their rational
     transform.  Raises NotAdmissible for an inadmissible parameter and
-    SingularSystem when the pole-residue form fails its check.
+    SingularSystem when the pole-residue form fails its check.  Every
+    threshold comes from transform.tol.
     """
-    tol = tol or transform.tol
     if not (stop > start and cell_width > 0.0):
         raise ValueError("need stop > start and a positive cell width")
     n_cells = int(np.floor((stop - start) / cell_width + 1e-9))
@@ -408,8 +389,8 @@ def perron_inversion(transform: StieltjesTransform, start: float, stop: float,
         raise ValueError("grid holds no complete cell")
     edges = read_only(start + cell_width * np.arange(n_cells + 1))
     if transform.parameter.kind == KIND_ISOMETRIC:
-        return _atom_cells(transform, edges, tol)
-    return _residue_cells(transform, edges, tol)
+        return _atom_cells(transform, edges)
+    return _residue_cells(transform, edges)
 
 
 def measure_distance(m1: AtomicMatrixMeasure, m2: AtomicMatrixMeasure,

@@ -37,6 +37,10 @@ DEFAULT_THETA_CANDIDATES = tuple(2.0 * np.pi * k / 8 for k in range(8))
 #: diagnostic spectral points sampled for transform-route results
 TRANSFORM_SAMPLE_POINTS = (1j, 2j, 1.0 + 1j)
 
+#: atoms of two sweep measures closer than this share a site in the
+#: distance matrix
+SWEEP_SITE_TOL = 1e-3
+
 
 @dataclasses.dataclass(eq=False)
 class Workspace:
@@ -79,8 +83,7 @@ def prepare(seq: MomentSequence, tol: Tolerances = DEFAULT) -> Workspace:
                      pair=pair, forbidden=forb)
 
 
-def default_parameter(ws: Workspace, tol: Tolerances = DEFAULT,
-                      candidates=DEFAULT_THETA_CANDIDATES):
+def default_parameter(ws: Workspace, tol: Tolerances = DEFAULT):
     """The unimodular candidate e^{i theta} I with the best admissibility margin."""
     q = ws.defect
     if q == 0:
@@ -88,7 +91,7 @@ def default_parameter(ws: Workspace, tol: Tolerances = DEFAULT,
             np.zeros((0, 0), dtype=complex), ws.shift, ws.pair, ws.forbidden,
             tol), None
     best = None
-    for theta in candidates:
+    for theta in DEFAULT_THETA_CANDIDATES:
         v = np.exp(1j * theta) * np.eye(q, dtype=complex)
         report = is_admissible(v, ws.shift, ws.pair, ws.forbidden, tol)
         if best is None or (report.margin or 0.0) > (best[1].margin or 0.0):
@@ -194,14 +197,13 @@ class SweepResult:
 
 
 def theta_sweep(seq: MomentSequence, n_thetas: int = 8,
-                thetas=None, tol: Tolerances = DEFAULT,
-                site_tol: float = 1e-3) -> SweepResult:
+                thetas=None, tol: Tolerances = DEFAULT) -> SweepResult:
     """Walk the unimodular family e^{i theta} I over a theta grid.
 
     Needs defect >= 1 (otherwise there is nothing to sweep).  Angles whose
     parameter coincides with the forbidden operator (or whose margin is below
-    adm_tol) are flagged and skipped; the rest produce measures, compared
-    pairwise with measure_distance.
+    adm_abs) are flagged and skipped; the rest produce measures, compared
+    pairwise with measure_distance at SWEEP_SITE_TOL.
     """
     ws = prepare(seq, tol)
     q = ws.defect
@@ -236,7 +238,7 @@ def theta_sweep(seq: MomentSequence, n_thetas: int = 8,
             if entries[j].measure is None:
                 continue
             dij = measure_distance(entries[i].measure, entries[j].measure,
-                                   site_tol=site_tol)
+                                   site_tol=SWEEP_SITE_TOL)
             dist[i, j] = dist[j, i] = dij
     forbidden = np.array([e.theta for e in entries
                           if not e.admissibility.admissible])

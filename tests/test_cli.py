@@ -17,9 +17,15 @@ import pytest
 
 import momext.cli
 import momext.pipeline
+from momext import ExtensionParameter, MomentSequence, solve_truncated
 from momext.cli import main
+from momext.jsonio import measure_to_json
 
 PROBLEM_101 = {"version": 1, "N": 1, "moments": [1.0, 0.0, 1.0]}
+# one atom at 0: the trailing section is singular and the defect is zero
+PROBLEM_DEFECT_0 = {"N": 1, "moments": [1.0, 0.0, 0.0]}
+LEADING_FAILS = {"N": 1, "moments": [-1.0, 0.0, 1.0]}
+TRAILING_FAILS = {"N": 1, "moments": [1.0, 0.0, -1.0]}
 
 
 def _write(tmp_path, name, payload):
@@ -46,10 +52,8 @@ def test_check_reports_solvable(tmp_path, capsys):
 
 
 def test_check_exit_codes_distinguish_the_failing_section(tmp_path, capsys):
-    lead = _write(tmp_path, "lead.json",
-                  {"N": 1, "moments": [-1.0, 0.0, 1.0]})
-    trail = _write(tmp_path, "trail.json",
-                   {"N": 1, "moments": [1.0, 0.0, -1.0]})
+    lead = _write(tmp_path, "lead.json", LEADING_FAILS)
+    trail = _write(tmp_path, "trail.json", TRAILING_FAILS)
     code, data = _run(capsys, "check", lead)
     assert code == 3 and not data["leading_positive"]
     code, data = _run(capsys, "check", trail)
@@ -141,6 +145,25 @@ def test_solve_with_a_theta_prepares_once(tmp_path, capsys, monkeypatch,
     assert len(calls) == 1
 
 
+def test_solve_exit_codes_distinguish_the_failing_section(tmp_path, capsys):
+    assert main(["solve", _write(tmp_path, "lead.json", LEADING_FAILS)]) == 3
+    assert main(["solve", _write(tmp_path, "trail.json", TRAILING_FAILS)]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_theta_flag_and_embedded_theta_agree_at_defect_zero(tmp_path, capsys):
+    # --theta is the spec {"constant_unimodular_theta": theta}, so both are
+    # sized by the defect of the data, here zero.
+    flag = _write(tmp_path, "flag.json", PROBLEM_DEFECT_0)
+    embedded = _write(tmp_path, "embedded.json", {
+        **PROBLEM_DEFECT_0, "parameter": {"constant_unimodular_theta": 0.5}})
+    assert main(["solve", flag, "--theta", "0.5"]) == 0
+    from_flag = capsys.readouterr().out
+    assert main(["solve", embedded]) == 0
+    assert capsys.readouterr().out == from_flag
+    assert json.loads(from_flag)["defect"] == 0
+
+
 def test_solve_forbidden_theta_exits_two(tmp_path, capsys):
     path = _write(tmp_path, "p.json", PROBLEM_101)
     assert main(["solve", path, "--theta", str(np.pi)]) == 2
@@ -161,6 +184,29 @@ def test_solve_with_parameter_file(tmp_path, capsys):
     sample = data["transform_samples"][0]
     assert sample["lambda"] == [0.0, 1.0]
     assert sample["T"][0][0] == pytest.approx([0.0, 0.75], abs=1e-10)
+
+
+def test_complex_matrix_moments_match_the_library(tmp_path, capsys):
+    # N = 2 moments with complex entries, written as [re, im] pairs, and a
+    # complex isometric parameter file give the library's measure exactly.
+    w1 = np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+    w2 = np.array([[1.0, -0.25 + 0.25j], [-0.25 - 0.25j, 2.0]])
+    mats = [(-1.0) ** n * w1 + w2 for n in range(3)]
+    v = np.diag([1j, -1.0])
+
+    def pairs(m):
+        return [[[z.real, z.imag] for z in row] for row in m]
+
+    path = _write(tmp_path, "p.json",
+                  {"N": 2, "moments": [pairs(m) for m in mats]})
+    param = _write(tmp_path, "v.json",
+                   {"kind": "isometric", "matrix": pairs(v)})
+    code, data = _run(capsys, "solve", path, "--parameter", param)
+    assert code == 0 and data["defect"] == 2
+    expected = solve_truncated(MomentSequence.from_arrays(mats),
+                               ExtensionParameter.isometric(v))
+    assert data["measure"] == measure_to_json(expected.measure)
+    assert data["verification"]["passed"] is True
 
 
 def test_solve_parameter_embedded_in_problem_file(tmp_path, capsys):
@@ -203,16 +249,47 @@ def test_solve_grid_and_csv(tmp_path, capsys):
     assert len(lines) == 9
 
 
+def test_solve_csv_of_an_atomic_measure(tmp_path, capsys):
+    path = _write(tmp_path, "p.json", PROBLEM_101)
+    csv_path = tmp_path / "atoms.csv"
+    code, data = _run(capsys, "solve", path, "--csv", str(csv_path))
+    assert code == 0
+    lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
+    assert lines[0] == "x,W[0][0].re,W[0][0].im"
+    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+    assert rows == [[a["t"], *a["W"][0][0]] for a in data["measure"]["atoms"]]
+
+
+@pytest.mark.parametrize("grid", ["1:0:0.5", "-1:1:0", "a:1:0.5", "-1:1"])
+def test_solve_malformed_grid_exits_one(tmp_path, capsys, grid):
+    path = _write(tmp_path, "p.json", PROBLEM_101)
+    assert main(["solve", path, f"--grid={grid}"]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_solve_tolerance_override_can_forbid_everything(tmp_path, capsys):
     path = _write(tmp_path, "p.json", PROBLEM_101)
     # Margins on the unimodular family are at most sqrt(2) here, so an
-    # absurd admissibility floor rejects every candidate angle.
+    # absurd admissibility floor rejects every candidate angle, from the
+    # command line and from the problem file alike.
     assert main(["solve", path, "--tol", "adm_abs=10"]) == 2
     capsys.readouterr()
     assert main(["solve", path, "--tol", "no_such_name=1"]) == 1
     capsys.readouterr()
     assert main(["solve", path, "--tol", "adm_abs"]) == 1
     capsys.readouterr()
+    strict = _write(tmp_path, "strict.json",
+                    {**PROBLEM_101, "tolerances": {"adm_abs": 10}})
+    assert main(["solve", strict]) == 2
+    capsys.readouterr()
+    # the Hermitian check and the resolvent solves have no tolerance, so
+    # these names are unknown wherever they come from
+    for name in ("herm_rel", "solve_rel"):
+        assert main(["solve", path, "--tol", f"{name}=1"]) == 1
+        in_file = _write(tmp_path, f"{name}.json",
+                         {**PROBLEM_101, "tolerances": {name: 1}})
+        assert main(["solve", in_file]) == 1
+    assert capsys.readouterr().out == ""
 
 
 # -------------------------------------------------------------------- sweep
@@ -227,6 +304,12 @@ def test_sweep_output(tmp_path, capsys):
     assert len(admissible) == 7
     row = data["distance_matrix"][4]      # theta = pi row: all null
     assert all(v is None for i, v in enumerate(row) if i != 4)
+
+
+def test_sweep_at_defect_zero_exits_two(tmp_path, capsys):
+    path = _write(tmp_path, "p.json", PROBLEM_DEFECT_0)
+    assert main(["sweep", path]) == 2
+    assert capsys.readouterr().out == ""
 
 
 # -------------------------------------------------------- scalar-even/verify

@@ -380,13 +380,21 @@ def test_unit_singular_values_give_exact_atoms(seq_101, seq_identity_2):
     assert np.abs(res.increments[:, 0, 1]).max() <= 1e-12
 
 
+def test_transform_at_a_pole_raises(seq_101):
+    # theta = 0 puts an atom at 1; the resolvent system there is exactly
+    # singular in floating point, and the error names the point.
+    t = _transform(seq_101, ExtensionParameter.unimodular(0.0, defect=1))
+    with pytest.raises(SingularSystem, match=r"0\.9999999999999997"):
+        t.eval_upper_many([2j, 0.9999999999999997, 1.0 + 1j])
+
+
 def test_residue_form_off_the_direct_solve_raises(seq_101):
     # The double pole of the zero contraction costs the residue form about
     # 1e-8, far above a zero allowance; there is no fallback route.
     t = _transform(seq_101, ExtensionParameter.contraction(np.zeros((1, 1))))
+    t.tol = t.tol.replace(perron_abs=0.0)
     with pytest.raises(SingularSystem, match="misses the direct solve by"):
-        perron_inversion(t, -2.0, 2.0, 0.5,
-                         tol=t.tol.replace(perron_abs=0.0))
+        perron_inversion(t, -2.0, 2.0, 0.5)
 
 
 # ------------------------------------------------------------- verification
