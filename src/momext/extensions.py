@@ -21,8 +21,7 @@ import dataclasses
 import numpy as np
 
 from .errors import DimensionMismatch, NormViolation, NotAdmissible
-from .linalg import (as_complex_matrix, herm_defect, max_abs, read_only,
-                     singular_values)
+from .linalg import as_complex_matrix, max_abs, read_only, singular_values
 from .shift import DeficiencyPair, ShiftOperator, is_admissible
 from .tolerances import DEFAULT, Tolerances
 
@@ -32,7 +31,8 @@ KIND_CONTRACTION = "contraction"
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ExtensionParameter:
-    """A constant q x q contraction from N_plus to N_minus.
+    """A constant q x q contraction from N_plus to N_minus, or a (K, q, q)
+    stack of K of them, which the construction below runs in one pass.
 
     kind is "isometric" (unitary between the defect subspaces; required for
     self-adjoint extensions) or "contraction".
@@ -56,9 +56,12 @@ class ExtensionParameter:
                    matrix=read_only(as_complex_matrix(matrix, "parameter")))
 
     @classmethod
-    def unimodular(cls, theta: float, defect: int = 1) -> "ExtensionParameter":
-        """e^{i theta} times the identity; the natural defect-q unitary family."""
-        return cls.isometric(np.exp(1j * float(theta)) * np.eye(defect))
+    def unimodular(cls, theta, defect: int = 1) -> "ExtensionParameter":
+        """e^{i theta} times the identity; the natural defect-q unitary family.
+        An array of K angles gives the (K, q, q) stack of their parameters."""
+        phase = np.exp(1j * np.asarray(theta, dtype=float))
+        return cls(kind=KIND_ISOMETRIC, matrix=read_only(
+            phase[..., None, None] * np.eye(defect, dtype=complex)))
 
     @classmethod
     def empty(cls) -> "ExtensionParameter":
@@ -66,17 +69,19 @@ class ExtensionParameter:
         return cls.isometric(np.zeros((0, 0), dtype=complex))
 
     def constant_matrix(self, defect: int, tol: Tolerances = DEFAULT) -> np.ndarray:
-        """The matrix, checked for shape, norm and (if isometric) isometry."""
+        """The matrix (or stack), checked for shape, norm and (if isometric)
+        isometry, all from one batched singular value call."""
         v = self.matrix
-        if v.shape != (defect, defect):
+        if v.shape[-2:] != (defect, defect):
             raise DimensionMismatch(
                 f"parameter has shape {v.shape}, expected ({defect}, {defect})")
         if defect == 0:
             return v
         sv = singular_values(v)
-        if sv[0] > 1.0 + tol.norm_abs:
+        if sv[..., 0].max() > 1.0 + tol.norm_abs:
             raise NormViolation(
-                f"parameter norm {sv[0]:.12g} exceeds 1 + {tol.norm_abs:.1e}")
+                f"parameter norm {sv[..., 0].max():.12g} exceeds 1 + "
+                f"{tol.norm_abs:.1e}")
         if self.kind == KIND_ISOMETRIC and max_abs(sv - 1.0) > tol.norm_abs:
             raise NormViolation(
                 f"isometric parameter has singular values off 1 by "
@@ -86,46 +91,67 @@ class ExtensionParameter:
 
 def extension_blocks(shift: ShiftOperator, pair: DeficiencyPair,
                      vmat: np.ndarray):
-    """Domain and image column blocks of the (quasi-)extension for V = vmat."""
+    """Domain and image column blocks of the (quasi-)extension for V = vmat,
+    or stacks of them for a stack of parameters."""
     bp, bm = pair.basis_plus, pair.basis_minus
-    dom = np.hstack([shift.dom_matrix, bm @ vmat - bp])
-    img = np.hstack([shift.shift_matrix, 1j * (bm @ vmat + bp)])
-    return dom, img
+    lead = vmat.shape[:-2]
+
+    def blocks(known, defect_columns):
+        known = np.broadcast_to(known, lead + known.shape)
+        return np.concatenate([known, defect_columns], axis=-1)
+
+    return (blocks(shift.dom_matrix, bm @ vmat - bp),
+            blocks(shift.shift_matrix, 1j * (bm @ vmat + bp)))
 
 
 def quasi_extension(shift: ShiftOperator, pair: DeficiencyPair,
                     parameter: ExtensionParameter,
                     tol: Tolerances = DEFAULT) -> np.ndarray:
     """G = img dom^{-1}, the m x m matrix of the quasi-extension A_V
-    (Hermitian iff V is admissible and isometric).
+    (Hermitian iff V is admissible and isometric); a (K, m, m) stack for a
+    stacked parameter, from one batched inverse.
 
     The one admissibility gate of the construction: an inadmissible V makes
     dom singular, and is rejected with its margin as NotAdmissible rather
-    than left to surface from the inverse.  Raises DimensionMismatch if
-    dN + q != m.
+    than left to surface from the inverse; in a stack, the first such V is
+    named.  Raises DimensionMismatch if dN + q != m.
     """
     vmat = parameter.constant_matrix(pair.defect, tol)
-    report = is_admissible(vmat, shift, pair, None, tol)
-    if report.admissible:
-        dom, img = extension_blocks(shift, pair, vmat)
-        m = shift.ambient_dim
-        if dom.shape[1] != m:
-            raise DimensionMismatch(
-                f"domain block is {dom.shape[0]} x {dom.shape[1]}, expected "
-                f"square of size {m} (dom {shift.dom_dim} + defect "
-                f"{pair.defect} != {m})")
-        try:
-            return img @ np.linalg.inv(dom)
-        except np.linalg.LinAlgError:
-            pass
-    margin = "n/a" if report.margin is None else f"{report.margin:.3e}"
-    raise NotAdmissible(f"parameter is not admissible (margin {margin}, "
-                        f"floor {tol.adm_abs:.1e})", margin=report.margin)
+    reports = is_admissible(vmat, shift, pair, None, tol)
+    if vmat.ndim == 2:
+        reports = (reports,)
+
+    def rejected(report):
+        margin = "n/a" if report.margin is None else f"{report.margin:.3e}"
+        return NotAdmissible(f"parameter is not admissible (margin {margin}, "
+                             f"floor {tol.adm_abs:.1e})", margin=report.margin)
+
+    for report in reports:
+        if not report.admissible:
+            raise rejected(report)
+    dom, img = extension_blocks(shift, pair, vmat)
+    m = shift.ambient_dim
+    if dom.shape[-1] != m:
+        raise DimensionMismatch(
+            f"domain block is {dom.shape[-2]} x {dom.shape[-1]}, expected "
+            f"square of size {m} (dom {shift.dom_dim} + defect "
+            f"{pair.defect} != {m})")
+    try:
+        return img @ np.linalg.inv(dom)
+    except np.linalg.LinAlgError:
+        # the batched inverse does not say which block is singular
+        for report, block in zip(reports, dom.reshape((len(reports), m, m))):
+            try:
+                np.linalg.inv(block)
+            except np.linalg.LinAlgError:
+                raise rejected(report) from None
+        raise
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SelfAdjointExtension:
-    """A_V for an admissible isometric V, as an m x m Hermitian matrix.
+    """A_V for an admissible isometric V, as an m x m Hermitian matrix (a
+    (K, m, m) stack, with K residuals, for a stacked parameter).
 
     herm_residual records the symmetry defect (relative to the matrix scale)
     that was removed when symmetrizing; it should sit at roundoff level.
@@ -133,21 +159,22 @@ class SelfAdjointExtension:
 
     matrix: np.ndarray
     parameter: ExtensionParameter
-    herm_residual: float
+    herm_residual: float | np.ndarray
 
 
 def selfadjoint_extension(shift: ShiftOperator, pair: DeficiencyPair,
                           parameter: ExtensionParameter,
                           tol: Tolerances = DEFAULT) -> SelfAdjointExtension:
-    """Build A_V for an admissible isometric parameter."""
+    """Build A_V for an admissible isometric parameter (or stack of them)."""
     if parameter.kind != KIND_ISOMETRIC:
         raise ValueError("self-adjoint extensions need an isometric parameter")
     g = quasi_extension(shift, pair, parameter, tol)
-    scale = max(max_abs(g), 1.0)
-    residual = herm_defect(g) / scale
-    return SelfAdjointExtension(matrix=read_only(0.5 * (g + np.conj(g.T))),
-                                parameter=parameter,
-                                herm_residual=float(residual))
+    gh = np.conj(np.swapaxes(g, -1, -2))
+    scale = np.maximum(np.abs(g).max(axis=(-2, -1), initial=0.0), 1.0)
+    residual = np.abs(g - gh).max(axis=(-2, -1), initial=0.0) / scale
+    return SelfAdjointExtension(
+        matrix=read_only(0.5 * (g + gh)), parameter=parameter,
+        herm_residual=read_only(residual) if g.ndim == 3 else float(residual))
 
 
 def pencil_spectral_radius(shift: ShiftOperator, pair: DeficiencyPair,

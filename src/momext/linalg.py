@@ -55,17 +55,12 @@ def inner(u, v) -> complex:
     return complex(np.vdot(v, u))
 
 
-def operator_norm(a) -> float:
-    a = np.asarray(a, dtype=complex)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
-
-
 def singular_values(a) -> np.ndarray:
+    """Descending singular values of a matrix, or of each matrix in a stack
+    (one batched call, shape a.shape[:-2] + (min(rows, cols),))."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
-        return np.zeros(0)
+        return np.zeros(a.shape[:-2] + (min(a.shape[-2:]),))
     return np.linalg.svd(a, compute_uv=False)
 
 

@@ -119,8 +119,10 @@ class AtomicMatrixMeasure:
 
 
 def spectral_measure(extension: SelfAdjointExtension, shift: ShiftOperator,
-                     tol: Tolerances = DEFAULT) -> AtomicMatrixMeasure:
-    """Atomic solution measure read off the eigendecomposition of A_V.
+                     tol: Tolerances = DEFAULT
+                     ) -> AtomicMatrixMeasure | tuple[AtomicMatrixMeasure, ...]:
+    """Atomic solution measure read off the eigendecomposition of A_V; for a
+    stacked extension, a tuple of measures from one batched eigh.
 
     Eigenvalues are clustered at gaps below cluster_rel times the spectral
     radius; each cluster contributes W_j = C_j C_j^H with
@@ -129,19 +131,26 @@ def spectral_measure(extension: SelfAdjointExtension, shift: ShiftOperator,
     """
     n = shift.block_dim
     m = shift.ambient_dim
+    mats = extension.matrix
+    if mats.ndim == 2:
+        mats = mats[None]
     if m == 0:
-        return AtomicMatrixMeasure.from_atoms(np.zeros(0),
-                                              np.zeros((0, n, n)), block_dim=n)
-    vals, vecs = np.linalg.eigh(extension.matrix)
-    xn = shift.space.coords[:n]                      # (N, m)
-    c = (xn @ np.conj(vecs)).T                       # c[i, k] = (x_k, v_i)
-    mass = c.T @ np.conj(c)                          # equals S_0
-    drop = tol.weight_rel * max(max_abs(mass), 0.0)
-    # one rank-one weight per eigenvector; from_atoms sums each cluster
-    weights = c[:, :, None] * np.conj(c[:, None, :])
-    return AtomicMatrixMeasure.from_atoms(
-        vals, weights, block_dim=n, merge_tol=tol.cluster_rel * max_abs(vals),
-        drop_tol=drop, psd_rel=tol.psd_rel, validate=True)
+        empty = AtomicMatrixMeasure.from_atoms(np.zeros(0),
+                                               np.zeros((0, n, n)), block_dim=n)
+        measures = (empty,) * len(mats)
+    else:
+        vals, vecs = np.linalg.eigh(mats)
+        xn = shift.space.coords[:n]                  # (N, m)
+        c = np.swapaxes(xn @ np.conj(vecs), -1, -2)  # c[., i, k] = (x_k, v_i)
+        mass = np.swapaxes(c, -1, -2) @ np.conj(c)   # equals S_0
+        # one rank-one weight per eigenvector; from_atoms sums each cluster
+        weights = c[..., :, None] * np.conj(c[..., None, :])
+        measures = tuple(AtomicMatrixMeasure.from_atoms(
+            vals[k], weights[k], block_dim=n,
+            merge_tol=tol.cluster_rel * max_abs(vals[k]),
+            drop_tol=tol.weight_rel * max(max_abs(mass[k]), 0.0),
+            psd_rel=tol.psd_rel, validate=True) for k in range(len(mats)))
+    return measures if extension.matrix.ndim == 3 else measures[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -393,6 +402,10 @@ def perron_inversion(transform: StieltjesTransform, start: float, stop: float,
     return _residue_cells(transform, edges)
 
 
+#: scratch entries per chunk of window blocks in pairwise_distances
+_DISTANCE_CHUNK = 1 << 16
+
+
 def measure_distance(m1: AtomicMatrixMeasure, m2: AtomicMatrixMeasure,
                      site_tol: float = 1e-6) -> float:
     """Largest weight discrepancy over the merged atom sites of two measures.
@@ -405,20 +418,109 @@ def measure_distance(m1: AtomicMatrixMeasure, m2: AtomicMatrixMeasure,
     sites.  A site carried by one measure only thus contributes the largest
     |entry| of its weight, and the value is positive exactly when the
     measures differ as atom sets (up to site_tol) or in any weight entry.
+    This is pairwise_distances on the one pair.
     """
-    sites = np.sort(np.concatenate([m1.locations, m2.locations]))
-    if np.all(np.diff(sites) > site_tol):
-        # every site holds exactly one atom of one measure
-        return max(max_abs(m1.weights), max_abs(m2.weights))
-    merged = [sites[0]]
-    for s in sites[1:].tolist():
-        if s - merged[-1] > site_tol:
-            merged.append(s)
-    merged = np.array(merged)
+    return float(pairwise_distances([m1, m2], site_tol)[0, 1])
 
-    def site_weights(measure):
-        offsets = measure.locations[None, :] - merged[:, None]
-        flat = measure.weights.reshape(measure.n_atoms, measure.block_dim ** 2)
-        return (np.abs(offsets) <= site_tol) @ flat
 
-    return max_abs(site_weights(m1) - site_weights(m2))
+def pairwise_distances(measures, site_tol: float = 1e-6) -> np.ndarray:
+    """measure_distance between every two of K measures, as a symmetric
+    K x K matrix with a zero diagonal, in one array pass over all pairs.
+
+    Locations are padded with NaN (which sorts last and lies within
+    site_tol of nothing) and weights with 0 to the largest atom count J.  A
+    pair whose sorted pooled sites are all more than site_tol apart takes
+    the larger of the two measures' largest |entry|.  The other pairs get
+    their sites from _merge_sites and their distances from
+    _site_distances, whose (2, P, 2J, J) window blocks are built in chunks
+    of pairs small enough that the scratch stays near _DISTANCE_CHUNK
+    entries.
+    """
+    k = len(measures)
+    out = np.zeros((k, k))
+    if k < 2:
+        return out
+    n = measures[0].block_dim
+    if any(m.block_dim != n for m in measures):
+        raise ValueError("measures of different block sizes")
+    width = max(m.n_atoms for m in measures)
+    locs = np.full((k, width), np.nan)
+    flat = np.zeros((k, width, n * n), dtype=complex)
+    for i, m in enumerate(measures):
+        locs[i, :m.n_atoms] = m.locations
+        flat[i, :m.n_atoms] = m.weights.reshape(m.n_atoms, n * n)
+    peaks = np.abs(flat).max(axis=2, initial=0.0)  # largest |entry| per atom
+    first, second = np.nonzero(np.arange(k)[:, None] < np.arange(k))
+    pooled = np.sort(np.concatenate([locs[first], locs[second]], axis=1),
+                     axis=1)
+    # gaps next to the padding are nan, which is not <= site_tol
+    close = pooled[:, 1:] - pooled[:, :-1] <= site_tol
+    merged = np.flatnonzero(close.any(axis=1))
+    peak = peaks.max(axis=1, initial=0.0)
+    dist = np.maximum(peak[first], peak[second])
+    if merged.size:
+        sites = _merge_sites(pooled[merged], close[merged], site_tol)
+        chunk = max(1, _DISTANCE_CHUNK // (4 * width * max(width, n * n)))
+        for start in range(0, merged.size, chunk):
+            p = merged[start:start + chunk]
+            sides = np.stack([first[p], second[p]])
+            dist[p] = _site_distances(sites[start:start + chunk],
+                                      locs[sides], peaks[sides], flat[sides],
+                                      site_tol)
+    out[first, second] = out[second, first] = dist
+    return out
+
+
+def _merge_sites(pooled, close, site_tol: float) -> np.ndarray:
+    """The greedy merge of the sorted pooled locations of P pairs (P, 2J),
+    given which of their gaps are <= site_tol (P, 2J - 1): the opened sites
+    in place, nan in the columns that joined a site (or are padding).
+
+    It is a loop over the columns, vectorized over pairs; a column after a
+    gap above site_tol in every pair opens a site in each, so only the
+    others are compared.
+    """
+    columns = pooled.T                              # (2J, P)
+    opens = np.ones(columns.shape, dtype=bool)
+    ambiguous = close.any(axis=0)
+    current = columns[0]
+    for col in range(1, len(columns)):
+        if ambiguous[col - 1]:
+            opens[col] = columns[col] - current > site_tol
+            current = np.where(opens[col], columns[col], current)
+        else:
+            current = columns[col]
+    return np.where(opens.T, pooled, np.nan)
+
+
+def _site_distances(sites, locs, peaks, flat, site_tol: float) -> np.ndarray:
+    """Largest |entry| of the window-sum difference over the sites of P
+    pairs, from the sites (P, S) and, for both sides, the locations
+    (2, P, J), per-atom peaks (2, P, J) and flattened weights
+    (2, P, J, N*N).
+
+    A window |t - s| <= site_tol is a run of consecutive atoms, since
+    fl(t - s) is monotone in t.  A site whose two windows hold one atom
+    between them takes that atom's peak; the others sum their runs in atom
+    order, a loop over the offsets into the runs, so every sum is that of a
+    plain loop over sites and atoms, bit for bit, whatever J is.
+    """
+    offsets = locs[:, :, None, :] - sites[:, :, None]     # (2, P, S, J)
+    inside = np.abs(offsets, out=offsets) <= site_tol
+    count = inside.sum(axis=-1)                     # (2, P, S)
+    start = inside.argmax(axis=-1)
+    pair = np.arange(len(sites))[:, None]
+    atoms = count[0] + count[1]
+    value = np.where(count[0] == 1, peaks[0, pair, start[0]],
+                     peaks[1, pair, start[1]]) * (atoms == 1)
+    pair, site = np.nonzero(atoms > 1)
+    if pair.size:
+        first = start[:, pair, site]                # (2, Q)
+        side = np.arange(2)[:, None]
+        total = np.zeros(first.shape + flat.shape[-1:], dtype=complex)
+        for offset in range(count.max()):
+            atom = np.minimum(first + offset, flat.shape[2] - 1)
+            total += np.where((offset < count[:, pair, site])[..., None],
+                              flat[side, pair, atom], 0.0)
+        value[pair, site] = np.abs(total[0] - total[1]).max(axis=1)
+    return value.max(axis=1)

@@ -21,7 +21,7 @@ from .hankel import (ConditionReport, MomentSequence, build_block_hankel,
                      check_truncated_conditions)
 from .measures import (AtomicMatrixMeasure, ContourRecovery,
                        StieltjesTransform, VerificationReport,
-                       measure_distance, moments_from_transform,
+                       moments_from_transform, pairwise_distances,
                        spectral_measure, verify_moments,
                        verify_recovered_moments)
 from .extensions import (KIND_ISOMETRIC, ExtensionParameter,
@@ -84,22 +84,24 @@ def prepare(seq: MomentSequence, tol: Tolerances = DEFAULT) -> Workspace:
 
 
 def default_parameter(ws: Workspace, tol: Tolerances = DEFAULT):
-    """The unimodular candidate e^{i theta} I with the best admissibility margin."""
+    """The unimodular candidate e^{i theta} I with the best admissibility
+    margin (the first such candidate on a tie), all scored in one stacked
+    admissibility test."""
     q = ws.defect
     if q == 0:
         return ExtensionParameter.empty(), is_admissible(
             np.zeros((0, 0), dtype=complex), ws.shift, ws.pair, ws.forbidden,
             tol), None
-    best = None
-    for theta in DEFAULT_THETA_CANDIDATES:
-        v = np.exp(1j * theta) * np.eye(q, dtype=complex)
-        report = is_admissible(v, ws.shift, ws.pair, ws.forbidden, tol)
-        if best is None or (report.margin or 0.0) > (best[1].margin or 0.0):
-            best = (ExtensionParameter.isometric(v), report, theta)
-    if not best[1].admissible:
+    family = ExtensionParameter.unimodular(DEFAULT_THETA_CANDIDATES, q)
+    reports = is_admissible(family.matrix, ws.shift, ws.pair, ws.forbidden,
+                            tol)
+    best = max(range(len(reports)), key=lambda k: reports[k].margin)
+    if not reports[best].admissible:
         raise NotAdmissible("no admissible unimodular parameter found; "
-                            "supply one explicitly", margin=best[1].margin)
-    return best
+                            "supply one explicitly",
+                            margin=reports[best].margin)
+    return (ExtensionParameter.isometric(family.matrix[best]), reports[best],
+            DEFAULT_THETA_CANDIDATES[best])
 
 
 @dataclasses.dataclass(eq=False)
@@ -204,6 +206,12 @@ def theta_sweep(seq: MomentSequence, n_thetas: int = 8,
     parameter coincides with the forbidden operator (or whose margin is below
     adm_abs) are flagged and skipped; the rest produce measures, compared
     pairwise with measure_distance at SWEEP_SITE_TOL.
+
+    The sweep is one array pass over all K angles: one stacked
+    admissibility test, one batched extension (inverse and eigh) for the
+    admitted angles, and one distance kernel over their pairs; only the
+    per-measure assembly and verification run angle by angle.  Each entry
+    equals what solve_truncated gives for its angle alone.
     """
     ws = prepare(seq, tol)
     q = ws.defect
@@ -213,35 +221,27 @@ def theta_sweep(seq: MomentSequence, n_thetas: int = 8,
     if thetas is None:
         thetas = 2.0 * np.pi * np.arange(n_thetas) / n_thetas
     thetas = np.asarray(thetas, dtype=float)
-    entries = []
-    for theta in thetas:
-        v = np.exp(1j * theta) * np.eye(q, dtype=complex)
-        report = is_admissible(v, ws.shift, ws.pair, ws.forbidden, tol)
-        if not report.admissible:
-            entries.append(SweepEntry(theta=float(theta),
-                                      admissibility=report, measure=None,
-                                      verification=None))
-            continue
-        parameter = ExtensionParameter.isometric(v)
-        ext = selfadjoint_extension(ws.shift, ws.pair, parameter, tol)
-        measure = spectral_measure(ext, ws.shift, tol)
-        entries.append(SweepEntry(
-            theta=float(theta), admissibility=report, measure=measure,
-            verification=verify_moments(measure, ws.sequence, rel_tol=1e-8)))
+    reports = is_admissible(ExtensionParameter.unimodular(thetas, q).matrix,
+                            ws.shift, ws.pair, ws.forbidden, tol)
+    admitted = np.flatnonzero([r.admissible for r in reports])
+    measures = [None] * len(thetas)
+    if admitted.size:
+        ext = selfadjoint_extension(
+            ws.shift, ws.pair,
+            ExtensionParameter.unimodular(thetas[admitted], q), tol)
+        for i, measure in zip(admitted, spectral_measure(ext, ws.shift, tol)):
+            measures[i] = measure
+    entries = tuple(SweepEntry(
+        theta=float(theta), admissibility=report, measure=measure,
+        verification=None if measure is None else verify_moments(
+            measure, ws.sequence, rel_tol=1e-8))
+        for theta, report, measure in zip(thetas, reports, measures))
     k = len(entries)
     dist = np.full((k, k), np.nan)
-    for i in range(k):
-        if entries[i].measure is None:
-            continue
-        dist[i, i] = 0.0
-        for j in range(i + 1, k):
-            if entries[j].measure is None:
-                continue
-            dij = measure_distance(entries[i].measure, entries[j].measure,
-                                   site_tol=SWEEP_SITE_TOL)
-            dist[i, j] = dist[j, i] = dij
+    dist[np.ix_(admitted, admitted)] = pairwise_distances(
+        [measures[i] for i in admitted], site_tol=SWEEP_SITE_TOL)
     forbidden = np.array([e.theta for e in entries
                           if not e.admissibility.admissible])
-    return SweepResult(thetas=thetas, entries=tuple(entries),
+    return SweepResult(thetas=thetas, entries=entries,
                        forbidden_thetas=forbidden, distance_matrix=dist,
                        workspace=ws)

@@ -32,7 +32,7 @@ import numpy as np
 from .errors import (DependentDomain, IllConditionedProjection, NormViolation)
 from .gram import GramSpace
 from .linalg import (phase_canonicalize, range_and_complement, read_only,
-                     singular_values, operator_norm)
+                     singular_values)
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -201,40 +201,42 @@ class AdmissibilityReport:
 def is_admissible(matrix: np.ndarray, shift: ShiftOperator,
                   pair: DeficiencyPair,
                   forbidden: ForbiddenOperator | None = None,
-                  tol: Tolerances = DEFAULT) -> AdmissibilityReport:
+                  tol: Tolerances = DEFAULT
+                  ) -> AdmissibilityReport | tuple[AdmissibilityReport, ...]:
     """Decide whether a constant q x q parameter matrix is admissible.
 
-    Raises NormViolation when the matrix is not a contraction (operator norm
-    above 1 + norm_abs); isometry vs strict contraction is the caller's
-    business.
+    matrix may also be a (K, q, q) stack, for which a tuple of K reports
+    comes back: each quantity (the norms, the margins, the forbidden gaps)
+    is then one batched singular value call over the stack, and each report
+    equals the one its matrix alone would get.  Raises NormViolation when a
+    matrix is not a contraction (operator norm above 1 + norm_abs);
+    isometry vs strict contraction is the caller's business.
     """
     q = pair.defect
     v = np.asarray(matrix, dtype=complex)
-    if v.shape != (q, q):
-        raise ValueError(f"parameter must be {q} x {q}, got {v.shape}")
-    norm = operator_norm(v)
-    if norm > 1.0 + tol.norm_abs:
-        raise NormViolation(f"parameter norm {norm:.12g} exceeds 1 + "
-                            f"{tol.norm_abs:.1e}")
-    if q == 0:
-        return AdmissibilityReport(admissible=True, margin=None,
-                                   parameter_norm=norm, forbidden_gap=None,
-                                   coincides_with_forbidden=False,
-                                   borderline=False)
-    adm = np.conj(shift.complement.T) @ (pair.basis_minus @ v
-                                         - pair.basis_plus)
-    margin = float(singular_values(adm)[-1])
-    gap = None
-    coincides = False
-    if forbidden is not None:
-        gap = float(singular_values(v - forbidden.matrix)[-1])
-        coincides = gap <= tol.adm_abs
-    admissible = margin > tol.adm_abs
-    return AdmissibilityReport(
-        admissible=admissible,
+    if v.ndim not in (2, 3) or v.shape[-2:] != (q, q):
+        raise ValueError(f"parameter must be {q} x {q} or a stack of them, "
+                         f"got {v.shape}")
+    stack = v if v.ndim == 3 else v[None]
+    norms = singular_values(stack)[:, 0] if q else np.zeros(len(stack))
+    over = norms > 1.0 + tol.norm_abs
+    if over.any():
+        raise NormViolation(f"parameter norm {norms[over][0]:.12g} exceeds "
+                            f"1 + {tol.norm_abs:.1e}")
+    margins = gaps = [None] * len(stack)
+    if q:
+        adm = np.conj(shift.complement.T) @ (pair.basis_minus @ stack
+                                             - pair.basis_plus)
+        margins = singular_values(adm)[:, -1].tolist()
+        if forbidden is not None:
+            gaps = singular_values(stack - forbidden.matrix)[:, -1].tolist()
+    reports = tuple(AdmissibilityReport(
+        admissible=margin is None or margin > tol.adm_abs,
         margin=margin,
-        parameter_norm=norm,
+        parameter_norm=float(norm),
         forbidden_gap=gap,
-        coincides_with_forbidden=coincides,
-        borderline=bool(admissible and margin <= 1e3 * tol.adm_abs),
-    )
+        coincides_with_forbidden=gap is not None and gap <= tol.adm_abs,
+        borderline=(margin is not None
+                    and tol.adm_abs < margin <= 1e3 * tol.adm_abs),
+    ) for norm, margin, gap in zip(norms, margins, gaps))
+    return reports if v.ndim == 3 else reports[0]

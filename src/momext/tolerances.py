@@ -12,6 +12,7 @@ tolerances, the sweep's site tolerance); the README lists them.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 
 @dataclasses.dataclass(frozen=True)
@@ -35,12 +36,19 @@ class Tolerances:
 
     def override(self, overrides: dict) -> "Tolerances":
         """A copy with the named thresholds replaced; the one validator of
-        names from the command line and from problem files."""
+        names and values from the command line and from problem files.
+        Every threshold is a finite, non-negative number: a NaN compares
+        false against everything and would flip verdicts silently."""
         unknown = set(overrides) - set(self.names())
         if unknown:
             raise ValueError(f"unknown tolerance name(s): {sorted(unknown)}; "
                              f"known: {list(self.names())}")
-        return self.replace(**{k: float(v) for k, v in overrides.items()})
+        values = {k: float(v) for k, v in overrides.items()}
+        for k, v in values.items():
+            if not math.isfinite(v) or v < 0.0:
+                raise ValueError(f"tolerance {k} must be a finite, "
+                                 f"non-negative number, got {v!r}")
+        return self.replace(**values)
 
 
 DEFAULT = Tolerances()

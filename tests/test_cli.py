@@ -292,6 +292,30 @@ def test_solve_tolerance_override_can_forbid_everything(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("name,value", [("pos_rel", "nan"),
+                                        ("adm_abs", "-1"),
+                                        ("psd_rel", "inf")])
+def test_tolerance_values_must_be_finite_and_non_negative(tmp_path, capsys,
+                                                           name, value):
+    # A NaN threshold compares false against everything, so it would flip
+    # verdicts (pos_rel=nan reads as "not positive definite", exit 3), and a
+    # negative one switches its check off (adm_abs=-1 admits every angle);
+    # both are malformed input.
+    path = _write(tmp_path, "p.json", PROBLEM_101)
+    assert main(["solve", path, "--tol", f"{name}={value}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert name in captured.err and repr(float(value)) in captured.err
+    in_file = tmp_path / "in_file.json"
+    in_file.write_text(json.dumps({**PROBLEM_101,
+                                   "tolerances": {name: float(value)}}),
+                       encoding="utf-8")
+    assert main(["solve", str(in_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert name in captured.err and repr(float(value)) in captured.err
+
+
 # -------------------------------------------------------------------- sweep
 
 def test_sweep_output(tmp_path, capsys):

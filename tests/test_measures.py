@@ -26,12 +26,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import momext.measures
 from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
                     NotAdmissible, SingularSystem, StieltjesTransform,
                     build_block_hankel, build_shift, default_parameter,
                     deficiency_subspaces, factor_psd, measure_distance,
                     moments_from_transform, perron_inversion, prepare,
                     selfadjoint_extension, spectral_measure, verify_moments)
+from momext.measures import pairwise_distances
 from momext.sampling import (random_admissible_isometry,
                              random_feasible_instance,
                              random_strict_contraction)
@@ -476,11 +478,62 @@ def test_measure_distance_matches_the_reference_loop():
         jitter = rng.uniform(-0.3e-3, 0.3e-3, size=(2, 5))
         a, b = (_random_measure(rng, n, 5, np.unique(g + j))
                 for g, j in zip(grid, jitter))
-        expected = _reference_distance(a, b, site_tol)
-        scale = max(np.abs(a.weights).max(), np.abs(b.weights).max())
-        assert measure_distance(a, b, site_tol) == pytest.approx(
-            expected, abs=1e-13 * scale)
+        # windows are summed in atom order, as the loop sums them
+        assert measure_distance(a, b, site_tol) == \
+            _reference_distance(a, b, site_tol)
         assert measure_distance(a, a, site_tol) == 0.0
+
+
+def _clustered_measures(rng, n, count, site_tol):
+    """count measures on a grid of step 0.8 site_tol with sub-site_tol
+    jitter, some of them empty, so windows hold several atoms."""
+    measures = []
+    for _ in range(count):
+        atoms = int(rng.integers(0, 8))
+        locs = np.unique(0.8 * site_tol * rng.integers(-6, 6, size=atoms)
+                         + rng.uniform(-0.3, 0.3, size=atoms) * site_tol)
+        measures.append(_random_measure(rng, n, len(locs), locs))
+    return measures
+
+
+def test_pairwise_distances_are_the_one_pair_distances():
+    # The all-pairs kernel pads every measure to the largest atom count;
+    # padding must not move a bit, so each entry equals measure_distance on
+    # its pair, which equals the plain loop.
+    rng = np.random.default_rng(RNG_SEED + 11)
+    site_tol = 1e-3
+    for trial in range(60):
+        n = 1 + trial % 3
+        measures = _clustered_measures(rng, n, int(rng.integers(2, 7)),
+                                       site_tol)
+        if trial % 3 == 0:          # a far-off measure: separated pairs
+            measures.append(_random_measure(rng, n, 3,
+                                            np.array([10.0, 20.0, 30.0])))
+        dist = pairwise_distances(measures, site_tol)
+        k = len(measures)
+        assert dist.shape == (k, k)
+        assert np.array_equal(np.diag(dist), np.zeros(k))
+        for i in range(k):
+            for j in range(k):
+                if i == j:
+                    continue
+                expected = _reference_distance(measures[i], measures[j],
+                                               site_tol)
+                assert dist[i, j] == expected
+                assert measure_distance(measures[i], measures[j],
+                                        site_tol) == expected
+    assert pairwise_distances([], site_tol).shape == (0, 0)
+    assert np.array_equal(pairwise_distances(measures[:1], site_tol), [[0.0]])
+
+
+def test_pairwise_distances_bound_their_scratch(monkeypatch):
+    # pairs are processed in chunks; a chunk of one pair gives the same
+    # matrix as the default chunking
+    rng = np.random.default_rng(RNG_SEED + 12)
+    measures = _clustered_measures(rng, 2, 8, 1e-3)
+    full = pairwise_distances(measures, 1e-3)
+    monkeypatch.setattr(momext.measures, "_DISTANCE_CHUNK", 1)
+    assert np.array_equal(pairwise_distances(measures, 1e-3), full)
 
 
 def test_measure_distance_window_cases():

@@ -9,7 +9,8 @@ Checked here:
 - the unique-extension case (defect 0) and the sweep refusing it,
 - the theta sweep on (1, 0, 1): seven admissible angles, pi flagged
   forbidden, pairwise distinct measures; on random instances its distance
-  matrix is exactly the pairwise measure_distance,
+  matrix is exactly the pairwise measure_distance, and each entry (report,
+  measure, verification) is exactly that of its angle solved alone,
 - determinism of repeated solves,
 - unitary invariance: conjugating the data by a unitary U conjugates the
   solution weights by U, once the parameter is transported through the
@@ -22,9 +23,9 @@ import numpy as np
 import pytest
 
 from momext import (ExtensionParameter, MomentSequence, NotAdmissible,
-                    default_parameter, measure_distance, prepare,
-                    selfadjoint_extension, solve_truncated, spectral_measure,
-                    theta_sweep)
+                    default_parameter, is_admissible, measure_distance,
+                    prepare, selfadjoint_extension, solve_truncated,
+                    spectral_measure, theta_sweep)
 from momext.sampling import (haar_unitary, random_admissible_isometry,
                              random_deficient_instance,
                              random_feasible_instance)
@@ -126,6 +127,35 @@ def test_sweep_distances_are_the_pairwise_measure_distances():
                     expected[i, j] = (0.0 if i == j else measure_distance(
                         ei.measure, ej.measure, site_tol=1e-3))
         assert np.array_equal(res.distance_matrix, expected, equal_nan=True)
+
+
+def test_sweep_entries_are_the_single_angle_solves():
+    # The sweep runs all angles in one array pass; each entry must still be
+    # exactly what its angle gives alone, including an angle at an
+    # eigen-angle of the forbidden operator, which must be flagged.
+    rng = np.random.default_rng(RNG_SEED + 4)
+    thetas = np.linspace(1.0, 2.0 * np.pi - 1.0, 12)
+    for n in (1, 2, 4):
+        for _ in range(2):
+            seq, _ = random_feasible_instance(rng, n, 3)
+            ws = prepare(seq)
+            eigen_angle = np.angle(np.linalg.eigvals(ws.forbidden.matrix)[0])
+            res = theta_sweep(seq, thetas=np.append(thetas, eigen_angle))
+            assert not res.entries[-1].admissibility.admissible
+            assert res.entries[-1].measure is None
+            for entry in res.entries:
+                parameter = ExtensionParameter.unimodular(entry.theta,
+                                                          ws.defect)
+                assert entry.admissibility == is_admissible(
+                    parameter.matrix, ws.shift, ws.pair, ws.forbidden)
+                if entry.measure is None:
+                    continue
+                alone = solve_truncated(seq, parameter)
+                assert np.array_equal(entry.measure.locations,
+                                      alone.measure.locations)
+                assert np.array_equal(entry.measure.weights,
+                                      alone.measure.weights)
+                assert entry.verification == alone.verification
 
 
 def test_repeated_solves_are_bitwise_identical():

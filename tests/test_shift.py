@@ -237,3 +237,29 @@ def test_no_complement_is_factored_after_prepare(monkeypatch):
     assert qr_calls(perron_inversion, transform, -3.0, 3.0, 0.5)[0] == 0
     assert qr_calls(moments_from_transform, transform, 4)[0] == 0
     assert result.verification.passed
+
+
+def test_sweep_factorizations_do_not_grow_with_the_angles(monkeypatch):
+    # After prepare, theta_sweep runs one stacked admissibility test, one
+    # batched extension and one batched eigh, whatever the number of angles;
+    # count the dense factorizations it asks numpy for.
+    calls = []
+    for name in ("svd", "eigh", "inv"):
+        def counting(*args, _real=getattr(np.linalg, name), **kwargs):
+            calls.append(1)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+
+    def factorizations(fn, *args, **kwargs):
+        calls.clear()
+        fn(*args, **kwargs)
+        return len(calls)
+
+    rng = np.random.default_rng(RNG_SEED + 8)
+    for n in (1, 2):
+        seq, _ = random_feasible_instance(rng, n, 3)
+        in_prepare = factorizations(prepare, seq)
+        per_sweep = [factorizations(
+            theta_sweep, seq, thetas=np.linspace(1.0, 2.0 * np.pi - 1.0, k))
+            - in_prepare for k in (8, 32)]
+        assert per_sweep[0] == per_sweep[1] > 0
