@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NormViolation, NotAdmissible
 from .linalg import as_complex_matrix, max_abs, read_only, singular_values
-from .shift import DeficiencyPair, ShiftOperator, is_admissible
+from .shift import (DeficiencyPair, ForbiddenOperator, ShiftOperator,
+                    admissibility_reports)
 from .tolerances import DEFAULT, Tolerances
 
 KIND_ISOMETRIC = "isometric"
@@ -71,12 +72,17 @@ class ExtensionParameter:
     def constant_matrix(self, defect: int, tol: Tolerances = DEFAULT) -> np.ndarray:
         """The matrix (or stack), checked for shape, norm and (if isometric)
         isometry, all from one batched singular value call."""
+        return self._checked(defect, tol)[0]
+
+    def _checked(self, defect: int, tol: Tolerances):
+        """constant_matrix, with the norms it read: the largest singular
+        value of the matrix (shape ()) or of each in the stack (K,)."""
         v = self.matrix
         if v.shape[-2:] != (defect, defect):
             raise DimensionMismatch(
                 f"parameter has shape {v.shape}, expected ({defect}, {defect})")
         if defect == 0:
-            return v
+            return v, np.zeros(v.shape[:-2])
         sv = singular_values(v)
         if sv[..., 0].max() > 1.0 + tol.norm_abs:
             raise NormViolation(
@@ -86,7 +92,22 @@ class ExtensionParameter:
             raise NormViolation(
                 f"isometric parameter has singular values off 1 by "
                 f"{max_abs(sv - 1.0):.3e}")
-        return v
+        return v, sv[..., 0]
+
+
+def screen_parameter(shift: ShiftOperator, pair: DeficiencyPair,
+                     parameter: ExtensionParameter,
+                     forbidden: ForbiddenOperator | None = None,
+                     tol: Tolerances = DEFAULT):
+    """The checked matrix of a parameter (constant_matrix) and its
+    admissibility report (is_admissible), or a stack and a tuple of
+    reports, with the norms in the reports read off the singular values
+    constant_matrix takes rather than from a second call."""
+    vmat, norms = parameter._checked(pair.defect, tol)
+    reports = admissibility_reports(vmat if vmat.ndim == 3 else vmat[None],
+                                    norms.reshape(-1), shift, pair,
+                                    forbidden, tol)
+    return vmat, reports if vmat.ndim == 3 else reports[0]
 
 
 def extension_blocks(shift: ShiftOperator, pair: DeficiencyPair,
@@ -116,8 +137,16 @@ def quasi_extension(shift: ShiftOperator, pair: DeficiencyPair,
     than left to surface from the inverse; in a stack, the first such V is
     named.  Raises DimensionMismatch if dN + q != m.
     """
-    vmat = parameter.constant_matrix(pair.defect, tol)
-    reports = is_admissible(vmat, shift, pair, None, tol)
+    return _quasi_extension(shift, pair,
+                            *screen_parameter(shift, pair, parameter, None,
+                                              tol), tol)
+
+
+def _quasi_extension(shift: ShiftOperator, pair: DeficiencyPair,
+                     vmat: np.ndarray, reports,
+                     tol: Tolerances) -> np.ndarray:
+    """quasi_extension for a parameter matrix (or stack) and its report (or
+    reports) from screen_parameter."""
     if vmat.ndim == 2:
         reports = (reports,)
 
@@ -168,7 +197,17 @@ def selfadjoint_extension(shift: ShiftOperator, pair: DeficiencyPair,
     """Build A_V for an admissible isometric parameter (or stack of them)."""
     if parameter.kind != KIND_ISOMETRIC:
         raise ValueError("self-adjoint extensions need an isometric parameter")
-    g = quasi_extension(shift, pair, parameter, tol)
+    return _selfadjoint_extension(
+        shift, pair, parameter,
+        *screen_parameter(shift, pair, parameter, None, tol), tol)
+
+
+def _selfadjoint_extension(shift: ShiftOperator, pair: DeficiencyPair,
+                           parameter: ExtensionParameter, vmat: np.ndarray,
+                           reports, tol: Tolerances) -> SelfAdjointExtension:
+    """selfadjoint_extension for an isometric parameter whose matrix and
+    report (or reports) screen_parameter has already given."""
+    g = _quasi_extension(shift, pair, vmat, reports, tol)
     gh = np.conj(np.swapaxes(g, -1, -2))
     scale = np.maximum(np.abs(g).max(axis=(-2, -1), initial=0.0), 1.0)
     residual = np.abs(g - gh).max(axis=(-2, -1), initial=0.0) / scale

@@ -37,17 +37,20 @@ class MomentSequence:
 
     @classmethod
     def from_arrays(cls, arrays):
-        mats = [as_complex_matrix(a, f"moment S_{i}") for i, a in enumerate(arrays)]
-        if not mats:
-            raise InsufficientMoments("a moment sequence needs at least S_0")
-        dim = mats[0].shape[0]
-        fixed = []
-        for i, m in enumerate(mats):
-            if m.shape != (dim, dim):
-                raise ValueError(f"moment S_{i} has shape {m.shape}, "
-                                 f"expected ({dim}, {dim})")
-            fixed.append(read_only(hermitize(m, HERM_REL, f"moment S_{i}")))
-        return cls(dim=dim, moments=tuple(fixed))
+        """Check and symmetrize the moments in one pass over their stack;
+        an error names the first offending S_i."""
+        stack = _stack_moments(list(arrays))
+        herm = np.conj(np.swapaxes(stack, 1, 2))
+        scale = np.maximum(np.abs(stack).max(axis=(1, 2), initial=0.0), 1.0)
+        defect = np.abs(stack - herm).max(axis=(1, 2), initial=0.0)
+        bad = np.flatnonzero(defect > HERM_REL * scale)
+        if bad.size:
+            i = bad[0]
+            raise ValueError(f"moment S_{i} is not Hermitian: defect "
+                             f"{defect[i]:.3e} exceeds {HERM_REL:.1e} * scale "
+                             f"{scale[i]:.3e}")
+        fixed = read_only(0.5 * (stack + herm))
+        return cls(dim=stack.shape[1], moments=tuple(fixed))
 
     @classmethod
     def scalar(cls, values):
@@ -68,6 +71,28 @@ class MomentSequence:
     @property
     def scale(self) -> float:
         return max(max_abs(m) for m in self.moments)
+
+
+def _stack_moments(arrays: list) -> np.ndarray:
+    """The moments as one complex (count, N, N) array.  Input that does not
+    stack to one goes through the checks of each moment in turn, so the
+    error names the first offending S_i."""
+    try:
+        stack = np.array(arrays, dtype=complex)
+        if len(stack) and stack.ndim == 3 and stack.shape[1] == stack.shape[2]:
+            return stack
+    except (TypeError, ValueError):
+        pass
+    mats = [as_complex_matrix(a, f"moment S_{i}") for i, a in enumerate(arrays)]
+    if not mats:
+        raise InsufficientMoments("a moment sequence needs at least S_0")
+    dim = mats[0].shape[0]
+    for i, m in enumerate(mats):
+        if m.shape != (dim, dim):
+            raise ValueError(f"moment S_{i} has shape {m.shape}, "
+                             f"expected ({dim}, {dim})")
+        hermitize(m, HERM_REL, f"moment S_{i}")
+    return np.array(mats)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

@@ -143,14 +143,58 @@ def spectral_measure(extension: SelfAdjointExtension, shift: ShiftOperator,
         xn = shift.space.coords[:n]                  # (N, m)
         c = np.swapaxes(xn @ np.conj(vecs), -1, -2)  # c[., i, k] = (x_k, v_i)
         mass = np.swapaxes(c, -1, -2) @ np.conj(c)   # equals S_0
-        # one rank-one weight per eigenvector; from_atoms sums each cluster
+        # one rank-one weight per eigenvector; a cluster sums its members
         weights = c[..., :, None] * np.conj(c[..., None, :])
-        measures = tuple(AtomicMatrixMeasure.from_atoms(
-            vals[k], weights[k], block_dim=n,
-            merge_tol=tol.cluster_rel * max_abs(vals[k]),
-            drop_tol=tol.weight_rel * max(max_abs(mass[k]), 0.0),
-            psd_rel=tol.psd_rel, validate=True) for k in range(len(mats)))
+        measures = _assemble(vals, weights,
+                             tol.cluster_rel * np.abs(vals).max(axis=1),
+                             tol.weight_rel * np.abs(mass).max(axis=(1, 2)),
+                             tol.psd_rel)
     return measures if extension.matrix.ndim == 3 else measures[0]
+
+
+def _assemble(locs, weights, merge_tol, drop_tol,
+              psd_rel: float) -> tuple[AtomicMatrixMeasure, ...]:
+    """AtomicMatrixMeasure.from_atoms on each row of sorted locations
+    (K, J) and weights (K, J, N, N), with the row's merge_tol and drop_tol.
+
+    A row with no gap <= its merge_tol needs no merge, so those rows get
+    their Hermitization, drop mask and PSD check (one batched eigvalsh over
+    every kept weight) in one array pass, and their measures are views of
+    the kept atoms; a row that clusters goes through from_atoms.  A non-PSD
+    weight raises from_atoms's ValueError, for the first in row order.
+    """
+    clustered = (np.diff(locs, axis=1) <= merge_tol[:, None]).any(axis=1)
+    w = 0.5 * (weights + np.conj(np.swapaxes(weights, -1, -2)))
+    peaks = np.abs(w).max(axis=(2, 3))
+    keep = ~clustered[:, None] & ((peaks > drop_tol[:, None])
+                                  | ~(drop_tol[:, None] > 0.0))
+    counts = keep.sum(axis=1)
+    kept_locs, kept_w = locs[keep], w[keep]
+    first_bad = len(locs)
+    if len(kept_w):
+        scale = np.maximum(np.where(keep, peaks, 0.0).max(axis=1), 1.0)
+        row = np.repeat(np.arange(len(locs)), counts)
+        emin = np.linalg.eigvalsh(kept_w)[:, 0]
+        bad = np.flatnonzero(emin < -psd_rel * scale[row])
+        if bad.size:
+            first_bad = row[bad[0]]
+    ends = np.cumsum(counts).tolist()
+    measures = []
+    for k, (start, end) in enumerate(zip([0] + ends, ends)):
+        if clustered[k]:
+            measures.append(AtomicMatrixMeasure.from_atoms(
+                locs[k], weights[k], block_dim=weights.shape[-1],
+                merge_tol=merge_tol[k], drop_tol=drop_tol[k],
+                psd_rel=psd_rel))
+        elif k == first_bad:
+            j = bad[0]
+            raise ValueError(f"weight at t = {kept_locs[j]:.6g} is not PSD: "
+                             f"min eigenvalue {emin[j]:.3e}")
+        else:
+            measures.append(AtomicMatrixMeasure(
+                locations=read_only(kept_locs[start:end]),
+                weights=read_only(kept_w[start:end])))
+    return tuple(measures)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -164,24 +208,49 @@ class VerificationReport:
     passed: bool
 
 
-def _verification(recovered, seq: MomentSequence,
-                  rel_tol: float) -> VerificationReport:
+def _verifications(recovered, seq: MomentSequence,
+                   rel_tol: float) -> tuple[VerificationReport, ...]:
+    """One report per row of a (K, >= len(seq), N, N) stack of moments."""
     data = np.array(seq.moments)
-    gaps = np.abs(np.asarray(recovered)[:len(data)] - data)
-    devs = tuple(gaps.max(axis=(1, 2)).tolist())
+    gaps = np.abs(recovered[:, :len(data)] - data)
     scale = max(1.0, float(np.abs(data).max()))
-    worst = max(devs)
-    return VerificationReport(deviations=devs, max_deviation=worst,
-                              scale=scale, rel_tol=rel_tol,
-                              passed=bool(worst <= rel_tol * scale))
+    reports = []
+    for devs in gaps.max(axis=(2, 3)).tolist():
+        worst = max(devs)
+        reports.append(VerificationReport(
+            deviations=tuple(devs), max_deviation=worst, scale=scale,
+            rel_tol=rel_tol, passed=bool(worst <= rel_tol * scale)))
+    return tuple(reports)
 
 
 def verify_moments(measure: AtomicMatrixMeasure, seq: MomentSequence,
                    rel_tol: float = 1e-8) -> VerificationReport:
-    """Compare integral x^n dM against S_n for every prescribed n."""
-    powers = measure.locations[None, :] ** np.arange(len(seq))[:, None]
-    rec = np.einsum("nj,jkl->nkl", powers, measure.weights)
-    return _verification(rec, seq, rel_tol)
+    """Compare integral x^n dM against S_n for every prescribed n.  This is
+    verify_measures on the one measure."""
+    return verify_measures([measure], seq, rel_tol)[0]
+
+
+def verify_measures(measures, seq: MomentSequence,
+                    rel_tol: float = 1e-8) -> tuple[VerificationReport, ...]:
+    """verify_moments for each of K measures, in one array pass.
+
+    Locations are padded with 0 and weights with 0 to the largest atom
+    count, which adds exact zeros to every sum; a single measure is used
+    through views of its own arrays.  The moments come from one einsum,
+    which sums each in atom order whatever the padding, so every report is
+    bit for bit that of its measure alone (a matmul would sum in another
+    order).
+    """
+    if len(measures) == 1:
+        locs = measures[0].locations[None]
+        weights = measures[0].weights[None]
+    elif not measures:
+        return ()
+    else:
+        locs, weights = _padded(measures, 0.0)
+    powers = locs[:, None, :] ** np.arange(len(seq))[:, None]
+    rec = np.einsum("knj,kjab->knab", powers, weights)
+    return _verifications(rec, seq, rel_tol)
 
 
 def verify_recovered_moments(recovered, seq: MomentSequence,
@@ -189,7 +258,7 @@ def verify_recovered_moments(recovered, seq: MomentSequence,
     """Same report for moments recovered by other means (the transform)."""
     if len(recovered) < len(seq):
         raise ValueError("recovered moment list shorter than the sequence")
-    return _verification(recovered, seq, rel_tol)
+    return _verifications(np.asarray(recovered)[None], seq, rel_tol)[0]
 
 
 @dataclasses.dataclass(eq=False)
@@ -402,6 +471,21 @@ def perron_inversion(transform: StieltjesTransform, start: float, stop: float,
     return _residue_cells(transform, edges)
 
 
+def _padded(measures, fill: float):
+    """The locations (K, J) and weights (K, J, N, N) of K >= 1 measures,
+    padded to the largest atom count J with fill and with 0."""
+    n = measures[0].block_dim
+    if any(m.block_dim != n for m in measures):
+        raise ValueError("measures of different block sizes")
+    counts = np.array([m.n_atoms for m in measures])
+    present = np.arange(counts.max()) < counts[:, None]
+    locs = np.full(present.shape, fill)
+    weights = np.zeros(present.shape + (n, n), dtype=complex)
+    locs[present] = np.concatenate([m.locations for m in measures])
+    weights[present] = np.concatenate([m.weights for m in measures])
+    return locs, weights
+
+
 #: scratch entries per chunk of window blocks in pairwise_distances
 _DISTANCE_CHUNK = 1 << 16
 
@@ -440,15 +524,9 @@ def pairwise_distances(measures, site_tol: float = 1e-6) -> np.ndarray:
     out = np.zeros((k, k))
     if k < 2:
         return out
-    n = measures[0].block_dim
-    if any(m.block_dim != n for m in measures):
-        raise ValueError("measures of different block sizes")
-    width = max(m.n_atoms for m in measures)
-    locs = np.full((k, width), np.nan)
-    flat = np.zeros((k, width, n * n), dtype=complex)
-    for i, m in enumerate(measures):
-        locs[i, :m.n_atoms] = m.locations
-        flat[i, :m.n_atoms] = m.weights.reshape(m.n_atoms, n * n)
+    locs, weights = _padded(measures, np.nan)
+    width, n = weights.shape[1:3]
+    flat = weights.reshape(k, width, n * n)
     peaks = np.abs(flat).max(axis=2, initial=0.0)  # largest |entry| per atom
     first, second = np.nonzero(np.arange(k)[:, None] < np.arange(k))
     pooled = np.sort(np.concatenate([locs[first], locs[second]], axis=1),

@@ -22,10 +22,11 @@ from .hankel import (ConditionReport, MomentSequence, build_block_hankel,
 from .measures import (AtomicMatrixMeasure, ContourRecovery,
                        StieltjesTransform, VerificationReport,
                        moments_from_transform, pairwise_distances,
-                       spectral_measure, verify_moments,
+                       spectral_measure, verify_measures, verify_moments,
                        verify_recovered_moments)
 from .extensions import (KIND_ISOMETRIC, ExtensionParameter,
-                         SelfAdjointExtension, selfadjoint_extension)
+                         SelfAdjointExtension, _selfadjoint_extension,
+                         screen_parameter)
 from .shift import (AdmissibilityReport, DeficiencyPair, ForbiddenOperator,
                     ShiftOperator, build_shift, deficiency_subspaces,
                     forbidden_operator, is_admissible)
@@ -85,16 +86,16 @@ def prepare(seq: MomentSequence, tol: Tolerances = DEFAULT) -> Workspace:
 
 def default_parameter(ws: Workspace, tol: Tolerances = DEFAULT):
     """The unimodular candidate e^{i theta} I with the best admissibility
-    margin (the first such candidate on a tie), all scored in one stacked
-    admissibility test."""
+    margin (the first such candidate on a tie), all checked and scored in
+    one stacked screen_parameter."""
     q = ws.defect
     if q == 0:
         return ExtensionParameter.empty(), is_admissible(
             np.zeros((0, 0), dtype=complex), ws.shift, ws.pair, ws.forbidden,
             tol), None
     family = ExtensionParameter.unimodular(DEFAULT_THETA_CANDIDATES, q)
-    reports = is_admissible(family.matrix, ws.shift, ws.pair, ws.forbidden,
-                            tol)
+    _, reports = screen_parameter(ws.shift, ws.pair, family, ws.forbidden,
+                                  tol)
     best = max(range(len(reports)), key=lambda k: reports[k].margin)
     if not reports[best].admissible:
         raise NotAdmissible("no admissible unimodular parameter found; "
@@ -145,10 +146,10 @@ def _solve(ws: Workspace, parameter: ExtensionParameter | None,
     theta = None
     if parameter is None:
         parameter, report, theta = default_parameter(ws, tol)
+        vmat = parameter.matrix
     else:
-        report = is_admissible(
-            parameter.constant_matrix(ws.defect, tol), ws.shift, ws.pair,
-            ws.forbidden, tol)
+        vmat, report = screen_parameter(ws.shift, ws.pair, parameter,
+                                        ws.forbidden, tol)
         if not report.admissible:
             raise NotAdmissible(
                 f"supplied parameter is not admissible "
@@ -161,7 +162,8 @@ def _solve(ws: Workspace, parameter: ExtensionParameter | None,
                   admissibility=report, workspace=ws)
 
     if parameter.kind == KIND_ISOMETRIC:
-        ext = selfadjoint_extension(ws.shift, ws.pair, parameter, tol)
+        ext = _selfadjoint_extension(ws.shift, ws.pair, parameter, vmat,
+                                     report, tol)
         measure = spectral_measure(ext, ws.shift, tol)
         verification = verify_moments(measure, seq, rel_tol=1e-8)
         return SolveResult(kind="atomic", measure=measure, extension=ext,
@@ -208,10 +210,10 @@ def theta_sweep(seq: MomentSequence, n_thetas: int = 8,
     pairwise with measure_distance at SWEEP_SITE_TOL.
 
     The sweep is one array pass over all K angles: one stacked
-    admissibility test, one batched extension (inverse and eigh) for the
-    admitted angles, and one distance kernel over their pairs; only the
-    per-measure assembly and verification run angle by angle.  Each entry
-    equals what solve_truncated gives for its angle alone.
+    screen_parameter, then for the admitted angles one batched extension
+    (inverse and eigh), one atom assembly, one verification and one
+    distance kernel over their pairs.  Each entry equals what
+    solve_truncated gives for its angle alone.
     """
     ws = prepare(seq, tol)
     q = ws.defect
@@ -221,21 +223,26 @@ def theta_sweep(seq: MomentSequence, n_thetas: int = 8,
     if thetas is None:
         thetas = 2.0 * np.pi * np.arange(n_thetas) / n_thetas
     thetas = np.asarray(thetas, dtype=float)
-    reports = is_admissible(ExtensionParameter.unimodular(thetas, q).matrix,
-                            ws.shift, ws.pair, ws.forbidden, tol)
+    _, reports = screen_parameter(
+        ws.shift, ws.pair, ExtensionParameter.unimodular(thetas, q),
+        ws.forbidden, tol)
     admitted = np.flatnonzero([r.admissible for r in reports])
     measures = [None] * len(thetas)
+    verifications = [None] * len(thetas)
     if admitted.size:
-        ext = selfadjoint_extension(
-            ws.shift, ws.pair,
-            ExtensionParameter.unimodular(thetas[admitted], q), tol)
-        for i, measure in zip(admitted, spectral_measure(ext, ws.shift, tol)):
-            measures[i] = measure
+        family = ExtensionParameter.unimodular(thetas[admitted], q)
+        ext = _selfadjoint_extension(ws.shift, ws.pair, family, family.matrix,
+                                     [reports[i] for i in admitted], tol)
+        found = spectral_measure(ext, ws.shift, tol)
+        for i, measure, verification in zip(
+                admitted, found,
+                verify_measures(found, ws.sequence, rel_tol=1e-8)):
+            measures[i], verifications[i] = measure, verification
     entries = tuple(SweepEntry(
         theta=float(theta), admissibility=report, measure=measure,
-        verification=None if measure is None else verify_moments(
-            measure, ws.sequence, rel_tol=1e-8))
-        for theta, report, measure in zip(thetas, reports, measures))
+        verification=verification)
+        for theta, report, measure, verification in zip(
+            thetas, reports, measures, verifications))
     k = len(entries)
     dist = np.full((k, k), np.nan)
     dist[np.ix_(admitted, admitted)] = pairwise_distances(

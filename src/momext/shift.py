@@ -219,6 +219,18 @@ def is_admissible(matrix: np.ndarray, shift: ShiftOperator,
                          f"got {v.shape}")
     stack = v if v.ndim == 3 else v[None]
     norms = singular_values(stack)[:, 0] if q else np.zeros(len(stack))
+    reports = admissibility_reports(stack, norms, shift, pair, forbidden, tol)
+    return reports if v.ndim == 3 else reports[0]
+
+
+def admissibility_reports(stack: np.ndarray, norms: np.ndarray,
+                          shift: ShiftOperator, pair: DeficiencyPair,
+                          forbidden: ForbiddenOperator | None,
+                          tol: Tolerances = DEFAULT
+                          ) -> tuple[AdmissibilityReport, ...]:
+    """is_admissible's reports for a (K, q, q) stack whose norms (largest
+    singular values, (K,)) the caller has already taken."""
+    q = pair.defect
     over = norms > 1.0 + tol.norm_abs
     if over.any():
         raise NormViolation(f"parameter norm {norms[over][0]:.12g} exceeds "
@@ -230,7 +242,7 @@ def is_admissible(matrix: np.ndarray, shift: ShiftOperator,
         margins = singular_values(adm)[:, -1].tolist()
         if forbidden is not None:
             gaps = singular_values(stack - forbidden.matrix)[:, -1].tolist()
-    reports = tuple(AdmissibilityReport(
+    return tuple(AdmissibilityReport(
         admissible=margin is None or margin > tol.adm_abs,
         margin=margin,
         parameter_norm=float(norm),
@@ -239,4 +251,3 @@ def is_admissible(matrix: np.ndarray, shift: ShiftOperator,
         borderline=(margin is not None
                     and tol.adm_abs < margin <= 1e3 * tol.adm_abs),
     ) for norm, margin, gap in zip(norms, margins, gaps))
-    return reports if v.ndim == 3 else reports[0]

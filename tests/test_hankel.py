@@ -6,7 +6,9 @@ Checked here:
   semidefiniteness of the order d section, with hand-checked eigenvalues,
 - moments of genuine atomic measures always pass, and targeted corruptions
   fail on the correct section,
-- input validation (Hermitian moments, odd count, shape agreement).
+- input validation (Hermitian moments, odd count, shape agreement), each
+  error naming the first offending moment, and the stored moments being
+  exactly the symmetrized inputs.
 """
 
 from __future__ import annotations
@@ -45,6 +47,41 @@ def test_sequence_symmetrizes_roundoff_level_defects():
     seq = MomentSequence.from_arrays([np.eye(2), almost, np.eye(2)])
     s1 = seq[1]
     assert np.allclose(s1, s1.conj().T, atol=0, rtol=0)
+
+
+SKEW = [[1, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("arrays, message", [
+    ([], "a moment sequence needs at least S_0"),
+    ([1, 0, 1], "moment S_0: expected a 2-d array, got ndim 0"),
+    ([np.eye(2), np.ones(2)], "moment S_1: expected a 2-d array, got ndim 1"),
+    ([np.ones((2, 3))], r"moment S_0 has shape \(2, 3\), expected \(2, 2\)"),
+    ([np.eye(2), np.eye(2), np.eye(3)],
+     r"moment S_2 has shape \(3, 3\), expected \(2, 2\)"),
+    ([np.eye(2), SKEW, SKEW], "moment S_1 is not Hermitian: defect "
+                              r"1.000e\+00 exceeds 1.0e-10 \* scale 1.000e\+00"),
+    # a moment that is not Hermitian comes before a later one of the wrong
+    # shape
+    ([SKEW, np.eye(3)], "moment S_0 is not Hermitian"),
+])
+def test_sequence_errors_name_the_first_offending_moment(arrays, message):
+    with pytest.raises((ValueError, InsufficientMoments), match=message):
+        MomentSequence.from_arrays(arrays)
+
+
+def test_sequence_stores_each_moment_symmetrized():
+    rng = np.random.default_rng(RNG_SEED + 3)
+    for n in (1, 2, 5):
+        mats = []
+        for _ in range(5):
+            a = _random_hermitian(rng, n)
+            mats.append(a + 1e-13 * rng.standard_normal((n, n)))
+        seq = MomentSequence.from_arrays(m.tolist() for m in mats)
+        assert seq.dim == n and len(seq) == len(mats)
+        for stored, m in zip(seq.moments, mats):
+            assert np.array_equal(stored, 0.5 * (m + np.conj(m.T)))
+            assert not stored.flags.writeable
 
 
 def test_scalar_constructor_wraps_values():

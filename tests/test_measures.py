@@ -18,7 +18,10 @@ Checked here:
   and split exactly in half on edges, contractions with a unit singular
   value (poles on the real axis) binned as atoms, and SingularSystem when
   the residue form misses the direct solve,
-- measure verification and the distance used by the parameter sweep.
+- the batched atom assembly against from_atoms row by row, exactly, with
+  clustered, dropped and non-PSD atoms,
+- measure verification, one measure and a stack of them, and the distance
+  used by the parameter sweep.
 """
 
 from __future__ import annotations
@@ -32,8 +35,9 @@ from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
                     build_block_hankel, build_shift, default_parameter,
                     deficiency_subspaces, factor_psd, measure_distance,
                     moments_from_transform, perron_inversion, prepare,
-                    selfadjoint_extension, spectral_measure, verify_moments)
-from momext.measures import pairwise_distances
+                    selfadjoint_extension, spectral_measure, verify_moments,
+                    verify_recovered_moments)
+from momext.measures import pairwise_distances, verify_measures
 from momext.sampling import (random_admissible_isometry,
                              random_feasible_instance,
                              random_strict_contraction)
@@ -90,6 +94,63 @@ def test_measure_moments_match_direct_sums():
 def test_negative_weight_is_rejected():
     with pytest.raises(ValueError):
         AtomicMatrixMeasure.from_atoms([0.0], [[[-1.0]]])
+
+
+def _assembly_rows(rng, n, k=6, j=5):
+    """k rows of j sorted locations and rank-one weights, with a cluster in
+    row 1 and a negligible atom in row 3; the tolerances from_atoms takes
+    for each row (row 4 drops nothing)."""
+    locs = np.sort(rng.uniform(-2.0, 2.0, (k, j)), axis=1)
+    locs[1, 3] = locs[1, 2] + 1e-12
+    c = rng.standard_normal((k, j, n)) + 1j * rng.standard_normal((k, j, n))
+    weights = c[..., :, None] * np.conj(c[..., None, :])
+    weights[3, 0] *= 1e-15
+    merge_tol = 1e-9 * np.abs(locs).max(axis=1)
+    drop_tol = np.full(k, 1e-12)
+    drop_tol[4] = 0.0
+    return locs, weights, merge_tol, drop_tol
+
+
+def _row_by_row(locs, weights, merge_tol, drop_tol):
+    return [AtomicMatrixMeasure.from_atoms(
+        locs[k], weights[k], block_dim=weights.shape[-1],
+        merge_tol=merge_tol[k], drop_tol=drop_tol[k], psd_rel=1e-10)
+        for k in range(len(locs))]
+
+
+def test_batched_assembly_is_from_atoms_row_by_row():
+    rng = np.random.default_rng(RNG_SEED + 20)
+    for n in (1, 2, 3):
+        rows = _assembly_rows(rng, n)
+        batched = momext.measures._assemble(*rows, 1e-10)
+        single = _row_by_row(*rows)
+        assert [m.n_atoms for m in batched] == [5, 4, 5, 4, 5, 5]
+        for got, want in zip(batched, single):
+            assert np.array_equal(got.locations, want.locations)
+            assert np.array_equal(got.weights, want.weights)
+            assert not got.locations.flags.writeable
+            assert not got.weights.flags.writeable
+
+
+def test_batched_assembly_names_the_first_non_psd_weight():
+    # A planted negative weight raises from_atoms's error for its row; with
+    # one in the clustered row 1 and one in the plain row 2, row 1 is named.
+    rng = np.random.default_rng(RNG_SEED + 21)
+    for n in (1, 2):
+        for bad_rows in ((2,), (4, 0), (1, 2)):
+            locs, weights, merge_tol, drop_tol = _assembly_rows(rng, n)
+            for row in bad_rows:
+                weights[row, 0] = -weights[row, 0]
+            first = min(bad_rows)
+            with pytest.raises(ValueError, match="is not PSD") as single:
+                AtomicMatrixMeasure.from_atoms(
+                    locs[first], weights[first], block_dim=n,
+                    merge_tol=merge_tol[first], drop_tol=drop_tol[first],
+                    psd_rel=1e-10)
+            with pytest.raises(ValueError) as batched:
+                momext.measures._assemble(locs, weights, merge_tol, drop_tol,
+                                          1e-10)
+            assert str(batched.value) == str(single.value)
 
 
 # -------------------------------------------------------- spectral measures
@@ -409,6 +470,29 @@ def test_verification_catches_a_corrupted_moment(seq_101):
     bad = verify_moments(measure, bad_seq)
     assert not bad.passed
     assert bad.max_deviation == pytest.approx(0.1, abs=1e-12)
+
+
+def _reference_verification(measure, seq):
+    """verify_moments as one einsum over the measure's own atoms."""
+    powers = measure.locations[None, :] ** np.arange(len(seq))[:, None]
+    recovered = np.einsum("nj,jkl->nkl", powers, measure.weights)
+    return verify_recovered_moments(recovered, seq, rel_tol=1e-8)
+
+
+def test_stacked_verification_is_the_one_measure_verification():
+    # Measures of different atom counts (none, one, many) padded into one
+    # stack verify exactly as each does alone.
+    rng = np.random.default_rng(RNG_SEED + 22)
+    for n in (1, 2, 3):
+        seq, truth = random_feasible_instance(rng, n, 3)
+        measures = [_random_measure(rng, n, j) for j in (3, 0, 1, 7)]
+        measures.insert(2, truth)
+        reports = verify_measures(measures, seq)
+        assert [r.passed for r in reports] == [False] * 2 + [True] + [False] * 2
+        for measure, report in zip(measures, reports):
+            assert report == verify_moments(measure, seq)
+            assert report == _reference_verification(measure, seq)
+    assert verify_measures([], seq) == ()
 
 
 def test_measure_distance_separates_different_solutions(seq_101):

@@ -10,7 +10,9 @@ Checked here:
 - the theta sweep on (1, 0, 1): seven admissible angles, pi flagged
   forbidden, pairwise distinct measures; on random instances its distance
   matrix is exactly the pairwise measure_distance, and each entry (report,
-  measure, verification) is exactly that of its angle solved alone,
+  measure, verification) is exactly that of its angle solved alone, from
+  one atom assembly and one verification pass whatever the number of
+  angles,
 - determinism of repeated solves,
 - unitary invariance: conjugating the data by a unitary U conjugates the
   solution weights by U, once the parameter is transported through the
@@ -22,10 +24,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momext import (ExtensionParameter, MomentSequence, NotAdmissible,
-                    default_parameter, is_admissible, measure_distance,
-                    prepare, selfadjoint_extension, solve_truncated,
-                    spectral_measure, theta_sweep)
+from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
+                    NotAdmissible, default_parameter, is_admissible,
+                    measure_distance, prepare, selfadjoint_extension,
+                    solve_truncated, spectral_measure, theta_sweep)
 from momext.sampling import (haar_unitary, random_admissible_isometry,
                              random_deficient_instance,
                              random_feasible_instance)
@@ -156,6 +158,46 @@ def test_sweep_entries_are_the_single_angle_solves():
                 assert np.array_equal(entry.measure.weights,
                                       alone.measure.weights)
                 assert entry.verification == alone.verification
+
+
+def test_sweep_assembly_and_verification_do_not_grow_with_the_angles(
+        monkeypatch):
+    # On an unclustered sweep the atoms of every angle are assembled with
+    # one batched PSD eigvalsh and no from_atoms call, and verified with one
+    # einsum, whatever the number of angles.
+    calls = []
+    for name in ("eigvalsh", "einsum"):
+        module = np.linalg if name == "eigvalsh" else np
+
+        def counting(*args, _real=getattr(module, name), _name=name,
+                     **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    from_atoms = AtomicMatrixMeasure.from_atoms.__func__
+
+    def counting_from_atoms(cls, *args, **kwargs):
+        calls.append("from_atoms")
+        return from_atoms(cls, *args, **kwargs)
+    monkeypatch.setattr(AtomicMatrixMeasure, "from_atoms",
+                        classmethod(counting_from_atoms))
+
+    def counted(fn, *args, **kwargs):
+        calls.clear()
+        fn(*args, **kwargs)
+        return {name: calls.count(name)
+                for name in ("eigvalsh", "einsum", "from_atoms")}
+
+    rng = np.random.default_rng(RNG_SEED + 5)
+    for n in (1, 2):
+        seq, _ = random_feasible_instance(rng, n, 3)
+        in_prepare = counted(prepare, seq)
+        for k in (8, 32):
+            in_sweep = counted(theta_sweep, seq,
+                               thetas=np.linspace(1.0, 2.0 * np.pi - 1.0, k))
+            assert {name: in_sweep[name] - in_prepare[name]
+                    for name in in_sweep} == {"eigvalsh": 1, "einsum": 1,
+                                              "from_atoms": 0}
 
 
 def test_repeated_solves_are_bitwise_identical():

@@ -28,7 +28,8 @@ from momext import (ExtensionParameter, MomentSequence, NormViolation,
                     forbidden_operator, is_admissible, moments_from_transform,
                     perron_inversion, prepare, solve_truncated, theta_sweep)
 from momext.linalg import inner
-from momext.sampling import (haar_unitary, random_deficient_instance,
+from momext.sampling import (haar_unitary, random_admissible_isometry,
+                             random_deficient_instance,
                              random_feasible_instance,
                              random_strict_contraction)
 
@@ -239,27 +240,58 @@ def test_no_complement_is_factored_after_prepare(monkeypatch):
     assert result.verification.passed
 
 
-def test_sweep_factorizations_do_not_grow_with_the_angles(monkeypatch):
-    # After prepare, theta_sweep runs one stacked admissibility test, one
-    # batched extension and one batched eigh, whatever the number of angles;
-    # count the dense factorizations it asks numpy for.
+def _count_factorizations(monkeypatch):
+    """Make np.linalg's dense factorizations record their names; returns
+    a function running fn(*args) and giving how often each was called."""
     calls = []
     for name in ("svd", "eigh", "inv"):
-        def counting(*args, _real=getattr(np.linalg, name), **kwargs):
-            calls.append(1)
+        def counting(*args, _real=getattr(np.linalg, name), _name=name,
+                     **kwargs):
+            calls.append(_name)
             return _real(*args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counting)
 
     def factorizations(fn, *args, **kwargs):
         calls.clear()
         fn(*args, **kwargs)
-        return len(calls)
+        return {name: calls.count(name) for name in ("svd", "eigh", "inv")}
+    return factorizations
 
+
+def _minus(counts, before):
+    return {name: counts[name] - before[name] for name in counts}
+
+
+def test_sweep_factorizations_do_not_grow_with_the_angles(monkeypatch):
+    # After prepare, theta_sweep runs one stacked screen of the parameters
+    # (the singular values for norm and isometry, the margins and the
+    # forbidden gaps: three SVD calls, none repeated by the extension), one
+    # batched extension and one batched eigh, whatever the number of
+    # angles; count the dense factorizations it asks numpy for.
+    factorizations = _count_factorizations(monkeypatch)
     rng = np.random.default_rng(RNG_SEED + 8)
     for n in (1, 2):
         seq, _ = random_feasible_instance(rng, n, 3)
         in_prepare = factorizations(prepare, seq)
-        per_sweep = [factorizations(
-            theta_sweep, seq, thetas=np.linspace(1.0, 2.0 * np.pi - 1.0, k))
-            - in_prepare for k in (8, 32)]
-        assert per_sweep[0] == per_sweep[1] > 0
+        per_sweep = [_minus(factorizations(
+            theta_sweep, seq, thetas=np.linspace(1.0, 2.0 * np.pi - 1.0, k)),
+            in_prepare) for k in (8, 32)]
+        assert per_sweep[0] == per_sweep[1] == {"svd": 3, "eigh": 1, "inv": 1}
+
+
+def test_a_solve_screens_its_parameter_once(monkeypatch):
+    # The solve's admissibility check and its extension share one screen:
+    # three SVD calls after prepare, with the default parameter (its eight
+    # candidates stacked) and with a supplied one alike.
+    factorizations = _count_factorizations(monkeypatch)
+    rng = np.random.default_rng(RNG_SEED + 9)
+    for n in (1, 2):
+        seq, _ = random_feasible_instance(rng, n, 3)
+        in_prepare = factorizations(prepare, seq)
+        ws = prepare(seq)
+        parameters = [None, random_admissible_isometry(
+            rng, ws.shift, ws.pair, ws.forbidden, min_margin=0.1)]
+        for parameter in parameters:
+            per_solve = _minus(factorizations(solve_truncated, seq, parameter),
+                               in_prepare)
+            assert per_solve == {"svd": 3, "eigh": 1, "inv": 1}
