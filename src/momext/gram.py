@@ -56,8 +56,13 @@ def factor_psd(section: BlockHankel, tol: Tolerances = DEFAULT) -> GramSpace:
     Eigenvalues above rank_rel times the largest are kept (descending order);
     a significantly negative eigenvalue raises NotPSD.
     """
-    g = section.matrix
-    w, u = np.linalg.eigh(g)
+    return _factor(section, *np.linalg.eigh(section.matrix), tol)
+
+
+def _factor(section: BlockHankel, w: np.ndarray, u: np.ndarray,
+            tol: Tolerances) -> GramSpace:
+    """factor_psd from the section's eigendecomposition (w ascending, u),
+    which the solvability check has already taken."""
     scale = max_abs(w)
     if w.size and w[0] < -tol.psd_rel * scale:
         raise NotPSD(
@@ -67,8 +72,7 @@ def factor_psd(section: BlockHankel, tol: Tolerances = DEFAULT) -> GramSpace:
     cutoff = tol.rank_rel * max(w[-1] if w.size else 0.0, 0.0)
     desc = np.argsort(-w, kind="stable")
     kept = [int(i) for i in desc if w[i] > cutoff]
-    basis = phase_canonicalize(u[:, kept]) if kept else np.zeros((g.shape[0], 0),
-                                                                 dtype=complex)
+    basis = phase_canonicalize(u[:, kept])
     coords = basis * np.sqrt(np.maximum(w[kept], 0.0))[None, :]
     return GramSpace(
         ambient_dim=len(kept),

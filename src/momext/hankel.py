@@ -109,7 +109,9 @@ class BlockHankel:
 
 
 def build_block_hankel(seq: MomentSequence, order: int) -> BlockHankel:
-    """Assemble H_order from the sequence; needs moments up to S_{2*order}."""
+    """Assemble H_order from the sequence; needs moments up to S_{2*order}.
+
+    One index gather: block (r, t) of the section is S_{r+t}."""
     if order < 0:
         raise ValueError(f"Hankel order must be >= 0, got {order}")
     if 2 * order + 1 > len(seq):
@@ -118,10 +120,9 @@ def build_block_hankel(seq: MomentSequence, order: int) -> BlockHankel:
             f"got {len(seq)}")
     n = seq.dim
     size = (order + 1) * n
-    g = np.zeros((size, size), dtype=complex)
-    for r in range(order + 1):
-        for t in range(order + 1):
-            g[r * n:(r + 1) * n, t * n:(t + 1) * n] = seq[r + t]
+    index = np.add.outer(np.arange(order + 1), np.arange(order + 1))
+    blocks = np.array(seq.moments[:2 * order + 1], dtype=complex)[index]
+    g = blocks.transpose(0, 2, 1, 3).reshape(size, size)
     return BlockHankel(order=order, block_dim=n, matrix=read_only(g))
 
 
@@ -155,20 +156,30 @@ def check_truncated_conditions(seq: MomentSequence,
 
     The sequence must contain an odd number (>= 3) of moments so both the
     leading section H_{d-1} and the trailing section H_d exist.
+    min_eig_trailing is the smallest eigenvalue of the eigh that the Gram
+    factor of H_d reads.
     """
+    return _check(seq, tol)[0]
+
+
+def _check(seq: MomentSequence, tol: Tolerances):
+    """check_truncated_conditions, with the H_d it built and that section's
+    eigendecomposition (w ascending, u): H_d is built once, and H_{d-1} is
+    read as its leading dN x dN block."""
     count = len(seq)
     if count < 3 or count % 2 == 0:
         raise InsufficientMoments(
             f"the truncated problem needs an odd number (>= 3) of moments "
             f"S_0..S_2d, got {count}")
     d = (count - 1) // 2
-    lead = build_block_hankel(seq, d - 1)
     trail = build_block_hankel(seq, d)
-    e_lead = min_eigenvalue(lead.matrix)
-    e_trail = min_eigenvalue(trail.matrix)
-    s_lead = max_abs(lead.matrix)
+    lead = trail.matrix[:d * seq.dim, :d * seq.dim]
+    w, u = np.linalg.eigh(trail.matrix)
+    e_lead = min_eigenvalue(lead)
+    e_trail = float(w[0]) if w.size else float("inf")
+    s_lead = max_abs(lead)
     s_trail = max_abs(trail.matrix)
-    return ConditionReport(
+    report = ConditionReport(
         block_dim=seq.dim,
         order=d,
         leading_positive=bool(e_lead > tol.pos_rel * s_lead),
@@ -178,4 +189,4 @@ def check_truncated_conditions(seq: MomentSequence,
         scale_leading=s_lead,
         scale_trailing=s_trail,
     )
-
+    return report, trail, (w, u)

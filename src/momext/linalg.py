@@ -105,38 +105,43 @@ def _pivoted_gram_schmidt(x: np.ndarray) -> np.ndarray:
     return basis
 
 
-def range_and_complement(a: np.ndarray, rel_tol: float):
-    """Orthonormal bases of col(a) and of its orthogonal complement in C^m.
+def range_and_complement(a: np.ndarray, rel_tol: float) -> list:
+    """Orthonormal bases of col(a_j) and of its orthogonal complement in
+    C^m, as a (range, complement) pair for each a_j of a (K, m, k) stack,
+    k <= m.
 
-    One complete Householder QR of the m x k matrix ``a``, k <= m.  It is
-    not pivoted, so its diagonal only checks rank, it does not reveal it:
-    sigma_min(a) <= |R_jj| <= sigma_max(a), so an ``a`` with sigma_min
-    above rel_tol * sigma_max keeps all k columns, while a |R_jj| at or
-    below rel_tol times the largest makes the first basis come out with
-    fewer than k columns, which callers treat as a rank failure (the split
-    is only meaningful at full column rank).  Callers certify that rank
-    beforehand.
+    One complete Householder QR of the whole stack (numpy >= 1.22 factors
+    a stack in one call; each a_j comes out bit for bit as it would
+    alone).  It is not pivoted, so its diagonal only checks rank, it does
+    not reveal it: sigma_min(a_j) <= |R_jj| <= sigma_max(a_j), so an a_j
+    with sigma_min above rel_tol * sigma_max keeps all k columns, while a
+    |R_jj| at or below rel_tol times the largest makes its range basis
+    come out with fewer than k columns, which callers treat as a rank
+    failure (the split is only meaningful at full column rank).  Callers
+    certify that rank beforehand.
 
-    The complement C is then made canonical, a function of the subspace
+    Each complement C is then made canonical, a function of the subspace
     alone: it is the Gram-Schmidt basis of the columns of the projector
     P = C C^H taken largest first, obtained as C Q_c with Q_c from the
     pivoted Gram-Schmidt of C^H (whose columns have the geometry of P's),
     so that a parameter matrix between two such bases keeps its meaning.
-    The range basis is returned as the QR leaves it.
+    Each range basis is returned as the QR leaves it.
     """
     a = np.asarray(a, dtype=complex)
-    m, k = a.shape
-    rank = 0
-    q = np.eye(m, dtype=complex)
+    count, m, k = a.shape
+    ranks = np.zeros(count, dtype=int)
+    qs = np.broadcast_to(np.eye(m, dtype=complex), (count, m, m))
     if k:
-        q, r = np.linalg.qr(a, mode="complete")
-        diag = np.abs(np.diag(r))
-        if diag.max() > 0.0:
-            rank = int(np.sum(diag > rel_tol * diag.max()))
-    comp = q[:, rank:]
-    if m - rank > 1:                    # one column is canonical already
-        comp = comp @ _pivoted_gram_schmidt(np.conj(comp.T))
-    return q[:, :rank], phase_canonicalize(comp)
+        qs, rs = np.linalg.qr(a, mode="complete")
+        diag = np.abs(np.diagonal(rs, axis1=1, axis2=2))
+        ranks = (diag > rel_tol * diag.max(axis=1, keepdims=True)).sum(axis=1)
+    splits = []
+    for q, rank in zip(qs, ranks.tolist()):
+        comp = q[:, rank:]
+        if m - rank > 1:                # one column is canonical already
+            comp = comp @ _pivoted_gram_schmidt(np.conj(comp.T))
+        splits.append((q[:, :rank], phase_canonicalize(comp)))
+    return splits
 
 
 def read_only(a: np.ndarray) -> np.ndarray:

@@ -20,9 +20,10 @@ With G = img dom^{-1}, T(lam)[k, l] = (x_l, (G - lam)^{-1} x_k) is a
 rational function, so both recoveries are closed forms: the moments are
 S_n[k, l] = (x_l, G^n x_k), and the cell masses are sums over the poles of
 T (or, for an isometric parameter, over the atoms of its measure).  G comes
-from extensions.quasi_extension, the one admissibility gate; the direct
-batched solve of the transform has no fallback and raises SingularSystem at
-a pole.
+from the quasi-extension, the one admissibility gate; the direct batched
+solve of the transform has no fallback and raises SingularSystem at a pole.
+A transform screens its parameter once and keeps the checked matrix, its
+extension blocks and G.
 
 Cells are half-open [x, x+h); an atom sitting exactly on a cell boundary
 gives exactly half its weight to each of the two adjacent cells (the
@@ -33,6 +34,7 @@ single cells.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -40,8 +42,9 @@ from .errors import SingularSystem
 from .hankel import MomentSequence
 from .linalg import max_abs, read_only
 from .extensions import (KIND_ISOMETRIC, ExtensionParameter,
-                         SelfAdjointExtension, extension_blocks,
-                         quasi_extension, selfadjoint_extension)
+                         SelfAdjointExtension, _quasi_extension,
+                         _selfadjoint_extension, extension_blocks,
+                         screen_parameter)
 from .shift import DeficiencyPair, ShiftOperator
 from .tolerances import DEFAULT, Tolerances
 
@@ -71,9 +74,16 @@ class AtomicMatrixMeasure:
     @classmethod
     def from_atoms(cls, locations, weights, block_dim: int | None = None,
                    merge_tol: float = 0.0, drop_tol: float = 0.0,
-                   psd_rel: float = 1e-8,
-                   validate: bool = True) -> "AtomicMatrixMeasure":
-        """Sort atoms, merge near-coincident ones, drop negligible weights."""
+                   psd_rel: float = 1e-8, validate: bool = True,
+                   degree: int = 0) -> "AtomicMatrixMeasure":
+        """Sort atoms, merge near-coincident ones, drop negligible weights.
+
+        Neighbours t_i < t_j are near-coincident when t_j - t_i <= merge_tol
+        * max(1, |t_i|, |t_j|), and a run of them becomes one atom at their
+        mean.  An atom is dropped when its largest weight entry times
+        max(1, |t|)^degree is at most drop_tol: when it is negligible in
+        every moment of order up to degree.
+        """
         locs = np.asarray(locations, dtype=float).reshape(-1)
         w = np.asarray(weights, dtype=complex)
         if w.ndim == 1:                      # scalar weights -> 1 x 1 blocks
@@ -84,9 +94,8 @@ class AtomicMatrixMeasure:
             block_dim = w.shape[1] if w.shape[0] else 1
         order = np.argsort(locs, kind="stable")
         locs, w = locs[order], w[order]
-        # runs of atoms with gaps <= merge_tol become one atom at their mean
         starts = np.flatnonzero(np.concatenate(
-            ([True], ~(locs[1:] - locs[:-1] <= merge_tol))))
+            ([True], ~_near(locs, merge_tol))))
         if len(starts) < len(locs):
             sizes = np.diff(np.append(starts, len(locs)))
             locs = np.add.reduceat(locs, starts) / sizes
@@ -95,7 +104,8 @@ class AtomicMatrixMeasure:
             w = np.zeros((0, block_dim, block_dim), dtype=complex)
         w = 0.5 * (w + np.conj(np.swapaxes(w, -1, -2)))
         if drop_tol > 0.0 and len(locs):
-            keep = np.max(np.abs(w), axis=(1, 2)) > drop_tol
+            keep = _significant(np.max(np.abs(w), axis=(1, 2)), locs,
+                                drop_tol, degree)
             locs, w = locs[keep], w[keep]
         if validate and len(locs):
             scale = max(max_abs(w), 1.0)
@@ -118,18 +128,39 @@ class AtomicMatrixMeasure:
         return self.moment(0)
 
 
+def _near(locs, merge_tol):
+    """Which gaps between neighbours of sorted locations (..., J) are at
+    most merge_tol (broadcast over the leading axes) * max(1, |t_i|, |t_j|):
+    (..., J - 1)."""
+    reach = np.maximum(np.abs(locs), 1.0)
+    return (locs[..., 1:] - locs[..., :-1]
+            <= merge_tol * np.maximum(reach[..., 1:], reach[..., :-1]))
+
+
+def _significant(peaks, locs, drop_tol, degree: int):
+    """Which atoms keep their weight: largest |entry| peaks times
+    max(1, |t|)^degree above drop_tol."""
+    return peaks * np.maximum(np.abs(locs), 1.0) ** degree > drop_tol
+
+
 def spectral_measure(extension: SelfAdjointExtension, shift: ShiftOperator,
                      tol: Tolerances = DEFAULT
                      ) -> AtomicMatrixMeasure | tuple[AtomicMatrixMeasure, ...]:
     """Atomic solution measure read off the eigendecomposition of A_V; for a
     stacked extension, a tuple of measures from one batched eigh.
 
-    Eigenvalues are clustered at gaps below cluster_rel times the spectral
-    radius; each cluster contributes W_j = C_j C_j^H with
-    C_j[k, i] = (x_k, v_i), manifestly Hermitian PSD.  Weights below
-    weight_rel times the total-mass scale are dropped.
+    Neighbouring eigenvalues t_i, t_j are clustered at gaps up to
+    cluster_rel * max(1, |t_i|, |t_j|); each cluster contributes
+    W_j = C_j C_j^H with C_j[k, i] = (x_k, v_i), manifestly Hermitian PSD.
+    For |t| > 1, (x_k, v) is read off block row d as (x_{dN+k}, v) / t^d
+    (A^d x_k = x_{dN+k}), so that the weight keeps its relative accuracy
+    however large t is: an atom far out (the parameter near the forbidden
+    operator) has a tiny weight that still carries t^{2d} W of S_{2d}.
+    An atom is dropped only when W max(1, |t|)^{2d} is below weight_rel
+    times the total-mass scale.
     """
     n = shift.block_dim
+    d = shift.order
     m = shift.ambient_dim
     mats = extension.matrix
     if mats.ndim == 2:
@@ -140,34 +171,43 @@ def spectral_measure(extension: SelfAdjointExtension, shift: ShiftOperator,
         measures = (empty,) * len(mats)
     else:
         vals, vecs = np.linalg.eigh(mats)
-        xn = shift.space.coords[:n]                  # (N, m)
-        c = np.swapaxes(xn @ np.conj(vecs), -1, -2)  # c[., i, k] = (x_k, v_i)
+        coords = shift.space.coords
+        far = np.abs(vals) > 1.0
+
+        def products(rows):                          # [., i, k] = (y_k, v_i)
+            return np.swapaxes(rows @ np.conj(vecs), -1, -2)
+        # c[., i, k] = (x_k, v_i), read off block row d where |t_i| > 1
+        c = np.where(far[..., None], products(coords[d * n:(d + 1) * n])
+                     / (np.where(far, vals, 1.0) ** d)[..., None],
+                     products(coords[:n]))
         mass = np.swapaxes(c, -1, -2) @ np.conj(c)   # equals S_0
         # one rank-one weight per eigenvector; a cluster sums its members
         weights = c[..., :, None] * np.conj(c[..., None, :])
         measures = _assemble(vals, weights,
-                             tol.cluster_rel * np.abs(vals).max(axis=1),
+                             np.full(len(vals), tol.cluster_rel),
                              tol.weight_rel * np.abs(mass).max(axis=(1, 2)),
-                             tol.psd_rel)
+                             tol.psd_rel, 2 * d)
     return measures if extension.matrix.ndim == 3 else measures[0]
 
 
-def _assemble(locs, weights, merge_tol, drop_tol,
-              psd_rel: float) -> tuple[AtomicMatrixMeasure, ...]:
+def _assemble(locs, weights, merge_tol, drop_tol, psd_rel: float,
+              degree: int = 0) -> tuple[AtomicMatrixMeasure, ...]:
     """AtomicMatrixMeasure.from_atoms on each row of sorted locations
     (K, J) and weights (K, J, N, N), with the row's merge_tol and drop_tol.
 
-    A row with no gap <= its merge_tol needs no merge, so those rows get
-    their Hermitization, drop mask and PSD check (one batched eigvalsh over
-    every kept weight) in one array pass, and their measures are views of
-    the kept atoms; a row that clusters goes through from_atoms.  A non-PSD
-    weight raises from_atoms's ValueError, for the first in row order.
+    A row with no near-coincident neighbours needs no merge, so those rows
+    get their Hermitization, drop mask and PSD check (one batched eigvalsh
+    over every kept weight) in one array pass, and their measures are views
+    of the kept atoms; a row that clusters goes through from_atoms.  A
+    non-PSD weight raises from_atoms's ValueError, for the first in row
+    order.
     """
-    clustered = (np.diff(locs, axis=1) <= merge_tol[:, None]).any(axis=1)
+    clustered = _near(locs, merge_tol[:, None]).any(axis=1)
     w = 0.5 * (weights + np.conj(np.swapaxes(weights, -1, -2)))
     peaks = np.abs(w).max(axis=(2, 3))
-    keep = ~clustered[:, None] & ((peaks > drop_tol[:, None])
-                                  | ~(drop_tol[:, None] > 0.0))
+    keep = ~clustered[:, None] & (
+        _significant(peaks, locs, drop_tol[:, None], degree)
+        | ~(drop_tol[:, None] > 0.0))
     counts = keep.sum(axis=1)
     kept_locs, kept_w = locs[keep], w[keep]
     first_bad = len(locs)
@@ -185,7 +225,7 @@ def _assemble(locs, weights, merge_tol, drop_tol,
             measures.append(AtomicMatrixMeasure.from_atoms(
                 locs[k], weights[k], block_dim=weights.shape[-1],
                 merge_tol=merge_tol[k], drop_tol=drop_tol[k],
-                psd_rel=psd_rel))
+                psd_rel=psd_rel, degree=degree))
         elif k == first_bad:
             j = bad[0]
             raise ValueError(f"weight at t = {kept_locs[j]:.6g} is not PSD: "
@@ -266,7 +306,9 @@ class StieltjesTransform:
     """T(lam)[k, l] = (R(lam) x_k, x_l) for a fixed parameter.
 
     Callable on any nonreal lam; the lower half-plane mirrors the upper one,
-    T(conj lam) = T(lam)^H.  Im T(lam) is PSD for Im lam > 0.
+    T(conj lam) = T(lam)^H.  Im T(lam) is PSD for Im lam > 0.  The
+    parameter is screened (screen_parameter, without the forbidden gap) on
+    first use, and the checked matrix, its extension blocks and G are kept.
     """
 
     shift: ShiftOperator
@@ -280,6 +322,24 @@ class StieltjesTransform:
 
     def _first_coords(self) -> np.ndarray:
         return self.shift.space.coords[:self.shift.block_dim]   # (N, m)
+
+    @functools.cached_property
+    def _screened(self):
+        """The checked parameter matrix and its admissibility report."""
+        return screen_parameter(self.shift, self.pair, self.parameter, None,
+                                self.tol)
+
+    @functools.cached_property
+    def _blocks(self):
+        """Domain and image blocks of the checked parameter matrix."""
+        return extension_blocks(self.shift, self.pair, self._screened[0])
+
+    @functools.cached_property
+    def _generator(self) -> np.ndarray:
+        """G = img dom^{-1}; an inadmissible parameter raises NotAdmissible
+        (on every access: nothing is kept then)."""
+        return _quasi_extension(self.shift, self.pair, *self._screened,
+                                self.tol)
 
     def __call__(self, lam: complex) -> np.ndarray:
         lam = complex(lam)
@@ -303,8 +363,7 @@ class StieltjesTransform:
         n = self.shift.block_dim
         xn = self._first_coords()
         out = np.empty((lams.size, n, n), dtype=complex)
-        vmat = self.parameter.constant_matrix(self.pair.defect, self.tol)
-        dom, img = extension_blocks(self.shift, self.pair, vmat)
+        dom, img = self._blocks
         rhs = xn.T.copy()                                  # (m, N)
         for start in range(0, lams.size, _EVAL_CHUNK):
             lb = lams[start:start + _EVAL_CHUNK]
@@ -320,6 +379,16 @@ class StieltjesTransform:
             h = dom @ sols                                 # (B, m, N)
             out[start:start + lb.size] = np.swapaxes(np.conj(xn) @ h, -1, -2)
         return out
+
+
+def _screened_transform(shift: ShiftOperator, pair: DeficiencyPair,
+                        parameter: ExtensionParameter, vmat: np.ndarray,
+                        report, tol: Tolerances) -> StieltjesTransform:
+    """The transform of a parameter whose matrix and report screen_parameter
+    has already given, so that it is not screened again."""
+    transform = StieltjesTransform(shift, pair, parameter, tol)
+    transform._screened = vmat, report
+    return transform
 
 
 @dataclasses.dataclass(frozen=True)
@@ -338,8 +407,7 @@ def moments_from_transform(transform: StieltjesTransform,
     multiplication.  An inadmissible parameter is rejected with
     NotAdmissible.
     """
-    g = quasi_extension(transform.shift, transform.pair, transform.parameter,
-                        transform.tol)
+    g = transform._generator
     xn = transform._first_coords()
     h = xn.T.copy()                                     # columns G^n x_k
     moments = []
@@ -391,8 +459,9 @@ def _atom_cells(transform: StieltjesTransform,
                 edges: np.ndarray) -> PerronResult:
     """Bin the atoms of an isometric parameter's spectral measure."""
     tol = transform.tol
-    ext = selfadjoint_extension(transform.shift, transform.pair,
-                                transform.parameter, tol)
+    ext = _selfadjoint_extension(transform.shift, transform.pair,
+                                 transform.parameter, *transform._screened,
+                                 tol)
     measure = spectral_measure(ext, transform.shift, tol)
     masses = _bin_atoms(measure.locations, measure.weights, edges, tol)
     return PerronResult(edges, read_only(masses), "atoms")
@@ -413,8 +482,7 @@ def _residue_cells(transform: StieltjesTransform,
     midpoints lifted by one cell width.
     """
     tol = transform.tol
-    g = quasi_extension(transform.shift, transform.pair, transform.parameter,
-                        tol)
+    g = transform._generator
     xn = transform._first_coords()                      # (N, m)
     try:
         mu, z = np.linalg.eig(g)

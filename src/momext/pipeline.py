@@ -16,11 +16,10 @@ import dataclasses
 import numpy as np
 
 from .errors import NotAdmissible, NotPSD
-from .gram import GramSpace, factor_psd
-from .hankel import (ConditionReport, MomentSequence, build_block_hankel,
-                     check_truncated_conditions)
+from .gram import GramSpace, _factor
+from .hankel import ConditionReport, MomentSequence, _check
 from .measures import (AtomicMatrixMeasure, ContourRecovery,
-                       StieltjesTransform, VerificationReport,
+                       VerificationReport, _screened_transform,
                        moments_from_transform, pairwise_distances,
                        spectral_measure, verify_measures, verify_moments,
                        verify_recovered_moments)
@@ -28,8 +27,8 @@ from .extensions import (KIND_ISOMETRIC, ExtensionParameter,
                          SelfAdjointExtension, _selfadjoint_extension,
                          screen_parameter)
 from .shift import (AdmissibilityReport, DeficiencyPair, ForbiddenOperator,
-                    ShiftOperator, build_shift, deficiency_subspaces,
-                    forbidden_operator, is_admissible)
+                    ShiftOperator, forbidden_operator, is_admissible,
+                    operator_stage)
 from .tolerances import DEFAULT, Tolerances
 
 #: angles tried (in order) when no parameter is supplied; the best margin wins
@@ -64,8 +63,15 @@ def prepare(seq: MomentSequence, tol: Tolerances = DEFAULT) -> Workspace:
 
     The leading condition failing raises NotPSD(section="leading"); the
     trailing one NotPSD(section="trailing").
+
+    One pass over the data: H_d is built once (H_{d-1} is its leading
+    block), one eigh of H_d serves both the trailing test and the Gram
+    factor, and one stacked complete QR splits D(A), (A - i)D(A) and
+    (A + i)D(A).  The Workspace is bit for bit the one the public chain
+    check_truncated_conditions, factor_psd(build_block_hankel(...)),
+    build_shift, deficiency_subspaces, forbidden_operator gives.
     """
-    report = check_truncated_conditions(seq, tol)
+    report, section, (w, u) = _check(seq, tol)
     if not report.leading_positive:
         raise NotPSD(
             f"the leading section (order {report.order - 1}) is not positive "
@@ -76,9 +82,8 @@ def prepare(seq: MomentSequence, tol: Tolerances = DEFAULT) -> Workspace:
             f"the trailing section (order {report.order}) is not positive "
             f"semidefinite: min eigenvalue {report.min_eig_trailing:.6e}",
             section="trailing", min_eigenvalue=report.min_eig_trailing)
-    space = factor_psd(build_block_hankel(seq, report.order), tol)
-    shift = build_shift(space, tol)
-    pair = deficiency_subspaces(shift, tol)
+    space = _factor(section, w, u, tol)
+    shift, pair = operator_stage(space, tol)
     forb = forbidden_operator(shift, pair, tol)
     return Workspace(sequence=seq, condition=report, space=space, shift=shift,
                      pair=pair, forbidden=forb)
@@ -170,7 +175,8 @@ def _solve(ws: Workspace, parameter: ExtensionParameter | None,
                            verification=verification, recovery=None,
                            transform_samples=None, **common)
 
-    transform = StieltjesTransform(ws.shift, ws.pair, parameter, tol)
+    transform = _screened_transform(ws.shift, ws.pair, parameter, vmat, report,
+                                    tol)
     samples = tuple(zip(TRANSFORM_SAMPLE_POINTS,
                         transform.eval_upper_many(TRANSFORM_SAMPLE_POINTS)))
     recovery = moments_from_transform(transform, 2 * ws.condition.order)

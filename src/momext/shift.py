@@ -26,6 +26,7 @@ matrix deciding that, so margin > adm_tol certifies a usable parameter.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -41,12 +42,14 @@ class ShiftOperator:
     """The block shift restricted to its natural domain.
 
     dom_matrix / shift_matrix hold the vectors x_0..x_{dN-1} and their images
-    x_N..x_{dN+N-1} as columns; dom_basis is an orthonormal basis of D(A) and
-    action maps dom_basis coordinates to the image in ambient coordinates,
-    so A v = action @ (dom_basis^H v) for v in D(A).  complement is an
-    orthonormal basis of the orthogonal complement of D(A) (m x q, from the
-    same complete QR as dom_basis, in canonical form); every admissibility
-    check reads it.
+    x_N..x_{dN+N-1} as columns.  complement is an orthonormal basis of the
+    orthogonal complement of D(A) (m x q, in canonical form) and dom_range
+    one of D(A) (m x dN), both from the one complete QR of dom_matrix;
+    every admissibility check reads complement.  dom_basis (dom_range with
+    its column phases canonicalized) and action, which maps dom_basis
+    coordinates to the image in ambient coordinates so that
+    A v = action @ (dom_basis^H v) for v in D(A), are computed on first
+    use: no solve reads them.
     """
 
     space: GramSpace
@@ -54,8 +57,7 @@ class ShiftOperator:
     order: int
     dom_matrix: np.ndarray      # m x dN
     shift_matrix: np.ndarray    # m x dN
-    dom_basis: np.ndarray       # m x dN, orthonormal
-    action: np.ndarray          # m x dN
+    dom_range: np.ndarray       # m x dN, orthonormal, as the QR leaves it
     complement: np.ndarray      # m x q, orthonormal, orthogonal to D(A)
 
     @property
@@ -70,6 +72,20 @@ class ShiftOperator:
     def defect(self) -> int:
         return self.ambient_dim - self.dom_dim
 
+    @functools.cached_property
+    def dom_basis(self) -> np.ndarray:
+        """m x dN orthonormal basis of D(A), phase-canonical."""
+        return read_only(phase_canonicalize(self.dom_range))
+
+    @functools.cached_property
+    def action(self) -> np.ndarray:
+        """m x dN: A in dom_basis coordinates."""
+        if self.dom_dim == 0:
+            return read_only(np.zeros((self.ambient_dim, 0), dtype=complex))
+        # dom_basis^H dom is the triangular R, its rows rotated by phases
+        return read_only(self.shift_matrix @ np.linalg.inv(
+            np.conj(self.dom_basis.T) @ self.dom_matrix))
+
     def apply(self, v: np.ndarray) -> np.ndarray:
         """A v for v in D(A) (no membership check)."""
         return self.action @ (np.conj(self.dom_basis.T) @ v)
@@ -81,9 +97,16 @@ def build_shift(space: GramSpace, tol: Tolerances = DEFAULT) -> ShiftOperator:
     Degeneracy here is exactly failure of the leading section to be positive
     definite, so a clean error beats a meaningless operator.
     """
+    dom, img = _domain(space, tol)
+    return _shift(space, dom, img,
+                  range_and_complement(dom[None], tol.rank_rel)[0])
+
+
+def _domain(space: GramSpace, tol: Tolerances):
+    """The domain and image columns x_0..x_{dN-1} and x_N..x_{dN+N-1},
+    after checking that the domain ones are independent."""
     n = space.block_dim
-    d = space.order
-    dn = d * n
+    dn = space.order * n
     m = space.ambient_dim
     if space.n_vectors < dn + n:
         raise ValueError("Gram space does not hold enough vectors for the shift")
@@ -99,22 +122,21 @@ def build_shift(space: GramSpace, tol: Tolerances = DEFAULT) -> ShiftOperator:
             raise DependentDomain(
                 f"domain vectors are numerically dependent: smallest singular "
                 f"value {sv[dn - 1]:.3e} vs largest {sv[0]:.3e}")
-    basis, complement = range_and_complement(dom, tol.rank_rel)
-    basis = phase_canonicalize(basis)
-    if basis.shape[1] != dn:
+    return dom, img
+
+
+def _shift(space: GramSpace, dom: np.ndarray, img: np.ndarray,
+           split) -> ShiftOperator:
+    """The shift from its columns and the (range, complement) split of dom."""
+    basis, complement = split
+    if basis.shape[1] != dom.shape[1]:
         raise DependentDomain(
-            f"domain rank {basis.shape[1]} < {dn} after orthogonalization")
-    if dn > 0:
-        # basis^H dom is the triangular R, its rows rotated by phases
-        action = img @ np.linalg.inv(np.conj(basis.T) @ dom)
-    else:
-        action = np.zeros((m, 0), dtype=complex)
+            f"domain rank {basis.shape[1]} < {dom.shape[1]} after "
+            f"orthogonalization")
     return ShiftOperator(
-        space=space, block_dim=n, order=d,
+        space=space, block_dim=space.block_dim, order=space.order,
         dom_matrix=read_only(dom), shift_matrix=read_only(img),
-        dom_basis=read_only(basis), action=read_only(action),
-        complement=read_only(complement),
-    )
+        dom_range=read_only(basis), complement=read_only(complement))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -130,11 +152,18 @@ def deficiency_subspaces(shift: ShiftOperator,
                          tol: Tolerances = DEFAULT) -> DeficiencyPair:
     """Compute N_plus and N_minus; both have dimension m - dN."""
     dom, img = shift.dom_matrix, shift.shift_matrix
-    # The unpivoted rank check is safe here: A is symmetric, so
-    # ||(A -+ i)u||^2 = ||Au||^2 + ||u||^2 and sigma_min(img -+ i dom) >=
-    # sigma_min(dom), which build_shift has certified against rank_rel.
-    _, basis_plus = range_and_complement(img - 1j * dom, tol.rank_rel)
-    _, basis_minus = range_and_complement(img + 1j * dom, tol.rank_rel)
+    return _pair(shift, range_and_complement(
+        np.stack([img - 1j * dom, img + 1j * dom]), tol.rank_rel))
+
+
+def _pair(shift: ShiftOperator, splits) -> DeficiencyPair:
+    """The defect subspaces from the splits of img - i dom and img + i dom.
+
+    The unpivoted rank check is safe here: A is symmetric, so
+    ||(A -+ i)u||^2 = ||Au||^2 + ||u||^2 and sigma_min(img -+ i dom) >=
+    sigma_min(dom), which build_shift has certified against rank_rel.
+    """
+    (_, basis_plus), (_, basis_minus) = splits
     expected = shift.ambient_dim - shift.dom_dim
     if basis_plus.shape[1] != expected or basis_minus.shape[1] != expected:
         raise IllConditionedProjection(
@@ -144,6 +173,17 @@ def deficiency_subspaces(shift: ShiftOperator,
     return DeficiencyPair(basis_plus=read_only(basis_plus),
                           basis_minus=read_only(basis_minus),
                           defect=expected)
+
+
+def operator_stage(space: GramSpace, tol: Tolerances = DEFAULT):
+    """build_shift, then deficiency_subspaces, in one pass: dom, img - i dom
+    and img + i dom are split by one stacked complete QR.  The shift and
+    the pair are bit for bit those of the two calls."""
+    dom, img = _domain(space, tol)
+    splits = range_and_complement(
+        np.stack([dom, img - 1j * dom, img + 1j * dom]), tol.rank_rel)
+    shift = _shift(space, dom, img, splits[0])
+    return shift, _pair(shift, splits[1:])
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

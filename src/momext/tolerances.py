@@ -23,8 +23,8 @@ class Tolerances:
     proj_abs: float = 1e-10     # conditioning floor for deficiency projections
     adm_abs: float = 1e-8       # admissibility margin floor
     norm_abs: float = 1e-8      # slack allowed around operator norm 1
-    cluster_rel: float = 1e-9   # eigenvalue clustering gap, rel. spectral radius
-    weight_rel: float = 1e-12   # atom weight drop threshold, rel. total mass
+    cluster_rel: float = 1e-9   # eigenvalue clustering gap, rel. max(1, |t|)
+    weight_rel: float = 1e-12   # atom drop threshold, rel. total mass
     perron_abs: float = 1e-3    # pole-residue form vs direct solve, abs.
 
     def replace(self, **kw) -> "Tolerances":

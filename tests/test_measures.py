@@ -1,9 +1,14 @@
 """Solution measures, Stieltjes transforms, and the two recovery routes.
 
 Checked here:
-- atomic-measure bookkeeping (sorting, merging, moments, mass),
+- atomic-measure bookkeeping (sorting, merging, moments, mass), with the
+  merge gap relative to max(1, |t|) and the drop judged in the highest
+  moment,
 - the spectral measure of the worked instance (1, 0, 1): atoms -1 and +1
   with weights 1/2, and its N = 2 block analogue with weights I/2,
+- measures next to an eigen-angle of the forbidden operator (one atom far
+  out, with a tiny weight) reproducing every moment, solved alone and in a
+  sweep,
 - transform oracles: T(2i) = 0.4 i for theta = 0; for the zero contraction
   the solution density is 2 / (pi (1 + u^2)^2), hence T(i) = 0.75 i,
   T(2i) = (4/9) i, and mass 0.9596 on [-2, 2),
@@ -35,8 +40,8 @@ from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
                     build_block_hankel, build_shift, default_parameter,
                     deficiency_subspaces, factor_psd, measure_distance,
                     moments_from_transform, perron_inversion, prepare,
-                    selfadjoint_extension, spectral_measure, verify_moments,
-                    verify_recovered_moments)
+                    selfadjoint_extension, solve_truncated, spectral_measure,
+                    theta_sweep, verify_moments, verify_recovered_moments)
 from momext.measures import pairwise_distances, verify_measures
 from momext.sampling import (random_admissible_isometry,
                              random_feasible_instance,
@@ -89,6 +94,23 @@ def test_measure_moments_match_direct_sums():
         assert np.allclose(m.moment(n), expected, atol=1e-12)
     assert np.allclose(m.total_mass(), m.moment(0), atol=0)
     del rng
+
+
+def test_merge_gap_is_relative_and_drop_is_judged_in_the_highest_moment():
+    # gaps count relative to max(1, |t|): 1e-4 apart merges at 1e6 but not
+    # at 1; a weight of 1e-15 at t = 1e3 is 1e-3 of the 2nd moment and kept
+    # at degree 2, dropped at degree 0
+    far = AtomicMatrixMeasure.from_atoms([1e6, 1e6 + 1e-4], [[[1.0]], [[1.0]]],
+                                         merge_tol=1e-9)
+    assert far.n_atoms == 1 and far.weights[0, 0, 0] == 2.0
+    near = AtomicMatrixMeasure.from_atoms([1.0, 1.0 + 1e-4],
+                                          [[[1.0]], [[1.0]]], merge_tol=1e-9)
+    assert near.n_atoms == 2
+    atoms = ([0.0, 1e3], [[[1.0]], [[1e-15]]])
+    for degree, count in ((0, 1), (2, 2)):
+        m = AtomicMatrixMeasure.from_atoms(*atoms, drop_tol=1e-12,
+                                           degree=degree)
+        assert m.n_atoms == count
 
 
 def test_negative_weight_is_rejected():
@@ -167,6 +189,29 @@ def test_block_identity_instance_measure(seq_identity_2):
     assert np.allclose(measure.locations, [-1.0, 1.0], atol=ORACLE_ATOL)
     for w in measure.weights:
         assert np.allclose(w, 0.5 * np.eye(2), atol=ORACLE_ATOL)
+
+
+@pytest.mark.parametrize("offset", [1e-4, 1e-6])
+def test_measures_next_to_a_forbidden_angle_reproduce_the_moments(offset):
+    # At an eigen-angle of the forbidden operator plus a small offset, A_V
+    # has an atom near 1/offset whose weight is tiny but carries
+    # t^{2d} W of S_{2d}: it must be read to full relative accuracy, kept,
+    # and not merged with the others.
+    rng = np.random.default_rng(RNG_SEED + 30)
+    for n in (1, 2, 4):
+        for d in (2, 3, 4):
+            seq, _ = random_feasible_instance(rng, n, d)
+            ws = prepare(seq)
+            theta = offset + float(
+                np.angle(np.linalg.eigvals(ws.forbidden.matrix)[0]))
+            entry, = theta_sweep(seq, thetas=[theta]).entries
+            alone = solve_truncated(seq, ExtensionParameter.unimodular(
+                theta, ws.defect))
+            for result in (alone, entry):
+                assert result.verification.passed, (
+                    n, d, result.verification.max_deviation)
+            assert np.abs(alone.measure.locations).max() > 1e3
+            assert alone.measure.n_atoms == entry.measure.n_atoms
 
 
 def test_spectral_measures_reproduce_all_moments():

@@ -3,6 +3,10 @@
 Checked here:
 - the worked instance (1, 0, 1): preparation report, best-margin default
   parameter theta = 0, the frozen two-atom measure,
+- prepare as one pass: its Workspace is bit for bit the public chain of
+  stages, from one Hankel build, one eigh of H_d, one eigvalsh of H_{d-1}
+  and one stacked QR, and the reported trailing minimum eigenvalue is the
+  smallest Gram eigenvalue,
 - both solution routes (atomic for isometric parameters, transform plus
   closed-form moment recovery for contractions),
 - the admissibility gate on supplied parameters,
@@ -24,10 +28,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import momext.hankel
 from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
-                    NotAdmissible, default_parameter, is_admissible,
-                    measure_distance, prepare, selfadjoint_extension,
-                    solve_truncated, spectral_measure, theta_sweep)
+                    NotAdmissible, build_block_hankel, build_shift,
+                    check_truncated_conditions, default_parameter,
+                    deficiency_subspaces, factor_psd, forbidden_operator,
+                    is_admissible, measure_distance, prepare,
+                    selfadjoint_extension, solve_truncated, spectral_measure,
+                    theta_sweep)
 from momext.sampling import (haar_unitary, random_admissible_isometry,
                              random_deficient_instance,
                              random_feasible_instance)
@@ -41,6 +49,82 @@ def test_prepare_reports_the_worked_instance(seq_101):
     assert ws.condition.solvable
     assert ws.space.ambient_dim == 2
     assert ws.defect == 1
+
+
+def _public_chain(seq):
+    report = check_truncated_conditions(seq)
+    space = factor_psd(build_block_hankel(seq, report.order))
+    shift = build_shift(space)
+    pair = deficiency_subspaces(shift)
+    return report, space, shift, pair, forbidden_operator(shift, pair)
+
+
+def test_prepare_is_the_public_chain_bit_for_bit():
+    rng = np.random.default_rng(RNG_SEED + 6)
+    for n in (1, 2, 4):
+        for d in (1, 2, 3, 4):
+            for draw in (random_feasible_instance, random_deficient_instance):
+                seq, _ = draw(rng, n, d)
+                ws = prepare(seq)
+                report, space, shift, pair, forbidden = _public_chain(seq)
+                assert ws.condition == report
+                assert ws.defect == pair.defect
+                for got, want in (
+                        (ws.space.coords, space.coords),
+                        (ws.space.eigenvalues, space.eigenvalues),
+                        (ws.shift.dom_matrix, shift.dom_matrix),
+                        (ws.shift.shift_matrix, shift.shift_matrix),
+                        (ws.shift.dom_basis, shift.dom_basis),
+                        (ws.shift.action, shift.action),
+                        (ws.shift.complement, shift.complement),
+                        (ws.pair.basis_plus, pair.basis_plus),
+                        (ws.pair.basis_minus, pair.basis_minus),
+                        (ws.forbidden.matrix, forbidden.matrix)):
+                    assert np.array_equal(got, want), (n, d, draw.__name__)
+
+
+def test_prepare_builds_and_factors_each_section_once(monkeypatch):
+    # One H_d build, one eigh of H_d (the trailing test and the Gram
+    # factor), one eigvalsh of its leading dN x dN block and one complete
+    # QR of the stack (dom, img - i dom, img + i dom); the shift's action
+    # is inverted only when read.
+    calls = []
+
+    def count(module, name, shape_of):
+        real = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            calls.append((name, shape_of(args)))
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+
+    count(momext.hankel, "build_block_hankel", lambda args: args[1])
+    for name in ("eigh", "eigvalsh", "qr", "inv"):
+        count(np.linalg, name, lambda args: np.shape(args[0]))
+    rng = np.random.default_rng(RNG_SEED + 7)
+    for n in (1, 2, 4):
+        for d in (1, 3):
+            seq, _ = random_feasible_instance(rng, n, d)
+            calls.clear()
+            ws = prepare(seq)
+            size, dn = (d + 1) * n, d * n
+            assert calls == [("build_block_hankel", d),
+                             ("eigh", (size, size)),
+                             ("eigvalsh", (dn, dn)),
+                             ("qr", (3, ws.space.ambient_dim, dn))]
+            calls.clear()
+            assert ws.shift.action.shape == (ws.space.ambient_dim, dn)
+            assert calls == [("inv", (dn, dn))]
+
+
+def test_trailing_minimum_is_the_smallest_gram_eigenvalue():
+    rng = np.random.default_rng(RNG_SEED + 8)
+    for n in (1, 2, 4):
+        for draw in (random_feasible_instance, random_deficient_instance):
+            seq, _ = draw(rng, n, 2)
+            result = solve_truncated(seq)
+            assert (result.condition.min_eig_trailing
+                    == result.gram_eigenvalues[-1])
 
 
 def test_default_parameter_picks_the_best_margin_angle(seq_101):

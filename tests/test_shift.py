@@ -13,7 +13,9 @@ Checked here:
 - the complement of D(A) cached on the shift: orthonormal, orthogonal to
   the domain, giving the same margins as a from-scratch SVD reference, and
   factored once per prepare (no factorization runs per parameter
-  afterwards).
+  afterwards),
+- a parameter screened once per solve and once per transform, and still
+  refused by both transform recoveries when it is inadmissible.
 """
 
 from __future__ import annotations
@@ -23,10 +25,11 @@ import pytest
 
 import momext.shift
 from momext import (ExtensionParameter, MomentSequence, NormViolation,
-                    StieltjesTransform, build_block_hankel, build_shift,
-                    default_parameter, deficiency_subspaces, factor_psd,
-                    forbidden_operator, is_admissible, moments_from_transform,
-                    perron_inversion, prepare, solve_truncated, theta_sweep)
+                    NotAdmissible, StieltjesTransform, build_block_hankel,
+                    build_shift, default_parameter, deficiency_subspaces,
+                    factor_psd, forbidden_operator, is_admissible,
+                    moments_from_transform, perron_inversion, prepare,
+                    solve_truncated, theta_sweep)
 from momext.linalg import inner
 from momext.sampling import (haar_unitary, random_admissible_isometry,
                              random_deficient_instance,
@@ -295,3 +298,34 @@ def test_a_solve_screens_its_parameter_once(monkeypatch):
             per_solve = _minus(factorizations(solve_truncated, seq, parameter),
                                in_prepare)
             assert per_solve == {"svd": 3, "eigh": 1, "inv": 1}
+
+
+def test_a_transform_screens_its_parameter_once(monkeypatch):
+    # The transform route keeps the checked matrix, its blocks and G: an
+    # explicit contraction solve makes the three SVD calls of its screen
+    # after prepare, and Perron inversion on a fresh transform two (the
+    # norms and the margin), however often the transform is evaluated.
+    factorizations = _count_factorizations(monkeypatch)
+    rng = np.random.default_rng(RNG_SEED + 10)
+    seq, _ = random_feasible_instance(rng, 2, 3)
+    in_prepare = factorizations(prepare, seq)
+    ws = prepare(seq)
+    assert ws.defect == 2
+    half = ExtensionParameter.contraction(0.5 * np.eye(2))
+    per_solve = _minus(factorizations(solve_truncated, seq, half), in_prepare)
+    assert per_solve["svd"] == 3
+    transform = StieltjesTransform(ws.shift, ws.pair, half)
+    assert factorizations(perron_inversion, transform, -3.0, 3.0, 0.5)[
+        "svd"] == 2
+    assert factorizations(moments_from_transform, transform, 6)["svd"] == 0
+    assert factorizations(transform.eval_upper_many, [1j, 2j])["svd"] == 0
+    # a parameter on the forbidden operator is still refused by both
+    # recoveries, each time it is asked
+    for kind in (ExtensionParameter.contraction, ExtensionParameter.isometric):
+        transform = StieltjesTransform(ws.shift, ws.pair,
+                                       kind(ws.forbidden.matrix))
+        for _ in range(2):
+            with pytest.raises(NotAdmissible):
+                moments_from_transform(transform, 6)
+            with pytest.raises(NotAdmissible):
+                perron_inversion(transform, -3.0, 3.0, 0.5)
