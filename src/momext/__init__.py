@@ -6,7 +6,8 @@ operator construction (an isometric or contractive parameter per solution),
 and verifies each output against the prescribed moments:
 
 - solvability check on the two nested block Hankel sections,
-- Gram-space model, block shift, defect subspaces, forbidden parameter,
+- the block Cholesky Gram model, the block Jacobi shift, the Cayley
+  parametrization of its extensions and the forbidden parameter -I,
 - self-adjoint extensions and their atomic spectral measures,
 - generalized resolvents of constant contractive parameters, the matrix
   Stieltjes transform of a solution, and closed-form recovery of its
@@ -17,8 +18,7 @@ The JSON file formats and the command line live in momext.jsonio and
 momext.cli.
 """
 
-from .errors import (DependentDomain, DimensionMismatch,
-                     IllConditionedProjection, InsufficientMoments,
+from .errors import (DependentDomain, DimensionMismatch, InsufficientMoments,
                      MomentProblemError, NormViolation, NotAdmissible,
                      NotPSD, ProblemFileError, SingularSystem)
 from .extensions import (ExtensionParameter, SelfAdjointExtension,
@@ -46,7 +46,7 @@ __all__ = [
     "AdmissibilityReport", "AtomicMatrixMeasure", "BlockHankel",
     "ConditionReport", "ContourRecovery", "DEFAULT", "DeficiencyPair",
     "DependentDomain", "DimensionMismatch", "ExtensionParameter",
-    "ForbiddenOperator", "GramSpace", "IllConditionedProjection",
+    "ForbiddenOperator", "GramSpace",
     "InsufficientMoments", "MomentProblemError", "MomentSequence",
     "NormViolation", "NotAdmissible", "NotPSD",
     "PerronResult", "ProblemFileError",

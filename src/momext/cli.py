@@ -39,7 +39,7 @@ from .jsonio import (admissibility_to_json, complex_to_pair, condition_to_json,
                      opt_float, parse_measure, parse_parameter, parse_problem,
                      parse_scalar_sequence, perron_to_json, recovery_to_json,
                      scalar_result_to_json, verification_to_json)
-from .measures import (StieltjesTransform, perron_inversion, verify_moments)
+from .measures import bin_measure, perron_inversion, verify_moments
 from .pipeline import _solve, prepare, theta_sweep
 from .scalar import VERDICT_INFEASIBLE, solve_scalar_even
 from .tolerances import Tolerances
@@ -204,8 +204,9 @@ def _cmd_solve(args) -> int:
         }
     perron = None
     if grid is not None:
-        transform = StieltjesTransform(ws.shift, ws.pair, result.parameter, tol)
-        perron = perron_inversion(transform, *grid)
+        perron = (bin_measure(result.measure, *grid, tol)
+                  if result.measure is not None
+                  else perron_inversion(result.transform, *grid))
         out["perron"] = perron_to_json(perron)
     if args.csv:
         if perron is not None:

@@ -36,10 +36,6 @@ class DependentDomain(MomentProblemError):
     """The vectors meant to span the shift domain are numerically dependent."""
 
 
-class IllConditionedProjection(MomentProblemError):
-    """Projection onto a deficiency subspace lost rank unexpectedly."""
-
-
 class NormViolation(MomentProblemError):
     """A parameter matrix exceeds the unit operator-norm bound."""
 
@@ -47,8 +43,8 @@ class NormViolation(MomentProblemError):
 class NotAdmissible(MomentProblemError):
     """The extension parameter collides with the forbidden operator.
 
-    ``margin`` carries the smallest singular value of the admissibility
-    matrix for diagnostics.
+    ``margin`` carries sigma_min(V + I), the distance of the parameter from
+    the forbidden operator -I, for diagnostics.
     """
 
     def __init__(self, message, margin=None):

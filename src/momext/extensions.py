@@ -1,17 +1,20 @@
 """Extensions of the block shift, one per constant parameter.
 
-An admissible isometric parameter V: N_plus -> N_minus produces a
-self-adjoint extension A_V acting on the whole Gram space:
+A constant q x q contraction V gives the m x m matrix
 
-    domain column block   [ x_0..x_{dN-1} | B_minus V - B_plus ]
-    image  column block   [ x_N..x_{dN+N-1} | i (B_minus V + B_plus) ]
+    G = [[J_0, E^H],
+         [E,   B(V)]],
+    B(V) = (Omega C_minus V - Omega^H C_plus) (C_minus V - C_plus)^{-1}
 
-and A_V = image @ inverse(domain).  A contractive V gives no operator on
-the space, but the same blocks still define its generalized resolvent
+in the block Cholesky frame (momext.shift): an admissible isometric V
+makes G Hermitian, the self-adjoint extension A_V, and a strict
+contraction makes Im B < 0, the quasi-extension whose generalized
+resolvent
 
-    R(lam) = domain (image - lam domain)^{-1}      for Im lam > 0,
+    R(lam) = (G - lam)^{-1}      for Im lam > 0
 
-and R(conj lam) = R(lam)^H on the lower half-plane.
+is that of the solution, with R(conj lam) = R(lam)^H on the lower
+half-plane.  G costs one q x q solve; nothing m x m is inverted.
 """
 
 from __future__ import annotations
@@ -72,18 +75,22 @@ class ExtensionParameter:
     def constant_matrix(self, defect: int, tol: Tolerances = DEFAULT) -> np.ndarray:
         """The matrix (or stack), checked for shape, norm and (if isometric)
         isometry, all from one batched singular value call."""
-        return self._checked(defect, tol)[0]
+        v = self._shaped(defect)
+        if defect:
+            self._check_singular_values(singular_values(v), tol)
+        return v
 
-    def _checked(self, defect: int, tol: Tolerances):
-        """constant_matrix, with the norms it read: the largest singular
-        value of the matrix (shape ()) or of each in the stack (K,)."""
+    def _shaped(self, defect: int) -> np.ndarray:
         v = self.matrix
         if v.shape[-2:] != (defect, defect):
             raise DimensionMismatch(
                 f"parameter has shape {v.shape}, expected ({defect}, {defect})")
-        if defect == 0:
-            return v, np.zeros(v.shape[:-2])
-        sv = singular_values(v)
+        return v
+
+    def _check_singular_values(self, sv: np.ndarray, tol: Tolerances):
+        """NormViolation unless the singular values of the matrix (or of
+        each in the stack) are at most 1 + norm_abs and, for an isometric
+        parameter, within norm_abs of 1."""
         if sv[..., 0].max() > 1.0 + tol.norm_abs:
             raise NormViolation(
                 f"parameter norm {sv[..., 0].max():.12g} exceeds 1 + "
@@ -92,7 +99,6 @@ class ExtensionParameter:
             raise NormViolation(
                 f"isometric parameter has singular values off 1 by "
                 f"{max_abs(sv - 1.0):.3e}")
-        return v, sv[..., 0]
 
 
 def screen_parameter(shift: ShiftOperator, pair: DeficiencyPair,
@@ -101,41 +107,48 @@ def screen_parameter(shift: ShiftOperator, pair: DeficiencyPair,
                      tol: Tolerances = DEFAULT):
     """The checked matrix of a parameter (constant_matrix) and its
     admissibility report (is_admissible), or a stack and a tuple of
-    reports, with the norms in the reports read off the singular values
-    constant_matrix takes rather than from a second call."""
-    vmat, norms = parameter._checked(pair.defect, tol)
-    reports = admissibility_reports(vmat if vmat.ndim == 3 else vmat[None],
-                                    norms.reshape(-1), shift, pair,
-                                    forbidden, tol)
+    reports, all from the one batched singular value call of
+    admissibility_reports."""
+    vmat = parameter._shaped(pair.defect)
+    sv, reports = admissibility_reports(
+        vmat if vmat.ndim == 3 else vmat[None], pair, forbidden, tol)
+    if pair.defect:
+        parameter._check_singular_values(sv, tol)
     return vmat, reports if vmat.ndim == 3 else reports[0]
 
 
-def extension_blocks(shift: ShiftOperator, pair: DeficiencyPair,
-                     vmat: np.ndarray):
-    """Domain and image column blocks of the (quasi-)extension for V = vmat,
-    or stacks of them for a stack of parameters."""
-    bp, bm = pair.basis_plus, pair.basis_minus
-    lead = vmat.shape[:-2]
-
-    def blocks(known, defect_columns):
-        known = np.broadcast_to(known, lead + known.shape)
-        return np.concatenate([known, defect_columns], axis=-1)
-
-    return (blocks(shift.dom_matrix, bm @ vmat - bp),
-            blocks(shift.shift_matrix, 1j * (bm @ vmat + bp)))
+def _generator(shift: ShiftOperator, pair: DeficiencyPair,
+               vmat: np.ndarray) -> np.ndarray:
+    """G for V = vmat, or a stack of them for a (K, q, q) stack, with one
+    batched q x q solve for B(V); no admissibility check, so
+    C_minus V - C_plus must be nonsingular."""
+    dn, q = shift.dom_dim, pair.defect
+    g = np.empty(vmat.shape[:-2] + (dn + q, dn + q), dtype=complex)
+    e = shift.action[dn:]
+    g[..., :dn, :dn] = shift.jacobi
+    g[..., dn:, :dn] = e
+    g[..., :dn, dn:] = np.conj(e.T)
+    if q:
+        plus, minus = pair.complement_rows
+        omega = pair.omega
+        den = minus @ vmat - plus
+        num = omega @ minus @ vmat - np.conj(omega.T) @ plus
+        g[..., dn:, dn:] = np.conj(np.swapaxes(np.linalg.solve(
+            np.conj(np.swapaxes(den, -1, -2)),
+            np.conj(np.swapaxes(num, -1, -2))), -1, -2))
+    return g
 
 
 def quasi_extension(shift: ShiftOperator, pair: DeficiencyPair,
                     parameter: ExtensionParameter,
                     tol: Tolerances = DEFAULT) -> np.ndarray:
-    """G = img dom^{-1}, the m x m matrix of the quasi-extension A_V
-    (Hermitian iff V is admissible and isometric); a (K, m, m) stack for a
-    stacked parameter, from one batched inverse.
+    """G, the m x m matrix of the quasi-extension A_V (Hermitian iff V is
+    admissible and isometric); a (K, m, m) stack for a stacked parameter.
 
-    The one admissibility gate of the construction: an inadmissible V makes
-    dom singular, and is rejected with its margin as NotAdmissible rather
-    than left to surface from the inverse; in a stack, the first such V is
-    named.  Raises DimensionMismatch if dN + q != m.
+    The one admissibility gate of the construction: an inadmissible V
+    (sigma_min(C_minus V - C_plus) at most adm_abs) is rejected with its
+    margin as NotAdmissible before B(V) is solved for; in a stack, the
+    first such V is named.
     """
     return _quasi_extension(shift, pair,
                             *screen_parameter(shift, pair, parameter, None,
@@ -147,34 +160,14 @@ def _quasi_extension(shift: ShiftOperator, pair: DeficiencyPair,
                      tol: Tolerances) -> np.ndarray:
     """quasi_extension for a parameter matrix (or stack) and its report (or
     reports) from screen_parameter."""
-    if vmat.ndim == 2:
-        reports = (reports,)
-
-    def rejected(report):
-        margin = "n/a" if report.margin is None else f"{report.margin:.3e}"
-        return NotAdmissible(f"parameter is not admissible (margin {margin}, "
-                             f"floor {tol.adm_abs:.1e})", margin=report.margin)
-
-    for report in reports:
+    for report in (reports,) if vmat.ndim == 2 else reports:
         if not report.admissible:
-            raise rejected(report)
-    dom, img = extension_blocks(shift, pair, vmat)
-    m = shift.ambient_dim
-    if dom.shape[-1] != m:
-        raise DimensionMismatch(
-            f"domain block is {dom.shape[-2]} x {dom.shape[-1]}, expected "
-            f"square of size {m} (dom {shift.dom_dim} + defect "
-            f"{pair.defect} != {m})")
-    try:
-        return img @ np.linalg.inv(dom)
-    except np.linalg.LinAlgError:
-        # the batched inverse does not say which block is singular
-        for report, block in zip(reports, dom.reshape((len(reports), m, m))):
-            try:
-                np.linalg.inv(block)
-            except np.linalg.LinAlgError:
-                raise rejected(report) from None
-        raise
+            margin = ("n/a" if report.margin is None
+                      else f"{report.margin:.3e}")
+            raise NotAdmissible(f"parameter is not admissible (margin "
+                                f"{margin}, floor {tol.adm_abs:.1e})",
+                                margin=report.margin)
+    return _generator(shift, pair, vmat)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -206,11 +199,14 @@ def _selfadjoint_extension(shift: ShiftOperator, pair: DeficiencyPair,
                            parameter: ExtensionParameter, vmat: np.ndarray,
                            reports, tol: Tolerances) -> SelfAdjointExtension:
     """selfadjoint_extension for an isometric parameter whose matrix and
-    report (or reports) screen_parameter has already given."""
+    report (or reports) screen_parameter has already given.  The residual
+    is the larger of J_0's (shift.herm_residual) and B(V)'s."""
     g = _quasi_extension(shift, pair, vmat, reports, tol)
     gh = np.conj(np.swapaxes(g, -1, -2))
     scale = np.maximum(np.abs(g).max(axis=(-2, -1), initial=0.0), 1.0)
-    residual = np.abs(g - gh).max(axis=(-2, -1), initial=0.0) / scale
+    residual = np.maximum(
+        np.abs(g - gh).max(axis=(-2, -1), initial=0.0) / scale,
+        shift.herm_residual)
     return SelfAdjointExtension(
         matrix=read_only(0.5 * (g + gh)), parameter=parameter,
         herm_residual=read_only(residual) if g.ndim == 3 else float(residual))
@@ -218,24 +214,10 @@ def _selfadjoint_extension(shift: ShiftOperator, pair: DeficiencyPair,
 
 def pencil_spectral_radius(shift: ShiftOperator, pair: DeficiencyPair,
                            vmat: np.ndarray) -> float:
-    """Largest modulus among finite singular points of the rational resolvent.
-
-    The system matrix is image_block - lam * domain_block, so the
-    singularities are the finite generalized eigenvalues of that pencil.
-    They are found through the shifted inverse at lam = i, which is never
-    one of them: image_block - i * domain_block has the columns
-    (A - i)x_a and 2i B_plus, which span (A - i)D(A) and its orthogonal
-    complement N_plus, whatever V is.  With M = (image - i dom)^{-1} dom,
-    each eigenvalue mu of M is 1 / (lam - i); mu = 0 (at roundoff) is an
-    infinite eigenvalue of the pencil and is dropped.
-    """
-    dom, img = extension_blocks(shift, pair, vmat)
-    if dom.shape[1] != dom.shape[0]:
-        raise DimensionMismatch("resolvent pencil is not square")
-    if dom.shape[0] == 0:
+    """Largest modulus among the singular points of the rational resolvent
+    (G - lam)^{-1}: the spectral radius of G.  C_minus V - C_plus must be
+    nonsingular."""
+    g = _generator(shift, pair, np.asarray(vmat, dtype=complex))
+    if g.shape[-1] == 0:
         return 0.0
-    mu = np.linalg.eigvals(np.linalg.solve(img - 1j * dom, dom))
-    finite = mu[np.abs(mu) > mu.size * np.finfo(float).eps * max_abs(mu)]
-    if finite.size == 0:
-        return 0.0
-    return float(np.max(np.abs(1j + 1.0 / finite)))
+    return float(np.max(np.abs(np.linalg.eigvals(g))))

@@ -8,6 +8,19 @@ C^m, where m is the numerical rank of H_d, such that
 with the inner product linear in its first argument.  The whole operator
 construction then lives in this concrete C^m: the vectors x_{rN+l} play the
 role of the monomials x^r e_l pushed into the solution space.
+
+The coordinates are those of the block Cholesky factorization.  With
+H_{d-1} = L L^H, Y = (L^{-1} K)^H for the last block column K of H_d
+above its corner S_{2d}, and the Schur complement Sigma = S_{2d} - Y Y^H,
+
+    coords = [[L, 0],
+              [Y, F]]          ((d+1)N x m,  m = dN + q),
+
+where F (N x q) holds the top q eigenvectors of Sigma scaled by the
+square roots of their eigenvalues.  The first dN coordinates of C^m then
+span D(A) = span{x_0..x_{dN-1}} and the last q its orthogonal complement:
+the frame of the orthonormal matrix polynomials, in which the shift is a
+block Jacobi matrix.
 """
 
 from __future__ import annotations
@@ -16,7 +29,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import NotPSD
+from .errors import DependentDomain, NotPSD
 from .hankel import BlockHankel
 from .linalg import max_abs, phase_canonicalize, read_only
 from .tolerances import DEFAULT, Tolerances
@@ -51,18 +64,23 @@ class GramSpace:
 
 
 def factor_psd(section: BlockHankel, tol: Tolerances = DEFAULT) -> GramSpace:
-    """Eigen-factor a PSD section into Gram coordinates.
+    """Factor a PSD section into block Cholesky coordinates.
 
-    Eigenvalues above rank_rel times the largest are kept (descending order);
-    a significantly negative eigenvalue raises NotPSD.
+    The rank m counts the eigenvalues of the section above rank_rel times
+    the largest, and q = m - dN; a significantly negative eigenvalue
+    raises NotPSD, and a leading dN x dN block that is numerically
+    singular raises DependentDomain.
     """
-    return _factor(section, *np.linalg.eigh(section.matrix), tol)
+    dn = section.order * section.block_dim
+    return _factor(section, np.linalg.eigvalsh(section.matrix),
+                   np.linalg.eigvalsh(section.matrix[:dn, :dn]), tol)
 
 
-def _factor(section: BlockHankel, w: np.ndarray, u: np.ndarray,
+def _factor(section: BlockHankel, w: np.ndarray, w_lead: np.ndarray,
             tol: Tolerances) -> GramSpace:
-    """factor_psd from the section's eigendecomposition (w ascending, u),
-    which the solvability check has already taken."""
+    """factor_psd from the ascending eigenvalues of the section (w) and of
+    its leading dN x dN block (w_lead), which the solvability check has
+    already taken."""
     scale = max_abs(w)
     if w.size and w[0] < -tol.psd_rel * scale:
         raise NotPSD(
@@ -70,15 +88,50 @@ def _factor(section: BlockHankel, w: np.ndarray, u: np.ndarray,
             f"min eigenvalue {w[0]:.6e} with scale {scale:.3e}",
             section="trailing", min_eigenvalue=float(w[0]))
     cutoff = tol.rank_rel * max(w[-1] if w.size else 0.0, 0.0)
-    desc = np.argsort(-w, kind="stable")
-    kept = [int(i) for i in desc if w[i] > cutoff]
-    basis = phase_canonicalize(u[:, kept])
-    coords = basis * np.sqrt(np.maximum(w[kept], 0.0))[None, :]
+    m = int(np.count_nonzero(w > cutoff))
+    n = section.block_dim
+    dn = section.order * n
+    h = section.matrix
+    lower = _leading_factor(h[:dn, :dn], w_lead, m, tol)
+    y = np.conj(np.linalg.solve(lower, h[:dn, dn:]).T) if dn else \
+        np.zeros((n, 0), dtype=complex)
+    schur = h[dn:, dn:] - y @ np.conj(y.T)
+    sw, su = np.linalg.eigh(0.5 * (schur + np.conj(schur.T)))
+    top = slice(dn + n - m, n)                      # the q largest
+    coords = np.zeros((dn + n, m), dtype=complex)
+    coords[:dn, :dn] = lower
+    coords[dn:, :dn] = y
+    coords[dn:, dn:] = (phase_canonicalize(su[:, top])
+                        * np.sqrt(np.maximum(sw[top], 0.0))[None, :])
     return GramSpace(
-        ambient_dim=len(kept),
-        block_dim=section.block_dim,
+        ambient_dim=m,
+        block_dim=n,
         order=section.order,
-        coords=read_only(np.ascontiguousarray(coords)),
-        eigenvalues=read_only(w[desc].astype(float)),
+        coords=read_only(coords),
+        eigenvalues=read_only(w[::-1].astype(float)),
         rank_cutoff=float(cutoff),
     )
+
+
+def _leading_factor(lead: np.ndarray, w_lead: np.ndarray, m: int,
+                    tol: Tolerances) -> np.ndarray:
+    """The Cholesky factor L of H_{d-1}, after checking that its vectors
+    x_0..x_{dN-1} are independent: the singular values of the domain are
+    the square roots of w_lead, and there must be room for them in C^m."""
+    dn = len(lead)
+    if dn == 0:
+        return np.zeros((0, 0), dtype=complex)
+    if m < dn:
+        raise DependentDomain(
+            f"domain needs {dn} independent vectors but the space has "
+            f"dimension {m}")
+    sv = np.sqrt(np.maximum(w_lead[[0, -1]], 0.0))
+    if sv[1] == 0.0 or sv[0] <= tol.rank_rel * sv[1]:
+        raise DependentDomain(
+            f"domain vectors are numerically dependent: smallest singular "
+            f"value {sv[0]:.3e} vs largest {sv[1]:.3e}")
+    try:
+        return np.linalg.cholesky(lead)
+    except np.linalg.LinAlgError:
+        raise DependentDomain("the leading section has no Cholesky factor "
+                              "in float64") from None

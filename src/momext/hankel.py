@@ -126,12 +126,6 @@ def build_block_hankel(seq: MomentSequence, order: int) -> BlockHankel:
     return BlockHankel(order=order, block_dim=n, matrix=read_only(g))
 
 
-def min_eigenvalue(matrix: np.ndarray) -> float:
-    if matrix.size == 0:
-        return float("inf")
-    return float(np.linalg.eigvalsh(matrix)[0])
-
-
 @dataclasses.dataclass(frozen=True)
 class ConditionReport:
     """Solvability conditions for the truncated problem of order d."""
@@ -156,16 +150,16 @@ def check_truncated_conditions(seq: MomentSequence,
 
     The sequence must contain an odd number (>= 3) of moments so both the
     leading section H_{d-1} and the trailing section H_d exist.
-    min_eig_trailing is the smallest eigenvalue of the eigh that the Gram
-    factor of H_d reads.
+    min_eig_trailing is the smallest eigenvalue of the eigvalsh that the
+    Gram factor of H_d reads for its rank.
     """
     return _check(seq, tol)[0]
 
 
 def _check(seq: MomentSequence, tol: Tolerances):
-    """check_truncated_conditions, with the H_d it built and that section's
-    eigendecomposition (w ascending, u): H_d is built once, and H_{d-1} is
-    read as its leading dN x dN block."""
+    """check_truncated_conditions, with the H_d it built and the ascending
+    eigenvalues of that section and of its leading dN x dN block H_{d-1}:
+    H_d is built once, and each section gets one eigvalsh."""
     count = len(seq)
     if count < 3 or count % 2 == 0:
         raise InsufficientMoments(
@@ -174,9 +168,10 @@ def _check(seq: MomentSequence, tol: Tolerances):
     d = (count - 1) // 2
     trail = build_block_hankel(seq, d)
     lead = trail.matrix[:d * seq.dim, :d * seq.dim]
-    w, u = np.linalg.eigh(trail.matrix)
-    e_lead = min_eigenvalue(lead)
-    e_trail = float(w[0]) if w.size else float("inf")
+    w = np.linalg.eigvalsh(trail.matrix)
+    w_lead = np.linalg.eigvalsh(lead)
+    e_lead = float(w_lead[0])
+    e_trail = float(w[0])
     s_lead = max_abs(lead)
     s_trail = max_abs(trail.matrix)
     report = ConditionReport(
@@ -189,4 +184,4 @@ def _check(seq: MomentSequence, tol: Tolerances):
         scale_leading=s_lead,
         scale_trailing=s_trail,
     )
-    return report, trail, (w, u)
+    return report, trail, (w, w_lead)

@@ -16,14 +16,14 @@ through Stieltjes-Perron inversion
     M([a, b)) = limit over eps of (1/pi) integral over [a, b) of
                 Im T(u + i eps) du .
 
-With G = img dom^{-1}, T(lam)[k, l] = (x_l, (G - lam)^{-1} x_k) is a
-rational function, so both recoveries are closed forms: the moments are
-S_n[k, l] = (x_l, G^n x_k), and the cell masses are sums over the poles of
-T (or, for an isometric parameter, over the atoms of its measure).  G comes
-from the quasi-extension, the one admissibility gate; the direct batched
-solve of the transform has no fallback and raises SingularSystem at a pole.
-A transform screens its parameter once and keeps the checked matrix, its
-extension blocks and G.
+With G the quasi-extension of momext.extensions,
+T(lam)[k, l] = (x_l, (G - lam)^{-1} x_k) is a rational function, so both
+recoveries are closed forms: the moments are S_n[k, l] = (x_l, G^n x_k),
+and the cell masses are sums over the poles of T (or, for an isometric
+parameter, over the atoms of its measure).  G comes from the one
+admissibility gate; the direct batched solve of the transform has no
+fallback and raises SingularSystem at a pole.  A transform screens its
+parameter once and keeps the checked matrix and G.
 
 Cells are half-open [x, x+h); an atom sitting exactly on a cell boundary
 gives exactly half its weight to each of the two adjacent cells (the
@@ -43,8 +43,7 @@ from .hankel import MomentSequence
 from .linalg import max_abs, read_only
 from .extensions import (KIND_ISOMETRIC, ExtensionParameter,
                          SelfAdjointExtension, _quasi_extension,
-                         _selfadjoint_extension, extension_blocks,
-                         screen_parameter)
+                         _selfadjoint_extension, screen_parameter)
 from .shift import DeficiencyPair, ShiftOperator
 from .tolerances import DEFAULT, Tolerances
 
@@ -308,7 +307,7 @@ class StieltjesTransform:
     Callable on any nonreal lam; the lower half-plane mirrors the upper one,
     T(conj lam) = T(lam)^H.  Im T(lam) is PSD for Im lam > 0.  The
     parameter is screened (screen_parameter, without the forbidden gap) on
-    first use, and the checked matrix, its extension blocks and G are kept.
+    first use, and the checked matrix and G are kept.
     """
 
     shift: ShiftOperator
@@ -330,14 +329,9 @@ class StieltjesTransform:
                                 self.tol)
 
     @functools.cached_property
-    def _blocks(self):
-        """Domain and image blocks of the checked parameter matrix."""
-        return extension_blocks(self.shift, self.pair, self._screened[0])
-
-    @functools.cached_property
     def _generator(self) -> np.ndarray:
-        """G = img dom^{-1}; an inadmissible parameter raises NotAdmissible
-        (on every access: nothing is kept then)."""
+        """G; an inadmissible parameter raises NotAdmissible (on every
+        access: nothing is kept then)."""
         return _quasi_extension(self.shift, self.pair, *self._screened,
                                 self.tol)
 
@@ -355,28 +349,29 @@ class StieltjesTransform:
 
         This evaluates the single rational function that continues the
         upper branch, at arbitrary complex points (including the real axis
-        away from its poles), by a direct batched solve; it is the reference
-        the closed-form cell masses are checked against.  A point where the
-        resolvent system is exactly singular (a pole) raises SingularSystem.
+        away from its poles), by a direct batched solve of G - lam; it is
+        the reference the closed-form cell masses are checked against.  A
+        point where that system is exactly singular (a pole) raises
+        SingularSystem, and an inadmissible parameter NotAdmissible.
         """
         lams = np.asarray(lams, dtype=complex).reshape(-1)
         n = self.shift.block_dim
         xn = self._first_coords()
         out = np.empty((lams.size, n, n), dtype=complex)
-        dom, img = self._blocks
+        g = self._generator
+        eye = np.eye(len(g))
         rhs = xn.T.copy()                                  # (m, N)
         for start in range(0, lams.size, _EVAL_CHUNK):
             lb = lams[start:start + _EVAL_CHUNK]
-            sys_block = img[None, :, :] - lb[:, None, None] * dom[None, :, :]
+            sys_block = g[None, :, :] - lb[:, None, None] * eye[None, :, :]
             try:
-                sols = np.linalg.solve(sys_block,
-                                       np.broadcast_to(rhs, (lb.size,) + rhs.shape))
+                h = np.linalg.solve(sys_block,
+                                    np.broadcast_to(rhs, (lb.size,) + rhs.shape))
             except np.linalg.LinAlgError:
                 # det runs the same LU, so it is exactly 0 at the failing point
                 lam = lb[np.argmin(np.abs(np.linalg.det(sys_block)))]
                 raise SingularSystem(f"transform at {lam}: the resolvent "
                                      f"system is singular") from None
-            h = dom @ sols                                 # (B, m, N)
             out[start:start + lb.size] = np.swapaxes(np.conj(xn) @ h, -1, -2)
         return out
 
@@ -455,14 +450,16 @@ def _bin_atoms(locations, weights, edges: np.ndarray,
     return masses
 
 
-def _atom_cells(transform: StieltjesTransform,
-                edges: np.ndarray) -> PerronResult:
-    """Bin the atoms of an isometric parameter's spectral measure."""
-    tol = transform.tol
-    ext = _selfadjoint_extension(transform.shift, transform.pair,
-                                 transform.parameter, *transform._screened,
-                                 tol)
-    measure = spectral_measure(ext, transform.shift, tol)
+def bin_measure(measure: AtomicMatrixMeasure, start: float, stop: float,
+                cell_width: float, tol: Tolerances = DEFAULT) -> PerronResult:
+    """Masses an atomic measure gives the half-open cells [x, x+h) on
+    [start, stop): perron_inversion's "atoms" result, for a measure that
+    is already at hand."""
+    return _atom_cells(measure, _cell_edges(start, stop, cell_width), tol)
+
+
+def _atom_cells(measure: AtomicMatrixMeasure, edges: np.ndarray,
+                tol: Tolerances) -> PerronResult:
     masses = _bin_atoms(measure.locations, measure.weights, edges, tol)
     return PerronResult(edges, read_only(masses), "atoms")
 
@@ -522,21 +519,32 @@ def perron_inversion(transform: StieltjesTransform, start: float, stop: float,
                      cell_width: float) -> PerronResult:
     """Masses of half-open cells [x, x+h) on [start, stop), in closed form.
 
-    Isometric parameters bin the atoms of their self-adjoint extension;
-    contractions go through the poles and residues of their rational
-    transform.  Raises NotAdmissible for an inadmissible parameter and
-    SingularSystem when the pole-residue form fails its check.  Every
+    Isometric parameters bin the atoms of their self-adjoint extension
+    (bin_measure); contractions go through the poles and residues of their
+    rational transform.  Raises NotAdmissible for an inadmissible parameter
+    and SingularSystem when the pole-residue form fails its check.  Every
     threshold comes from transform.tol.
     """
+    edges = _cell_edges(start, stop, cell_width)
+    if transform.parameter.kind == KIND_ISOMETRIC:
+        tol = transform.tol
+        ext = _selfadjoint_extension(transform.shift, transform.pair,
+                                     transform.parameter,
+                                     *transform._screened, tol)
+        return _atom_cells(spectral_measure(ext, transform.shift, tol),
+                           edges, tol)
+    return _residue_cells(transform, edges)
+
+
+def _cell_edges(start: float, stop: float, cell_width: float) -> np.ndarray:
+    """The edges of the complete cells of width cell_width on
+    [start, stop)."""
     if not (stop > start and cell_width > 0.0):
         raise ValueError("need stop > start and a positive cell width")
     n_cells = int(np.floor((stop - start) / cell_width + 1e-9))
     if n_cells < 1:
         raise ValueError("grid holds no complete cell")
-    edges = read_only(start + cell_width * np.arange(n_cells + 1))
-    if transform.parameter.kind == KIND_ISOMETRIC:
-        return _atom_cells(transform, edges)
-    return _residue_cells(transform, edges)
+    return read_only(start + cell_width * np.arange(n_cells + 1))
 
 
 def _padded(measures, fill: float):

@@ -7,6 +7,11 @@ solve_truncated runs the full construction,
 
 and theta_sweep walks the unimodular parameter family e^{i theta}, reporting
 which angles are forbidden and how the resulting measures differ.
+
+Everything happens in the block Cholesky frame (momext.gram, momext.shift).
+The default parameter is V = -X, opposite the forbidden operator, whose
+extension closes the Jacobi matrix with B = Re Omega: a closed form that
+follows the data under x -> a x + b and S_n -> U S_n U^H.
 """
 
 from __future__ import annotations
@@ -19,20 +24,18 @@ from .errors import NotAdmissible, NotPSD
 from .gram import GramSpace, _factor
 from .hankel import ConditionReport, MomentSequence, _check
 from .measures import (AtomicMatrixMeasure, ContourRecovery,
-                       VerificationReport, _screened_transform,
-                       moments_from_transform, pairwise_distances,
+                       StieltjesTransform, VerificationReport,
+                       _screened_transform, moments_from_transform,
+                       pairwise_distances,
                        spectral_measure, verify_measures, verify_moments,
                        verify_recovered_moments)
 from .extensions import (KIND_ISOMETRIC, ExtensionParameter,
                          SelfAdjointExtension, _selfadjoint_extension,
                          screen_parameter)
 from .shift import (AdmissibilityReport, DeficiencyPair, ForbiddenOperator,
-                    ShiftOperator, forbidden_operator, is_admissible,
-                    operator_stage)
+                    ShiftOperator, build_shift, deficiency_subspaces,
+                    forbidden_operator)
 from .tolerances import DEFAULT, Tolerances
-
-#: angles tried (in order) when no parameter is supplied; the best margin wins
-DEFAULT_THETA_CANDIDATES = tuple(2.0 * np.pi * k / 8 for k in range(8))
 
 #: diagnostic spectral points sampled for transform-route results
 TRANSFORM_SAMPLE_POINTS = (1j, 2j, 1.0 + 1j)
@@ -65,13 +68,12 @@ def prepare(seq: MomentSequence, tol: Tolerances = DEFAULT) -> Workspace:
     trailing one NotPSD(section="trailing").
 
     One pass over the data: H_d is built once (H_{d-1} is its leading
-    block), one eigh of H_d serves both the trailing test and the Gram
-    factor, and one stacked complete QR splits D(A), (A - i)D(A) and
-    (A + i)D(A).  The Workspace is bit for bit the one the public chain
-    check_truncated_conditions, factor_psd(build_block_hankel(...)),
-    build_shift, deficiency_subspaces, forbidden_operator gives.
+    block), and one eigvalsh of each section serves the two tests, the
+    rank m and the domain check.  The Workspace is bit for bit the one the
+    public chain check_truncated_conditions, factor_psd(build_block_hankel
+    (...)), build_shift, deficiency_subspaces, forbidden_operator gives.
     """
-    report, section, (w, u) = _check(seq, tol)
+    report, section, (w, w_lead) = _check(seq, tol)
     if not report.leading_positive:
         raise NotPSD(
             f"the leading section (order {report.order - 1}) is not positive "
@@ -82,32 +84,27 @@ def prepare(seq: MomentSequence, tol: Tolerances = DEFAULT) -> Workspace:
             f"the trailing section (order {report.order}) is not positive "
             f"semidefinite: min eigenvalue {report.min_eig_trailing:.6e}",
             section="trailing", min_eigenvalue=report.min_eig_trailing)
-    space = _factor(section, w, u, tol)
-    shift, pair = operator_stage(space, tol)
+    space = _factor(section, w, w_lead, tol)
+    shift = build_shift(space, tol)
+    pair = deficiency_subspaces(shift, tol)
     forb = forbidden_operator(shift, pair, tol)
     return Workspace(sequence=seq, condition=report, space=space, shift=shift,
                      pair=pair, forbidden=forb)
 
 
 def default_parameter(ws: Workspace, tol: Tolerances = DEFAULT):
-    """The unimodular candidate e^{i theta} I with the best admissibility
-    margin (the first such candidate on a tie), all checked and scored in
-    one stacked screen_parameter."""
-    q = ws.defect
-    if q == 0:
-        return ExtensionParameter.empty(), is_admissible(
-            np.zeros((0, 0), dtype=complex), ws.shift, ws.pair, ws.forbidden,
-            tol), None
-    family = ExtensionParameter.unimodular(DEFAULT_THETA_CANDIDATES, q)
-    _, reports = screen_parameter(ws.shift, ws.pair, family, ws.forbidden,
-                                  tol)
-    best = max(range(len(reports)), key=lambda k: reports[k].margin)
-    if not reports[best].admissible:
-        raise NotAdmissible("no admissible unimodular parameter found; "
-                            "supply one explicitly",
-                            margin=reports[best].margin)
-    return (ExtensionParameter.isometric(family.matrix[best]), reports[best],
-            DEFAULT_THETA_CANDIDATES[best])
+    """V = -X, the parameter opposite the forbidden operator, screened: the
+    parameter, its report and None (it is no angle of the unimodular
+    family unless X is).  Its extension has B = Re Omega, and its margin
+    is 2 sigma_min(C_plus)."""
+    parameter = ExtensionParameter.isometric(-ws.forbidden.matrix)
+    _, report = screen_parameter(ws.shift, ws.pair, parameter, ws.forbidden,
+                                 tol)
+    if not report.admissible:
+        raise NotAdmissible(f"the default parameter -X is not admissible "
+                            f"(margin {report.margin:.3e}); supply one "
+                            f"explicitly", margin=report.margin)
+    return parameter, report, None
 
 
 @dataclasses.dataclass(eq=False)
@@ -127,6 +124,7 @@ class SolveResult:
     verification: VerificationReport | None
     recovery: ContourRecovery | None
     transform_samples: tuple | None
+    transform: StieltjesTransform | None
     workspace: Workspace
 
 
@@ -137,9 +135,9 @@ def solve_truncated(seq: MomentSequence,
 
     Isometric constant parameters give an atomic measure verified against
     every prescribed moment; contractive ones give the transform route with
-    moments recovered from the transform in closed form.  With no parameter
-    supplied, the best unimodular candidate is used (the unique choice when
-    the defect is 0).
+    moments recovered from the transform in closed form, which the result
+    keeps.  With no parameter supplied, V = -X is used (the unique choice
+    when the defect is 0).
     """
     return _solve(prepare(seq, tol), parameter, tol)
 
@@ -173,7 +171,7 @@ def _solve(ws: Workspace, parameter: ExtensionParameter | None,
         verification = verify_moments(measure, seq, rel_tol=1e-8)
         return SolveResult(kind="atomic", measure=measure, extension=ext,
                            verification=verification, recovery=None,
-                           transform_samples=None, **common)
+                           transform_samples=None, transform=None, **common)
 
     transform = _screened_transform(ws.shift, ws.pair, parameter, vmat, report,
                                     tol)
@@ -184,7 +182,8 @@ def _solve(ws: Workspace, parameter: ExtensionParameter | None,
                                             rel_tol=1e-6)
     return SolveResult(kind="transform", measure=None, extension=None,
                        verification=verification, recovery=recovery,
-                       transform_samples=samples, **common)
+                       transform_samples=samples, transform=transform,
+                       **common)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -217,9 +216,9 @@ def theta_sweep(seq: MomentSequence, n_thetas: int = 8,
 
     The sweep is one array pass over all K angles: one stacked
     screen_parameter, then for the admitted angles one batched extension
-    (inverse and eigh), one atom assembly, one verification and one
-    distance kernel over their pairs.  Each entry equals what
-    solve_truncated gives for its angle alone.
+    (the q x q solves for B and one eigh), one atom assembly, one
+    verification and one distance kernel over their pairs.
+    Each entry equals what solve_truncated gives for its angle alone.
     """
     ws = prepare(seq, tol)
     q = ws.defect

@@ -1,4 +1,4 @@
-"""The symmetric block shift, its deficiency subspaces, and admissibility.
+"""The symmetric block shift, its defect subspaces, and admissibility.
 
 In the Gram space of the trailing Hankel section the operator
 
@@ -6,21 +6,39 @@ In the Gram space of the trailing Hankel section the operator
 
 is symmetric on D(A) = span{x_0..x_{dN-1}} whenever the leading section is
 positive definite.  Self-adjoint (and more generally quasi-self-adjoint)
-extensions of A are what produce solutions of the moment problem, and they
-are parameterized by contractions V mapping the defect subspace at +i,
+extensions of A are what produce solutions of the moment problem.
 
-    N_plus  = orthogonal complement of (A - i)D(A),
+In the block Cholesky frame of momext.gram, D(A) is the span of the first
+dN coordinates of C^m and its orthogonal complement the span of the last
+q = m - dN.  A is the m x dN matrix M = img L^{-T} (L the Cholesky factor
+of H_{d-1}): its top dN rows form the Hermitian block Jacobi matrix J_0,
+and its bottom q rows E vanish except for their last N columns, B_d.
+Every extension of A inside C^m is
 
-into the one at -i,
+    A_V = [[J_0, E^H],
+           [E,   B]]
 
-    N_minus = orthogonal complement of (A + i)D(A).
+for a q x q matrix B, and the parameters V are those of the paper's
+Cayley construction, taken at the reference point z0 = beta + i kappa
+(beta the mean diagonal entry of the last block A_{d-1} of J_0, kappa
+the root-mean-square singular value ||B_d||_F / sqrt(q) of B_d) so that
+they follow the data under x -> a x + b and S_n -> U S_n U^H:
 
-Not every isometric V qualifies: V must stay away from the "forbidden"
-operator X, the restriction to N_plus of the projection correspondence
-induced by the orthogonal complement of D(A).  Parameters with
-V psi = X psi for some psi != 0 do not generate an extension; the
-admissibility margin computed here is the smallest singular value of the
-matrix deciding that, so margin > adm_tol certifies a usable parameter.
+    N_plus  = orthogonal complement of (A - z0) D(A),
+    N_minus = orthogonal complement of (A - conj z0) D(A),
+
+and V: N_plus -> N_minus gives B from (A_V - z0) B_minus V =
+(A_V - conj z0) B_plus.  With Omega = z0 + E (J_0 - z0)^{-1} E^H and C_pm
+the complement rows of the bases B_pm,
+
+    B(V) = (Omega C_minus V - Omega^H C_plus) (C_minus V - C_plus)^{-1},
+
+a q x q solve.  The bases are canonical: B_plus is the orthonormalized
+[-(J_0 - conj z0)^{-1} E^H; I], and B_minus is rotated so that V = I maps
+each defect vector to the one with the best-matching values
+(x_k, psi), k < N.  V is admissible when C_minus V - C_plus is
+nonsingular; the forbidden operator is X = C_minus^{-1} C_plus, and
+V = -X gives B = Re Omega, the default.
 """
 
 from __future__ import annotations
@@ -30,10 +48,9 @@ import functools
 
 import numpy as np
 
-from .errors import (DependentDomain, IllConditionedProjection, NormViolation)
+from .errors import NormViolation
 from .gram import GramSpace
-from .linalg import (phase_canonicalize, range_and_complement, read_only,
-                     singular_values)
+from .linalg import read_only, singular_values
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -42,14 +59,11 @@ class ShiftOperator:
     """The block shift restricted to its natural domain.
 
     dom_matrix / shift_matrix hold the vectors x_0..x_{dN-1} and their images
-    x_N..x_{dN+N-1} as columns.  complement is an orthonormal basis of the
-    orthogonal complement of D(A) (m x q, in canonical form) and dom_range
-    one of D(A) (m x dN), both from the one complete QR of dom_matrix;
-    every admissibility check reads complement.  dom_basis (dom_range with
-    its column phases canonicalized) and action, which maps dom_basis
-    coordinates to the image in ambient coordinates so that
-    A v = action @ (dom_basis^H v) for v in D(A), are computed on first
-    use: no solve reads them.
+    x_N..x_{dN+N-1} as columns.  action is A in the coordinates of D(A)
+    (m x dN, A v = action @ v[:dN] for v in D(A)), jacobi its top dN rows
+    made Hermitian (J_0), and herm_residual the symmetry defect removed
+    from them, relative to their scale.  dom_basis and complement are the
+    coordinate bases of D(A) and of its orthogonal complement.
     """
 
     space: GramSpace
@@ -57,8 +71,9 @@ class ShiftOperator:
     order: int
     dom_matrix: np.ndarray      # m x dN
     shift_matrix: np.ndarray    # m x dN
-    dom_range: np.ndarray       # m x dN, orthonormal, as the QR leaves it
-    complement: np.ndarray      # m x q, orthonormal, orthogonal to D(A)
+    action: np.ndarray          # m x dN
+    jacobi: np.ndarray          # dN x dN, Hermitian
+    herm_residual: float
 
     @property
     def ambient_dim(self) -> int:
@@ -74,126 +89,121 @@ class ShiftOperator:
 
     @functools.cached_property
     def dom_basis(self) -> np.ndarray:
-        """m x dN orthonormal basis of D(A), phase-canonical."""
-        return read_only(phase_canonicalize(self.dom_range))
+        """m x dN orthonormal basis of D(A): the first dN coordinates."""
+        return read_only(np.eye(self.ambient_dim, self.dom_dim,
+                                dtype=complex))
 
     @functools.cached_property
-    def action(self) -> np.ndarray:
-        """m x dN: A in dom_basis coordinates."""
-        if self.dom_dim == 0:
-            return read_only(np.zeros((self.ambient_dim, 0), dtype=complex))
-        # dom_basis^H dom is the triangular R, its rows rotated by phases
-        return read_only(self.shift_matrix @ np.linalg.inv(
-            np.conj(self.dom_basis.T) @ self.dom_matrix))
+    def complement(self) -> np.ndarray:
+        """m x q orthonormal basis of the orthogonal complement of D(A):
+        the last q coordinates."""
+        return read_only(np.eye(self.ambient_dim, self.defect,
+                                k=-self.dom_dim, dtype=complex))
+
+    @property
+    def tail(self) -> np.ndarray:
+        """B_d, the q x N block of E that is not zero."""
+        dn = self.dom_dim
+        return self.action[dn:, dn - self.block_dim:]
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """A v for v in D(A) (no membership check)."""
-        return self.action @ (np.conj(self.dom_basis.T) @ v)
+        return self.action @ v[:self.dom_dim]
 
 
 def build_shift(space: GramSpace, tol: Tolerances = DEFAULT) -> ShiftOperator:
-    """Construct the shift; raises DependentDomain if x_0..x_{dN-1} degenerate.
+    """Construct the shift from one solve with the Cholesky factor L.
 
-    Degeneracy here is exactly failure of the leading section to be positive
-    definite, so a clean error beats a meaningless operator.
+    The domain vectors were certified independent when the space was
+    factored (DependentDomain comes from factor_psd).
     """
-    dom, img = _domain(space, tol)
-    return _shift(space, dom, img,
-                  range_and_complement(dom[None], tol.rank_rel)[0])
-
-
-def _domain(space: GramSpace, tol: Tolerances):
-    """The domain and image columns x_0..x_{dN-1} and x_N..x_{dN+N-1},
-    after checking that the domain ones are independent."""
     n = space.block_dim
     dn = space.order * n
     m = space.ambient_dim
-    if space.n_vectors < dn + n:
-        raise ValueError("Gram space does not hold enough vectors for the shift")
-    dom = np.ascontiguousarray(space.coords[:dn].T)
-    img = np.ascontiguousarray(space.coords[n:dn + n].T)
-    if dn > 0:
-        if m < dn:
-            raise DependentDomain(
-                f"domain needs {dn} independent vectors but the space has "
-                f"dimension {m}")
-        sv = singular_values(dom)
-        if sv[0] == 0.0 or sv[dn - 1] <= tol.rank_rel * sv[0]:
-            raise DependentDomain(
-                f"domain vectors are numerically dependent: smallest singular "
-                f"value {sv[dn - 1]:.3e} vs largest {sv[0]:.3e}")
-    return dom, img
-
-
-def _shift(space: GramSpace, dom: np.ndarray, img: np.ndarray,
-           split) -> ShiftOperator:
-    """The shift from its columns and the (range, complement) split of dom."""
-    basis, complement = split
-    if basis.shape[1] != dom.shape[1]:
-        raise DependentDomain(
-            f"domain rank {basis.shape[1]} < {dom.shape[1]} after "
-            f"orthogonalization")
+    coords = space.coords
+    action = np.zeros((m, dn), dtype=complex)
+    if dn:
+        action[:] = np.linalg.solve(coords[:dn, :dn], coords[n:dn + n]).T
+        action[dn:, :dn - n] = 0.0          # zero in exact arithmetic
+    top = action[:dn]
+    jacobi = 0.5 * (top + np.conj(top.T))
+    residual = float(np.abs(top - np.conj(top.T)).max(initial=0.0)
+                     / max(float(np.abs(top).max(initial=0.0)), 1.0))
     return ShiftOperator(
-        space=space, block_dim=space.block_dim, order=space.order,
-        dom_matrix=read_only(dom), shift_matrix=read_only(img),
-        dom_range=read_only(basis), complement=read_only(complement))
+        space=space, block_dim=n, order=space.order,
+        dom_matrix=read_only(np.ascontiguousarray(coords[:dn].T)),
+        shift_matrix=read_only(np.ascontiguousarray(coords[n:dn + n].T)),
+        action=read_only(action), jacobi=read_only(jacobi),
+        herm_residual=residual)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DeficiencyPair:
-    """Orthonormal bases of the defect subspaces at +i and -i."""
+    """Orthonormal bases of the defect subspaces at the reference point z0,
+    and Omega = z0 + E (J_0 - z0)^{-1} E^H, which turns a parameter into
+    the last block of its extension."""
 
     basis_plus: np.ndarray      # m x q, spans N_plus
     basis_minus: np.ndarray     # m x q, spans N_minus
     defect: int
+    omega: np.ndarray           # q x q
+
+    @property
+    def complement_rows(self):
+        """C_plus and C_minus, the rows of the bases in the complement of
+        D(A)."""
+        dn = len(self.basis_plus) - self.defect
+        return self.basis_plus[dn:], self.basis_minus[dn:]
 
 
 def deficiency_subspaces(shift: ShiftOperator,
                          tol: Tolerances = DEFAULT) -> DeficiencyPair:
-    """Compute N_plus and N_minus; both have dimension m - dN."""
-    dom, img = shift.dom_matrix, shift.shift_matrix
-    return _pair(shift, range_and_complement(
-        np.stack([img - 1j * dom, img + 1j * dom]), tol.rank_rel))
+    """N_plus and N_minus (dimension m - dN) at z0 = beta + i kappa, from one
+    batched solve with J_0 - conj z0 and J_0 - z0.
 
-
-def _pair(shift: ShiftOperator, splits) -> DeficiencyPair:
-    """The defect subspaces from the splits of img - i dom and img + i dom.
-
-    The unpivoted rank check is safe here: A is symmetric, so
-    ||(A -+ i)u||^2 = ||Au||^2 + ||u||^2 and sigma_min(img -+ i dom) >=
-    sigma_min(dom), which build_shift has certified against rank_rel.
+    N_plus is spanned by [-(J_0 - conj z0)^{-1} E^H; I] and N_minus by
+    [-(J_0 - z0)^{-1} E^H; I], both with Gram matrix G = I + R^H R
+    (R = (J_0 - z0)^{-1} E^H), and G^{-1/2} makes them orthonormal.  The
+    values (x_k, psi), k < N, of a defect vector are fixed by its first
+    block rows through the same map on both sides, so B_minus is turned by
+    the polar factor of K_minus^H K_plus (K the first block rows of the
+    orthonormal bases), the unitary that best matches them; X is then
+    that factor's adjoint.
     """
-    (_, basis_plus), (_, basis_minus) = splits
-    expected = shift.ambient_dim - shift.dom_dim
-    if basis_plus.shape[1] != expected or basis_minus.shape[1] != expected:
-        raise IllConditionedProjection(
-            f"defect dimensions ({basis_plus.shape[1]}, {basis_minus.shape[1]}) "
-            f"disagree with ambient - domain = {expected}; (A -+ i) lost "
-            f"injectivity numerically")
-    return DeficiencyPair(basis_plus=read_only(basis_plus),
-                          basis_minus=read_only(basis_minus),
-                          defect=expected)
-
-
-def operator_stage(space: GramSpace, tol: Tolerances = DEFAULT):
-    """build_shift, then deficiency_subspaces, in one pass: dom, img - i dom
-    and img + i dom are split by one stacked complete QR.  The shift and
-    the pair are bit for bit those of the two calls."""
-    dom, img = _domain(space, tol)
-    splits = range_and_complement(
-        np.stack([dom, img - 1j * dom, img + 1j * dom]), tol.rank_rel)
-    shift = _shift(space, dom, img, splits[0])
-    return shift, _pair(shift, splits[1:])
+    q, n, dn = shift.defect, shift.block_dim, shift.dom_dim
+    if q == 0:
+        empty = read_only(np.zeros((shift.ambient_dim, 0), dtype=complex))
+        return DeficiencyPair(basis_plus=empty, basis_minus=empty, defect=0,
+                              omega=read_only(np.zeros((0, 0), complex)))
+    e = shift.action[dn:]
+    tail = shift.tail
+    corner = shift.jacobi[dn - n:, dn - n:]
+    z0 = complex(np.trace(corner).real / n,
+                 np.sqrt(np.vdot(tail, tail).real / q))
+    points = np.array([np.conj(z0), z0])[:, None, None]
+    cols = np.linalg.solve(shift.jacobi - points * np.eye(dn),
+                           np.conj(e.T))                # (2, dN, q)
+    omega = z0 * np.eye(q) + e @ cols[1]
+    w, u = np.linalg.eigh(np.eye(q) + np.conj(cols[1].T) @ cols[1])
+    root_inv = (u / np.sqrt(w)) @ np.conj(u.T)      # G^{-1/2}
+    k = cols[:, :n] @ root_inv
+    left, _, right = np.linalg.svd(np.conj(k[1].T) @ k[0])
+    bases = np.empty((2, dn + q, q), dtype=complex)
+    bases[:, :dn] = -cols
+    bases[:, dn:] = np.eye(q)
+    bases = bases @ root_inv
+    return DeficiencyPair(basis_plus=read_only(bases[0]),
+                          basis_minus=read_only(bases[1] @ left @ right),
+                          defect=q, omega=read_only(omega))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ForbiddenOperator:
     """The operator X: N_plus -> N_minus that parameters must avoid.
 
-    For h in the orthogonal complement of D(A), X maps the projection of h
-    onto N_plus to the projection of h onto N_minus.  matrix expresses X in
-    the (basis_plus, basis_minus) coordinate pair; forbidden_operator
-    checks that the projections fill all of N_plus.
+    X = C_minus^{-1} C_plus is the V for which B_minus V - B_plus lies in
+    D(A), so that the extension would leave C^m; matrix expresses it in
+    the (basis_plus, basis_minus) coordinate pair.  It is unitary.
     """
 
     matrix: np.ndarray          # q x q
@@ -201,33 +211,19 @@ class ForbiddenOperator:
 
 def forbidden_operator(shift: ShiftOperator, pair: DeficiencyPair,
                        tol: Tolerances = DEFAULT) -> ForbiddenOperator:
-    """Build X from the complement of D(A); X is an isometry of N_plus.
-
-    Raises IllConditionedProjection when projecting the complement onto
-    N_plus loses rank, which would leave X defined on a proper subspace.
-    """
-    if pair.defect == 0:
-        return ForbiddenOperator(matrix=read_only(np.zeros((0, 0), complex)))
-    perp = shift.complement
-    u = np.conj(pair.basis_plus.T) @ perp       # q x q
-    w = np.conj(pair.basis_minus.T) @ perp      # q x q
-    sv = singular_values(u)
-    if sv[-1] <= tol.proj_abs * max(sv[0], 1.0):
-        raise IllConditionedProjection(
-            f"projection of the domain complement onto N_plus is nearly "
-            f"singular: smallest singular value {sv[-1]:.3e}")
-    x_mat = np.linalg.solve(u.T, w.T).T
-    return ForbiddenOperator(matrix=read_only(x_mat))
+    """X = C_minus^{-1} C_plus, from one q x q solve."""
+    plus, minus = pair.complement_rows
+    return ForbiddenOperator(matrix=read_only(np.linalg.solve(minus, plus)))
 
 
 @dataclasses.dataclass(frozen=True)
 class AdmissibilityReport:
     """Outcome of the admissibility test for a constant parameter matrix.
 
-    margin is the smallest singular value of P_perp (B_minus V - B_plus)
-    restricted to the complement of D(A); None when the defect is zero (then
-    every parameter is vacuously admissible).  forbidden_gap is the smallest
-    singular value of V - X when the forbidden operator was supplied.
+    margin is the smallest singular value of C_minus V - C_plus (in
+    [0, 2]); None when the defect is zero (then every parameter is
+    vacuously admissible).  forbidden_gap is the smallest singular value
+    of V - X when the forbidden operator was supplied.
     """
 
     admissible: bool
@@ -246,48 +242,51 @@ def is_admissible(matrix: np.ndarray, shift: ShiftOperator,
     """Decide whether a constant q x q parameter matrix is admissible.
 
     matrix may also be a (K, q, q) stack, for which a tuple of K reports
-    comes back: each quantity (the norms, the margins, the forbidden gaps)
-    is then one batched singular value call over the stack, and each report
-    equals the one its matrix alone would get.  Raises NormViolation when a
-    matrix is not a contraction (operator norm above 1 + norm_abs);
-    isometry vs strict contraction is the caller's business.
+    comes back, and each report equals the one its matrix alone would get.
+    Raises NormViolation when a matrix is not a contraction (operator norm
+    above 1 + norm_abs); isometry vs strict contraction is the caller's
+    business.
     """
     q = pair.defect
     v = np.asarray(matrix, dtype=complex)
     if v.ndim not in (2, 3) or v.shape[-2:] != (q, q):
         raise ValueError(f"parameter must be {q} x {q} or a stack of them, "
                          f"got {v.shape}")
-    stack = v if v.ndim == 3 else v[None]
-    norms = singular_values(stack)[:, 0] if q else np.zeros(len(stack))
-    reports = admissibility_reports(stack, norms, shift, pair, forbidden, tol)
+    _, reports = admissibility_reports(v if v.ndim == 3 else v[None], pair,
+                                       forbidden, tol)
     return reports if v.ndim == 3 else reports[0]
 
 
-def admissibility_reports(stack: np.ndarray, norms: np.ndarray,
-                          shift: ShiftOperator, pair: DeficiencyPair,
+def admissibility_reports(stack: np.ndarray, pair: DeficiencyPair,
                           forbidden: ForbiddenOperator | None,
-                          tol: Tolerances = DEFAULT
-                          ) -> tuple[AdmissibilityReport, ...]:
-    """is_admissible's reports for a (K, q, q) stack whose norms (largest
-    singular values, (K,)) the caller has already taken."""
-    q = pair.defect
+                          tol: Tolerances = DEFAULT):
+    """The singular values (K, q) of each matrix V of a (K, q, q) stack and
+    its admissibility report, from one batched singular value call over
+    the V, the C_minus V - C_plus and (with the forbidden operator) the
+    V - X of the whole stack."""
+    k, q = len(stack), pair.defect
+    if not q:
+        return np.zeros((k, 0)), (AdmissibilityReport(
+            admissible=True, margin=None, parameter_norm=0.0,
+            forbidden_gap=None, coincides_with_forbidden=False,
+            borderline=False),) * k
+    plus, minus = pair.complement_rows
+    parts = [stack, minus @ stack - plus]
+    if forbidden is not None:
+        parts.append(stack - forbidden.matrix)
+    sv = singular_values(np.concatenate(parts))
+    norms = sv[:k, 0]
     over = norms > 1.0 + tol.norm_abs
     if over.any():
         raise NormViolation(f"parameter norm {norms[over][0]:.12g} exceeds "
                             f"1 + {tol.norm_abs:.1e}")
-    margins = gaps = [None] * len(stack)
-    if q:
-        adm = np.conj(shift.complement.T) @ (pair.basis_minus @ stack
-                                             - pair.basis_plus)
-        margins = singular_values(adm)[:, -1].tolist()
-        if forbidden is not None:
-            gaps = singular_values(stack - forbidden.matrix)[:, -1].tolist()
-    return tuple(AdmissibilityReport(
-        admissible=margin is None or margin > tol.adm_abs,
+    margins = sv[k:2 * k, -1].tolist()
+    gaps = sv[2 * k:, -1].tolist() if forbidden is not None else [None] * k
+    return sv[:k], tuple(AdmissibilityReport(
+        admissible=margin > tol.adm_abs,
         margin=margin,
         parameter_norm=float(norm),
         forbidden_gap=gap,
         coincides_with_forbidden=gap is not None and gap <= tol.adm_abs,
-        borderline=(margin is not None
-                    and tol.adm_abs < margin <= 1e3 * tol.adm_abs),
+        borderline=tol.adm_abs < margin <= 1e3 * tol.adm_abs,
     ) for norm, margin, gap in zip(norms, margins, gaps))

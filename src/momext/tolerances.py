@@ -3,10 +3,11 @@
 Names ending in ``_rel`` are taken relative to the natural scale of the
 matrix at hand (largest absolute entry or largest eigenvalue magnitude);
 names ending in ``_abs`` apply to quantities that are already normalized
-(unit-norm parameter matrices, singular values of products of orthonormal
-bases).  A few thresholds are fixed module constants next to the code
-that reads them (the Hermitian check on moments, the verification
-tolerances, the sweep's site tolerance); the README lists them.
+(parameter matrices of norm at most 1 and their admissibility margins,
+which lie in [0, 2]).  A few thresholds are fixed module constants next
+to the code that reads them (the Hermitian check on moments, the
+verification tolerances, the sweep's site tolerance); the README lists
+them.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ class Tolerances:
     psd_rel: float = 1e-10      # eigenvalue floor for "is PSD", relative
     pos_rel: float = 1e-10      # eigenvalue floor for "is positive definite"
     rank_rel: float = 1e-12     # eigen/singular value cutoff for numerical rank
-    proj_abs: float = 1e-10     # conditioning floor for deficiency projections
     adm_abs: float = 1e-8       # admissibility margin floor
     norm_abs: float = 1e-8      # slack allowed around operator norm 1
     cluster_rel: float = 1e-9   # eigenvalue clustering gap, rel. max(1, |t|)

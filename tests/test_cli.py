@@ -89,7 +89,8 @@ def test_solve_default_output(tmp_path, capsys):
     assert code == 0
     assert data["kind"] == "atomic"
     assert data["defect"] == 1
-    assert data["parameter_theta"] == 0.0
+    # the default -X is a parameter, not an angle of the unimodular family
+    assert data["parameter_theta"] is None
     atoms = data["measure"]["atoms"]
     assert [a["t"] for a in atoms] == pytest.approx([-1.0, 1.0], abs=1e-12)
     assert [a["W"][0][0][0] for a in atoms] == pytest.approx([0.5, 0.5],
@@ -247,6 +248,36 @@ def test_solve_grid_and_csv(tmp_path, capsys):
     lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "x,W[0][0].re,W[0][0].im"
     assert len(lines) == 9
+
+
+@pytest.mark.parametrize("parameter", [
+    {"kind": "contraction", "matrix": [[0.5, 0.0], [0.0, 0.5]]},
+    {"kind": "isometric", "matrix": [[1.0, 0.0], [0.0, 1.0]]}])
+def test_solve_grid_factors_nothing_twice(tmp_path, capsys, monkeypatch,
+                                          parameter):
+    # --grid bins the measure of an isometric solve and reuses the
+    # transform of a contraction solve: no SVD, eigh or inverse beyond
+    # those of the plain solve.
+    calls = []
+    for name in ("svd", "eigh", "inv"):
+        def counting(*args, _real=getattr(np.linalg, name), _name=name,
+                     **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    path = _write(tmp_path, "p.json", {
+        "N": 2, "moments": [np.eye(2).tolist(), np.zeros((2, 2)).tolist(),
+                            np.eye(2).tolist()]})
+    param = _write(tmp_path, "v.json", parameter)
+    counts = []
+    for extra in ([], ["--grid=-3:3:0.5"]):
+        calls.clear()
+        code, data = _run(capsys, "solve", path, "--parameter", param,
+                          *extra)
+        assert code == 0 and data["verification"]["passed"]
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
+    assert "perron" in data
 
 
 def test_solve_csv_of_an_atomic_measure(tmp_path, capsys):

@@ -4,9 +4,12 @@ Checked here:
 - the factor reproduces the section: coords @ coords^H equals H_d,
 - representing-vector inner products return the prescribed moments,
 - the hand-checked rank-1 example (1, 1, 1) with eigenvalues {2, 0},
-- the deterministic phase convention (leading entry of each eigenvector
-  column real positive), byte-stable across repeated factorizations, and
+- the block Cholesky frame coords = [[L, 0], [Y, F]]: L lower triangular
+  with a real positive diagonal, the leading entry of each column of F
+  real positive, byte-stable across repeated factorizations, and
   phase_canonicalize against a per-column loop (zero columns, ties),
+- the rank decided on the scale of H_d, not on that of the Schur
+  complement,
 - indefinite input is rejected with the trailing-section error.
 """
 
@@ -104,20 +107,41 @@ def test_phase_canonicalize_matches_the_column_loop():
             1.0, np.abs(q).max(initial=0.0))
 
 
-def test_first_nonnegligible_entry_of_each_column_is_real_positive():
+def test_cholesky_frame_has_a_real_positive_diagonal():
     rng = np.random.default_rng(RNG_SEED + 2)
     for _ in range(10):
         n = int(rng.integers(1, 3))
         d = int(rng.integers(1, 4))
         seq, _ = random_feasible_instance(rng, n, d)
         space = _space_for(seq)
-        # Eigenvalue-scaled columns: coords[:, i] ~ U[:, i] sqrt(lambda_i).
-        for i in range(space.ambient_dim):
-            col = space.coords[:, i]
+        dn = d * n
+        lower = space.coords[:dn, :dn]
+        assert np.array_equal(lower, np.tril(lower))
+        assert np.all(np.diag(lower).real > 0.0)
+        assert not np.any(np.diag(lower).imag)
+        assert not np.any(space.coords[:dn, dn:])
+        # F's columns: eigenvectors of the Schur complement, scaled.
+        for i in range(dn, space.ambient_dim):
+            col = space.coords[dn:, i]
             mags = np.abs(col)
             lead = int(np.argmax(mags >= (1.0 - 1e-9) * mags.max()))
             assert col[lead].imag == pytest.approx(0.0, abs=1e-12 * mags.max())
             assert col[lead].real > 0.0
+
+
+def test_rank_is_decided_on_the_scale_of_the_section():
+    # One atom, 2 delta_{0.7}: the Schur complement of H_0 in H_1 is
+    # zero, but comes out positive (3.3e-16) in float64.  On its own scale
+    # it would be kept (q = 1); against rank_rel * lambda_max(H_1) it is
+    # dropped, and the space has the one dimension of the atom.
+    one = _space_for(MomentSequence.scalar([2.0, 1.4, 0.98]))
+    y = one.coords[1, 0]
+    assert 0.98 - (y * np.conj(y)).real > 0.0
+    assert one.ambient_dim == 1
+    assert one.eigenvalues[1] <= one.rank_cutoff
+    # A second atom of weight 1e-9 is tiny, but far above the cutoff.
+    two = _space_for(MomentSequence.scalar([1.0 + 1e-9, 1e-9, 1e-9]))
+    assert two.ambient_dim == 2
 
 
 def test_factorization_is_deterministic():

@@ -215,8 +215,9 @@ def test_measures_next_to_a_forbidden_angle_reproduce_the_moments(offset):
 
 
 def test_spectral_measures_reproduce_all_moments():
-    # The best-margin unimodular parameter keeps the extension spectrum
-    # moderate, so the 2d-th moment check is numerically meaningful.
+    # The default parameter -X keeps the extension spectrum moderate (its
+    # last block is Re Omega), so the 2d-th moment check is numerically
+    # meaningful.
     rng = np.random.default_rng(RNG_SEED + 1)
     for _ in range(20):
         n = int(rng.integers(1, 4))
@@ -336,10 +337,11 @@ def test_power_moments_match_the_data():
 
 
 def test_forbidden_parameter_is_rejected_on_the_transform_route():
-    # theta = 0 is the forbidden angle of (1, 0, 1/4): its margin is 0, and
-    # the would-be transform -1/lam (one atom at 0) misses S_2.
+    # theta = pi is the forbidden angle of (1, 0, 1/4), as of every
+    # scalar problem with d = 1: its margin is 0, and B(V) has no value
+    # there.
     seq = MomentSequence.scalar([1.0, 0.0, 0.25])
-    t = _transform(seq, ExtensionParameter.unimodular(0.0, defect=1))
+    t = _transform(seq, ExtensionParameter.unimodular(np.pi, defect=1))
     with pytest.raises(NotAdmissible) as exc_info:
         perron_inversion(t, -1.0, 1.0, 1.0)
     assert exc_info.value.margin == pytest.approx(0.0, abs=1e-12)
@@ -389,9 +391,9 @@ def test_atoms_on_cell_boundaries_split_between_windows(seq_101):
 
 
 def test_interior_atoms_are_captured_whole():
-    # theta = pi puts atoms at -0.5 and +0.5, interior to [-1, 0) and [0, 1).
+    # theta = 0 puts atoms at -0.5 and +0.5, interior to [-1, 0) and [0, 1).
     seq = MomentSequence.scalar([1.0, 0.0, 0.25])
-    t = _transform(seq, ExtensionParameter.unimodular(np.pi, defect=1))
+    t = _transform(seq, ExtensionParameter.unimodular(0.0, defect=1))
     res = perron_inversion(t, -1.0, 1.0, 1.0)
     cells = np.array([w[0, 0].real for w in res.increments])
     assert np.allclose(cells, 0.5, atol=5e-3)
@@ -489,11 +491,11 @@ def test_unit_singular_values_give_exact_atoms(seq_101, seq_identity_2):
 
 
 def test_transform_at_a_pole_raises(seq_101):
-    # theta = 0 puts an atom at 1; the resolvent system there is exactly
+    # theta = 0 puts an atom at 1: G - 1 = [[-1, 1], [1, -1]] is exactly
     # singular in floating point, and the error names the point.
     t = _transform(seq_101, ExtensionParameter.unimodular(0.0, defect=1))
-    with pytest.raises(SingularSystem, match=r"0\.9999999999999997"):
-        t.eval_upper_many([2j, 0.9999999999999997, 1.0 + 1j])
+    with pytest.raises(SingularSystem, match=r"at \(1\+0j\)"):
+        t.eval_upper_many([2j, 1.0, 1.0 + 1j])
 
 
 def test_residue_form_off_the_direct_solve_raises(seq_101):

@@ -1,12 +1,14 @@
 """End-to-end orchestration: prepare, solve, and the parameter sweep.
 
 Checked here:
-- the worked instance (1, 0, 1): preparation report, best-margin default
-  parameter theta = 0, the frozen two-atom measure,
+- the worked instance (1, 0, 1): preparation report, the default
+  parameter -X = 1 with margin sqrt(2), the frozen two-atom measure,
 - prepare as one pass: its Workspace is bit for bit the public chain of
-  stages, from one Hankel build, one eigh of H_d, one eigvalsh of H_{d-1}
-  and one stacked QR, and the reported trailing minimum eigenvalue is the
-  smallest Gram eigenvalue,
+  stages, from one Hankel build, one eigvalsh of H_d and one of H_{d-1},
+  one Cholesky, one N x N eigh and the small defect-space factorizations
+  (no QR, no inverse), a default solve adding the screen of one
+  parameter and one m x m eigh, and the reported trailing minimum
+  eigenvalue is the smallest Gram eigenvalue,
 - both solution routes (atomic for isometric parameters, transform plus
   closed-form moment recovery for contractions),
 - the admissibility gate on supplied parameters,
@@ -76,18 +78,25 @@ def test_prepare_is_the_public_chain_bit_for_bit():
                         (ws.shift.shift_matrix, shift.shift_matrix),
                         (ws.shift.dom_basis, shift.dom_basis),
                         (ws.shift.action, shift.action),
+                        (ws.shift.jacobi, shift.jacobi),
+                        (ws.shift.herm_residual, shift.herm_residual),
                         (ws.shift.complement, shift.complement),
                         (ws.pair.basis_plus, pair.basis_plus),
                         (ws.pair.basis_minus, pair.basis_minus),
+                        (ws.pair.omega, pair.omega),
                         (ws.forbidden.matrix, forbidden.matrix)):
                     assert np.array_equal(got, want), (n, d, draw.__name__)
 
 
 def test_prepare_builds_and_factors_each_section_once(monkeypatch):
-    # One H_d build, one eigh of H_d (the trailing test and the Gram
-    # factor), one eigvalsh of its leading dN x dN block and one complete
-    # QR of the stack (dom, img - i dom, img + i dom); the shift's action
-    # is inverted only when read.
+    # One H_d build, one eigvalsh of H_d and one of its leading dN x dN
+    # block (the two tests, the rank and the domain check), one Cholesky
+    # of that block and one eigh of the N x N Schur complement; the defect
+    # spaces add an eigh of their q x q Gram matrix and an SVD for the
+    # rotation of B_minus.  No QR and no inverse.  A default solve then
+    # screens one parameter (its norm, its margin and its forbidden gap,
+    # from one SVD call of a (3, q, q) stack), takes one m x m eigh and
+    # checks the atom weights with one eigvalsh.
     calls = []
 
     def count(module, name, shape_of):
@@ -99,22 +108,31 @@ def test_prepare_builds_and_factors_each_section_once(monkeypatch):
         monkeypatch.setattr(module, name, counting)
 
     count(momext.hankel, "build_block_hankel", lambda args: args[1])
-    for name in ("eigh", "eigvalsh", "qr", "inv"):
+    for name in ("eigh", "eigvalsh", "cholesky", "svd", "qr", "inv"):
         count(np.linalg, name, lambda args: np.shape(args[0]))
     rng = np.random.default_rng(RNG_SEED + 7)
     for n in (1, 2, 4):
         for d in (1, 3):
-            seq, _ = random_feasible_instance(rng, n, d)
-            calls.clear()
-            ws = prepare(seq)
-            size, dn = (d + 1) * n, d * n
-            assert calls == [("build_block_hankel", d),
-                             ("eigh", (size, size)),
-                             ("eigvalsh", (dn, dn)),
-                             ("qr", (3, ws.space.ambient_dim, dn))]
-            calls.clear()
-            assert ws.shift.action.shape == (ws.space.ambient_dim, dn)
-            assert calls == [("inv", (dn, dn))]
+            for draw in (random_feasible_instance, random_deficient_instance):
+                seq, _ = draw(rng, n, d)
+                calls.clear()
+                ws = prepare(seq)
+                size, dn = (d + 1) * n, d * n
+                m, q = ws.space.ambient_dim, ws.defect
+                defect = [("eigh", (q, q)), ("svd", (q, q))] if q else []
+                assert calls == [("build_block_hankel", d),
+                                 ("eigvalsh", (size, size)),
+                                 ("eigvalsh", (dn, dn)),
+                                 ("cholesky", (dn, dn)),
+                                 ("eigh", (n, n))] + defect
+                in_prepare = list(calls)
+                calls.clear()
+                result = solve_truncated(seq)
+                screen = [("svd", (3, q, q))] if q else []
+                assert calls[:len(in_prepare)] == in_prepare
+                assert calls[len(in_prepare):] == screen + [
+                    ("eigh", (1, m, m)),
+                    ("eigvalsh", (result.measure.n_atoms, n, n))]
 
 
 def test_trailing_minimum_is_the_smallest_gram_eigenvalue():
@@ -127,10 +145,11 @@ def test_trailing_minimum_is_the_smallest_gram_eigenvalue():
                     == result.gram_eigenvalues[-1])
 
 
-def test_default_parameter_picks_the_best_margin_angle(seq_101):
+def test_default_parameter_is_opposite_the_forbidden_operator(seq_101):
     ws = prepare(seq_101)
     parameter, report, theta = default_parameter(ws)
-    assert theta == 0.0
+    assert theta is None
+    assert np.array_equal(parameter.matrix, -ws.forbidden.matrix)
     assert report.margin == pytest.approx(np.sqrt(2.0), abs=1e-10)
     assert np.allclose(parameter.constant_matrix(1), np.eye(1))
 

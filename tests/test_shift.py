@@ -2,18 +2,19 @@
 
 Checked here:
 - the shift sends representing vector x_a to x_{a+N} (Gram-exact),
-- symmetry (A u, v) = (u, A v) on the domain, for random instances,
-- hand-derived defect data for (1, 0, 1): defect 1, defect vectors
-  (1, -i)/sqrt(2) and (1, +i)/sqrt(2), forbidden matrix [[-1]],
+- symmetry (A u, v) = (u, A v) on the domain, for random instances, and
+  the block Jacobi structure of its matrix: J_0 Hermitian and block
+  tridiagonal, E zero but for its last block B_d,
+- hand-derived defect data for (1, 0, 1) (reference point z0 = i): defect
+  1, defect vectors (i, 1)/sqrt(2) and (i, -1)/sqrt(2), Omega = 2i,
+  forbidden matrix [[-1]],
 - the admissibility margin |1 + e^{i theta}| / sqrt(2) for that instance,
   vanishing exactly at theta = pi,
 - defect bounds 0 <= q <= N with equal dimensions on both sides, and the
   engineered rank-drop family with q = N - 1,
 - norm validation of parameters,
-- the complement of D(A) cached on the shift: orthonormal, orthogonal to
-  the domain, giving the same margins as a from-scratch SVD reference, and
-  factored once per prepare (no factorization runs per parameter
-  afterwards),
+- the complement of D(A): orthonormal, orthogonal to the domain, and
+  giving the same margins as a from-scratch SVD reference,
 - a parameter screened once per solve and once per transform, and still
   refused by both transform recoveries when it is inadmissible.
 """
@@ -23,13 +24,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import momext.shift
-from momext import (ExtensionParameter, MomentSequence, NormViolation,
-                    NotAdmissible, StieltjesTransform, build_block_hankel,
-                    build_shift, default_parameter, deficiency_subspaces,
-                    factor_psd, forbidden_operator, is_admissible,
-                    moments_from_transform, perron_inversion, prepare,
-                    solve_truncated, theta_sweep)
+from momext import (ExtensionParameter, NormViolation, NotAdmissible,
+                    StieltjesTransform, build_block_hankel, build_shift,
+                    deficiency_subspaces, factor_psd, forbidden_operator,
+                    is_admissible, moments_from_transform, perron_inversion,
+                    prepare, solve_truncated, theta_sweep)
 from momext.linalg import inner
 from momext.sampling import (haar_unitary, random_admissible_isometry,
                              random_deficient_instance,
@@ -79,28 +78,62 @@ def test_defect_data_of_two_atom_instance(seq_101):
     assert pair.defect == 1
     root_half = np.sqrt(0.5)
     assert np.allclose(pair.basis_plus.ravel(),
-                       [root_half, -1j * root_half], atol=ORACLE_ATOL)
+                       [1j * root_half, root_half], atol=ORACLE_ATOL)
     assert np.allclose(pair.basis_minus.ravel(),
-                       [root_half, +1j * root_half], atol=ORACLE_ATOL)
+                       [1j * root_half, -root_half], atol=ORACLE_ATOL)
+    assert np.allclose(pair.omega, [[2j]], atol=ORACLE_ATOL)
     assert np.allclose(forbidden.matrix, [[-1.0]], atol=ORACLE_ATOL)
 
 
+def test_shift_is_a_block_jacobi_matrix():
+    # J_0 = M[:dN] is Hermitian and block tridiagonal, and E = M[dN:] is
+    # zero but for its last N columns, B_d, of rank q.
+    rng = np.random.default_rng(RNG_SEED + 10)
+    for _ in range(10):
+        n = int(rng.integers(1, 4))
+        d = int(rng.integers(1, 4))
+        draw = (random_feasible_instance, random_deficient_instance)[
+            int(rng.integers(0, 2))]
+        seq, _ = draw(rng, n, d)
+        _, shift, pair = _operator_stage(seq)
+        dn = shift.dom_dim
+        scale = max(1.0, float(np.abs(shift.action).max()))
+        assert np.array_equal(shift.jacobi, shift.jacobi.conj().T)
+        assert shift.herm_residual <= 1e-12
+        assert np.abs(shift.jacobi - shift.action[:dn]).max() <= 1e-12 * scale
+        blocks = np.abs(shift.jacobi).reshape(d, n, d, n).max(axis=(1, 3))
+        far = np.abs(np.subtract.outer(np.arange(d), np.arange(d))) > 1
+        assert blocks[far].max(initial=0.0) <= 1e-10 * scale
+        assert not np.any(shift.action[dn:, :dn - n])
+        assert shift.tail.shape == (pair.defect, n)
+        if pair.defect:
+            sv = np.linalg.svd(shift.tail, compute_uv=False)
+            assert sv[-1] > 1e-8 * sv[0]
+
+
 def test_defect_vectors_solve_the_eigenvalue_equations():
-    # A^* psi = +- i psi characterizes the two subspaces: equivalently
-    # (A f, psi) = (f, -+ i psi) for every f in the domain.
+    # psi in N_plus is orthogonal to (A - z0) D(A), and psi in N_minus to
+    # (A - conj z0) D(A): (A f, psi) = (f, conj(z0) psi) and
+    # (A f, psi) = (f, z0 psi) for every f in the domain.
     rng = np.random.default_rng(RNG_SEED + 1)
     for _ in range(10):
         n = int(rng.integers(1, 4))
         d = int(rng.integers(1, 4))
         seq, _ = random_feasible_instance(rng, n, d)
         _, shift, pair = _operator_stage(seq)
-        for sign, basis in ((+1j, pair.basis_plus), (-1j, pair.basis_minus)):
+        # z0 = beta + i kappa: the mean diagonal entry of the last block
+        # of J_0, and the root-mean-square singular value of B_d
+        corner = shift.jacobi[-n:, -n:]
+        sv = np.linalg.svd(shift.tail, compute_uv=False)
+        z0 = complex(np.trace(corner).real / n, np.sqrt(np.mean(sv ** 2)))
+        for point, basis in ((np.conj(z0), pair.basis_plus),
+                             (z0, pair.basis_minus)):
             for k in range(pair.defect):
                 psi = basis[:, k]
                 for a in range(shift.dom_dim):
                     f = shift.dom_matrix[:, a]
                     lhs = inner(shift.apply(f), psi)
-                    rhs = inner(f, np.conj(sign) * psi)
+                    rhs = inner(f, point * psi)
                     assert abs(lhs - rhs) <= 1e-9
 
 
@@ -208,41 +241,6 @@ def test_admissibility_margins_match_a_from_scratch_reference():
                     _reference_margin(v, shift, pair), abs=1e-12)
 
 
-def test_no_complement_is_factored_after_prepare(monkeypatch):
-    # Every subspace momext factors goes through range_and_complement;
-    # count the calls.
-    calls = []
-    real_factor = momext.shift.range_and_complement
-
-    def counting_factor(*args, **kwargs):
-        calls.append(1)
-        return real_factor(*args, **kwargs)
-
-    monkeypatch.setattr(momext.shift, "range_and_complement", counting_factor)
-
-    def qr_calls(fn, *args, **kwargs):
-        calls.clear()
-        result = fn(*args, **kwargs)
-        return len(calls), result
-
-    rng = np.random.default_rng(RNG_SEED + 7)
-    seq, _ = random_feasible_instance(rng, 2, 2)
-    in_prepare, ws = qr_calls(prepare, seq)
-    assert in_prepare > 0
-    assert qr_calls(default_parameter, ws)[0] == 0
-    assert qr_calls(solve_truncated, seq)[0] == in_prepare
-    thetas = np.linspace(1.0, 2.0 * np.pi - 1.0, 16)
-    assert qr_calls(theta_sweep, seq, thetas=thetas)[0] == in_prepare
-    contraction = ExtensionParameter.contraction(
-        random_strict_contraction(rng, ws.defect))
-    count, result = qr_calls(solve_truncated, seq, contraction)
-    assert count == in_prepare
-    transform = StieltjesTransform(ws.shift, ws.pair, contraction)
-    assert qr_calls(perron_inversion, transform, -3.0, 3.0, 0.5)[0] == 0
-    assert qr_calls(moments_from_transform, transform, 4)[0] == 0
-    assert result.verification.passed
-
-
 def _count_factorizations(monkeypatch):
     """Make np.linalg's dense factorizations record their names; returns
     a function running fn(*args) and giving how often each was called."""
@@ -268,9 +266,9 @@ def _minus(counts, before):
 def test_sweep_factorizations_do_not_grow_with_the_angles(monkeypatch):
     # After prepare, theta_sweep runs one stacked screen of the parameters
     # (the singular values for norm and isometry, the margins and the
-    # forbidden gaps: three SVD calls, none repeated by the extension), one
-    # batched extension and one batched eigh, whatever the number of
-    # angles; count the dense factorizations it asks numpy for.
+    # forbidden gaps: one SVD call, not repeated by the extension), one
+    # batched extension with no inverse and one batched eigh, whatever the
+    # number of angles; count the dense factorizations it asks numpy for.
     factorizations = _count_factorizations(monkeypatch)
     rng = np.random.default_rng(RNG_SEED + 8)
     for n in (1, 2):
@@ -279,13 +277,13 @@ def test_sweep_factorizations_do_not_grow_with_the_angles(monkeypatch):
         per_sweep = [_minus(factorizations(
             theta_sweep, seq, thetas=np.linspace(1.0, 2.0 * np.pi - 1.0, k)),
             in_prepare) for k in (8, 32)]
-        assert per_sweep[0] == per_sweep[1] == {"svd": 3, "eigh": 1, "inv": 1}
+        assert per_sweep[0] == per_sweep[1] == {"svd": 1, "eigh": 1, "inv": 0}
 
 
 def test_a_solve_screens_its_parameter_once(monkeypatch):
     # The solve's admissibility check and its extension share one screen:
-    # three SVD calls after prepare, with the default parameter (its eight
-    # candidates stacked) and with a supplied one alike.
+    # one SVD call after prepare, with the default parameter -X and with a
+    # supplied one alike, and no inverse.
     factorizations = _count_factorizations(monkeypatch)
     rng = np.random.default_rng(RNG_SEED + 9)
     for n in (1, 2):
@@ -297,14 +295,14 @@ def test_a_solve_screens_its_parameter_once(monkeypatch):
         for parameter in parameters:
             per_solve = _minus(factorizations(solve_truncated, seq, parameter),
                                in_prepare)
-            assert per_solve == {"svd": 3, "eigh": 1, "inv": 1}
+            assert per_solve == {"svd": 1, "eigh": 1, "inv": 0}
 
 
 def test_a_transform_screens_its_parameter_once(monkeypatch):
-    # The transform route keeps the checked matrix, its blocks and G: an
-    # explicit contraction solve makes the three SVD calls of its screen
-    # after prepare, and Perron inversion on a fresh transform two (the
-    # norms and the margin), however often the transform is evaluated.
+    # The transform route keeps the checked matrix and G: an explicit
+    # contraction solve makes the one SVD call of its screen after
+    # prepare, and so does Perron inversion on a fresh transform, however
+    # often the transform is evaluated.
     factorizations = _count_factorizations(monkeypatch)
     rng = np.random.default_rng(RNG_SEED + 10)
     seq, _ = random_feasible_instance(rng, 2, 3)
@@ -313,10 +311,10 @@ def test_a_transform_screens_its_parameter_once(monkeypatch):
     assert ws.defect == 2
     half = ExtensionParameter.contraction(0.5 * np.eye(2))
     per_solve = _minus(factorizations(solve_truncated, seq, half), in_prepare)
-    assert per_solve["svd"] == 3
+    assert per_solve["svd"] == 1
     transform = StieltjesTransform(ws.shift, ws.pair, half)
     assert factorizations(perron_inversion, transform, -3.0, 3.0, 0.5)[
-        "svd"] == 2
+        "svd"] == 1
     assert factorizations(moments_from_transform, transform, 6)["svd"] == 0
     assert factorizations(transform.eval_upper_many, [1j, 2j])["svd"] == 0
     # a parameter on the forbidden operator is still refused by both
