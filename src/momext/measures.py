@@ -107,13 +107,9 @@ class AtomicMatrixMeasure:
                                 drop_tol, degree)
             locs, w = locs[keep], w[keep]
         if validate and len(locs):
-            scale = max(max_abs(w), 1.0)
-            emin = np.linalg.eigvalsh(w)[:, 0]
-            bad = np.flatnonzero(emin < -psd_rel * scale)
-            if bad.size:
-                j = bad[0]
-                raise ValueError(f"weight at t = {locs[j]:.6g} is not PSD: "
-                                 f"min eigenvalue {emin[j]:.3e}")
+            failure = _first_non_psd(locs, w, psd_rel * max(max_abs(w), 1.0))
+            if failure:
+                raise failure[1]
         return cls(locations=read_only(locs), weights=read_only(w))
 
     def moment(self, n: int) -> np.ndarray:
@@ -142,6 +138,34 @@ def _significant(peaks, locs, drop_tol, degree: int):
     return peaks * np.maximum(np.abs(locs), 1.0) ** degree > drop_tol
 
 
+def _first_non_psd(locs, weights, floor):
+    """The first of the Hermitian weights (B, N, N) at locs (B,) whose
+    smallest eigenvalue is below -floor (a scalar or (B,)), as its index and
+    the ValueError that names it; None when there is none.
+
+    A 1 x 1 weight is its own eigenvalue.  Larger ones are screened by one
+    batched Cholesky of W + floor I, which succeeds exactly when every
+    smallest eigenvalue exceeds -floor; only when it fails does one eigvalsh
+    over the stack find the first offender, so the decision is that of the
+    eigvalsh rule except within roundoff of the threshold.
+    """
+    n = weights.shape[-1]
+    if n == 1:
+        emin = weights[:, 0, 0].real
+    else:
+        try:
+            np.linalg.cholesky(weights + np.multiply.outer(floor, np.eye(n)))
+            return None
+        except np.linalg.LinAlgError:
+            emin = np.linalg.eigvalsh(weights)[:, 0]
+    bad = np.flatnonzero(emin < -floor)
+    if not bad.size:
+        return None
+    j = bad[0]
+    return j, ValueError(f"weight at t = {locs[j]:.6g} is not PSD: "
+                         f"min eigenvalue {emin[j]:.3e}")
+
+
 def spectral_measure(extension: SelfAdjointExtension, shift: ShiftOperator,
                      tol: Tolerances = DEFAULT
                      ) -> AtomicMatrixMeasure | tuple[AtomicMatrixMeasure, ...]:
@@ -156,7 +180,9 @@ def spectral_measure(extension: SelfAdjointExtension, shift: ShiftOperator,
     however large t is: an atom far out (the parameter near the forbidden
     operator) has a tiny weight that still carries t^{2d} W of S_{2d}.
     An atom is dropped only when W max(1, |t|)^{2d} is below weight_rel
-    times the total-mass scale.
+    times the total-mass scale.  The kept weights of every row are checked
+    PSD together, by _assemble: one batched Cholesky for N >= 2, an
+    eigvalsh only when that fails.
     """
     n = shift.block_dim
     d = shift.order
@@ -195,11 +221,11 @@ def _assemble(locs, weights, merge_tol, drop_tol, psd_rel: float,
     (K, J) and weights (K, J, N, N), with the row's merge_tol and drop_tol.
 
     A row with no near-coincident neighbours needs no merge, so those rows
-    get their Hermitization, drop mask and PSD check (one batched eigvalsh
-    over every kept weight) in one array pass, and their measures are views
-    of the kept atoms; a row that clusters goes through from_atoms.  A
-    non-PSD weight raises from_atoms's ValueError, for the first in row
-    order.
+    get their Hermitization, drop mask and PSD check (_first_non_psd, the
+    check from_atoms makes, over every kept weight at once) in one array
+    pass, and their measures are views of the kept atoms; a row that
+    clusters goes through from_atoms.  A non-PSD weight raises
+    from_atoms's ValueError, for the first in row order.
     """
     clustered = _near(locs, merge_tol[:, None]).any(axis=1)
     w = 0.5 * (weights + np.conj(np.swapaxes(weights, -1, -2)))
@@ -213,10 +239,9 @@ def _assemble(locs, weights, merge_tol, drop_tol, psd_rel: float,
     if len(kept_w):
         scale = np.maximum(np.where(keep, peaks, 0.0).max(axis=1), 1.0)
         row = np.repeat(np.arange(len(locs)), counts)
-        emin = np.linalg.eigvalsh(kept_w)[:, 0]
-        bad = np.flatnonzero(emin < -psd_rel * scale[row])
-        if bad.size:
-            first_bad = row[bad[0]]
+        failure = _first_non_psd(kept_locs, kept_w, psd_rel * scale[row])
+        if failure:
+            first_bad = row[failure[0]]
     ends = np.cumsum(counts).tolist()
     measures = []
     for k, (start, end) in enumerate(zip([0] + ends, ends)):
@@ -226,9 +251,7 @@ def _assemble(locs, weights, merge_tol, drop_tol, psd_rel: float,
                 merge_tol=merge_tol[k], drop_tol=drop_tol[k],
                 psd_rel=psd_rel, degree=degree))
         elif k == first_bad:
-            j = bad[0]
-            raise ValueError(f"weight at t = {kept_locs[j]:.6g} is not PSD: "
-                             f"min eigenvalue {emin[j]:.3e}")
+            raise failure[1]
         else:
             measures.append(AtomicMatrixMeasure(
                 locations=read_only(kept_locs[start:end]),
@@ -275,10 +298,10 @@ def verify_measures(measures, seq: MomentSequence,
 
     Locations are padded with 0 and weights with 0 to the largest atom
     count, which adds exact zeros to every sum; a single measure is used
-    through views of its own arrays.  The moments come from one einsum,
-    which sums each in atom order whatever the padding, so every report is
-    bit for bit that of its measure alone (a matmul would sum in another
-    order).
+    through views of its own arrays.  The moments come from one einsum
+    (_moment_sums, on the real view of the weights for N >= 2), which sums
+    each in atom order whatever the padding, so every report is bit for bit
+    that of its measure alone (a matmul would sum in another order).
     """
     if len(measures) == 1:
         locs = measures[0].locations[None]
@@ -287,9 +310,27 @@ def verify_measures(measures, seq: MomentSequence,
         return ()
     else:
         locs, weights = _padded(measures, 0.0)
-    powers = locs[:, None, :] ** np.arange(len(seq))[:, None]
-    rec = np.einsum("knj,kjab->knab", powers, weights)
-    return _verifications(rec, seq, rel_tol)
+    return _verifications(_moment_sums(locs, weights, len(seq)), seq,
+                          rel_tol)
+
+
+def _moment_sums(locs, weights, count: int) -> np.ndarray:
+    """sum over atoms j of locs[k, j]^n weights[k, j] for n < count, from
+    locations (K, J) and weights (K, J, N, N): (K, count, N, N), summed in
+    atom order.
+
+    For N >= 2 the einsum runs on the real view of the weights, (K, J,
+    2 N^2) floats times real powers: the products and the order of the
+    complex einsum, bit for bit, at a fraction of its cost.  At N = 1 that
+    view is too short to pay, and the complex einsum is kept.
+    """
+    powers = locs[:, None, :] ** np.arange(count)[:, None]
+    k, j, n = np.shape(weights)[:3]
+    if n == 1:
+        return np.einsum("knj,kjab->knab", powers, weights)
+    flat = np.ascontiguousarray(weights, dtype=complex).view(float)
+    sums = np.einsum("knj,kjx->knx", powers, flat.reshape(k, j, 2 * n * n))
+    return sums.view(complex).reshape(k, count, n, n)
 
 
 def verify_recovered_moments(recovered, seq: MomentSequence,

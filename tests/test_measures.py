@@ -25,7 +25,12 @@ Checked here:
   the residue form misses the direct solve,
 - the batched atom assembly against from_atoms row by row, exactly, with
   clustered, dropped and non-PSD atoms,
-- measure verification, one measure and a stack of them, and the distance
+- the Cholesky PSD screen against the eigvalsh rule at smallest
+  eigenvalues of +-10 floor for N in {1, 2, 4, 8}: the same decisions,
+  eigvalsh only on a failed screen, and the rule's error text for the
+  first offender in both from_atoms and the batched assembly,
+- measure verification, one measure and a stack of them, its moment sums
+  bit for bit the complex einsum on zero-padded stacks, and the distance
   used by the parameter sweep.
 """
 
@@ -158,7 +163,7 @@ def test_batched_assembly_names_the_first_non_psd_weight():
     # A planted negative weight raises from_atoms's error for its row; with
     # one in the clustered row 1 and one in the plain row 2, row 1 is named.
     rng = np.random.default_rng(RNG_SEED + 21)
-    for n in (1, 2):
+    for n in (1, 2, 4, 8):
         for bad_rows in ((2,), (4, 0), (1, 2)):
             locs, weights, merge_tol, drop_tol = _assembly_rows(rng, n)
             for row in bad_rows:
@@ -173,6 +178,86 @@ def test_batched_assembly_names_the_first_non_psd_weight():
                 momext.measures._assemble(locs, weights, merge_tol, drop_tol,
                                           1e-10)
             assert str(batched.value) == str(single.value)
+
+
+def _weights_with_min_eigenvalue(rng, n, emins):
+    """Hermitian N x N weights U diag(lam) U^H, one per entry of emins,
+    whose smallest eigenvalue is that entry and whose others lie in
+    [0.1, 1]."""
+    z = (rng.standard_normal((len(emins), n, n))
+         + 1j * rng.standard_normal((len(emins), n, n)))
+    u = np.linalg.qr(z)[0]
+    lam = rng.uniform(0.1, 1.0, (len(emins), n))
+    lam[:, 0] = emins
+    w = (u * lam[:, None, :]) @ np.conj(np.swapaxes(u, -1, -2))
+    return 0.5 * (w + np.conj(np.swapaxes(w, -1, -2)))
+
+
+def _eigvalsh_rule(locs, weights, floor):
+    """The error the eigvalsh PSD rule raises for the first weight whose
+    smallest eigenvalue is below -floor, or None."""
+    emin = np.linalg.eigvalsh(weights)[:, 0]
+    for t, e in zip(locs, emin):
+        if e < -floor:
+            return f"weight at t = {t:.6g} is not PSD: min eigenvalue {e:.3e}"
+    return None
+
+
+def test_psd_screen_decides_as_the_eigvalsh_rule(monkeypatch):
+    # Smallest eigenvalues of +-10 floor: the Cholesky screen passes the
+    # same weights as eigvalsh, and on a failed screen names the first
+    # offender with the eigvalsh rule's text.  eigvalsh runs only when the
+    # screen fails, and neither runs at N = 1.
+    calls = []
+    for name in ("cholesky", "eigvalsh"):
+        def counting(*args, _real=getattr(np.linalg, name), _name=name,
+                     **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(momext.measures.np.linalg, name, counting)
+    rng = np.random.default_rng(RNG_SEED + 23)
+    psd_rel = 1e-10
+    for n in (1, 2, 4, 8):
+        signs = rng.choice([-1.0, 1.0], 16)
+        signs[:3] = 1.0
+        w = _weights_with_min_eigenvalue(rng, n, 10.0 * psd_rel * signs)
+        locs = np.sort(rng.uniform(-2.0, 2.0, len(w)))
+        for i in range(len(w)):
+            failure = momext.measures._first_non_psd(locs[i:i + 1],
+                                                     w[i:i + 1], psd_rel)
+            assert (failure is None) == (signs[i] > 0.0), (n, i)
+        for stack in (w[:3], w):
+            want = _eigvalsh_rule(locs, stack, psd_rel)
+            calls.clear()
+            failure = momext.measures._first_non_psd(locs, stack, psd_rel)
+            assert (None if failure is None else str(failure[1])) == want
+            screens = [] if n == 1 else ["cholesky"]
+            assert calls == screens + (["eigvalsh"] if want and n > 1 else [])
+
+
+def test_non_psd_weights_raise_the_eigvalsh_rule_text():
+    # from_atoms names the first offender in location order, _assemble the
+    # first in row order, each with the text of the eigvalsh rule.
+    rng = np.random.default_rng(RNG_SEED + 24)
+    psd_rel = 1e-10
+    for n in (1, 2, 4, 8):
+        emins = np.full(12, 10.0 * psd_rel)
+        emins[[10, 3, 6]] = -10.0 * psd_rel
+        w = _weights_with_min_eigenvalue(rng, n, emins)
+        locs = np.sort(rng.uniform(-2.0, 2.0, len(w)))
+        want = _eigvalsh_rule(locs, w, psd_rel)
+        assert f"{locs[3]:.6g}" in want
+        order = rng.permutation(len(w))
+        with pytest.raises(ValueError) as single:
+            AtomicMatrixMeasure.from_atoms(locs[order], w[order], block_dim=n,
+                                           psd_rel=psd_rel)
+        assert str(single.value) == want
+        # rows of 4: the offenders sit in row 0 (column 3), row 1 and row 2
+        rows = locs.reshape(3, 4), w.reshape(3, 4, n, n)
+        with pytest.raises(ValueError) as batched:
+            momext.measures._assemble(*rows, np.zeros(3), np.zeros(3),
+                                      psd_rel)
+        assert str(batched.value) == want
 
 
 # -------------------------------------------------------- spectral measures
@@ -540,6 +625,30 @@ def test_stacked_verification_is_the_one_measure_verification():
             assert report == verify_moments(measure, seq)
             assert report == _reference_verification(measure, seq)
     assert verify_measures([], seq) == ()
+
+
+def test_moment_sums_are_the_complex_einsum_bit_for_bit():
+    # On zero-padded stacks the moment sums equal the complex einsum over
+    # the same stack, and each row equals that of its measure alone, in
+    # every bit.
+    rng = np.random.default_rng(RNG_SEED + 25)
+    for k in (1, 32):
+        for n in (1, 2, 4, 8):
+            measures = [_random_measure(rng, n, int(j))
+                        for j in rng.integers(0, 9, k)]
+            if k > 1:
+                measures[0] = _random_measure(rng, n, 0)
+            locs, weights = momext.measures._padded(measures, 0.0)
+            got = momext.measures._moment_sums(locs, weights, 9)
+            powers = locs[:, None, :] ** np.arange(9)[:, None]
+            want = np.einsum("knj,kjab->knab", powers, weights)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+            for row, measure in zip(got, measures):
+                alone = momext.measures._moment_sums(
+                    measure.locations[None], measure.weights[None], 9)[0]
+                assert np.array_equal(row.view(np.uint64),
+                                      alone.view(np.uint64))
 
 
 def test_measure_distance_separates_different_solutions(seq_101):

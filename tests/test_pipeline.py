@@ -7,8 +7,9 @@ Checked here:
   stages, from one Hankel build, one eigvalsh of H_d and one of H_{d-1},
   one Cholesky, one N x N eigh and the small defect-space factorizations
   (no QR, no inverse), a default solve adding the screen of one
-  parameter and one m x m eigh, and the reported trailing minimum
-  eigenvalue is the smallest Gram eigenvalue,
+  parameter, one m x m eigh and, for N >= 2, one batched Cholesky of
+  the atom weights (eigvalsh only when it fails), and the reported
+  trailing minimum eigenvalue is the smallest Gram eigenvalue,
 - both solution routes (atomic for isometric parameters, transform plus
   closed-form moment recovery for contractions),
 - the admissibility gate on supplied parameters,
@@ -17,8 +18,8 @@ Checked here:
   forbidden, pairwise distinct measures; on random instances its distance
   matrix is exactly the pairwise measure_distance, and each entry (report,
   measure, verification) is exactly that of its angle solved alone, from
-  one atom assembly and one verification pass whatever the number of
-  angles,
+  one atom assembly (one batched Cholesky PSD screen for N >= 2, no
+  eigvalsh) and one verification pass whatever the number of angles,
 - determinism of repeated solves,
 - unitary invariance: conjugating the data by a unitary U conjugates the
   solution weights by U, once the parameter is transported through the
@@ -96,7 +97,9 @@ def test_prepare_builds_and_factors_each_section_once(monkeypatch):
     # rotation of B_minus.  No QR and no inverse.  A default solve then
     # screens one parameter (its norm, its margin and its forbidden gap,
     # from one SVD call of a (3, q, q) stack), takes one m x m eigh and
-    # checks the atom weights with one eigvalsh.
+    # screens the atom weights with one batched Cholesky (none at N = 1,
+    # where a weight is its own eigenvalue); eigvalsh runs only when that
+    # screen fails.
     calls = []
 
     def count(module, name, shape_of):
@@ -129,10 +132,11 @@ def test_prepare_builds_and_factors_each_section_once(monkeypatch):
                 calls.clear()
                 result = solve_truncated(seq)
                 screen = [("svd", (3, q, q))] if q else []
+                psd = ([("cholesky", (result.measure.n_atoms, n, n))]
+                       if n > 1 else [])
                 assert calls[:len(in_prepare)] == in_prepare
                 assert calls[len(in_prepare):] == screen + [
-                    ("eigh", (1, m, m)),
-                    ("eigvalsh", (result.measure.n_atoms, n, n))]
+                    ("eigh", (1, m, m))] + psd
 
 
 def test_trailing_minimum_is_the_smallest_gram_eigenvalue():
@@ -266,11 +270,12 @@ def test_sweep_entries_are_the_single_angle_solves():
 def test_sweep_assembly_and_verification_do_not_grow_with_the_angles(
         monkeypatch):
     # On an unclustered sweep the atoms of every angle are assembled with
-    # one batched PSD eigvalsh and no from_atoms call, and verified with one
-    # einsum, whatever the number of angles.
+    # one batched PSD Cholesky (none at N = 1), no eigvalsh and no
+    # from_atoms call, and verified with one einsum, whatever the number of
+    # angles.
     calls = []
-    for name in ("eigvalsh", "einsum"):
-        module = np.linalg if name == "eigvalsh" else np
+    for name in ("eigvalsh", "cholesky", "einsum"):
+        module = np if name == "einsum" else np.linalg
 
         def counting(*args, _real=getattr(module, name), _name=name,
                      **kwargs):
@@ -289,18 +294,19 @@ def test_sweep_assembly_and_verification_do_not_grow_with_the_angles(
         calls.clear()
         fn(*args, **kwargs)
         return {name: calls.count(name)
-                for name in ("eigvalsh", "einsum", "from_atoms")}
+                for name in ("eigvalsh", "cholesky", "einsum", "from_atoms")}
 
     rng = np.random.default_rng(RNG_SEED + 5)
-    for n in (1, 2):
+    for n in (1, 2, 4):
         seq, _ = random_feasible_instance(rng, n, 3)
         in_prepare = counted(prepare, seq)
         for k in (8, 32):
             in_sweep = counted(theta_sweep, seq,
                                thetas=np.linspace(1.0, 2.0 * np.pi - 1.0, k))
             assert {name: in_sweep[name] - in_prepare[name]
-                    for name in in_sweep} == {"eigvalsh": 1, "einsum": 1,
-                                              "from_atoms": 0}
+                    for name in in_sweep} == {"eigvalsh": 0,
+                                              "cholesky": int(n > 1),
+                                              "einsum": 1, "from_atoms": 0}
 
 
 def test_repeated_solves_are_bitwise_identical():
