@@ -8,7 +8,7 @@ and verifies each output against the prescribed moments:
 - solvability check on the two nested block Hankel sections,
 - the block Cholesky Gram model, the block Jacobi shift, the Cayley
   parametrization of its extensions, the forbidden parameter
-  X = C_-^{-1} C_+ (which depends on the data) and the default -X,
+  X = C_-^{-1} C_+ = U^H (which depends on the data) and the default -X,
 - self-adjoint extensions and their atomic spectral measures,
 - generalized resolvents of constant contractive parameters, the matrix
   Stieltjes transform of a solution, and closed-form recovery of its

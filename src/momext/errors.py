@@ -43,8 +43,8 @@ class NormViolation(MomentProblemError):
 class NotAdmissible(MomentProblemError):
     """The extension parameter collides with the forbidden operator.
 
-    ``margin`` carries sigma_min(V + I), the distance of the parameter from
-    the forbidden operator -I, for diagnostics.
+    ``margin`` carries sigma_min(C_minus V - C_plus), which vanishes on the
+    forbidden operator X, for diagnostics.
     """
 
     def __init__(self, message, margin=None):

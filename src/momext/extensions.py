@@ -14,7 +14,9 @@ resolvent
     R(lam) = (G - lam)^{-1}      for Im lam > 0
 
 is that of the solution, with R(conj lam) = R(lam)^H on the lower
-half-plane.  G costs one q x q solve; nothing m x m is inverted.
+half-plane.  G costs one q x q solve, and none for the default V = -X,
+whose block is B(-X) = Re Omega = (Omega + Omega^H) / 2 in closed form
+(so its G is exactly Hermitian); nothing m x m is inverted.
 """
 
 from __future__ import annotations
@@ -119,24 +121,40 @@ def screen_parameter(shift: ShiftOperator, pair: DeficiencyPair,
 
 def _generator(shift: ShiftOperator, pair: DeficiencyPair,
                vmat: np.ndarray) -> np.ndarray:
-    """G for V = vmat, or a stack of them for a (K, q, q) stack, with one
-    batched q x q solve for B(V); no admissibility check, so
-    C_minus V - C_plus must be nonsingular."""
+    """G for V = vmat, or a stack of them for a (K, q, q) stack; no
+    admissibility check, so C_minus V - C_plus must be nonsingular.
+
+    A V equal to -X = -U^H bit for bit gets B = Re Omega; the others get
+    B(V) from one batched q x q solve."""
     dn, q = shift.dom_dim, pair.defect
     g = np.empty(vmat.shape[:-2] + (dn + q, dn + q), dtype=complex)
     e = shift.action[dn:]
     g[..., :dn, :dn] = shift.jacobi
     g[..., dn:, :dn] = e
     g[..., :dn, dn:] = np.conj(e.T)
-    if q:
-        plus, minus = pair.complement_rows
-        omega = pair.omega
-        den = minus @ vmat - plus
-        num = omega @ minus @ vmat - np.conj(omega.T) @ plus
-        g[..., dn:, dn:] = np.conj(np.swapaxes(np.linalg.solve(
-            np.conj(np.swapaxes(den, -1, -2)),
-            np.conj(np.swapaxes(num, -1, -2))), -1, -2))
+    if not q:
+        return g
+    solved = ~(vmat == -np.conj(pair.rotation.T)).all(axis=(-2, -1))
+    if solved.all():
+        g[..., dn:, dn:] = _solved_block(pair, vmat)
+        return g
+    omega = pair.omega
+    g[..., dn:, dn:] = 0.5 * (omega + np.conj(omega.T))     # B(-X)
+    if solved.any():
+        g[solved, dn:, dn:] = _solved_block(pair, vmat[solved])
     return g
+
+
+def _solved_block(pair: DeficiencyPair, vmat: np.ndarray) -> np.ndarray:
+    """B(V) = (Omega C_minus V - Omega^H C_plus) (C_minus V - C_plus)^{-1}
+    for V = vmat (or each V of a stack), by one batched solve."""
+    plus, minus = pair.complement_rows
+    omega = pair.omega
+    den = minus @ vmat - plus
+    num = omega @ minus @ vmat - np.conj(omega.T) @ plus
+    return np.conj(np.swapaxes(np.linalg.solve(
+        np.conj(np.swapaxes(den, -1, -2)),
+        np.conj(np.swapaxes(num, -1, -2))), -1, -2))
 
 
 def quasi_extension(shift: ShiftOperator, pair: DeficiencyPair,

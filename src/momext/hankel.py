@@ -37,9 +37,11 @@ class MomentSequence:
 
     @classmethod
     def from_arrays(cls, arrays):
-        """Check and symmetrize the moments in one pass over their stack;
-        an error names the first offending S_i."""
-        stack = _stack_moments(list(arrays))
+        """Check and symmetrize the moments in one pass over their stack
+        (a complex (count, N, N) array is taken as it is); an error names
+        the first offending S_i."""
+        stack = _stack_moments(arrays if isinstance(arrays, np.ndarray)
+                               else list(arrays))
         herm = np.conj(np.swapaxes(stack, 1, 2))
         scale = np.maximum(np.abs(stack).max(axis=(1, 2), initial=0.0), 1.0)
         defect = np.abs(stack - herm).max(axis=(1, 2), initial=0.0)
@@ -55,7 +57,8 @@ class MomentSequence:
     @classmethod
     def scalar(cls, values):
         """Convenience constructor for N = 1 from plain numbers."""
-        return cls.from_arrays([np.array([[v]], dtype=complex) for v in values])
+        return cls.from_arrays(
+            np.asarray(values, dtype=complex).reshape(-1, 1, 1))
 
     def __len__(self) -> int:
         return len(self.moments)
@@ -73,12 +76,12 @@ class MomentSequence:
         return max(max_abs(m) for m in self.moments)
 
 
-def _stack_moments(arrays: list) -> np.ndarray:
-    """The moments as one complex (count, N, N) array.  Input that does not
-    stack to one goes through the checks of each moment in turn, so the
-    error names the first offending S_i."""
+def _stack_moments(arrays) -> np.ndarray:
+    """The moments (a list, or an array) as one complex (count, N, N) array.
+    Input that does not stack to one goes through the checks of each moment
+    in turn, so the error names the first offending S_i."""
     try:
-        stack = np.array(arrays, dtype=complex)
+        stack = np.asarray(arrays, dtype=complex)
         if len(stack) and stack.ndim == 3 and stack.shape[1] == stack.shape[2]:
             return stack
     except (TypeError, ValueError):
@@ -167,13 +170,14 @@ def _check(seq: MomentSequence, tol: Tolerances):
             f"S_0..S_2d, got {count}")
     d = (count - 1) // 2
     trail = build_block_hankel(seq, d)
-    lead = trail.matrix[:d * seq.dim, :d * seq.dim]
+    dn = d * seq.dim
     w = np.linalg.eigvalsh(trail.matrix)
-    w_lead = np.linalg.eigvalsh(lead)
+    w_lead = np.linalg.eigvalsh(trail.matrix[:dn, :dn])
     e_lead = float(w_lead[0])
     e_trail = float(w[0])
-    s_lead = max_abs(lead)
-    s_trail = max_abs(trail.matrix)
+    mags = np.abs(trail.matrix)                     # one pass for both scales
+    s_lead = float(mags[:dn, :dn].max())
+    s_trail = float(mags.max())
     report = ConditionReport(
         block_dim=seq.dim,
         order=d,

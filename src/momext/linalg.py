@@ -25,7 +25,7 @@ def max_abs(a) -> float:
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def herm_defect(a) -> float:
@@ -70,7 +70,7 @@ def phase_canonicalize(q: np.ndarray) -> np.ndarray:
     symmetric data) differ at roundoff level in floating point, and a bare
     argmax would then pick an arbitrary, platform-dependent pivot.
     """
-    q = np.array(q, dtype=complex)
+    q = np.asarray(q, dtype=complex)
     if q.size == 0:
         return q
     mags = np.abs(q)

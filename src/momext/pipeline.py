@@ -9,9 +9,10 @@ and theta_sweep walks the unimodular parameter family e^{i theta}, reporting
 which angles are forbidden and how the resulting measures differ.
 
 Everything happens in the block Cholesky frame (momext.gram, momext.shift).
-The default parameter is V = -X, opposite the forbidden operator, whose
-extension closes the Jacobi matrix with B = Re Omega: a closed form that
-follows the data under x -> a x + b and S_n -> U S_n U^H.
+The default parameter is V = -X, opposite the forbidden operator X (the
+adjoint of the rotation of the minus defect basis), whose extension closes
+the Jacobi matrix with B = Re Omega: closed forms, with no solve after
+prepare, that follow the data under x -> a x + b and S_n -> U S_n U^H.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import numpy as np
 from .errors import NotAdmissible, NotPSD
 from .gram import GramSpace, _factor
 from .hankel import ConditionReport, MomentSequence, _check
+from .linalg import read_only
 from .measures import (AtomicMatrixMeasure, ContourRecovery,
                        StieltjesTransform, VerificationReport,
                        _screened_transform, moments_from_transform,
@@ -69,7 +71,10 @@ def prepare(seq: MomentSequence, tol: Tolerances = DEFAULT) -> Workspace:
 
     One pass over the data: H_d is built once (H_{d-1} is its leading
     block), and one eigvalsh of each section serves the two tests, the
-    rank m and the domain check.  The Workspace is bit for bit the one the
+    rank m and the domain check.  Then come one Cholesky, two solves with
+    its factor L, one N x N eigh, one batched solve with J_0 - conj z0 and
+    J_0 - z0, one q x q eigh and one q x q SVD; X is read off the rotation
+    of the defect bases.  The Workspace is bit for bit the one the
     public chain check_truncated_conditions, factor_psd(build_block_hankel
     (...)), build_shift, deficiency_subspaces, forbidden_operator gives.
     """
@@ -95,9 +100,11 @@ def prepare(seq: MomentSequence, tol: Tolerances = DEFAULT) -> Workspace:
 def default_parameter(ws: Workspace, tol: Tolerances = DEFAULT):
     """V = -X, the parameter opposite the forbidden operator, screened: the
     parameter, its report and None (it is no angle of the unimodular
-    family unless X is).  Its extension has B = Re Omega, and its margin
-    is 2 sigma_min(C_plus)."""
-    parameter = ExtensionParameter.isometric(-ws.forbidden.matrix)
+    family unless X is).  Its extension has B = Re Omega with no solve,
+    its margin is 2 sigma_min(C_plus) and its forbidden gap is 2.  The
+    screen still measures its norm, isometry, margin and gap."""
+    parameter = ExtensionParameter(kind=KIND_ISOMETRIC,
+                                   matrix=read_only(-ws.forbidden.matrix))
     _, report = screen_parameter(ws.shift, ws.pair, parameter, ws.forbidden,
                                  tol)
     if not report.admissible:

@@ -34,11 +34,14 @@ the complement rows of the bases B_pm,
     B(V) = (Omega C_minus V - Omega^H C_plus) (C_minus V - C_plus)^{-1},
 
 a q x q solve.  The bases are canonical: B_plus is the orthonormalized
-[-(J_0 - conj z0)^{-1} E^H; I], and B_minus is rotated so that V = I maps
-each defect vector to the one with the best-matching values
-(x_k, psi), k < N.  V is admissible when C_minus V - C_plus is
-nonsingular; the forbidden operator is X = C_minus^{-1} C_plus, and
-V = -X gives B = Re Omega, the default.
+[-(J_0 - conj z0)^{-1} E^H; I], and B_minus is the orthonormalized
+[-(J_0 - z0)^{-1} E^H; I] turned by a unitary U so that V = I maps each
+defect vector to the one with the best-matching values (x_k, psi), k < N.
+Both are orthonormalized by the same G^{-1/2}, so C_plus = G^{-1/2} and
+C_minus = G^{-1/2} U.  V is admissible when C_minus V - C_plus is
+nonsingular; the forbidden operator X = C_minus^{-1} C_plus is therefore
+U^H, with no solve, and V = -X gives B = Re Omega = (Omega + Omega^H) / 2,
+the default, again with no solve.
 """
 
 from __future__ import annotations
@@ -58,19 +61,18 @@ from .tolerances import DEFAULT, Tolerances
 class ShiftOperator:
     """The block shift restricted to its natural domain.
 
-    dom_matrix / shift_matrix hold the vectors x_0..x_{dN-1} and their images
-    x_N..x_{dN+N-1} as columns.  action is A in the coordinates of D(A)
-    (m x dN, A v = action @ v[:dN] for v in D(A)), jacobi its top dN rows
-    made Hermitian (J_0), and herm_residual the symmetry defect removed
-    from them, relative to their scale.  dom_basis and complement are the
-    coordinate bases of D(A) and of its orthogonal complement.
+    action is A in the coordinates of D(A) (m x dN, A v = action @ v[:dN]
+    for v in D(A)), jacobi its top dN rows made Hermitian (J_0), and
+    herm_residual the symmetry defect removed from them, relative to their
+    scale.  dom_matrix / shift_matrix (the vectors x_0..x_{dN-1} and their
+    images x_N..x_{dN+N-1} as columns), dom_basis and complement (the
+    coordinate bases of D(A) and of its orthogonal complement) are built
+    on first use.
     """
 
     space: GramSpace
     block_dim: int
     order: int
-    dom_matrix: np.ndarray      # m x dN
-    shift_matrix: np.ndarray    # m x dN
     action: np.ndarray          # m x dN
     jacobi: np.ndarray          # dN x dN, Hermitian
     herm_residual: float
@@ -81,7 +83,20 @@ class ShiftOperator:
 
     @property
     def dom_dim(self) -> int:
-        return self.dom_matrix.shape[1]
+        return self.action.shape[1]
+
+    @functools.cached_property
+    def dom_matrix(self) -> np.ndarray:
+        """m x dN: the vectors x_0..x_{dN-1} as columns."""
+        return read_only(np.ascontiguousarray(
+            self.space.coords[:self.dom_dim].T))
+
+    @functools.cached_property
+    def shift_matrix(self) -> np.ndarray:
+        """m x dN: the images x_N..x_{dN+N-1} as columns."""
+        n = self.block_dim
+        return read_only(np.ascontiguousarray(
+            self.space.coords[n:self.dom_dim + n].T))
 
     @property
     def defect(self) -> int:
@@ -131,8 +146,6 @@ def build_shift(space: GramSpace, tol: Tolerances = DEFAULT) -> ShiftOperator:
                      / max(float(np.abs(top).max(initial=0.0)), 1.0))
     return ShiftOperator(
         space=space, block_dim=n, order=space.order,
-        dom_matrix=read_only(np.ascontiguousarray(coords[:dn].T)),
-        shift_matrix=read_only(np.ascontiguousarray(coords[n:dn + n].T)),
         action=read_only(action), jacobi=read_only(jacobi),
         herm_residual=residual)
 
@@ -140,13 +153,15 @@ def build_shift(space: GramSpace, tol: Tolerances = DEFAULT) -> ShiftOperator:
 @dataclasses.dataclass(frozen=True, eq=False)
 class DeficiencyPair:
     """Orthonormal bases of the defect subspaces at the reference point z0,
-    and Omega = z0 + E (J_0 - z0)^{-1} E^H, which turns a parameter into
-    the last block of its extension."""
+    Omega = z0 + E (J_0 - z0)^{-1} E^H, which turns a parameter into the
+    last block of its extension, and the unitary rotation U that turned
+    basis_minus (C_minus = C_plus U)."""
 
     basis_plus: np.ndarray      # m x q, spans N_plus
     basis_minus: np.ndarray     # m x q, spans N_minus
     defect: int
     omega: np.ndarray           # q x q
+    rotation: np.ndarray        # q x q, unitary
 
     @property
     def complement_rows(self):
@@ -166,15 +181,16 @@ def deficiency_subspaces(shift: ShiftOperator,
     (R = (J_0 - z0)^{-1} E^H), and G^{-1/2} makes them orthonormal.  The
     values (x_k, psi), k < N, of a defect vector are fixed by its first
     block rows through the same map on both sides, so B_minus is turned by
-    the polar factor of K_minus^H K_plus (K the first block rows of the
+    the polar factor U of K_minus^H K_plus (K the first block rows of the
     orthonormal bases), the unitary that best matches them; X is then
-    that factor's adjoint.
+    U^H.
     """
     q, n, dn = shift.defect, shift.block_dim, shift.dom_dim
     if q == 0:
         empty = read_only(np.zeros((shift.ambient_dim, 0), dtype=complex))
+        square = read_only(np.zeros((0, 0), complex))
         return DeficiencyPair(basis_plus=empty, basis_minus=empty, defect=0,
-                              omega=read_only(np.zeros((0, 0), complex)))
+                              omega=square, rotation=square)
     e = shift.action[dn:]
     tail = shift.tail
     corner = shift.jacobi[dn - n:, dn - n:]
@@ -183,18 +199,20 @@ def deficiency_subspaces(shift: ShiftOperator,
     points = np.array([np.conj(z0), z0])[:, None, None]
     cols = np.linalg.solve(shift.jacobi - points * np.eye(dn),
                            np.conj(e.T))                # (2, dN, q)
-    omega = z0 * np.eye(q) + e @ cols[1]
-    w, u = np.linalg.eigh(np.eye(q) + np.conj(cols[1].T) @ cols[1])
+    eye = np.eye(q)
+    omega = z0 * eye + e @ cols[1]
+    w, u = np.linalg.eigh(eye + np.conj(cols[1].T) @ cols[1])
     root_inv = (u / np.sqrt(w)) @ np.conj(u.T)      # G^{-1/2}
     k = cols[:, :n] @ root_inv
     left, _, right = np.linalg.svd(np.conj(k[1].T) @ k[0])
     bases = np.empty((2, dn + q, q), dtype=complex)
     bases[:, :dn] = -cols
-    bases[:, dn:] = np.eye(q)
+    bases[:, dn:] = eye
     bases = bases @ root_inv
     return DeficiencyPair(basis_plus=read_only(bases[0]),
                           basis_minus=read_only(bases[1] @ left @ right),
-                          defect=q, omega=read_only(omega))
+                          defect=q, omega=read_only(omega),
+                          rotation=read_only(left @ right))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -203,7 +221,8 @@ class ForbiddenOperator:
 
     X = C_minus^{-1} C_plus is the V for which B_minus V - B_plus lies in
     D(A), so that the extension would leave C^m; matrix expresses it in
-    the (basis_plus, basis_minus) coordinate pair.  It is unitary.
+    the (basis_plus, basis_minus) coordinate pair.  It is U^H, the adjoint
+    of the rotation of basis_minus, and so unitary.
     """
 
     matrix: np.ndarray          # q x q
@@ -211,9 +230,9 @@ class ForbiddenOperator:
 
 def forbidden_operator(shift: ShiftOperator, pair: DeficiencyPair,
                        tol: Tolerances = DEFAULT) -> ForbiddenOperator:
-    """X = C_minus^{-1} C_plus, from one q x q solve."""
-    plus, minus = pair.complement_rows
-    return ForbiddenOperator(matrix=read_only(np.linalg.solve(minus, plus)))
+    """X = C_minus^{-1} C_plus = U^H, read off the rotation of the pair:
+    C_plus = G^{-1/2} and C_minus = G^{-1/2} U, so no solve is needed."""
+    return ForbiddenOperator(matrix=read_only(np.conj(pair.rotation.T)))
 
 
 @dataclasses.dataclass(frozen=True)

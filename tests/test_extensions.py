@@ -12,7 +12,11 @@ Checked here:
   positions +-1,
 - parameter validation (shape, norm, isometry defect),
 - stacked parameters: each slice of a batched extension is its parameter's
-  own, and the gate names an inadmissible member.
+  own, and the gate names an inadmissible member,
+- the default V = -X in closed form: its last block B = Re Omega is
+  Hermitian bit for bit and within 1e-12 * scale of the q x q solve
+  B(-X); solve_truncated, selfadjoint_extension(default_parameter(ws))
+  and a stack holding -X as one row give the same G.
 """
 
 from __future__ import annotations
@@ -22,9 +26,12 @@ import pytest
 
 from momext import (DimensionMismatch, ExtensionParameter, NormViolation,
                     NotAdmissible, StieltjesTransform, build_block_hankel,
-                    build_shift, deficiency_subspaces, factor_psd,
-                    pencil_spectral_radius, selfadjoint_extension)
+                    build_shift, default_parameter, deficiency_subspaces,
+                    factor_psd, pencil_spectral_radius, prepare,
+                    selfadjoint_extension, solve_truncated)
+from momext.extensions import KIND_ISOMETRIC, quasi_extension
 from momext.sampling import (random_admissible_isometry,
+                             random_deficient_instance,
                              random_feasible_instance,
                              random_strict_contraction)
 
@@ -151,3 +158,46 @@ def test_singularities_sit_at_the_atoms(seq_101):
     # modulus 1.
     assert pencil_spectral_radius(shift, pair, vmat) == pytest.approx(
         1.0, abs=1e-10)
+
+
+def test_default_parameter_closes_the_jacobi_matrix_with_re_omega():
+    # V = -X gives B = Re Omega without the q x q solve: G is exactly
+    # Hermitian, its last block agrees with the solve it skips, and the
+    # solve, the staged chain and a stacked row all give the same G.
+    rng = np.random.default_rng(RNG_SEED + 3)
+    for n in (1, 2, 4):
+        for d in (1, 3):
+            for draw in (random_feasible_instance, random_deficient_instance):
+                seq, _ = draw(rng, n, d)
+                ws = prepare(seq)
+                q, dn = ws.defect, ws.shift.dom_dim
+                if not q:
+                    continue
+                parameter, _, _ = default_parameter(ws)
+                g = quasi_extension(ws.shift, ws.pair, parameter)
+                assert np.array_equal(g, np.conj(g.T))
+                plus, minus = ws.pair.complement_rows
+                omega = ws.pair.omega
+                v = parameter.matrix
+                solved = np.linalg.solve(
+                    (minus @ v - plus).T,
+                    (omega @ minus @ v - np.conj(omega.T) @ plus).T).T
+                scale = max(1.0, float(np.abs(omega).max()))
+                assert np.abs(g[dn:, dn:] - solved).max() <= 1e-12 * scale
+                staged = selfadjoint_extension(ws.shift, ws.pair, parameter)
+                assert np.array_equal(staged.matrix, g)
+                assert np.array_equal(solve_truncated(seq).extension.matrix,
+                                      g)
+                others = [random_admissible_isometry(
+                    rng, ws.shift, ws.pair, ws.forbidden,
+                    min_margin=0.1).matrix for _ in range(2)]
+                stack = ExtensionParameter(
+                    kind=KIND_ISOMETRIC,
+                    matrix=np.stack([others[0], v, others[1]]))
+                rows = selfadjoint_extension(ws.shift, ws.pair, stack)
+                assert np.array_equal(rows.matrix[1], g)
+                assert rows.herm_residual[1] == staged.herm_residual
+                for k, other in ((0, others[0]), (2, others[1])):
+                    alone = selfadjoint_extension(
+                        ws.shift, ws.pair, ExtensionParameter.isometric(other))
+                    assert np.array_equal(rows.matrix[k], alone.matrix)

@@ -8,7 +8,8 @@ Checked here:
   fail on the correct section,
 - input validation (Hermitian moments, odd count, shape agreement), each
   error naming the first offending moment, and the stored moments being
-  exactly the symmetrized inputs.
+  exactly the symmetrized inputs, whether they come as a list or as one
+  ready (count, N, N) array (which is left as it was).
 """
 
 from __future__ import annotations
@@ -77,17 +78,23 @@ def test_sequence_stores_each_moment_symmetrized():
         for _ in range(5):
             a = _random_hermitian(rng, n)
             mats.append(a + 1e-13 * rng.standard_normal((n, n)))
-        seq = MomentSequence.from_arrays(m.tolist() for m in mats)
-        assert seq.dim == n and len(seq) == len(mats)
-        for stored, m in zip(seq.moments, mats):
-            assert np.array_equal(stored, 0.5 * (m + np.conj(m.T)))
-            assert not stored.flags.writeable
+        stack = np.array(mats)
+        for seq in (MomentSequence.from_arrays(m.tolist() for m in mats),
+                    MomentSequence.from_arrays(stack)):
+            assert seq.dim == n and len(seq) == len(mats)
+            for stored, m in zip(seq.moments, mats):
+                assert np.array_equal(stored, 0.5 * (m + np.conj(m.T)))
+                assert not stored.flags.writeable
+        assert np.array_equal(stack, mats) and stack.flags.writeable
 
 
 def test_scalar_constructor_wraps_values():
     seq = MomentSequence.scalar([2.0, -1.0, 3.0])
     assert seq.dim == 1
     assert seq[1][0, 0] == -1.0
+    one_by_one = MomentSequence.from_arrays([[[2.0]], [[-1.0]], [[3.0]]])
+    assert all(np.array_equal(a, b) and a.dtype == b.dtype
+               for a, b in zip(seq.moments, one_by_one.moments))
 
 
 def test_block_hankel_entries_are_shifted_moments():

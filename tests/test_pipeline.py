@@ -5,11 +5,13 @@ Checked here:
   parameter -X = 1 with margin sqrt(2), the frozen two-atom measure,
 - prepare as one pass: its Workspace is bit for bit the public chain of
   stages, from one Hankel build, one eigvalsh of H_d and one of H_{d-1},
-  one Cholesky, one N x N eigh and the small defect-space factorizations
-  (no QR, no inverse), a default solve adding the screen of one
-  parameter, one m x m eigh and, for N >= 2, one batched Cholesky of
-  the atom weights (eigvalsh only when it fails), and the reported
-  trailing minimum eigenvalue is the smallest Gram eigenvalue,
+  one Cholesky, two solves with its factor L, one N x N eigh, one
+  batched solve with J_0 -/+ z and the small defect-space factorizations
+  (no QR, no inverse, no solve for X), a default solve adding the screen
+  of one parameter, one m x m eigh and, for N >= 2, one batched Cholesky
+  of the atom weights (eigvalsh only when it fails), and no solve, since
+  B(-X) = Re Omega; the reported trailing minimum eigenvalue is the
+  smallest Gram eigenvalue,
 - both solution routes (atomic for isometric parameters, transform plus
   closed-form moment recovery for contractions),
 - the admissibility gate on supplied parameters,
@@ -92,14 +94,17 @@ def test_prepare_is_the_public_chain_bit_for_bit():
 def test_prepare_builds_and_factors_each_section_once(monkeypatch):
     # One H_d build, one eigvalsh of H_d and one of its leading dN x dN
     # block (the two tests, the rank and the domain check), one Cholesky
-    # of that block and one eigh of the N x N Schur complement; the defect
-    # spaces add an eigh of their q x q Gram matrix and an SVD for the
-    # rotation of B_minus.  No QR and no inverse.  A default solve then
-    # screens one parameter (its norm, its margin and its forbidden gap,
-    # from one SVD call of a (3, q, q) stack), takes one m x m eigh and
-    # screens the atom weights with one batched Cholesky (none at N = 1,
-    # where a weight is its own eigenvalue); eigvalsh runs only when that
-    # screen fails.
+    # of that block, a solve with its factor L for the Schur complement
+    # and one eigh of that N x N complement, then a second solve with L
+    # for the shift; the defect spaces add one batched solve with
+    # J_0 - conj z0 and J_0 - z0, an eigh of their q x q Gram matrix and
+    # an SVD for the rotation of B_minus, whose adjoint is X.  No QR, no
+    # inverse and no solve for X.  A default solve then screens one
+    # parameter (its norm, its margin and its forbidden gap, from one SVD
+    # call of a (3, q, q) stack), takes one m x m eigh and screens the
+    # atom weights with one batched Cholesky (none at N = 1, where a
+    # weight is its own eigenvalue); eigvalsh runs only when that screen
+    # fails, and there is no solve, since B(-X) = Re Omega.
     calls = []
 
     def count(module, name, shape_of):
@@ -111,7 +116,8 @@ def test_prepare_builds_and_factors_each_section_once(monkeypatch):
         monkeypatch.setattr(module, name, counting)
 
     count(momext.hankel, "build_block_hankel", lambda args: args[1])
-    for name in ("eigh", "eigvalsh", "cholesky", "svd", "qr", "inv"):
+    for name in ("eigh", "eigvalsh", "cholesky", "svd", "qr", "inv",
+                 "solve"):
         count(np.linalg, name, lambda args: np.shape(args[0]))
     rng = np.random.default_rng(RNG_SEED + 7)
     for n in (1, 2, 4):
@@ -122,12 +128,15 @@ def test_prepare_builds_and_factors_each_section_once(monkeypatch):
                 ws = prepare(seq)
                 size, dn = (d + 1) * n, d * n
                 m, q = ws.space.ambient_dim, ws.defect
-                defect = [("eigh", (q, q)), ("svd", (q, q))] if q else []
+                defect = [("solve", (2, dn, dn)), ("eigh", (q, q)),
+                          ("svd", (q, q))] if q else []
                 assert calls == [("build_block_hankel", d),
                                  ("eigvalsh", (size, size)),
                                  ("eigvalsh", (dn, dn)),
                                  ("cholesky", (dn, dn)),
-                                 ("eigh", (n, n))] + defect
+                                 ("solve", (dn, dn)),
+                                 ("eigh", (n, n)),
+                                 ("solve", (dn, dn))] + defect
                 in_prepare = list(calls)
                 calls.clear()
                 result = solve_truncated(seq)

@@ -16,7 +16,12 @@ Checked here:
 - the complement of D(A): orthonormal, orthogonal to the domain, and
   giving the same margins as a from-scratch SVD reference,
 - a parameter screened once per solve and once per transform, and still
-  refused by both transform recoveries when it is inadmissible.
+  refused by both transform recoveries when it is inadmissible,
+- the forbidden operator read off the rotation: X = U^H within 1e-12 of
+  the solve C_minus^{-1} C_plus and unitary to 1e-13,
+- the rotation U itself on rank-drop data (q < N): no small unitary
+  perturbation raises Re tr(U^H K_minus^H K_plus), and on a hand-derived
+  N = 2, q = 1 instance with K_minus^H K_plus = i/3, U = i.
 """
 
 from __future__ import annotations
@@ -24,11 +29,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momext import (ExtensionParameter, NormViolation, NotAdmissible,
-                    StieltjesTransform, build_block_hankel, build_shift,
-                    deficiency_subspaces, factor_psd, forbidden_operator,
-                    is_admissible, moments_from_transform, perron_inversion,
-                    prepare, solve_truncated, theta_sweep)
+from momext import (ExtensionParameter, MomentSequence, NormViolation,
+                    NotAdmissible, StieltjesTransform, build_block_hankel,
+                    build_shift, deficiency_subspaces, factor_psd,
+                    forbidden_operator, is_admissible, moments_from_transform,
+                    perron_inversion, prepare, solve_truncated, theta_sweep)
 from momext.linalg import inner
 from momext.sampling import (haar_unitary, random_admissible_isometry,
                              random_deficient_instance,
@@ -327,3 +332,89 @@ def test_a_transform_screens_its_parameter_once(monkeypatch):
                 moments_from_transform(transform, 6)
             with pytest.raises(NotAdmissible):
                 perron_inversion(transform, -3.0, 3.0, 0.5)
+
+
+# ------------------------------------ the forbidden operator and the rotation
+
+def test_forbidden_operator_is_the_adjoint_of_the_rotation():
+    # C_plus = G^{-1/2} and C_minus = G^{-1/2} U, so X = C_minus^{-1} C_plus
+    # is U^H; check it against the solve it replaces.
+    rng = np.random.default_rng(RNG_SEED + 11)
+    for n in (1, 2, 4):
+        for d in (1, 3):
+            for draw in (random_feasible_instance, random_deficient_instance):
+                seq, _ = draw(rng, n, d)
+                _, _, pair, forbidden = _operator_stage(seq,
+                                                        with_forbidden=True)
+                x = forbidden.matrix
+                assert np.array_equal(x, np.conj(pair.rotation.T))
+                q = pair.defect
+                if not q:
+                    continue
+                plus, minus = pair.complement_rows
+                assert np.abs(x - np.linalg.solve(minus, plus)).max() <= 1e-12
+                assert np.linalg.norm(np.conj(x.T) @ x - np.eye(q), 2) <= 1e-13
+
+
+def _unrotated_minus_rows(shift):
+    """K_minus: the first block rows of [-(J_0 - z0)^{-1} E^H; I] made
+    orthonormal by G^{-1/2}, with z0 = beta + i kappa from its definition."""
+    n, dn = shift.block_dim, shift.dom_dim
+    sv = np.linalg.svd(shift.tail, compute_uv=False)
+    z0 = complex(np.trace(shift.jacobi[-n:, -n:]).real / n,
+                 np.sqrt(np.mean(sv ** 2)))
+    r = np.linalg.solve(shift.jacobi - z0 * np.eye(dn),
+                        np.conj(shift.action[dn:].T))
+    w, u = np.linalg.eigh(np.eye(r.shape[1]) + np.conj(r.T) @ r)
+    return (-r @ (u / np.sqrt(w)) @ np.conj(u.T))[:n]
+
+
+def _unitary_exp(h):
+    """exp(i h) for a Hermitian h."""
+    w, u = np.linalg.eigh(h)
+    return (u * np.exp(1j * w)) @ np.conj(u.T)
+
+
+def test_rotation_maximizes_the_match_of_the_first_block_rows():
+    # U is the polar factor of M = K_minus^H K_plus, the unitary W that
+    # maximizes Re tr(W^H M) (a Procrustes fit of the N x q first block
+    # rows); on rank-drop data (q < N) no nearby unitary does better.
+    rng = np.random.default_rng(RNG_SEED + 12)
+    for n in (2, 3, 4):
+        for d in (1, 2, 3):
+            seq, _ = random_deficient_instance(rng, n, d)
+            _, shift, pair = _operator_stage(seq)
+            q = pair.defect
+            assert 0 < q < n
+            k_minus = _unrotated_minus_rows(shift)
+            u = pair.rotation
+            assert np.abs(pair.basis_minus[:n]
+                          - k_minus @ u).max() <= 1e-12
+            m = np.conj(k_minus.T) @ pair.basis_plus[:n]
+            best = np.trace(np.conj(u.T) @ m).real
+            for eps in (1e-4, 1e-2, 0.3):
+                for _ in range(8):
+                    h = rng.standard_normal((q, q)) \
+                        + 1j * rng.standard_normal((q, q))
+                    h = (h + np.conj(h.T)) / np.linalg.norm(h + np.conj(h.T))
+                    w = u @ _unitary_exp(eps * h)
+                    assert np.trace(np.conj(w.T) @ m).real \
+                        <= best + 1e-14 * np.abs(m).sum()
+
+
+def test_rotation_is_the_phase_of_a_hand_derived_match():
+    # S_0 = I, S_1 = diag(0, 2), S_2 = diag(1, 4): the Schur complement
+    # diag(1, 0) drops rank, so m = 3 and q = 1.  L = I, J_0 = diag(0, 2),
+    # E = [1, 0], z0 = 1 + i; then R = (J_0 - z0)^{-1} E^H = (1/(-1-i), 0),
+    # G = 3/2, K_plus = -(1/(-1+i), 0) sqrt(2/3) and
+    # K_minus = -(1/(-1-i), 0) sqrt(2/3), so
+    # K_minus^H K_plus = (2/3) / (-1+i)^2 = i/3, whose phase is i.
+    seq = MomentSequence.from_arrays([np.eye(2), np.diag([0.0, 2.0]),
+                                      np.diag([1.0, 4.0])])
+    _, shift, pair, forbidden = _operator_stage(seq, with_forbidden=True)
+    assert (shift.ambient_dim, pair.defect) == (3, 1)
+    k_minus = _unrotated_minus_rows(shift)
+    assert np.allclose(np.conj(k_minus.T) @ pair.basis_plus[:2], [[1j / 3]],
+                       atol=ORACLE_ATOL)
+    assert np.allclose(pair.rotation, [[1j]], atol=ORACLE_ATOL)
+    assert np.allclose(forbidden.matrix, [[-1j]], atol=ORACLE_ATOL)
