@@ -17,6 +17,7 @@ H_d positive semidefinite makes the whole operator construction go through.
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import numpy as np
 
@@ -52,7 +53,9 @@ class MomentSequence:
                              f"{defect[i]:.3e} exceeds {HERM_REL:.1e} * scale "
                              f"{scale[i]:.3e}")
         fixed = read_only(0.5 * (stack + herm))
-        return cls(dim=stack.shape[1], moments=tuple(fixed))
+        seq = cls(dim=stack.shape[1], moments=tuple(fixed))
+        vars(seq)["_stack"] = fixed         # _stack is that stack already
+        return seq
 
     @classmethod
     def scalar(cls, values):
@@ -70,6 +73,12 @@ class MomentSequence:
     def max_hankel_order(self) -> int:
         """Largest k for which H_k can be built from this data."""
         return (len(self.moments) - 1) // 2
+
+    @functools.cached_property
+    def _stack(self) -> np.ndarray:
+        """The moments as one read-only complex (count, N, N) array, built
+        once: the Hankel sections and the verifications read it."""
+        return read_only(np.array(self.moments, dtype=complex))
 
     @property
     def scale(self) -> float:
@@ -124,7 +133,7 @@ def build_block_hankel(seq: MomentSequence, order: int) -> BlockHankel:
     n = seq.dim
     size = (order + 1) * n
     index = np.add.outer(np.arange(order + 1), np.arange(order + 1))
-    blocks = np.array(seq.moments[:2 * order + 1], dtype=complex)[index]
+    blocks = seq._stack[index]
     g = blocks.transpose(0, 2, 1, 3).reshape(size, size)
     return BlockHankel(order=order, block_dim=n, matrix=read_only(g))
 

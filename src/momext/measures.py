@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
@@ -273,7 +274,7 @@ class VerificationReport:
 def _verifications(recovered, seq: MomentSequence,
                    rel_tol: float) -> tuple[VerificationReport, ...]:
     """One report per row of a (K, >= len(seq), N, N) stack of moments."""
-    data = np.array(seq.moments)
+    data = seq._stack
     gaps = np.abs(recovered[:, :len(data)] - data)
     scale = max(1.0, float(np.abs(data).max()))
     reports = []
@@ -603,7 +604,7 @@ def _padded(measures, fill: float):
     return locs, weights
 
 
-#: scratch entries per chunk of window blocks in pairwise_distances
+#: scratch entries per chunk of clusters in _cluster_distances
 _DISTANCE_CHUNK = 1 << 16
 
 
@@ -629,70 +630,128 @@ def pairwise_distances(measures, site_tol: float = 1e-6) -> np.ndarray:
     K x K matrix with a zero diagonal, in one array pass over all pairs.
 
     Locations are padded with NaN (which sorts last and lies within
-    site_tol of nothing) and weights with 0 to the largest atom count J.  A
-    pair whose sorted pooled sites are all more than site_tol apart takes
-    the larger of the two measures' largest |entry|.  The other pairs get
-    their sites from _merge_sites and their distances from
-    _site_distances, whose (2, P, 2J, J) window blocks are built in chunks
-    of pairs small enough that the scratch stays near _DISTANCE_CHUNK
-    entries.
+    site_tol of nothing) and weights with 0 to the largest atom count J.
+    The sorted pooled locations of a pair fall into clusters: maximal runs
+    whose neighbours lie within site_tol.  Since fl(t - s) is monotone in t
+    and in s, the first location of a cluster opens a site and no window
+    reaches past its cluster, so the distance is the largest value of any
+    cluster:
+    - a lone location is a site holding its own atom alone: that atom's
+      largest |entry|.  A pair with no gap within site_tol thus takes the
+      larger of the two measures' largest |entry|;
+    - two locations make one site whose windows hold both atoms: the
+      largest |entry| of W_a - W_b when they come from the two measures,
+      of W_a + W_b when one measure holds both;
+    - a cluster of three or more goes through _merge_sites and
+      _site_distances on its own atoms, in chunks of clusters small enough
+      that the scratch stays near _DISTANCE_CHUNK entries.
+    Every value is that of a plain loop over sites and atoms, bit for bit.
+    A negative or non-finite site_tol raises ValueError.
     """
+    if not (math.isfinite(site_tol) and site_tol >= 0.0):
+        raise ValueError(f"site_tol must be a finite, non-negative number, "
+                         f"got {site_tol!r}")
     k = len(measures)
     out = np.zeros((k, k))
     if k < 2:
         return out
     locs, weights = _padded(measures, np.nan)
     width, n = weights.shape[1:3]
-    flat = weights.reshape(k, width, n * n)
-    peaks = np.abs(flat).max(axis=2, initial=0.0)  # largest |entry| per atom
+    # atom a of measure i is row i * J + a, its key
+    flat = weights.reshape(k * width, n * n)
+    peaks = np.abs(flat).max(axis=1, initial=0.0)  # largest |entry| per atom
     first, second = np.nonzero(np.arange(k)[:, None] < np.arange(k))
-    pooled = np.sort(np.concatenate([locs[first], locs[second]], axis=1),
-                     axis=1)
+    pooled = np.concatenate([locs[first], locs[second]], axis=1)
+    ordered = np.sort(pooled, axis=1)
     # gaps next to the padding are nan, which is not <= site_tol
-    close = pooled[:, 1:] - pooled[:, :-1] <= site_tol
+    close = ordered[:, 1:] - ordered[:, :-1] <= site_tol
     merged = np.flatnonzero(close.any(axis=1))
-    peak = peaks.max(axis=1, initial=0.0)
+    peak = peaks.reshape(k, width).max(axis=1, initial=0.0)
     dist = np.maximum(peak[first], peak[second])
     if merged.size:
-        sites = _merge_sites(pooled[merged], close[merged], site_tol)
-        chunk = max(1, _DISTANCE_CHUNK // (4 * width * max(width, n * n)))
-        for start in range(0, merged.size, chunk):
-            p = merged[start:start + chunk]
-            sides = np.stack([first[p], second[p]])
-            dist[p] = _site_distances(sites[start:start + chunk],
-                                      locs[sides], peaks[sides], flat[sides],
-                                      site_tol)
+        # every sorted entry of a merged pair, flattened: whether it comes
+        # from the second measure, and its key
+        order = np.argsort(pooled[merged], axis=1, kind="stable")
+        side = (order >= width).ravel()
+        key = (order + np.where(order < width, first[merged, None] * width,
+                                second[merged, None] * width - width)).ravel()
+        # joins[e]: entry e lies within site_tol of entry e - 1; the two
+        # False entries past the end close the last clusters
+        joins = np.zeros(key.size + 2, dtype=bool)
+        joins[:key.size].reshape(order.shape)[:, 1:] = close[merged]
+        opens, followed = ~joins[:-2], joins[1:-1]
+        value = np.where(opens & ~followed, peaks[key], 0.0)    # lone
+        a = np.flatnonzero(opens & followed & ~joins[2:])       # two
+        wa, wb = flat[key[a]], flat[key[a + 1]]
+        value[a] = np.abs(np.where((side[a] != side[a + 1])[:, None],
+                                   wa - wb, wa + wb)).max(axis=1)
+        big = np.flatnonzero(opens & followed & joins[2:])
+        if big.size:
+            value[big] = _cluster_distances(big, ~followed, side, key,
+                                            locs.ravel(), peaks, flat,
+                                            site_tol)
+        dist[merged] = value.reshape(order.shape).max(axis=1)
     out[first, second] = out[second, first] = dist
     return out
 
 
-def _merge_sites(pooled, close, site_tol: float) -> np.ndarray:
-    """The greedy merge of the sorted pooled locations of P pairs (P, 2J),
-    given which of their gaps are <= site_tol (P, 2J - 1): the opened sites
-    in place, nan in the columns that joined a site (or are padding).
+def _cluster_distances(starts, last, side, key, locs, peaks, flat,
+                       site_tol: float) -> np.ndarray:
+    """The largest |entry| of the window-sum difference over the sites of
+    Q clusters of three or more sorted pooled entries, from the entries
+    that open them (Q,), and for every entry whether it ends a cluster,
+    whether it comes from the second measure and its atom's key.  The
+    locations, peaks (K J) and flattened weights (K J, N*N) of all atoms
+    are looked up by key.
 
-    It is a loop over the columns, vectorized over pairs; a column after a
-    gap above site_tol in every pair opens a site in each, so only the
-    others are compared.
+    A side's atoms in a cluster are consecutive atoms of one measure, so a
+    cluster of L entries is a pair of measures of at most L atoms each for
+    _merge_sites and _site_distances.  Clusters are taken in chunks small
+    enough that the scratch stays near _DISTANCE_CHUNK entries.
     """
-    columns = pooled.T                              # (2J, P)
+    ends = np.flatnonzero(last)
+    sizes = ends[np.searchsorted(ends, starts)] + 1 - starts
+    span = np.arange(sizes.max())
+    chunk = max(1, _DISTANCE_CHUNK // (2 * span.size
+                                       * max(span.size, flat.shape[1])))
+    value = np.empty(starts.size)
+    for start in range(0, starts.size, chunk):
+        c = slice(start, start + chunk)
+        inside = span < sizes[c, None]                          # (Q, L)
+        entry = np.where(inside, starts[c, None] + span, starts[c, None])
+        second = side[entry]
+        mine = np.stack([inside & ~second, inside & second])    # (2, Q, L)
+        count = mine.sum(axis=2)
+        run = np.minimum(np.where(mine, key[entry], len(locs)).min(axis=2)
+                         [..., None] + span, len(locs) - 1)     # (2, Q, L)
+        sites = _merge_sites(np.where(inside, locs[key[entry]], np.nan),
+                             site_tol)
+        value[c] = _site_distances(
+            sites, np.where(span < count[..., None], locs[run], np.nan),
+            peaks[run], flat[run], site_tol)
+    return value
+
+
+def _merge_sites(pooled, site_tol: float) -> np.ndarray:
+    """The greedy merge of Q clusters of sorted locations (Q, L), nan past
+    the end of each: the opened sites in place, nan in the columns that
+    joined a site or lie past the end.  It is a loop over the columns,
+    vectorized over clusters; the first column opens a site in each.
+    """
+    columns = pooled.T                              # (L, Q)
     opens = np.ones(columns.shape, dtype=bool)
-    ambiguous = close.any(axis=0)
     current = columns[0]
     for col in range(1, len(columns)):
-        if ambiguous[col - 1]:
-            opens[col] = columns[col] - current > site_tol
-            current = np.where(opens[col], columns[col], current)
-        else:
-            current = columns[col]
+        opens[col] = columns[col] - current > site_tol
+        current = np.where(opens[col], columns[col], current)
     return np.where(opens.T, pooled, np.nan)
 
 
 def _site_distances(sites, locs, peaks, flat, site_tol: float) -> np.ndarray:
     """Largest |entry| of the window-sum difference over the sites of P
-    pairs, from the sites (P, S) and, for both sides, the locations
-    (2, P, J), per-atom peaks (2, P, J) and flattened weights
-    (2, P, J, N*N).
+    clusters, from their sites (P, S) and, for both sides, the cluster's
+    run of atoms: locations (2, P, J), nan past the run, per-atom peaks
+    (2, P, J) and flattened weights (2, P, J, N*N).
 
     A window |t - s| <= site_tol is a run of consecutive atoms, since
     fl(t - s) is monotone in t.  A site whose two windows hold one atom

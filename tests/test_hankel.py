@@ -9,10 +9,13 @@ Checked here:
 - input validation (Hermitian moments, odd count, shape agreement), each
   error naming the first offending moment, and the stored moments being
   exactly the symmetrized inputs, whether they come as a list or as one
-  ready (count, N, N) array (which is left as it was).
+  ready (count, N, N) array (which is left as it was), and kept stacked
+  as one read-only array.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -85,6 +88,12 @@ def test_sequence_stores_each_moment_symmetrized():
             for stored, m in zip(seq.moments, mats):
                 assert np.array_equal(stored, 0.5 * (m + np.conj(m.T)))
                 assert not stored.flags.writeable
+            # the one stack the Hankel sections and verifications read, also
+            # on a sequence cut short by dataclasses.replace
+            short = dataclasses.replace(seq, moments=seq.moments[:3])
+            for s in (seq, short):
+                assert np.array_equal(s._stack, np.array(s.moments))
+                assert not s._stack.flags.writeable
         assert np.array_equal(stack, mats) and stack.flags.writeable
 
 

@@ -30,11 +30,18 @@ Checked here:
   eigvalsh only on a failed screen, and the rule's error text for the
   first offender in both from_atoms and the batched assembly,
 - measure verification, one measure and a stack of them, its moment sums
-  bit for bit the complex einsum on zero-padded stacks, and the distance
-  used by the parameter sweep.
+  bit for bit the complex einsum on zero-padded stacks,
+- the distance used by the parameter sweep, exactly the plain loop over
+  sites and atoms: for lone locations, clusters of two close atoms from
+  the two measures or from one, clusters of three or more, exact
+  duplicates, site_tol = 0, clusters next to the NaN padding and a whole
+  N = 1, d = 6 sweep, whose clusters of two never reach the window pass;
+  a negative or non-finite site_tol is rejected.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 import pytest
@@ -48,6 +55,7 @@ from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
                     selfadjoint_extension, solve_truncated, spectral_measure,
                     theta_sweep, verify_moments, verify_recovered_moments)
 from momext.measures import pairwise_distances, verify_measures
+from momext.pipeline import SWEEP_SITE_TOL
 from momext.sampling import (random_admissible_isometry,
                              random_feasible_instance,
                              random_strict_contraction)
@@ -774,6 +782,102 @@ def test_pairwise_distances_bound_their_scratch(monkeypatch):
     full = pairwise_distances(measures, 1e-3)
     monkeypatch.setattr(momext.measures, "_DISTANCE_CHUNK", 1)
     assert np.array_equal(pairwise_distances(measures, 1e-3), full)
+
+
+#: locations of each measure and site_tol, chosen so that the pairs meet
+#: one kind of cluster of pooled locations within site_tol of each other
+_CLUSTER_CASES = {
+    "isolated": ([[0.0, 1.0, 2.0], [0.5, 1.5], [3.0]], 0.1),
+    "two across": ([[0.0, 1.0], [1.05, 3.0]], 0.1),
+    "two within": ([[0.0, 0.05], [1.0]], 0.1),
+    # a chain of five, atoms counted at two sites, clusters of 3 and 4
+    "three or more": ([[0.0, 0.08, 0.16, 1.0], [0.04, 0.12, 1.02, 1.1],
+                       [0.2]], 0.1),
+    "duplicates": ([[0.0, 1.0], [0.0, 1.0], [1.0, 2.0]], 0.1),
+    # only exact duplicates cluster, not 1 and the next float above it
+    "site_tol 0": ([[0.0, 1.0], [0.0, np.nextafter(1.0, 2.0)], [1.0]], 0.0),
+    # clusters of two and three as the last locations before the padding
+    "next to padding": ([[5.0], [0.0, 1.0, 2.0, 3.0, 4.98], [4.95, 5.04]],
+                        0.1),
+}
+
+
+@pytest.mark.parametrize("case", list(_CLUSTER_CASES))
+def test_pairwise_distances_match_the_reference_per_cluster_kind(case):
+    locations, site_tol = _CLUSTER_CASES[case]
+    rng = np.random.default_rng(RNG_SEED + 13)
+    for n in (1, 2):
+        measures = [_random_measure(rng, n, len(locs), np.array(locs))
+                    for locs in locations]
+        dist = pairwise_distances(measures, site_tol)
+        for i, j in itertools.permutations(range(len(measures)), 2):
+            expected = _reference_distance(measures[i], measures[j],
+                                           site_tol)
+            assert dist[i, j] == expected
+            assert measure_distance(measures[i], measures[j],
+                                    site_tol) == expected
+
+
+@pytest.mark.parametrize("site_tol", [-1.0, np.nan, np.inf])
+def test_distances_reject_a_negative_or_non_finite_site_tol(site_tol):
+    # at -1 or nan every window |t - s| <= site_tol of the definition is
+    # empty and the loop gives 0, while each of these measures has a site
+    a = AtomicMatrixMeasure.from_atoms([0.0, 1.0], [[[1.0]], [[2.0]]])
+    b = AtomicMatrixMeasure.from_atoms([0.5], [[[3.0]]])
+    with pytest.raises(ValueError, match="site_tol"):
+        measure_distance(a, b, site_tol)
+    with pytest.raises(ValueError, match="site_tol"):
+        pairwise_distances([a, b], site_tol)
+
+
+def _seven_atom_sweep():
+    """theta_sweep on 32 angles of the N = 1, d = 6 moments of unit atoms
+    at -3..3, and its measures."""
+    seq = MomentSequence.from_arrays(
+        moments_of_atoms(np.arange(-3.0, 4.0), np.ones((7, 1, 1)), 13))
+    res = theta_sweep(seq, n_thetas=32)
+    return res, {i: e.measure for i, e in enumerate(res.entries)
+                 if e.measure is not None}
+
+
+def _cluster_sizes(m1, m2, site_tol):
+    """The sizes of the runs of pooled locations within site_tol of their
+    neighbours, as a plain loop."""
+    pooled = sorted(np.concatenate([m1.locations, m2.locations]).tolist())
+    sizes = [1]
+    for left, right in zip(pooled, pooled[1:]):
+        if right - left <= site_tol:
+            sizes[-1] += 1
+        else:
+            sizes.append(1)
+    return [s for s in sizes if s > 1]
+
+
+def test_sweep_distance_matrix_is_the_reference_loop():
+    res, measures = _seven_atom_sweep()
+    assert len(measures) == 31
+    for i, j in itertools.combinations(measures, 2):
+        expected = _reference_distance(measures[i], measures[j],
+                                       SWEEP_SITE_TOL)
+        assert res.distance_matrix[i, j] == res.distance_matrix[j, i] \
+            == expected
+
+
+def test_two_atom_clusters_skip_the_window_pass(monkeypatch):
+    calls = []
+    window_pass = momext.measures._site_distances
+
+    def counted(*args):
+        calls.append(args)
+        return window_pass(*args)
+
+    monkeypatch.setattr(momext.measures, "_site_distances", counted)
+    _, measures = _seven_atom_sweep()
+    sizes = [s for i, j in itertools.combinations(measures, 2)
+             for s in _cluster_sizes(measures[i], measures[j],
+                                     SWEEP_SITE_TOL)]
+    assert len(sizes) > 100 and set(sizes) == {2}
+    assert not calls
 
 
 def test_measure_distance_window_cases():
