@@ -19,9 +19,10 @@ Subcommands:
 
 Every subcommand prints exactly one line of canonical JSON on stdout, so
 identical inputs give byte-identical output.  Exit codes: 0 success (problem
-solvable, verification passed, sequence not infeasible); 1 malformed input;
-2 infeasible data, failed verification, or a construction error; 3 the
-strict positivity condition on the leading section failed.
+solvable, verification passed, sequence not infeasible); 1 malformed input,
+a flag value out of range included; 2 infeasible data, failed verification,
+or a construction error; 3 the strict positivity condition on the leading
+section failed.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .errors import (DimensionMismatch, MomentProblemError, NotPSD,
@@ -87,6 +89,24 @@ def _apply_tol_flags(tol: Tolerances, pairs) -> Tolerances:
         raise ProblemFileError(str(exc)) from None
 
 
+def _number(convert, low=None):
+    """An argparse type: the text read by convert (float or int), which must
+    be finite and, when low is given, at least low."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+        if low is not None and value < low:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {low}, got {text!r}")
+        return value
+    return parse
+
+
 def _parse_grid(text: str):
     parts = text.split(":")
     if len(parts) != 3:
@@ -95,6 +115,8 @@ def _parse_grid(text: str):
         start, stop, width = (float(p) for p in parts)
     except ValueError:
         raise ProblemFileError(f"--grid: {text!r} has a non-numeric part") from None
+    if not all(map(math.isfinite, (start, stop, width))):
+        raise ProblemFileError(f"--grid: {text!r} has a non-finite part")
     if not (stop > start and width > 0.0):
         raise ProblemFileError("--grid needs STOP > START and WIDTH > 0")
     return start, stop, width
@@ -299,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group()
     group.add_argument("--parameter", metavar="FILE",
                        help="extension parameter JSON file")
-    group.add_argument("--theta", type=float, metavar="THETA",
+    group.add_argument("--theta", type=_number(float), metavar="THETA",
                        help="use the unimodular parameter e^{i THETA} I")
     p.add_argument("--grid", metavar="START:STOP:WIDTH",
                    help="also recover cell masses on this half-open grid")
@@ -315,7 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("sweep", help="walk the unimodular parameter family")
     p.add_argument("problem", help="problem JSON file")
-    p.add_argument("--theta-grid", type=int, default=8, metavar="K",
+    p.add_argument("--theta-grid", type=_number(int, 1), default=8,
+                   metavar="K",
                    help="number of equispaced angles (default 8)")
     _add_tol_flag(p)
     p.set_defaults(func=_cmd_sweep)
@@ -330,7 +353,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="check a measure against the moments")
     p.add_argument("problem", help="problem JSON file")
     p.add_argument("measure", help="measure JSON file")
-    p.add_argument("--rel-tol", type=float, default=1e-6,
+    p.add_argument("--rel-tol", type=_number(float, 0.0), default=1e-6,
                    help="relative tolerance on moment deviations "
                         "(default 1e-6)")
     _add_tol_flag(p)

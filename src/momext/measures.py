@@ -74,15 +74,18 @@ class AtomicMatrixMeasure:
     @classmethod
     def from_atoms(cls, locations, weights, block_dim: int | None = None,
                    merge_tol: float = 0.0, drop_tol: float = 0.0,
-                   psd_rel: float = 1e-8, validate: bool = True,
+                   psd_rel: float = 1e-8,
                    degree: int = 0) -> "AtomicMatrixMeasure":
-        """Sort atoms, merge near-coincident ones, drop negligible weights.
+        """Sort atoms, merge near-coincident ones, drop negligible weights
+        and check the rest PSD: _assemble on the one row of sorted atoms.
 
         Neighbours t_i < t_j are near-coincident when t_j - t_i <= merge_tol
         * max(1, |t_i|, |t_j|), and a run of them becomes one atom at their
         mean.  An atom is dropped when its largest weight entry times
         max(1, |t|)^degree is at most drop_tol: when it is negligible in
-        every moment of order up to degree.
+        every moment of order up to degree.  A weight whose smallest
+        eigenvalue is below -psd_rel times the largest kept |entry| (at
+        least 1) raises ValueError.
         """
         locs = np.asarray(locations, dtype=float).reshape(-1)
         w = np.asarray(weights, dtype=complex)
@@ -90,28 +93,11 @@ class AtomicMatrixMeasure:
             w = w.reshape(-1, 1, 1)
         if w.shape[0] != locs.shape[0]:
             raise ValueError("locations and weights disagree in length")
-        if block_dim is None:
-            block_dim = w.shape[1] if w.shape[0] else 1
+        if not len(locs):           # block_dim sizes the weights of no atoms
+            w = np.zeros((0, block_dim or 1, block_dim or 1), dtype=complex)
         order = np.argsort(locs, kind="stable")
-        locs, w = locs[order], w[order]
-        starts = np.flatnonzero(np.concatenate(
-            ([True], ~_near(locs, merge_tol))))
-        if len(starts) < len(locs):
-            sizes = np.diff(np.append(starts, len(locs)))
-            locs = np.add.reduceat(locs, starts) / sizes
-            w = np.add.reduceat(w, starts, axis=0)
-        if not len(locs):
-            w = np.zeros((0, block_dim, block_dim), dtype=complex)
-        w = 0.5 * (w + np.conj(np.swapaxes(w, -1, -2)))
-        if drop_tol > 0.0 and len(locs):
-            keep = _significant(np.max(np.abs(w), axis=(1, 2)), locs,
-                                drop_tol, degree)
-            locs, w = locs[keep], w[keep]
-        if validate and len(locs):
-            failure = _first_non_psd(locs, w, psd_rel * max(max_abs(w), 1.0))
-            if failure:
-                raise failure[1]
-        return cls(locations=read_only(locs), weights=read_only(w))
+        return _assemble(locs[order][None], w[order][None], merge_tol,
+                         drop_tol, psd_rel, degree)[0]
 
     def moment(self, n: int) -> np.ndarray:
         """integral of x^n dM as an N x N matrix."""
@@ -122,21 +108,6 @@ class AtomicMatrixMeasure:
 
     def total_mass(self) -> np.ndarray:
         return self.moment(0)
-
-
-def _near(locs, merge_tol):
-    """Which gaps between neighbours of sorted locations (..., J) are at
-    most merge_tol (broadcast over the leading axes) * max(1, |t_i|, |t_j|):
-    (..., J - 1)."""
-    reach = np.maximum(np.abs(locs), 1.0)
-    return (locs[..., 1:] - locs[..., :-1]
-            <= merge_tol * np.maximum(reach[..., 1:], reach[..., :-1]))
-
-
-def _significant(peaks, locs, drop_tol, degree: int):
-    """Which atoms keep their weight: largest |entry| peaks times
-    max(1, |t|)^degree above drop_tol."""
-    return peaks * np.maximum(np.abs(locs), 1.0) ** degree > drop_tol
 
 
 def _first_non_psd(locs, weights, floor):
@@ -181,83 +152,79 @@ def spectral_measure(extension: SelfAdjointExtension, shift: ShiftOperator,
     however large t is: an atom far out (the parameter near the forbidden
     operator) has a tiny weight that still carries t^{2d} W of S_{2d}.
     An atom is dropped only when W max(1, |t|)^{2d} is below weight_rel
-    times the total-mass scale.  The kept weights of every row are checked
-    PSD together, by _assemble: one batched Cholesky for N >= 2, an
-    eigvalsh only when that fails.
+    times the total-mass scale.  The atoms of every row are merged,
+    dropped and checked PSD in one pass by _assemble, the one assembler
+    (from_atoms is its case of one row): one batched Cholesky for N >= 2,
+    an eigvalsh only when that fails.
     """
     n = shift.block_dim
     d = shift.order
-    m = shift.ambient_dim
     mats = extension.matrix
     if mats.ndim == 2:
         mats = mats[None]
-    if m == 0:
-        empty = AtomicMatrixMeasure.from_atoms(np.zeros(0),
-                                               np.zeros((0, n, n)), block_dim=n)
-        measures = (empty,) * len(mats)
-    else:
-        vals, vecs = np.linalg.eigh(mats)
-        coords = shift.space.coords
-        far = np.abs(vals) > 1.0
+    vals, vecs = np.linalg.eigh(mats)
+    coords = shift.space.coords
+    far = np.abs(vals) > 1.0
 
-        def products(rows):                          # [., i, k] = (y_k, v_i)
-            return np.swapaxes(rows @ np.conj(vecs), -1, -2)
-        # c[., i, k] = (x_k, v_i), read off block row d where |t_i| > 1
-        c = np.where(far[..., None], products(coords[d * n:(d + 1) * n])
-                     / (np.where(far, vals, 1.0) ** d)[..., None],
-                     products(coords[:n]))
-        mass = np.swapaxes(c, -1, -2) @ np.conj(c)   # equals S_0
-        # one rank-one weight per eigenvector; a cluster sums its members
-        weights = c[..., :, None] * np.conj(c[..., None, :])
-        measures = _assemble(vals, weights,
-                             np.full(len(vals), tol.cluster_rel),
-                             tol.weight_rel * np.abs(mass).max(axis=(1, 2)),
-                             tol.psd_rel, 2 * d)
+    def products(rows):                              # [., i, k] = (y_k, v_i)
+        return np.swapaxes(rows @ np.conj(vecs), -1, -2)
+    # c[., i, k] = (x_k, v_i), read off block row d where |t_i| > 1
+    c = np.where(far[..., None], products(coords[d * n:(d + 1) * n])
+                 / (np.where(far, vals, 1.0) ** d)[..., None],
+                 products(coords[:n]))
+    mass = np.swapaxes(c, -1, -2) @ np.conj(c)       # equals S_0
+    # one rank-one weight per eigenvector; a cluster sums its members
+    weights = c[..., :, None] * np.conj(c[..., None, :])
+    measures = _assemble(vals, weights, tol.cluster_rel,
+                         tol.weight_rel * np.abs(mass).max(axis=(1, 2)),
+                         tol.psd_rel, 2 * d)
     return measures if extension.matrix.ndim == 3 else measures[0]
 
 
 def _assemble(locs, weights, merge_tol, drop_tol, psd_rel: float,
               degree: int = 0) -> tuple[AtomicMatrixMeasure, ...]:
-    """AtomicMatrixMeasure.from_atoms on each row of sorted locations
-    (K, J) and weights (K, J, N, N), with the row's merge_tol and drop_tol.
+    """One measure per row of sorted locations (K, J) and weights
+    (K, J, N, N), with one merge_tol and the row's drop_tol (a scalar or
+    (K,)), in one pass over all rows.
 
-    A row with no near-coincident neighbours needs no merge, so those rows
-    get their Hermitization, drop mask and PSD check (_first_non_psd, the
-    check from_atoms makes, over every kept weight at once) in one array
-    pass, and their measures are views of the kept atoms; a row that
-    clusters goes through from_atoms.  A non-PSD weight raises
-    from_atoms's ValueError, for the first in row order.
+    A run of near-coincident neighbours in a row becomes one atom at their
+    mean, holding their summed weight, in the slot of its first member
+    (np.add.reduceat over the flattened rows, skipped when no row
+    clusters).  Then the weights are Hermitized, negligible ones and the
+    merged-away slots dropped, and every kept weight is checked PSD at once
+    (_first_non_psd, with the floor psd_rel times the row's largest kept
+    |entry|, at least 1).  A non-PSD weight raises ValueError for the first
+    in row order.  The measures are read-only views of the kept atoms.
     """
-    clustered = _near(locs, merge_tol[:, None]).any(axis=1)
+    k, j = locs.shape
+    drop_tol = np.reshape(drop_tol, (-1, 1))
+    reach = np.maximum(np.abs(locs), 1.0)
+    opens = np.ones((k, j), dtype=bool)
+    opens[:, 1:] = ~(locs[:, 1:] - locs[:, :-1]
+                     <= merge_tol * np.maximum(reach[:, 1:], reach[:, :-1]))
+    if not opens.all():
+        starts = np.flatnonzero(opens)
+        locs, weights = locs.copy(), weights.copy()
+        flat = locs.reshape(k * j)
+        flat[starts] = (np.add.reduceat(flat, starts)
+                        / np.diff(np.append(starts, k * j)))
+        flat = weights.reshape((k * j,) + weights.shape[2:])
+        flat[starts] = np.add.reduceat(flat, starts, axis=0)
     w = 0.5 * (weights + np.conj(np.swapaxes(weights, -1, -2)))
     peaks = np.abs(w).max(axis=(2, 3))
-    keep = ~clustered[:, None] & (
-        _significant(peaks, locs, drop_tol[:, None], degree)
-        | ~(drop_tol[:, None] > 0.0))
-    counts = keep.sum(axis=1)
-    kept_locs, kept_w = locs[keep], w[keep]
-    first_bad = len(locs)
+    keep = opens & ((peaks * np.maximum(np.abs(locs), 1.0) ** degree
+                     > drop_tol) | ~(drop_tol > 0.0))
+    kept_locs, kept_w = read_only(locs[keep]), read_only(w[keep])
     if len(kept_w):
-        scale = np.maximum(np.where(keep, peaks, 0.0).max(axis=1), 1.0)
-        row = np.repeat(np.arange(len(locs)), counts)
+        scale = np.where(keep, peaks, 0.0).max(axis=1, initial=1.0)
+        row = np.nonzero(keep)[0]
         failure = _first_non_psd(kept_locs, kept_w, psd_rel * scale[row])
         if failure:
-            first_bad = row[failure[0]]
-    ends = np.cumsum(counts).tolist()
-    measures = []
-    for k, (start, end) in enumerate(zip([0] + ends, ends)):
-        if clustered[k]:
-            measures.append(AtomicMatrixMeasure.from_atoms(
-                locs[k], weights[k], block_dim=weights.shape[-1],
-                merge_tol=merge_tol[k], drop_tol=drop_tol[k],
-                psd_rel=psd_rel, degree=degree))
-        elif k == first_bad:
             raise failure[1]
-        else:
-            measures.append(AtomicMatrixMeasure(
-                locations=read_only(kept_locs[start:end]),
-                weights=read_only(kept_w[start:end])))
-    return tuple(measures)
+    ends = np.cumsum(keep.sum(axis=1)).tolist()
+    return tuple(AtomicMatrixMeasure(locations=kept_locs[start:end],
+                                     weights=kept_w[start:end])
+                 for start, end in zip([0] + ends, ends))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -604,10 +571,6 @@ def _padded(measures, fill: float):
     return locs, weights
 
 
-#: scratch entries per chunk of clusters in _cluster_distances
-_DISTANCE_CHUNK = 1 << 16
-
-
 def measure_distance(m1: AtomicMatrixMeasure, m2: AtomicMatrixMeasure,
                      site_tol: float = 1e-6) -> float:
     """Largest weight discrepancy over the merged atom sites of two measures.
@@ -642,9 +605,12 @@ def pairwise_distances(measures, site_tol: float = 1e-6) -> np.ndarray:
     - two locations make one site whose windows hold both atoms: the
       largest |entry| of W_a - W_b when they come from the two measures,
       of W_a + W_b when one measure holds both;
-    - a cluster of three or more goes through _merge_sites and
-      _site_distances on its own atoms, in chunks of clusters small enough
-      that the scratch stays near _DISTANCE_CHUNK entries.
+    - a cluster of three or more goes through _cluster_distance, the
+      plain loop of the definition on its own entries.  No such cluster
+      arose in the pairs of the benchmark's family sweeps (two atoms of one
+      solution would have to lie within 2 site_tol), while clusters of
+      two run into the thousands per sweep pool: those take the closed
+      form, the rare larger ones a loop.
     Every value is that of a plain loop over sites and atoms, bit for bit.
     A negative or non-finite site_tol raises ValueError.
     """
@@ -686,95 +652,36 @@ def pairwise_distances(measures, site_tol: float = 1e-6) -> np.ndarray:
         value[a] = np.abs(np.where((side[a] != side[a + 1])[:, None],
                                    wa - wb, wa + wb)).max(axis=1)
         big = np.flatnonzero(opens & followed & joins[2:])
-        if big.size:
-            value[big] = _cluster_distances(big, ~followed, side, key,
-                                            locs.ravel(), peaks, flat,
-                                            site_tol)
+        ends = np.flatnonzero(~followed)
+        stops = ends[np.searchsorted(ends, big)] + 1
+        for start, stop in zip(big.tolist(), stops.tolist()):
+            atoms = key[start:stop]
+            value[start] = _cluster_distance(locs.ravel()[atoms].tolist(),
+                                             side[start:stop].tolist(),
+                                             flat[atoms], site_tol)
         dist[merged] = value.reshape(order.shape).max(axis=1)
     out[first, second] = out[second, first] = dist
     return out
 
 
-def _cluster_distances(starts, last, side, key, locs, peaks, flat,
-                       site_tol: float) -> np.ndarray:
+def _cluster_distance(locs, second, weights, site_tol: float) -> float:
     """The largest |entry| of the window-sum difference over the sites of
-    Q clusters of three or more sorted pooled entries, from the entries
-    that open them (Q,), and for every entry whether it ends a cluster,
-    whether it comes from the second measure and its atom's key.  The
-    locations, peaks (K J) and flattened weights (K J, N*N) of all atoms
-    are looked up by key.
+    one cluster of sorted pooled entries: their locations, whether each
+    comes from the second measure, and their flattened weights (L, N*N).
 
-    A side's atoms in a cluster are consecutive atoms of one measure, so a
-    cluster of L entries is a pair of measures of at most L atoms each for
-    _merge_sites and _site_distances.  Clusters are taken in chunks small
-    enough that the scratch stays near _DISTANCE_CHUNK entries.
+    This is the plain loop of the definition on the cluster alone: sites
+    open greedily, and each window sums its measure's atoms in atom order
+    (a side's entries in a cluster are consecutive atoms of its measure).
     """
-    ends = np.flatnonzero(last)
-    sizes = ends[np.searchsorted(ends, starts)] + 1 - starts
-    span = np.arange(sizes.max())
-    chunk = max(1, _DISTANCE_CHUNK // (2 * span.size
-                                       * max(span.size, flat.shape[1])))
-    value = np.empty(starts.size)
-    for start in range(0, starts.size, chunk):
-        c = slice(start, start + chunk)
-        inside = span < sizes[c, None]                          # (Q, L)
-        entry = np.where(inside, starts[c, None] + span, starts[c, None])
-        second = side[entry]
-        mine = np.stack([inside & ~second, inside & second])    # (2, Q, L)
-        count = mine.sum(axis=2)
-        run = np.minimum(np.where(mine, key[entry], len(locs)).min(axis=2)
-                         [..., None] + span, len(locs) - 1)     # (2, Q, L)
-        sites = _merge_sites(np.where(inside, locs[key[entry]], np.nan),
-                             site_tol)
-        value[c] = _site_distances(
-            sites, np.where(span < count[..., None], locs[run], np.nan),
-            peaks[run], flat[run], site_tol)
+    sites = locs[:1]
+    for t in locs[1:]:
+        if t - sites[-1] > site_tol:
+            sites.append(t)
+    value = 0.0
+    for s in sites:
+        totals = np.zeros((2,) + weights.shape[1:], dtype=complex)
+        for t, side, w in zip(locs, second, weights):
+            if abs(t - s) <= site_tol:
+                totals[int(side)] += w
+        value = max(value, float(np.abs(totals[0] - totals[1]).max()))
     return value
-
-
-def _merge_sites(pooled, site_tol: float) -> np.ndarray:
-    """The greedy merge of Q clusters of sorted locations (Q, L), nan past
-    the end of each: the opened sites in place, nan in the columns that
-    joined a site or lie past the end.  It is a loop over the columns,
-    vectorized over clusters; the first column opens a site in each.
-    """
-    columns = pooled.T                              # (L, Q)
-    opens = np.ones(columns.shape, dtype=bool)
-    current = columns[0]
-    for col in range(1, len(columns)):
-        opens[col] = columns[col] - current > site_tol
-        current = np.where(opens[col], columns[col], current)
-    return np.where(opens.T, pooled, np.nan)
-
-
-def _site_distances(sites, locs, peaks, flat, site_tol: float) -> np.ndarray:
-    """Largest |entry| of the window-sum difference over the sites of P
-    clusters, from their sites (P, S) and, for both sides, the cluster's
-    run of atoms: locations (2, P, J), nan past the run, per-atom peaks
-    (2, P, J) and flattened weights (2, P, J, N*N).
-
-    A window |t - s| <= site_tol is a run of consecutive atoms, since
-    fl(t - s) is monotone in t.  A site whose two windows hold one atom
-    between them takes that atom's peak; the others sum their runs in atom
-    order, a loop over the offsets into the runs, so every sum is that of a
-    plain loop over sites and atoms, bit for bit, whatever J is.
-    """
-    offsets = locs[:, :, None, :] - sites[:, :, None]     # (2, P, S, J)
-    inside = np.abs(offsets, out=offsets) <= site_tol
-    count = inside.sum(axis=-1)                     # (2, P, S)
-    start = inside.argmax(axis=-1)
-    pair = np.arange(len(sites))[:, None]
-    atoms = count[0] + count[1]
-    value = np.where(count[0] == 1, peaks[0, pair, start[0]],
-                     peaks[1, pair, start[1]]) * (atoms == 1)
-    pair, site = np.nonzero(atoms > 1)
-    if pair.size:
-        first = start[:, pair, site]                # (2, Q)
-        side = np.arange(2)[:, None]
-        total = np.zeros(first.shape + flat.shape[-1:], dtype=complex)
-        for offset in range(count.max()):
-            atom = np.minimum(first + offset, flat.shape[2] - 1)
-            total += np.where((offset < count[:, pair, site])[..., None],
-                              flat[side, pair, atom], 0.0)
-        value[pair, site] = np.abs(total[0] - total[1]).max(axis=1)
-    return value.max(axis=1)

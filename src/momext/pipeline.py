@@ -90,9 +90,9 @@ def prepare(seq: MomentSequence, tol: Tolerances = DEFAULT) -> Workspace:
             f"semidefinite: min eigenvalue {report.min_eig_trailing:.6e}",
             section="trailing", min_eigenvalue=report.min_eig_trailing)
     space = _factor(section, w, w_lead, tol)
-    shift = build_shift(space, tol)
-    pair = deficiency_subspaces(shift, tol)
-    forb = forbidden_operator(shift, pair, tol)
+    shift = build_shift(space)
+    pair = deficiency_subspaces(shift)
+    forb = forbidden_operator(shift, pair)
     return Workspace(sequence=seq, condition=report, space=space, shift=shift,
                      pair=pair, forbidden=forb)
 
@@ -216,10 +216,11 @@ def theta_sweep(seq: MomentSequence, n_thetas: int = 8,
                 thetas=None, tol: Tolerances = DEFAULT) -> SweepResult:
     """Walk the unimodular family e^{i theta} I over a theta grid.
 
-    Needs defect >= 1 (otherwise there is nothing to sweep).  Angles whose
-    parameter coincides with the forbidden operator (or whose margin is below
-    adm_abs) are flagged and skipped; the rest produce measures, compared
-    pairwise with measure_distance at SWEEP_SITE_TOL.
+    Needs at least one angle and defect >= 1 (otherwise there is nothing to
+    sweep; ValueError).  Angles whose parameter coincides with the forbidden
+    operator (or whose margin is below adm_abs) are flagged and skipped; the
+    rest produce measures, compared pairwise with measure_distance at
+    SWEEP_SITE_TOL.
 
     The sweep is one array pass over all K angles: one stacked
     screen_parameter, then for the admitted angles one batched extension
@@ -227,14 +228,16 @@ def theta_sweep(seq: MomentSequence, n_thetas: int = 8,
     verification and one distance kernel over their pairs.
     Each entry equals what solve_truncated gives for its angle alone.
     """
+    if thetas is None:
+        thetas = 2.0 * np.pi * np.arange(n_thetas) / n_thetas
+    thetas = np.asarray(thetas, dtype=float)
+    if not thetas.size:
+        raise ValueError("the angle grid is empty: there is nothing to sweep")
     ws = prepare(seq, tol)
     q = ws.defect
     if q == 0:
         raise ValueError("the defect is zero: the extension is unique and "
                          "there is no family to sweep")
-    if thetas is None:
-        thetas = 2.0 * np.pi * np.arange(n_thetas) / n_thetas
-    thetas = np.asarray(thetas, dtype=float)
     _, reports = screen_parameter(
         ws.shift, ws.pair, ExtensionParameter.unimodular(thetas, q),
         ws.forbidden, tol)

@@ -61,9 +61,7 @@ def separated_atoms(rng: np.random.Generator, count: int,
     return np.sort(base + rng.uniform(-0.3 * gap, 0.3 * gap, size=count))
 
 
-def _sequence_from_atoms(locations, weights, count: int) -> MomentSequence:
-    measure = AtomicMatrixMeasure.from_atoms(locations, weights,
-                                             validate=False)
+def _moments_of(measure: AtomicMatrixMeasure, count: int) -> MomentSequence:
     return MomentSequence.from_arrays(
         [measure.moment(k) for k in range(count)])
 
@@ -77,8 +75,8 @@ def random_feasible_instance(rng: np.random.Generator, block_dim: int,
     """
     locs = separated_atoms(rng, order + 1)
     weights = np.array([random_psd(rng, block_dim) for _ in locs])
-    truth = AtomicMatrixMeasure.from_atoms(locs, weights, validate=False)
-    return _sequence_from_atoms(locs, weights, 2 * order + 1), truth
+    truth = AtomicMatrixMeasure.from_atoms(locs, weights)
+    return _moments_of(truth, 2 * order + 1), truth
 
 
 def random_deficient_instance(rng: np.random.Generator, block_dim: int,
@@ -93,8 +91,8 @@ def random_deficient_instance(rng: np.random.Generator, block_dim: int,
     weights[0] = random_psd(rng, block_dim, rank=block_dim - 1)
     keep = [j for j in range(len(locs)) if np.abs(weights[j]).max() > 0]
     locs, weights = locs[keep], weights[keep]
-    truth = AtomicMatrixMeasure.from_atoms(locs, weights, validate=False)
-    return _sequence_from_atoms(locs, weights, 2 * order + 1), truth
+    truth = AtomicMatrixMeasure.from_atoms(locs, weights)
+    return _moments_of(truth, 2 * order + 1), truth
 
 
 def random_admissible_isometry(rng: np.random.Generator, shift, pair,

@@ -122,8 +122,7 @@ def solve_scalar_even(values, tol: Tolerances = DEFAULT) -> ScalarEvenResult:
     if scale == 0.0:
         return ScalarEvenResult(
             verdict=VERDICT_ZERO, rank_index=None, null_coeffs=None,
-            measure=AtomicMatrixMeasure.from_atoms(
-                np.zeros(0), np.zeros((0, 1, 1)), block_dim=1, validate=False),
+            measure=AtomicMatrixMeasure.from_atoms(np.zeros(0), np.zeros(0)),
             certificate="all moments vanish; the zero measure is the unique "
                         "solution", max_deviation=0.0, augmented_moment=None)
     if values[0] < 0.0:

@@ -126,7 +126,7 @@ class ShiftOperator:
         return self.action @ v[:self.dom_dim]
 
 
-def build_shift(space: GramSpace, tol: Tolerances = DEFAULT) -> ShiftOperator:
+def build_shift(space: GramSpace) -> ShiftOperator:
     """Construct the shift from one solve with the Cholesky factor L.
 
     The domain vectors were certified independent when the space was
@@ -171,8 +171,7 @@ class DeficiencyPair:
         return self.basis_plus[dn:], self.basis_minus[dn:]
 
 
-def deficiency_subspaces(shift: ShiftOperator,
-                         tol: Tolerances = DEFAULT) -> DeficiencyPair:
+def deficiency_subspaces(shift: ShiftOperator) -> DeficiencyPair:
     """N_plus and N_minus (dimension m - dN) at z0 = beta + i kappa, from one
     batched solve with J_0 - conj z0 and J_0 - z0.
 
@@ -228,8 +227,8 @@ class ForbiddenOperator:
     matrix: np.ndarray          # q x q
 
 
-def forbidden_operator(shift: ShiftOperator, pair: DeficiencyPair,
-                       tol: Tolerances = DEFAULT) -> ForbiddenOperator:
+def forbidden_operator(shift: ShiftOperator,
+                       pair: DeficiencyPair) -> ForbiddenOperator:
     """X = C_minus^{-1} C_plus = U^H, read off the rotation of the pair:
     C_plus = G^{-1/2} and C_minus = G^{-1/2} U, so no solve is needed."""
     return ForbiddenOperator(matrix=read_only(np.conj(pair.rotation.T)))

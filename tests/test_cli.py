@@ -410,6 +410,34 @@ def test_verify_dimension_mismatch_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command,flag,value", [
+    ("verify", "--rel-tol", "nan"), ("verify", "--rel-tol", "inf"),
+    ("verify", "--rel-tol", "-1"), ("sweep", "--theta-grid", "0"),
+    ("sweep", "--theta-grid", "-3"), ("solve", "--theta", "nan"),
+    ("solve", "--theta", "-inf"), ("solve", "--grid", "0:inf:0.5")])
+def test_out_of_range_flag_values_exit_one(tmp_path, capsys, command, flag,
+                                           value):
+    # Numbers a flag cannot take are malformed input, refused where the
+    # flag is read with one error line.  Let through, a NaN --rel-tol
+    # breaks the JSON writer, a negative one fails a correct measure, an
+    # empty angle grid has nothing to sweep, a NaN angle breaks the SVD of
+    # the parameter screen and an infinite grid bound cannot be cut into
+    # cells.
+    argv = [command, _write(tmp_path, "p.json", PROBLEM_101)]
+    if command == "verify":
+        argv.append(_write(tmp_path, "m.json", {
+            "atoms": [{"t": -1.0, "W": [[0.5]]}, {"t": 1.0, "W": [[0.5]]}]}))
+    try:
+        code = main(argv + [f"{flag}={value}"])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0] and value in errors[0]
+
+
 # ----------------------------------------------------------- console script
 
 def test_console_script_is_installed(tmp_path):

@@ -23,8 +23,8 @@ Checked here:
   and split exactly in half on edges, contractions with a unit singular
   value (poles on the real axis) binned as atoms, and SingularSystem when
   the residue form misses the direct solve,
-- the batched atom assembly against from_atoms row by row, exactly, with
-  clustered, dropped and non-PSD atoms,
+- the batched atom assembly against merged, dropped and untouched rows
+  computed in the test, exactly, and its first non-PSD weight,
 - the Cholesky PSD screen against the eigvalsh rule at smallest
   eigenvalues of +-10 floor for N in {1, 2, 4, 8}: the same decisions,
   eigvalsh only on a failed screen, and the rule's error text for the
@@ -35,7 +35,8 @@ Checked here:
   sites and atoms: for lone locations, clusters of two close atoms from
   the two measures or from one, clusters of three or more, exact
   duplicates, site_tol = 0, clusters next to the NaN padding and a whole
-  N = 1, d = 6 sweep, whose clusters of two never reach the window pass;
+  N = 1, d = 6 sweep, whose clusters of two never reach the per-cluster
+  loop;
   a negative or non-finite site_tol is rejected.
 """
 
@@ -133,36 +134,42 @@ def test_negative_weight_is_rejected():
 
 def _assembly_rows(rng, n, k=6, j=5):
     """k rows of j sorted locations and rank-one weights, with a cluster in
-    row 1 and a negligible atom in row 3; the tolerances from_atoms takes
-    for each row (row 4 drops nothing)."""
+    row 1 and a negligible atom in row 3; the merge tolerance and each
+    row's drop tolerance (row 4 drops nothing)."""
     locs = np.sort(rng.uniform(-2.0, 2.0, (k, j)), axis=1)
     locs[1, 3] = locs[1, 2] + 1e-12
     c = rng.standard_normal((k, j, n)) + 1j * rng.standard_normal((k, j, n))
     weights = c[..., :, None] * np.conj(c[..., None, :])
     weights[3, 0] *= 1e-15
-    merge_tol = 1e-9 * np.abs(locs).max(axis=1)
+    merge_tol = 1e-9
     drop_tol = np.full(k, 1e-12)
     drop_tol[4] = 0.0
     return locs, weights, merge_tol, drop_tol
 
 
-def _row_by_row(locs, weights, merge_tol, drop_tol):
-    return [AtomicMatrixMeasure.from_atoms(
-        locs[k], weights[k], block_dim=weights.shape[-1],
-        merge_tol=merge_tol[k], drop_tol=drop_tol[k], psd_rel=1e-10)
-        for k in range(len(locs))]
-
-
-def test_batched_assembly_is_from_atoms_row_by_row():
+def test_batched_assembly_merges_drops_and_keeps_rows():
+    # Row 1's close pair becomes one atom at the mean of the two locations
+    # with the Hermitian part of their summed weight, row 3 loses its
+    # negligible atom, and every other row keeps its locations and the
+    # Hermitian parts of its weights, bit for bit.
     rng = np.random.default_rng(RNG_SEED + 20)
     for n in (1, 2, 3):
-        rows = _assembly_rows(rng, n)
-        batched = momext.measures._assemble(*rows, 1e-10)
-        single = _row_by_row(*rows)
+        locs, weights, merge_tol, drop_tol = _assembly_rows(rng, n)
+        batched = momext.measures._assemble(locs, weights, merge_tol,
+                                            drop_tol, 1e-10)
+        herm = 0.5 * (weights + np.conj(np.swapaxes(weights, -1, -2)))
+        pair = weights[1, 2] + weights[1, 3]
+        want = {1: (np.r_[locs[1, :2], (locs[1, 2] + locs[1, 3]) / 2,
+                          locs[1, 4:]],
+                    np.concatenate([herm[1, :2],
+                                    [0.5 * (pair + np.conj(pair.T))],
+                                    herm[1, 4:]])),
+                3: (locs[3, 1:], herm[3, 1:])}
         assert [m.n_atoms for m in batched] == [5, 4, 5, 4, 5, 5]
-        for got, want in zip(batched, single):
-            assert np.array_equal(got.locations, want.locations)
-            assert np.array_equal(got.weights, want.weights)
+        for k, got in enumerate(batched):
+            want_locs, want_weights = want.get(k, (locs[k], herm[k]))
+            assert np.array_equal(got.locations, want_locs)
+            assert np.array_equal(got.weights, want_weights)
             assert not got.locations.flags.writeable
             assert not got.weights.flags.writeable
 
@@ -180,7 +187,7 @@ def test_batched_assembly_names_the_first_non_psd_weight():
             with pytest.raises(ValueError, match="is not PSD") as single:
                 AtomicMatrixMeasure.from_atoms(
                     locs[first], weights[first], block_dim=n,
-                    merge_tol=merge_tol[first], drop_tol=drop_tol[first],
+                    merge_tol=merge_tol, drop_tol=drop_tol[first],
                     psd_rel=1e-10)
             with pytest.raises(ValueError) as batched:
                 momext.measures._assemble(locs, weights, merge_tol, drop_tol,
@@ -263,8 +270,7 @@ def test_non_psd_weights_raise_the_eigvalsh_rule_text():
         # rows of 4: the offenders sit in row 0 (column 3), row 1 and row 2
         rows = locs.reshape(3, 4), w.reshape(3, 4, n, n)
         with pytest.raises(ValueError) as batched:
-            momext.measures._assemble(*rows, np.zeros(3), np.zeros(3),
-                                      psd_rel)
+            momext.measures._assemble(*rows, 0.0, np.zeros(3), psd_rel)
         assert str(batched.value) == want
 
 
@@ -774,16 +780,6 @@ def test_pairwise_distances_are_the_one_pair_distances():
     assert np.array_equal(pairwise_distances(measures[:1], site_tol), [[0.0]])
 
 
-def test_pairwise_distances_bound_their_scratch(monkeypatch):
-    # pairs are processed in chunks; a chunk of one pair gives the same
-    # matrix as the default chunking
-    rng = np.random.default_rng(RNG_SEED + 12)
-    measures = _clustered_measures(rng, 2, 8, 1e-3)
-    full = pairwise_distances(measures, 1e-3)
-    monkeypatch.setattr(momext.measures, "_DISTANCE_CHUNK", 1)
-    assert np.array_equal(pairwise_distances(measures, 1e-3), full)
-
-
 #: locations of each measure and site_tol, chosen so that the pairs meet
 #: one kind of cluster of pooled locations within site_tol of each other
 _CLUSTER_CASES = {
@@ -803,7 +799,14 @@ _CLUSTER_CASES = {
 
 
 @pytest.mark.parametrize("case", list(_CLUSTER_CASES))
-def test_pairwise_distances_match_the_reference_per_cluster_kind(case):
+def test_pairwise_distances_match_the_reference_per_cluster_kind(
+        case, monkeypatch):
+    # the per-cluster loop runs exactly on the cases with a cluster of
+    # three or more, where the reference is its oracle
+    calls = []
+    loop = momext.measures._cluster_distance
+    monkeypatch.setattr(momext.measures, "_cluster_distance",
+                        lambda *args: calls.append(args) or loop(*args))
     locations, site_tol = _CLUSTER_CASES[case]
     rng = np.random.default_rng(RNG_SEED + 13)
     for n in (1, 2):
@@ -816,6 +819,7 @@ def test_pairwise_distances_match_the_reference_per_cluster_kind(case):
             assert dist[i, j] == expected
             assert measure_distance(measures[i], measures[j],
                                     site_tol) == expected
+    assert bool(calls) == (case in ("three or more", "next to padding"))
 
 
 @pytest.mark.parametrize("site_tol", [-1.0, np.nan, np.inf])
@@ -864,14 +868,16 @@ def test_sweep_distance_matrix_is_the_reference_loop():
 
 
 def test_two_atom_clusters_skip_the_window_pass(monkeypatch):
+    # the sweep's clusters are all pairs, settled in closed form: the
+    # per-cluster loop never runs
     calls = []
-    window_pass = momext.measures._site_distances
+    window_pass = momext.measures._cluster_distance
 
     def counted(*args):
         calls.append(args)
         return window_pass(*args)
 
-    monkeypatch.setattr(momext.measures, "_site_distances", counted)
+    monkeypatch.setattr(momext.measures, "_cluster_distance", counted)
     _, measures = _seven_atom_sweep()
     sizes = [s for i, j in itertools.combinations(measures, 2)
              for s in _cluster_sizes(measures[i], measures[j],

@@ -15,7 +15,8 @@ Checked here:
 - both solution routes (atomic for isometric parameters, transform plus
   closed-form moment recovery for contractions),
 - the admissibility gate on supplied parameters,
-- the unique-extension case (defect 0) and the sweep refusing it,
+- the unique-extension case (defect 0) and the sweep refusing it, and
+  the sweep refusing an empty angle grid,
 - the theta sweep on (1, 0, 1): seven admissible angles, pi flagged
   forbidden, pairwise distinct measures; on random instances its distance
   matrix is exactly the pairwise measure_distance, and each entry (report,
@@ -208,6 +209,13 @@ def test_unique_extension_when_the_defect_vanishes():
     assert measure_distance(result.measure, truth, site_tol=1e-6) <= 1e-7
     with pytest.raises(ValueError):
         theta_sweep(seq)
+
+
+@pytest.mark.parametrize("grid", [{"n_thetas": 0}, {"n_thetas": -3},
+                                  {"thetas": []}])
+def test_sweep_refuses_an_empty_angle_grid(seq_101, grid):
+    with pytest.raises(ValueError, match="angle grid is empty"):
+        theta_sweep(seq_101, **grid)
 
 
 def test_sweep_flags_the_forbidden_angle(seq_101):
