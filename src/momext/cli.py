@@ -41,7 +41,8 @@ from .jsonio import (admissibility_to_json, complex_to_pair, condition_to_json,
                      opt_float, parse_measure, parse_parameter, parse_problem,
                      parse_scalar_sequence, perron_to_json, recovery_to_json,
                      scalar_result_to_json, verification_to_json)
-from .measures import bin_measure, perron_inversion, verify_moments
+from .measures import (_cell_count, bin_measure, perron_inversion,
+                       verify_moments)
 from .pipeline import _solve, prepare, theta_sweep
 from .scalar import VERDICT_INFEASIBLE, solve_scalar_even
 from .tolerances import Tolerances
@@ -108,6 +109,8 @@ def _number(convert, low=None):
 
 
 def _parse_grid(text: str):
+    """START:STOP:WIDTH, three finite numbers whose grid holds at least one
+    and at most measures.MAX_CELLS complete cells."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ProblemFileError('--grid expects "START:STOP:WIDTH"')
@@ -119,6 +122,10 @@ def _parse_grid(text: str):
         raise ProblemFileError(f"--grid: {text!r} has a non-finite part")
     if not (stop > start and width > 0.0):
         raise ProblemFileError("--grid needs STOP > START and WIDTH > 0")
+    try:
+        _cell_count(start, stop, width)
+    except ValueError as exc:
+        raise ProblemFileError(f"--grid: {text!r}: {exc}") from None
     return start, stop, width
 
 

@@ -54,10 +54,17 @@ def inner(u, v) -> complex:
 
 def singular_values(a) -> np.ndarray:
     """Descending singular values of a matrix, or of each matrix in a stack
-    (one batched call, shape a.shape[:-2] + (min(rows, cols),))."""
+    (shape a.shape[:-2] + (min(rows, cols),)).
+
+    The kernel follows the block shape: a 1 x 1 matrix is its own singular
+    value up to phase, so a stack of them takes the moduli, by np.hypot
+    (within 1 ulp of the exact modulus; the SVD and np.abs are up to 2 ulp
+    off); larger ones take one batched SVD call."""
     a = np.asarray(a, dtype=complex)
     if a.size == 0:
         return np.zeros(a.shape[:-2] + (min(a.shape[-2:]),))
+    if a.shape[-2:] == (1, 1):
+        return np.hypot(a.real[..., 0], a.imag[..., 0])
     return np.linalg.svd(a, compute_uv=False)
 
 

@@ -51,6 +51,10 @@ from .tolerances import DEFAULT, Tolerances
 #: points per batched solve in StieltjesTransform.eval_upper_many
 _EVAL_CHUNK = 8192
 
+#: most cells a Perron or binning grid may hold; a finer grid raises
+#: ValueError before its edges are allocated
+MAX_CELLS = 100_000
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class AtomicMatrixMeasure:
@@ -151,38 +155,52 @@ def spectral_measure(extension: SelfAdjointExtension, shift: ShiftOperator,
     (A^d x_k = x_{dN+k}), so that the weight keeps its relative accuracy
     however large t is: an atom far out (the parameter near the forbidden
     operator) has a tiny weight that still carries t^{2d} W of S_{2d}.
-    An atom is dropped only when W max(1, |t|)^{2d} is below weight_rel
-    times the total-mass scale.  The atoms of every row are merged,
-    dropped and checked PSD in one pass by _assemble, the one assembler
-    (from_atoms is its case of one row): one batched Cholesky for N >= 2,
-    an eigvalsh only when that fails.
-    """
-    n = shift.block_dim
-    d = shift.order
-    mats = extension.matrix
-    if mats.ndim == 2:
-        mats = mats[None]
-    vals, vecs = np.linalg.eigh(mats)
-    coords = shift.space.coords
-    far = np.abs(vals) > 1.0
+    Those products are taken only when some |t| > 1.  An atom is dropped
+    only when W max(1, |t|)^{2d} is below weight_rel times the total-mass
+    scale.  The atoms of every row are merged, dropped and checked PSD in
+    one pass by _assemble, the one assembler (from_atoms is its case of
+    one row): one batched Cholesky for N >= 2, an eigvalsh only when that
+    fails.
 
-    def products(rows):                              # [., i, k] = (y_k, v_i)
-        return np.swapaxes(rows @ np.conj(vecs), -1, -2)
-    # c[., i, k] = (x_k, v_i), read off block row d where |t_i| > 1
-    c = np.where(far[..., None], products(coords[d * n:(d + 1) * n])
-                 / (np.where(far, vals, 1.0) ** d)[..., None],
-                 products(coords[:n]))
-    mass = np.swapaxes(c, -1, -2) @ np.conj(c)       # equals S_0
-    # one rank-one weight per eigenvector; a cluster sums its members
-    weights = c[..., :, None] * np.conj(c[..., None, :])
-    measures = _assemble(vals, weights, tol.cluster_rel,
-                         tol.weight_rel * np.abs(mass).max(axis=(1, 2)),
-                         tol.psd_rel, 2 * d)
+    The eigh runs on the real part of the stack when its imaginary parts
+    are exact zeros, as they always are at N = 1 (S_n, the frame and the
+    1 x 1 hermitized B are real there): the same matrices, reduced by the
+    cheaper real kernel.
+    """
+    measures = _assemble(*_spectral_atoms(extension.matrix, shift, tol))
     return measures if extension.matrix.ndim == 3 else measures[0]
 
 
+def _spectral_atoms(mats: np.ndarray, shift: ShiftOperator, tol: Tolerances):
+    """The arguments of _assemble for the eigen-atoms of an m x m Hermitian
+    matrix or a (K, m, m) stack of them: sorted locations (K, m), rank-one
+    weights (K, m, N, N) and the tolerances of spectral_measure."""
+    n = shift.block_dim
+    d = shift.order
+    if mats.ndim == 2:
+        mats = mats[None]
+    vals, vecs = np.linalg.eigh(mats.real if not mats.imag.any() else mats)
+    coords = shift.space.coords
+    vecs = np.conj(vecs)
+
+    def products(rows):                              # [., i, k] = (y_k, v_i)
+        return np.swapaxes(rows @ vecs, -1, -2)
+    # c[., i, k] = (x_k, v_i), read off block row d where |t_i| > 1
+    c = products(coords[:n])
+    far = np.abs(vals) > 1.0
+    if far.any():
+        c = np.where(far[..., None], products(coords[d * n:(d + 1) * n])
+                     / (np.where(far, vals, 1.0) ** d)[..., None], c)
+    cc = np.conj(c)
+    mass = np.swapaxes(c, -1, -2) @ cc               # equals S_0
+    # one rank-one weight per eigenvector; a cluster sums its members
+    weights = c[..., :, None] * cc[..., None, :]
+    return (vals, weights, tol.cluster_rel,
+            tol.weight_rel * np.abs(mass).max(axis=(1, 2)), tol.psd_rel, 2 * d)
+
+
 def _assemble(locs, weights, merge_tol, drop_tol, psd_rel: float,
-              degree: int = 0) -> tuple[AtomicMatrixMeasure, ...]:
+              degree: int = 0, stacked: bool = False):
     """One measure per row of sorted locations (K, J) and weights
     (K, J, N, N), with one merge_tol and the row's drop_tol (a scalar or
     (K,)), in one pass over all rows.
@@ -195,6 +213,11 @@ def _assemble(locs, weights, merge_tol, drop_tol, psd_rel: float,
     (_first_non_psd, with the floor psd_rel times the row's largest kept
     |entry|, at least 1).  A non-PSD weight raises ValueError for the first
     in row order.  The measures are read-only views of the kept atoms.
+
+    stacked also returns the kept atoms of all rows as one left-aligned
+    padded stack (_stack with NaN locations), the one _padded would build
+    from the measures, so that a caller holding many rows need not
+    re-stack them.
     """
     k, j = locs.shape
     drop_tol = np.reshape(drop_tol, (-1, 1))
@@ -221,10 +244,14 @@ def _assemble(locs, weights, merge_tol, drop_tol, psd_rel: float,
         failure = _first_non_psd(kept_locs, kept_w, psd_rel * scale[row])
         if failure:
             raise failure[1]
-    ends = np.cumsum(keep.sum(axis=1)).tolist()
-    return tuple(AtomicMatrixMeasure(locations=kept_locs[start:end],
-                                     weights=kept_w[start:end])
-                 for start, end in zip([0] + ends, ends))
+    counts = keep.sum(axis=1)
+    ends = np.cumsum(counts).tolist()
+    measures = tuple(AtomicMatrixMeasure(locations=kept_locs[start:end],
+                                         weights=kept_w[start:end])
+                     for start, end in zip([0] + ends, ends))
+    if stacked:
+        return measures, _stack(counts, kept_locs, kept_w, np.nan)
+    return measures
 
 
 @dataclasses.dataclass(frozen=True)
@@ -287,13 +314,19 @@ def _moment_sums(locs, weights, count: int) -> np.ndarray:
     locations (K, J) and weights (K, J, N, N): (K, count, N, N), summed in
     atom order.
 
-    For N >= 2 the einsum runs on the real view of the weights, (K, J,
-    2 N^2) floats times real powers: the products and the order of the
-    complex einsum, bit for bit, at a fraction of its cost.  At N = 1 that
-    view is too short to pay, and the complex einsum is kept.
+    The powers are running products 1, t, t t, ... (np.multiply.accumulate),
+    each within n - 1 ulp of t^n: np.power takes a slow path for negative
+    bases, several times the cost of the products.  For N >= 2 the einsum
+    runs on the real view of the weights, (K, J, 2 N^2) floats times real
+    powers: the products and the order of the complex einsum, bit for bit,
+    at a fraction of its cost.  At N = 1 that view is too short to pay, and
+    the complex einsum is kept.
     """
-    powers = locs[:, None, :] ** np.arange(count)[:, None]
     k, j, n = np.shape(weights)[:3]
+    powers = np.empty((k, count, j))
+    powers[:, :1] = 1.0
+    powers[:, 1:] = locs[:, None, :]
+    np.multiply.accumulate(powers, axis=1, out=powers)
     if n == 1:
         return np.einsum("knj,kjab->knab", powers, weights)
     flat = np.ascontiguousarray(weights, dtype=complex).view(float)
@@ -545,30 +578,52 @@ def perron_inversion(transform: StieltjesTransform, start: float, stop: float,
     return _residue_cells(transform, edges)
 
 
-def _cell_edges(start: float, stop: float, cell_width: float) -> np.ndarray:
-    """The edges of the complete cells of width cell_width on
-    [start, stop)."""
+def _cell_count(start: float, stop: float, cell_width: float) -> int:
+    """The number of complete cells of width cell_width on [start, stop);
+    ValueError when there is none or more than MAX_CELLS."""
     if not (stop > start and cell_width > 0.0):
         raise ValueError("need stop > start and a positive cell width")
-    n_cells = int(np.floor((stop - start) / cell_width + 1e-9))
-    if n_cells < 1:
+    cells = (stop - start) / cell_width + 1e-9
+    if not cells < MAX_CELLS + 1:                   # also an infinite count
+        raise ValueError(f"grid holds {cells:.4g} cells, more than the "
+                         f"{MAX_CELLS} allowed")
+    if cells < 1:
         raise ValueError("grid holds no complete cell")
+    return math.floor(cells)
+
+
+def _cell_edges(start: float, stop: float, cell_width: float) -> np.ndarray:
+    """The edges of the complete cells of width cell_width on
+    [start, stop), checked by _cell_count before anything is allocated."""
+    n_cells = _cell_count(start, stop, cell_width)
     return read_only(start + cell_width * np.arange(n_cells + 1))
 
 
 def _padded(measures, fill: float):
     """The locations (K, J) and weights (K, J, N, N) of K >= 1 measures,
-    padded to the largest atom count J with fill and with 0."""
-    n = measures[0].block_dim
-    if any(m.block_dim != n for m in measures):
-        raise ValueError("measures of different block sizes")
-    counts = np.array([m.n_atoms for m in measures])
-    present = np.arange(counts.max()) < counts[:, None]
-    locs = np.full(present.shape, fill)
-    weights = np.zeros(present.shape + (n, n), dtype=complex)
-    locs[present] = np.concatenate([m.locations for m in measures])
-    weights[present] = np.concatenate([m.weights for m in measures])
-    return locs, weights
+    padded to the largest atom count J with fill and with 0; each measure
+    is read once."""
+    locs, weights = zip(*[(m.locations, m.weights) for m in measures])
+    try:
+        weights = np.concatenate(weights)
+    except ValueError:
+        raise ValueError("measures of different block sizes") from None
+    return _stack([len(t) for t in locs], np.concatenate(locs), weights,
+                  fill)
+
+
+def _stack(counts, locs, weights, fill: float):
+    """Atoms given row after row, counts[i] of them in row i, as the
+    left-aligned stack of locations (K, J) padded with fill and weights
+    (K, J, N, N) padded with 0, J the largest count."""
+    counts = np.asarray(counts)
+    present = np.arange(counts.max(initial=0)) < counts[:, None]
+    padded_locs = np.full(present.shape, fill)
+    padded_weights = np.zeros(present.shape + weights.shape[1:],
+                              dtype=complex)
+    padded_locs[present] = locs
+    padded_weights[present] = weights
+    return padded_locs, padded_weights
 
 
 def measure_distance(m1: AtomicMatrixMeasure, m2: AtomicMatrixMeasure,
@@ -592,10 +647,13 @@ def pairwise_distances(measures, site_tol: float = 1e-6) -> np.ndarray:
     """measure_distance between every two of K measures, as a symmetric
     K x K matrix with a zero diagonal, in one array pass over all pairs.
 
-    Locations are padded with NaN (which sorts last and lies within
-    site_tol of nothing) and weights with 0 to the largest atom count J.
-    The sorted pooled locations of a pair fall into clusters: maximal runs
-    whose neighbours lie within site_tol.  Since fl(t - s) is monotone in t
+    The measures are stacked by _padded, which reads each once: locations
+    padded with NaN (which sorts last and lies within site_tol of
+    nothing) and weights with 0 to the largest atom count J.  The kernel,
+    _distances, runs on that stack; theta_sweep hands it the stack its
+    atom assembly built, so nothing is re-stacked there.  The sorted
+    pooled locations of a pair fall into clusters: maximal runs whose
+    neighbours lie within site_tol.  Since fl(t - s) is monotone in t
     and in s, the first location of a cluster opens a site and no window
     reaches past its cluster, so the distance is the largest value of any
     cluster:
@@ -617,12 +675,16 @@ def pairwise_distances(measures, site_tol: float = 1e-6) -> np.ndarray:
     if not (math.isfinite(site_tol) and site_tol >= 0.0):
         raise ValueError(f"site_tol must be a finite, non-negative number, "
                          f"got {site_tol!r}")
-    k = len(measures)
+    if len(measures) < 2:
+        return np.zeros((len(measures),) * 2)
+    return _distances(*_padded(measures, np.nan), site_tol)
+
+
+def _distances(locs, weights, site_tol: float) -> np.ndarray:
+    """pairwise_distances over a padded stack: locations (K, J) with NaN
+    past each row's atoms and weights (K, J, N, N) with 0 there."""
+    k, width, n = weights.shape[:3]
     out = np.zeros((k, k))
-    if k < 2:
-        return out
-    locs, weights = _padded(measures, np.nan)
-    width, n = weights.shape[1:3]
     # atom a of measure i is row i * J + a, its key
     flat = weights.reshape(k * width, n * n)
     peaks = np.abs(flat).max(axis=1, initial=0.0)  # largest |entry| per atom

@@ -26,11 +26,11 @@ from .gram import GramSpace, _factor
 from .hankel import ConditionReport, MomentSequence, _check
 from .linalg import read_only
 from .measures import (AtomicMatrixMeasure, ContourRecovery,
-                       StieltjesTransform, VerificationReport,
-                       _screened_transform, moments_from_transform,
-                       pairwise_distances,
-                       spectral_measure, verify_measures, verify_moments,
-                       verify_recovered_moments)
+                       StieltjesTransform, VerificationReport, _assemble,
+                       _distances, _moment_sums, _screened_transform,
+                       _spectral_atoms, _verifications,
+                       moments_from_transform, spectral_measure,
+                       verify_moments, verify_recovered_moments)
 from .extensions import (KIND_ISOMETRIC, ExtensionParameter,
                          SelfAdjointExtension, _selfadjoint_extension,
                          screen_parameter)
@@ -223,9 +223,11 @@ def theta_sweep(seq: MomentSequence, n_thetas: int = 8,
     SWEEP_SITE_TOL.
 
     The sweep is one array pass over all K angles: one stacked
-    screen_parameter, then for the admitted angles one batched extension
-    (the q x q solves for B and one eigh), one atom assembly, one
-    verification and one distance kernel over their pairs.
+    screen_parameter, then for the admitted angles (sliced from the
+    screened stack) one batched extension (the q x q solves for B and one
+    eigh), one atom assembly, and one verification and one distance kernel
+    over the padded stack of atoms that the assembly hands over.  At q = 1
+    the screen takes moduli and makes no SVD call.
     Each entry equals what solve_truncated gives for its angle alone.
     """
     if thetas is None:
@@ -238,30 +240,34 @@ def theta_sweep(seq: MomentSequence, n_thetas: int = 8,
     if q == 0:
         raise ValueError("the defect is zero: the extension is unique and "
                          "there is no family to sweep")
-    _, reports = screen_parameter(
+    vmat, reports = screen_parameter(
         ws.shift, ws.pair, ExtensionParameter.unimodular(thetas, q),
         ws.forbidden, tol)
     admitted = np.flatnonzero([r.admissible for r in reports])
-    measures = [None] * len(thetas)
-    verifications = [None] * len(thetas)
+    k = len(thetas)
+    measures = [None] * k
+    verifications = [None] * k
+    dist = np.full((k, k), np.nan)
     if admitted.size:
-        family = ExtensionParameter.unimodular(thetas[admitted], q)
+        family = ExtensionParameter(kind=KIND_ISOMETRIC,
+                                    matrix=read_only(vmat[admitted]))
         ext = _selfadjoint_extension(ws.shift, ws.pair, family, family.matrix,
                                      [reports[i] for i in admitted], tol)
-        found = spectral_measure(ext, ws.shift, tol)
-        for i, measure, verification in zip(
-                admitted, found,
-                verify_measures(found, ws.sequence, rel_tol=1e-8)):
+        found, (locs, weights) = _assemble(
+            *_spectral_atoms(ext.matrix, ws.shift, tol), stacked=True)
+        found_verifications = _verifications(
+            _moment_sums(np.nan_to_num(locs), weights, len(ws.sequence)),
+            ws.sequence, rel_tol=1e-8)
+        for i, measure, verification in zip(admitted, found,
+                                             found_verifications):
             measures[i], verifications[i] = measure, verification
+        dist[np.ix_(admitted, admitted)] = _distances(locs, weights,
+                                                      SWEEP_SITE_TOL)
     entries = tuple(SweepEntry(
         theta=float(theta), admissibility=report, measure=measure,
         verification=verification)
         for theta, report, measure, verification in zip(
             thetas, reports, measures, verifications))
-    k = len(entries)
-    dist = np.full((k, k), np.nan)
-    dist[np.ix_(admitted, admitted)] = pairwise_distances(
-        [measures[i] for i in admitted], site_tol=SWEEP_SITE_TOL)
     forbidden = np.array([e.theta for e in entries
                           if not e.admissibility.admissible])
     return SweepResult(thetas=thetas, entries=entries,

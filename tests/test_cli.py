@@ -414,7 +414,8 @@ def test_verify_dimension_mismatch_exits_two(tmp_path, capsys):
     ("verify", "--rel-tol", "nan"), ("verify", "--rel-tol", "inf"),
     ("verify", "--rel-tol", "-1"), ("sweep", "--theta-grid", "0"),
     ("sweep", "--theta-grid", "-3"), ("solve", "--theta", "nan"),
-    ("solve", "--theta", "-inf"), ("solve", "--grid", "0:inf:0.5")])
+    ("solve", "--theta", "-inf"), ("solve", "--grid", "0:inf:0.5"),
+    ("solve", "--grid", "0:1:1e-300"), ("solve", "--grid", "0:1:1e-12")])
 def test_out_of_range_flag_values_exit_one(tmp_path, capsys, command, flag,
                                            value):
     # Numbers a flag cannot take are malformed input, refused where the
@@ -422,7 +423,9 @@ def test_out_of_range_flag_values_exit_one(tmp_path, capsys, command, flag,
     # breaks the JSON writer, a negative one fails a correct measure, an
     # empty angle grid has nothing to sweep, a NaN angle breaks the SVD of
     # the parameter screen and an infinite grid bound cannot be cut into
-    # cells.
+    # cells.  A grid of more than measures.MAX_CELLS cells is refused
+    # before its edges are allocated: 1e-300 is more cells than numpy can
+    # index, and 1e-12 about 7 TiB of them.
     argv = [command, _write(tmp_path, "p.json", PROBLEM_101)]
     if command == "verify":
         argv.append(_write(tmp_path, "m.json", {

@@ -27,8 +27,8 @@ import pytest
 from momext import (DimensionMismatch, ExtensionParameter, NormViolation,
                     NotAdmissible, StieltjesTransform, build_block_hankel,
                     build_shift, default_parameter, deficiency_subspaces,
-                    factor_psd, pencil_spectral_radius, prepare,
-                    selfadjoint_extension, solve_truncated)
+                    factor_psd, is_admissible, pencil_spectral_radius,
+                    prepare, selfadjoint_extension, solve_truncated)
 from momext.extensions import KIND_ISOMETRIC, quasi_extension
 from momext.sampling import (random_admissible_isometry,
                              random_deficient_instance,
@@ -114,6 +114,28 @@ def test_extensions_are_hermitian_and_extend_the_shift():
         scale = max(1.0, float(np.abs(ext.matrix).max()))
         assert np.allclose(ext.matrix @ shift.dom_matrix, shift.shift_matrix,
                            atol=1e-8 * scale)
+
+
+def test_scalar_extension_stacks_are_real():
+    # At N = 1 the moments, the frame, J_0 and E are real, and B(V) is
+    # 1 x 1, so hermitizing leaves it real: every extension, a stack of
+    # them and the default one alike, has exactly zero imaginary parts,
+    # and spectral_measure runs the real eigh on it.
+    rng = np.random.default_rng(RNG_SEED + 4)
+    thetas = np.linspace(1.0, 2.0 * np.pi - 1.0, 16)
+    for d in (1, 2, 3, 4, 6):
+        for _ in range(4):
+            seq, _ = random_feasible_instance(rng, 1, d)
+            _, shift, pair = _operator_stage(seq)
+            assert pair.defect == 1
+            stack = ExtensionParameter.unimodular(thetas, 1)
+            reports = is_admissible(stack.matrix, shift, pair)
+            admitted = thetas[[r.admissible for r in reports]]
+            ext = selfadjoint_extension(
+                shift, pair, ExtensionParameter.unimodular(admitted, 1))
+            assert ext.matrix.shape == (len(admitted), d + 1, d + 1)
+            assert not ext.matrix.imag.any()
+            assert not solve_truncated(seq).extension.matrix.imag.any()
 
 
 def test_hand_resolvent_value(seq_101):

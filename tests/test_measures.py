@@ -435,6 +435,25 @@ def test_power_moments_match_the_data():
         assert worst <= 1e-10 * scale, (seq.dim, len(seq), worst)
 
 
+def test_a_grid_of_too_many_cells_is_refused_before_allocating(seq_101):
+    # The cell count is checked against MAX_CELLS before any edge exists:
+    # a width of 1e-12 on [0, 1) would ask for about 7 TiB of edges, and
+    # one of 1e-300 (or a subnormal) for more than numpy can index.
+    _, _, measure = _atomic_solution(seq_101)
+    t = _transform(seq_101, ExtensionParameter.contraction(0.5 * np.eye(1)))
+    for width in (1e-12, 1e-300, 5e-324):
+        with pytest.raises(ValueError, match="more than the 100000 allowed"):
+            momext.measures.bin_measure(measure, 0.0, 1.0, width)
+        with pytest.raises(ValueError, match="more than the 100000 allowed"):
+            perron_inversion(t, 0.0, 1.0, width)
+    cells = momext.measures.MAX_CELLS
+    res = momext.measures.bin_measure(measure, -1.5, cells - 1.5, 1.0)
+    assert res.edges.shape == (cells + 1,)
+    assert np.allclose(res.increments[[0, 2], 0, 0], 0.5, atol=ORACLE_ATOL)
+    with pytest.raises(ValueError, match="more than"):
+        momext.measures.bin_measure(measure, 0.0, cells + 1.0, 1.0)
+
+
 def test_forbidden_parameter_is_rejected_on_the_transform_route():
     # theta = pi is the forbidden angle of (1, 0, 1/4), as of every
     # scalar problem with d = 1: its margin is 0, and B(V) has no value
@@ -618,9 +637,30 @@ def test_verification_catches_a_corrupted_moment(seq_101):
     assert bad.max_deviation == pytest.approx(0.1, abs=1e-12)
 
 
+def _running_powers(locs, count):
+    """t^n for n < count as the running products 1, t, t t, ..., along a
+    new axis before the last of locs."""
+    factors = [np.ones_like(locs)] + [locs] * (count - 1)
+    return np.multiply.accumulate(np.stack(factors, axis=-2), axis=-2)
+
+
+def test_running_powers_are_within_n_minus_one_ulp_of_power():
+    # t^n by n - 1 products is off by at most n - 1 roundings; n = 0 and
+    # 1 are exact.
+    rng = np.random.default_rng(RNG_SEED + 26)
+    locs = np.concatenate([rng.normal(scale=3.0, size=200),
+                           -np.abs(rng.normal(size=50)), [0.0, -1.0, 1.0]])
+    count = 13
+    got = _running_powers(locs, count)
+    want = locs[None, :] ** np.arange(count)[:, None]
+    allowed = np.maximum(np.arange(count) - 1, 0)[:, None]
+    assert np.all(np.abs(got - want) <= allowed * np.spacing(np.abs(want)))
+    assert np.array_equal(got[:2], want[:2])
+
+
 def _reference_verification(measure, seq):
     """verify_moments as one einsum over the measure's own atoms."""
-    powers = measure.locations[None, :] ** np.arange(len(seq))[:, None]
+    powers = _running_powers(measure.locations, len(seq))
     recovered = np.einsum("nj,jkl->nkl", powers, measure.weights)
     return verify_recovered_moments(recovered, seq, rel_tol=1e-8)
 
@@ -654,7 +694,7 @@ def test_moment_sums_are_the_complex_einsum_bit_for_bit():
                 measures[0] = _random_measure(rng, n, 0)
             locs, weights = momext.measures._padded(measures, 0.0)
             got = momext.measures._moment_sums(locs, weights, 9)
-            powers = locs[:, None, :] ** np.arange(9)[:, None]
+            powers = _running_powers(locs, 9)
             want = np.einsum("knj,kjab->knab", powers, weights)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -778,6 +818,13 @@ def test_pairwise_distances_are_the_one_pair_distances():
                                         site_tol) == expected
     assert pairwise_distances([], site_tol).shape == (0, 0)
     assert np.array_equal(pairwise_distances(measures[:1], site_tol), [[0.0]])
+    # measures of different block sizes do not stack, whatever their atoms
+    for sizes in ((1, 2), (2, 1), (3, 2)):
+        mixed = [_random_measure(rng, n, j) for n, j in zip(sizes, (2, 0))]
+        with pytest.raises(ValueError, match="different block sizes"):
+            pairwise_distances(mixed, site_tol)
+        with pytest.raises(ValueError, match="different block sizes"):
+            verify_measures(mixed + mixed, MomentSequence.scalar([1.0]))
 
 
 #: locations of each measure and site_tol, chosen so that the pairs meet

@@ -41,7 +41,9 @@ from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
                     deficiency_subspaces, factor_psd, forbidden_operator,
                     is_admissible, measure_distance, prepare,
                     selfadjoint_extension, solve_truncated, spectral_measure,
-                    theta_sweep)
+                    theta_sweep, verify_moments)
+from momext.measures import pairwise_distances
+from momext.pipeline import SWEEP_SITE_TOL
 from momext.sampling import (haar_unitary, random_admissible_isometry,
                              random_deficient_instance,
                              random_feasible_instance)
@@ -102,7 +104,8 @@ def test_prepare_builds_and_factors_each_section_once(monkeypatch):
     # an SVD for the rotation of B_minus, whose adjoint is X.  No QR, no
     # inverse and no solve for X.  A default solve then screens one
     # parameter (its norm, its margin and its forbidden gap, from one SVD
-    # call of a (3, q, q) stack), takes one m x m eigh and screens the
+    # call of a (3, q, q) stack, or from moduli and no SVD at q = 1),
+    # takes one m x m eigh and screens the
     # atom weights with one batched Cholesky (none at N = 1, where a
     # weight is its own eigenvalue); eigvalsh runs only when that screen
     # fails, and there is no solve, since B(-X) = Re Omega.
@@ -141,7 +144,7 @@ def test_prepare_builds_and_factors_each_section_once(monkeypatch):
                 in_prepare = list(calls)
                 calls.clear()
                 result = solve_truncated(seq)
-                screen = [("svd", (3, q, q))] if q else []
+                screen = [("svd", (3, q, q))] if q > 1 else []
                 psd = ([("cholesky", (result.measure.n_atoms, n, n))]
                        if n > 1 else [])
                 assert calls[:len(in_prepare)] == in_prepare
@@ -253,6 +256,34 @@ def test_sweep_distances_are_the_pairwise_measure_distances():
                     expected[i, j] = (0.0 if i == j else measure_distance(
                         ei.measure, ej.measure, site_tol=1e-3))
         assert np.array_equal(res.distance_matrix, expected, equal_nan=True)
+
+
+def test_sweep_reads_its_verifications_and_distances_off_one_stack():
+    # The sweep verifies its measures and measures their distances on the
+    # one padded stack of atoms its assembly hands over, and still every
+    # report is verify_moments of its entry's measure and the distance
+    # matrix is pairwise_distances of the admitted measures, bit for bit,
+    # with an inadmissible angle left out of the stack.
+    rng = np.random.default_rng(RNG_SEED + 9)
+    thetas = np.linspace(1.0, 2.0 * np.pi - 1.0, 16)
+    for n, d in ((1, 2), (1, 6), (2, 3), (4, 2)):
+        seq, _ = random_feasible_instance(rng, n, d)
+        ws = prepare(seq)
+        eigen_angle = np.angle(np.linalg.eigvals(ws.forbidden.matrix)[0])
+        res = theta_sweep(seq, thetas=np.insert(thetas, 5, eigen_angle))
+        admitted = [i for i, e in enumerate(res.entries)
+                    if e.measure is not None]
+        assert len(admitted) == len(thetas)
+        for entry in res.entries:
+            if entry.measure is None:
+                assert entry.verification is None
+            else:
+                assert entry.verification == verify_moments(entry.measure,
+                                                            seq)
+        want = pairwise_distances([res.entries[i].measure for i in admitted],
+                                  site_tol=SWEEP_SITE_TOL)
+        got = res.distance_matrix[np.ix_(admitted, admitted)]
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_sweep_entries_are_the_single_angle_solves():

@@ -26,6 +26,8 @@ Checked here:
 
 from __future__ import annotations
 
+import decimal
+
 import numpy as np
 import pytest
 
@@ -34,7 +36,8 @@ from momext import (ExtensionParameter, MomentSequence, NormViolation,
                     build_shift, deficiency_subspaces, factor_psd,
                     forbidden_operator, is_admissible, moments_from_transform,
                     perron_inversion, prepare, solve_truncated, theta_sweep)
-from momext.linalg import inner
+import momext.shift
+from momext.linalg import inner, singular_values
 from momext.sampling import (haar_unitary, random_admissible_isometry,
                              random_deficient_instance,
                              random_feasible_instance,
@@ -189,6 +192,49 @@ def test_overnorm_parameters_are_rejected(seq_101):
         is_admissible(1.5 * np.eye(1), shift, pair)
 
 
+def test_one_by_one_singular_values_are_moduli(monkeypatch, seq_101):
+    # A stack of 1 x 1 matrices takes moduli, with no SVD call: within 1 ulp
+    # of the exact modulus, where the SVD is within 2 ulp, and a screen at
+    # q = 1 decides every angle of a 64-angle grid (pi, the forbidden angle
+    # of (1, 0, 1), among them) as the SVD kernel does.
+    rng = np.random.default_rng(RNG_SEED + 13)
+    a = ((rng.normal(size=(500, 1, 1)) + 1j * rng.normal(size=(500, 1, 1)))
+         * 10.0 ** rng.integers(-12, 12, size=(500, 1, 1)))
+    got = singular_values(a)
+    svd = np.linalg.svd(a, compute_uv=False)
+    assert got.shape == svd.shape == (500, 1)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        exact = np.array([[float((decimal.Decimal(z.real) ** 2
+                                  + decimal.Decimal(z.imag) ** 2).sqrt())]
+                          for z in a.ravel()])
+    for values, ulps in ((got, 1), (svd, 2)):
+        assert np.all(np.abs(values - exact) <= ulps * np.spacing(exact))
+    assert singular_values(a[0]).shape == (1,)
+
+    thetas = 2.0 * np.pi * np.arange(64) / 64
+    instances = [seq_101] + [random_feasible_instance(rng, 1, d)[0]
+                             for d in (2, 4, 6)]
+    stage = [_operator_stage(seq, with_forbidden=True)[1:]
+             for seq in instances]
+    stack = ExtensionParameter.unimodular(thetas, 1).matrix
+    moduli = [is_admissible(stack, *ops) for ops in stage]
+    monkeypatch.setattr(momext.shift, "singular_values",
+                        lambda m: np.linalg.svd(np.asarray(m, dtype=complex),
+                                                compute_uv=False))
+    by_svd = [is_admissible(stack, *ops) for ops in stage]
+    assert moduli[0][32].coincides_with_forbidden
+    for ours, theirs in zip(moduli, by_svd):
+        for r, s in zip(ours, theirs):
+            assert ((r.admissible, r.coincides_with_forbidden, r.borderline)
+                    == (s.admissible, s.coincides_with_forbidden,
+                        s.borderline))
+            for x, y in ((r.margin, s.margin),
+                         (r.parameter_norm, s.parameter_norm),
+                         (r.forbidden_gap, s.forbidden_gap)):
+                assert abs(x - y) <= 4 * np.spacing(max(x, y))
+
+
 def test_strict_contractions_are_always_admissible():
     rng = np.random.default_rng(RNG_SEED + 4)
     for _ in range(10):
@@ -271,24 +317,28 @@ def _minus(counts, before):
 def test_sweep_factorizations_do_not_grow_with_the_angles(monkeypatch):
     # After prepare, theta_sweep runs one stacked screen of the parameters
     # (the singular values for norm and isometry, the margins and the
-    # forbidden gaps: one SVD call, not repeated by the extension), one
-    # batched extension with no inverse and one batched eigh, whatever the
-    # number of angles; count the dense factorizations it asks numpy for.
+    # forbidden gaps: one SVD call, not repeated by the extension, and none
+    # at q = 1, where they are moduli), one batched extension with no
+    # inverse and one batched eigh, whatever the number of angles; count
+    # the dense factorizations it asks numpy for.
     factorizations = _count_factorizations(monkeypatch)
     rng = np.random.default_rng(RNG_SEED + 8)
     for n in (1, 2):
         seq, _ = random_feasible_instance(rng, n, 3)
+        q = prepare(seq).defect
         in_prepare = factorizations(prepare, seq)
         per_sweep = [_minus(factorizations(
             theta_sweep, seq, thetas=np.linspace(1.0, 2.0 * np.pi - 1.0, k)),
             in_prepare) for k in (8, 32)]
-        assert per_sweep[0] == per_sweep[1] == {"svd": 1, "eigh": 1, "inv": 0}
+        assert per_sweep[0] == per_sweep[1] == {"svd": int(q > 1), "eigh": 1,
+                                                "inv": 0}
 
 
 def test_a_solve_screens_its_parameter_once(monkeypatch):
     # The solve's admissibility check and its extension share one screen:
-    # one SVD call after prepare, with the default parameter -X and with a
-    # supplied one alike, and no inverse.
+    # one SVD call after prepare (none at q = 1, where the singular values
+    # are moduli), with the default parameter -X and with a supplied one
+    # alike, and no inverse.
     factorizations = _count_factorizations(monkeypatch)
     rng = np.random.default_rng(RNG_SEED + 9)
     for n in (1, 2):
@@ -300,7 +350,8 @@ def test_a_solve_screens_its_parameter_once(monkeypatch):
         for parameter in parameters:
             per_solve = _minus(factorizations(solve_truncated, seq, parameter),
                                in_prepare)
-            assert per_solve == {"svd": 1, "eigh": 1, "inv": 0}
+            assert per_solve == {"svd": int(ws.defect > 1), "eigh": 1,
+                                 "inv": 0}
 
 
 def test_a_transform_screens_its_parameter_once(monkeypatch):
