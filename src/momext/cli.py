@@ -20,16 +20,15 @@ Subcommands:
 Every subcommand prints exactly one line of canonical JSON on stdout, so
 identical inputs give byte-identical output.  Exit codes: 0 success (problem
 solvable, verification passed, sequence not infeasible); 1 malformed input,
-a flag value out of range included; 2 infeasible data, failed verification,
-or a construction error; 3 the strict positivity condition on the leading
-section failed.
+a flag value out of range or a non-finite number in a file included; 2
+infeasible data, failed verification, or a construction error; 3 the strict
+positivity condition on the leading section failed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import math
 import sys
 
@@ -37,7 +36,7 @@ from .errors import (DimensionMismatch, MomentProblemError, NotPSD,
                      ProblemFileError)
 from .hankel import check_truncated_conditions
 from .jsonio import (admissibility_to_json, complex_to_pair, condition_to_json,
-                     dumps_canonical, matrix_to_json, measure_to_json,
+                     dumps_canonical, loads, matrix_to_json, measure_to_json,
                      opt_float, parse_measure, parse_parameter, parse_problem,
                      parse_scalar_sequence, perron_to_json, recovery_to_json,
                      scalar_result_to_json, verification_to_json)
@@ -141,11 +140,8 @@ def _prepare_with_parameter(args, seq, file_spec, tol):
     """
     spec = file_spec
     if args.parameter is not None:
-        try:
-            spec = json.loads(_load_text(args.parameter))
-        except json.JSONDecodeError as exc:
-            raise ProblemFileError(
-                f"parameter file is not valid JSON: {exc}") from exc
+        spec = loads(_load_text(args.parameter),
+                     "parameter file is not valid JSON")
     elif args.theta is not None:
         spec = {"constant_unimodular_theta": args.theta}
     if isinstance(spec, dict) and "constant_unimodular_theta" in spec:

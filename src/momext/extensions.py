@@ -41,7 +41,8 @@ class ExtensionParameter:
     stack of K of them, which the construction below runs in one pass.
 
     kind is "isometric" (unitary between the defect subspaces; required for
-    self-adjoint extensions) or "contraction".
+    self-adjoint extensions) or "contraction"; any other kind, or a
+    non-finite entry, raises ValueError.
     """
 
     kind: str
@@ -50,6 +51,8 @@ class ExtensionParameter:
     def __post_init__(self):
         if self.kind not in (KIND_ISOMETRIC, KIND_CONTRACTION):
             raise ValueError(f"unknown parameter kind {self.kind!r}")
+        if not np.isfinite(self.matrix).all():
+            raise ValueError("parameter matrix has a non-finite entry")
 
     @classmethod
     def isometric(cls, matrix) -> "ExtensionParameter":
@@ -112,11 +115,21 @@ def screen_parameter(shift: ShiftOperator, pair: DeficiencyPair,
     reports, all from the one batched singular value call of
     admissibility_reports."""
     vmat = parameter._shaped(pair.defect)
-    sv, reports = admissibility_reports(
-        vmat if vmat.ndim == 3 else vmat[None], pair, forbidden, tol)
+    _, reports = _screen_stack(parameter, vmat if vmat.ndim == 3
+                               else vmat[None], pair, forbidden, tol)
+    return vmat, reports if vmat.ndim == 3 else reports[0]
+
+
+def _screen_stack(parameter: ExtensionParameter, stack: np.ndarray,
+                  pair: DeficiencyPair, forbidden: ForbiddenOperator | None,
+                  tol: Tolerances):
+    """The (K,) admissible mask and the K reports of the (K, q, q) stack of
+    a parameter, after its norm and isometry checks."""
+    sv, admissible, reports = admissibility_reports(stack, pair, forbidden,
+                                                    tol)
     if pair.defect:
         parameter._check_singular_values(sv, tol)
-    return vmat, reports if vmat.ndim == 3 else reports[0]
+    return admissible, reports
 
 
 def _generator(shift: ShiftOperator, pair: DeficiencyPair,
@@ -217,17 +230,36 @@ def _selfadjoint_extension(shift: ShiftOperator, pair: DeficiencyPair,
                            parameter: ExtensionParameter, vmat: np.ndarray,
                            reports, tol: Tolerances) -> SelfAdjointExtension:
     """selfadjoint_extension for an isometric parameter whose matrix and
-    report (or reports) screen_parameter has already given.  The residual
-    is the larger of J_0's (shift.herm_residual) and B(V)'s."""
+    report (or reports) screen_parameter has already given: G from the
+    admissibility gate, made Hermitian by _hermitize."""
     g = _quasi_extension(shift, pair, vmat, reports, tol)
-    gh = np.conj(np.swapaxes(g, -1, -2))
-    scale = np.maximum(np.abs(g).max(axis=(-2, -1), initial=0.0), 1.0)
-    residual = np.maximum(
-        np.abs(g - gh).max(axis=(-2, -1), initial=0.0) / scale,
-        shift.herm_residual)
+    residual = _hermitize(shift, g)
     return SelfAdjointExtension(
-        matrix=read_only(0.5 * (g + gh)), parameter=parameter,
+        matrix=read_only(g), parameter=parameter,
         herm_residual=read_only(residual) if g.ndim == 3 else float(residual))
+
+
+def _hermitize(shift: ShiftOperator, g: np.ndarray):
+    """Make G (or each G of a stack) Hermitian in place, and return its
+    symmetry defect relative to its scale, at least shift.herm_residual
+    (J_0's).
+
+    Only the q x q block B(V) can be non-Hermitian: J_0 was made Hermitian
+    by build_shift and E^H is written as the exact adjoint of E.  So B
+    alone becomes (B + B^H) / 2, the defect is B's, and the scale is the
+    larger of B's peak and the frame's (shift.frame_peak), at least 1:
+    the values of 0.5 (G + G^H) and the defect and scale of the whole
+    matrix, bit for bit."""
+    dn = shift.dom_dim
+    b = g[..., dn:, dn:]
+    bh = np.conj(np.swapaxes(b, -1, -2))
+    scale = np.maximum(
+        np.abs(b).max(axis=(-2, -1), initial=shift.frame_peak), 1.0)
+    residual = np.maximum(
+        np.abs(b - bh).max(axis=(-2, -1), initial=0.0) / scale,
+        shift.herm_residual)
+    b[...] = 0.5 * (b + bh)
+    return residual
 
 
 def pencil_spectral_radius(shift: ShiftOperator, pair: DeficiencyPair,

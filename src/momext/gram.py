@@ -80,7 +80,12 @@ def _factor(section: BlockHankel, w: np.ndarray, w_lead: np.ndarray,
             tol: Tolerances) -> GramSpace:
     """factor_psd from the ascending eigenvalues of the section (w) and of
     its leading dN x dN block (w_lead), which the solvability check has
-    already taken."""
+    already taken.
+
+    F comes from one eigh of the Hermitized Schur complement, its
+    eigenvectors phase-canonicalized.  At N = 1 Sigma is 1 x 1 and F is
+    sqrt(max(Re Sigma, 0)) in closed form: what that eigh (LAPACK returns
+    (Re a, [1]) for n = 1) and the canonical phase give, bit for bit."""
     scale = max_abs(w)
     if w.size and w[0] < -tol.psd_rel * scale:
         raise NotPSD(
@@ -96,13 +101,16 @@ def _factor(section: BlockHankel, w: np.ndarray, w_lead: np.ndarray,
     y = np.conj(np.linalg.solve(lower, h[:dn, dn:]).T) if dn else \
         np.zeros((n, 0), dtype=complex)
     schur = h[dn:, dn:] - y @ np.conj(y.T)
-    sw, su = np.linalg.eigh(0.5 * (schur + np.conj(schur.T)))
     top = slice(dn + n - m, n)                      # the q largest
     coords = np.zeros((dn + n, m), dtype=complex)
     coords[:dn, :dn] = lower
     coords[dn:, :dn] = y
-    coords[dn:, dn:] = (phase_canonicalize(su[:, top])
-                        * np.sqrt(np.maximum(sw[top], 0.0))[None, :])
+    if n == 1:          # Sigma is its own eigenvalue, with eigenvector 1
+        coords[dn:, dn:] = np.sqrt(np.maximum(schur.real, 0.0))[:, top]
+    else:
+        sw, su = np.linalg.eigh(0.5 * (schur + np.conj(schur.T)))
+        coords[dn:, dn:] = (phase_canonicalize(su[:, top])
+                            * np.sqrt(np.maximum(sw[top], 0.0))[None, :])
     return GramSpace(
         ambient_dim=m,
         block_dim=n,

@@ -40,9 +40,13 @@ class MomentSequence:
     def from_arrays(cls, arrays):
         """Check and symmetrize the moments in one pass over their stack
         (a complex (count, N, N) array is taken as it is); an error names
-        the first offending S_i."""
+        the first offending S_i.  A non-finite entry is refused with
+        ValueError."""
         stack = _stack_moments(arrays if isinstance(arrays, np.ndarray)
                                else list(arrays))
+        if not np.isfinite(stack).all():
+            i = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))[0]
+            raise ValueError(f"moment S_{i} has a non-finite entry")
         herm = np.conj(np.swapaxes(stack, 1, 2))
         scale = np.maximum(np.abs(stack).max(axis=(1, 2), initial=0.0), 1.0)
         defect = np.abs(stack - herm).max(axis=(1, 2), initial=0.0)

@@ -22,6 +22,9 @@ or
 
 Measure files hold {"atoms": [{"t": float, "W": [[...]]}]}.
 
+Every input file is read by loads, which refuses numbers that are not
+finite in float64 (NaN, Infinity, -Infinity and overflowing literals).
+
 Serialization is canonical: floats at 17 significant digits (round-trip
 exact), complex entries as [re, im] pairs, no whitespace, insertion-ordered
 keys.  Identical inputs therefore serialize byte-identically.
@@ -114,6 +117,53 @@ def opt_float(x):
 
 # ------------------------------------------------------------------ parsing
 
+def loads(text: str, what: str = "not valid JSON"):
+    """json.loads for input files.  A number that is not finite in float64
+    is malformed input: NaN, Infinity and -Infinity, which Python's parser
+    accepts, and literals that overflow.  The first is named by where it
+    sits.  Text that is not JSON raises "what: the decoder's message".
+    Both raise ProblemFileError."""
+    found = []
+
+    def real(literal: str) -> float:
+        x = float(literal)
+        if not math.isfinite(x):
+            found.append(x)
+        return x
+
+    def integer(literal: str):
+        return int(literal) if math.isfinite(real(literal)) else math.inf
+
+    try:
+        data = json.loads(text, parse_constant=real, parse_float=real,
+                          parse_int=integer)
+    except json.JSONDecodeError as exc:
+        raise ProblemFileError(f"{what}: {exc}") from exc
+    where = _non_finite(data, "") if found else None
+    if where is not None:
+        raise ProblemFileError(f"{where[0] or 'the file'} is {where[1]!r}, "
+                               f"not a finite number")
+    return data
+
+
+def _non_finite(obj, path: str):
+    """The path and value of the first non-finite float in parsed JSON, in
+    document order; None when there is none."""
+    if isinstance(obj, float):
+        return None if math.isfinite(obj) else (path, obj)
+    if isinstance(obj, dict):
+        items = ((f'{path}["{k}"]' if path else k, v) for k, v in obj.items())
+    elif isinstance(obj, list):
+        items = ((f"{path}[{i}]", v) for i, v in enumerate(obj))
+    else:
+        return None
+    for where, value in items:
+        hit = _non_finite(value, where)
+        if hit is not None:
+            return hit
+    return None
+
+
 def _expect(cond: bool, message: str) -> None:
     if not cond:
         raise ProblemFileError(message)
@@ -180,10 +230,7 @@ def parse_problem(text: str):
     problem is known; resolve it with parse_parameter(spec, defect=q).
     Raises ProblemFileError for anything malformed, naming the failing field.
     """
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemFileError(f"not valid JSON: {exc}") from exc
+    data = loads(text)
     _expect(isinstance(data, dict), "problem file must be a JSON object")
     allowed = {"version", "N", "moments", "parameter", "tolerances"}
     extra = set(data) - allowed
@@ -225,10 +272,7 @@ def parse_problem(text: str):
 
 def parse_scalar_sequence(text: str) -> np.ndarray:
     """A bare JSON list of numbers, or {"moments": [...]}."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemFileError(f"not valid JSON: {exc}") from exc
+    data = loads(text)
     if isinstance(data, dict):
         _expect("moments" in data, 'scalar problem needs a "moments" list')
         data = data["moments"]
@@ -277,10 +321,7 @@ def measure_from_json(data) -> AtomicMatrixMeasure:
 
 
 def parse_measure(text: str) -> AtomicMatrixMeasure:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ProblemFileError(f"not valid JSON: {exc}") from exc
+    data = loads(text)
     return measure_from_json(data)
 
 

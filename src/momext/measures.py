@@ -89,7 +89,8 @@ class AtomicMatrixMeasure:
         max(1, |t|)^degree is at most drop_tol: when it is negligible in
         every moment of order up to degree.  A weight whose smallest
         eigenvalue is below -psd_rel times the largest kept |entry| (at
-        least 1) raises ValueError.
+        least 1) raises ValueError, as does a non-finite location or
+        weight entry.
         """
         locs = np.asarray(locations, dtype=float).reshape(-1)
         w = np.asarray(weights, dtype=complex)
@@ -97,6 +98,8 @@ class AtomicMatrixMeasure:
             w = w.reshape(-1, 1, 1)
         if w.shape[0] != locs.shape[0]:
             raise ValueError("locations and weights disagree in length")
+        if not (np.isfinite(locs).all() and np.isfinite(w).all()):
+            raise ValueError("atoms must have finite locations and weights")
         if not len(locs):           # block_dim sizes the weights of no atoms
             w = np.zeros((0, block_dim or 1, block_dim or 1), dtype=complex)
         order = np.argsort(locs, kind="stable")
@@ -217,7 +220,9 @@ def _assemble(locs, weights, merge_tol, drop_tol, psd_rel: float,
     stacked also returns the kept atoms of all rows as one left-aligned
     padded stack (_stack with NaN locations), the one _padded would build
     from the measures, so that a caller holding many rows need not
-    re-stack them.
+    re-stack them, and whether it went through _stack.  When every slot is
+    kept, the rows are their own stack, with no padding: their locations
+    and Hermitized weights come back as they are, with False.
     """
     k, j = locs.shape
     drop_tol = np.reshape(drop_tol, (-1, 1))
@@ -249,9 +254,11 @@ def _assemble(locs, weights, merge_tol, drop_tol, psd_rel: float,
     measures = tuple(AtomicMatrixMeasure(locations=kept_locs[start:end],
                                          weights=kept_w[start:end])
                      for start, end in zip([0] + ends, ends))
-    if stacked:
-        return measures, _stack(counts, kept_locs, kept_w, np.nan)
-    return measures
+    if not stacked:
+        return measures
+    if len(kept_w) == k * j:
+        return measures, (locs, w), False
+    return measures, _stack(counts, kept_locs, kept_w, np.nan), True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -267,17 +274,20 @@ class VerificationReport:
 
 def _verifications(recovered, seq: MomentSequence,
                    rel_tol: float) -> tuple[VerificationReport, ...]:
-    """One report per row of a (K, >= len(seq), N, N) stack of moments."""
+    """One report per row of a (K, >= len(seq), N, N) stack of moments.
+
+    The per-order maxima, the worst deviation and the pass flag are taken
+    over the whole stack at once, and each report is built from one
+    tolist() per column.  A NaN deviation makes the worst one NaN, which
+    fails."""
     data = seq._stack
-    gaps = np.abs(recovered[:, :len(data)] - data)
+    devs = np.abs(recovered[:, :len(data)] - data).max(axis=(2, 3))
+    worst = devs.max(axis=1)
     scale = max(1.0, float(np.abs(data).max()))
-    reports = []
-    for devs in gaps.max(axis=(2, 3)).tolist():
-        worst = max(devs)
-        reports.append(VerificationReport(
-            deviations=tuple(devs), max_deviation=worst, scale=scale,
-            rel_tol=rel_tol, passed=bool(worst <= rel_tol * scale)))
-    return tuple(reports)
+    k = len(devs)
+    return tuple(map(VerificationReport, map(tuple, devs.tolist()),
+                     worst.tolist(), [scale] * k, [rel_tol] * k,
+                     (worst <= rel_tol * scale).tolist()))
 
 
 def verify_moments(measure: AtomicMatrixMeasure, seq: MomentSequence,
@@ -682,15 +692,23 @@ def pairwise_distances(measures, site_tol: float = 1e-6) -> np.ndarray:
 
 def _distances(locs, weights, site_tol: float) -> np.ndarray:
     """pairwise_distances over a padded stack: locations (K, J) with NaN
-    past each row's atoms and weights (K, J, N, N) with 0 there."""
+    past each row's atoms and weights (K, J, N, N) with 0 there.
+
+    The pooled rows of all pairs are gathered by one index and sorted by
+    one stable argsort; the sorted locations are one flat gather along
+    that order (np.take_along_axis costs more than the sort it replaces),
+    and the merged pairs read their entries off the same order."""
     k, width, n = weights.shape[:3]
     out = np.zeros((k, k))
     # atom a of measure i is row i * J + a, its key
     flat = weights.reshape(k * width, n * n)
     peaks = np.abs(flat).max(axis=1, initial=0.0)  # largest |entry| per atom
-    first, second = np.nonzero(np.arange(k)[:, None] < np.arange(k))
-    pooled = np.concatenate([locs[first], locs[second]], axis=1)
-    ordered = np.sort(pooled, axis=1)
+    pairs = np.array(np.nonzero(np.arange(k)[:, None] < np.arange(k)))
+    first, second = pairs
+    pooled = locs[pairs.T].reshape(len(first), 2 * width)
+    order = np.argsort(pooled, axis=1, kind="stable")
+    starts = 2 * width * np.arange(len(first))[:, None]
+    ordered = pooled.ravel()[order + starts]
     # gaps next to the padding are nan, which is not <= site_tol
     close = ordered[:, 1:] - ordered[:, :-1] <= site_tol
     merged = np.flatnonzero(close.any(axis=1))
@@ -699,7 +717,7 @@ def _distances(locs, weights, site_tol: float) -> np.ndarray:
     if merged.size:
         # every sorted entry of a merged pair, flattened: whether it comes
         # from the second measure, and its key
-        order = np.argsort(pooled[merged], axis=1, kind="stable")
+        order = order[merged]
         side = (order >= width).ravel()
         key = (order + np.where(order < width, first[merged, None] * width,
                                 second[merged, None] * width - width)).ravel()

@@ -32,7 +32,8 @@ from .measures import (AtomicMatrixMeasure, ContourRecovery,
                        moments_from_transform, spectral_measure,
                        verify_moments, verify_recovered_moments)
 from .extensions import (KIND_ISOMETRIC, ExtensionParameter,
-                         SelfAdjointExtension, _selfadjoint_extension,
+                         SelfAdjointExtension, _generator, _hermitize,
+                         _screen_stack, _selfadjoint_extension,
                          screen_parameter)
 from .shift import (AdmissibilityReport, DeficiencyPair, ForbiddenOperator,
                     ShiftOperator, build_shift, deficiency_subspaces,
@@ -216,60 +217,62 @@ def theta_sweep(seq: MomentSequence, n_thetas: int = 8,
                 thetas=None, tol: Tolerances = DEFAULT) -> SweepResult:
     """Walk the unimodular family e^{i theta} I over a theta grid.
 
-    Needs at least one angle and defect >= 1 (otherwise there is nothing to
-    sweep; ValueError).  Angles whose parameter coincides with the forbidden
-    operator (or whose margin is below adm_abs) are flagged and skipped; the
-    rest produce measures, compared pairwise with measure_distance at
-    SWEEP_SITE_TOL.
+    Needs a 1-D grid of at least one finite angle, checked before anything
+    is prepared, and defect >= 1 (otherwise there is nothing to sweep);
+    ValueError otherwise.  Angles whose parameter coincides with the
+    forbidden operator (or whose margin is below adm_abs) are flagged and
+    skipped; the rest produce measures, compared pairwise with
+    measure_distance at SWEEP_SITE_TOL.
 
-    The sweep is one array pass over all K angles: one stacked
-    screen_parameter, then for the admitted angles (sliced from the
-    screened stack) one batched extension (the q x q solves for B and one
-    eigh), one atom assembly, and one verification and one distance kernel
-    over the padded stack of atoms that the assembly hands over.  At q = 1
-    the screen takes moduli and makes no SVD call.
+    The sweep is one array pass over all K angles: one stacked screen,
+    whose admissible mask gives the admitted angles and the forbidden
+    ones, then for the admitted angles (sliced from the screened stack)
+    one batched extension (the q x q solves for B, made Hermitian alone,
+    and one eigh), one atom assembly, and one verification and one
+    distance kernel over the stack of atoms that the assembly hands over
+    (padded only when an atom was merged or dropped).  At q = 1 the screen
+    takes moduli and makes no SVD call.
     Each entry equals what solve_truncated gives for its angle alone.
     """
     if thetas is None:
         thetas = 2.0 * np.pi * np.arange(n_thetas) / n_thetas
     thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 1:
+        raise ValueError(f"the angle grid must be one-dimensional, got "
+                         f"shape {thetas.shape}")
     if not thetas.size:
         raise ValueError("the angle grid is empty: there is nothing to sweep")
+    if not np.isfinite(thetas).all():
+        raise ValueError("the angle grid holds a non-finite angle")
     ws = prepare(seq, tol)
     q = ws.defect
     if q == 0:
         raise ValueError("the defect is zero: the extension is unique and "
                          "there is no family to sweep")
-    vmat, reports = screen_parameter(
-        ws.shift, ws.pair, ExtensionParameter.unimodular(thetas, q),
-        ws.forbidden, tol)
-    admitted = np.flatnonzero([r.admissible for r in reports])
+    family = ExtensionParameter.unimodular(thetas, q)
+    mask, reports = _screen_stack(family, family.matrix, ws.pair,
+                                  ws.forbidden, tol)
+    admitted = np.flatnonzero(mask)
     k = len(thetas)
     measures = [None] * k
     verifications = [None] * k
     dist = np.full((k, k), np.nan)
     if admitted.size:
-        family = ExtensionParameter(kind=KIND_ISOMETRIC,
-                                    matrix=read_only(vmat[admitted]))
-        ext = _selfadjoint_extension(ws.shift, ws.pair, family, family.matrix,
-                                     [reports[i] for i in admitted], tol)
-        found, (locs, weights) = _assemble(
-            *_spectral_atoms(ext.matrix, ws.shift, tol), stacked=True)
+        g = _generator(ws.shift, ws.pair, family.matrix[admitted])
+        _hermitize(ws.shift, g)
+        found, (locs, weights), padded = _assemble(
+            *_spectral_atoms(g, ws.shift, tol), stacked=True)
         found_verifications = _verifications(
-            _moment_sums(np.nan_to_num(locs), weights, len(ws.sequence)),
+            _moment_sums(np.nan_to_num(locs) if padded else locs, weights,
+                         len(ws.sequence)),
             ws.sequence, rel_tol=1e-8)
-        for i, measure, verification in zip(admitted, found,
+        for i, measure, verification in zip(admitted.tolist(), found,
                                              found_verifications):
             measures[i], verifications[i] = measure, verification
         dist[np.ix_(admitted, admitted)] = _distances(locs, weights,
                                                       SWEEP_SITE_TOL)
-    entries = tuple(SweepEntry(
-        theta=float(theta), admissibility=report, measure=measure,
-        verification=verification)
-        for theta, report, measure, verification in zip(
-            thetas, reports, measures, verifications))
-    forbidden = np.array([e.theta for e in entries
-                          if not e.admissibility.admissible])
+    entries = tuple(map(SweepEntry, thetas.tolist(), reports, measures,
+                        verifications))
     return SweepResult(thetas=thetas, entries=entries,
-                       forbidden_thetas=forbidden, distance_matrix=dist,
+                       forbidden_thetas=thetas[~mask], distance_matrix=dist,
                        workspace=ws)

@@ -110,9 +110,12 @@ def _infeasible(certificate: str, rank_index=None, max_dev=None,
 
 
 def solve_scalar_even(values, tol: Tolerances = DEFAULT) -> ScalarEvenResult:
-    """Classify s_0..s_{2d+1} and return evidence for the verdict."""
+    """Classify s_0..s_{2d+1} and return evidence for the verdict.  A
+    non-finite moment raises ValueError."""
     from .pipeline import solve_truncated    # local import, no cycle at load
     values = np.asarray(values, dtype=float).reshape(-1)
+    if not np.isfinite(values).all():
+        raise ValueError("scalar moments must be finite")
     if len(values) < 2 or len(values) % 2 != 0:
         raise InsufficientMoments(
             f"need an even number (>= 2) of scalar moments, got {len(values)}")

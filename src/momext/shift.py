@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import itertools
 
 import numpy as np
 
@@ -114,6 +115,13 @@ class ShiftOperator:
         the last q coordinates."""
         return read_only(np.eye(self.ambient_dim, self.defect,
                                 k=-self.dom_dim, dtype=complex))
+
+    @functools.cached_property
+    def frame_peak(self) -> float:
+        """The largest |entry| of J_0 and of E: the part of the scale of
+        every extension that does not depend on its parameter."""
+        return max(float(np.abs(self.jacobi).max(initial=0.0)),
+                   float(np.abs(self.action[self.dom_dim:]).max(initial=0.0)))
 
     @property
     def tail(self) -> np.ndarray:
@@ -183,6 +191,11 @@ def deficiency_subspaces(shift: ShiftOperator) -> DeficiencyPair:
     the polar factor U of K_minus^H K_plus (K the first block rows of the
     orthonormal bases), the unitary that best matches them; X is then
     U^H.
+
+    G^{-1/2} comes from one q x q eigh; at q = 1 G is 1 x 1 and G^{-1/2}
+    is 1 / sqrt(Re G) in closed form, what that eigh (LAPACK returns
+    (Re a, [1]) for n = 1) gives bit for bit.  U always comes from the
+    q x q SVD.
     """
     q, n, dn = shift.defect, shift.block_dim, shift.dom_dim
     if q == 0:
@@ -200,8 +213,12 @@ def deficiency_subspaces(shift: ShiftOperator) -> DeficiencyPair:
                            np.conj(e.T))                # (2, dN, q)
     eye = np.eye(q)
     omega = z0 * eye + e @ cols[1]
-    w, u = np.linalg.eigh(eye + np.conj(cols[1].T) @ cols[1])
-    root_inv = (u / np.sqrt(w)) @ np.conj(u.T)      # G^{-1/2}
+    gram = eye + np.conj(cols[1].T) @ cols[1]
+    if q == 1:          # G is its own eigenvalue, with eigenvector 1
+        root_inv = 1.0 / np.sqrt(gram.real)
+    else:
+        w, u = np.linalg.eigh(gram)
+        root_inv = (u / np.sqrt(w)) @ np.conj(u.T)  # G^{-1/2}
     k = cols[:, :n] @ root_inv
     left, _, right = np.linalg.svd(np.conj(k[1].T) @ k[0])
     bases = np.empty((2, dn + q, q), dtype=complex)
@@ -270,21 +287,25 @@ def is_admissible(matrix: np.ndarray, shift: ShiftOperator,
     if v.ndim not in (2, 3) or v.shape[-2:] != (q, q):
         raise ValueError(f"parameter must be {q} x {q} or a stack of them, "
                          f"got {v.shape}")
-    _, reports = admissibility_reports(v if v.ndim == 3 else v[None], pair,
-                                       forbidden, tol)
+    _, _, reports = admissibility_reports(v if v.ndim == 3 else v[None],
+                                          pair, forbidden, tol)
     return reports if v.ndim == 3 else reports[0]
 
 
 def admissibility_reports(stack: np.ndarray, pair: DeficiencyPair,
                           forbidden: ForbiddenOperator | None,
                           tol: Tolerances = DEFAULT):
-    """The singular values (K, q) of each matrix V of a (K, q, q) stack and
-    its admissibility report, from one batched singular value call over
-    the V, the C_minus V - C_plus and (with the forbidden operator) the
-    V - X of the whole stack."""
+    """The singular values (K, q) of each matrix V of a (K, q, q) stack, the
+    (K,) mask of the admissible ones and the admissibility report of each,
+    from one batched singular value call over the V, the C_minus V - C_plus
+    and (with the forbidden operator) the V - X of the whole stack.
+
+    The flags are decided over the whole stack as arrays, and each report
+    is built from one tolist() per column: the same rule, value for value,
+    as deciding each row on its own."""
     k, q = len(stack), pair.defect
     if not q:
-        return np.zeros((k, 0)), (AdmissibilityReport(
+        return np.zeros((k, 0)), np.ones(k, dtype=bool), (AdmissibilityReport(
             admissible=True, margin=None, parameter_norm=0.0,
             forbidden_gap=None, coincides_with_forbidden=False,
             borderline=False),) * k
@@ -298,13 +319,15 @@ def admissibility_reports(stack: np.ndarray, pair: DeficiencyPair,
     if over.any():
         raise NormViolation(f"parameter norm {norms[over][0]:.12g} exceeds "
                             f"1 + {tol.norm_abs:.1e}")
-    margins = sv[k:2 * k, -1].tolist()
-    gaps = sv[2 * k:, -1].tolist() if forbidden is not None else [None] * k
-    return sv[:k], tuple(AdmissibilityReport(
-        admissible=margin > tol.adm_abs,
-        margin=margin,
-        parameter_norm=float(norm),
-        forbidden_gap=gap,
-        coincides_with_forbidden=gap is not None and gap <= tol.adm_abs,
-        borderline=tol.adm_abs < margin <= 1e3 * tol.adm_abs,
-    ) for norm, margin, gap in zip(norms, margins, gaps))
+    margins = sv[k:2 * k, -1]
+    admissible = margins > tol.adm_abs
+    borderline = admissible & (margins <= 1e3 * tol.adm_abs)
+    if forbidden is not None:
+        gaps = sv[2 * k:, -1]
+        coincides = (gaps <= tol.adm_abs).tolist()
+        gaps = gaps.tolist()
+    else:
+        gaps, coincides = itertools.repeat(None), itertools.repeat(False)
+    return sv[:k], admissible, tuple(map(
+        AdmissibilityReport, admissible.tolist(), margins.tolist(),
+        norms.tolist(), gaps, coincides, borderline.tolist()))

@@ -74,6 +74,56 @@ def test_malformed_inputs_exit_one(tmp_path, capsys):
     capsys.readouterr()
 
 
+NAN_MOMENTS = '{"N": 1, "moments": [1, NaN, 1]}'
+
+
+@pytest.mark.parametrize("command,files,where", [
+    ("check", {"p.json": NAN_MOMENTS}, "moments[1]"),
+    ("solve", {"p.json": NAN_MOMENTS}, "moments[1]"),
+    ("verify", {"p.json": json.dumps(PROBLEM_101),
+                "m.json": '{"atoms": [{"t": NaN, "W": [[1]]}]}'},
+     'atoms[0]["t"]'),
+    ("solve --parameter", {"p.json": json.dumps(PROBLEM_101),
+                           "v.json": '{"kind": "isometric", '
+                                     '"matrix": [[NaN]]}'},
+     "matrix[0][0]"),
+    ("scalar-even", {}, "[1]")])
+def test_non_finite_numbers_in_input_exit_one(tmp_path, capsys, command,
+                                              files, where):
+    # Python's JSON parser accepts NaN and Infinity.  Let through, they
+    # broke the JSON writer (check), read as a failed PSD test (solve,
+    # exit 2), broke the atom sort (verify), read as an inadmissible
+    # parameter (solve --parameter, exit 2) and broke the Hankel
+    # factorization (scalar-even); they are malformed input, named by
+    # where they sit.
+    paths = []
+    for name, text in files.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        paths.append(str(tmp_path / name))
+    if command == "solve --parameter":
+        argv = ["solve", paths[0], "--parameter", paths[1]]
+    elif command == "scalar-even":
+        argv = ["scalar-even", "[1, NaN, 1, 0]"]
+    else:
+        argv = [command] + paths
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = captured.err.splitlines()
+    assert len(errors) == 1 and where in errors[0] and "nan" in errors[0]
+
+
+@pytest.mark.parametrize("literal", ["Infinity", "-Infinity", "1e999",
+                                     "1" + "0" * 400])
+def test_numbers_that_overflow_a_float_exit_one(tmp_path, capsys, literal):
+    path = tmp_path / "p.json"
+    path.write_text(f'{{"N": 1, "moments": [1, 0, {literal}]}}',
+                    encoding="utf-8")
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "moments[2]" in captured.err
+
+
 def test_usage_errors_exit_one(capsys):
     with pytest.raises(SystemExit) as exc_info:
         main(["no-such-command"])

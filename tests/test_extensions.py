@@ -16,7 +16,10 @@ Checked here:
 - the default V = -X in closed form: its last block B = Re Omega is
   Hermitian bit for bit and within 1e-12 * scale of the q x q solve
   B(-X); solve_truncated, selfadjoint_extension(default_parameter(ws))
-  and a stack holding -X as one row give the same G.
+  and a stack holding -X as one row give the same G,
+- the Hermitization of B(V) alone: bit for bit 0.5 (G + G^H) and the
+  whole-matrix residual, on random stacks at N = 1, 2, 3,
+- non-finite parameter matrices refused where they are made.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from momext import (DimensionMismatch, ExtensionParameter, NormViolation,
                     build_shift, default_parameter, deficiency_subspaces,
                     factor_psd, is_admissible, pencil_spectral_radius,
                     prepare, selfadjoint_extension, solve_truncated)
-from momext.extensions import KIND_ISOMETRIC, quasi_extension
+from momext.extensions import (KIND_ISOMETRIC, _generator, _hermitize,
+                               quasi_extension)
 from momext.sampling import (random_admissible_isometry,
                              random_deficient_instance,
                              random_feasible_instance,
@@ -223,3 +227,47 @@ def test_default_parameter_closes_the_jacobi_matrix_with_re_omega():
                     alone = selfadjoint_extension(
                         ws.shift, ws.pair, ExtensionParameter.isometric(other))
                     assert np.array_equal(rows.matrix[k], alone.matrix)
+
+
+def test_only_the_last_block_is_hermitized():
+    # The frame of G is Hermitian as written (J_0 by build_shift, E^H as
+    # the exact adjoint of E), so _hermitize makes B(V) alone Hermitian.
+    # The matrix is still 0.5 (G + G^H), and the residual the defect of the
+    # whole matrix over its scale, bit for bit.
+    rng = np.random.default_rng(RNG_SEED + 21)
+    for n in (1, 2, 3):
+        for draw in (random_feasible_instance, random_deficient_instance):
+            seq, _ = draw(rng, n, 3)
+            ws = prepare(seq)
+            if not ws.defect:
+                continue
+            vmat = np.array([random_admissible_isometry(
+                rng, ws.shift, ws.pair).matrix for _ in range(8)])
+            g = _generator(ws.shift, ws.pair, vmat)
+            gh = np.conj(np.swapaxes(g, -1, -2))
+            want = 0.5 * (g + gh)
+            scale = np.maximum(np.abs(g).max(axis=(-2, -1), initial=0.0), 1.0)
+            want_residual = np.maximum(
+                np.abs(g - gh).max(axis=(-2, -1), initial=0.0) / scale,
+                ws.shift.herm_residual)
+            residual = _hermitize(ws.shift, g)
+            assert np.array_equal(g, want)
+            assert residual.tobytes() == want_residual.tobytes()
+            ext = selfadjoint_extension(
+                ws.shift, ws.pair, ExtensionParameter.isometric(vmat[1]))
+            assert np.array_equal(ext.matrix, want[1])
+            assert ext.herm_residual == want_residual[1]
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_parameters_are_refused_on_entry(bad):
+    # Let through, a NaN entry passed the norm and isometry checks and was
+    # then refused as "margin nan".
+    for make in (ExtensionParameter.isometric, ExtensionParameter.contraction):
+        with pytest.raises(ValueError, match="non-finite"):
+            make([[bad]])
+    with pytest.raises(ValueError, match="non-finite"):
+        ExtensionParameter(kind=KIND_ISOMETRIC,
+                           matrix=np.full((2, 1, 1), bad, dtype=complex))
+    with pytest.raises(ValueError, match="non-finite"):
+        ExtensionParameter.unimodular([0.0, np.nan])

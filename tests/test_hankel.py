@@ -10,7 +10,7 @@ Checked here:
   error naming the first offending moment, and the stored moments being
   exactly the symmetrized inputs, whether they come as a list or as one
   ready (count, N, N) array (which is left as it was), and kept stacked
-  as one read-only array.
+  as one read-only array; a non-finite entry is refused, naming its S_i.
 """
 
 from __future__ import annotations
@@ -188,3 +188,14 @@ def test_corrupted_top_moment_fails_trailing_only():
         assert report.leading_positive
         assert not report.trailing_psd
 
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_moments_are_refused_on_entry(bad):
+    # Let through, NaN passed the Hermitian check (NaN fails every
+    # comparison) and reached the Hankel eigenvalues.
+    with pytest.raises(ValueError, match="S_1 has a non-finite entry"):
+        MomentSequence.scalar([1.0, bad, 1.0])
+    with pytest.raises(ValueError, match="S_2 has a non-finite entry"):
+        MomentSequence.from_arrays([np.eye(2), np.zeros((2, 2)),
+                                    np.diag([1.0, bad])])

@@ -30,7 +30,11 @@ Checked here:
   eigvalsh only on a failed screen, and the rule's error text for the
   first offender in both from_atoms and the batched assembly,
 - measure verification, one measure and a stack of them, its moment sums
-  bit for bit the complex einsum on zero-padded stacks,
+  bit for bit the complex einsum on zero-padded stacks, and its reports,
+  built from arrays, equal to the rule decided row by row,
+- a sweep whose tolerances merge or drop atoms in some rows: it takes the
+  NaN-padded stack and still matches verify_moments and
+  pairwise_distances on its measures; non-finite atoms refused,
 - the distance used by the parameter sweep, exactly the plain loop over
   sites and atoms: for lone locations, clusters of two close atoms from
   the two measures or from one, clusters of three or more, exact
@@ -55,8 +59,10 @@ from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
                     moments_from_transform, perron_inversion, prepare,
                     selfadjoint_extension, solve_truncated, spectral_measure,
                     theta_sweep, verify_moments, verify_recovered_moments)
-from momext.measures import pairwise_distances, verify_measures
+from momext.measures import (VerificationReport, pairwise_distances,
+                             verify_measures)
 from momext.pipeline import SWEEP_SITE_TOL
+from momext.tolerances import DEFAULT
 from momext.sampling import (random_admissible_isometry,
                              random_feasible_instance,
                              random_strict_contraction)
@@ -953,3 +959,93 @@ def test_measure_distance_window_cases():
     assert measure_distance(empty, empty) == 0.0
     assert measure_distance(empty, m) == measure_distance(m, empty) == 5.0
     assert measure_distance(m, m) == 0.0
+
+
+def _row_by_row_verifications(recovered, seq, rel_tol):
+    """_verifications decided one row at a time: its oracle."""
+    data = seq._stack
+    gaps = np.abs(recovered[:, :len(data)] - data)
+    scale = max(1.0, float(np.abs(data).max()))
+    reports = []
+    for devs in gaps.max(axis=(2, 3)).tolist():
+        worst = max(devs)
+        reports.append(VerificationReport(
+            deviations=tuple(devs), max_deviation=worst, scale=scale,
+            rel_tol=rel_tol, passed=bool(worst <= rel_tol * scale)))
+    return tuple(reports)
+
+
+def test_array_built_verifications_are_the_row_by_row_reports():
+    # The maxima, the worst deviation and the pass flag are taken over the
+    # whole stack; each report equals the one its row gets alone, flags and
+    # types included (repr).  A NaN deviation fails.
+    rng = np.random.default_rng(RNG_SEED + 26)
+    for n in (1, 2):
+        seq, _ = random_feasible_instance(rng, n, 3)
+        data = seq._stack
+        for k in (0, 1, 32):
+            noise = np.abs(data).max() * 10.0 ** rng.uniform(
+                -14, -4, (k, 1, 1, 1))
+            recovered = data + noise * rng.standard_normal(
+                (k,) + data.shape)
+            for rel_tol in (1e-8, 1e-6):
+                got = momext.measures._verifications(recovered, seq, rel_tol)
+                want = _row_by_row_verifications(recovered, seq, rel_tol)
+                assert repr(got) == repr(want) and len(got) == k
+                if k == 32:
+                    assert {r.passed for r in got} == {False, True}
+        recovered[0, 1, 0, 0] = np.nan
+        report = momext.measures._verifications(recovered, seq, 1e-8)[0]
+        assert np.isnan(report.max_deviation) and not report.passed
+
+
+def test_a_sweep_with_merged_or_dropped_atoms_takes_the_padded_stack(
+        monkeypatch):
+    # When every atom is kept, the assembly hands the sweep its rows as
+    # their own stack.  Tolerances that merge the closest atoms of some
+    # angles, or drop the lightest, leave rows of different lengths: the
+    # sweep then verifies and measures on the NaN-padded _stack, and its
+    # reports and distances are still verify_moments and
+    # pairwise_distances of its measures, bit for bit.
+    stacked = []
+    stack = momext.measures._stack
+    monkeypatch.setattr(momext.measures, "_stack",
+                        lambda *args: stacked.append(1) or stack(*args))
+    rng = np.random.default_rng(RNG_SEED + 27)
+    seq, _ = random_feasible_instance(rng, 1, 4)
+    thetas = np.linspace(1.0, 2.0 * np.pi - 1.0, 16)
+    plain = theta_sweep(seq, thetas=thetas)
+    assert not stacked
+    measures = [e.measure for e in plain.entries]
+    assert len({m.n_atoms for m in measures}) == 1
+    reach = [np.maximum(np.abs(m.locations), 1.0) for m in measures]
+    gaps = [(np.diff(m.locations) / np.maximum(r[1:], r[:-1])).min()
+            for m, r in zip(measures, reach)]
+    mass = np.abs(seq.moments[0]).max()
+    lightest = [(np.abs(m.weights).max(axis=(1, 2))
+                 * np.maximum(np.abs(m.locations), 1.0) ** 8).min() / mass
+                for m in measures]
+    for name, scores in (("cluster_rel", gaps), ("weight_rel", lightest)):
+        low, high = sorted(scores)[7:9]
+        assert high > 1.01 * low
+        stacked.clear()
+        res = theta_sweep(seq, thetas=thetas,
+                          tol=DEFAULT.replace(**{name: (low + high) / 2}))
+        found = [e.measure for e in res.entries]
+        assert stacked == [1]
+        counts = {m.n_atoms for m in found}
+        assert len(counts) > 1 and max(counts) == measures[0].n_atoms
+        for measure, entry in zip(found, res.entries):
+            assert entry.verification == verify_moments(measure, seq)
+        want = pairwise_distances(found, site_tol=SWEEP_SITE_TOL)
+        assert np.array_equal(res.distance_matrix.view(np.uint64),
+                              want.view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_atoms_are_refused_on_entry(bad):
+    # Let through, a NaN location went into the sort and the assembly.
+    with pytest.raises(ValueError, match="finite"):
+        AtomicMatrixMeasure.from_atoms([0.0, bad], [[[1.0]], [[1.0]]])
+    with pytest.raises(ValueError, match="finite"):
+        AtomicMatrixMeasure.from_atoms([0.0, 1.0], [[[1.0]], [[bad]]])

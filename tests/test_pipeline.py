@@ -5,8 +5,9 @@ Checked here:
   parameter -X = 1 with margin sqrt(2), the frozen two-atom measure,
 - prepare as one pass: its Workspace is bit for bit the public chain of
   stages, from one Hankel build, one eigvalsh of H_d and one of H_{d-1},
-  one Cholesky, two solves with its factor L, one N x N eigh, one
-  batched solve with J_0 -/+ z and the small defect-space factorizations
+  one Cholesky, two solves with its factor L, one N x N eigh (a closed
+  form at N = 1), one batched solve with J_0 -/+ z and the small
+  defect-space factorizations (the q x q eigh a closed form at q = 1)
   (no QR, no inverse, no solve for X), a default solve adding the screen
   of one parameter, one m x m eigh and, for N >= 2, one batched Cholesky
   of the atom weights (eigvalsh only when it fails), and no solve, since
@@ -16,7 +17,10 @@ Checked here:
   closed-form moment recovery for contractions),
 - the admissibility gate on supplied parameters,
 - the unique-extension case (defect 0) and the sweep refusing it, and
-  the sweep refusing an empty angle grid,
+  the sweep refusing an empty, non-finite or misshapen angle grid before
+  it prepares anything,
+- the 1 x 1 closed forms of prepare (F at N = 1, G^{-1/2} at q = 1),
+  byte for byte the eigh route,
 - the theta sweep on (1, 0, 1): seven admissible angles, pi flagged
   forbidden, pairwise distinct measures; on random instances its distance
   matrix is exactly the pairwise measure_distance, and each entry (report,
@@ -42,6 +46,8 @@ from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
                     is_admissible, measure_distance, prepare,
                     selfadjoint_extension, solve_truncated, spectral_measure,
                     theta_sweep, verify_moments)
+import momext.pipeline
+from momext.linalg import phase_canonicalize
 from momext.measures import pairwise_distances
 from momext.pipeline import SWEEP_SITE_TOL
 from momext.sampling import (haar_unitary, random_admissible_isometry,
@@ -98,9 +104,10 @@ def test_prepare_builds_and_factors_each_section_once(monkeypatch):
     # One H_d build, one eigvalsh of H_d and one of its leading dN x dN
     # block (the two tests, the rank and the domain check), one Cholesky
     # of that block, a solve with its factor L for the Schur complement
-    # and one eigh of that N x N complement, then a second solve with L
-    # for the shift; the defect spaces add one batched solve with
-    # J_0 - conj z0 and J_0 - z0, an eigh of their q x q Gram matrix and
+    # and one eigh of that N x N complement (none at N = 1, where it is
+    # its own eigenvalue), then a second solve with L for the shift; the
+    # defect spaces add one batched solve with J_0 - conj z0 and
+    # J_0 - z0, an eigh of their q x q Gram matrix (none at q = 1) and
     # an SVD for the rotation of B_minus, whose adjoint is X.  No QR, no
     # inverse and no solve for X.  A default solve then screens one
     # parameter (its norm, its margin and its forbidden gap, from one SVD
@@ -132,14 +139,15 @@ def test_prepare_builds_and_factors_each_section_once(monkeypatch):
                 ws = prepare(seq)
                 size, dn = (d + 1) * n, d * n
                 m, q = ws.space.ambient_dim, ws.defect
-                defect = [("solve", (2, dn, dn)), ("eigh", (q, q)),
-                          ("svd", (q, q))] if q else []
+                defect = ([("solve", (2, dn, dn))]
+                          + [("eigh", (q, q))] * (q > 1)
+                          + [("svd", (q, q))]) if q else []
                 assert calls == [("build_block_hankel", d),
                                  ("eigvalsh", (size, size)),
                                  ("eigvalsh", (dn, dn)),
                                  ("cholesky", (dn, dn)),
-                                 ("solve", (dn, dn)),
-                                 ("eigh", (n, n)),
+                                 ("solve", (dn, dn))] + [
+                                 ("eigh", (n, n))] * (n > 1) + [
                                  ("solve", (dn, dn))] + defect
                 in_prepare = list(calls)
                 calls.clear()
@@ -219,6 +227,69 @@ def test_unique_extension_when_the_defect_vanishes():
 def test_sweep_refuses_an_empty_angle_grid(seq_101, grid):
     with pytest.raises(ValueError, match="angle grid is empty"):
         theta_sweep(seq_101, **grid)
+
+
+@pytest.mark.parametrize("thetas,match", [
+    ([1.0, np.nan, np.inf, 2.0], "non-finite"), ([[1.0, 2.0]], "one-dim"),
+    (1.0, "one-dim")])
+def test_sweep_refuses_a_misshapen_or_non_finite_grid(monkeypatch, thetas,
+                                                      match):
+    # Let through, NaN and inf came back as forbidden angles, a false
+    # verdict about the data, and a 2-D grid died in the sweep.  The grid
+    # is refused before anything is prepared.
+    def no_prepare(*args):
+        raise AssertionError("prepared before the grid was checked")
+    monkeypatch.setattr(momext.pipeline, "prepare", no_prepare)
+    with pytest.raises(ValueError, match=match):
+        theta_sweep(MomentSequence.scalar([1, 0, 1, 0, 3]), thetas=thetas)
+
+
+def test_one_by_one_closed_forms_in_prepare_are_the_eigh_route():
+    # At N = 1 the Schur complement Sigma is 1 x 1, and at q = 1 so is the
+    # Gram matrix G of the defect bases; prepare takes
+    # F = sqrt(max(Re Sigma, 0)) and G^{-1/2} = 1 / sqrt(Re G) for them.
+    # LAPACK's eigh returns (Re a, [1]) at n = 1, so the eigh route of
+    # N >= 2 and q >= 2 gives the same bytes.
+    rng = np.random.default_rng(RNG_SEED + 11)
+    seen = set()
+    for n, d in ((1, 1), (1, 3), (1, 6), (2, 2), (2, 4), (3, 3)):
+        for draw in (random_feasible_instance, random_deficient_instance):
+            seq, _ = draw(rng, n, d)
+            ws = prepare(seq)
+            dn, m, q = d * n, ws.space.ambient_dim, ws.defect
+            if n == 1:
+                h = build_block_hankel(seq, d).matrix
+                y = ws.space.coords[dn:, :dn]
+                schur = h[dn:, dn:] - y @ np.conj(y.T)
+                sw, su = np.linalg.eigh(0.5 * (schur + np.conj(schur.T)))
+                top = slice(dn + n - m, n)
+                f = (phase_canonicalize(su[:, top])
+                     * np.sqrt(np.maximum(sw[top], 0.0))[None, :])
+                assert ws.space.coords[dn:, dn:].tobytes() == \
+                    f.astype(complex).tobytes()
+                seen.add("N = 1")
+            if q == 1:
+                shift = ws.shift
+                e = shift.action[dn:]
+                corner = shift.jacobi[dn - n:, dn - n:]
+                z0 = complex(np.trace(corner).real / n,
+                             np.sqrt(np.vdot(shift.tail, shift.tail).real))
+                points = np.array([np.conj(z0), z0])[:, None, None]
+                cols = np.linalg.solve(shift.jacobi - points * np.eye(dn),
+                                       np.conj(e.T))
+                w, u = np.linalg.eigh(1.0 + np.conj(cols[1].T) @ cols[1])
+                root_inv = (u / np.sqrt(w)) @ np.conj(u.T)
+                bases = np.empty((2, dn + 1, 1), dtype=complex)
+                bases[:, :dn] = -cols
+                bases[:, dn:] = 1.0
+                bases = bases @ root_inv
+                k = cols[:, :n] @ root_inv
+                left, _, right = np.linalg.svd(np.conj(k[1].T) @ k[0])
+                assert ws.pair.basis_plus.tobytes() == bases[0].tobytes()
+                assert ws.pair.basis_minus.tobytes() == \
+                    (bases[1] @ left @ right).tobytes()
+                seen.add(f"q = 1, N = {n}")
+    assert {"N = 1", "q = 1, N = 1", "q = 1, N = 2"} <= seen
 
 
 def test_sweep_flags_the_forbidden_angle(seq_101):

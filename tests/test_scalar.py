@@ -14,8 +14,9 @@ Worked cases frozen here (each checked by hand):
 - (0, 0, 0, 0): the zero measure, unique.
 
 Also: the rank scan, witnesses for clustered atoms, the rank-cutoff
-boundary between rank_rel and pos_rel, and a randomized round-trip fuzz over
-genuine atomic measures and their degenerate truncations.
+boundary between rank_rel and pos_rel, a randomized round-trip fuzz over
+genuine atomic measures and their degenerate truncations, and non-finite
+moments refused on entry.
 """
 
 from __future__ import annotations
@@ -203,3 +204,10 @@ def test_degenerate_verdict_is_unique_to_machine_precision():
     assert first.verdict == VERDICT_DEGENERATE
     assert np.allclose(first.roots, second.roots, atol=1e-6)
     assert np.allclose(first.atom_weights, second.atom_weights, atol=1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_moments_are_refused_on_entry(bad):
+    # Let through, a NaN moment died in the Hankel eigenvalues.
+    with pytest.raises(ValueError, match="finite"):
+        solve_scalar_even([1.0, bad, 1.0, 0.0])

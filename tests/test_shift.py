@@ -21,7 +21,10 @@ Checked here:
   the solve C_minus^{-1} C_plus and unitary to 1e-13,
 - the rotation U itself on rank-drop data (q < N): no small unitary
   perturbation raises Re tr(U^H K_minus^H K_plus), and on a hand-derived
-  N = 2, q = 1 instance with K_minus^H K_plus = i/3, U = i.
+  N = 2, q = 1 instance with K_minus^H K_plus = i/3, U = i,
+- the admissibility reports built from arrays: the rule decided row by
+  row, with margins exactly at adm_abs and 1e3 adm_abs, with and without
+  the forbidden operator, for K = 0, 1 and 32.
 """
 
 from __future__ import annotations
@@ -38,6 +41,9 @@ from momext import (ExtensionParameter, MomentSequence, NormViolation,
                     perron_inversion, prepare, solve_truncated, theta_sweep)
 import momext.shift
 from momext.linalg import inner, singular_values
+from momext.shift import (AdmissibilityReport, DeficiencyPair,
+                          ForbiddenOperator, admissibility_reports)
+from momext.tolerances import DEFAULT
 from momext.sampling import (haar_unitary, random_admissible_isometry,
                              random_deficient_instance,
                              random_feasible_instance,
@@ -469,3 +475,72 @@ def test_rotation_is_the_phase_of_a_hand_derived_match():
                        atol=ORACLE_ATOL)
     assert np.allclose(pair.rotation, [[1j]], atol=ORACLE_ATOL)
     assert np.allclose(forbidden.matrix, [[-1j]], atol=ORACLE_ATOL)
+
+
+def _row_by_row_reports(stack, pair, forbidden, tol):
+    """The admissibility rule decided one row at a time: the oracle of the
+    array-built reports."""
+    k = len(stack)
+    plus, minus = pair.complement_rows
+    parts = [stack, minus @ stack - plus]
+    if forbidden is not None:
+        parts.append(stack - forbidden.matrix)
+    sv = singular_values(np.concatenate(parts))
+    gaps = sv[2 * k:, -1].tolist() if forbidden is not None else [None] * k
+    return tuple(AdmissibilityReport(
+        admissible=margin > tol.adm_abs, margin=margin,
+        parameter_norm=float(norm), forbidden_gap=gap,
+        coincides_with_forbidden=gap is not None and gap <= tol.adm_abs,
+        borderline=tol.adm_abs < margin <= 1e3 * tol.adm_abs)
+        for norm, margin, gap in zip(sv[:k, 0], sv[k:2 * k, -1].tolist(),
+                                     gaps))
+
+
+def test_array_built_reports_are_the_row_by_row_rule():
+    # On a pair with C_plus = 0 and C_minus = 1 the margin of v is |v|, and
+    # with X = 0 so is the gap, so the margins land exactly on adm_abs and
+    # on 1e3 adm_abs and one ulp either side.  Random stacks of K = 0, 1
+    # and 32 unitaries and near-forbidden rows on prepared data at q = 1
+    # and q = 2 add the rest.  repr compares the flags' types as well.
+    tol = DEFAULT
+    edges = []
+    for x in (tol.adm_abs, 1e3 * tol.adm_abs):
+        edges += [np.nextafter(x, 0.0), x, np.nextafter(x, 1.0)]
+    values = np.array([0.0, 0.5 * tol.adm_abs, 0.5, 1.0] + edges)
+    unit = np.ones((1, 1), dtype=complex)
+    pair = DeficiencyPair(basis_plus=0.0 * unit, basis_minus=unit, defect=1,
+                          omega=unit, rotation=unit)
+    zero = ForbiddenOperator(matrix=0.0 * unit)
+    stack = values.astype(complex)[:, None, None]
+    for forbidden in (None, zero):
+        got = admissibility_reports(stack, pair, forbidden, tol)
+        want = _row_by_row_reports(stack, pair, forbidden, tol)
+        assert repr(got[2]) == repr(want)
+        assert np.array_equal(got[1], [r.admissible for r in want])
+    flags = [(r.admissible, r.borderline) for r in got[2]]
+    assert flags[4:10] == [(False, False), (False, False), (True, True),
+                           (True, True), (True, True), (True, False)]
+    assert [r.coincides_with_forbidden for r in got[2]][:6] == \
+        [True, True, False, False, True, True]
+    rng = np.random.default_rng(RNG_SEED + 41)
+    for n in (1, 2):
+        for draw in (random_feasible_instance, random_deficient_instance):
+            seq, _ = draw(rng, n, 3)
+            ws = prepare(seq)
+            q = ws.defect
+            if not q:
+                continue
+            x = ws.forbidden.matrix
+            for k in (0, 1, 32):
+                stack = np.array([haar_unitary(rng, q) for _ in range(k)],
+                                 dtype=complex).reshape(k, q, q)
+                stack[:k // 4] = x + 1e-9 * rng.standard_normal()
+                stack[k // 4:k // 2] = x
+                for forbidden in (None, ws.forbidden):
+                    got = admissibility_reports(stack, ws.pair, forbidden,
+                                                tol)
+                    want = _row_by_row_reports(stack, ws.pair, forbidden,
+                                               tol)
+                    assert repr(got[2]) == repr(want) and len(want) == k
+                    assert np.array_equal(got[1],
+                                          [r.admissible for r in want])
