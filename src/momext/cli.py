@@ -32,6 +32,8 @@ import csv
 import math
 import sys
 
+import numpy as np
+
 from .errors import (DimensionMismatch, MomentProblemError, NotPSD,
                      ProblemFileError)
 from .hankel import check_truncated_conditions
@@ -222,7 +224,8 @@ def _cmd_solve(args) -> int:
     if args.dump_operator:
         out["operator"] = {
             "action": matrix_to_json(ws.shift.action),
-            "domain_basis": matrix_to_json(ws.shift.dom_basis),
+            "domain_basis": matrix_to_json(
+                np.eye(ws.space.ambient_dim, ws.shift.dom_dim)),
             "defect_basis_plus": matrix_to_json(ws.pair.basis_plus),
             "defect_basis_minus": matrix_to_json(ws.pair.basis_minus),
             "forbidden_matrix": matrix_to_json(ws.forbidden.matrix),

@@ -27,8 +27,8 @@ import numpy as np
 
 from .errors import DimensionMismatch, NormViolation, NotAdmissible
 from .linalg import as_complex_matrix, max_abs, read_only, singular_values
-from .shift import (DeficiencyPair, ForbiddenOperator, ShiftOperator,
-                    admissibility_reports)
+from .shift import (AdmissibilityReport, DeficiencyPair, ForbiddenOperator,
+                    ShiftOperator, admissibility_reports)
 from .tolerances import DEFAULT, Tolerances
 
 KIND_ISOMETRIC = "isometric"
@@ -37,12 +37,11 @@ KIND_CONTRACTION = "contraction"
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class ExtensionParameter:
-    """A constant q x q contraction from N_plus to N_minus, or a (K, q, q)
-    stack of K of them, which the construction below runs in one pass.
+    """A constant q x q contraction from N_plus to N_minus.
 
     kind is "isometric" (unitary between the defect subspaces; required for
-    self-adjoint extensions) or "contraction"; any other kind, or a
-    non-finite entry, raises ValueError.
+    self-adjoint extensions) or "contraction"; any other kind, a matrix
+    that is not 2-d, or a non-finite entry, raises ValueError.
     """
 
     kind: str
@@ -51,6 +50,9 @@ class ExtensionParameter:
     def __post_init__(self):
         if self.kind not in (KIND_ISOMETRIC, KIND_CONTRACTION):
             raise ValueError(f"unknown parameter kind {self.kind!r}")
+        if np.ndim(self.matrix) != 2:
+            raise ValueError(f"parameter matrix must be 2-d, got shape "
+                             f"{np.shape(self.matrix)}")
         if not np.isfinite(self.matrix).all():
             raise ValueError("parameter matrix has a non-finite entry")
 
@@ -65,9 +67,9 @@ class ExtensionParameter:
                    matrix=read_only(as_complex_matrix(matrix, "parameter")))
 
     @classmethod
-    def unimodular(cls, theta, defect: int = 1) -> "ExtensionParameter":
+    def unimodular(cls, theta: float, defect: int = 1) -> "ExtensionParameter":
         """e^{i theta} times the identity; the natural defect-q unitary family.
-        An array of K angles gives the (K, q, q) stack of their parameters."""
+        One angle only: an array of them makes a stack, which is refused."""
         phase = np.exp(1j * np.asarray(theta, dtype=float))
         return cls(kind=KIND_ISOMETRIC, matrix=read_only(
             phase[..., None, None] * np.eye(defect, dtype=complex)))
@@ -78,32 +80,33 @@ class ExtensionParameter:
         return cls.isometric(np.zeros((0, 0), dtype=complex))
 
     def constant_matrix(self, defect: int, tol: Tolerances = DEFAULT) -> np.ndarray:
-        """The matrix (or stack), checked for shape, norm and (if isometric)
-        isometry, all from one batched singular value call."""
+        """The matrix, checked for shape, norm and (if isometric) isometry,
+        all from one singular value call."""
         v = self._shaped(defect)
         if defect:
-            self._check_singular_values(singular_values(v), tol)
+            _check_singular_values(self.kind, singular_values(v), tol)
         return v
 
     def _shaped(self, defect: int) -> np.ndarray:
         v = self.matrix
-        if v.shape[-2:] != (defect, defect):
+        if v.shape != (defect, defect):
             raise DimensionMismatch(
                 f"parameter has shape {v.shape}, expected ({defect}, {defect})")
         return v
 
-    def _check_singular_values(self, sv: np.ndarray, tol: Tolerances):
-        """NormViolation unless the singular values of the matrix (or of
-        each in the stack) are at most 1 + norm_abs and, for an isometric
-        parameter, within norm_abs of 1."""
-        if sv[..., 0].max() > 1.0 + tol.norm_abs:
-            raise NormViolation(
-                f"parameter norm {sv[..., 0].max():.12g} exceeds 1 + "
-                f"{tol.norm_abs:.1e}")
-        if self.kind == KIND_ISOMETRIC and max_abs(sv - 1.0) > tol.norm_abs:
-            raise NormViolation(
-                f"isometric parameter has singular values off 1 by "
-                f"{max_abs(sv - 1.0):.3e}")
+
+def _check_singular_values(kind: str, sv: np.ndarray, tol: Tolerances):
+    """NormViolation unless the singular values (of one matrix, or of each
+    in a stack) are at most 1 + norm_abs and, for an isometric kind, within
+    norm_abs of 1."""
+    if sv[..., 0].max() > 1.0 + tol.norm_abs:
+        raise NormViolation(
+            f"parameter norm {sv[..., 0].max():.12g} exceeds 1 + "
+            f"{tol.norm_abs:.1e}")
+    if kind == KIND_ISOMETRIC and max_abs(sv - 1.0) > tol.norm_abs:
+        raise NormViolation(
+            f"isometric parameter has singular values off 1 by "
+            f"{max_abs(sv - 1.0):.3e}")
 
 
 def screen_parameter(shift: ShiftOperator, pair: DeficiencyPair,
@@ -111,31 +114,29 @@ def screen_parameter(shift: ShiftOperator, pair: DeficiencyPair,
                      forbidden: ForbiddenOperator | None = None,
                      tol: Tolerances = DEFAULT):
     """The checked matrix of a parameter (constant_matrix) and its
-    admissibility report (is_admissible), or a stack and a tuple of
-    reports, all from the one batched singular value call of
-    admissibility_reports."""
+    admissibility report (is_admissible), both from the one singular value
+    call of admissibility_reports."""
     vmat = parameter._shaped(pair.defect)
-    _, reports = _screen_stack(parameter, vmat if vmat.ndim == 3
-                               else vmat[None], pair, forbidden, tol)
-    return vmat, reports if vmat.ndim == 3 else reports[0]
+    _, reports = _screen_stack(parameter.kind, vmat[None], pair, forbidden,
+                               tol)
+    return vmat, reports[0]
 
 
-def _screen_stack(parameter: ExtensionParameter, stack: np.ndarray,
-                  pair: DeficiencyPair, forbidden: ForbiddenOperator | None,
-                  tol: Tolerances):
-    """The (K,) admissible mask and the K reports of the (K, q, q) stack of
-    a parameter, after its norm and isometry checks."""
+def _screen_stack(kind: str, stack: np.ndarray, pair: DeficiencyPair,
+                  forbidden: ForbiddenOperator | None, tol: Tolerances):
+    """The (K,) admissible mask and the K reports of a (K, q, q) stack of
+    parameter matrices of one kind, after their norm and isometry checks."""
     sv, admissible, reports = admissibility_reports(stack, pair, forbidden,
                                                     tol)
     if pair.defect:
-        parameter._check_singular_values(sv, tol)
+        _check_singular_values(kind, sv, tol)
     return admissible, reports
 
 
 def _generator(shift: ShiftOperator, pair: DeficiencyPair,
                vmat: np.ndarray) -> np.ndarray:
-    """G for V = vmat, or a stack of them for a (K, q, q) stack; no
-    admissibility check, so C_minus V - C_plus must be nonsingular.
+    """G for V = vmat, or a stack of them for a (K, q, q) stack (the sweep's);
+    no admissibility check, so C_minus V - C_plus must be nonsingular.
 
     A V equal to -X = -U^H bit for bit gets B = Re Omega; the others get
     B(V) from one batched q x q solve."""
@@ -174,12 +175,11 @@ def quasi_extension(shift: ShiftOperator, pair: DeficiencyPair,
                     parameter: ExtensionParameter,
                     tol: Tolerances = DEFAULT) -> np.ndarray:
     """G, the m x m matrix of the quasi-extension A_V (Hermitian iff V is
-    admissible and isometric); a (K, m, m) stack for a stacked parameter.
+    admissible and isometric).
 
     The one admissibility gate of the construction: an inadmissible V
     (sigma_min(C_minus V - C_plus) at most adm_abs) is rejected with its
-    margin as NotAdmissible before B(V) is solved for; in a stack, the
-    first such V is named.
+    margin as NotAdmissible before B(V) is solved for.
     """
     return _quasi_extension(shift, pair,
                             *screen_parameter(shift, pair, parameter, None,
@@ -187,24 +187,21 @@ def quasi_extension(shift: ShiftOperator, pair: DeficiencyPair,
 
 
 def _quasi_extension(shift: ShiftOperator, pair: DeficiencyPair,
-                     vmat: np.ndarray, reports,
+                     vmat: np.ndarray, report: AdmissibilityReport,
                      tol: Tolerances) -> np.ndarray:
-    """quasi_extension for a parameter matrix (or stack) and its report (or
-    reports) from screen_parameter."""
-    for report in (reports,) if vmat.ndim == 2 else reports:
-        if not report.admissible:
-            margin = ("n/a" if report.margin is None
-                      else f"{report.margin:.3e}")
-            raise NotAdmissible(f"parameter is not admissible (margin "
-                                f"{margin}, floor {tol.adm_abs:.1e})",
-                                margin=report.margin)
+    """quasi_extension for a parameter matrix and its report from
+    screen_parameter."""
+    if not report.admissible:
+        margin = "n/a" if report.margin is None else f"{report.margin:.3e}"
+        raise NotAdmissible(f"parameter is not admissible (margin "
+                            f"{margin}, floor {tol.adm_abs:.1e})",
+                            margin=report.margin)
     return _generator(shift, pair, vmat)
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SelfAdjointExtension:
-    """A_V for an admissible isometric V, as an m x m Hermitian matrix (a
-    (K, m, m) stack, with K residuals, for a stacked parameter).
+    """A_V for an admissible isometric V, as an m x m Hermitian matrix.
 
     herm_residual records the symmetry defect (relative to the matrix scale)
     that was removed when symmetrizing; it should sit at roundoff level.
@@ -212,13 +209,13 @@ class SelfAdjointExtension:
 
     matrix: np.ndarray
     parameter: ExtensionParameter
-    herm_residual: float | np.ndarray
+    herm_residual: float
 
 
 def selfadjoint_extension(shift: ShiftOperator, pair: DeficiencyPair,
                           parameter: ExtensionParameter,
                           tol: Tolerances = DEFAULT) -> SelfAdjointExtension:
-    """Build A_V for an admissible isometric parameter (or stack of them)."""
+    """Build A_V for an admissible isometric parameter."""
     if parameter.kind != KIND_ISOMETRIC:
         raise ValueError("self-adjoint extensions need an isometric parameter")
     return _selfadjoint_extension(
@@ -228,15 +225,15 @@ def selfadjoint_extension(shift: ShiftOperator, pair: DeficiencyPair,
 
 def _selfadjoint_extension(shift: ShiftOperator, pair: DeficiencyPair,
                            parameter: ExtensionParameter, vmat: np.ndarray,
-                           reports, tol: Tolerances) -> SelfAdjointExtension:
+                           report: AdmissibilityReport,
+                           tol: Tolerances) -> SelfAdjointExtension:
     """selfadjoint_extension for an isometric parameter whose matrix and
-    report (or reports) screen_parameter has already given: G from the
-    admissibility gate, made Hermitian by _hermitize."""
-    g = _quasi_extension(shift, pair, vmat, reports, tol)
+    report screen_parameter has already given: G from the admissibility
+    gate, made Hermitian by _hermitize."""
+    g = _quasi_extension(shift, pair, vmat, report, tol)
     residual = _hermitize(shift, g)
-    return SelfAdjointExtension(
-        matrix=read_only(g), parameter=parameter,
-        herm_residual=read_only(residual) if g.ndim == 3 else float(residual))
+    return SelfAdjointExtension(matrix=read_only(g), parameter=parameter,
+                                herm_residual=float(residual))
 
 
 def _hermitize(shift: ShiftOperator, g: np.ndarray):
@@ -265,9 +262,9 @@ def _hermitize(shift: ShiftOperator, g: np.ndarray):
 def pencil_spectral_radius(shift: ShiftOperator, pair: DeficiencyPair,
                            vmat: np.ndarray) -> float:
     """Largest modulus among the singular points of the rational resolvent
-    (G - lam)^{-1}: the spectral radius of G.  C_minus V - C_plus must be
-    nonsingular."""
-    g = _generator(shift, pair, np.asarray(vmat, dtype=complex))
+    (G - lam)^{-1}: the spectral radius of G, for one q x q matrix V (a
+    stack raises ValueError).  C_minus V - C_plus must be nonsingular."""
+    g = _generator(shift, pair, as_complex_matrix(vmat, "parameter"))
     if g.shape[-1] == 0:
         return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(g))))

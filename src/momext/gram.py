@@ -47,16 +47,9 @@ class GramSpace:
     ambient_dim: int
     block_dim: int
     order: int
-    coords: np.ndarray          # (n_vectors, ambient_dim)
+    coords: np.ndarray          # ((d+1)N, ambient_dim), row a is x_a
     eigenvalues: np.ndarray     # descending, full spectrum
     rank_cutoff: float
-
-    @property
-    def n_vectors(self) -> int:
-        return self.coords.shape[0]
-
-    def vector(self, a: int) -> np.ndarray:
-        return self.coords[a]
 
     def gram(self) -> np.ndarray:
         """Reproduced Gram matrix (x_a, x_b); equals the input section."""

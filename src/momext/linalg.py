@@ -47,11 +47,6 @@ def hermitize(a, rel_tol: float, what="matrix") -> np.ndarray:
     return 0.5 * (a + np.conj(a.T))
 
 
-def inner(u, v) -> complex:
-    """Hermitian inner product, linear in the first argument: (u, v) = v^H u."""
-    return complex(np.vdot(v, u))
-
-
 def singular_values(a) -> np.ndarray:
     """Descending singular values of a matrix, or of each matrix in a stack
     (shape a.shape[:-2] + (min(rows, cols),)).

@@ -76,21 +76,16 @@ class AtomicMatrixMeasure:
         return self.weights.shape[1]
 
     @classmethod
-    def from_atoms(cls, locations, weights, block_dim: int | None = None,
-                   merge_tol: float = 0.0, drop_tol: float = 0.0,
-                   psd_rel: float = 1e-8,
-                   degree: int = 0) -> "AtomicMatrixMeasure":
-        """Sort atoms, merge near-coincident ones, drop negligible weights
-        and check the rest PSD: _assemble on the one row of sorted atoms.
+    def from_atoms(cls, locations, weights,
+                   block_dim: int | None = None) -> "AtomicMatrixMeasure":
+        """Sort atoms, merge coincident ones and check the weights PSD:
+        _assemble on the one row of sorted atoms.
 
-        Neighbours t_i < t_j are near-coincident when t_j - t_i <= merge_tol
-        * max(1, |t_i|, |t_j|), and a run of them becomes one atom at their
-        mean.  An atom is dropped when its largest weight entry times
-        max(1, |t|)^degree is at most drop_tol: when it is negligible in
-        every moment of order up to degree.  A weight whose smallest
-        eigenvalue is below -psd_rel times the largest kept |entry| (at
-        least 1) raises ValueError, as does a non-finite location or
-        weight entry.
+        Atoms at the same location become one, holding their summed weight.
+        A weight whose smallest eigenvalue is below -1e-8 times the largest
+        |entry| (at least 1) raises ValueError, as does a non-finite
+        location or weight entry.  block_dim sizes the weights when there
+        are no atoms.
         """
         locs = np.asarray(locations, dtype=float).reshape(-1)
         w = np.asarray(weights, dtype=complex)
@@ -103,8 +98,8 @@ class AtomicMatrixMeasure:
         if not len(locs):           # block_dim sizes the weights of no atoms
             w = np.zeros((0, block_dim or 1, block_dim or 1), dtype=complex)
         order = np.argsort(locs, kind="stable")
-        return _assemble(locs[order][None], w[order][None], merge_tol,
-                         drop_tol, psd_rel, degree)[0]
+        return _assemble(locs[order][None], w[order][None], 0.0, 0.0,
+                         1e-8)[0]
 
     def moment(self, n: int) -> np.ndarray:
         """integral of x^n dM as an N x N matrix."""
@@ -146,10 +141,8 @@ def _first_non_psd(locs, weights, floor):
 
 
 def spectral_measure(extension: SelfAdjointExtension, shift: ShiftOperator,
-                     tol: Tolerances = DEFAULT
-                     ) -> AtomicMatrixMeasure | tuple[AtomicMatrixMeasure, ...]:
-    """Atomic solution measure read off the eigendecomposition of A_V; for a
-    stacked extension, a tuple of measures from one batched eigh.
+                     tol: Tolerances = DEFAULT) -> AtomicMatrixMeasure:
+    """Atomic solution measure read off the eigendecomposition of A_V.
 
     Neighbouring eigenvalues t_i, t_j are clustered at gaps up to
     cluster_rel * max(1, |t_i|, |t_j|); each cluster contributes
@@ -160,28 +153,24 @@ def spectral_measure(extension: SelfAdjointExtension, shift: ShiftOperator,
     operator) has a tiny weight that still carries t^{2d} W of S_{2d}.
     Those products are taken only when some |t| > 1.  An atom is dropped
     only when W max(1, |t|)^{2d} is below weight_rel times the total-mass
-    scale.  The atoms of every row are merged, dropped and checked PSD in
-    one pass by _assemble, the one assembler (from_atoms is its case of
-    one row): one batched Cholesky for N >= 2, an eigvalsh only when that
-    fails.
+    scale.  The atoms are merged, dropped and checked PSD by _assemble, the
+    one assembler (from_atoms and theta_sweep use it too): one Cholesky
+    for N >= 2, an eigvalsh only when that fails.
 
-    The eigh runs on the real part of the stack when its imaginary parts
+    The eigh runs on the real part of the matrix when its imaginary parts
     are exact zeros, as they always are at N = 1 (S_n, the frame and the
-    1 x 1 hermitized B are real there): the same matrices, reduced by the
+    1 x 1 hermitized B are real there): the same matrix, reduced by the
     cheaper real kernel.
     """
-    measures = _assemble(*_spectral_atoms(extension.matrix, shift, tol))
-    return measures if extension.matrix.ndim == 3 else measures[0]
+    return _assemble(*_spectral_atoms(extension.matrix[None], shift, tol))[0]
 
 
 def _spectral_atoms(mats: np.ndarray, shift: ShiftOperator, tol: Tolerances):
-    """The arguments of _assemble for the eigen-atoms of an m x m Hermitian
-    matrix or a (K, m, m) stack of them: sorted locations (K, m), rank-one
-    weights (K, m, N, N) and the tolerances of spectral_measure."""
+    """The arguments of _assemble for the eigen-atoms of a (K, m, m) stack
+    of Hermitian matrices, from one batched eigh: sorted locations (K, m),
+    rank-one weights (K, m, N, N) and the tolerances of spectral_measure."""
     n = shift.block_dim
     d = shift.order
-    if mats.ndim == 2:
-        mats = mats[None]
     vals, vecs = np.linalg.eigh(mats.real if not mats.imag.any() else mats)
     coords = shift.space.coords
     vecs = np.conj(vecs)
@@ -218,11 +207,11 @@ def _assemble(locs, weights, merge_tol, drop_tol, psd_rel: float,
     in row order.  The measures are read-only views of the kept atoms.
 
     stacked also returns the kept atoms of all rows as one left-aligned
-    padded stack (_stack with NaN locations), the one _padded would build
-    from the measures, so that a caller holding many rows need not
-    re-stack them, and whether it went through _stack.  When every slot is
-    kept, the rows are their own stack, with no padding: their locations
-    and Hermitized weights come back as they are, with False.
+    padded stack (_stack with NaN locations), so that a caller holding many
+    rows need not re-stack them, and whether it went through _stack.  When
+    every slot is kept, the rows are their own stack, with no padding:
+    their locations and Hermitized weights come back as they are, with
+    False.
     """
     k, j = locs.shape
     drop_tol = np.reshape(drop_tol, (-1, 1))
@@ -292,37 +281,21 @@ def _verifications(recovered, seq: MomentSequence,
 
 def verify_moments(measure: AtomicMatrixMeasure, seq: MomentSequence,
                    rel_tol: float = 1e-8) -> VerificationReport:
-    """Compare integral x^n dM against S_n for every prescribed n.  This is
-    verify_measures on the one measure."""
-    return verify_measures([measure], seq, rel_tol)[0]
+    """Compare integral x^n dM against S_n for every prescribed n.
 
-
-def verify_measures(measures, seq: MomentSequence,
-                    rel_tol: float = 1e-8) -> tuple[VerificationReport, ...]:
-    """verify_moments for each of K measures, in one array pass.
-
-    Locations are padded with 0 and weights with 0 to the largest atom
-    count, which adds exact zeros to every sum; a single measure is used
-    through views of its own arrays.  The moments come from one einsum
-    (_moment_sums, on the real view of the weights for N >= 2), which sums
-    each in atom order whatever the padding, so every report is bit for bit
-    that of its measure alone (a matmul would sum in another order).
-    """
-    if len(measures) == 1:
-        locs = measures[0].locations[None]
-        weights = measures[0].weights[None]
-    elif not measures:
-        return ()
-    else:
-        locs, weights = _padded(measures, 0.0)
-    return _verifications(_moment_sums(locs, weights, len(seq)), seq,
-                          rel_tol)
+    The moments come from _moment_sums on views of the measure's own
+    arrays, the kernel theta_sweep runs on its stack of measures."""
+    return _verifications(_moment_sums(measure.locations[None],
+                                       measure.weights[None], len(seq)),
+                          seq, rel_tol)[0]
 
 
 def _moment_sums(locs, weights, count: int) -> np.ndarray:
     """sum over atoms j of locs[k, j]^n weights[k, j] for n < count, from
     locations (K, J) and weights (K, J, N, N): (K, count, N, N), summed in
-    atom order.
+    atom order: padding atoms (weight 0 at location 0) add exact zeros,
+    and each row is bit for bit that of its measure alone (a matmul would
+    sum in another order).
 
     The powers are running products 1, t, t t, ... (np.multiply.accumulate),
     each within n - 1 ulp of t^n: np.power takes a slow path for negative
@@ -609,19 +582,6 @@ def _cell_edges(start: float, stop: float, cell_width: float) -> np.ndarray:
     return read_only(start + cell_width * np.arange(n_cells + 1))
 
 
-def _padded(measures, fill: float):
-    """The locations (K, J) and weights (K, J, N, N) of K >= 1 measures,
-    padded to the largest atom count J with fill and with 0; each measure
-    is read once."""
-    locs, weights = zip(*[(m.locations, m.weights) for m in measures])
-    try:
-        weights = np.concatenate(weights)
-    except ValueError:
-        raise ValueError("measures of different block sizes") from None
-    return _stack([len(t) for t in locs], np.concatenate(locs), weights,
-                  fill)
-
-
 def _stack(counts, locs, weights, fill: float):
     """Atoms given row after row, counts[i] of them in row i, as the
     left-aligned stack of locations (K, J) padded with fill and weights
@@ -648,23 +608,32 @@ def measure_distance(m1: AtomicMatrixMeasure, m2: AtomicMatrixMeasure,
     sites.  A site carried by one measure only thus contributes the largest
     |entry| of its weight, and the value is positive exactly when the
     measures differ as atom sets (up to site_tol) or in any weight entry.
-    This is pairwise_distances on the one pair.
+
+    The two measures are stacked by _stack (locations padded with NaN) and
+    measured by _distances, the kernel theta_sweep runs on the stack its
+    atom assembly built.  A negative or non-finite site_tol raises
+    ValueError, as do measures of different block sizes.
     """
-    return float(pairwise_distances([m1, m2], site_tol)[0, 1])
+    if not (math.isfinite(site_tol) and site_tol >= 0.0):
+        raise ValueError(f"site_tol must be a finite, non-negative number, "
+                         f"got {site_tol!r}")
+    if m1.block_dim != m2.block_dim:
+        raise ValueError("measures of different block sizes")
+    return float(_distances(*_stack(
+        [m1.n_atoms, m2.n_atoms], np.concatenate([m1.locations, m2.locations]),
+        np.concatenate([m1.weights, m2.weights]), np.nan), site_tol)[0, 1])
 
 
-def pairwise_distances(measures, site_tol: float = 1e-6) -> np.ndarray:
+def _distances(locs, weights, site_tol: float) -> np.ndarray:
     """measure_distance between every two of K measures, as a symmetric
-    K x K matrix with a zero diagonal, in one array pass over all pairs.
+    K x K matrix with a zero diagonal, in one array pass over all pairs of
+    a padded stack: locations (K, J) with NaN past each row's atoms (NaN
+    sorts last and lies within site_tol of nothing) and weights
+    (K, J, N, N) with 0 there.
 
-    The measures are stacked by _padded, which reads each once: locations
-    padded with NaN (which sorts last and lies within site_tol of
-    nothing) and weights with 0 to the largest atom count J.  The kernel,
-    _distances, runs on that stack; theta_sweep hands it the stack its
-    atom assembly built, so nothing is re-stacked there.  The sorted
-    pooled locations of a pair fall into clusters: maximal runs whose
-    neighbours lie within site_tol.  Since fl(t - s) is monotone in t
-    and in s, the first location of a cluster opens a site and no window
+    The sorted pooled locations of a pair fall into clusters: maximal runs
+    whose neighbours lie within site_tol.  Since fl(t - s) is monotone in
+    t and in s, the first location of a cluster opens a site and no window
     reaches past its cluster, so the distance is the largest value of any
     cluster:
     - a lone location is a site holding its own atom alone: that atom's
@@ -680,19 +649,6 @@ def pairwise_distances(measures, site_tol: float = 1e-6) -> np.ndarray:
       two run into the thousands per sweep pool: those take the closed
       form, the rare larger ones a loop.
     Every value is that of a plain loop over sites and atoms, bit for bit.
-    A negative or non-finite site_tol raises ValueError.
-    """
-    if not (math.isfinite(site_tol) and site_tol >= 0.0):
-        raise ValueError(f"site_tol must be a finite, non-negative number, "
-                         f"got {site_tol!r}")
-    if len(measures) < 2:
-        return np.zeros((len(measures),) * 2)
-    return _distances(*_padded(measures, np.nan), site_tol)
-
-
-def _distances(locs, weights, site_tol: float) -> np.ndarray:
-    """pairwise_distances over a padded stack: locations (K, J) with NaN
-    past each row's atoms and weights (K, J, N, N) with 0 there.
 
     The pooled rows of all pairs are gathered by one index and sorted by
     one stable argsort; the sorted locations are one flat gather along

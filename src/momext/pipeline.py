@@ -224,9 +224,10 @@ def theta_sweep(seq: MomentSequence, n_thetas: int = 8,
     skipped; the rest produce measures, compared pairwise with
     measure_distance at SWEEP_SITE_TOL.
 
-    The sweep is one array pass over all K angles: one stacked screen,
-    whose admissible mask gives the admitted angles and the forbidden
-    ones, then for the admitted angles (sliced from the screened stack)
+    The sweep is one array pass over all K angles.  It builds the (K, q, q)
+    stack of the e^{i theta} I itself (no public call takes a stack) and
+    screens it once; the admissible mask gives the admitted angles and the
+    forbidden ones, then for the admitted angles (sliced from the stack)
     one batched extension (the q x q solves for B, made Hermitian alone,
     and one eigh), one atom assembly, and one verification and one
     distance kernel over the stack of atoms that the assembly hands over
@@ -249,8 +250,8 @@ def theta_sweep(seq: MomentSequence, n_thetas: int = 8,
     if q == 0:
         raise ValueError("the defect is zero: the extension is unique and "
                          "there is no family to sweep")
-    family = ExtensionParameter.unimodular(thetas, q)
-    mask, reports = _screen_stack(family, family.matrix, ws.pair,
+    family = np.exp(1j * thetas)[:, None, None] * np.eye(q, dtype=complex)
+    mask, reports = _screen_stack(KIND_ISOMETRIC, family, ws.pair,
                                   ws.forbidden, tol)
     admitted = np.flatnonzero(mask)
     k = len(thetas)
@@ -258,7 +259,7 @@ def theta_sweep(seq: MomentSequence, n_thetas: int = 8,
     verifications = [None] * k
     dist = np.full((k, k), np.nan)
     if admitted.size:
-        g = _generator(ws.shift, ws.pair, family.matrix[admitted])
+        g = _generator(ws.shift, ws.pair, family[admitted])
         _hermitize(ws.shift, g)
         found, (locs, weights), padded = _assemble(
             *_spectral_atoms(g, ws.shift, tol), stacked=True)

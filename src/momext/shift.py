@@ -65,10 +65,8 @@ class ShiftOperator:
     action is A in the coordinates of D(A) (m x dN, A v = action @ v[:dN]
     for v in D(A)), jacobi its top dN rows made Hermitian (J_0), and
     herm_residual the symmetry defect removed from them, relative to their
-    scale.  dom_matrix / shift_matrix (the vectors x_0..x_{dN-1} and their
-    images x_N..x_{dN+N-1} as columns), dom_basis and complement (the
-    coordinate bases of D(A) and of its orthogonal complement) are built
-    on first use.
+    scale.  D(A) is the span of the first dN coordinates of C^m, and its
+    orthogonal complement that of the last q.
     """
 
     space: GramSpace
@@ -86,35 +84,9 @@ class ShiftOperator:
     def dom_dim(self) -> int:
         return self.action.shape[1]
 
-    @functools.cached_property
-    def dom_matrix(self) -> np.ndarray:
-        """m x dN: the vectors x_0..x_{dN-1} as columns."""
-        return read_only(np.ascontiguousarray(
-            self.space.coords[:self.dom_dim].T))
-
-    @functools.cached_property
-    def shift_matrix(self) -> np.ndarray:
-        """m x dN: the images x_N..x_{dN+N-1} as columns."""
-        n = self.block_dim
-        return read_only(np.ascontiguousarray(
-            self.space.coords[n:self.dom_dim + n].T))
-
     @property
     def defect(self) -> int:
         return self.ambient_dim - self.dom_dim
-
-    @functools.cached_property
-    def dom_basis(self) -> np.ndarray:
-        """m x dN orthonormal basis of D(A): the first dN coordinates."""
-        return read_only(np.eye(self.ambient_dim, self.dom_dim,
-                                dtype=complex))
-
-    @functools.cached_property
-    def complement(self) -> np.ndarray:
-        """m x q orthonormal basis of the orthogonal complement of D(A):
-        the last q coordinates."""
-        return read_only(np.eye(self.ambient_dim, self.defect,
-                                k=-self.dom_dim, dtype=complex))
 
     @functools.cached_property
     def frame_peak(self) -> float:
@@ -128,10 +100,6 @@ class ShiftOperator:
         """B_d, the q x N block of E that is not zero."""
         dn = self.dom_dim
         return self.action[dn:, dn - self.block_dim:]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """A v for v in D(A) (no membership check)."""
-        return self.action @ v[:self.dom_dim]
 
 
 def build_shift(space: GramSpace) -> ShiftOperator:
@@ -272,24 +240,18 @@ class AdmissibilityReport:
 def is_admissible(matrix: np.ndarray, shift: ShiftOperator,
                   pair: DeficiencyPair,
                   forbidden: ForbiddenOperator | None = None,
-                  tol: Tolerances = DEFAULT
-                  ) -> AdmissibilityReport | tuple[AdmissibilityReport, ...]:
+                  tol: Tolerances = DEFAULT) -> AdmissibilityReport:
     """Decide whether a constant q x q parameter matrix is admissible.
 
-    matrix may also be a (K, q, q) stack, for which a tuple of K reports
-    comes back, and each report equals the one its matrix alone would get.
-    Raises NormViolation when a matrix is not a contraction (operator norm
-    above 1 + norm_abs); isometry vs strict contraction is the caller's
-    business.
+    Anything but a q x q matrix raises ValueError, and NormViolation comes
+    when it is not a contraction (operator norm above 1 + norm_abs);
+    isometry vs strict contraction is the caller's business.
     """
     q = pair.defect
     v = np.asarray(matrix, dtype=complex)
-    if v.ndim not in (2, 3) or v.shape[-2:] != (q, q):
-        raise ValueError(f"parameter must be {q} x {q} or a stack of them, "
-                         f"got {v.shape}")
-    _, _, reports = admissibility_reports(v if v.ndim == 3 else v[None],
-                                          pair, forbidden, tol)
-    return reports if v.ndim == 3 else reports[0]
+    if v.shape != (q, q):
+        raise ValueError(f"parameter must be {q} x {q}, got {v.shape}")
+    return admissibility_reports(v[None], pair, forbidden, tol)[2][0]
 
 
 def admissibility_reports(stack: np.ndarray, pair: DeficiencyPair,

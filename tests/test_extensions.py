@@ -11,15 +11,15 @@ Checked here:
 - pencil geometry: singularities of the (1, 0, 1) family sit at the atom
   positions +-1,
 - parameter validation (shape, norm, isometry defect),
-- stacked parameters: each slice of a batched extension is its parameter's
-  own, and the gate names an inadmissible member,
 - the default V = -X in closed form: its last block B = Re Omega is
   Hermitian bit for bit and within 1e-12 * scale of the q x q solve
   B(-X); solve_truncated, selfadjoint_extension(default_parameter(ws))
-  and a stack holding -X as one row give the same G,
+  and the sweep's batched kernel on a stack holding -X as one row give
+  the same G,
 - the Hermitization of B(V) alone: bit for bit 0.5 (G + G^H) and the
   whole-matrix residual, on random stacks at N = 1, 2, 3,
-- non-finite parameter matrices refused where they are made.
+- non-finite parameter matrices refused where they are made, and so is
+  a stack of parameters, before it reaches any public entry point.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from momext import (DimensionMismatch, ExtensionParameter, NormViolation,
                     NotAdmissible, StieltjesTransform, build_block_hankel,
                     build_shift, default_parameter, deficiency_subspaces,
                     factor_psd, is_admissible, pencil_spectral_radius,
-                    prepare, selfadjoint_extension, solve_truncated)
+                    perron_inversion, prepare, selfadjoint_extension,
+                    solve_truncated)
 from momext.extensions import (KIND_ISOMETRIC, _generator, _hermitize,
                                quasi_extension)
 from momext.sampling import (random_admissible_isometry,
@@ -78,24 +79,6 @@ def test_forbidden_angle_raises(seq_101):
         selfadjoint_extension(shift, pair, parameter)
 
 
-def test_stacked_parameters_are_the_single_ones(seq_101):
-    # A (K, q, q) stack runs as one batch; each slice is what its parameter
-    # gives alone, and an inadmissible member is named by its margin.
-    _, shift, pair = _operator_stage(seq_101)
-    thetas = np.array([0.0, np.pi / 2, 2.0 * np.pi / 3])
-    stack = selfadjoint_extension(shift, pair, ExtensionParameter.unimodular(
-        thetas, defect=1))
-    assert stack.matrix.shape == (3, 2, 2) and stack.herm_residual.shape == (3,)
-    for k, theta in enumerate(thetas):
-        _, _, alone = _family_member(seq_101, theta)
-        assert np.array_equal(stack.matrix[k], alone.matrix)
-        assert stack.herm_residual[k] == alone.herm_residual
-    with pytest.raises(NotAdmissible) as info:
-        selfadjoint_extension(shift, pair, ExtensionParameter.unimodular(
-            np.append(thetas, np.pi), defect=1))
-    assert info.value.margin <= 1e-12
-
-
 def test_hand_derived_extension_family(seq_101):
     for theta in (0.0, np.pi / 2, -np.pi / 2, 2.0 * np.pi / 3):
         _, _, ext = _family_member(seq_101, theta)
@@ -111,20 +94,22 @@ def test_extensions_are_hermitian_and_extend_the_shift():
         n = int(rng.integers(1, 4))
         d = int(rng.integers(1, 4))
         seq, _ = random_feasible_instance(rng, n, d)
-        _, shift, pair = _operator_stage(seq)
+        space, shift, pair = _operator_stage(seq)
         parameter = random_admissible_isometry(rng, shift, pair)
         ext = selfadjoint_extension(shift, pair, parameter)
         assert np.allclose(ext.matrix, ext.matrix.conj().T, atol=0)
         scale = max(1.0, float(np.abs(ext.matrix).max()))
-        assert np.allclose(ext.matrix @ shift.dom_matrix, shift.shift_matrix,
-                           atol=1e-8 * scale)
+        # x_0..x_{dN-1} go to x_N..x_{dN+N-1}
+        dn = shift.dom_dim
+        assert np.allclose(ext.matrix @ space.coords[:dn].T,
+                           space.coords[n:dn + n].T, atol=1e-8 * scale)
 
 
 def test_scalar_extension_stacks_are_real():
     # At N = 1 the moments, the frame, J_0 and E are real, and B(V) is
-    # 1 x 1, so hermitizing leaves it real: every extension, a stack of
-    # them and the default one alike, has exactly zero imaginary parts,
-    # and spectral_measure runs the real eigh on it.
+    # 1 x 1, so hermitizing leaves it real: every extension of the
+    # unimodular family and the default one alike has exactly zero
+    # imaginary parts, and spectral_measure runs the real eigh on it.
     rng = np.random.default_rng(RNG_SEED + 4)
     thetas = np.linspace(1.0, 2.0 * np.pi - 1.0, 16)
     for d in (1, 2, 3, 4, 6):
@@ -132,13 +117,14 @@ def test_scalar_extension_stacks_are_real():
             seq, _ = random_feasible_instance(rng, 1, d)
             _, shift, pair = _operator_stage(seq)
             assert pair.defect == 1
-            stack = ExtensionParameter.unimodular(thetas, 1)
-            reports = is_admissible(stack.matrix, shift, pair)
-            admitted = thetas[[r.admissible for r in reports]]
-            ext = selfadjoint_extension(
-                shift, pair, ExtensionParameter.unimodular(admitted, 1))
-            assert ext.matrix.shape == (len(admitted), d + 1, d + 1)
-            assert not ext.matrix.imag.any()
+            for theta in thetas:
+                parameter = ExtensionParameter.unimodular(theta, 1)
+                if not is_admissible(parameter.matrix, shift,
+                                     pair).admissible:
+                    continue
+                ext = selfadjoint_extension(shift, pair, parameter)
+                assert ext.matrix.shape == (d + 1, d + 1)
+                assert not ext.matrix.imag.any()
             assert not solve_truncated(seq).extension.matrix.imag.any()
 
 
@@ -189,7 +175,8 @@ def test_singularities_sit_at_the_atoms(seq_101):
 def test_default_parameter_closes_the_jacobi_matrix_with_re_omega():
     # V = -X gives B = Re Omega without the q x q solve: G is exactly
     # Hermitian, its last block agrees with the solve it skips, and the
-    # solve, the staged chain and a stacked row all give the same G.
+    # solve, the staged chain and a row of the sweep's batched kernel
+    # (_generator, then _hermitize) all give the same G.
     rng = np.random.default_rng(RNG_SEED + 3)
     for n in (1, 2, 4):
         for d in (1, 3):
@@ -217,16 +204,16 @@ def test_default_parameter_closes_the_jacobi_matrix_with_re_omega():
                 others = [random_admissible_isometry(
                     rng, ws.shift, ws.pair, ws.forbidden,
                     min_margin=0.1).matrix for _ in range(2)]
-                stack = ExtensionParameter(
-                    kind=KIND_ISOMETRIC,
-                    matrix=np.stack([others[0], v, others[1]]))
-                rows = selfadjoint_extension(ws.shift, ws.pair, stack)
-                assert np.array_equal(rows.matrix[1], g)
-                assert rows.herm_residual[1] == staged.herm_residual
+                rows = _generator(ws.shift, ws.pair,
+                                  np.stack([others[0], v, others[1]]))
+                residuals = _hermitize(ws.shift, rows)
+                assert np.array_equal(rows[1], g)
+                assert residuals[1] == staged.herm_residual
                 for k, other in ((0, others[0]), (2, others[1])):
                     alone = selfadjoint_extension(
                         ws.shift, ws.pair, ExtensionParameter.isometric(other))
-                    assert np.array_equal(rows.matrix[k], alone.matrix)
+                    assert np.array_equal(rows[k], alone.matrix)
+                    assert residuals[k] == alone.herm_residual
 
 
 def test_only_the_last_block_is_hermitized():
@@ -268,6 +255,54 @@ def test_non_finite_parameters_are_refused_on_entry(bad):
             make([[bad]])
     with pytest.raises(ValueError, match="non-finite"):
         ExtensionParameter(kind=KIND_ISOMETRIC,
-                           matrix=np.full((2, 1, 1), bad, dtype=complex))
+                           matrix=np.full((2, 2), bad, dtype=complex))
     with pytest.raises(ValueError, match="non-finite"):
-        ExtensionParameter.unimodular([0.0, np.nan])
+        ExtensionParameter.unimodular(np.nan, 2)
+
+
+def _entry_points(seq, ws):
+    """Each public call that takes a parameter, as a function of it."""
+    def transform(parameter):
+        return StieltjesTransform(ws.shift, ws.pair, parameter)
+    return {
+        "solve_truncated": lambda p: solve_truncated(seq, p),
+        "selfadjoint_extension":
+            lambda p: selfadjoint_extension(ws.shift, ws.pair, p),
+        "quasi_extension": lambda p: quasi_extension(ws.shift, ws.pair, p),
+        "StieltjesTransform": lambda p: transform(p)(1j),
+        "perron_inversion":
+            lambda p: perron_inversion(transform(p), -2.0, 2.0, 0.5),
+    }
+
+
+@pytest.mark.parametrize("entry", ["solve_truncated", "selfadjoint_extension",
+                                   "quasi_extension", "StieltjesTransform",
+                                   "perron_inversion", "is_admissible",
+                                   "pencil_spectral_radius"])
+def test_a_stack_of_parameters_is_refused_on_entry(seq_101, entry):
+    # Every public stage takes one q x q parameter.  A (K, q, q) stack is
+    # refused with ValueError where it enters: when the parameter is made,
+    # or by the calls that take a bare matrix.  Let through, it crashed
+    # solve_truncated (AttributeError on a tuple of reports), the
+    # transform at 1j (a numpy broadcast error) and perron_inversion
+    # (AttributeError on a tuple of measures).
+    ws = prepare(seq_101)
+    stack = np.exp(1j * np.array([0.1, 0.2]))[:, None, None]
+    if entry == "is_admissible":
+        with pytest.raises(ValueError, match=r"1 x 1, got \(2, 1, 1\)"):
+            is_admissible(stack, ws.shift, ws.pair, ws.forbidden)
+        return
+    if entry == "pencil_spectral_radius":
+        with pytest.raises(ValueError, match="2-d"):
+            pencil_spectral_radius(ws.shift, ws.pair, stack)
+        return
+    call = _entry_points(seq_101, ws)[entry]
+    for make in (lambda: ExtensionParameter.unimodular(np.array([0.1, 0.2])),
+                 lambda: ExtensionParameter.isometric(stack),
+                 lambda: ExtensionParameter.contraction(0.5 * stack),
+                 lambda: ExtensionParameter(kind=KIND_ISOMETRIC,
+                                            matrix=stack)):
+        with pytest.raises(ValueError, match="2-d"):
+            call(make())
+    # the single parameter passes every entry point
+    call(ExtensionParameter.unimodular(0.1))

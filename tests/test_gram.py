@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from momext import (MomentSequence, NotPSD, build_block_hankel, factor_psd)
-from momext.linalg import inner, phase_canonicalize
+from momext.linalg import phase_canonicalize
 from momext.sampling import random_feasible_instance
 
 RNG_SEED = 20260802
@@ -33,7 +33,7 @@ def _space_for(seq):
 def test_identity_section_gives_identity_coordinates(seq_101):
     space = _space_for(seq_101)
     assert space.ambient_dim == 2
-    assert space.n_vectors == 2
+    assert space.coords.shape == (2, 2)
     assert np.allclose(space.coords, np.eye(2), atol=1e-14)
     assert np.allclose(space.eigenvalues, [1.0, 1.0], atol=1e-14)
 
@@ -46,7 +46,7 @@ def test_rank_one_example_drops_the_null_direction():
     assert space.ambient_dim == 1
     # Both representing vectors collapse onto the same unit-mass direction.
     assert np.allclose(space.coords[0], space.coords[1], atol=1e-14)
-    assert inner(space.vector(0), space.vector(0)) == pytest.approx(1.0)
+    assert np.vdot(space.coords[0], space.coords[0]) == pytest.approx(1.0)
 
 
 def test_factor_reproduces_the_section():
@@ -70,11 +70,12 @@ def test_inner_products_return_moments():
         space = _space_for(seq)
         scale = max(1.0, seq.scale)
         # (x_a, x_b) = H[a, b] = S-entry: check a random sample of pairs.
+        # with (u, v) = v^H u, linear in its first argument
         for _ in range(8):
-            a = int(rng.integers(0, space.n_vectors))
-            b = int(rng.integers(0, space.n_vectors))
+            a = int(rng.integers(0, len(space.coords)))
+            b = int(rng.integers(0, len(space.coords)))
             expected = build_block_hankel(seq, d).matrix[a, b]
-            got = inner(space.vector(a), space.vector(b))
+            got = np.vdot(space.coords[b], space.coords[a])
             assert abs(got - expected) <= 1e-10 * scale
 
 

@@ -2,8 +2,8 @@
 
 Checked here:
 - atomic-measure bookkeeping (sorting, merging, moments, mass), with the
-  merge gap relative to max(1, |t|) and the drop judged in the highest
-  moment,
+  assembly's merge gap relative to max(1, |t|) and its drop judged in the
+  highest moment,
 - the spectral measure of the worked instance (1, 0, 1): atoms -1 and +1
   with weights 1/2, and its N = 2 block analogue with weights I/2,
 - measures next to an eigen-angle of the forbidden operator (one atom far
@@ -29,19 +29,20 @@ Checked here:
   eigenvalues of +-10 floor for N in {1, 2, 4, 8}: the same decisions,
   eigvalsh only on a failed screen, and the rule's error text for the
   first offender in both from_atoms and the batched assembly,
-- measure verification, one measure and a stack of them, its moment sums
-  bit for bit the complex einsum on zero-padded stacks, and its reports,
-  built from arrays, equal to the rule decided row by row,
+- measure verification against a plain einsum, its moment sums bit for
+  bit the complex einsum on zero-padded stacks, and its reports, built
+  from arrays, equal to the rule decided row by row,
 - a sweep whose tolerances merge or drop atoms in some rows: it takes the
-  NaN-padded stack and still matches verify_moments and
-  pairwise_distances on its measures; non-finite atoms refused,
+  NaN-padded stack and still matches verify_moments and measure_distance
+  on its measures; non-finite atoms refused,
 - the distance used by the parameter sweep, exactly the plain loop over
-  sites and atoms: for lone locations, clusters of two close atoms from
-  the two measures or from one, clusters of three or more, exact
-  duplicates, site_tol = 0, clusters next to the NaN padding and a whole
-  N = 1, d = 6 sweep, whose clusters of two never reach the per-cluster
-  loop;
-  a negative or non-finite site_tol is rejected.
+  sites and atoms, one pair at a time and for all pairs of a padded
+  stack at once (the sweep's kernel): for lone locations, clusters of two
+  close atoms from the two measures or from one, clusters of three or
+  more, exact duplicates, site_tol = 0, clusters next to the NaN padding
+  and a whole N = 1, d = 6 sweep, whose clusters of two never reach the
+  per-cluster loop; a negative or non-finite site_tol is rejected, and so
+  are measures of different block sizes.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
                     moments_from_transform, perron_inversion, prepare,
                     selfadjoint_extension, solve_truncated, spectral_measure,
                     theta_sweep, verify_moments, verify_recovered_moments)
-from momext.measures import (VerificationReport, pairwise_distances,
-                             verify_measures)
+from momext.measures import VerificationReport
 from momext.pipeline import SWEEP_SITE_TOL
 from momext.tolerances import DEFAULT
 from momext.sampling import (random_admissible_isometry,
@@ -96,10 +96,23 @@ def _transform(seq, parameter):
 
 # ------------------------------------------------------- atomic bookkeeping
 
+def _assemble_one(locations, weights, merge_tol=0.0, drop_tol=0.0,
+                  degree=0):
+    """The measure _assemble makes of one row of sorted atoms."""
+    return momext.measures._assemble(
+        np.array([locations], dtype=float), np.array([weights], dtype=complex),
+        merge_tol, drop_tol, 1e-8, degree)[0]
+
+
 def test_atoms_are_sorted_and_merged():
+    # from_atoms sorts and merges atoms at one location; the assembly
+    # merges near-coincident ones at its merge_tol
     m = AtomicMatrixMeasure.from_atoms(
-        [2.0, -1.0, 2.0 + 1e-12], [[[1.0]], [[2.0]], [[3.0]]],
-        merge_tol=1e-9)
+        [2.0, -1.0, 2.0], [[[1.0]], [[2.0]], [[3.0]]])
+    assert np.array_equal(m.locations, [-1.0, 2.0])
+    assert m.weights[1][0, 0] == 4.0
+    m = _assemble_one([-1.0, 2.0, 2.0 + 1e-12], [[[2.0]], [[1.0]], [[3.0]]],
+                      merge_tol=1e-9)
     assert np.allclose(m.locations, [-1.0, 2.0])
     assert m.weights[1][0, 0] == pytest.approx(4.0)
 
@@ -120,16 +133,14 @@ def test_merge_gap_is_relative_and_drop_is_judged_in_the_highest_moment():
     # gaps count relative to max(1, |t|): 1e-4 apart merges at 1e6 but not
     # at 1; a weight of 1e-15 at t = 1e3 is 1e-3 of the 2nd moment and kept
     # at degree 2, dropped at degree 0
-    far = AtomicMatrixMeasure.from_atoms([1e6, 1e6 + 1e-4], [[[1.0]], [[1.0]]],
-                                         merge_tol=1e-9)
+    far = _assemble_one([1e6, 1e6 + 1e-4], [[[1.0]], [[1.0]]], merge_tol=1e-9)
     assert far.n_atoms == 1 and far.weights[0, 0, 0] == 2.0
-    near = AtomicMatrixMeasure.from_atoms([1.0, 1.0 + 1e-4],
-                                          [[[1.0]], [[1.0]]], merge_tol=1e-9)
+    near = _assemble_one([1.0, 1.0 + 1e-4], [[[1.0]], [[1.0]]],
+                         merge_tol=1e-9)
     assert near.n_atoms == 2
     atoms = ([0.0, 1e3], [[[1.0]], [[1e-15]]])
     for degree, count in ((0, 1), (2, 2)):
-        m = AtomicMatrixMeasure.from_atoms(*atoms, drop_tol=1e-12,
-                                           degree=degree)
+        m = _assemble_one(*atoms, drop_tol=1e-12, degree=degree)
         assert m.n_atoms == count
 
 
@@ -181,7 +192,7 @@ def test_batched_assembly_merges_drops_and_keeps_rows():
 
 
 def test_batched_assembly_names_the_first_non_psd_weight():
-    # A planted negative weight raises from_atoms's error for its row; with
+    # A planted negative weight raises the error its row gets alone; with
     # one in the clustered row 1 and one in the plain row 2, row 1 is named.
     rng = np.random.default_rng(RNG_SEED + 21)
     for n in (1, 2, 4, 8):
@@ -191,10 +202,9 @@ def test_batched_assembly_names_the_first_non_psd_weight():
                 weights[row, 0] = -weights[row, 0]
             first = min(bad_rows)
             with pytest.raises(ValueError, match="is not PSD") as single:
-                AtomicMatrixMeasure.from_atoms(
-                    locs[first], weights[first], block_dim=n,
-                    merge_tol=merge_tol, drop_tol=drop_tol[first],
-                    psd_rel=1e-10)
+                momext.measures._assemble(locs[first][None],
+                                          weights[first][None], merge_tol,
+                                          drop_tol[first], 1e-10)
             with pytest.raises(ValueError) as batched:
                 momext.measures._assemble(locs, weights, merge_tol, drop_tol,
                                           1e-10)
@@ -258,9 +268,10 @@ def test_psd_screen_decides_as_the_eigvalsh_rule(monkeypatch):
 
 def test_non_psd_weights_raise_the_eigvalsh_rule_text():
     # from_atoms names the first offender in location order, _assemble the
-    # first in row order, each with the text of the eigvalsh rule.
+    # first in row order, each with the text of the eigvalsh rule; the
+    # floor is from_atoms's fixed 1e-8.
     rng = np.random.default_rng(RNG_SEED + 24)
-    psd_rel = 1e-10
+    psd_rel = 1e-8
     for n in (1, 2, 4, 8):
         emins = np.full(12, 10.0 * psd_rel)
         emins[[10, 3, 6]] = -10.0 * psd_rel
@@ -270,8 +281,7 @@ def test_non_psd_weights_raise_the_eigvalsh_rule_text():
         assert f"{locs[3]:.6g}" in want
         order = rng.permutation(len(w))
         with pytest.raises(ValueError) as single:
-            AtomicMatrixMeasure.from_atoms(locs[order], w[order], block_dim=n,
-                                           psd_rel=psd_rel)
+            AtomicMatrixMeasure.from_atoms(locs[order], w[order], block_dim=n)
         assert str(single.value) == want
         # rows of 4: the offenders sit in row 0 (column 3), row 1 and row 2
         rows = locs.reshape(3, 4), w.reshape(3, 4, n, n)
@@ -671,26 +681,19 @@ def _reference_verification(measure, seq):
     return verify_recovered_moments(recovered, seq, rel_tol=1e-8)
 
 
-def test_stacked_verification_is_the_one_measure_verification():
-    # Measures of different atom counts (none, one, many) padded into one
-    # stack verify exactly as each does alone.
-    rng = np.random.default_rng(RNG_SEED + 22)
-    for n in (1, 2, 3):
-        seq, truth = random_feasible_instance(rng, n, 3)
-        measures = [_random_measure(rng, n, j) for j in (3, 0, 1, 7)]
-        measures.insert(2, truth)
-        reports = verify_measures(measures, seq)
-        assert [r.passed for r in reports] == [False] * 2 + [True] + [False] * 2
-        for measure, report in zip(measures, reports):
-            assert report == verify_moments(measure, seq)
-            assert report == _reference_verification(measure, seq)
-    assert verify_measures([], seq) == ()
+def _padded(measures, fill):
+    """The atoms of K >= 1 measures as the left-aligned stack the sweep
+    builds: locations padded with fill, weights with 0."""
+    return momext.measures._stack(
+        [m.n_atoms for m in measures],
+        np.concatenate([m.locations for m in measures]),
+        np.concatenate([m.weights for m in measures]), fill)
 
 
 def test_moment_sums_are_the_complex_einsum_bit_for_bit():
     # On zero-padded stacks the moment sums equal the complex einsum over
     # the same stack, and each row equals that of its measure alone, in
-    # every bit.
+    # every bit; verify_moments is the plain einsum's report.
     rng = np.random.default_rng(RNG_SEED + 25)
     for k in (1, 32):
         for n in (1, 2, 4, 8):
@@ -698,7 +701,7 @@ def test_moment_sums_are_the_complex_einsum_bit_for_bit():
                         for j in rng.integers(0, 9, k)]
             if k > 1:
                 measures[0] = _random_measure(rng, n, 0)
-            locs, weights = momext.measures._padded(measures, 0.0)
+            locs, weights = _padded(measures, 0.0)
             got = momext.measures._moment_sums(locs, weights, 9)
             powers = _running_powers(locs, 9)
             want = np.einsum("knj,kjab->knab", powers, weights)
@@ -709,6 +712,13 @@ def test_moment_sums_are_the_complex_einsum_bit_for_bit():
                     measure.locations[None], measure.weights[None], 9)[0]
                 assert np.array_equal(row.view(np.uint64),
                                       alone.view(np.uint64))
+    for n in (1, 2, 3):
+        seq, truth = random_feasible_instance(rng, n, 3)
+        for measure in [truth] + [_random_measure(rng, n, j)
+                                  for j in (3, 0, 1, 7)]:
+            report = verify_moments(measure, seq)
+            assert report == _reference_verification(measure, seq)
+            assert report.passed == (measure is truth)
 
 
 def test_measure_distance_separates_different_solutions(seq_101):
@@ -796,10 +806,16 @@ def _clustered_measures(rng, n, count, site_tol):
     return measures
 
 
+def _pairwise(measures, site_tol):
+    """The sweep's all-pairs distance kernel on the NaN-padded stack of
+    the measures."""
+    return momext.measures._distances(*_padded(measures, np.nan), site_tol)
+
+
 def test_pairwise_distances_are_the_one_pair_distances():
-    # The all-pairs kernel pads every measure to the largest atom count;
-    # padding must not move a bit, so each entry equals measure_distance on
-    # its pair, which equals the plain loop.
+    # The sweep's all-pairs kernel pads every measure to the largest atom
+    # count; padding must not move a bit, so each entry equals
+    # measure_distance on its pair, which equals the plain loop.
     rng = np.random.default_rng(RNG_SEED + 11)
     site_tol = 1e-3
     for trial in range(60):
@@ -809,7 +825,7 @@ def test_pairwise_distances_are_the_one_pair_distances():
         if trial % 3 == 0:          # a far-off measure: separated pairs
             measures.append(_random_measure(rng, n, 3,
                                             np.array([10.0, 20.0, 30.0])))
-        dist = pairwise_distances(measures, site_tol)
+        dist = _pairwise(measures, site_tol)
         k = len(measures)
         assert dist.shape == (k, k)
         assert np.array_equal(np.diag(dist), np.zeros(k))
@@ -822,15 +838,14 @@ def test_pairwise_distances_are_the_one_pair_distances():
                 assert dist[i, j] == expected
                 assert measure_distance(measures[i], measures[j],
                                         site_tol) == expected
-    assert pairwise_distances([], site_tol).shape == (0, 0)
-    assert np.array_equal(pairwise_distances(measures[:1], site_tol), [[0.0]])
-    # measures of different block sizes do not stack, whatever their atoms
+    assert np.array_equal(_pairwise(measures[:1], site_tol), [[0.0]])
+    # measures of different block sizes are not compared, whatever their
+    # atoms
     for sizes in ((1, 2), (2, 1), (3, 2)):
-        mixed = [_random_measure(rng, n, j) for n, j in zip(sizes, (2, 0))]
-        with pytest.raises(ValueError, match="different block sizes"):
-            pairwise_distances(mixed, site_tol)
-        with pytest.raises(ValueError, match="different block sizes"):
-            verify_measures(mixed + mixed, MomentSequence.scalar([1.0]))
+        for atoms in ((2, 0), (0, 2)):
+            a, b = (_random_measure(rng, n, j) for n, j in zip(sizes, atoms))
+            with pytest.raises(ValueError, match="different block sizes"):
+                measure_distance(a, b, site_tol)
 
 
 #: locations of each measure and site_tol, chosen so that the pairs meet
@@ -865,7 +880,7 @@ def test_pairwise_distances_match_the_reference_per_cluster_kind(
     for n in (1, 2):
         measures = [_random_measure(rng, n, len(locs), np.array(locs))
                     for locs in locations]
-        dist = pairwise_distances(measures, site_tol)
+        dist = _pairwise(measures, site_tol)
         for i, j in itertools.permutations(range(len(measures)), 2):
             expected = _reference_distance(measures[i], measures[j],
                                            site_tol)
@@ -883,8 +898,6 @@ def test_distances_reject_a_negative_or_non_finite_site_tol(site_tol):
     b = AtomicMatrixMeasure.from_atoms([0.5], [[[3.0]]])
     with pytest.raises(ValueError, match="site_tol"):
         measure_distance(a, b, site_tol)
-    with pytest.raises(ValueError, match="site_tol"):
-        pairwise_distances([a, b], site_tol)
 
 
 def _seven_atom_sweep():
@@ -1005,8 +1018,8 @@ def test_a_sweep_with_merged_or_dropped_atoms_takes_the_padded_stack(
     # their own stack.  Tolerances that merge the closest atoms of some
     # angles, or drop the lightest, leave rows of different lengths: the
     # sweep then verifies and measures on the NaN-padded _stack, and its
-    # reports and distances are still verify_moments and
-    # pairwise_distances of its measures, bit for bit.
+    # reports and distances are still verify_moments and measure_distance
+    # of its measures, bit for bit.
     stacked = []
     stack = momext.measures._stack
     monkeypatch.setattr(momext.measures, "_stack",
@@ -1037,7 +1050,10 @@ def test_a_sweep_with_merged_or_dropped_atoms_takes_the_padded_stack(
         assert len(counts) > 1 and max(counts) == measures[0].n_atoms
         for measure, entry in zip(found, res.entries):
             assert entry.verification == verify_moments(measure, seq)
-        want = pairwise_distances(found, site_tol=SWEEP_SITE_TOL)
+        want = np.zeros((len(found),) * 2)
+        for i, j in itertools.combinations(range(len(found)), 2):
+            want[i, j] = want[j, i] = measure_distance(
+                found[i], found[j], site_tol=SWEEP_SITE_TOL)
         assert np.array_equal(res.distance_matrix.view(np.uint64),
                               want.view(np.uint64))
 

@@ -48,7 +48,6 @@ from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
                     theta_sweep, verify_moments)
 import momext.pipeline
 from momext.linalg import phase_canonicalize
-from momext.measures import pairwise_distances
 from momext.pipeline import SWEEP_SITE_TOL
 from momext.sampling import (haar_unitary, random_admissible_isometry,
                              random_deficient_instance,
@@ -86,13 +85,9 @@ def test_prepare_is_the_public_chain_bit_for_bit():
                 for got, want in (
                         (ws.space.coords, space.coords),
                         (ws.space.eigenvalues, space.eigenvalues),
-                        (ws.shift.dom_matrix, shift.dom_matrix),
-                        (ws.shift.shift_matrix, shift.shift_matrix),
-                        (ws.shift.dom_basis, shift.dom_basis),
                         (ws.shift.action, shift.action),
                         (ws.shift.jacobi, shift.jacobi),
                         (ws.shift.herm_residual, shift.herm_residual),
-                        (ws.shift.complement, shift.complement),
                         (ws.pair.basis_plus, pair.basis_plus),
                         (ws.pair.basis_minus, pair.basis_minus),
                         (ws.pair.omega, pair.omega),
@@ -332,9 +327,9 @@ def test_sweep_distances_are_the_pairwise_measure_distances():
 def test_sweep_reads_its_verifications_and_distances_off_one_stack():
     # The sweep verifies its measures and measures their distances on the
     # one padded stack of atoms its assembly hands over, and still every
-    # report is verify_moments of its entry's measure and the distance
-    # matrix is pairwise_distances of the admitted measures, bit for bit,
-    # with an inadmissible angle left out of the stack.
+    # report is verify_moments of its entry's measure and every distance
+    # is measure_distance of its two measures, bit for bit, with an
+    # inadmissible angle left out of the stack.
     rng = np.random.default_rng(RNG_SEED + 9)
     thetas = np.linspace(1.0, 2.0 * np.pi - 1.0, 16)
     for n, d in ((1, 2), (1, 6), (2, 3), (4, 2)):
@@ -351,8 +346,12 @@ def test_sweep_reads_its_verifications_and_distances_off_one_stack():
             else:
                 assert entry.verification == verify_moments(entry.measure,
                                                             seq)
-        want = pairwise_distances([res.entries[i].measure for i in admitted],
-                                  site_tol=SWEEP_SITE_TOL)
+        want = np.zeros((len(admitted),) * 2)
+        for a, i in enumerate(admitted):
+            for b, j in enumerate(admitted[:a]):
+                want[a, b] = want[b, a] = measure_distance(
+                    res.entries[i].measure, res.entries[j].measure,
+                    site_tol=SWEEP_SITE_TOL)
         got = res.distance_matrix[np.ix_(admitted, admitted)]
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

@@ -40,7 +40,7 @@ from momext import (ExtensionParameter, MomentSequence, NormViolation,
                     forbidden_operator, is_admissible, moments_from_transform,
                     perron_inversion, prepare, solve_truncated, theta_sweep)
 import momext.shift
-from momext.linalg import inner, singular_values
+from momext.linalg import singular_values
 from momext.shift import (AdmissibilityReport, DeficiencyPair,
                           ForbiddenOperator, admissibility_reports)
 from momext.tolerances import DEFAULT
@@ -66,7 +66,8 @@ def _operator_stage(seq, with_forbidden=False):
 def test_shift_moves_representing_vectors_one_block(seq_101):
     space, shift, _ = _operator_stage(seq_101)
     # x_0 = e_0, x_1 = e_1 here, and A x_0 = x_1.
-    assert np.allclose(shift.apply(space.vector(0)), space.vector(1),
+    x0, x1 = space.coords[:2]
+    assert np.allclose(shift.action @ x0[:shift.dom_dim], x1,
                        atol=ORACLE_ATOL)
 
 
@@ -80,11 +81,12 @@ def test_shift_is_symmetric_on_its_domain():
         dn = shift.dom_dim
         cu = rng.standard_normal(dn) + 1j * rng.standard_normal(dn)
         cv = rng.standard_normal(dn) + 1j * rng.standard_normal(dn)
-        u = shift.dom_matrix @ cu
-        v = shift.dom_matrix @ cv
+        # u and v are combinations of x_0..x_{dN-1}, and (u, v) = v^H u
+        u = space.coords[:dn].T @ cu
+        v = space.coords[:dn].T @ cv
+        au, av = shift.action @ u[:dn], shift.action @ v[:dn]
         scale = max(1.0, float(np.linalg.norm(u) * np.linalg.norm(v)))
-        assert abs(inner(shift.apply(u), v) - inner(u, shift.apply(v))) \
-            <= 1e-9 * scale
+        assert abs(np.vdot(v, au) - np.vdot(av, u)) <= 1e-9 * scale
 
 
 def test_defect_data_of_two_atom_instance(seq_101):
@@ -134,7 +136,7 @@ def test_defect_vectors_solve_the_eigenvalue_equations():
         n = int(rng.integers(1, 4))
         d = int(rng.integers(1, 4))
         seq, _ = random_feasible_instance(rng, n, d)
-        _, shift, pair = _operator_stage(seq)
+        space, shift, pair = _operator_stage(seq)
         # z0 = beta + i kappa: the mean diagonal entry of the last block
         # of J_0, and the root-mean-square singular value of B_d
         corner = shift.jacobi[-n:, -n:]
@@ -144,10 +146,9 @@ def test_defect_vectors_solve_the_eigenvalue_equations():
                              (z0, pair.basis_minus)):
             for k in range(pair.defect):
                 psi = basis[:, k]
-                for a in range(shift.dom_dim):
-                    f = shift.dom_matrix[:, a]
-                    lhs = inner(shift.apply(f), psi)
-                    rhs = inner(f, point * psi)
+                for f in space.coords[:shift.dom_dim]:
+                    lhs = np.vdot(psi, shift.action @ f[:shift.dom_dim])
+                    rhs = np.vdot(point * psi, f)
                     assert abs(lhs - rhs) <= 1e-9
 
 
@@ -223,12 +224,14 @@ def test_one_by_one_singular_values_are_moduli(monkeypatch, seq_101):
                              for d in (2, 4, 6)]
     stage = [_operator_stage(seq, with_forbidden=True)[1:]
              for seq in instances]
-    stack = ExtensionParameter.unimodular(thetas, 1).matrix
-    moduli = [is_admissible(stack, *ops) for ops in stage]
+    stack = np.exp(1j * thetas)[:, None, None]
+    moduli = [admissibility_reports(stack, pair, forbidden)[2]
+              for _, pair, forbidden in stage]
     monkeypatch.setattr(momext.shift, "singular_values",
                         lambda m: np.linalg.svd(np.asarray(m, dtype=complex),
                                                 compute_uv=False))
-    by_svd = [is_admissible(stack, *ops) for ops in stage]
+    by_svd = [admissibility_reports(stack, pair, forbidden)[2]
+              for _, pair, forbidden in stage]
     assert moduli[0][32].coincides_with_forbidden
     for ours, theirs in zip(moduli, by_svd):
         for r, s in zip(ours, theirs):
@@ -257,11 +260,11 @@ def test_strict_contractions_are_always_admissible():
         assert report.forbidden_gap is None or report.forbidden_gap > 0.0
 
 
-# ------------------------------------------------ the cached D(A) complement
+# ------------------------------------------------------- the D(A) complement
 
 def _reference_margin(v, shift, pair):
     """sigma_min(P_perp^H (B_minus V - B_plus)) with P_perp from a fresh SVD."""
-    u, _, _ = np.linalg.svd(shift.dom_matrix)
+    u, _, _ = np.linalg.svd(shift.space.coords[:shift.dom_dim].T)
     perp = u[:, shift.dom_dim:]
     adm = np.conj(perp.T) @ (pair.basis_minus @ v - pair.basis_plus)
     return float(np.linalg.svd(adm, compute_uv=False)[-1])
@@ -272,12 +275,11 @@ def test_complement_is_an_orthonormal_basis_of_the_domain_complement():
     for _ in range(N_RANDOM_INSTANCES):
         n = int(rng.integers(1, 5))
         seq, _ = random_feasible_instance(rng, n, int(rng.integers(1, 4)))
-        _, shift, pair = _operator_stage(seq)
-        c = shift.complement
-        assert c.shape == (shift.ambient_dim, pair.defect)
-        assert not c.flags.writeable
+        space, shift, pair = _operator_stage(seq)
+        # the last q coordinates, and x_0..x_{dN-1} as columns
+        c = np.eye(shift.ambient_dim, pair.defect, k=-shift.dom_dim)
         assert np.abs(np.conj(c.T) @ c - np.eye(pair.defect)).max() <= 1e-12
-        dom = shift.dom_matrix
+        dom = space.coords[:shift.dom_dim].T
         assert np.abs(np.conj(c.T) @ dom).max() <= 1e-12 * max(
             1.0, np.abs(dom).max())
 
