@@ -229,9 +229,13 @@ def _selfadjoint_extension(shift: ShiftOperator, pair: DeficiencyPair,
                            tol: Tolerances) -> SelfAdjointExtension:
     """selfadjoint_extension for an isometric parameter whose matrix and
     report screen_parameter has already given: G from the admissibility
-    gate, made Hermitian by _hermitize."""
+    gate, made Hermitian by _hermitize.  B(-X) = Re Omega is Hermitian as
+    written, so V = -X skips it: its residual is J_0's, bit for bit."""
     g = _quasi_extension(shift, pair, vmat, report, tol)
-    residual = _hermitize(shift, g)
+    if (vmat == -np.conj(pair.rotation.T)).all():
+        residual = shift.herm_residual
+    else:
+        residual = _hermitize(shift, g)
     return SelfAdjointExtension(matrix=read_only(g), parameter=parameter,
                                 herm_residual=float(residual))
 

@@ -26,12 +26,13 @@ block Jacobi matrix.
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
 from .errors import DependentDomain, NotPSD
 from .hankel import BlockHankel
-from .linalg import max_abs, phase_canonicalize, read_only
+from .linalg import phase_canonicalize, read_only
 from .tolerances import DEFAULT, Tolerances
 
 
@@ -50,10 +51,6 @@ class GramSpace:
     coords: np.ndarray          # ((d+1)N, ambient_dim), row a is x_a
     eigenvalues: np.ndarray     # descending, full spectrum
     rank_cutoff: float
-
-    def gram(self) -> np.ndarray:
-        """Reproduced Gram matrix (x_a, x_b); equals the input section."""
-        return self.coords @ np.conj(self.coords.T)
 
 
 def factor_psd(section: BlockHankel, tol: Tolerances = DEFAULT) -> GramSpace:
@@ -79,13 +76,13 @@ def _factor(section: BlockHankel, w: np.ndarray, w_lead: np.ndarray,
     eigenvectors phase-canonicalized.  At N = 1 Sigma is 1 x 1 and F is
     sqrt(max(Re Sigma, 0)) in closed form: what that eigh (LAPACK returns
     (Re a, [1]) for n = 1) and the canonical phase give, bit for bit."""
-    scale = max_abs(w)
-    if w.size and w[0] < -tol.psd_rel * scale:
+    scale = max(-w[0], w[-1])          # the largest |w|, as w ascends
+    if w[0] < -tol.psd_rel * scale:
         raise NotPSD(
             f"section of order {section.order} is not positive semidefinite: "
             f"min eigenvalue {w[0]:.6e} with scale {scale:.3e}",
             section="trailing", min_eigenvalue=float(w[0]))
-    cutoff = tol.rank_rel * max(w[-1] if w.size else 0.0, 0.0)
+    cutoff = tol.rank_rel * max(w[-1], 0.0)
     m = int(np.count_nonzero(w > cutoff))
     n = section.block_dim
     dn = section.order * n
@@ -126,11 +123,11 @@ def _leading_factor(lead: np.ndarray, w_lead: np.ndarray, m: int,
         raise DependentDomain(
             f"domain needs {dn} independent vectors but the space has "
             f"dimension {m}")
-    sv = np.sqrt(np.maximum(w_lead[[0, -1]], 0.0))
-    if sv[1] == 0.0 or sv[0] <= tol.rank_rel * sv[1]:
+    low, high = (math.sqrt(max(e, 0.0)) for e in (w_lead[0], w_lead[-1]))
+    if high == 0.0 or low <= tol.rank_rel * high:
         raise DependentDomain(
             f"domain vectors are numerically dependent: smallest singular "
-            f"value {sv[0]:.3e} vs largest {sv[1]:.3e}")
+            f"value {low:.3e} vs largest {high:.3e}")
     try:
         return np.linalg.cholesky(lead)
     except np.linalg.LinAlgError:

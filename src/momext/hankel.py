@@ -22,7 +22,7 @@ import functools
 import numpy as np
 
 from .errors import InsufficientMoments
-from .linalg import as_complex_matrix, hermitize, max_abs, read_only
+from .linalg import as_complex_matrix, hermitize, read_only
 from .tolerances import DEFAULT, Tolerances
 
 #: Hermitian-symmetry defect allowed in a moment, relative to its scale
@@ -73,20 +73,18 @@ class MomentSequence:
     def __getitem__(self, n: int) -> np.ndarray:
         return self.moments[n]
 
-    @property
-    def max_hankel_order(self) -> int:
-        """Largest k for which H_k can be built from this data."""
-        return (len(self.moments) - 1) // 2
-
     @functools.cached_property
     def _stack(self) -> np.ndarray:
         """The moments as one read-only complex (count, N, N) array, built
         once: the Hankel sections and the verifications read it."""
         return read_only(np.array(self.moments, dtype=complex))
 
-    @property
-    def scale(self) -> float:
-        return max(max_abs(m) for m in self.moments)
+    @functools.cached_property
+    def _reach(self) -> np.ndarray:
+        """The largest |entry| of S_0..S_n for each n, taken once: the scales
+        of the Hankel sections (made of S_n entries) and verifications."""
+        return read_only(np.maximum.accumulate(
+            np.abs(self._stack).max(axis=(1, 2))))
 
 
 def _stack_moments(arrays) -> np.ndarray:
@@ -118,10 +116,6 @@ class BlockHankel:
     order: int
     block_dim: int
     matrix: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return (self.order + 1) * self.block_dim
 
 
 def build_block_hankel(seq: MomentSequence, order: int) -> BlockHankel:
@@ -188,9 +182,8 @@ def _check(seq: MomentSequence, tol: Tolerances):
     w_lead = np.linalg.eigvalsh(trail.matrix[:dn, :dn])
     e_lead = float(w_lead[0])
     e_trail = float(w[0])
-    mags = np.abs(trail.matrix)                     # one pass for both scales
-    s_lead = float(mags[:dn, :dn].max())
-    s_trail = float(mags.max())
+    reach = seq._reach                  # H_{d-1} holds S_0..S_{2d-2}
+    s_lead, s_trail = float(reach[2 * d - 2]), float(reach[-1])
     report = ConditionReport(
         block_dim=seq.dim,
         order=d,

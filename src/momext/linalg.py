@@ -28,19 +28,11 @@ def max_abs(a) -> float:
     return float(np.abs(a).max())
 
 
-def herm_defect(a) -> float:
-    """Largest entry of |A - A^H|."""
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return max_abs(a - np.conj(a.T))
-
-
 def hermitize(a, rel_tol: float, what="matrix") -> np.ndarray:
     """Return (A + A^H)/2 after checking the symmetry defect is small."""
     a = as_complex_matrix(a, what)
     scale = max(max_abs(a), 1.0)
-    defect = herm_defect(a)
+    defect = max_abs(a - np.conj(a.T))          # the largest |A - A^H|
     if defect > rel_tol * scale:
         raise ValueError(f"{what} is not Hermitian: defect {defect:.3e} exceeds "
                          f"{rel_tol:.1e} * scale {scale:.3e}")

@@ -108,9 +108,6 @@ class AtomicMatrixMeasure:
         powers = self.locations ** n
         return np.einsum("j,jkl->kl", powers, self.weights)
 
-    def total_mass(self) -> np.ndarray:
-        return self.moment(0)
-
 
 def _first_non_psd(locs, weights, floor):
     """The first of the Hermitian weights (B, N, N) at locs (B,) whose
@@ -195,13 +192,14 @@ def _assemble(locs, weights, merge_tol, drop_tol, psd_rel: float,
               degree: int = 0, stacked: bool = False):
     """One measure per row of sorted locations (K, J) and weights
     (K, J, N, N), with one merge_tol and the row's drop_tol (a scalar or
-    (K,)), in one pass over all rows.
+    (K,)), in one pass over all rows whose array calls do not grow with K.
 
     A run of near-coincident neighbours in a row becomes one atom at their
     mean, holding their summed weight, in the slot of its first member
     (np.add.reduceat over the flattened rows, skipped when no row
     clusters).  Then the weights are Hermitized, negligible ones and the
-    merged-away slots dropped, and every kept weight is checked PSD at once
+    merged-away slots dropped (when every slot is kept, the rows are their
+    own atoms), and every kept weight is checked PSD at once
     (_first_non_psd, with the floor psd_rel times the row's largest kept
     |entry|, at least 1).  A non-PSD weight raises ValueError for the first
     in row order.  The measures are read-only views of the kept atoms.
@@ -214,12 +212,13 @@ def _assemble(locs, weights, merge_tol, drop_tol, psd_rel: float,
     False.
     """
     k, j = locs.shape
-    drop_tol = np.reshape(drop_tol, (-1, 1))
     reach = np.maximum(np.abs(locs), 1.0)
-    opens = np.ones((k, j), dtype=bool)
-    opens[:, 1:] = ~(locs[:, 1:] - locs[:, :-1]
-                     <= merge_tol * np.maximum(reach[:, 1:], reach[:, :-1]))
-    if not opens.all():
+    close = (locs[:, 1:] - locs[:, :-1]
+             <= merge_tol * np.maximum(reach[:, 1:], reach[:, :-1]))
+    merged = close.any()
+    if merged:
+        opens = np.ones((k, j), dtype=bool)
+        opens[:, 1:] = ~close
         starts = np.flatnonzero(opens)
         locs, weights = locs.copy(), weights.copy()
         flat = locs.reshape(k * j)
@@ -227,27 +226,32 @@ def _assemble(locs, weights, merge_tol, drop_tol, psd_rel: float,
                         / np.diff(np.append(starts, k * j)))
         flat = weights.reshape((k * j,) + weights.shape[2:])
         flat[starts] = np.add.reduceat(flat, starts, axis=0)
+        reach = np.maximum(np.abs(locs), 1.0)
     w = 0.5 * (weights + np.conj(np.swapaxes(weights, -1, -2)))
     peaks = np.abs(w).max(axis=(2, 3))
-    keep = opens & ((peaks * np.maximum(np.abs(locs), 1.0) ** degree
-                     > drop_tol) | ~(drop_tol > 0.0))
-    kept_locs, kept_w = read_only(locs[keep]), read_only(w[keep])
+    drop_tol = np.asarray(drop_tol).reshape(-1, 1)
+    keep = (peaks * reach ** degree > drop_tol) | ~(drop_tol > 0.0)
+    if merged:
+        keep &= opens
+    kept = keep.all()                   # then the rows are their own atoms
+    kept_locs = read_only(locs.reshape(-1) if kept else locs[keep])
+    kept_w = read_only(w.reshape((-1,) + w.shape[2:]) if kept else w[keep])
     if len(kept_w):
-        scale = np.where(keep, peaks, 0.0).max(axis=1, initial=1.0)
-        row = np.nonzero(keep)[0]
-        failure = _first_non_psd(kept_locs, kept_w, psd_rel * scale[row])
+        floor = psd_rel * peaks.max(axis=1, where=keep, initial=1.0)
+        failure = _first_non_psd(kept_locs, kept_w, floor[0] if k == 1
+                                 else floor[np.nonzero(keep)[0]])
         if failure:
             raise failure[1]
-    counts = keep.sum(axis=1)
-    ends = np.cumsum(counts).tolist()
+    ends = np.cumsum(keep.sum(axis=1)).tolist() if k > 1 else [len(kept_w)]
     measures = tuple(AtomicMatrixMeasure(locations=kept_locs[start:end],
                                          weights=kept_w[start:end])
                      for start, end in zip([0] + ends, ends))
     if not stacked:
         return measures
-    if len(kept_w) == k * j:
+    if kept:
         return measures, (locs, w), False
-    return measures, _stack(counts, kept_locs, kept_w, np.nan), True
+    return measures, _stack(np.diff([0] + ends), kept_locs, kept_w,
+                            np.nan), True
 
 
 @dataclasses.dataclass(frozen=True)
@@ -272,7 +276,7 @@ def _verifications(recovered, seq: MomentSequence,
     data = seq._stack
     devs = np.abs(recovered[:, :len(data)] - data).max(axis=(2, 3))
     worst = devs.max(axis=1)
-    scale = max(1.0, float(np.abs(data).max()))
+    scale = max(1.0, float(seq._reach[-1]))
     k = len(devs)
     return tuple(map(VerificationReport, map(tuple, devs.tolist()),
                      worst.tolist(), [scale] * k, [rel_tol] * k,

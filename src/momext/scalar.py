@@ -73,11 +73,12 @@ def _hankel(values: np.ndarray, order: int) -> np.ndarray:
 
 def _rank_scan(h: np.ndarray, tol: Tolerances) -> tuple[int, float]:
     """r for the section h = H_d, and the last smallest eigenvalue seen."""
+    # H_k holds s_0..s_{2k}: the first row and last column of h hold them all
+    reach = np.maximum.accumulate(np.abs(np.append(h[0], h[1:, -1])))
     r = -1
     for k in range(h.shape[0]):
-        lead = h[:k + 1, :k + 1]
-        emin = float(np.linalg.eigvalsh(lead)[0])
-        if emin <= tol.pos_rel * max_abs(lead):
+        emin = float(np.linalg.eigvalsh(h[:k + 1, :k + 1])[0])
+        if emin <= tol.pos_rel * reach[2 * k]:
             break
         r = k
     return r, emin
@@ -147,17 +148,17 @@ def solve_scalar_even(values, tol: Tolerances = DEFAULT) -> ScalarEvenResult:
         # H_{d+1} positive definite at the scale of H_d itself
         b = values[d + 1:]
         extra = float(b @ np.linalg.solve(h, b)) + emin
+        # its own verification covers the data, the first 2d+2 of 2d+3
         augmented = MomentSequence.scalar(np.append(values, extra))
-        measure = solve_truncated(augmented, tol=tol).measure
-        report = verify_moments(measure, _prefix(augmented, len(values)),
-                                rel_tol=1e-8)
+        solved = solve_truncated(augmented, tol=tol)
         return ScalarEvenResult(
             verdict=VERDICT_NONDEGENERATE, rank_index=r, null_coeffs=None,
-            measure=measure,
+            measure=solved.measure,
             certificate=f"all sections through order d = {d} are positive "
                         f"definite; witness built from the augmented moment "
                         f"s_{2 * d + 2} = {extra:.12g}",
-            max_deviation=report.max_deviation, augmented_moment=extra)
+            max_deviation=float(np.max(solved.verification.deviations[:-1])),
+            augmented_moment=extra)
 
     # Degenerate: the rank scan found H_{r+1} singular at pos_rel.  Factoring
     # at that same cutoff keeps the Gram space at dimension r+1 (defect 0,

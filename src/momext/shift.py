@@ -49,6 +49,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -112,13 +113,14 @@ def build_shift(space: GramSpace) -> ShiftOperator:
     dn = space.order * n
     m = space.ambient_dim
     coords = space.coords
-    action = np.zeros((m, dn), dtype=complex)
+    action = np.empty((m, dn), dtype=complex)
     if dn:
         action[:] = np.linalg.solve(coords[:dn, :dn], coords[n:dn + n]).T
         action[dn:, :dn - n] = 0.0          # zero in exact arithmetic
     top = action[:dn]
-    jacobi = 0.5 * (top + np.conj(top.T))
-    residual = float(np.abs(top - np.conj(top.T)).max(initial=0.0)
+    adjoint = np.conj(top.T)
+    jacobi = 0.5 * (top + adjoint)
+    residual = float(np.abs(top - adjoint).max(initial=0.0)
                      / max(float(np.abs(top).max(initial=0.0)), 1.0))
     return ShiftOperator(
         space=space, block_dim=n, order=space.order,
@@ -174,12 +176,12 @@ def deficiency_subspaces(shift: ShiftOperator) -> DeficiencyPair:
     e = shift.action[dn:]
     tail = shift.tail
     corner = shift.jacobi[dn - n:, dn - n:]
-    z0 = complex(np.trace(corner).real / n,
-                 np.sqrt(np.vdot(tail, tail).real / q))
+    z0 = complex(corner.trace().real / n,
+                 math.sqrt(np.vdot(tail, tail).real / q))
     points = np.array([np.conj(z0), z0])[:, None, None]
-    cols = np.linalg.solve(shift.jacobi - points * np.eye(dn),
-                           np.conj(e.T))                # (2, dN, q)
-    eye = np.eye(q)
+    eye = np.eye(dn)
+    cols = np.linalg.solve(shift.jacobi - points * eye, np.conj(e.T))
+    eye = eye[:q, :q]                                   # q <= N <= dN
     omega = z0 * eye + e @ cols[1]
     gram = eye + np.conj(cols[1].T) @ cols[1]
     if q == 1:          # G is its own eigenvalue, with eigenvector 1
@@ -187,12 +189,12 @@ def deficiency_subspaces(shift: ShiftOperator) -> DeficiencyPair:
     else:
         w, u = np.linalg.eigh(gram)
         root_inv = (u / np.sqrt(w)) @ np.conj(u.T)  # G^{-1/2}
-    k = cols[:, :n] @ root_inv
-    left, _, right = np.linalg.svd(np.conj(k[1].T) @ k[0])
     bases = np.empty((2, dn + q, q), dtype=complex)
     bases[:, :dn] = -cols
     bases[:, dn:] = eye
     bases = bases @ root_inv
+    k = bases[:, :n]                                    # K_plus, K_minus
+    left, _, right = np.linalg.svd(np.conj(k[1].T) @ k[0])
     return DeficiencyPair(basis_plus=read_only(bases[0]),
                           basis_minus=read_only(bases[1] @ left @ right),
                           defect=q, omega=read_only(omega),

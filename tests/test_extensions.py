@@ -45,7 +45,7 @@ ORACLE_ATOL = 1e-12
 
 
 def _operator_stage(seq):
-    space = factor_psd(build_block_hankel(seq, seq.max_hankel_order))
+    space = factor_psd(build_block_hankel(seq, (len(seq) - 1) // 2))
     shift = build_shift(space)
     pair = deficiency_subspaces(shift)
     return space, shift, pair

@@ -15,7 +15,8 @@ Worked cases frozen here (each checked by hand):
 
 Also: the rank scan, witnesses for clustered atoms, the rank-cutoff
 boundary between rank_rel and pos_rel, a randomized round-trip fuzz over
-genuine atomic measures and their degenerate truncations, and non-finite
+genuine atomic measures and their degenerate truncations, the witness's
+max_deviation read off the solve's own verification, and non-finite
 moments refused on entry.
 """
 
@@ -24,9 +25,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momext import InsufficientMoments, compute_rank_r, solve_scalar_even
+from momext import (InsufficientMoments, MomentSequence, compute_rank_r,
+                    solve_scalar_even, verify_moments)
 from momext.scalar import (VERDICT_DEGENERATE, VERDICT_INFEASIBLE,
-                           VERDICT_NONDEGENERATE, VERDICT_ZERO)
+                           VERDICT_NONDEGENERATE, VERDICT_ZERO, _prefix)
 
 RNG_SEED = 20260806
 N_FUZZ = 200
@@ -190,6 +192,31 @@ def test_fuzz_roundtrip_over_random_atomic_measures():
             _assert_measure_matches(result, values)
     # All three populations were actually exercised.
     assert min(verdicts.values()) > 10
+
+
+def test_witness_deviation_is_read_off_the_solve_verification():
+    # The nondegenerate witness is verified once, by the solve of the
+    # 2d+3 augmented moments; its max_deviation is the largest of the
+    # first 2d+2 deviations of that report, bit for bit what
+    # verify_moments gives on the data prefix of the augmented sequence.
+    rng = np.random.default_rng(RNG_SEED + 5)
+    seen = 0
+    for _ in range(120):
+        d = int(rng.integers(0, 7))
+        k = d + 1 + int(rng.integers(1, 4))
+        locs = rng.uniform(-3.0, 3.0, k)
+        values = _scalar_moments(locs, rng.uniform(0.1, 2.0, k), 2 * d + 2)
+        result = solve_scalar_even(values)
+        if result.verdict != VERDICT_NONDEGENERATE:
+            continue
+        seen += 1
+        augmented = MomentSequence.scalar(
+            np.append(values, result.augmented_moment))
+        report = verify_moments(result.measure,
+                                _prefix(augmented, len(values)), 1e-8)
+        assert result.max_deviation == report.max_deviation, (d, values)
+        assert type(result.max_deviation) is float
+    assert seen > 60
 
 
 def test_degenerate_verdict_is_unique_to_machine_precision():

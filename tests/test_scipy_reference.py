@@ -43,7 +43,7 @@ def test_frame_matches_scipy_cholesky_and_triangular_solves():
     worst = 0.0
     for _, ws in _draws():
         n, dn = ws.shift.block_dim, ws.shift.dom_dim
-        h = ws.space.gram()
+        h = ws.space.coords @ np.conj(ws.space.coords.T)
         lower = scipy_linalg.cholesky(h[:dn, :dn], lower=True)
         y = np.conj(scipy_linalg.solve_triangular(
             lower, h[:dn, dn:], lower=True).T)
