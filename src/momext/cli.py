@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import csv
 import math
+import os
 import sys
 
 import numpy as np
@@ -383,5 +384,20 @@ def main(argv=None) -> int:
         return EXIT_INFEASIBLE
 
 
+def run() -> None:
+    """The entry of ``momext`` and ``python -m momext.cli``: run main, flush
+    stdout and stderr, and exit with main's code, skipping the interpreter
+    teardown that no caller sees.  A flush that raises (a closed pipe) takes
+    the ordinary exit, whose final flush reports it as it always has."""
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:
+                stream.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -22,10 +22,11 @@ import functools
 import numpy as np
 
 from .errors import InsufficientMoments
-from .linalg import as_complex_matrix, hermitize, read_only
+from .linalg import as_complex_matrix, hermitize, max_abs, read_only
 from .tolerances import DEFAULT, Tolerances
 
-#: Hermitian-symmetry defect allowed in a moment, relative to its scale
+#: Hermitian-symmetry defect allowed in S_n, relative to the largest |entry|
+#: of S_0..S_n (the scale its Hankel sections are checked on)
 HERM_REL = 1e-10
 
 
@@ -48,7 +49,8 @@ class MomentSequence:
             i = np.flatnonzero(~np.isfinite(stack).all(axis=(1, 2)))[0]
             raise ValueError(f"moment S_{i} has a non-finite entry")
         herm = np.conj(np.swapaxes(stack, 1, 2))
-        scale = np.maximum(np.abs(stack).max(axis=(1, 2), initial=0.0), 1.0)
+        scale = np.maximum.accumulate(
+            np.abs(stack).max(axis=(1, 2), initial=0.0))
         defect = np.abs(stack - herm).max(axis=(1, 2), initial=0.0)
         bad = np.flatnonzero(defect > HERM_REL * scale)
         if bad.size:
@@ -101,11 +103,13 @@ def _stack_moments(arrays) -> np.ndarray:
     if not mats:
         raise InsufficientMoments("a moment sequence needs at least S_0")
     dim = mats[0].shape[0]
+    scale = 0.0
     for i, m in enumerate(mats):
         if m.shape != (dim, dim):
             raise ValueError(f"moment S_{i} has shape {m.shape}, "
                              f"expected ({dim}, {dim})")
-        hermitize(m, HERM_REL, f"moment S_{i}")
+        scale = max(scale, max_abs(m))
+        hermitize(m, HERM_REL, scale, f"moment S_{i}")
     return np.array(mats)
 
 

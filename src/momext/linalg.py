@@ -28,10 +28,10 @@ def max_abs(a) -> float:
     return float(np.abs(a).max())
 
 
-def hermitize(a, rel_tol: float, what="matrix") -> np.ndarray:
-    """Return (A + A^H)/2 after checking the symmetry defect is small."""
+def hermitize(a, rel_tol: float, scale: float, what="matrix") -> np.ndarray:
+    """Return (A + A^H)/2 after checking the symmetry defect is at most
+    rel_tol * scale."""
     a = as_complex_matrix(a, what)
-    scale = max(max_abs(a), 1.0)
     defect = max_abs(a - np.conj(a.T))          # the largest |A - A^H|
     if defect > rel_tol * scale:
         raise ValueError(f"{what} is not Hermitian: defect {defect:.3e} exceeds "

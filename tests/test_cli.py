@@ -9,6 +9,8 @@ across repeated runs on the same input.
 from __future__ import annotations
 
 import json
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -499,6 +501,82 @@ def test_console_script_is_installed(tmp_path):
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["solvable"] is True
+
+
+# The files of the console-script exit-code table in CI.
+CI_FILES = {
+    "problem.json": PROBLEM_101,
+    "lead.json": LEADING_FAILS,
+    "trail.json": TRAILING_FAILS,
+    "measure.json": {"atoms": [{"t": -1, "W": [[0.5]]},
+                               {"t": 1, "W": [[0.5]]}]},
+    "heavy.json": {"atoms": [{"t": -1, "W": [[0.75]]},
+                             {"t": 1, "W": [[0.75]]}]},
+}
+
+
+def _spawn(cwd, argv, **kw):
+    """python -m momext.cli in a child, with the momext under test on its
+    path and stdout block-buffered, as under a pipe."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    src = str(pathlib.Path(momext.cli.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "momext.cli", *argv],
+                          cwd=cwd, env=env, **kw)
+
+
+@pytest.mark.parametrize("code, argv", [
+    (0, ["check", "problem.json"]),
+    (2, ["check", "trail.json"]),
+    (3, ["check", "lead.json"]),
+    (0, ["solve", "problem.json"]),
+    (0, ["solve", "problem.json", "--theta", "1.0"]),
+    (0, ["solve", "problem.json", "--grid=-2:2:0.5", "--csv", "cells.csv"]),
+    (0, ["sweep", "problem.json", "--theta-grid", "8"]),
+    (0, ["scalar-even", "[1, 1, 1, 1]"]),
+    (2, ["scalar-even", "[1, 1, 1, 2]"]),
+    (0, ["verify", "problem.json", "measure.json"]),
+    (2, ["verify", "problem.json", "heavy.json"]),
+    (1, ["check", "malformed.json"]),
+])
+def test_the_program_exits_as_main_returns(tmp_path, capsys, monkeypatch,
+                                           code, argv):
+    # The program ends by os._exit once its output is flushed: its exit
+    # code, stdout, stderr and CSV file are those of an in-process main()
+    # call, which returns.
+    for name, payload in CI_FILES.items():
+        _write(tmp_path, name, payload)
+    (tmp_path / "malformed.json").write_text("{not json", encoding="utf-8")
+    child = _spawn(tmp_path, argv, capture_output=True, text=True)
+    csv_path = tmp_path / "cells.csv"
+    child_csv = csv_path.read_text() if "--csv" in argv else None
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert child.returncode == code
+    assert child.stdout == captured.out and child.stderr == captured.err
+    if child_csv is not None:
+        assert child_csv == csv_path.read_text()
+        assert child_csv.count("\n") == 9          # a header and 8 cells
+
+
+def test_a_closed_stdout_pipe_keeps_the_ordinary_exit(tmp_path):
+    # The buffered line meets a pipe that nobody reads: the flush fails,
+    # and the interpreter's own exit reports it with code 120, as it did
+    # before the program ended by os._exit.  Exit 0 would lose the output
+    # without a word.
+    _write(tmp_path, "problem.json", PROBLEM_101)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = _spawn(tmp_path, ["check", "problem.json"], stdout=write,
+                       stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert child.returncode == 120
+    assert child.stderr.startswith("Exception ignored")
+    assert child.stderr.splitlines()[-1].startswith("BrokenPipeError")
 
 
 def test_the_package_runs_without_scipy():

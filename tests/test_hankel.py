@@ -6,7 +6,8 @@ Checked here:
   semidefiniteness of the order d section, with hand-checked eigenvalues,
 - moments of genuine atomic measures always pass, and targeted corruptions
   fail on the correct section,
-- input validation (Hermitian moments, odd count, shape agreement), each
+- input validation (Hermitian S_n, relative to the largest entry of
+  S_0..S_n and so in any units; odd count, shape agreement), each
   error naming the first offending moment, and the stored moments being
   exactly the symmetrized inputs, whether they come as a list or as one
   ready (count, N, N) array (which is left as it was), and kept stacked
@@ -72,6 +73,46 @@ SKEW = [[1, 1], [0, 1]]
 def test_sequence_errors_name_the_first_offending_moment(arrays, message):
     with pytest.raises((ValueError, InsufficientMoments), match=message):
         MomentSequence.from_arrays(arrays)
+
+
+# 80% relative asymmetry, at any scale
+TINY_SKEW = np.array([[0.0, 0.5], [0.1, 0.0]])
+UNIT_SCALE_DECISIONS = [
+    ([np.eye(2), TINY_SKEW, np.eye(2)], False),
+    ([np.eye(2), np.eye(2) + 1e-9 * np.triu(np.ones((2, 2)), 1), np.eye(2)],
+     False),
+    ([np.eye(2), np.eye(2) + 1e-11 * np.triu(np.ones((2, 2)), 1), np.eye(2)],
+     True),
+    # a growing sequence: a later large moment does not excuse S_0
+    ([np.eye(2) + TINY_SKEW, np.eye(2), 1e12 * np.eye(2)], False),
+    # moments that do not stack: the Hermitian check of S_0 comes first,
+    # on its own scale, before the shape of a large later moment
+    ([np.eye(2) + TINY_SKEW, 1e12 * np.eye(3)], False),
+]
+
+
+@pytest.mark.parametrize("c", [1.0, 1e-12, 1e-6, 1e6, 1e12])
+def test_the_hermitian_check_does_not_depend_on_units(c):
+    # The defect of S_n is measured against the largest |entry| of
+    # S_0..S_n, so S_n -> c S_n decides as at c = 1.
+    for arrays, accepted in UNIT_SCALE_DECISIONS:
+        scaled = [c * a for a in arrays]
+        if accepted:
+            MomentSequence.from_arrays(scaled)
+        else:
+            with pytest.raises(ValueError, match="is not Hermitian"):
+                MomentSequence.from_arrays(scaled)
+
+
+def test_roundoff_sized_odd_moments_of_a_symmetric_measure_pass(
+        seq_identity_2):
+    # The odd moments of a measure symmetric about 0 are roundoff on the
+    # scale of the sequence, and no more Hermitian than roundoff is.
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    arrays = [np.asarray(m) + (n % 2) * 1e-16 * skew
+              for n, m in enumerate(seq_identity_2.moments)]
+    seq = MomentSequence.from_arrays(arrays)
+    assert np.array_equal(seq[1], 0.5e-16 * (skew + skew.T))
 
 
 def test_sequence_stores_each_moment_symmetrized():
