@@ -22,7 +22,8 @@ momext.cli.
 from .errors import (DependentDomain, DimensionMismatch, InsufficientMoments,
                      MomentProblemError, NormViolation, NotAdmissible,
                      NotPSD, ProblemFileError, SingularSystem)
-from .extensions import (ExtensionParameter, SelfAdjointExtension,
+from .extensions import (AdmissibilityReport, ExtensionParameter,
+                         SelfAdjointExtension, is_admissible,
                          pencil_spectral_radius, selfadjoint_extension)
 from .gram import GramSpace, factor_psd
 from .hankel import (BlockHankel, ConditionReport, MomentSequence,
@@ -35,10 +36,9 @@ from .measures import (AtomicMatrixMeasure, ContourRecovery, PerronResult,
 from .pipeline import (SolveResult, SweepEntry, SweepResult, Workspace,
                        default_parameter, prepare, solve_truncated,
                        theta_sweep)
-from .scalar import ScalarEvenResult, compute_rank_r, solve_scalar_even
-from .shift import (AdmissibilityReport, DeficiencyPair, ForbiddenOperator,
-                    ShiftOperator, build_shift, deficiency_subspaces,
-                    forbidden_operator, is_admissible)
+from .scalar import ScalarEvenResult, solve_scalar_even
+from .shift import (DeficiencyPair, ForbiddenOperator, ShiftOperator,
+                    build_shift, deficiency_subspaces, forbidden_operator)
 from .tolerances import DEFAULT, Tolerances
 
 __version__ = "0.1.0"
@@ -56,7 +56,7 @@ __all__ = [
     "SweepEntry", "SweepResult", "Tolerances", "VerificationReport",
     "Workspace", "build_block_hankel", "build_shift",
     "check_truncated_conditions",
-    "compute_rank_r", "default_parameter",
+    "default_parameter",
     "deficiency_subspaces", "factor_psd",
     "forbidden_operator", "is_admissible", "measure_distance",
     "moments_from_transform", "pencil_spectral_radius",

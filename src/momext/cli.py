@@ -20,9 +20,10 @@ Subcommands:
 Every subcommand prints exactly one line of canonical JSON on stdout, so
 identical inputs give byte-identical output.  Exit codes: 0 success (problem
 solvable, verification passed, sequence not infeasible); 1 malformed input,
-a flag value out of range or a non-finite number in a file included; 2
-infeasible data, failed verification, or a construction error; 3 the strict
-positivity condition on the leading section failed.
+a flag value out of range, a non-finite number in a file or an unwritable
+--csv file included; 2 infeasible data, failed verification, or a
+construction error; 3 the leading section not positive definite; 120 the
+output line not written (stdout closed, full, or a pipe nobody reads).
 """
 
 from __future__ import annotations
@@ -53,6 +54,11 @@ EXIT_OK = 0
 EXIT_MALFORMED = 1
 EXIT_INFEASIBLE = 2
 EXIT_NOT_POSITIVE = 3
+EXIT_UNWRITTEN = 120
+
+
+class _OutputError(Exception):
+    """stdout is closed or refused the output line."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -111,8 +117,9 @@ def _number(convert, low=None):
 
 
 def _parse_grid(text: str):
-    """START:STOP:WIDTH, three finite numbers whose grid holds at least one
-    and at most measures.MAX_CELLS complete cells."""
+    """START:STOP:WIDTH, three numbers whose grid holds at least one and at
+    most measures.MAX_CELLS complete cells (measures._cell_count, the rule
+    of the library, which refuses a non-finite bound too)."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ProblemFileError('--grid expects "START:STOP:WIDTH"')
@@ -120,10 +127,6 @@ def _parse_grid(text: str):
         start, stop, width = (float(p) for p in parts)
     except ValueError:
         raise ProblemFileError(f"--grid: {text!r} has a non-numeric part") from None
-    if not all(map(math.isfinite, (start, stop, width))):
-        raise ProblemFileError(f"--grid: {text!r} has a non-finite part")
-    if not (stop > start and width > 0.0):
-        raise ProblemFileError("--grid needs STOP > START and WIDTH > 0")
     try:
         _cell_count(start, stop, width)
     except ValueError as exc:
@@ -155,24 +158,35 @@ def _prepare_with_parameter(args, seq, file_spec, tol):
 
 
 def _write_weight_csv(path: str, xs, mats, block_dim: int) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        header = ["x"]
-        for i in range(block_dim):
-            for j in range(block_dim):
-                header += [f"W[{i}][{j}].re", f"W[{i}][{j}].im"]
-        writer.writerow(header)
-        for x, mat in zip(xs, mats):
-            row = [format(float(x), ".17g")]
-            for i in range(block_dim):
-                for j in range(block_dim):
-                    z = complex(mat[i, j])
-                    row += [format(z.real, ".17g"), format(z.imag, ".17g")]
-            writer.writerow(row)
+    header = ["x"]
+    for i in range(block_dim):
+        for j in range(block_dim):
+            header += [f"W[{i}][{j}].re", f"W[{i}][{j}].im"]
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for x, mat in zip(xs, mats):
+                row = [format(float(x), ".17g")]
+                for i in range(block_dim):
+                    for j in range(block_dim):
+                        z = complex(mat[i, j])
+                        row += [format(z.real, ".17g"),
+                                format(z.imag, ".17g")]
+                writer.writerow(row)
+    except OSError as exc:
+        raise ProblemFileError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(obj) -> None:
-    print(dumps_canonical(obj))
+    """Print obj as one line of canonical JSON; _OutputError when stdout is
+    closed (print would drop the line without a word) or refuses it."""
+    if sys.stdout is None:
+        raise _OutputError("cannot write output: stdout is closed")
+    try:
+        print(dumps_canonical(obj))
+    except OSError as exc:
+        raise _OutputError(f"cannot write output: {exc}") from None
 
 
 # --------------------------------------------------------------- subcommands
@@ -382,20 +396,28 @@ def main(argv=None) -> int:
     except MomentProblemError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except _OutputError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_UNWRITTEN
 
 
 def run() -> None:
     """The entry of ``momext`` and ``python -m momext.cli``: run main, flush
     stdout and stderr, and exit with main's code, skipping the interpreter
-    teardown that no caller sees.  A flush that raises (a closed pipe) takes
-    the ordinary exit, whose final flush reports it as it always has."""
+    teardown that no caller sees.  A closed pipe at the flush takes the
+    ordinary exit, whose final flush reports it as it always has (code
+    120); any other flush that fails is reported in one error line, with
+    that code."""
     code = main()
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:
                 stream.flush()
-    except (OSError, ValueError):
+    except (BrokenPipeError, ValueError):
         sys.exit(code)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        code = EXIT_UNWRITTEN
     os._exit(code)
 
 

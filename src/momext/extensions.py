@@ -14,21 +14,22 @@ resolvent
     R(lam) = (G - lam)^{-1}      for Im lam > 0
 
 is that of the solution, with R(conj lam) = R(lam)^H on the lower
-half-plane.  G costs one q x q solve, and none for the default V = -X,
-whose block is B(-X) = Re Omega = (Omega + Omega^H) / 2 in closed form
-(so its G is exactly Hermitian); nothing m x m is inverted.
+half-plane.  Every route to G passes one admissibility gate,
+screen_parameter.  G costs one q x q solve, and none for the default
+V = -X, whose block is B(-X) = Re Omega = (Omega + Omega^H) / 2 in closed
+form (so its G is exactly Hermitian); nothing m x m is inverted.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 
 from .errors import DimensionMismatch, NormViolation, NotAdmissible
 from .linalg import as_complex_matrix, max_abs, read_only, singular_values
-from .shift import (AdmissibilityReport, DeficiencyPair, ForbiddenOperator,
-                    ShiftOperator, admissibility_reports)
+from .shift import DeficiencyPair, ForbiddenOperator, ShiftOperator
 from .tolerances import DEFAULT, Tolerances
 
 KIND_ISOMETRIC = "isometric"
@@ -97,40 +98,104 @@ class ExtensionParameter:
 
 def _check_singular_values(kind: str, sv: np.ndarray, tol: Tolerances):
     """NormViolation unless the singular values (of one matrix, or of each
-    in a stack) are at most 1 + norm_abs and, for an isometric kind, within
-    norm_abs of 1."""
-    if sv[..., 0].max() > 1.0 + tol.norm_abs:
+    in a stack, which may be empty) are at most 1 + norm_abs and, for an
+    isometric kind, within norm_abs of 1."""
+    norm = max_abs(sv[..., :1])
+    if norm > 1.0 + tol.norm_abs:
         raise NormViolation(
-            f"parameter norm {sv[..., 0].max():.12g} exceeds 1 + "
-            f"{tol.norm_abs:.1e}")
+            f"parameter norm {norm:.12g} exceeds 1 + {tol.norm_abs:.1e}")
     if kind == KIND_ISOMETRIC and max_abs(sv - 1.0) > tol.norm_abs:
         raise NormViolation(
             f"isometric parameter has singular values off 1 by "
             f"{max_abs(sv - 1.0):.3e}")
 
 
-def screen_parameter(shift: ShiftOperator, pair: DeficiencyPair,
-                     parameter: ExtensionParameter,
+@dataclasses.dataclass(frozen=True)
+class AdmissibilityReport:
+    """Outcome of the admissibility test for a constant parameter matrix.
+
+    margin is the smallest singular value of C_minus V - C_plus (in
+    [0, 2]); None when the defect is zero (then every parameter is
+    vacuously admissible).  forbidden_gap is the smallest singular value
+    of V - X when the forbidden operator was supplied.
+    """
+
+    admissible: bool
+    margin: float | None
+    parameter_norm: float
+    forbidden_gap: float | None
+    coincides_with_forbidden: bool
+    borderline: bool
+
+
+def _screen(kind: str, stack: np.ndarray, pair: DeficiencyPair,
+            forbidden: ForbiddenOperator | None, tol: Tolerances):
+    """The (K,) admissible mask and the K admissibility reports of a
+    (K, q, q) stack of parameter matrices of one kind, from one batched
+    singular value call over the V, the C_minus V - C_plus and (with the
+    forbidden operator) the V - X of the whole stack, after
+    _check_singular_values has passed the V.
+
+    The flags are decided over the whole stack as arrays, and each report
+    is built from one tolist() per column: the same rule, value for value,
+    as deciding each row on its own."""
+    k, q = len(stack), pair.defect
+    if not q:
+        return np.ones(k, dtype=bool), (AdmissibilityReport(
+            admissible=True, margin=None, parameter_norm=0.0,
+            forbidden_gap=None, coincides_with_forbidden=False,
+            borderline=False),) * k
+    plus, minus = pair.complement_rows
+    parts = [stack, minus @ stack - plus]
+    if forbidden is not None:
+        parts.append(stack - forbidden.matrix)
+    sv = singular_values(np.concatenate(parts))
+    _check_singular_values(kind, sv[:k], tol)
+    margins = sv[k:2 * k, -1]
+    admissible = margins > tol.adm_abs
+    borderline = admissible & (margins <= 1e3 * tol.adm_abs)
+    if forbidden is not None:
+        gaps = sv[2 * k:, -1]
+        coincides = (gaps <= tol.adm_abs).tolist()
+        gaps = gaps.tolist()
+    else:
+        gaps, coincides = itertools.repeat(None), itertools.repeat(False)
+    return admissible, tuple(map(
+        AdmissibilityReport, admissible.tolist(), margins.tolist(),
+        sv[:k, 0].tolist(), gaps, coincides, borderline.tolist()))
+
+
+def is_admissible(matrix: np.ndarray, shift: ShiftOperator,
+                  pair: DeficiencyPair,
+                  forbidden: ForbiddenOperator | None = None,
+                  tol: Tolerances = DEFAULT) -> AdmissibilityReport:
+    """Decide whether a constant q x q parameter matrix is admissible.
+
+    Anything but a q x q matrix raises ValueError, and NormViolation comes
+    when it is not a contraction (operator norm above 1 + norm_abs);
+    isometry vs strict contraction is the caller's business.
+    """
+    q = pair.defect
+    v = np.asarray(matrix, dtype=complex)
+    if v.shape != (q, q):
+        raise ValueError(f"parameter must be {q} x {q}, got {v.shape}")
+    return _screen(KIND_CONTRACTION, v[None], pair, forbidden, tol)[1][0]
+
+
+def screen_parameter(pair: DeficiencyPair, parameter: ExtensionParameter,
                      forbidden: ForbiddenOperator | None = None,
                      tol: Tolerances = DEFAULT):
-    """The checked matrix of a parameter (constant_matrix) and its
-    admissibility report (is_admissible), both from the one singular value
-    call of admissibility_reports."""
+    """The one admissibility gate: the checked matrix of a parameter
+    (constant_matrix) and its admissibility report, from the one singular
+    value call of _screen.  An inadmissible V (sigma_min(C_minus V - C_plus)
+    at most adm_abs) is rejected with its margin as NotAdmissible."""
     vmat = parameter._shaped(pair.defect)
-    _, reports = _screen_stack(parameter.kind, vmat[None], pair, forbidden,
-                               tol)
-    return vmat, reports[0]
-
-
-def _screen_stack(kind: str, stack: np.ndarray, pair: DeficiencyPair,
-                  forbidden: ForbiddenOperator | None, tol: Tolerances):
-    """The (K,) admissible mask and the K reports of a (K, q, q) stack of
-    parameter matrices of one kind, after their norm and isometry checks."""
-    sv, admissible, reports = admissibility_reports(stack, pair, forbidden,
-                                                    tol)
-    if pair.defect:
-        _check_singular_values(kind, sv, tol)
-    return admissible, reports
+    _, (report,) = _screen(parameter.kind, vmat[None], pair, forbidden, tol)
+    if not report.admissible:
+        raise NotAdmissible(f"parameter is not admissible (margin "
+                            f"{report.margin:.3e}, floor {tol.adm_abs:.1e})",
+                            margin=report.margin)
+    return vmat, report
 
 
 def _generator(shift: ShiftOperator, pair: DeficiencyPair,
@@ -171,34 +236,6 @@ def _solved_block(pair: DeficiencyPair, vmat: np.ndarray) -> np.ndarray:
         np.conj(np.swapaxes(num, -1, -2))), -1, -2))
 
 
-def quasi_extension(shift: ShiftOperator, pair: DeficiencyPair,
-                    parameter: ExtensionParameter,
-                    tol: Tolerances = DEFAULT) -> np.ndarray:
-    """G, the m x m matrix of the quasi-extension A_V (Hermitian iff V is
-    admissible and isometric).
-
-    The one admissibility gate of the construction: an inadmissible V
-    (sigma_min(C_minus V - C_plus) at most adm_abs) is rejected with its
-    margin as NotAdmissible before B(V) is solved for.
-    """
-    return _quasi_extension(shift, pair,
-                            *screen_parameter(shift, pair, parameter, None,
-                                              tol), tol)
-
-
-def _quasi_extension(shift: ShiftOperator, pair: DeficiencyPair,
-                     vmat: np.ndarray, report: AdmissibilityReport,
-                     tol: Tolerances) -> np.ndarray:
-    """quasi_extension for a parameter matrix and its report from
-    screen_parameter."""
-    if not report.admissible:
-        margin = "n/a" if report.margin is None else f"{report.margin:.3e}"
-        raise NotAdmissible(f"parameter is not admissible (margin "
-                            f"{margin}, floor {tol.adm_abs:.1e})",
-                            margin=report.margin)
-    return _generator(shift, pair, vmat)
-
-
 @dataclasses.dataclass(frozen=True, eq=False)
 class SelfAdjointExtension:
     """A_V for an admissible isometric V, as an m x m Hermitian matrix.
@@ -218,20 +255,18 @@ def selfadjoint_extension(shift: ShiftOperator, pair: DeficiencyPair,
     """Build A_V for an admissible isometric parameter."""
     if parameter.kind != KIND_ISOMETRIC:
         raise ValueError("self-adjoint extensions need an isometric parameter")
-    return _selfadjoint_extension(
-        shift, pair, parameter,
-        *screen_parameter(shift, pair, parameter, None, tol), tol)
+    vmat, _ = screen_parameter(pair, parameter, None, tol)
+    return _selfadjoint_extension(shift, pair, parameter, vmat)
 
 
 def _selfadjoint_extension(shift: ShiftOperator, pair: DeficiencyPair,
-                           parameter: ExtensionParameter, vmat: np.ndarray,
-                           report: AdmissibilityReport,
-                           tol: Tolerances) -> SelfAdjointExtension:
-    """selfadjoint_extension for an isometric parameter whose matrix and
-    report screen_parameter has already given: G from the admissibility
-    gate, made Hermitian by _hermitize.  B(-X) = Re Omega is Hermitian as
-    written, so V = -X skips it: its residual is J_0's, bit for bit."""
-    g = _quasi_extension(shift, pair, vmat, report, tol)
+                           parameter: ExtensionParameter,
+                           vmat: np.ndarray) -> SelfAdjointExtension:
+    """selfadjoint_extension for an isometric parameter whose matrix has
+    already passed screen_parameter: G made Hermitian by _hermitize.
+    B(-X) = Re Omega is Hermitian as written, so V = -X skips it: its
+    residual is J_0's, bit for bit."""
+    g = _generator(shift, pair, vmat)
     if (vmat == -np.conj(pair.rotation.T)).all():
         residual = shift.herm_residual
     else:

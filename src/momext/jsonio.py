@@ -41,9 +41,8 @@ from .errors import ProblemFileError
 from .hankel import ConditionReport, MomentSequence
 from .measures import (AtomicMatrixMeasure, ContourRecovery, PerronResult,
                        VerificationReport)
-from .extensions import ExtensionParameter
+from .extensions import AdmissibilityReport, ExtensionParameter
 from .scalar import ScalarEvenResult
-from .shift import AdmissibilityReport
 from .tolerances import Tolerances
 
 

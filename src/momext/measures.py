@@ -43,7 +43,7 @@ from .errors import SingularSystem
 from .hankel import MomentSequence
 from .linalg import max_abs, read_only
 from .extensions import (KIND_ISOMETRIC, ExtensionParameter,
-                         SelfAdjointExtension, _quasi_extension,
+                         SelfAdjointExtension, _generator,
                          _selfadjoint_extension, screen_parameter)
 from .shift import DeficiencyPair, ShiftOperator
 from .tolerances import DEFAULT, Tolerances
@@ -352,17 +352,16 @@ class StieltjesTransform:
         return self.shift.space.coords[:self.shift.block_dim]   # (N, m)
 
     @functools.cached_property
-    def _screened(self):
-        """The checked parameter matrix and its admissibility report."""
-        return screen_parameter(self.shift, self.pair, self.parameter, None,
-                                self.tol)
+    def _vmat(self) -> np.ndarray:
+        """The parameter matrix, through screen_parameter; an inadmissible
+        parameter raises NotAdmissible (on every access: nothing is kept
+        then)."""
+        return screen_parameter(self.pair, self.parameter, None, self.tol)[0]
 
     @functools.cached_property
-    def _generator(self) -> np.ndarray:
-        """G; an inadmissible parameter raises NotAdmissible (on every
-        access: nothing is kept then)."""
-        return _quasi_extension(self.shift, self.pair, *self._screened,
-                                self.tol)
+    def _g(self) -> np.ndarray:
+        """G of the screened parameter."""
+        return _generator(self.shift, self.pair, self._vmat)
 
     def __call__(self, lam: complex) -> np.ndarray:
         lam = complex(lam)
@@ -387,7 +386,7 @@ class StieltjesTransform:
         n = self.shift.block_dim
         xn = self._first_coords()
         out = np.empty((lams.size, n, n), dtype=complex)
-        g = self._generator
+        g = self._g
         eye = np.eye(len(g))
         rhs = xn.T.copy()                                  # (m, N)
         for start in range(0, lams.size, _EVAL_CHUNK):
@@ -407,11 +406,11 @@ class StieltjesTransform:
 
 def _screened_transform(shift: ShiftOperator, pair: DeficiencyPair,
                         parameter: ExtensionParameter, vmat: np.ndarray,
-                        report, tol: Tolerances) -> StieltjesTransform:
-    """The transform of a parameter whose matrix and report screen_parameter
-    has already given, so that it is not screened again."""
+                        tol: Tolerances) -> StieltjesTransform:
+    """The transform of a parameter whose matrix screen_parameter has
+    already passed, so that it is not screened again."""
     transform = StieltjesTransform(shift, pair, parameter, tol)
-    transform._screened = vmat, report
+    transform._vmat = vmat
     return transform
 
 
@@ -431,7 +430,7 @@ def moments_from_transform(transform: StieltjesTransform,
     multiplication.  An inadmissible parameter is rejected with
     NotAdmissible.
     """
-    g = transform._generator
+    g = transform._g
     xn = transform._first_coords()
     h = xn.T.copy()                                     # columns G^n x_k
     moments = []
@@ -508,7 +507,7 @@ def _residue_cells(transform: StieltjesTransform,
     midpoints lifted by one cell width.
     """
     tol = transform.tol
-    g = transform._generator
+    g = transform._g
     xn = transform._first_coords()                      # (N, m)
     try:
         mu, z = np.linalg.eig(g)
@@ -558,8 +557,7 @@ def perron_inversion(transform: StieltjesTransform, start: float, stop: float,
     if transform.parameter.kind == KIND_ISOMETRIC:
         tol = transform.tol
         ext = _selfadjoint_extension(transform.shift, transform.pair,
-                                     transform.parameter,
-                                     *transform._screened, tol)
+                                     transform.parameter, transform._vmat)
         return _atom_cells(spectral_measure(ext, transform.shift, tol),
                            edges, tol)
     return _residue_cells(transform, edges)

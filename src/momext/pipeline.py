@@ -21,7 +21,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import NotAdmissible, NotPSD
+from .errors import NotPSD
 from .gram import GramSpace, _factor
 from .hankel import ConditionReport, MomentSequence, _check
 from .linalg import read_only
@@ -31,13 +31,12 @@ from .measures import (AtomicMatrixMeasure, ContourRecovery,
                        _spectral_atoms, _verifications,
                        moments_from_transform, spectral_measure,
                        verify_moments, verify_recovered_moments)
-from .extensions import (KIND_ISOMETRIC, ExtensionParameter,
-                         SelfAdjointExtension, _generator, _hermitize,
-                         _screen_stack, _selfadjoint_extension,
+from .extensions import (KIND_ISOMETRIC, AdmissibilityReport,
+                         ExtensionParameter, SelfAdjointExtension, _generator,
+                         _hermitize, _screen, _selfadjoint_extension,
                          screen_parameter)
-from .shift import (AdmissibilityReport, DeficiencyPair, ForbiddenOperator,
-                    ShiftOperator, build_shift, deficiency_subspaces,
-                    forbidden_operator)
+from .shift import (DeficiencyPair, ForbiddenOperator, ShiftOperator,
+                    build_shift, deficiency_subspaces, forbidden_operator)
 from .tolerances import DEFAULT, Tolerances
 
 #: diagnostic spectral points sampled for transform-route results
@@ -106,12 +105,7 @@ def default_parameter(ws: Workspace, tol: Tolerances = DEFAULT):
     screen still measures its norm, isometry, margin and gap."""
     parameter = ExtensionParameter(kind=KIND_ISOMETRIC,
                                    matrix=read_only(-ws.forbidden.matrix))
-    _, report = screen_parameter(ws.shift, ws.pair, parameter, ws.forbidden,
-                                 tol)
-    if not report.admissible:
-        raise NotAdmissible(f"the default parameter -X is not admissible "
-                            f"(margin {report.margin:.3e}); supply one "
-                            f"explicitly", margin=report.margin)
+    _, report = screen_parameter(ws.pair, parameter, ws.forbidden, tol)
     return parameter, report, None
 
 
@@ -159,12 +153,8 @@ def _solve(ws: Workspace, parameter: ExtensionParameter | None,
         parameter, report, theta = default_parameter(ws, tol)
         vmat = parameter.matrix
     else:
-        vmat, report = screen_parameter(ws.shift, ws.pair, parameter,
-                                        ws.forbidden, tol)
-        if not report.admissible:
-            raise NotAdmissible(
-                f"supplied parameter is not admissible "
-                f"(margin {report.margin:.3e})", margin=report.margin)
+        vmat, report = screen_parameter(ws.pair, parameter, ws.forbidden,
+                                        tol)
 
     common = dict(condition=ws.condition, defect=ws.defect,
                   gram_rank=ws.space.ambient_dim,
@@ -173,16 +163,14 @@ def _solve(ws: Workspace, parameter: ExtensionParameter | None,
                   admissibility=report, workspace=ws)
 
     if parameter.kind == KIND_ISOMETRIC:
-        ext = _selfadjoint_extension(ws.shift, ws.pair, parameter, vmat,
-                                     report, tol)
+        ext = _selfadjoint_extension(ws.shift, ws.pair, parameter, vmat)
         measure = spectral_measure(ext, ws.shift, tol)
         verification = verify_moments(measure, seq, rel_tol=1e-8)
         return SolveResult(kind="atomic", measure=measure, extension=ext,
                            verification=verification, recovery=None,
                            transform_samples=None, transform=None, **common)
 
-    transform = _screened_transform(ws.shift, ws.pair, parameter, vmat, report,
-                                    tol)
+    transform = _screened_transform(ws.shift, ws.pair, parameter, vmat, tol)
     samples = tuple(zip(TRANSFORM_SAMPLE_POINTS,
                         transform.eval_upper_many(TRANSFORM_SAMPLE_POINTS)))
     recovery = moments_from_transform(transform, 2 * ws.condition.order)
@@ -251,8 +239,8 @@ def theta_sweep(seq: MomentSequence, n_thetas: int = 8,
         raise ValueError("the defect is zero: the extension is unique and "
                          "there is no family to sweep")
     family = np.exp(1j * thetas)[:, None, None] * np.eye(q, dtype=complex)
-    mask, reports = _screen_stack(KIND_ISOMETRIC, family, ws.pair,
-                                  ws.forbidden, tol)
+    mask, reports = _screen(KIND_ISOMETRIC, family, ws.pair, ws.forbidden,
+                            tol)
     admitted = np.flatnonzero(mask)
     k = len(thetas)
     measures = [None] * k

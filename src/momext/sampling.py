@@ -12,8 +12,7 @@ import numpy as np
 
 from .hankel import MomentSequence
 from .measures import AtomicMatrixMeasure
-from .shift import is_admissible
-from .extensions import ExtensionParameter
+from .extensions import ExtensionParameter, is_admissible
 from .tolerances import DEFAULT, Tolerances
 
 

@@ -72,7 +72,8 @@ def _hankel(values: np.ndarray, order: int) -> np.ndarray:
 
 
 def _rank_scan(h: np.ndarray, tol: Tolerances) -> tuple[int, float]:
-    """r for the section h = H_d, and the last smallest eigenvalue seen."""
+    """r (the largest k <= d with H_0..H_k all positive definite, -1 if
+    none is) for the section h = H_d, and the last smallest eigenvalue seen."""
     # H_k holds s_0..s_{2k}: the first row and last column of h hold them all
     reach = np.maximum.accumulate(np.abs(np.append(h[0], h[1:, -1])))
     r = -1
@@ -82,20 +83,6 @@ def _rank_scan(h: np.ndarray, tol: Tolerances) -> tuple[int, float]:
             break
         r = k
     return r, emin
-
-
-def compute_rank_r(values, order_d: int, tol: Tolerances = DEFAULT) -> int:
-    """Largest r <= d with H_0..H_r all positive definite; -1 if none are.
-
-    Scans upward and stops at the first failure, which keeps the definition
-    aligned with Sylvester's criterion on nested Hankel sections.
-    """
-    values = np.asarray(values, dtype=float)
-    if len(values) < 2 * order_d + 2:
-        raise InsufficientMoments(
-            f"rank scan to order {order_d} needs {2 * order_d + 2} moments, "
-            f"got {len(values)}")
-    return _rank_scan(_hankel(values, order_d), tol)[0]
 
 
 def _prefix(seq: MomentSequence, count: int) -> MomentSequence:

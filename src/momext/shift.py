@@ -1,4 +1,4 @@
-"""The symmetric block shift, its defect subspaces, and admissibility.
+"""The block shift, its defect subspaces, and the forbidden operator.
 
 In the Gram space of the trailing Hankel section the operator
 
@@ -48,15 +48,12 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 import math
 
 import numpy as np
 
-from .errors import NormViolation
 from .gram import GramSpace
-from .linalg import read_only, singular_values
-from .tolerances import DEFAULT, Tolerances
+from .linalg import read_only
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -219,79 +216,3 @@ def forbidden_operator(shift: ShiftOperator,
     """X = C_minus^{-1} C_plus = U^H, read off the rotation of the pair:
     C_plus = G^{-1/2} and C_minus = G^{-1/2} U, so no solve is needed."""
     return ForbiddenOperator(matrix=read_only(np.conj(pair.rotation.T)))
-
-
-@dataclasses.dataclass(frozen=True)
-class AdmissibilityReport:
-    """Outcome of the admissibility test for a constant parameter matrix.
-
-    margin is the smallest singular value of C_minus V - C_plus (in
-    [0, 2]); None when the defect is zero (then every parameter is
-    vacuously admissible).  forbidden_gap is the smallest singular value
-    of V - X when the forbidden operator was supplied.
-    """
-
-    admissible: bool
-    margin: float | None
-    parameter_norm: float
-    forbidden_gap: float | None
-    coincides_with_forbidden: bool
-    borderline: bool
-
-
-def is_admissible(matrix: np.ndarray, shift: ShiftOperator,
-                  pair: DeficiencyPair,
-                  forbidden: ForbiddenOperator | None = None,
-                  tol: Tolerances = DEFAULT) -> AdmissibilityReport:
-    """Decide whether a constant q x q parameter matrix is admissible.
-
-    Anything but a q x q matrix raises ValueError, and NormViolation comes
-    when it is not a contraction (operator norm above 1 + norm_abs);
-    isometry vs strict contraction is the caller's business.
-    """
-    q = pair.defect
-    v = np.asarray(matrix, dtype=complex)
-    if v.shape != (q, q):
-        raise ValueError(f"parameter must be {q} x {q}, got {v.shape}")
-    return admissibility_reports(v[None], pair, forbidden, tol)[2][0]
-
-
-def admissibility_reports(stack: np.ndarray, pair: DeficiencyPair,
-                          forbidden: ForbiddenOperator | None,
-                          tol: Tolerances = DEFAULT):
-    """The singular values (K, q) of each matrix V of a (K, q, q) stack, the
-    (K,) mask of the admissible ones and the admissibility report of each,
-    from one batched singular value call over the V, the C_minus V - C_plus
-    and (with the forbidden operator) the V - X of the whole stack.
-
-    The flags are decided over the whole stack as arrays, and each report
-    is built from one tolist() per column: the same rule, value for value,
-    as deciding each row on its own."""
-    k, q = len(stack), pair.defect
-    if not q:
-        return np.zeros((k, 0)), np.ones(k, dtype=bool), (AdmissibilityReport(
-            admissible=True, margin=None, parameter_norm=0.0,
-            forbidden_gap=None, coincides_with_forbidden=False,
-            borderline=False),) * k
-    plus, minus = pair.complement_rows
-    parts = [stack, minus @ stack - plus]
-    if forbidden is not None:
-        parts.append(stack - forbidden.matrix)
-    sv = singular_values(np.concatenate(parts))
-    norms = sv[:k, 0]
-    over = norms > 1.0 + tol.norm_abs
-    if over.any():
-        raise NormViolation(f"parameter norm {norms[over][0]:.12g} exceeds "
-                            f"1 + {tol.norm_abs:.1e}")
-    margins = sv[k:2 * k, -1]
-    admissible = margins > tol.adm_abs
-    borderline = admissible & (margins <= 1e3 * tol.adm_abs)
-    if forbidden is not None:
-        gaps = sv[2 * k:, -1]
-        coincides = (gaps <= tol.adm_abs).tolist()
-        gaps = gaps.tolist()
-    else:
-        gaps, coincides = itertools.repeat(None), itertools.repeat(False)
-    return sv[:k], admissible, tuple(map(
-        AdmissibilityReport, admissible.tolist(), margins.tolist(),
-        norms.tolist(), gaps, coincides, borderline.tolist()))

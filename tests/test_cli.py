@@ -579,6 +579,43 @@ def test_a_closed_stdout_pipe_keeps_the_ordinary_exit(tmp_path):
     assert child.stderr.splitlines()[-1].startswith("BrokenPipeError")
 
 
+
+@pytest.mark.parametrize("stdout", ["closed", "full"])
+@pytest.mark.parametrize("argv", [
+    ["check", "problem.json"],
+    ["sweep", "problem.json", "--theta-grid", "400"],
+])
+def test_output_that_cannot_be_written_exits_120(tmp_path, stdout, argv):
+    # A closed stdout exited 0 with nothing written (print drops the line
+    # without a word) and one that refuses the line exited 1, the
+    # malformed-input code, with a traceback.  Both now take one error
+    # line and the code a pipe nobody reads gets, whether the line fails
+    # in print (the sweep's is larger than the buffer) or at the flush.
+    _write(tmp_path, "problem.json", PROBLEM_101)
+    if stdout == "closed":
+        child = _spawn(tmp_path, argv, stderr=subprocess.PIPE, text=True,
+                       preexec_fn=lambda: os.close(1))
+    else:
+        with open("/dev/full", "w") as full:
+            child = _spawn(tmp_path, argv, stdout=full,
+                           stderr=subprocess.PIPE, text=True)
+    assert child.returncode == 120
+    assert child.stderr.startswith("error: cannot write output: ")
+    assert child.stderr.count("\n") == 1
+
+
+def test_an_unwritable_csv_exits_one(tmp_path):
+    # An open that fails was a FileNotFoundError traceback; it is now
+    # malformed input, as a problem file that cannot be read is.
+    _write(tmp_path, "problem.json", PROBLEM_101)
+    child = _spawn(tmp_path, ["solve", "problem.json", "--csv",
+                              str(tmp_path / "missing" / "x.csv")],
+                   capture_output=True, text=True)
+    assert child.returncode == 1 and child.stdout == ""
+    assert child.stderr.startswith("error: cannot write ")
+    assert child.stderr.count("\n") == 1
+
+
 def test_the_package_runs_without_scipy():
     script = """
 import sys

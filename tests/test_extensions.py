@@ -19,7 +19,9 @@ Checked here:
 - the Hermitization of B(V) alone: bit for bit 0.5 (G + G^H) and the
   whole-matrix residual, on random stacks at N = 1, 2, 3,
 - non-finite parameter matrices refused where they are made, and so is
-  a stack of parameters, before it reaches any public entry point.
+  a stack of parameters, before it reaches any public entry point,
+- the forbidden operator refused by every route at one gate, with one
+  NotAdmissible message and the margin of the screen.
 """
 
 from __future__ import annotations
@@ -27,14 +29,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momext import (DimensionMismatch, ExtensionParameter, NormViolation,
-                    NotAdmissible, StieltjesTransform, build_block_hankel,
-                    build_shift, default_parameter, deficiency_subspaces,
-                    factor_psd, is_admissible, pencil_spectral_radius,
+from momext import (DEFAULT, DimensionMismatch, ExtensionParameter,
+                    NormViolation, NotAdmissible, StieltjesTransform,
+                    build_block_hankel, build_shift, default_parameter,
+                    deficiency_subspaces, factor_psd, is_admissible,
+                    moments_from_transform, pencil_spectral_radius,
                     perron_inversion, prepare, selfadjoint_extension,
                     solve_truncated)
-from momext.extensions import (KIND_ISOMETRIC, _generator, _hermitize,
-                               quasi_extension)
+from momext.extensions import KIND_ISOMETRIC, _generator, _hermitize
 from momext.sampling import (random_admissible_isometry,
                              random_deficient_instance,
                              random_feasible_instance,
@@ -187,7 +189,7 @@ def test_default_parameter_closes_the_jacobi_matrix_with_re_omega():
                 if not q:
                     continue
                 parameter, _, _ = default_parameter(ws)
-                g = quasi_extension(ws.shift, ws.pair, parameter)
+                g = _generator(ws.shift, ws.pair, parameter.matrix)
                 assert np.array_equal(g, np.conj(g.T))
                 plus, minus = ws.pair.complement_rows
                 omega = ws.pair.omega
@@ -268,15 +270,17 @@ def _entry_points(seq, ws):
         "solve_truncated": lambda p: solve_truncated(seq, p),
         "selfadjoint_extension":
             lambda p: selfadjoint_extension(ws.shift, ws.pair, p),
-        "quasi_extension": lambda p: quasi_extension(ws.shift, ws.pair, p),
         "StieltjesTransform": lambda p: transform(p)(1j),
+        "moments_from_transform":
+            lambda p: moments_from_transform(transform(p), 4),
         "perron_inversion":
             lambda p: perron_inversion(transform(p), -2.0, 2.0, 0.5),
     }
 
 
 @pytest.mark.parametrize("entry", ["solve_truncated", "selfadjoint_extension",
-                                   "quasi_extension", "StieltjesTransform",
+                                   "StieltjesTransform",
+                                   "moments_from_transform",
                                    "perron_inversion", "is_admissible",
                                    "pencil_spectral_radius"])
 def test_a_stack_of_parameters_is_refused_on_entry(seq_101, entry):
@@ -306,3 +310,30 @@ def test_a_stack_of_parameters_is_refused_on_entry(seq_101, entry):
             call(make())
     # the single parameter passes every entry point
     call(ExtensionParameter.unimodular(0.1))
+
+
+@pytest.mark.parametrize("entry", ["solve_truncated", "selfadjoint_extension",
+                                   "StieltjesTransform",
+                                   "moments_from_transform",
+                                   "perron_inversion"])
+def test_every_route_refuses_the_forbidden_operator_at_one_gate(seq_101,
+                                                                entry):
+    # X itself is never admissible.  Every route that takes a parameter
+    # refuses it, as an isometry and as a contraction, at one gate: the
+    # same NotAdmissible message and the margin the screen measures.  With
+    # a gate of its own, solve_truncated worded the refusal another way.
+    rng = np.random.default_rng(RNG_SEED + 31)
+    for seq in (seq_101, random_feasible_instance(rng, 2, 2)[0]):
+        ws = prepare(seq)
+        x = ws.forbidden.matrix
+        margin = is_admissible(x, ws.shift, ws.pair).margin
+        kinds = [ExtensionParameter.isometric]
+        if entry != "selfadjoint_extension":
+            kinds.append(ExtensionParameter.contraction)
+        for kind in kinds:
+            with pytest.raises(NotAdmissible) as refused:
+                _entry_points(seq, ws)[entry](kind(x))
+            assert refused.value.margin == margin
+            assert str(refused.value) == (
+                f"parameter is not admissible (margin {margin:.3e}, floor "
+                f"{DEFAULT.adm_abs:.1e})")

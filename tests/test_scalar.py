@@ -25,10 +25,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momext import (InsufficientMoments, MomentSequence, compute_rank_r,
+from momext import (DEFAULT, InsufficientMoments, MomentSequence,
                     solve_scalar_even, verify_moments)
 from momext.scalar import (VERDICT_DEGENERATE, VERDICT_INFEASIBLE,
-                           VERDICT_NONDEGENERATE, VERDICT_ZERO, _prefix)
+                           VERDICT_NONDEGENERATE, VERDICT_ZERO, _hankel,
+                           _prefix, _rank_scan)
 
 RNG_SEED = 20260806
 N_FUZZ = 200
@@ -117,11 +118,15 @@ def test_odd_or_empty_input_is_rejected():
 
 # --------------------------------------------------------------- components
 
+def _rank_r(values, order_d):
+    return _rank_scan(_hankel(np.array(values), order_d), DEFAULT)[0]
+
+
 def test_rank_scan_stops_at_first_failure():
-    assert compute_rank_r(np.array([1.0, 0.0, 1.0, 0.0]), 1) == 1
-    assert compute_rank_r(np.array([1.0, 1.0, 1.0, 1.0]), 1) == 0
-    assert compute_rank_r(np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0]), 2) == 1
-    assert compute_rank_r(np.array([-1.0, 0.0, 1.0, 0.0]), 1) == -1
+    assert _rank_r([1.0, 0.0, 1.0, 0.0], 1) == 1
+    assert _rank_r([1.0, 1.0, 1.0, 1.0], 1) == 0
+    assert _rank_r([1.0, 0.0, 1.0, 0.0, 1.0, 0.0], 2) == 1
+    assert _rank_r([-1.0, 0.0, 1.0, 0.0], 1) == -1
 
 
 def test_clustered_atoms_get_a_verified_witness():

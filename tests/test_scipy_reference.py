@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from momext import ExtensionParameter, pencil_spectral_radius, prepare
-from momext.extensions import quasi_extension
+from momext.extensions import _generator
 from momext.sampling import (random_admissible_isometry,
                              random_deficient_instance,
                              random_feasible_instance,
@@ -66,7 +66,7 @@ def test_pencil_radius_matches_the_generalized_eigenproblem():
         contraction = ExtensionParameter.contraction(
             random_strict_contraction(rng, q))
         for parameter in (unitary, contraction):
-            g = quasi_extension(ws.shift, ws.pair, parameter)
+            g = _generator(ws.shift, ws.pair, parameter.matrix)
             ref = float(np.max(np.abs(scipy_linalg.eigvals(g))))
             got = pencil_spectral_radius(ws.shift, ws.pair, parameter.matrix)
             worst = max(worst, abs(got - ref) / ref)

@@ -39,10 +39,10 @@ from momext import (ExtensionParameter, MomentSequence, NormViolation,
                     build_shift, deficiency_subspaces, factor_psd,
                     forbidden_operator, is_admissible, moments_from_transform,
                     perron_inversion, prepare, solve_truncated, theta_sweep)
-import momext.shift
+import momext.extensions
+from momext.extensions import KIND_CONTRACTION, AdmissibilityReport, _screen
 from momext.linalg import singular_values
-from momext.shift import (AdmissibilityReport, DeficiencyPair,
-                          ForbiddenOperator, admissibility_reports)
+from momext.shift import DeficiencyPair, ForbiddenOperator
 from momext.tolerances import DEFAULT
 from momext.sampling import (haar_unitary, random_admissible_isometry,
                              random_deficient_instance,
@@ -225,12 +225,12 @@ def test_one_by_one_singular_values_are_moduli(monkeypatch, seq_101):
     stage = [_operator_stage(seq, with_forbidden=True)[1:]
              for seq in instances]
     stack = np.exp(1j * thetas)[:, None, None]
-    moduli = [admissibility_reports(stack, pair, forbidden)[2]
+    moduli = [_screen(KIND_CONTRACTION, stack, pair, forbidden, DEFAULT)[1]
               for _, pair, forbidden in stage]
-    monkeypatch.setattr(momext.shift, "singular_values",
+    monkeypatch.setattr(momext.extensions, "singular_values",
                         lambda m: np.linalg.svd(np.asarray(m, dtype=complex),
                                                 compute_uv=False))
-    by_svd = [admissibility_reports(stack, pair, forbidden)[2]
+    by_svd = [_screen(KIND_CONTRACTION, stack, pair, forbidden, DEFAULT)[1]
               for _, pair, forbidden in stage]
     assert moduli[0][32].coincides_with_forbidden
     for ours, theirs in zip(moduli, by_svd):
@@ -515,14 +515,14 @@ def test_array_built_reports_are_the_row_by_row_rule():
     zero = ForbiddenOperator(matrix=0.0 * unit)
     stack = values.astype(complex)[:, None, None]
     for forbidden in (None, zero):
-        got = admissibility_reports(stack, pair, forbidden, tol)
+        got = _screen(KIND_CONTRACTION, stack, pair, forbidden, tol)
         want = _row_by_row_reports(stack, pair, forbidden, tol)
-        assert repr(got[2]) == repr(want)
-        assert np.array_equal(got[1], [r.admissible for r in want])
-    flags = [(r.admissible, r.borderline) for r in got[2]]
+        assert repr(got[1]) == repr(want)
+        assert np.array_equal(got[0], [r.admissible for r in want])
+    flags = [(r.admissible, r.borderline) for r in got[1]]
     assert flags[4:10] == [(False, False), (False, False), (True, True),
                            (True, True), (True, True), (True, False)]
-    assert [r.coincides_with_forbidden for r in got[2]][:6] == \
+    assert [r.coincides_with_forbidden for r in got[1]][:6] == \
         [True, True, False, False, True, True]
     rng = np.random.default_rng(RNG_SEED + 41)
     for n in (1, 2):
@@ -539,10 +539,10 @@ def test_array_built_reports_are_the_row_by_row_rule():
                 stack[:k // 4] = x + 1e-9 * rng.standard_normal()
                 stack[k // 4:k // 2] = x
                 for forbidden in (None, ws.forbidden):
-                    got = admissibility_reports(stack, ws.pair, forbidden,
-                                                tol)
+                    got = _screen(KIND_CONTRACTION, stack, ws.pair,
+                                  forbidden, tol)
                     want = _row_by_row_reports(stack, ws.pair, forbidden,
                                                tol)
-                    assert repr(got[2]) == repr(want) and len(want) == k
-                    assert np.array_equal(got[1],
+                    assert repr(got[1]) == repr(want) and len(want) == k
+                    assert np.array_equal(got[0],
                                           [r.admissible for r in want])
