@@ -23,7 +23,7 @@ def main() -> None:
     print("Instance: scalar moments s = (1, 0, 1)")
     print(f"model space dimension: {ws.space.ambient_dim}")
     print(f"defect index q = {ws.defect}")
-    forbidden = complex(ws.forbidden.matrix[0, 0])
+    forbidden = complex(ws.forbidden[0, 0])
     print(f"forbidden unit parameter: {forbidden:+.6f} "
           f"(angle {abs(np.angle(forbidden)):.6f} = pi)")
     print()

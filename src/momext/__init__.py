@@ -37,8 +37,8 @@ from .pipeline import (SolveResult, SweepEntry, SweepResult, Workspace,
                        default_parameter, prepare, solve_truncated,
                        theta_sweep)
 from .scalar import ScalarEvenResult, solve_scalar_even
-from .shift import (DeficiencyPair, ForbiddenOperator, ShiftOperator,
-                    build_shift, deficiency_subspaces, forbidden_operator)
+from .shift import (DeficiencyPair, ShiftOperator, build_shift,
+                    deficiency_subspaces, forbidden_operator)
 from .tolerances import DEFAULT, Tolerances
 
 __version__ = "0.1.0"
@@ -47,7 +47,7 @@ __all__ = [
     "AdmissibilityReport", "AtomicMatrixMeasure", "BlockHankel",
     "ConditionReport", "ContourRecovery", "DEFAULT", "DeficiencyPair",
     "DependentDomain", "DimensionMismatch", "ExtensionParameter",
-    "ForbiddenOperator", "GramSpace",
+    "GramSpace",
     "InsufficientMoments", "MomentProblemError", "MomentSequence",
     "NormViolation", "NotAdmissible", "NotPSD",
     "PerronResult", "ProblemFileError",

@@ -69,6 +69,14 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         self.exit(EXIT_MALFORMED, f"{self.prog}: error: {message}\n")
 
+    def print_help(self, file=None):
+        """--help through _write: argparse drops text that stdout refuses,
+        and falls back to stderr when stdout is closed."""
+        if file is None:
+            _write(self.format_help())
+        else:
+            super().print_help(file)
+
 
 # ------------------------------------------------------------------ helpers
 
@@ -178,15 +186,20 @@ def _write_weight_csv(path: str, xs, mats, block_dim: int) -> None:
         raise ProblemFileError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(obj) -> None:
-    """Print obj as one line of canonical JSON; _OutputError when stdout is
-    closed (print would drop the line without a word) or refuses it."""
+def _write(text: str) -> None:
+    """Write text to stdout; _OutputError when stdout is closed (print
+    would drop the text without a word) or refuses it."""
     if sys.stdout is None:
         raise _OutputError("cannot write output: stdout is closed")
     try:
-        print(dumps_canonical(obj))
+        sys.stdout.write(text)
     except OSError as exc:
         raise _OutputError(f"cannot write output: {exc}") from None
+
+
+def _emit(obj) -> None:
+    """Write obj as one line of canonical JSON."""
+    _write(dumps_canonical(obj) + "\n")
 
 
 # --------------------------------------------------------------- subcommands
@@ -210,7 +223,6 @@ def _solve_result_json(result) -> dict:
         "defect": result.defect,
         "gram_rank": result.gram_rank,
         "gram_eigenvalues": [float(x) for x in result.gram_eigenvalues],
-        "parameter_theta": opt_float(result.parameter_theta),
         "admissibility": admissibility_to_json(result.admissibility),
         "measure": (None if result.measure is None
                     else measure_to_json(result.measure)),
@@ -243,7 +255,7 @@ def _cmd_solve(args) -> int:
                 np.eye(ws.space.ambient_dim, ws.shift.dom_dim)),
             "defect_basis_plus": matrix_to_json(ws.pair.basis_plus),
             "defect_basis_minus": matrix_to_json(ws.pair.basis_minus),
-            "forbidden_matrix": matrix_to_json(ws.forbidden.matrix),
+            "forbidden_matrix": matrix_to_json(ws.forbidden),
         }
     perron = None
     if grid is not None:
@@ -383,8 +395,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except ProblemFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -403,12 +415,15 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """The entry of ``momext`` and ``python -m momext.cli``: run main, flush
-    stdout and stderr, and exit with main's code, skipping the interpreter
-    teardown that no caller sees.  A closed pipe at the flush takes the
-    ordinary exit, whose final flush reports it as it always has (code
-    120); any other flush that fails is reported in one error line, with
-    that code."""
-    code = main()
+    stdout and stderr, and exit with main's code (or argparse's, after
+    --help or a usage error), skipping the interpreter teardown that no
+    caller sees.  A closed pipe at the flush takes the ordinary exit, whose
+    final flush reports it as it always has (code 120); any other flush
+    that fails is reported in one error line, with that code."""
+    try:
+        code = main()
+    except SystemExit as exc:
+        code = exc.code
     try:
         for stream in (sys.stdout, sys.stderr):
             if stream is not None:

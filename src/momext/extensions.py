@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, NormViolation, NotAdmissible
 from .linalg import as_complex_matrix, max_abs, read_only, singular_values
-from .shift import DeficiencyPair, ForbiddenOperator, ShiftOperator
+from .shift import DeficiencyPair, ShiftOperator
 from .tolerances import DEFAULT, Tolerances
 
 KIND_ISOMETRIC = "isometric"
@@ -117,7 +117,7 @@ class AdmissibilityReport:
     margin is the smallest singular value of C_minus V - C_plus (in
     [0, 2]); None when the defect is zero (then every parameter is
     vacuously admissible).  forbidden_gap is the smallest singular value
-    of V - X when the forbidden operator was supplied.
+    of V - X (None only from is_admissible given no forbidden matrix).
     """
 
     admissible: bool
@@ -129,11 +129,11 @@ class AdmissibilityReport:
 
 
 def _screen(kind: str, stack: np.ndarray, pair: DeficiencyPair,
-            forbidden: ForbiddenOperator | None, tol: Tolerances):
+            forbidden: np.ndarray | None, tol: Tolerances):
     """The (K,) admissible mask and the K admissibility reports of a
     (K, q, q) stack of parameter matrices of one kind, from one batched
     singular value call over the V, the C_minus V - C_plus and (with the
-    forbidden operator) the V - X of the whole stack, after
+    forbidden matrix X) the V - X of the whole stack, after
     _check_singular_values has passed the V.
 
     The flags are decided over the whole stack as arrays, and each report
@@ -148,7 +148,7 @@ def _screen(kind: str, stack: np.ndarray, pair: DeficiencyPair,
     plus, minus = pair.complement_rows
     parts = [stack, minus @ stack - plus]
     if forbidden is not None:
-        parts.append(stack - forbidden.matrix)
+        parts.append(stack - forbidden)
     sv = singular_values(np.concatenate(parts))
     _check_singular_values(kind, sv[:k], tol)
     margins = sv[k:2 * k, -1]
@@ -167,7 +167,7 @@ def _screen(kind: str, stack: np.ndarray, pair: DeficiencyPair,
 
 def is_admissible(matrix: np.ndarray, shift: ShiftOperator,
                   pair: DeficiencyPair,
-                  forbidden: ForbiddenOperator | None = None,
+                  forbidden: np.ndarray | None = None,
                   tol: Tolerances = DEFAULT) -> AdmissibilityReport:
     """Decide whether a constant q x q parameter matrix is admissible.
 
@@ -183,19 +183,18 @@ def is_admissible(matrix: np.ndarray, shift: ShiftOperator,
 
 
 def screen_parameter(pair: DeficiencyPair, parameter: ExtensionParameter,
-                     forbidden: ForbiddenOperator | None = None,
-                     tol: Tolerances = DEFAULT):
-    """The one admissibility gate: the checked matrix of a parameter
-    (constant_matrix) and its admissibility report, from the one singular
-    value call of _screen.  An inadmissible V (sigma_min(C_minus V - C_plus)
-    at most adm_abs) is rejected with its margin as NotAdmissible."""
-    vmat = parameter._shaped(pair.defect)
-    _, (report,) = _screen(parameter.kind, vmat[None], pair, forbidden, tol)
+                     tol: Tolerances = DEFAULT) -> AdmissibilityReport:
+    """The one admissibility gate: a parameter's report, its gap to the
+    pair's X included, from the one singular value call of _screen.  An
+    inadmissible V (sigma_min(C_minus V - C_plus) at most adm_abs) is
+    rejected with its margin as NotAdmissible."""
+    v = parameter._shaped(pair.defect)[None]
+    _, (report,) = _screen(parameter.kind, v, pair, pair.forbidden, tol)
     if not report.admissible:
         raise NotAdmissible(f"parameter is not admissible (margin "
                             f"{report.margin:.3e}, floor {tol.adm_abs:.1e})",
                             margin=report.margin)
-    return vmat, report
+    return report
 
 
 def _generator(shift: ShiftOperator, pair: DeficiencyPair,
@@ -203,7 +202,7 @@ def _generator(shift: ShiftOperator, pair: DeficiencyPair,
     """G for V = vmat, or a stack of them for a (K, q, q) stack (the sweep's);
     no admissibility check, so C_minus V - C_plus must be nonsingular.
 
-    A V equal to -X = -U^H bit for bit gets B = Re Omega; the others get
+    A V equal to -X bit for bit gets B = Re Omega; the others get
     B(V) from one batched q x q solve."""
     dn, q = shift.dom_dim, pair.defect
     g = np.empty(vmat.shape[:-2] + (dn + q, dn + q), dtype=complex)
@@ -213,7 +212,7 @@ def _generator(shift: ShiftOperator, pair: DeficiencyPair,
     g[..., :dn, dn:] = np.conj(e.T)
     if not q:
         return g
-    solved = ~(vmat == -np.conj(pair.rotation.T)).all(axis=(-2, -1))
+    solved = ~(vmat == -pair.forbidden).all(axis=(-2, -1))
     if solved.all():
         g[..., dn:, dn:] = _solved_block(pair, vmat)
         return g
@@ -255,19 +254,19 @@ def selfadjoint_extension(shift: ShiftOperator, pair: DeficiencyPair,
     """Build A_V for an admissible isometric parameter."""
     if parameter.kind != KIND_ISOMETRIC:
         raise ValueError("self-adjoint extensions need an isometric parameter")
-    vmat, _ = screen_parameter(pair, parameter, None, tol)
-    return _selfadjoint_extension(shift, pair, parameter, vmat)
+    screen_parameter(pair, parameter, tol)
+    return _selfadjoint_extension(shift, pair, parameter)
 
 
 def _selfadjoint_extension(shift: ShiftOperator, pair: DeficiencyPair,
-                           parameter: ExtensionParameter,
-                           vmat: np.ndarray) -> SelfAdjointExtension:
-    """selfadjoint_extension for an isometric parameter whose matrix has
-    already passed screen_parameter: G made Hermitian by _hermitize.
+                           parameter: ExtensionParameter
+                           ) -> SelfAdjointExtension:
+    """selfadjoint_extension for an isometric parameter that has already
+    passed screen_parameter: G made Hermitian by _hermitize.
     B(-X) = Re Omega is Hermitian as written, so V = -X skips it: its
     residual is J_0's, bit for bit."""
-    g = _generator(shift, pair, vmat)
-    if (vmat == -np.conj(pair.rotation.T)).all():
+    g = _generator(shift, pair, parameter.matrix)
+    if (parameter.matrix == -pair.forbidden).all():
         residual = shift.herm_residual
     else:
         residual = _hermitize(shift, g)

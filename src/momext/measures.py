@@ -23,7 +23,7 @@ and the cell masses are sums over the poles of T (or, for an isometric
 parameter, over the atoms of its measure).  G comes from the one
 admissibility gate; the direct batched solve of the transform has no
 fallback and raises SingularSystem at a pole.  A transform screens its
-parameter once and keeps the checked matrix and G.
+parameter once and keeps the report and G.
 
 Cells are half-open [x, x+h); an atom sitting exactly on a cell boundary
 gives exactly half its weight to each of the two adjacent cells (the
@@ -42,8 +42,8 @@ import numpy as np
 from .errors import SingularSystem
 from .hankel import MomentSequence
 from .linalg import max_abs, read_only
-from .extensions import (KIND_ISOMETRIC, ExtensionParameter,
-                         SelfAdjointExtension, _generator,
+from .extensions import (KIND_ISOMETRIC, AdmissibilityReport,
+                         ExtensionParameter, SelfAdjointExtension, _generator,
                          _selfadjoint_extension, screen_parameter)
 from .shift import DeficiencyPair, ShiftOperator
 from .tolerances import DEFAULT, Tolerances
@@ -335,8 +335,8 @@ class StieltjesTransform:
 
     Callable on any nonreal lam; the lower half-plane mirrors the upper one,
     T(conj lam) = T(lam)^H.  Im T(lam) is PSD for Im lam > 0.  The
-    parameter is screened (screen_parameter, without the forbidden gap) on
-    first use, and the checked matrix and G are kept.
+    parameter is screened (screen_parameter) on first use, and its report
+    and G are kept.
     """
 
     shift: ShiftOperator
@@ -352,16 +352,16 @@ class StieltjesTransform:
         return self.shift.space.coords[:self.shift.block_dim]   # (N, m)
 
     @functools.cached_property
-    def _vmat(self) -> np.ndarray:
-        """The parameter matrix, through screen_parameter; an inadmissible
-        parameter raises NotAdmissible (on every access: nothing is kept
-        then)."""
-        return screen_parameter(self.pair, self.parameter, None, self.tol)[0]
+    def admissibility(self) -> AdmissibilityReport:
+        """The report of screen_parameter; an inadmissible parameter raises
+        NotAdmissible (on every access: nothing is kept then)."""
+        return screen_parameter(self.pair, self.parameter, self.tol)
 
     @functools.cached_property
     def _g(self) -> np.ndarray:
         """G of the screened parameter."""
-        return _generator(self.shift, self.pair, self._vmat)
+        self.admissibility                  # NotAdmissible when refused
+        return _generator(self.shift, self.pair, self.parameter.matrix)
 
     def __call__(self, lam: complex) -> np.ndarray:
         lam = complex(lam)
@@ -402,16 +402,6 @@ class StieltjesTransform:
                                      f"system is singular") from None
             out[start:start + lb.size] = np.swapaxes(np.conj(xn) @ h, -1, -2)
         return out
-
-
-def _screened_transform(shift: ShiftOperator, pair: DeficiencyPair,
-                        parameter: ExtensionParameter, vmat: np.ndarray,
-                        tol: Tolerances) -> StieltjesTransform:
-    """The transform of a parameter whose matrix screen_parameter has
-    already passed, so that it is not screened again."""
-    transform = StieltjesTransform(shift, pair, parameter, tol)
-    transform._vmat = vmat
-    return transform
 
 
 @dataclasses.dataclass(frozen=True)
@@ -556,8 +546,9 @@ def perron_inversion(transform: StieltjesTransform, start: float, stop: float,
     edges = _cell_edges(start, stop, cell_width)
     if transform.parameter.kind == KIND_ISOMETRIC:
         tol = transform.tol
+        transform.admissibility             # NotAdmissible when refused
         ext = _selfadjoint_extension(transform.shift, transform.pair,
-                                     transform.parameter, transform._vmat)
+                                     transform.parameter)
         return _atom_cells(spectral_measure(ext, transform.shift, tol),
                            edges, tol)
     return _residue_cells(transform, edges)

@@ -27,16 +27,16 @@ from .hankel import ConditionReport, MomentSequence, _check
 from .linalg import read_only
 from .measures import (AtomicMatrixMeasure, ContourRecovery,
                        StieltjesTransform, VerificationReport, _assemble,
-                       _distances, _moment_sums, _screened_transform,
-                       _spectral_atoms, _verifications,
+                       _distances, _moment_sums, _spectral_atoms,
+                       _verifications,
                        moments_from_transform, spectral_measure,
                        verify_moments, verify_recovered_moments)
 from .extensions import (KIND_ISOMETRIC, AdmissibilityReport,
                          ExtensionParameter, SelfAdjointExtension, _generator,
                          _hermitize, _screen, _selfadjoint_extension,
                          screen_parameter)
-from .shift import (DeficiencyPair, ForbiddenOperator, ShiftOperator,
-                    build_shift, deficiency_subspaces, forbidden_operator)
+from .shift import (DeficiencyPair, ShiftOperator, build_shift,
+                    deficiency_subspaces)
 from .tolerances import DEFAULT, Tolerances
 
 #: diagnostic spectral points sampled for transform-route results
@@ -56,7 +56,7 @@ class Workspace:
     space: GramSpace
     shift: ShiftOperator
     pair: DeficiencyPair
-    forbidden: ForbiddenOperator
+    forbidden: np.ndarray       # X, the pair's forbidden operator
 
     @property
     def defect(self) -> int:
@@ -73,10 +73,10 @@ def prepare(seq: MomentSequence, tol: Tolerances = DEFAULT) -> Workspace:
     block), and one eigvalsh of each section serves the two tests, the
     rank m and the domain check.  Then come one Cholesky, two solves with
     its factor L, one N x N eigh, one batched solve with J_0 - conj z0 and
-    J_0 - z0, one q x q eigh and one q x q SVD; X is read off the rotation
-    of the defect bases.  The Workspace is bit for bit the one the
-    public chain check_truncated_conditions, factor_psd(build_block_hankel
-    (...)), build_shift, deficiency_subspaces, forbidden_operator gives.
+    J_0 - z0, one q x q eigh and one q x q SVD, which also gives X.  The
+    Workspace is bit for bit the one the public chain
+    check_truncated_conditions, factor_psd(build_block_hankel(...)),
+    build_shift, deficiency_subspaces, forbidden_operator gives.
     """
     report, section, (w, w_lead) = _check(seq, tol)
     if not report.leading_positive:
@@ -92,21 +92,19 @@ def prepare(seq: MomentSequence, tol: Tolerances = DEFAULT) -> Workspace:
     space = _factor(section, w, w_lead, tol)
     shift = build_shift(space)
     pair = deficiency_subspaces(shift)
-    forb = forbidden_operator(shift, pair)
     return Workspace(sequence=seq, condition=report, space=space, shift=shift,
-                     pair=pair, forbidden=forb)
+                     pair=pair, forbidden=pair.forbidden)
 
 
 def default_parameter(ws: Workspace, tol: Tolerances = DEFAULT):
     """V = -X, the parameter opposite the forbidden operator, screened: the
-    parameter, its report and None (it is no angle of the unimodular
-    family unless X is).  Its extension has B = Re Omega with no solve,
-    its margin is 2 sigma_min(C_plus) and its forbidden gap is 2.  The
-    screen still measures its norm, isometry, margin and gap."""
+    parameter, its report and None (kept for callers that unpack three,
+    as bench/workloads.py does).  Its extension has B = Re Omega with no
+    solve, its margin is 2 sigma_min(C_plus) and its forbidden gap is 2,
+    all measured by the screen."""
     parameter = ExtensionParameter(kind=KIND_ISOMETRIC,
-                                   matrix=read_only(-ws.forbidden.matrix))
-    _, report = screen_parameter(ws.pair, parameter, ws.forbidden, tol)
-    return parameter, report, None
+                                   matrix=read_only(-ws.forbidden))
+    return parameter, screen_parameter(ws.pair, parameter, tol), None
 
 
 @dataclasses.dataclass(eq=False)
@@ -119,7 +117,6 @@ class SolveResult:
     gram_rank: int
     gram_eigenvalues: np.ndarray
     parameter: ExtensionParameter
-    parameter_theta: float | None
     admissibility: AdmissibilityReport
     measure: AtomicMatrixMeasure | None
     extension: SelfAdjointExtension | None
@@ -146,31 +143,31 @@ def solve_truncated(seq: MomentSequence,
 
 def _solve(ws: Workspace, parameter: ExtensionParameter | None,
            tol: Tolerances) -> SolveResult:
-    """solve_truncated on an already prepared workspace."""
+    """solve_truncated on an already prepared workspace; a contraction is
+    screened once, by the transform it builds, which keeps the report."""
     seq = ws.sequence
-    theta = None
+    transform = None
     if parameter is None:
-        parameter, report, theta = default_parameter(ws, tol)
-        vmat = parameter.matrix
+        parameter, report, _ = default_parameter(ws, tol)
+    elif parameter.kind == KIND_ISOMETRIC:
+        report = screen_parameter(ws.pair, parameter, tol)
     else:
-        vmat, report = screen_parameter(ws.pair, parameter, ws.forbidden,
-                                        tol)
+        transform = StieltjesTransform(ws.shift, ws.pair, parameter, tol)
+        report = transform.admissibility
 
     common = dict(condition=ws.condition, defect=ws.defect,
                   gram_rank=ws.space.ambient_dim,
                   gram_eigenvalues=ws.space.eigenvalues,
-                  parameter=parameter, parameter_theta=theta,
-                  admissibility=report, workspace=ws)
+                  parameter=parameter, admissibility=report, workspace=ws)
 
-    if parameter.kind == KIND_ISOMETRIC:
-        ext = _selfadjoint_extension(ws.shift, ws.pair, parameter, vmat)
+    if transform is None:
+        ext = _selfadjoint_extension(ws.shift, ws.pair, parameter)
         measure = spectral_measure(ext, ws.shift, tol)
         verification = verify_moments(measure, seq, rel_tol=1e-8)
         return SolveResult(kind="atomic", measure=measure, extension=ext,
                            verification=verification, recovery=None,
                            transform_samples=None, transform=None, **common)
 
-    transform = _screened_transform(ws.shift, ws.pair, parameter, vmat, tol)
     samples = tuple(zip(TRANSFORM_SAMPLE_POINTS,
                         transform.eval_upper_many(TRANSFORM_SAMPLE_POINTS)))
     recovery = moments_from_transform(transform, 2 * ws.condition.order)

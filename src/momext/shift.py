@@ -129,14 +129,19 @@ def build_shift(space: GramSpace) -> ShiftOperator:
 class DeficiencyPair:
     """Orthonormal bases of the defect subspaces at the reference point z0,
     Omega = z0 + E (J_0 - z0)^{-1} E^H, which turns a parameter into the
-    last block of its extension, and the unitary rotation U that turned
-    basis_minus (C_minus = C_plus U)."""
+    last block of its extension, and the forbidden operator X.
+
+    X = C_minus^{-1} C_plus is the V for which B_minus V - B_plus lies in
+    D(A), so that the extension would leave C^m, in the (basis_plus,
+    basis_minus) coordinate pair.  basis_minus was turned by a unitary U
+    (C_minus = C_plus U), so X = U^H, unitary and read off with no solve.
+    """
 
     basis_plus: np.ndarray      # m x q, spans N_plus
     basis_minus: np.ndarray     # m x q, spans N_minus
     defect: int
     omega: np.ndarray           # q x q
-    rotation: np.ndarray        # q x q, unitary
+    forbidden: np.ndarray       # q x q, unitary: X = U^H
 
     @property
     def complement_rows(self):
@@ -169,7 +174,7 @@ def deficiency_subspaces(shift: ShiftOperator) -> DeficiencyPair:
         empty = read_only(np.zeros((shift.ambient_dim, 0), dtype=complex))
         square = read_only(np.zeros((0, 0), complex))
         return DeficiencyPair(basis_plus=empty, basis_minus=empty, defect=0,
-                              omega=square, rotation=square)
+                              omega=square, forbidden=square)
     e = shift.action[dn:]
     tail = shift.tail
     corner = shift.jacobi[dn - n:, dn - n:]
@@ -195,24 +200,11 @@ def deficiency_subspaces(shift: ShiftOperator) -> DeficiencyPair:
     return DeficiencyPair(basis_plus=read_only(bases[0]),
                           basis_minus=read_only(bases[1] @ left @ right),
                           defect=q, omega=read_only(omega),
-                          rotation=read_only(left @ right))
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class ForbiddenOperator:
-    """The operator X: N_plus -> N_minus that parameters must avoid.
-
-    X = C_minus^{-1} C_plus is the V for which B_minus V - B_plus lies in
-    D(A), so that the extension would leave C^m; matrix expresses it in
-    the (basis_plus, basis_minus) coordinate pair.  It is U^H, the adjoint
-    of the rotation of basis_minus, and so unitary.
-    """
-
-    matrix: np.ndarray          # q x q
+                          forbidden=read_only(np.conj((left @ right).T)))
 
 
 def forbidden_operator(shift: ShiftOperator,
-                       pair: DeficiencyPair) -> ForbiddenOperator:
-    """X = C_minus^{-1} C_plus = U^H, read off the rotation of the pair:
-    C_plus = G^{-1/2} and C_minus = G^{-1/2} U, so no solve is needed."""
-    return ForbiddenOperator(matrix=read_only(np.conj(pair.rotation.T)))
+                       pair: DeficiencyPair) -> np.ndarray:
+    """X, the q x q matrix that parameters must avoid: pair.forbidden,
+    formed with the defect bases."""
+    return pair.forbidden

@@ -146,7 +146,7 @@ def test_criterion_1_worked_instance(announce):
         assert ws.defect == 1
         # Forbidden angle theta = pi, pinned as e^{i theta} = -1 (the angle
         # itself is +-pi depending on the sign of ulp-level imaginary dust).
-        assert abs(complex(ws.forbidden.matrix[0, 0]) + 1.0) <= 1e-9
+        assert abs(complex(ws.forbidden[0, 0]) + 1.0) <= 1e-9
         result = solve_truncated(
             seq, ExtensionParameter.isometric(np.eye(1, dtype=complex)))
         measure = result.measure

@@ -141,8 +141,9 @@ def test_solve_default_output(tmp_path, capsys):
     assert code == 0
     assert data["kind"] == "atomic"
     assert data["defect"] == 1
-    # the default -X is a parameter, not an angle of the unimodular family
-    assert data["parameter_theta"] is None
+    # the default -X is a parameter, not an angle of the unimodular
+    # family, and the output names no angle
+    assert "parameter_theta" not in data
     atoms = data["measure"]["atoms"]
     assert [a["t"] for a in atoms] == pytest.approx([-1.0, 1.0], abs=1e-12)
     assert [a["W"][0][0][0] for a in atoms] == pytest.approx([0.5, 0.5],
@@ -515,10 +516,12 @@ CI_FILES = {
 }
 
 
-def _spawn(cwd, argv, **kw):
+def _spawn(cwd, argv, unbuffered=False, **kw):
     """python -m momext.cli in a child, with the momext under test on its
-    path and stdout block-buffered, as under a pipe."""
+    path and stdout block-buffered, as under a pipe (or unbuffered)."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     src = str(pathlib.Path(momext.cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
@@ -580,25 +583,29 @@ def test_a_closed_stdout_pipe_keeps_the_ordinary_exit(tmp_path):
 
 
 
-@pytest.mark.parametrize("stdout", ["closed", "full"])
+@pytest.mark.parametrize("stdout", ["closed", "full", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ["check", "problem.json"],
     ["sweep", "problem.json", "--theta-grid", "400"],
+    ["--help"],
 ])
 def test_output_that_cannot_be_written_exits_120(tmp_path, stdout, argv):
     # A closed stdout exited 0 with nothing written (print drops the line
     # without a word) and one that refuses the line exited 1, the
     # malformed-input code, with a traceback.  Both now take one error
     # line and the code a pipe nobody reads gets, whether the line fails
-    # in print (the sweep's is larger than the buffer) or at the flush.
+    # in the write (the sweep's is larger than the buffer, and an
+    # unbuffered stdout takes every write at once) or at the flush.
+    # argparse's --help text exited 0 either way (it drops a write that
+    # fails, and falls back to stderr when stdout is closed).
     _write(tmp_path, "problem.json", PROBLEM_101)
     if stdout == "closed":
         child = _spawn(tmp_path, argv, stderr=subprocess.PIPE, text=True,
                        preexec_fn=lambda: os.close(1))
     else:
         with open("/dev/full", "w") as full:
-            child = _spawn(tmp_path, argv, stdout=full,
-                           stderr=subprocess.PIPE, text=True)
+            child = _spawn(tmp_path, argv, unbuffered=stdout == "unbuffered",
+                           stdout=full, stderr=subprocess.PIPE, text=True)
     assert child.returncode == 120
     assert child.stderr.startswith("error: cannot write output: ")
     assert child.stderr.count("\n") == 1

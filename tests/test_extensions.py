@@ -21,7 +21,10 @@ Checked here:
 - non-finite parameter matrices refused where they are made, and so is
   a stack of parameters, before it reaches any public entry point,
 - the forbidden operator refused by every route at one gate, with one
-  NotAdmissible message and the margin of the screen.
+  NotAdmissible message and the margin of the screen,
+- one report per parameter on every route: screen_parameter, a
+  transform's admissibility and solve_truncated's give the same report,
+  gap to X included, for isometric and contraction parameters.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ from momext import (DEFAULT, DimensionMismatch, ExtensionParameter,
                     moments_from_transform, pencil_spectral_radius,
                     perron_inversion, prepare, selfadjoint_extension,
                     solve_truncated)
-from momext.extensions import KIND_ISOMETRIC, _generator, _hermitize
+from momext.extensions import (KIND_ISOMETRIC, _generator, _hermitize,
+                               screen_parameter)
 from momext.sampling import (random_admissible_isometry,
                              random_deficient_instance,
                              random_feasible_instance,
@@ -325,7 +329,7 @@ def test_every_route_refuses_the_forbidden_operator_at_one_gate(seq_101,
     rng = np.random.default_rng(RNG_SEED + 31)
     for seq in (seq_101, random_feasible_instance(rng, 2, 2)[0]):
         ws = prepare(seq)
-        x = ws.forbidden.matrix
+        x = ws.forbidden
         margin = is_admissible(x, ws.shift, ws.pair).margin
         kinds = [ExtensionParameter.isometric]
         if entry != "selfadjoint_extension":
@@ -337,3 +341,24 @@ def test_every_route_refuses_the_forbidden_operator_at_one_gate(seq_101,
             assert str(refused.value) == (
                 f"parameter is not admissible (margin {margin:.3e}, floor "
                 f"{DEFAULT.adm_abs:.1e})")
+
+
+def test_every_route_gives_one_report_per_parameter(seq_101):
+    # The screen, a transform's admissibility and a solve report the same
+    # numbers, field for field, and each measures the gap to X.  Before,
+    # a transform kept no report and its screen measured no gap.
+    rng = np.random.default_rng(RNG_SEED + 32)
+    for seq in (seq_101, random_feasible_instance(rng, 2, 2)[0]):
+        ws = prepare(seq)
+        q = ws.defect
+        assert q
+        isometry = random_admissible_isometry(rng, ws.shift, ws.pair,
+                                              ws.forbidden, min_margin=0.1)
+        contraction = ExtensionParameter.contraction(
+            random_strict_contraction(rng, q))
+        for parameter in (isometry, contraction):
+            report = screen_parameter(ws.pair, parameter)
+            assert isinstance(report.forbidden_gap, float)
+            transform = StieltjesTransform(ws.shift, ws.pair, parameter)
+            assert transform.admissibility == report
+            assert solve_truncated(seq, parameter).admissibility == report

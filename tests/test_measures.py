@@ -321,7 +321,7 @@ def test_measures_next_to_a_forbidden_angle_reproduce_the_moments(offset):
             seq, _ = random_feasible_instance(rng, n, d)
             ws = prepare(seq)
             theta = offset + float(
-                np.angle(np.linalg.eigvals(ws.forbidden.matrix)[0]))
+                np.angle(np.linalg.eigvals(ws.forbidden)[0]))
             entry, = theta_sweep(seq, thetas=[theta]).entries
             alone = solve_truncated(seq, ExtensionParameter.unimodular(
                 theta, ws.defect))
@@ -1133,7 +1133,7 @@ def _glued_verification(measure, seq, rel_tol=1e-8):
 
 
 def _glued_defect_bases(shift):
-    """deficiency_subspaces's bases, Omega and rotation as the old glue took
+    """deficiency_subspaces's bases, Omega and X as the old glue took
     them: K by its own product of the first block rows with G^{-1/2}."""
     q, n, dn = shift.defect, shift.block_dim, shift.dom_dim
     e = shift.action[dn:]
@@ -1156,7 +1156,8 @@ def _glued_defect_bases(shift):
     bases[:, :dn] = -cols
     bases[:, dn:] = eye
     bases = bases @ root_inv
-    return bases[0], bases[1] @ left @ right, omega, left @ right
+    return (bases[0], bases[1] @ left @ right, omega,
+            np.conj((left @ right).T))
 
 
 def _same_bytes(got, want):
@@ -1186,7 +1187,7 @@ def test_solve_kernels_are_the_glued_reference_bit_for_bit():
                     pair = ws.pair
                     for got, want in zip(
                             (pair.basis_plus, pair.basis_minus, pair.omega,
-                             pair.rotation), _glued_defect_bases(ws.shift)):
+                             pair.forbidden), _glued_defect_bases(ws.shift)):
                         assert _same_bytes(got, want)
                 glued = _generator(ws.shift, ws.pair, parameter.matrix)
                 residual = float(_hermitize(ws.shift, glued))

@@ -91,7 +91,7 @@ def test_prepare_is_the_public_chain_bit_for_bit():
                         (ws.pair.basis_plus, pair.basis_plus),
                         (ws.pair.basis_minus, pair.basis_minus),
                         (ws.pair.omega, pair.omega),
-                        (ws.forbidden.matrix, forbidden.matrix)):
+                        (ws.forbidden, forbidden)):
                     assert np.array_equal(got, want), (n, d, draw.__name__)
 
 
@@ -169,7 +169,7 @@ def test_default_parameter_is_opposite_the_forbidden_operator(seq_101):
     ws = prepare(seq_101)
     parameter, report, theta = default_parameter(ws)
     assert theta is None
-    assert np.array_equal(parameter.matrix, -ws.forbidden.matrix)
+    assert np.array_equal(parameter.matrix, -ws.forbidden)
     assert report.margin == pytest.approx(np.sqrt(2.0), abs=1e-10)
     assert np.allclose(parameter.constant_matrix(1), np.eye(1))
 
@@ -335,7 +335,7 @@ def test_sweep_reads_its_verifications_and_distances_off_one_stack():
     for n, d in ((1, 2), (1, 6), (2, 3), (4, 2)):
         seq, _ = random_feasible_instance(rng, n, d)
         ws = prepare(seq)
-        eigen_angle = np.angle(np.linalg.eigvals(ws.forbidden.matrix)[0])
+        eigen_angle = np.angle(np.linalg.eigvals(ws.forbidden)[0])
         res = theta_sweep(seq, thetas=np.insert(thetas, 5, eigen_angle))
         admitted = [i for i, e in enumerate(res.entries)
                     if e.measure is not None]
@@ -366,7 +366,7 @@ def test_sweep_entries_are_the_single_angle_solves():
         for _ in range(2):
             seq, _ = random_feasible_instance(rng, n, 3)
             ws = prepare(seq)
-            eigen_angle = np.angle(np.linalg.eigvals(ws.forbidden.matrix)[0])
+            eigen_angle = np.angle(np.linalg.eigvals(ws.forbidden)[0])
             res = theta_sweep(seq, thetas=np.append(thetas, eigen_angle))
             assert not res.entries[-1].admissibility.admissible
             assert res.entries[-1].measure is None
@@ -435,7 +435,7 @@ def test_repeated_solves_are_bitwise_identical():
     assert np.array_equal(a.measure.locations, b.measure.locations)
     assert np.array_equal(a.measure.weights, b.measure.weights)
     assert np.array_equal(a.gram_eigenvalues, b.gram_eigenvalues)
-    assert a.parameter_theta == b.parameter_theta
+    assert a.admissibility == b.admissibility
 
 
 def test_random_instances_solve_to_tight_tolerance():

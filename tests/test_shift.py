@@ -17,9 +17,9 @@ Checked here:
   giving the same margins as a from-scratch SVD reference,
 - a parameter screened once per solve and once per transform, and still
   refused by both transform recoveries when it is inadmissible,
-- the forbidden operator read off the rotation: X = U^H within 1e-12 of
-  the solve C_minus^{-1} C_plus and unitary to 1e-13,
-- the rotation U itself on rank-drop data (q < N): no small unitary
+- the forbidden operator X = U^H, held by the defect pair, within 1e-12
+  of the solve C_minus^{-1} C_plus and unitary to 1e-13,
+- the rotation U = X^H itself on rank-drop data (q < N): no small unitary
   perturbation raises Re tr(U^H K_minus^H K_plus), and on a hand-derived
   N = 2, q = 1 instance with K_minus^H K_plus = i/3, U = i,
 - the admissibility reports built from arrays: the rule decided row by
@@ -42,7 +42,7 @@ from momext import (ExtensionParameter, MomentSequence, NormViolation,
 import momext.extensions
 from momext.extensions import KIND_CONTRACTION, AdmissibilityReport, _screen
 from momext.linalg import singular_values
-from momext.shift import DeficiencyPair, ForbiddenOperator
+from momext.shift import DeficiencyPair
 from momext.tolerances import DEFAULT
 from momext.sampling import (haar_unitary, random_admissible_isometry,
                              random_deficient_instance,
@@ -98,7 +98,7 @@ def test_defect_data_of_two_atom_instance(seq_101):
     assert np.allclose(pair.basis_minus.ravel(),
                        [1j * root_half, -root_half], atol=ORACLE_ATOL)
     assert np.allclose(pair.omega, [[2j]], atol=ORACLE_ATOL)
-    assert np.allclose(forbidden.matrix, [[-1.0]], atol=ORACLE_ATOL)
+    assert np.allclose(forbidden, [[-1.0]], atol=ORACLE_ATOL)
 
 
 def test_shift_is_a_block_jacobi_matrix():
@@ -187,7 +187,7 @@ def test_admissibility_margin_matches_hand_formula(seq_101):
 
 def test_forbidden_parameter_is_flagged(seq_101):
     _, shift, pair, forbidden = _operator_stage(seq_101, with_forbidden=True)
-    report = is_admissible(forbidden.matrix, shift, pair, forbidden)
+    report = is_admissible(forbidden, shift, pair, forbidden)
     assert not report.admissible
     assert report.coincides_with_forbidden
     assert report.forbidden_gap == pytest.approx(0.0, abs=1e-12)
@@ -294,7 +294,7 @@ def test_admissibility_margins_match_a_from_scratch_reference():
             q = pair.defect
             unitary = haar_unitary(rng, q)
             contraction = random_strict_contraction(rng, q)
-            for v in (unitary, contraction, forbidden.matrix):
+            for v in (unitary, contraction, forbidden):
                 report = is_admissible(v, shift, pair, forbidden)
                 assert report.margin == pytest.approx(
                     _reference_margin(v, shift, pair), abs=1e-12)
@@ -363,7 +363,7 @@ def test_a_solve_screens_its_parameter_once(monkeypatch):
 
 
 def test_a_transform_screens_its_parameter_once(monkeypatch):
-    # The transform route keeps the checked matrix and G: an explicit
+    # The transform route keeps its report and G: an explicit
     # contraction solve makes the one SVD call of its screen after
     # prepare, and so does Perron inversion on a fresh transform, however
     # often the transform is evaluated.
@@ -385,7 +385,7 @@ def test_a_transform_screens_its_parameter_once(monkeypatch):
     # recoveries, each time it is asked
     for kind in (ExtensionParameter.contraction, ExtensionParameter.isometric):
         transform = StieltjesTransform(ws.shift, ws.pair,
-                                       kind(ws.forbidden.matrix))
+                                       kind(ws.forbidden))
         for _ in range(2):
             with pytest.raises(NotAdmissible):
                 moments_from_transform(transform, 6)
@@ -405,8 +405,8 @@ def test_forbidden_operator_is_the_adjoint_of_the_rotation():
                 seq, _ = draw(rng, n, d)
                 _, _, pair, forbidden = _operator_stage(seq,
                                                         with_forbidden=True)
-                x = forbidden.matrix
-                assert np.array_equal(x, np.conj(pair.rotation.T))
+                x = forbidden
+                assert x is pair.forbidden
                 q = pair.defect
                 if not q:
                     continue
@@ -446,7 +446,7 @@ def test_rotation_maximizes_the_match_of_the_first_block_rows():
             q = pair.defect
             assert 0 < q < n
             k_minus = _unrotated_minus_rows(shift)
-            u = pair.rotation
+            u = np.conj(pair.forbidden.T)
             assert np.abs(pair.basis_minus[:n]
                           - k_minus @ u).max() <= 1e-12
             m = np.conj(k_minus.T) @ pair.basis_plus[:n]
@@ -475,8 +475,8 @@ def test_rotation_is_the_phase_of_a_hand_derived_match():
     k_minus = _unrotated_minus_rows(shift)
     assert np.allclose(np.conj(k_minus.T) @ pair.basis_plus[:2], [[1j / 3]],
                        atol=ORACLE_ATOL)
-    assert np.allclose(pair.rotation, [[1j]], atol=ORACLE_ATOL)
-    assert np.allclose(forbidden.matrix, [[-1j]], atol=ORACLE_ATOL)
+    assert np.allclose(np.conj(forbidden.T), [[1j]], atol=ORACLE_ATOL)
+    assert np.allclose(forbidden, [[-1j]], atol=ORACLE_ATOL)
 
 
 def _row_by_row_reports(stack, pair, forbidden, tol):
@@ -486,7 +486,7 @@ def _row_by_row_reports(stack, pair, forbidden, tol):
     plus, minus = pair.complement_rows
     parts = [stack, minus @ stack - plus]
     if forbidden is not None:
-        parts.append(stack - forbidden.matrix)
+        parts.append(stack - forbidden)
     sv = singular_values(np.concatenate(parts))
     gaps = sv[2 * k:, -1].tolist() if forbidden is not None else [None] * k
     return tuple(AdmissibilityReport(
@@ -511,10 +511,9 @@ def test_array_built_reports_are_the_row_by_row_rule():
     values = np.array([0.0, 0.5 * tol.adm_abs, 0.5, 1.0] + edges)
     unit = np.ones((1, 1), dtype=complex)
     pair = DeficiencyPair(basis_plus=0.0 * unit, basis_minus=unit, defect=1,
-                          omega=unit, rotation=unit)
-    zero = ForbiddenOperator(matrix=0.0 * unit)
+                          omega=unit, forbidden=0.0 * unit)
     stack = values.astype(complex)[:, None, None]
-    for forbidden in (None, zero):
+    for forbidden in (None, pair.forbidden):
         got = _screen(KIND_CONTRACTION, stack, pair, forbidden, tol)
         want = _row_by_row_reports(stack, pair, forbidden, tol)
         assert repr(got[1]) == repr(want)
@@ -532,7 +531,7 @@ def test_array_built_reports_are_the_row_by_row_rule():
             q = ws.defect
             if not q:
                 continue
-            x = ws.forbidden.matrix
+            x = ws.forbidden
             for k in (0, 1, 32):
                 stack = np.array([haar_unitary(rng, q) for _ in range(k)],
                                  dtype=complex).reshape(k, q, q)
