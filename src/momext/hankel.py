@@ -22,6 +22,7 @@ import functools
 import numpy as np
 
 from .errors import InsufficientMoments
+from .gram import _frame
 from .linalg import as_complex_matrix, hermitize, max_abs, read_only
 from .tolerances import DEFAULT, Tolerances
 
@@ -115,11 +116,25 @@ def _stack_moments(arrays) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class BlockHankel:
-    """The section H_k = [S_{r+t}]_{r,t=0..k}; Hermitian by construction."""
+    """The section H_k = [S_{r+t}]_{r,t=0..k}; Hermitian by construction.
+
+    Its spectrum and that of its leading kN x kN block H_{k-1} are each
+    one eigvalsh, taken on first read and kept."""
 
     order: int
     block_dim: int
     matrix: np.ndarray
+
+    @functools.cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """The ascending eigenvalues of H_k."""
+        return read_only(np.linalg.eigvalsh(self.matrix))
+
+    @functools.cached_property
+    def leading_eigenvalues(self) -> np.ndarray:
+        """The ascending eigenvalues of H_{k-1}."""
+        dn = self.order * self.block_dim
+        return read_only(np.linalg.eigvalsh(self.matrix[:dn, :dn]))
 
 
 def build_block_hankel(seq: MomentSequence, order: int) -> BlockHankel:
@@ -142,20 +157,31 @@ def build_block_hankel(seq: MomentSequence, order: int) -> BlockHankel:
 
 @dataclasses.dataclass(frozen=True)
 class ConditionReport:
-    """Solvability conditions for the truncated problem of order d."""
+    """Solvability conditions for the truncated problem of order d.
+
+    The two minimum eigenvalues are read off the spectra of the section,
+    computed on first read (one eigvalsh each, kept by the section): a
+    verdict that the frame's screens decided takes no eigvalsh at all."""
 
     block_dim: int
     order: int
     leading_positive: bool      # H_{d-1} > 0
     trailing_psd: bool          # H_d >= 0
-    min_eig_leading: float
-    min_eig_trailing: float
     scale_leading: float
     scale_trailing: float
+    section: BlockHankel = dataclasses.field(repr=False, compare=False)
 
     @property
     def solvable(self) -> bool:
         return self.leading_positive and self.trailing_psd
+
+    @property
+    def min_eig_leading(self) -> float:
+        return float(self.section.leading_eigenvalues[0])
+
+    @property
+    def min_eig_trailing(self) -> float:
+        return float(self.section.eigenvalues[0])
 
 
 def check_truncated_conditions(seq: MomentSequence,
@@ -163,17 +189,30 @@ def check_truncated_conditions(seq: MomentSequence,
     """Decide solvability of the order-d problem from S_0..S_{2d}.
 
     The sequence must contain an odd number (>= 3) of moments so both the
-    leading section H_{d-1} and the trailing section H_d exist.
-    min_eig_trailing is the smallest eigenvalue of the eigvalsh that the
-    Gram factor of H_d reads for its rank.
+    leading section H_{d-1} and the trailing section H_d exist.  The
+    tests are those of _check: the frame's screens when they decide, the
+    eigvalsh rules otherwise.  min_eig_trailing is the smallest
+    eigenvalue of the eigvalsh that the Gram factor of H_d reads for its
+    rank and reports.
     """
     return _check(seq, tol)[0]
 
 
 def _check(seq: MomentSequence, tol: Tolerances):
-    """check_truncated_conditions, with the H_d it built and the ascending
-    eigenvalues of that section and of its leading dN x dN block H_{d-1}:
-    H_d is built once, and each section gets one eigvalsh."""
+    """check_truncated_conditions, with the block Cholesky frame of
+    momext.gram of the H_d it built (the report's section), None when
+    its screens do not decide.
+
+    The rules are H_{d-1} > 0 when its smallest eigenvalue exceeds
+    pos_rel * s_lead, and H_d >= 0 when its own is at least
+    -psd_rel * s_trail, the scales being the largest |entry| of each
+    section.  When the frame's three screens decide (a Cholesky of
+    H_{d-1} - tI, the smallest eigenvalue of the Schur complement and
+    the rank band; see gram._frame), they certify both tests and no
+    eigvalsh runs.  Otherwise one eigvalsh of each section applies the
+    rules, and these spectra are those the report and the Gram space
+    read later.
+    """
     count = len(seq)
     if count < 3 or count % 2 == 0:
         raise InsufficientMoments(
@@ -181,21 +220,22 @@ def _check(seq: MomentSequence, tol: Tolerances):
             f"S_0..S_2d, got {count}")
     d = (count - 1) // 2
     trail = build_block_hankel(seq, d)
-    dn = d * seq.dim
-    w = np.linalg.eigvalsh(trail.matrix)
-    w_lead = np.linalg.eigvalsh(trail.matrix[:dn, :dn])
-    e_lead = float(w_lead[0])
-    e_trail = float(w[0])
     reach = seq._reach                  # H_{d-1} holds S_0..S_{2d-2}
     s_lead, s_trail = float(reach[2 * d - 2]), float(reach[-1])
+    frame = _frame(trail, s_lead, s_trail, tol)
+    if frame is None:
+        w, w_lead = trail.eigenvalues, trail.leading_eigenvalues
+        leading = bool(w_lead[0] > tol.pos_rel * s_lead)
+        trailing = bool(w[0] >= -tol.psd_rel * s_trail)
+    else:
+        leading = trailing = True
     report = ConditionReport(
         block_dim=seq.dim,
         order=d,
-        leading_positive=bool(e_lead > tol.pos_rel * s_lead),
-        trailing_psd=bool(e_trail >= -tol.psd_rel * s_trail),
-        min_eig_leading=e_lead,
-        min_eig_trailing=e_trail,
+        leading_positive=leading,
+        trailing_psd=trailing,
         scale_leading=s_lead,
         scale_trailing=s_trail,
+        section=trail,
     )
-    return report, trail, (w, w_lead)
+    return report, frame

@@ -70,15 +70,20 @@ def prepare(seq: MomentSequence, tol: Tolerances = DEFAULT) -> Workspace:
     trailing one NotPSD(section="trailing").
 
     One pass over the data: H_d is built once (H_{d-1} is its leading
-    block), and one eigvalsh of each section serves the two tests, the
-    rank m and the domain check.  Then come one Cholesky, two solves with
-    its factor L, one N x N eigh, one batched solve with J_0 - conj z0 and
-    J_0 - z0, one q x q eigh and one q x q SVD, which also gives X.  The
-    Workspace is bit for bit the one the public chain
+    block), and the block Cholesky frame decides the two tests, the rank
+    m and the domain check by three screens (gram._frame): a Cholesky
+    of H_{d-1} - tI, then one of H_{d-1}, a solve with its factor L and
+    one N x N eigh for the Schur complement Sigma, and a solve with L^H
+    for the rank band.  No eigvalsh runs unless a screen cannot decide
+    or the section has fewer than gram.SCREEN_MIN_SIZE rows; then one
+    eigvalsh of each section decides by the rules of _check and _factor.
+    The reported spectra are computed on first read.  Then come another
+    solve with L for the shift, one batched solve with J_0 - conj z0 and
+    J_0 - z0, one q x q eigh and one q x q SVD, which also gives X.  The Workspace is bit for bit the one the public chain
     check_truncated_conditions, factor_psd(build_block_hankel(...)),
     build_shift, deficiency_subspaces, forbidden_operator gives.
     """
-    report, section, (w, w_lead) = _check(seq, tol)
+    report, frame = _check(seq, tol)
     if not report.leading_positive:
         raise NotPSD(
             f"the leading section (order {report.order - 1}) is not positive "
@@ -89,7 +94,7 @@ def prepare(seq: MomentSequence, tol: Tolerances = DEFAULT) -> Workspace:
             f"the trailing section (order {report.order}) is not positive "
             f"semidefinite: min eigenvalue {report.min_eig_trailing:.6e}",
             section="trailing", min_eigenvalue=report.min_eig_trailing)
-    space = _factor(section, w, w_lead, tol)
+    space = _factor(report.section, frame, tol)
     shift = build_shift(space)
     pair = deficiency_subspaces(shift)
     return Workspace(sequence=seq, condition=report, space=space, shift=shift,
@@ -115,7 +120,6 @@ class SolveResult:
     condition: ConditionReport
     defect: int
     gram_rank: int
-    gram_eigenvalues: np.ndarray
     parameter: ExtensionParameter
     admissibility: AdmissibilityReport
     measure: AtomicMatrixMeasure | None
@@ -125,6 +129,11 @@ class SolveResult:
     transform_samples: tuple | None
     transform: StieltjesTransform | None
     workspace: Workspace
+
+    @property
+    def gram_eigenvalues(self) -> np.ndarray:
+        """The spectrum of H_d, descending: computed on first read."""
+        return self.workspace.space.eigenvalues
 
 
 def solve_truncated(seq: MomentSequence,
@@ -157,7 +166,6 @@ def _solve(ws: Workspace, parameter: ExtensionParameter | None,
 
     common = dict(condition=ws.condition, defect=ws.defect,
                   gram_rank=ws.space.ambient_dim,
-                  gram_eigenvalues=ws.space.eigenvalues,
                   parameter=parameter, admissibility=report, workspace=ws)
 
     if transform is None:

@@ -1,5 +1,6 @@
 """The eigen-frame construction with the +-i defect subspaces, as a
-test-only reference for the solution set of the block Cholesky frame.
+test-only reference for the solution set of the block Cholesky frame,
+and the eigvalsh rules that the frame's screens stand in for.
 
 This is the route of the paper in its own terms: the Gram coordinates
 are the scaled eigenvectors of H_d, the defect subspaces are
@@ -16,10 +17,12 @@ of the complement of D(A)).  Nothing here is tuned for speed.
 
 from __future__ import annotations
 
+import math
 import types
 
 import numpy as np
 
+from momext.errors import DependentDomain, NotPSD
 from momext.extensions import SelfAdjointExtension
 from momext.hankel import build_block_hankel, check_truncated_conditions
 from momext.measures import spectral_measure
@@ -48,6 +51,45 @@ def eigen_workspace(seq, tol=DEFAULT):
         space=types.SimpleNamespace(coords=coords), dom=dom, img=img,
         perp=_complement(dom), plus=_complement(img - 1j * dom),
         minus=_complement(img + 1j * dom))
+
+
+def eigvalsh_rules(seq, tol=DEFAULT):
+    """prepare's decisions by one eigvalsh of each section: a namespace
+    with leading_positive, trailing_psd, the rank m, the exception type
+    prepare raises (None when it does not), and margins, the distance of
+    each decision's deciding eigenvalue from its threshold relative to
+    the scale of its section (the largest |entry|; the largest |w| for
+    the rank)."""
+    d = (len(seq) - 1) // 2
+    dn = d * seq.dim
+    h = build_block_hankel(seq, d).matrix
+    lead = h[:dn, :dn]
+    w, w_lead = np.linalg.eigvalsh(h), np.linalg.eigvalsh(lead)
+    s_lead, s_trail = np.abs(lead).max(), np.abs(h).max()
+    lead_floor, trail_floor = tol.pos_rel * s_lead, -tol.psd_rel * s_trail
+    cutoff = tol.rank_rel * max(w[-1], 0.0)
+    domain_floor = tol.rank_rel ** 2 * max(w_lead[-1], 0.0)
+    out = types.SimpleNamespace(
+        leading_positive=bool(w_lead[0] > lead_floor),
+        trailing_psd=bool(w[0] >= trail_floor),
+        m=int(np.count_nonzero(w > cutoff)), error=None,
+        margins=dict(leading=abs(w_lead[0] - lead_floor) / s_lead,
+                     trailing=abs(w[0] - trail_floor) / s_trail,
+                     rank=float(np.abs(w - cutoff).min() / np.abs(w).max()),
+                     domain=abs(w_lead[0] - domain_floor) / s_lead))
+    if (not (out.leading_positive and out.trailing_psd)
+            or w[0] < -tol.psd_rel * max(-w[0], w[-1])):
+        out.error = NotPSD
+    elif (out.m < dn or w_lead[-1] <= 0.0
+          or math.sqrt(max(w_lead[0], 0.0))
+          <= tol.rank_rel * math.sqrt(w_lead[-1])):
+        out.error = DependentDomain
+    else:
+        try:
+            np.linalg.cholesky(lead)
+        except np.linalg.LinAlgError:
+            out.error = DependentDomain
+    return out
 
 
 def margin(ref, v: np.ndarray) -> float:

@@ -10,7 +10,14 @@ Checked here:
   phase_canonicalize against a per-column loop (zero columns, ties),
 - the rank decided on the scale of H_d, not on that of the Schur
   complement,
-- indefinite input is rejected with the trailing-section error.
+- indefinite input is rejected with the trailing-section error,
+- the screens of the frame decide as the eigvalsh rules of
+  tests/eigen_frame.py (the two tests, the rank m, the defect q and the
+  exception prepare raises) on full-defect, rank-drop, rescaled and
+  clustered draws at N in {1, 2, 4, 8}, d <= 8, and on near-threshold
+  files on both sides of each screen; they may differ only within
+  roundoff of a threshold, unscaled draws never fall back to eigvalsh,
+  and the spectra read later are those of a fresh eigvalsh.
 """
 
 from __future__ import annotations
@@ -18,9 +25,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momext import (MomentSequence, NotPSD, build_block_hankel, factor_psd)
+import momext.gram
+import momext.hankel
+from momext import (DEFAULT, AtomicMatrixMeasure, MomentProblemError,
+                    MomentSequence, NotPSD, build_block_hankel,
+                    check_truncated_conditions, factor_psd, prepare,
+                    solve_truncated)
 from momext.linalg import phase_canonicalize
-from momext.sampling import random_feasible_instance
+from momext.sampling import (random_deficient_instance, random_feasible_instance,
+                             random_psd)
+
+import eigen_frame
 
 RNG_SEED = 20260802
 N_RANDOM_INSTANCES = 30
@@ -167,3 +182,114 @@ def test_indefinite_section_is_rejected():
     with pytest.raises(NotPSD) as exc_info:
         _space_for(seq)
     assert exc_info.value.section == "trailing"
+
+
+#: relative distance from a threshold within which a screen and the
+#: eigvalsh rule may decide differently: roundoff of either computation
+ROUNDOFF_REL = 1e-13
+
+#: N = 1 files on both sides of each screen, with what the eigvalsh rules
+#: decide, and whether the screens decide them (False: eigvalsh does)
+NEAR_THRESHOLD = (
+    ([1, 0, 2e-10, 0, 1], True),        # H_1 - tI > 0 just above pos_rel
+    ([1, 0, 5e-11, 0, 1], False),       # leading refused
+    ([1, 0, 1, 0, 0.99999999985], False),   # Sigma < -tau, H_2 accepted
+    ([1, 0, 1, 0, 0.9999999997], False),    # trailing refused
+    ([1, 0, 1, 0, 1], True),            # Sigma = 0: m = 2, defect 0
+)
+
+
+def _draws(rng):
+    """(kind, sequence) pairs: full-defect and rank-drop draws, each also
+    under x -> 10^k x for k = -3..3, and clusters of d + 1 atoms 1e-2 or
+    1e-3 apart."""
+    for n in (1, 2, 4, 8):
+        for d in range(1, 9):
+            for draw in (random_feasible_instance, random_deficient_instance):
+                seq, _ = draw(rng, n, d)
+                yield "plain", seq
+                for k in range(-3, 4):
+                    yield "scaled", MomentSequence.from_arrays(
+                        [10.0 ** (k * i) * s for i, s in enumerate(seq.moments)])
+            for gap in (1e-2, 1e-3):
+                locs = 0.5 + gap * np.arange(d + 1)
+                truth = AtomicMatrixMeasure.from_atoms(
+                    locs, np.array([random_psd(rng, n) for _ in locs]))
+                yield "cluster", MomentSequence.from_arrays(
+                    [truth.moment(k) for k in range(2 * d + 1)])
+
+
+def test_screens_decide_as_the_eigvalsh_rules(monkeypatch):
+    frames = []
+    real = momext.gram._frame
+
+    def recording(section, *args):
+        frame = real(section, *args)
+        if len(section.matrix) >= momext.gram.SCREEN_MIN_SIZE:
+            frames.append(frame is not None)
+        return frame
+    monkeypatch.setattr(momext.gram, "_frame", recording)
+    monkeypatch.setattr(momext.hankel, "_frame", recording)
+
+    def decide(seq):
+        """What the two stages decide, and whether the screens did."""
+        frames.clear()
+        report = check_truncated_conditions(seq)
+        try:
+            ws = prepare(seq)
+            outcome = (ws.space.ambient_dim, ws.defect, None)
+        except MomentProblemError as exc:
+            outcome = (None, None, type(exc))
+        return report, outcome, frames[:1] == [True]
+
+    def agrees(seq):
+        want = eigen_frame.eigvalsh_rules(seq)
+        report, (m, q, error), screened = decide(seq)
+        near = {k for k, v in want.margins.items() if v < ROUNDOFF_REL}
+        dn = (len(seq) - 1) // 2 * seq.dim
+        same = ((report.leading_positive == want.leading_positive
+                 or "leading" in near)
+                and (report.trailing_psd == want.trailing_psd
+                     or "trailing" in near)
+                and (error is want.error or bool(near))
+                and (error is not None or (m == want.m and q == m - dn)
+                     or "rank" in near))
+        return same, screened
+
+    rng = np.random.default_rng(RNG_SEED + 5)
+    screened = {"plain": [], "scaled": [], "cluster": []}
+    for kind, seq in _draws(rng):
+        same, by_screens = agrees(seq)
+        assert same, kind
+        if frames:
+            screened[kind].append(by_screens)
+    # the well-conditioned draws are all decided without eigvalsh; the
+    # rescaled and clustered ones fall back when ill-conditioned
+    assert all(screened["plain"])
+    for kind in ("scaled", "cluster"):
+        assert any(screened[kind]) and not all(screened[kind]), kind
+    for values, by_screens in NEAR_THRESHOLD:
+        same, screened_here = agrees(MomentSequence.scalar(values))
+        assert same and screened_here == by_screens, values
+
+
+def test_spectra_are_read_on_demand_from_one_eigvalsh(monkeypatch):
+    # an N = 8 solve runs with eigvalsh unavailable; the reports read
+    # afterwards are a fresh eigvalsh of each section, bit for bit
+    rng = np.random.default_rng(RNG_SEED + 6)
+    seq, _ = random_deficient_instance(rng, 8, 3)
+    real = np.linalg.eigvalsh
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh called")
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    result = solve_truncated(seq)
+    assert result.verification.passed
+    monkeypatch.setattr(np.linalg, "eigvalsh", real)
+    h = build_block_hankel(seq, 3).matrix
+    w, w_lead = real(h), real(h[:24, :24])
+    assert result.condition.min_eig_leading == float(w_lead[0])
+    assert result.condition.min_eig_trailing == float(w[0])
+    assert np.array_equal(result.gram_eigenvalues, w[::-1])
+    assert result.workspace.space.rank_cutoff == float(
+        DEFAULT.rank_rel * max(w[-1], 0.0))

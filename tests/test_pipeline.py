@@ -4,15 +4,23 @@ Checked here:
 - the worked instance (1, 0, 1): preparation report, the default
   parameter -X = 1 with margin sqrt(2), the frozen two-atom measure,
 - prepare as one pass: its Workspace is bit for bit the public chain of
-  stages, from one Hankel build, one eigvalsh of H_d and one of H_{d-1},
-  one Cholesky, two solves with its factor L, one N x N eigh (a closed
-  form at N = 1), one batched solve with J_0 -/+ z and the small
-  defect-space factorizations (the q x q eigh a closed form at q = 1)
-  (no QR, no inverse, no solve for X), a default solve adding the screen
-  of one parameter, one m x m eigh and, for N >= 2, one batched Cholesky
-  of the atom weights (eigvalsh only when it fails), and no solve, since
-  B(-X) = Re Omega; the reported trailing minimum eigenvalue is the
-  smallest Gram eigenvalue,
+  stages, from one Hankel build and the frame's screens with no
+  eigvalsh (Choleskys of H_{d-1} - tI and of H_{d-1}, a solve with its
+  factor L, one N x N eigh, a closed form at N = 1, and a solve with
+  L^H), or below gram.SCREEN_MIN_SIZE rows one eigvalsh of H_d and one
+  of H_{d-1} and one Cholesky; then a solve with L for the shift, one
+  batched solve with J_0 -/+ z and the small defect-space
+  factorizations (the q x q eigh a closed form at q = 1) (no QR, no
+  inverse, no solve for X), a default solve adding the screen of one
+  parameter, one m x m eigh and, for N >= 2, one batched Cholesky of
+  the atom weights (eigvalsh only when it fails), and no solve, since
+  B(-X) = Re Omega,
+- the spectra of the sections computed on first read: a screened solve
+  takes no eigvalsh, the first read of the trailing reports
+  (min_eig_trailing, gram_eigenvalues, rank_cutoff) one of H_d, that of
+  min_eig_leading one of H_{d-1}, and a second read none; a refused or
+  undecided section takes both while it is checked; the reported
+  trailing minimum eigenvalue is the smallest Gram eigenvalue,
 - both solution routes (atomic for isometric parameters, transform plus
   closed-form moment recovery for contractions),
 - the admissibility gate on supplied parameters,
@@ -40,7 +48,7 @@ import pytest
 
 import momext.hankel
 from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
-                    NotAdmissible, build_block_hankel, build_shift,
+                    NotAdmissible, NotPSD, build_block_hankel, build_shift,
                     check_truncated_conditions, default_parameter,
                     deficiency_subspaces, factor_psd, forbidden_operator,
                     is_admissible, measure_distance, prepare,
@@ -48,6 +56,7 @@ from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
                     theta_sweep, verify_moments)
 import momext.pipeline
 from momext.linalg import phase_canonicalize
+from momext.gram import SCREEN_MIN_SIZE
 from momext.pipeline import SWEEP_SITE_TOL
 from momext.sampling import (haar_unitary, random_admissible_isometry,
                              random_deficient_instance,
@@ -95,22 +104,9 @@ def test_prepare_is_the_public_chain_bit_for_bit():
                     assert np.array_equal(got, want), (n, d, draw.__name__)
 
 
-def test_prepare_builds_and_factors_each_section_once(monkeypatch):
-    # One H_d build, one eigvalsh of H_d and one of its leading dN x dN
-    # block (the two tests, the rank and the domain check), one Cholesky
-    # of that block, a solve with its factor L for the Schur complement
-    # and one eigh of that N x N complement (none at N = 1, where it is
-    # its own eigenvalue), then a second solve with L for the shift; the
-    # defect spaces add one batched solve with J_0 - conj z0 and
-    # J_0 - z0, an eigh of their q x q Gram matrix (none at q = 1) and
-    # an SVD for the rotation of B_minus, whose adjoint is X.  No QR, no
-    # inverse and no solve for X.  A default solve then screens one
-    # parameter (its norm, its margin and its forbidden gap, from one SVD
-    # call of a (3, q, q) stack, or from moduli and no SVD at q = 1),
-    # takes one m x m eigh and screens the
-    # atom weights with one batched Cholesky (none at N = 1, where a
-    # weight is its own eigenvalue); eigvalsh runs only when that screen
-    # fails, and there is no solve, since B(-X) = Re Omega.
+def _count_calls(monkeypatch):
+    """Record the Hankel builds and the numpy.linalg calls, with the
+    order or the shape of the first argument, in the list returned."""
     calls = []
 
     def count(module, name, shape_of):
@@ -125,6 +121,28 @@ def test_prepare_builds_and_factors_each_section_once(monkeypatch):
     for name in ("eigh", "eigvalsh", "cholesky", "svd", "qr", "inv",
                  "solve"):
         count(np.linalg, name, lambda args: np.shape(args[0]))
+    return calls
+
+
+def test_prepare_builds_and_factors_each_section_once(monkeypatch):
+    # One H_d build, then the frame's screens: a Cholesky of
+    # H_{d-1} - tI and one of H_{d-1}, a solve with its factor L for the
+    # Schur complement, one eigh of that N x N complement (none at
+    # N = 1, where it is its own eigenvalue) and a solve with L^H for
+    # Z = H_{d-1}^{-1} K; no eigvalsh.  Below SCREEN_MIN_SIZE rows
+    # (N = 1, d = 1 here) one eigvalsh of H_d and one of H_{d-1} decide
+    # instead, before the Cholesky of H_{d-1}.  Then a second solve with
+    # L for the shift; the defect spaces add one batched solve with
+    # J_0 - conj z0 and J_0 - z0, an eigh of their q x q Gram matrix
+    # (none at q = 1) and an SVD for the rotation of B_minus, whose
+    # adjoint is X.  No QR, no inverse and no solve for X.  A default
+    # solve then screens one parameter (its norm, its margin and its
+    # forbidden gap, from one SVD call of a (3, q, q) stack, or from
+    # moduli and no SVD at q = 1), takes one m x m eigh and screens the
+    # atom weights with one batched Cholesky (none at N = 1, where a
+    # weight is its own eigenvalue); eigvalsh runs only when that screen
+    # fails, and there is no solve, since B(-X) = Re Omega.
+    calls = _count_calls(monkeypatch)
     rng = np.random.default_rng(RNG_SEED + 7)
     for n in (1, 2, 4):
         for d in (1, 3):
@@ -134,16 +152,19 @@ def test_prepare_builds_and_factors_each_section_once(monkeypatch):
                 ws = prepare(seq)
                 size, dn = (d + 1) * n, d * n
                 m, q = ws.space.ambient_dim, ws.defect
+                schur = [("solve", (dn, dn))] + [("eigh", (n, n))] * (n > 1)
+                if size >= SCREEN_MIN_SIZE:
+                    frame = ([("cholesky", (dn, dn))] * 2 + schur
+                             + [("solve", (dn, dn))])
+                else:
+                    frame = [("eigvalsh", (size, size)),
+                             ("eigvalsh", (dn, dn)),
+                             ("cholesky", (dn, dn))] + schur
                 defect = ([("solve", (2, dn, dn))]
                           + [("eigh", (q, q))] * (q > 1)
                           + [("svd", (q, q))]) if q else []
-                assert calls == [("build_block_hankel", d),
-                                 ("eigvalsh", (size, size)),
-                                 ("eigvalsh", (dn, dn)),
-                                 ("cholesky", (dn, dn)),
-                                 ("solve", (dn, dn))] + [
-                                 ("eigh", (n, n))] * (n > 1) + [
-                                 ("solve", (dn, dn))] + defect
+                assert calls == [("build_block_hankel", d)] + frame + [
+                    ("solve", (dn, dn))] + defect
                 in_prepare = list(calls)
                 calls.clear()
                 result = solve_truncated(seq)
@@ -153,6 +174,50 @@ def test_prepare_builds_and_factors_each_section_once(monkeypatch):
                 assert calls[:len(in_prepare)] == in_prepare
                 assert calls[len(in_prepare):] == screen + [
                     ("eigh", (1, m, m))] + psd
+
+
+def test_spectra_are_computed_on_first_read_once(monkeypatch):
+    # A screened solve takes no eigvalsh; the first read of a report of
+    # either section takes its one eigvalsh, and no later read another.
+    # A refused section, and one the screens cannot decide, take the
+    # eigvalsh of both sections while they are checked, and reads add
+    # none.
+    calls = _count_calls(monkeypatch)
+
+    def eigvalsh_calls():
+        return [c for c in calls if c[0] == "eigvalsh"]
+
+    def read(result):
+        for _ in range(2):
+            result.condition.min_eig_trailing
+            result.gram_eigenvalues
+            result.workspace.space.rank_cutoff
+
+    rng = np.random.default_rng(RNG_SEED + 9)
+    for n in (2, 8):
+        seq, _ = random_feasible_instance(rng, n, 3)
+        trailing, leading = ("eigvalsh", (4 * n, 4 * n)), ("eigvalsh",
+                                                            (3 * n, 3 * n))
+        calls.clear()
+        result = solve_truncated(seq)
+        assert eigvalsh_calls() == []
+        read(result)
+        assert eigvalsh_calls() == [trailing]
+        for _ in range(2):
+            result.condition.min_eig_leading
+        assert eigvalsh_calls() == [trailing, leading]
+    refused = MomentSequence.from_arrays(
+        [np.diag([-1.0, 1.0]), np.zeros((2, 2)), np.eye(2)])
+    calls.clear()
+    with pytest.raises(NotPSD):
+        prepare(refused)
+    assert eigvalsh_calls() == [("eigvalsh", (4, 4)), ("eigvalsh", (2, 2))]
+    calls.clear()
+    result = solve_truncated(
+        MomentSequence.scalar([1, 0, 1, 0, 0.99999999985]))
+    read(result)
+    result.condition.min_eig_leading
+    assert eigvalsh_calls() == [("eigvalsh", (3, 3)), ("eigvalsh", (2, 2))]
 
 
 def test_trailing_minimum_is_the_smallest_gram_eigenvalue():
