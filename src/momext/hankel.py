@@ -12,17 +12,25 @@ The data enters every later stage only through the block Hankel sections
 
 whose positivity encodes solvability: H_{d-1} positive definite together with
 H_d positive semidefinite makes the whole operator construction go through.
+
+Both tests, the rank of H_d and the independence of the domain vectors
+are decided in one place, _decide: three screens read them off the
+block Cholesky frame of H_d that momext.gram assembles into coordinates
+(the inertia of H_d is that of H_{d-1} plus that of the Schur
+complement, by Haynsworth), and one eigvalsh of each section decides
+only when a screen cannot.  The spectra are otherwise computed on first
+read.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
+import math
 
 import numpy as np
 
-from .errors import InsufficientMoments
-from .gram import _frame
+from .errors import DependentDomain, InsufficientMoments, NotPSD
 from .linalg import as_complex_matrix, hermitize, max_abs, read_only
 from .tolerances import DEFAULT, Tolerances
 
@@ -33,10 +41,11 @@ HERM_REL = 1e-10
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class MomentSequence:
-    """Hermitian matrix moments S_0..S_{count-1}, stored symmetrized."""
+    """Hermitian matrix moments S_0..S_{count-1}, stored symmetrized as one
+    read-only complex (count, N, N) array."""
 
     dim: int
-    moments: tuple
+    moments: np.ndarray
 
     @classmethod
     def from_arrays(cls, arrays):
@@ -59,10 +68,7 @@ class MomentSequence:
             raise ValueError(f"moment S_{i} is not Hermitian: defect "
                              f"{defect[i]:.3e} exceeds {HERM_REL:.1e} * scale "
                              f"{scale[i]:.3e}")
-        fixed = read_only(0.5 * (stack + herm))
-        seq = cls(dim=stack.shape[1], moments=tuple(fixed))
-        vars(seq)["_stack"] = fixed         # _stack is that stack already
-        return seq
+        return cls(dim=stack.shape[1], moments=read_only(0.5 * (stack + herm)))
 
     @classmethod
     def scalar(cls, values):
@@ -77,17 +83,11 @@ class MomentSequence:
         return self.moments[n]
 
     @functools.cached_property
-    def _stack(self) -> np.ndarray:
-        """The moments as one read-only complex (count, N, N) array, built
-        once: the Hankel sections and the verifications read it."""
-        return read_only(np.array(self.moments, dtype=complex))
-
-    @functools.cached_property
     def _reach(self) -> np.ndarray:
         """The largest |entry| of S_0..S_n for each n, taken once: the scales
         of the Hankel sections (made of S_n entries) and verifications."""
         return read_only(np.maximum.accumulate(
-            np.abs(self._stack).max(axis=(1, 2))))
+            np.abs(self.moments).max(axis=(1, 2))))
 
 
 def _stack_moments(arrays) -> np.ndarray:
@@ -136,6 +136,11 @@ class BlockHankel:
         dn = self.order * self.block_dim
         return read_only(np.linalg.eigvalsh(self.matrix[:dn, :dn]))
 
+    def rank_cutoff(self, rank_rel: float) -> float:
+        """rank_rel times the largest eigenvalue: the rank counts those
+        above it."""
+        return float(rank_rel * max(self.eigenvalues[-1], 0.0))
+
 
 def build_block_hankel(seq: MomentSequence, order: int) -> BlockHankel:
     """Assemble H_order from the sequence; needs moments up to S_{2*order}.
@@ -150,7 +155,7 @@ def build_block_hankel(seq: MomentSequence, order: int) -> BlockHankel:
     n = seq.dim
     size = (order + 1) * n
     index = np.add.outer(np.arange(order + 1), np.arange(order + 1))
-    blocks = seq._stack[index]
+    blocks = seq.moments[index]
     g = blocks.transpose(0, 2, 1, 3).reshape(size, size)
     return BlockHankel(order=order, block_dim=n, matrix=read_only(g))
 
@@ -161,14 +166,12 @@ class ConditionReport:
 
     The two minimum eigenvalues are read off the spectra of the section,
     computed on first read (one eigvalsh each, kept by the section): a
-    verdict that the frame's screens decided takes no eigvalsh at all."""
+    verdict that the screens of _decide gave takes no eigvalsh at all."""
 
     block_dim: int
     order: int
     leading_positive: bool      # H_{d-1} > 0
     trailing_psd: bool          # H_d >= 0
-    scale_leading: float
-    scale_trailing: float
     section: BlockHankel = dataclasses.field(repr=False, compare=False)
 
     @property
@@ -190,8 +193,7 @@ def check_truncated_conditions(seq: MomentSequence,
 
     The sequence must contain an odd number (>= 3) of moments so both the
     leading section H_{d-1} and the trailing section H_d exist.  The
-    tests are those of _check: the frame's screens when they decide, the
-    eigvalsh rules otherwise.  min_eig_trailing is the smallest
+    tests are the rules of _decide.  min_eig_trailing is the smallest
     eigenvalue of the eigvalsh that the Gram factor of H_d reads for its
     rank and reports.
     """
@@ -199,20 +201,9 @@ def check_truncated_conditions(seq: MomentSequence,
 
 
 def _check(seq: MomentSequence, tol: Tolerances):
-    """check_truncated_conditions, with the block Cholesky frame of
-    momext.gram of the H_d it built (the report's section), None when
-    its screens do not decide.
-
-    The rules are H_{d-1} > 0 when its smallest eigenvalue exceeds
-    pos_rel * s_lead, and H_d >= 0 when its own is at least
-    -psd_rel * s_trail, the scales being the largest |entry| of each
-    section.  When the frame's three screens decide (a Cholesky of
-    H_{d-1} - tI, the smallest eigenvalue of the Schur complement and
-    the rank band; see gram._frame), they certify both tests and no
-    eigvalsh runs.  Otherwise one eigvalsh of each section applies the
-    rules, and these spectra are those the report and the Gram space
-    read later.
-    """
+    """check_truncated_conditions, with the frame (or the refusal) that
+    _decide gives for the H_d it built, the report's section; the scales
+    are the largest |entry| of each section, read off the moments."""
     count = len(seq)
     if count < 3 or count % 2 == 0:
         raise InsufficientMoments(
@@ -221,21 +212,123 @@ def _check(seq: MomentSequence, tol: Tolerances):
     d = (count - 1) // 2
     trail = build_block_hankel(seq, d)
     reach = seq._reach                  # H_{d-1} holds S_0..S_{2d-2}
-    s_lead, s_trail = float(reach[2 * d - 2]), float(reach[-1])
-    frame = _frame(trail, s_lead, s_trail, tol)
-    if frame is None:
-        w, w_lead = trail.eigenvalues, trail.leading_eigenvalues
-        leading = bool(w_lead[0] > tol.pos_rel * s_lead)
-        trailing = bool(w[0] >= -tol.psd_rel * s_trail)
-    else:
-        leading = trailing = True
-    report = ConditionReport(
-        block_dim=seq.dim,
-        order=d,
-        leading_positive=leading,
-        trailing_psd=trailing,
-        scale_leading=s_lead,
-        scale_trailing=s_trail,
-        section=trail,
-    )
+    leading, trailing, frame = _decide(trail, float(reach[2 * d - 2]),
+                                       float(reach[-1]), tol)
+    report = ConditionReport(block_dim=seq.dim, order=d,
+                             leading_positive=leading, trailing_psd=trailing,
+                             section=trail)
     return report, frame
+
+
+def _decide(section: BlockHankel, s_lead: float, s_trail: float,
+            tol: Tolerances):
+    """The one decision on a section H_d, whose leading dN x dN block is
+    H_{d-1} and whose scales s_lead and s_trail are the largest |entry|
+    of H_{d-1} and of H_d: (leading_positive, trailing_psd, frame).  The
+    frame is the block Cholesky frame of momext.gram (L, Y, the ascending
+    eigenvalues of Sigma and their eigenvectors, None at N = 1, and the
+    rank m) when every rule admits the section, and otherwise the error
+    that refuses it, raised by gram._factor: NotPSD for the leading test,
+    then for the trailing one, then DependentDomain.  The rules:
+
+    - leading: the smallest eigenvalue of H_{d-1} exceeds pos_rel * s_lead;
+    - trailing: that of H_d is at least -psd_rel * s_trail;
+    - rank: m counts the eigenvalues of H_d above the cutoff
+      c = rank_rel * lambda_max(H_d);
+    - domain: x_0..x_{dN-1} are independent in C^m: m >= dN, the
+      smallest singular value sqrt(lambda_min(H_{d-1})) exceeds rank_rel
+      times the largest, and H_{d-1} has a Cholesky factor.
+
+    With A = H_{d-1}, K the last block column above S_2d, and c between
+    c_lo = rank_rel * max diag H_d and c_hi = rank_rel * ||H_d||_F, three
+    screens certify all four rules without eigvalsh:
+
+    1. A Cholesky of A - tI, t = max(pos_rel * s_lead, 2 c_hi), certifies
+       the leading test, the domain check (the smallest eigenvalue of A
+       exceeds 2 c_hi, above rank_rel^2 times its largest; for
+       rank_rel > 1/2, t exceeds that largest and the Cholesky fails) and
+       A - cI > 0, so m >= dN.
+    2. sigma_min(Sigma) > -tau, tau = psd_rel * s_trail, certifies
+       H_d + tau I > 0, the trailing test: the Schur complement of
+       A + tau I in it is at least Sigma + tau I.
+    3. With Z = A^{-1} K, the Schur complement Sigma_c of A - cI in
+       H_d - cI lies between Sigma - c(1 + 2||Z||^2) I and Sigma - cI,
+       so when no eigenvalue of Sigma lies in (c_lo, c_hi (1 + 2||Z||^2)]
+       Weyl's inequalities give the sign of each eigenvalue of Sigma_c,
+       and by Haynsworth's inertia additivity m = dN + #{sigma above the
+       band}, the count of eigenvalues of H_d above c (||Z||_F bounds
+       ||Z||).
+
+    When a screen cannot decide, one eigvalsh of H_d and one of H_{d-1}
+    (the spectra the reports read later) apply the rules, on the L and
+    Sigma already taken.  Sigma is the computed Schur complement,
+    backward stable with respect to H_d, so a screen and the eigvalsh
+    rule can differ only within roundoff of a threshold.
+    """
+    h = section.matrix
+    n = section.block_dim
+    dn = section.order * n
+    c_hi = tol.rank_rel * math.sqrt(np.vdot(h, h).real)
+    shifted = h[:dn, :dn].copy()
+    shifted.flat[::dn + 1] -= max(tol.pos_rel * s_lead, 2.0 * c_hi)
+    try:
+        np.linalg.cholesky(shifted)
+        lower = np.linalg.cholesky(h[:dn, :dn])
+    except np.linalg.LinAlgError:
+        lower = None
+    else:
+        y, sw, su = _schur(h, lower, n)
+        if sw[0] > -tol.psd_rel * s_trail:
+            z = np.linalg.solve(np.conj(lower.T), np.conj(y.T))
+            c_top = c_hi * (1.0 + 2.0 * np.vdot(z, z).real)
+            above = int(np.count_nonzero(sw > c_top))
+            if np.count_nonzero(
+                    sw > tol.rank_rel * h.diagonal().real.max()) == above:
+                return True, True, (lower, y, sw, su, dn + above)
+    w, w_lead = section.eigenvalues, section.leading_eigenvalues
+    leading = not dn or bool(w_lead[0] > tol.pos_rel * s_lead)
+    trailing = bool(w[0] >= -tol.psd_rel * s_trail)
+    if not leading:
+        return leading, trailing, NotPSD(
+            f"the leading section (order {section.order - 1}) is not "
+            f"positive definite: min eigenvalue {w_lead[0]:.6e}",
+            section="leading", min_eigenvalue=float(w_lead[0]))
+    if not trailing:
+        return leading, trailing, NotPSD(
+            f"the trailing section (order {section.order}) is not positive "
+            f"semidefinite: min eigenvalue {w[0]:.6e}",
+            section="trailing", min_eigenvalue=float(w[0]))
+    m = int(np.count_nonzero(w > section.rank_cutoff(tol.rank_rel)))
+    if m < dn:
+        return True, True, DependentDomain(
+            f"domain needs {dn} independent vectors but the space has "
+            f"dimension {m}")
+    if dn:                              # the leading test made w_lead > 0
+        low, high = math.sqrt(w_lead[0]), math.sqrt(w_lead[-1])
+        if low <= tol.rank_rel * high:
+            return True, True, DependentDomain(
+                f"domain vectors are numerically dependent: smallest "
+                f"singular value {low:.3e} vs largest {high:.3e}")
+    if lower is None:
+        try:
+            lower = np.linalg.cholesky(h[:dn, :dn])
+        except np.linalg.LinAlgError:
+            return True, True, DependentDomain(
+                "the leading section has no Cholesky factor in float64")
+        y, sw, su = _schur(h, lower, n)
+    return True, True, (lower, y, sw, su, m)
+
+
+def _schur(h: np.ndarray, lower: np.ndarray, n: int):
+    """Y = (L^{-1} K)^H and the ascending eigenvalues and eigenvectors of
+    the Hermitized Sigma = S_2d - Y Y^H, from one eigh.  At N = 1 Sigma
+    is its own eigenvalue, Re Sigma (LAPACK's eigh returns (Re a, [1])
+    for n = 1), and the eigenvectors are None."""
+    dn = len(lower)
+    y = np.conj(np.linalg.solve(lower, h[:dn, dn:]).T) if dn else \
+        np.zeros((n, 0), dtype=complex)
+    schur = h[dn:, dn:] - y @ np.conj(y.T)
+    if n == 1:
+        return y, schur.real[0], None
+    sw, su = np.linalg.eigh(0.5 * (schur + np.conj(schur.T)))
+    return y, sw, su

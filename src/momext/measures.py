@@ -273,7 +273,7 @@ def _verifications(recovered, seq: MomentSequence,
     over the whole stack at once, and each report is built from one
     tolist() per column.  A NaN deviation makes the worst one NaN, which
     fails."""
-    data = seq._stack
+    data = seq.moments
     devs = np.abs(recovered[:, :len(data)] - data).max(axis=(2, 3))
     worst = devs.max(axis=1)
     scale = max(1.0, float(seq._reach[-1]))

@@ -21,7 +21,6 @@ import dataclasses
 
 import numpy as np
 
-from .errors import NotPSD
 from .gram import GramSpace, _factor
 from .hankel import ConditionReport, MomentSequence, _check
 from .linalg import read_only
@@ -67,33 +66,25 @@ def prepare(seq: MomentSequence, tol: Tolerances = DEFAULT) -> Workspace:
     """Check solvability and build the operator stage; raises NotPSD if not.
 
     The leading condition failing raises NotPSD(section="leading"); the
-    trailing one NotPSD(section="trailing").
+    trailing one NotPSD(section="trailing"); dependent domain vectors
+    DependentDomain.
 
     One pass over the data: H_d is built once (H_{d-1} is its leading
-    block), and the block Cholesky frame decides the two tests, the rank
-    m and the domain check by three screens (gram._frame): a Cholesky
-    of H_{d-1} - tI, then one of H_{d-1}, a solve with its factor L and
-    one N x N eigh for the Schur complement Sigma, and a solve with L^H
-    for the rank band.  No eigvalsh runs unless a screen cannot decide
-    or the section has fewer than gram.SCREEN_MIN_SIZE rows; then one
-    eigvalsh of each section decides by the rules of _check and _factor.
-    The reported spectra are computed on first read.  Then come another
-    solve with L for the shift, one batched solve with J_0 - conj z0 and
-    J_0 - z0, one q x q eigh and one q x q SVD, which also gives X.  The Workspace is bit for bit the one the public chain
-    check_truncated_conditions, factor_psd(build_block_hankel(...)),
-    build_shift, deficiency_subspaces, forbidden_operator gives.
+    block), and hankel._decide decides the two tests, the rank m and
+    the domain check by three screens of the block Cholesky frame: a
+    Cholesky of H_{d-1} - tI, then one of H_{d-1}, a solve with its
+    factor L and one N x N eigh for the Schur complement Sigma, and a
+    solve with L^H for the rank band.  No eigvalsh runs unless a screen
+    cannot decide; then one eigvalsh of each section decides, on the L
+    and Sigma already taken.  The reported spectra are computed on first
+    read.  Then come another solve with L for the shift, one batched
+    solve with J_0 - conj z0 and J_0 - z0, one q x q eigh and one q x q
+    SVD, which also gives X.  The Workspace is bit for bit the one the
+    public chain check_truncated_conditions,
+    factor_psd(build_block_hankel(...)), build_shift,
+    deficiency_subspaces, forbidden_operator gives.
     """
     report, frame = _check(seq, tol)
-    if not report.leading_positive:
-        raise NotPSD(
-            f"the leading section (order {report.order - 1}) is not positive "
-            f"definite: min eigenvalue {report.min_eig_leading:.6e}",
-            section="leading", min_eigenvalue=report.min_eig_leading)
-    if not report.trailing_psd:
-        raise NotPSD(
-            f"the trailing section (order {report.order}) is not positive "
-            f"semidefinite: min eigenvalue {report.min_eig_trailing:.6e}",
-            section="trailing", min_eigenvalue=report.min_eig_trailing)
     space = _factor(report.section, frame, tol)
     shift = build_shift(space)
     pair = deficiency_subspaces(shift)

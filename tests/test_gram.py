@@ -10,7 +10,9 @@ Checked here:
   phase_canonicalize against a per-column loop (zero columns, ties),
 - the rank decided on the scale of H_d, not on that of the Schur
   complement,
-- indefinite input is rejected with the trailing-section error,
+- indefinite input is rejected with the trailing-section error, and
+  factor_psd refuses a section exactly when the check finds its data
+  unsolvable, with prepare's error,
 - the screens of the frame decide as the eigvalsh rules of
   tests/eigen_frame.py (the two tests, the rank m, the defect q and the
   exception prepare raises) on full-defect, rank-drop, rescaled and
@@ -25,8 +27,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import momext.gram
-import momext.hankel
 from momext import (DEFAULT, AtomicMatrixMeasure, MomentProblemError,
                     MomentSequence, NotPSD, build_block_hankel,
                     check_truncated_conditions, factor_psd, prepare,
@@ -196,6 +196,9 @@ NEAR_THRESHOLD = (
     ([1, 0, 1, 0, 0.99999999985], False),   # Sigma < -tau, H_2 accepted
     ([1, 0, 1, 0, 0.9999999997], False),    # trailing refused
     ([1, 0, 1, 0, 1], True),            # Sigma = 0: m = 2, defect 0
+    ([1, 0, -5e-11], True),             # 2 x 2: -tau < Sigma < 0, m = 1
+    ([1, 0, -2e-10], False),            # 2 x 2: trailing refused
+    ([2, 1.4, 0.98], True),             # 2 x 2: Sigma roundoff, m = 1
 )
 
 
@@ -219,28 +222,17 @@ def _draws(rng):
                     [truth.moment(k) for k in range(2 * d + 1)])
 
 
-def test_screens_decide_as_the_eigvalsh_rules(monkeypatch):
-    frames = []
-    real = momext.gram._frame
-
-    def recording(section, *args):
-        frame = real(section, *args)
-        if len(section.matrix) >= momext.gram.SCREEN_MIN_SIZE:
-            frames.append(frame is not None)
-        return frame
-    monkeypatch.setattr(momext.gram, "_frame", recording)
-    monkeypatch.setattr(momext.hankel, "_frame", recording)
-
+def test_screens_decide_as_the_eigvalsh_rules():
     def decide(seq):
-        """What the two stages decide, and whether the screens did."""
-        frames.clear()
+        """What the two stages decide, and whether the screens did: a
+        section whose spectrum was never computed took no eigvalsh."""
         report = check_truncated_conditions(seq)
         try:
             ws = prepare(seq)
             outcome = (ws.space.ambient_dim, ws.defect, None)
         except MomentProblemError as exc:
             outcome = (None, None, type(exc))
-        return report, outcome, frames[:1] == [True]
+        return report, outcome, "eigenvalues" not in vars(report.section)
 
     def agrees(seq):
         want = eigen_frame.eigvalsh_rules(seq)
@@ -261,8 +253,7 @@ def test_screens_decide_as_the_eigvalsh_rules(monkeypatch):
     for kind, seq in _draws(rng):
         same, by_screens = agrees(seq)
         assert same, kind
-        if frames:
-            screened[kind].append(by_screens)
+        screened[kind].append(by_screens)
     # the well-conditioned draws are all decided without eigvalsh; the
     # rescaled and clustered ones fall back when ill-conditioned
     assert all(screened["plain"])
@@ -271,6 +262,30 @@ def test_screens_decide_as_the_eigvalsh_rules(monkeypatch):
     for values, by_screens in NEAR_THRESHOLD:
         same, screened_here = agrees(MomentSequence.scalar(values))
         assert same and screened_here == by_screens, values
+
+
+def test_factor_psd_refuses_as_prepare_does():
+    # One rule for each test: factor_psd of the section raises NotPSD
+    # exactly when the check finds the data unsolvable, naming the first
+    # section that fails, with prepare's error.  [1, 0, 1, 0, 0.9999999997]
+    # has -psd_rel * max|w| <= lambda_min < -psd_rel * max|entry|.
+    for values, _ in NEAR_THRESHOLD:
+        seq = MomentSequence.scalar(values)
+        report = check_truncated_conditions(seq)
+        section = build_block_hankel(seq, report.order)
+        if report.solvable:
+            assert factor_psd(section).ambient_dim == prepare(
+                seq).space.ambient_dim
+            continue
+        with pytest.raises(NotPSD) as from_factor:
+            factor_psd(section)
+        with pytest.raises(NotPSD) as from_prepare:
+            prepare(seq)
+        got, want = from_factor.value, from_prepare.value
+        assert got.section == ("trailing" if report.leading_positive
+                               else "leading"), values
+        assert (str(got), got.section, got.min_eigenvalue) == (
+            str(want), want.section, want.min_eigenvalue)
 
 
 def test_spectra_are_read_on_demand_from_one_eigvalsh(monkeypatch):

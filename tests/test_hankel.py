@@ -129,12 +129,13 @@ def test_sequence_stores_each_moment_symmetrized():
             for stored, m in zip(seq.moments, mats):
                 assert np.array_equal(stored, 0.5 * (m + np.conj(m.T)))
                 assert not stored.flags.writeable
-            # the one stack the Hankel sections and verifications read, also
-            # on a sequence cut short by dataclasses.replace
+            # one read-only stack, also on a sequence cut short by
+            # dataclasses.replace
             short = dataclasses.replace(seq, moments=seq.moments[:3])
             for s in (seq, short):
-                assert np.array_equal(s._stack, np.array(s.moments))
-                assert not s._stack.flags.writeable
+                assert s.moments.shape == (len(s), n, n)
+                assert s.moments.dtype == complex
+                assert not s.moments.flags.writeable
         assert np.array_equal(stack, mats) and stack.flags.writeable
 
 

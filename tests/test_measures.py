@@ -979,7 +979,7 @@ def test_measure_distance_window_cases():
 
 def _row_by_row_verifications(recovered, seq, rel_tol):
     """_verifications decided one row at a time: its oracle."""
-    data = seq._stack
+    data = seq.moments
     gaps = np.abs(recovered[:, :len(data)] - data)
     scale = max(1.0, float(np.abs(data).max()))
     reports = []
@@ -998,7 +998,7 @@ def test_array_built_verifications_are_the_row_by_row_reports():
     rng = np.random.default_rng(RNG_SEED + 26)
     for n in (1, 2):
         seq, _ = random_feasible_instance(rng, n, 3)
-        data = seq._stack
+        data = seq.moments
         for k in (0, 1, 32):
             noise = np.abs(data).max() * 10.0 ** rng.uniform(
                 -14, -4, (k, 1, 1, 1))

@@ -7,8 +7,10 @@ Checked here:
   stages, from one Hankel build and the frame's screens with no
   eigvalsh (Choleskys of H_{d-1} - tI and of H_{d-1}, a solve with its
   factor L, one N x N eigh, a closed form at N = 1, and a solve with
-  L^H), or below gram.SCREEN_MIN_SIZE rows one eigvalsh of H_d and one
-  of H_{d-1} and one Cholesky; then a solve with L for the shift, one
+  L^H) at every size, 2 x 2 too; when a screen cannot decide, one
+  eigvalsh of H_d and one of H_{d-1} on the factor and Schur complement
+  already taken, with no second Cholesky or solve for Y; then a solve
+  with L for the shift, one
   batched solve with J_0 -/+ z and the small defect-space
   factorizations (the q x q eigh a closed form at q = 1) (no QR, no
   inverse, no solve for X), a default solve adding the screen of one
@@ -56,7 +58,6 @@ from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
                     theta_sweep, verify_moments)
 import momext.pipeline
 from momext.linalg import phase_canonicalize
-from momext.gram import SCREEN_MIN_SIZE
 from momext.pipeline import SWEEP_SITE_TOL
 from momext.sampling import (haar_unitary, random_admissible_isometry,
                              random_deficient_instance,
@@ -129,9 +130,8 @@ def test_prepare_builds_and_factors_each_section_once(monkeypatch):
     # H_{d-1} - tI and one of H_{d-1}, a solve with its factor L for the
     # Schur complement, one eigh of that N x N complement (none at
     # N = 1, where it is its own eigenvalue) and a solve with L^H for
-    # Z = H_{d-1}^{-1} K; no eigvalsh.  Below SCREEN_MIN_SIZE rows
-    # (N = 1, d = 1 here) one eigvalsh of H_d and one of H_{d-1} decide
-    # instead, before the Cholesky of H_{d-1}.  Then a second solve with
+    # Z = H_{d-1}^{-1} K; no eigvalsh, at 2 x 2 (N = 1, d = 1) too.
+    # Then a second solve with
     # L for the shift; the defect spaces add one batched solve with
     # J_0 - conj z0 and J_0 - z0, an eigh of their q x q Gram matrix
     # (none at q = 1) and an SVD for the rotation of B_minus, whose
@@ -150,16 +150,11 @@ def test_prepare_builds_and_factors_each_section_once(monkeypatch):
                 seq, _ = draw(rng, n, d)
                 calls.clear()
                 ws = prepare(seq)
-                size, dn = (d + 1) * n, d * n
+                dn = d * n
                 m, q = ws.space.ambient_dim, ws.defect
-                schur = [("solve", (dn, dn))] + [("eigh", (n, n))] * (n > 1)
-                if size >= SCREEN_MIN_SIZE:
-                    frame = ([("cholesky", (dn, dn))] * 2 + schur
-                             + [("solve", (dn, dn))])
-                else:
-                    frame = [("eigvalsh", (size, size)),
-                             ("eigvalsh", (dn, dn)),
-                             ("cholesky", (dn, dn))] + schur
+                frame = ([("cholesky", (dn, dn))] * 2 + [("solve", (dn, dn))]
+                         + [("eigh", (n, n))] * (n > 1)
+                         + [("solve", (dn, dn))])
                 defect = ([("solve", (2, dn, dn))]
                           + [("eigh", (q, q))] * (q > 1)
                           + [("svd", (q, q))]) if q else []
@@ -174,6 +169,16 @@ def test_prepare_builds_and_factors_each_section_once(monkeypatch):
                 assert calls[:len(in_prepare)] == in_prepare
                 assert calls[len(in_prepare):] == screen + [
                     ("eigh", (1, m, m))] + psd
+    # A screen that cannot decide (Sigma below -psd_rel, H_2 accepted)
+    # hands the eigvalsh rules the factor and Schur complement it took:
+    # no second Cholesky of H_1 and no second solve for Y; the last solve
+    # is the shift's.
+    calls.clear()
+    prepare(MomentSequence.scalar([1, 0, 1, 0, 0.99999999985]))
+    assert calls == [("build_block_hankel", 2), ("cholesky", (2, 2)),
+                     ("cholesky", (2, 2)), ("solve", (2, 2)),
+                     ("eigvalsh", (3, 3)), ("eigvalsh", (2, 2)),
+                     ("solve", (2, 2))]
 
 
 def test_spectra_are_computed_on_first_read_once(monkeypatch):
