@@ -19,11 +19,11 @@ through Stieltjes-Perron inversion
 With G the quasi-extension of momext.extensions,
 T(lam)[k, l] = (x_l, (G - lam)^{-1} x_k) is a rational function, so both
 recoveries are closed forms: the moments are S_n[k, l] = (x_l, G^n x_k),
-and the cell masses are sums over the poles of T (or, for an isometric
-parameter, over the atoms of its measure).  G comes from the one
-admissibility gate; the direct batched solve of the transform has no
-fallback and raises SingularSystem at a pole.  A transform screens its
-parameter once and keeps the report and G.
+and the cell masses are sums over the poles of T, for every parameter
+(an isometric one has only real poles, the atoms of its measure).  G
+comes from the one admissibility gate; the direct batched solve of the
+transform has no fallback and raises SingularSystem at a pole.  A
+transform screens its parameter once and keeps the report and G.
 
 Cells are half-open [x, x+h); an atom sitting exactly on a cell boundary
 gives exactly half its weight to each of the two adjacent cells (the
@@ -44,7 +44,7 @@ from .hankel import MomentSequence
 from .linalg import max_abs, read_only
 from .extensions import (KIND_ISOMETRIC, AdmissibilityReport,
                          ExtensionParameter, SelfAdjointExtension, _generator,
-                         _selfadjoint_extension, screen_parameter)
+                         screen_parameter)
 from .shift import DeficiencyPair, ShiftOperator
 from .tolerances import DEFAULT, Tolerances
 
@@ -54,6 +54,10 @@ _EVAL_CHUNK = 8192
 #: most cells a Perron or binning grid may hold; a finer grid raises
 #: ValueError before its edges are allocated
 MAX_CELLS = 100_000
+
+#: relative tolerance of the transform route's checks: the moments it
+#: recovers against the data, and the residues' total mass against S_0
+TRANSFORM_REL_TOL = 1e-6
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -322,7 +326,8 @@ def _moment_sums(locs, weights, count: int) -> np.ndarray:
 
 
 def verify_recovered_moments(recovered, seq: MomentSequence,
-                             rel_tol: float = 1e-6) -> VerificationReport:
+                             rel_tol: float = TRANSFORM_REL_TOL
+                             ) -> VerificationReport:
     """Same report for moments recovered by other means (the transform)."""
     if len(recovered) < len(seq):
         raise ValueError("recovered moment list shorter than the sequence")
@@ -377,8 +382,7 @@ class StieltjesTransform:
 
         This evaluates the single rational function that continues the
         upper branch, at arbitrary complex points (including the real axis
-        away from its poles), by a direct batched solve of G - lam; it is
-        the reference the closed-form cell masses are checked against.  A
+        away from its poles), by a direct batched solve of G - lam.  A
         point where that system is exactly singular (a pole) raises
         SingularSystem, and an inadmissible parameter NotAdmissible.
         """
@@ -435,10 +439,11 @@ class PerronResult:
     """Cell masses from Stieltjes-Perron inversion.
 
     increments[i] is M([edges[i], edges[i+1])), an atom on an edge giving
-    half its weight to each side.  method is "atoms" (an isometric
-    parameter's spectral measure, binned) or "residue" (closed form over
-    the poles of a contraction's transform).  Both are exact, so history
-    is always empty.
+    half its weight to each side.  method is "atoms" (an atomic measure
+    binned, or the transform of an isometric parameter) or "residue" (the
+    transform of a contraction).  Both are closed forms, so history is
+    always empty: it stays only because the benchmark reads it, and goes
+    with ROADMAP items 1b and 2.
     """
 
     edges: np.ndarray           # (K+1,)
@@ -471,31 +476,43 @@ def _bin_atoms(locations, weights, edges: np.ndarray,
 def bin_measure(measure: AtomicMatrixMeasure, start: float, stop: float,
                 cell_width: float, tol: Tolerances = DEFAULT) -> PerronResult:
     """Masses an atomic measure gives the half-open cells [x, x+h) on
-    [start, stop): perron_inversion's "atoms" result, for a measure that
-    is already at hand."""
-    return _atom_cells(measure, _cell_edges(start, stop, cell_width), tol)
+    [start, stop), labelled "atoms"."""
+    edges = _cell_edges(start, stop, cell_width)
+    return PerronResult(edges, read_only(_bin_atoms(
+        measure.locations, measure.weights, edges, tol)), "atoms")
 
 
-def _atom_cells(measure: AtomicMatrixMeasure, edges: np.ndarray,
-                tol: Tolerances) -> PerronResult:
-    masses = _bin_atoms(measure.locations, measure.weights, edges, tol)
-    return PerronResult(edges, read_only(masses), "atoms")
-
-
-def _residue_cells(transform: StieltjesTransform,
-                   edges: np.ndarray) -> PerronResult:
-    """Cell masses of a contraction's transform from its poles and residues.
+def perron_inversion(transform: StieltjesTransform, start: float, stop: float,
+                     cell_width: float) -> PerronResult:
+    """Masses of half-open cells [x, x+h) on [start, stop), in closed form
+    from the poles and residues of the rational transform, for every
+    parameter.
 
     With G = Z diag(mu) Z^{-1}, T(lam) = sum_j r_j / (mu_j - lam) where
-    r_j[k, l] = (Z^{-1} X)[j, k] (X^H Z)[l, j].  A pole within cluster_rel
-    (of the spectral radius of G) of the real axis is an atom at Re mu_j
-    with weight Herm r_j, binned as in _atom_cells.  Every other pole lies
-    below the axis, and there is no eps limit: it gives a cell [a, b) the
-    mass (1/pi) Herm-Im r_j (log(mu_j - a) - log(mu_j - b)).  Raises
-    SingularSystem when G has no eigenvector basis, or when the residue
-    form misses the direct solve by more than perron_abs at the cell
-    midpoints lifted by one cell width.
+    r_j[k, l] = (Z^{-1} X)[j, k] (X^H Z)[l, j].  An admissible G has no
+    pole above the real axis, so a pole above it (a singular value of the
+    parameter just over 1) or within cluster_rel (of the spectral radius
+    of G, at least 1) below it is an atom at Re mu_j with weight Herm r_j,
+    binned as bin_measure bins.  Every other pole lies below the axis, and
+    there is no eps limit: it gives a cell [a, b) the mass
+    (1/pi) Herm-Im r_j (log(mu_j - a) - log(mu_j - b)).  An isometric
+    parameter's G is Hermitian, so its poles are all atoms and their
+    residues the weights of its spectral measure; method labels the result
+    "atoms" then and "residue" for a contraction, by one route.  Those
+    weights are accurate to eps rho(G) |S_0|, absolutely: a far atom's
+    weight keeps no relative accuracy of its own.
+
+    The residues sum to S_0 = X^H X whatever the poles, so their computed
+    sum checks no pole: it misses S_0 only by the rounding left where
+    residues of size cond(Z) |S_0| cancel, about eps cond(Z) |S_0|, and
+    the cells, weighted sums of the same residues, carry about that error.
+    This guards the conditioning of Z: SingularSystem when the miss
+    exceeds TRANSFORM_REL_TOL times max |S_0| (no floor of 1, so
+    S_n -> c S_n leaves the verdict as it is) or when G has no
+    eigenvector basis, and NotAdmissible for an inadmissible parameter.
+    Every other threshold comes from transform.tol.
     """
+    edges = _cell_edges(start, stop, cell_width)
     tol = transform.tol
     g = transform._g
     xn = transform._first_coords()                      # (N, m)
@@ -506,52 +523,26 @@ def _residue_cells(transform: StieltjesTransform,
         raise SingularSystem(f"pole-residue form unavailable: the "
                              f"eigen-decomposition of G failed ({exc})") from None
     left = np.conj(xn) @ z                              # X^H Z, (N, m)
-
-    def residue_sum(coef):                              # coef: (B, m)
-        return np.einsum("jk,bj,lj->bkl", right, coef, left)
-
-    widths = np.diff(edges)
-    probes = 0.5 * (edges[:-1] + edges[1:]) + 1j * widths
-    direct = transform.eval_upper_many(probes)
-    gap = max_abs(residue_sum(1.0 / (mu[None, :] - probes[:, None]))
-                  - direct)
-    if not gap <= tol.perron_abs:                       # also rejects nan
+    s0 = np.conj(xn) @ xn.T                             # S_0 transposed
+    miss, scale = max_abs(left @ right - s0), max_abs(s0)
+    if not miss <= TRANSFORM_REL_TOL * scale:           # also rejects nan
         raise SingularSystem(
-            f"pole-residue form misses the direct solve by {gap:.3e} "
-            f"> perron_abs {tol.perron_abs:.1e}")
-    real = np.abs(mu.imag) <= tol.cluster_rel * max(1.0, max_abs(mu))
+            f"pole-residue form: the residues miss the mass S_0 by "
+            f"{miss:.3e} > {TRANSFORM_REL_TOL:.0e} of max|S_0| {scale:.3e}")
+    real = mu.imag >= -tol.cluster_rel * max(1.0, max_abs(mu))
     off = mu[~real]
-    logs = np.zeros((len(widths), mu.size), dtype=complex)
+    logs = np.zeros((len(edges) - 1, mu.size), dtype=complex)
     logs[:, ~real] = (np.log(off[None, :] - edges[:-1, None])
                       - np.log(off[None, :] - edges[1:, None]))
-    f = residue_sum(logs)
+    f = np.einsum("jk,bj,lj->bkl", right, logs, left)
     masses = (f - np.conj(np.swapaxes(f, -1, -2))) / (2j * np.pi)
     atoms = right[real][:, :, None] * left.T[real][:, None, :]
     masses += _bin_atoms(mu[real].real,
                          0.5 * (atoms + np.conj(np.swapaxes(atoms, -1, -2))),
                          edges, tol)
-    return PerronResult(edges, read_only(masses), "residue")
-
-
-def perron_inversion(transform: StieltjesTransform, start: float, stop: float,
-                     cell_width: float) -> PerronResult:
-    """Masses of half-open cells [x, x+h) on [start, stop), in closed form.
-
-    Isometric parameters bin the atoms of their self-adjoint extension
-    (bin_measure); contractions go through the poles and residues of their
-    rational transform.  Raises NotAdmissible for an inadmissible parameter
-    and SingularSystem when the pole-residue form fails its check.  Every
-    threshold comes from transform.tol.
-    """
-    edges = _cell_edges(start, stop, cell_width)
-    if transform.parameter.kind == KIND_ISOMETRIC:
-        tol = transform.tol
-        transform.admissibility             # NotAdmissible when refused
-        ext = _selfadjoint_extension(transform.shift, transform.pair,
-                                     transform.parameter)
-        return _atom_cells(spectral_measure(ext, transform.shift, tol),
-                           edges, tol)
-    return _residue_cells(transform, edges)
+    method = ("atoms" if transform.parameter.kind == KIND_ISOMETRIC
+              else "residue")
+    return PerronResult(edges, read_only(masses), method)
 
 
 def _cell_count(start: float, stop: float, cell_width: float) -> int:

@@ -170,8 +170,7 @@ def _solve(ws: Workspace, parameter: ExtensionParameter | None,
     samples = tuple(zip(TRANSFORM_SAMPLE_POINTS,
                         transform.eval_upper_many(TRANSFORM_SAMPLE_POINTS)))
     recovery = moments_from_transform(transform, 2 * ws.condition.order)
-    verification = verify_recovered_moments(recovery.moments, seq,
-                                            rel_tol=1e-6)
+    verification = verify_recovered_moments(recovery.moments, seq)
     return SolveResult(kind="transform", measure=None, extension=None,
                        verification=verification, recovery=recovery,
                        transform_samples=samples, transform=transform,

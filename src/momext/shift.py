@@ -52,6 +52,7 @@ import math
 
 import numpy as np
 
+from .errors import DimensionMismatch
 from .gram import GramSpace
 from .linalg import read_only
 
@@ -104,16 +105,19 @@ def build_shift(space: GramSpace) -> ShiftOperator:
     """Construct the shift from one solve with the Cholesky factor L.
 
     The domain vectors were certified independent when the space was
-    factored (DependentDomain comes from factor_psd).
+    factored (DependentDomain comes from factor_psd).  An order-0 space
+    has no domain to shift and raises DimensionMismatch.
     """
+    if space.order == 0:
+        raise DimensionMismatch("the shift needs a section of order >= 1: "
+                                "an order-0 space has an empty domain")
     n = space.block_dim
     dn = space.order * n
     m = space.ambient_dim
     coords = space.coords
     action = np.empty((m, dn), dtype=complex)
-    if dn:
-        action[:] = np.linalg.solve(coords[:dn, :dn], coords[n:dn + n]).T
-        action[dn:, :dn - n] = 0.0          # zero in exact arithmetic
+    action[:] = np.linalg.solve(coords[:dn, :dn], coords[n:dn + n]).T
+    action[dn:, :dn - n] = 0.0              # zero in exact arithmetic
     top = action[:dn]
     adjoint = np.conj(top.T)
     jacobi = 0.5 * (top + adjoint)

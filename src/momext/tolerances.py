@@ -6,8 +6,9 @@ names ending in ``_abs`` apply to quantities that are already normalized
 (parameter matrices of norm at most 1 and their admissibility margins,
 which lie in [0, 2]).  A few thresholds are fixed module constants next
 to the code that reads them (the Hermitian check on moments, the
-verification tolerances, the sweep's site tolerance); the README lists
-them.
+verification tolerances, among them measures.TRANSFORM_REL_TOL for the
+transform route's moments and the residues' mass in Perron inversion,
+and the sweep's site tolerance); the README lists them.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ class Tolerances:
     norm_abs: float = 1e-8      # slack allowed around operator norm 1
     cluster_rel: float = 1e-9   # eigenvalue clustering gap, rel. max(1, |t|)
     weight_rel: float = 1e-12   # atom drop threshold, rel. total mass
-    perron_abs: float = 1e-3    # pole-residue form vs direct solve, abs.
 
     def replace(self, **kw) -> "Tolerances":
         return dataclasses.replace(self, **kw)

@@ -376,6 +376,20 @@ def test_solve_tolerance_override_can_forbid_everything(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_perron_abs_is_an_unknown_tolerance(tmp_path, capsys):
+    # Perron inversion checks its residues against S_0 at a fixed relative
+    # tolerance; the absolute perron_abs it replaced is no longer a name.
+    in_file = _write(tmp_path, "p.json",
+                     {**PROBLEM_101, "tolerances": {"perron_abs": 1e-3}})
+    assert main(["solve", in_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unknown tolerance" in captured.err and "perron_abs" in captured.err
+    path = _write(tmp_path, "plain.json", PROBLEM_101)
+    assert main(["solve", path, "--tol", "perron_abs=1e-3"]) == 1
+    assert "perron_abs" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name,value", [("pos_rel", "nan"),
                                         ("adm_abs", "-1"),
                                         ("psd_rel", "inf")])

@@ -8,6 +8,10 @@ Checked here, on seeded full-defect and rank-drop draws with N in
   weights,
 - unitary conjugation S_n -> U S_n U^H: the default solution and those of
   e^{i theta} I keep their atoms, and their weights are conjugated by U,
+- scaling S_n -> c S_n (c in {1e-6, 1e6}): the Perron cell masses of a
+  strict contraction scale by c, to 1e-12 on random draws, and on the
+  double pole of the zero contraction on (c, 0, c) to its accuracy, that
+  of c times the closed-form CDF,
 - the worked instance: (1, 1, 5), the image of (1, 0, 1) under
   x -> 2x + 1, solves to atoms -1 and 3 with weights 1/2.
 """
@@ -17,15 +21,19 @@ from __future__ import annotations
 from math import comb
 
 import numpy as np
+import pytest
 
-from momext import ExtensionParameter, MomentSequence, prepare, solve_truncated
+from momext import (ExtensionParameter, MomentSequence, perron_inversion,
+                    prepare, solve_truncated)
 from momext.sampling import (haar_unitary, random_admissible_isometry,
                              random_deficient_instance,
-                             random_feasible_instance)
+                             random_feasible_instance,
+                             random_strict_contraction)
 
 RNG_SEED = 20261101
 AFFINE_REL = 1e-8
 UNITARY_ATOL = 1e-9
+SCALE_REL = 1e-12
 
 
 def _draws(rng):
@@ -112,3 +120,46 @@ def test_the_image_of_the_worked_instance_under_2x_plus_1():
     assert np.allclose(result.measure.locations, [-1.0, 3.0], atol=1e-12)
     assert np.allclose(result.measure.weights[:, 0, 0], [0.5, 0.5],
                        atol=1e-12)
+
+
+def _cells(seq, parameter, start=-4.0, stop=4.0, width=0.5):
+    return perron_inversion(solve_truncated(seq, parameter).transform,
+                            start, stop, width)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e6])
+def test_contraction_cells_scale_with_the_data(c):
+    # G does not change under S_n -> c S_n and X scales by sqrt(c), so
+    # every residue and cell mass scales by c; no check of the route may
+    # hold an absolute threshold.
+    rng = np.random.default_rng(RNG_SEED + 2)
+    for n, d, seq in _draws(rng):
+        parameter = ExtensionParameter.contraction(
+            random_strict_contraction(rng, prepare(seq).defect))
+        scaled = MomentSequence.from_arrays(
+            [c * seq[k] for k in range(len(seq))])
+        base = _cells(seq, parameter).increments
+        got = _cells(scaled, parameter).increments
+        scale = c * float(np.abs(seq[0]).max())
+        assert np.abs(got - c * base).max() <= SCALE_REL * scale, (n, d)
+
+
+@pytest.mark.parametrize("c", [1e-6, 1e6])
+def test_zero_contraction_cells_scale_with_the_data(c):
+    # F = 0 on (c, 0, c) has density 2c / (pi (1 + u^2)^2): a double pole
+    # at -i, so cond(Z) ~ 9e7 and the residue sum cancels terms of that
+    # size.  G is the same at every c, but X = sqrt(c) e_0 is rounded
+    # differently, and the cancellation leaves the cells right only to
+    # about eps cond(Z) ~ 4e-9 of c (8e-10 apart between c = 1 and 1e6):
+    # their scaled bound is the CDF's, not SCALE_REL.
+    zero = ExtensionParameter.contraction(np.zeros((1, 1)))
+    base = _cells(MomentSequence.scalar([1.0, 0.0, 1.0]), zero, -2.0, 2.0,
+                  0.25)
+    res = _cells(MomentSequence.scalar([c, 0.0, c]), zero, -2.0, 2.0, 0.25)
+
+    def cdf(u):
+        return (c / np.pi) * (u / (1.0 + u * u) + np.arctan(u))
+
+    exact = cdf(res.edges[1:]) - cdf(res.edges[:-1])
+    assert np.abs(res.increments[:, 0, 0] - exact).max() <= 1e-8 * c
+    assert np.abs(res.increments - c * base.increments).max() <= 1e-8 * c

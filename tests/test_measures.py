@@ -17,12 +17,15 @@ Checked here:
   batch evaluator matching pointwise calls,
 - closed-form moment recovery: S_n = (x_l, G^n x_k) against the data, and
   the rejection of forbidden parameters,
-- exact cell masses: the residue form against an adaptive real-axis
-  quadrature of the direct solve, the defective (double-pole) zero
-  contraction against its closed-form CDF, atoms binned whole inside cells
-  and split exactly in half on edges, contractions with a unit singular
-  value (poles on the real axis) binned as atoms, and SingularSystem when
-  the residue form misses the direct solve,
+- exact cell masses, one pole-residue route for every parameter: against
+  an adaptive real-axis quadrature of the direct solve, the defective
+  (double-pole) zero contraction against its closed-form CDF, atoms binned
+  whole inside cells and split exactly in half on edges, contractions with
+  a unit singular value (poles on the real axis) binned as atoms,
+  isometric parameters (real poles only) against their binned spectral
+  measure, poles lifted just above the axis by a singular value over 1
+  binned as atoms, SingularSystem when the residues miss the mass S_0,
+  and that miss guarding the cells on the way to a triple pole,
 - the batched atom assembly against merged, dropped and untouched rows
   computed in the test, exactly, and its first non-PSD weight,
 - the Cholesky PSD screen against the eigvalsh rule at smallest
@@ -635,13 +638,103 @@ def test_transform_at_a_pole_raises(seq_101):
         t.eval_upper_many([2j, 1.0, 1.0 + 1j])
 
 
-def test_residue_form_off_the_direct_solve_raises(seq_101):
-    # The double pole of the zero contraction costs the residue form about
-    # 1e-8, far above a zero allowance; there is no fallback route.
+def test_isometric_cells_are_the_binned_spectral_measure():
+    # An isometric G is Hermitian: every pole is real, and the residues
+    # are the weights of the spectral measure.  Both are eigen-
+    # decompositions of G, so they agree to roundoff of the spectral
+    # radius: near the forbidden operator an atom moves far out, and with
+    # one at 1.45e4 (margin 4e-4, N = 4, d = 1) the cells differ by
+    # 4.2e-13 of the scale, while a 40-digit eigh puts the residues 2.2e-13
+    # from the truth and the spectral measure 5.1e-13.  Away from there
+    # they agree to 3e-14 where the spectral radius is below 1e2.
+    rng = np.random.default_rng(RNG_SEED + 12)
+    for n, d, draw, _ in itertools.product(
+            (1, 2, 3), (1, 2, 3, 4),
+            (random_feasible_instance, random_deficient_instance), range(3)):
+        seq, _ = draw(rng, n, d)
+        ws = prepare(seq)
+        if not ws.defect:
+            continue
+        v = random_admissible_isometry(rng, ws.shift, ws.pair, ws.forbidden)
+        t = StieltjesTransform(ws.shift, ws.pair, v)
+        res = perron_inversion(t, -4.0, 4.0, 0.5)
+        assert res.method == "atoms"
+        ext = selfadjoint_extension(ws.shift, ws.pair, v)
+        binned = momext.measures.bin_measure(spectral_measure(ext, ws.shift),
+                                             -4.0, 4.0, 0.5)
+        scale = float(np.abs(seq[0]).max())
+        err = np.abs(res.increments - binned.increments).max()
+        mu = np.linalg.eigvals(t._g)
+        radius = float(np.abs(mu).max())
+        assert err <= max(1e-13, np.finfo(float).eps * radius) * scale, (
+            n, d, err / scale)
+        assert (np.abs(mu.imag)
+                <= DEFAULT.cluster_rel * max(1.0, radius)).all()
+
+
+def test_residues_off_the_mass_raise(seq_101, monkeypatch):
+    # The double pole of the zero contraction leaves the residues' sum
+    # about 2e-9 off S_0, far above a zero allowance; there is no fallback
+    # route, and the message names the deviation.
     t = _transform(seq_101, ExtensionParameter.contraction(np.zeros((1, 1))))
-    t.tol = t.tol.replace(perron_abs=0.0)
-    with pytest.raises(SingularSystem, match="misses the direct solve by"):
+    assert perron_inversion(t, -2.0, 2.0, 0.5).method == "residue"
+    monkeypatch.setattr(momext.measures, "TRANSFORM_REL_TOL", 0.0)
+    with pytest.raises(SingularSystem,
+                       match=r"miss the mass S_0 by \d\.\d{3}e-\d+ > 0e\+00"):
         perron_inversion(t, -2.0, 2.0, 0.5)
+
+
+def test_poles_just_above_the_axis_are_atoms(seq_101):
+    # A singular value 1 + 5e-9, inside the norm_abs slack, lifts the
+    # poles of V = i on (1, 0, 1) above the axis, the farther one (-2.41)
+    # by 8.5e-9, more than cluster_rel of the spectral radius.  It is
+    # still an atom: read as an off-axis pole it would give its cell -w.
+    unit = perron_inversion(
+        _transform(seq_101, ExtensionParameter.isometric([[1j]])),
+        -4.0, 4.0, 0.5)
+    assert (unit.increments.real >= 0.0).all()
+    ws = prepare(seq_101)
+    v = [[1j * (1.0 + 5e-9)]]
+    binned = momext.measures.bin_measure(
+        spectral_measure(selfadjoint_extension(
+            ws.shift, ws.pair, ExtensionParameter.isometric(v)), ws.shift),
+        -4.0, 4.0, 0.5)
+    for parameter in (ExtensionParameter.isometric(v),
+                      ExtensionParameter.contraction(v)):
+        res = perron_inversion(_transform(seq_101, parameter), -4.0, 4.0, 0.5)
+        assert np.abs(res.increments - binned.increments).max() <= 1e-8
+        assert np.abs(res.increments - unit.increments).max() <= 1e-8
+
+
+# F = f on (1, 0, a, 0, b) puts a triple pole of T near -0.735i, found by
+# minimizing the spread of the eigenvalues of G over a, b and f: cond(Z)
+# grows from 4e2 to 6e10 as f nears it.
+_TRIPLE = (1.0, 0.0, 0.18003998584013936, 0.0, 0.29172956850530896)
+_TRIPLE_F = (-0.014, -0.0139, -0.013895, -0.01389466, -0.013894658,
+             -0.013894658002123994)
+
+
+def test_the_mass_check_guards_a_triple_pole(monkeypatch):
+    # The residues sum to S_0 whatever the poles, so the check measures
+    # only the rounding of their cancellation, eps cond(Z) |S_0|; the
+    # cells, sums of the same residues, carry about that error.  Whatever
+    # perron_inversion returns is right to TRANSFORM_REL_TOL, and a
+    # smaller constant refuses the near-defective G while it still
+    # accepts the well-conditioned one.
+    seq = MomentSequence.scalar(_TRIPLE)
+    transforms = [_transform(seq, ExtensionParameter.contraction([[f]]))
+                  for f in _TRIPLE_F]
+    for t in transforms:
+        try:
+            res = perron_inversion(t, -2.0, 2.0, 0.25)
+        except SingularSystem:
+            continue
+        err = np.abs(res.increments - _real_axis_masses(t, res.edges)).max()
+        assert err <= momext.measures.TRANSFORM_REL_TOL, err
+    monkeypatch.setattr(momext.measures, "TRANSFORM_REL_TOL", 1e-10)
+    perron_inversion(transforms[0], -2.0, 2.0, 0.25)
+    with pytest.raises(SingularSystem, match="miss the mass S_0"):
+        perron_inversion(transforms[4], -2.0, 2.0, 0.25)
 
 
 # ------------------------------------------------------------- verification

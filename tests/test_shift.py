@@ -5,6 +5,7 @@ Checked here:
 - symmetry (A u, v) = (u, A v) on the domain, for random instances, and
   the block Jacobi structure of its matrix: J_0 Hermitian and block
   tridiagonal, E zero but for its last block B_d,
+- an order-0 space refused by build_shift with DimensionMismatch,
 - hand-derived defect data for (1, 0, 1) (reference point z0 = i): defect
   1, defect vectors (i, 1)/sqrt(2) and (i, -1)/sqrt(2), Omega = 2i,
   forbidden matrix [[-1]],
@@ -34,11 +35,12 @@ import decimal
 import numpy as np
 import pytest
 
-from momext import (ExtensionParameter, MomentSequence, NormViolation,
-                    NotAdmissible, StieltjesTransform, build_block_hankel,
-                    build_shift, deficiency_subspaces, factor_psd,
-                    forbidden_operator, is_admissible, moments_from_transform,
-                    perron_inversion, prepare, solve_truncated, theta_sweep)
+from momext import (DimensionMismatch, ExtensionParameter, MomentSequence,
+                    NormViolation, NotAdmissible, StieltjesTransform,
+                    build_block_hankel, build_shift, deficiency_subspaces,
+                    factor_psd, forbidden_operator, is_admissible,
+                    moments_from_transform, perron_inversion, prepare,
+                    solve_truncated, theta_sweep)
 import momext.extensions
 from momext.extensions import KIND_CONTRACTION, AdmissibilityReport, _screen
 from momext.linalg import singular_values
@@ -69,6 +71,15 @@ def test_shift_moves_representing_vectors_one_block(seq_101):
     x0, x1 = space.coords[:2]
     assert np.allclose(shift.action @ x0[:shift.dom_dim], x1,
                        atol=ORACLE_ATOL)
+
+
+def test_an_order_0_space_has_no_shift(seq_101):
+    # H_0 = S_0 factors (m = 1), but its domain is empty: the shift is
+    # refused before the defect spaces could fail on it.
+    space = factor_psd(build_block_hankel(seq_101, 0))
+    assert space.order == 0
+    with pytest.raises(DimensionMismatch, match="order >= 1"):
+        build_shift(space)
 
 
 def test_shift_is_symmetric_on_its_domain():
