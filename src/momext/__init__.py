@@ -16,30 +16,34 @@ and verifies each output against the prescribed moments:
 - the even-length scalar variant with its four-way classification.
 
 The JSON file formats and the command line live in momext.jsonio and
-momext.cli.
+momext.cli.  Each exported name is imported from its home module on first
+access, so ``import momext`` alone loads no submodule.
 """
 
-from .errors import (DependentDomain, DimensionMismatch, InsufficientMoments,
-                     MomentProblemError, NormViolation, NotAdmissible,
-                     NotPSD, ProblemFileError, SingularSystem)
-from .extensions import (AdmissibilityReport, ExtensionParameter,
-                         SelfAdjointExtension, is_admissible,
-                         pencil_spectral_radius, selfadjoint_extension)
-from .gram import GramSpace, factor_psd
-from .hankel import (BlockHankel, ConditionReport, MomentSequence,
-                     build_block_hankel, check_truncated_conditions)
-from .measures import (AtomicMatrixMeasure, ContourRecovery, PerronResult,
-                       StieltjesTransform, VerificationReport,
-                       measure_distance, moments_from_transform,
-                       perron_inversion, spectral_measure, verify_moments,
-                       verify_recovered_moments)
-from .pipeline import (SolveResult, SweepEntry, SweepResult, Workspace,
-                       default_parameter, prepare, solve_truncated,
-                       theta_sweep)
-from .scalar import ScalarEvenResult, solve_scalar_even
-from .shift import (DeficiencyPair, ShiftOperator, build_shift,
-                    deficiency_subspaces, forbidden_operator)
-from .tolerances import DEFAULT, Tolerances
+_EXPORTS = {
+    "errors": ("DependentDomain", "DimensionMismatch", "InsufficientMoments",
+               "MomentProblemError", "NormViolation", "NotAdmissible",
+               "NotPSD", "ProblemFileError", "SingularSystem"),
+    "extensions": ("AdmissibilityReport", "ExtensionParameter",
+                   "SelfAdjointExtension", "is_admissible",
+                   "pencil_spectral_radius", "selfadjoint_extension"),
+    "gram": ("GramSpace", "factor_psd"),
+    "hankel": ("BlockHankel", "ConditionReport", "MomentSequence",
+               "build_block_hankel", "check_truncated_conditions"),
+    "measures": ("AtomicMatrixMeasure", "ContourRecovery", "PerronResult",
+                 "StieltjesTransform", "VerificationReport",
+                 "measure_distance", "moments_from_transform",
+                 "perron_inversion", "spectral_measure", "verify_moments",
+                 "verify_recovered_moments"),
+    "pipeline": ("SolveResult", "SweepEntry", "SweepResult", "Workspace",
+                 "default_parameter", "prepare", "solve_truncated",
+                 "theta_sweep"),
+    "scalar": ("ScalarEvenResult", "solve_scalar_even"),
+    "shift": ("DeficiencyPair", "ShiftOperator", "build_shift",
+              "deficiency_subspaces", "forbidden_operator"),
+    "tolerances": ("DEFAULT", "Tolerances"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
@@ -65,3 +69,18 @@ __all__ = [
     "theta_sweep", "verify_moments",
     "verify_recovered_moments", "__version__",
 ]
+
+
+def __getattr__(name):
+    """Import an exported name from its home module and bind it here, so
+    later reads find it without this call (PEP 562).  __import__, unlike
+    importlib.import_module, reports the load to -X importtime."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    home = __import__(f"{__name__}.{_HOME[name]}", fromlist=[name])
+    globals()[name] = value = getattr(home, name)
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_HOME))

@@ -44,11 +44,8 @@ from .jsonio import (admissibility_to_json, complex_to_pair, condition_to_json,
                      opt_float, parse_measure, parse_parameter, parse_problem,
                      parse_scalar_sequence, perron_to_json, recovery_to_json,
                      scalar_result_to_json, verification_to_json)
-from .measures import (_cell_count, bin_measure, perron_inversion,
-                       verify_moments)
-from .pipeline import _solve, prepare, theta_sweep
-from .scalar import VERDICT_INFEASIBLE, solve_scalar_even
 from .tolerances import Tolerances
+# the other modules are imported by the commands that run them, when they run
 
 EXIT_OK = 0
 EXIT_MALFORMED = 1
@@ -128,6 +125,7 @@ def _parse_grid(text: str):
     """START:STOP:WIDTH, three numbers whose grid holds at least one and at
     most measures.MAX_CELLS complete cells (measures._cell_count, the rule
     of the library, which refuses a non-finite bound too)."""
+    from .measures import _cell_count
     parts = text.split(":")
     if len(parts) != 3:
         raise ProblemFileError('--grid expects "START:STOP:WIDTH"')
@@ -152,6 +150,7 @@ def _prepare_with_parameter(args, seq, file_spec, tol):
     specs are parsed before the data is prepared, so a malformed parameter
     is reported first.
     """
+    from .pipeline import prepare
     spec = file_spec
     if args.parameter is not None:
         spec = loads(_load_text(args.parameter),
@@ -240,6 +239,8 @@ def _solve_result_json(result) -> dict:
 
 
 def _cmd_solve(args) -> int:
+    from .measures import bin_measure, perron_inversion
+    from .pipeline import _solve
     seq, file_spec, tol = parse_problem(_load_text(args.problem))
     tol = _apply_tol_flags(tol, args.tol)
     grid = _parse_grid(args.grid) if args.grid else None
@@ -278,6 +279,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from .pipeline import theta_sweep
     seq, _, tol = parse_problem(_load_text(args.problem))
     tol = _apply_tol_flags(tol, args.tol)
     try:
@@ -306,6 +308,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_scalar_even(args) -> int:
+    from .scalar import VERDICT_INFEASIBLE, solve_scalar_even
     text = args.moments
     if not text.lstrip().startswith(("[", "{")):
         text = _load_text(text)
@@ -317,6 +320,7 @@ def _cmd_scalar_even(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .measures import verify_moments
     seq, _, tol = parse_problem(_load_text(args.problem))
     tol = _apply_tol_flags(tol, args.tol)
     measure = parse_measure(_load_text(args.measure))

@@ -34,16 +34,19 @@ from __future__ import annotations
 
 import json
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ProblemFileError
 from .hankel import ConditionReport, MomentSequence
-from .measures import (AtomicMatrixMeasure, ContourRecovery, PerronResult,
-                       VerificationReport)
-from .extensions import AdmissibilityReport, ExtensionParameter
-from .scalar import ScalarEvenResult
 from .tolerances import Tolerances
+
+if TYPE_CHECKING:    # the parsers import their types when they run
+    from .extensions import AdmissibilityReport, ExtensionParameter
+    from .measures import (AtomicMatrixMeasure, ContourRecovery,
+                           PerronResult, VerificationReport)
+    from .scalar import ScalarEvenResult
 
 
 # ---------------------------------------------------------------- canonical
@@ -196,6 +199,7 @@ def _moment_to_matrix(m, dim: int, where: str) -> np.ndarray:
 def parse_parameter(spec, defect: int = 1) -> ExtensionParameter:
     """A parameter object; a constant_unimodular_theta spec is sized by
     defect."""
+    from .extensions import ExtensionParameter
     _expect(isinstance(spec, dict), "parameter must be an object")
     if "constant_unimodular_theta" in spec:
         extra = set(spec) - {"constant_unimodular_theta"}
@@ -290,6 +294,7 @@ def measure_to_json(measure: AtomicMatrixMeasure) -> dict:
 
 
 def measure_from_json(data) -> AtomicMatrixMeasure:
+    from .measures import AtomicMatrixMeasure
     _expect(isinstance(data, dict) and "atoms" in data,
             'measure file needs an "atoms" list')
     atoms = data["atoms"]

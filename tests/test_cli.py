@@ -8,6 +8,7 @@ across repeated runs on the same input.
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import pathlib
@@ -178,7 +179,8 @@ def test_solve_with_explicit_theta(tmp_path, capsys):
 def test_solve_with_a_theta_prepares_once(tmp_path, capsys, monkeypatch,
                                           embedded):
     # The defect that sizes a theta parameter comes from the workspace the
-    # solve then uses; count prepare wherever the CLI could reach it.
+    # solve then uses.  The CLI reads momext.pipeline.prepare when it calls
+    # it, so patching that one name counts every prepare it makes.
     calls = []
     real_prepare = momext.pipeline.prepare
 
@@ -187,7 +189,6 @@ def test_solve_with_a_theta_prepares_once(tmp_path, capsys, monkeypatch,
         return real_prepare(*args, **kwargs)
 
     monkeypatch.setattr(momext.pipeline, "prepare", counting_prepare)
-    monkeypatch.setattr(momext.cli, "prepare", counting_prepare)
     payload = {"N": 1, "moments": [1.0, 0.0, 1.0, 0.0, 2.0]}
     argv = ["--theta=3.14159"]
     if embedded:
@@ -530,17 +531,56 @@ CI_FILES = {
 }
 
 
-def _spawn(cwd, argv, unbuffered=False, **kw):
-    """python -m momext.cli in a child, with the momext under test on its
-    path and stdout block-buffered, as under a pipe (or unbuffered)."""
+def _spawn(cwd, argv, unbuffered=False, args=("-m", "momext.cli"), **kw):
+    """python -m momext.cli in a child (or python with other args), with
+    the momext under test on its path and stdout block-buffered, as under a
+    pipe (or unbuffered)."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     src = str(pathlib.Path(momext.cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, "-m", "momext.cli", *argv],
+    return subprocess.run([sys.executable, *args, *argv],
                           cwd=cwd, env=env, **kw)
+
+
+def _loaded_modules(cwd, script):
+    """The momext modules a fresh interpreter holds after running script."""
+    script += ("\nimport json, sys\nprint(json.dumps(sorted("
+               "m for m in sys.modules if m.startswith('momext'))))")
+    child = _spawn(cwd, [], args=("-c", script), capture_output=True,
+                   text=True)
+    assert child.stderr == ""
+    return json.loads(child.stdout.splitlines()[-1])
+
+
+CHECK_MODULES = ["momext", "momext.cli", "momext.errors", "momext.hankel",
+                 "momext.jsonio", "momext.linalg", "momext.tolerances"]
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["check", "problem.json"], None),
+    (["check", "trail.json"], None),
+    (["verify", "problem.json", "measure.json"],
+     {"momext.pipeline", "momext.scalar"}),
+    (["solve", "problem.json"], {"momext.scalar"}),
+    (["solve", "problem.json", "--theta", "1.0", "--grid=-2:2:0.5"],
+     {"momext.scalar"}),
+    (["sweep", "problem.json", "--theta-grid", "4"], {"momext.scalar"}),
+])
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
+    # check answers solvability from the Hankel sections alone; the other
+    # commands load the construction, but not a command they do not run.
+    for name, payload in CI_FILES.items():
+        _write(tmp_path, name, payload)
+    loaded = _loaded_modules(
+        tmp_path, f"import momext.cli\nmomext.cli.main({argv!r})")
+    if absent is None:
+        assert loaded == CHECK_MODULES
+    else:
+        assert set(CHECK_MODULES) <= set(loaded)
+        assert not absent & set(loaded)
 
 
 @pytest.mark.parametrize("code, argv", [
@@ -635,6 +675,27 @@ def test_an_unwritable_csv_exits_one(tmp_path):
     assert child.returncode == 1 and child.stdout == ""
     assert child.stderr.startswith("error: cannot write ")
     assert child.stderr.count("\n") == 1
+
+
+def test_importing_the_package_loads_no_submodule(tmp_path):
+    assert _loaded_modules(tmp_path, "import momext") == ["momext"]
+
+
+def test_every_export_is_the_object_of_its_home_module():
+    names = set(momext.__all__) - {"__version__"}
+    assert names == set(momext._HOME)
+    for name in names:
+        home = importlib.import_module(f"momext.{momext._HOME[name]}")
+        assert getattr(momext, name) is getattr(home, name), name
+
+
+def test_the_lazy_package_surface():
+    namespace = {}
+    exec("from momext import *", namespace)
+    assert set(momext.__all__) <= set(namespace)
+    assert set(momext.__all__) <= set(dir(momext))
+    with pytest.raises(AttributeError, match="'momext'"):
+        momext.no_such_name
 
 
 def test_the_package_runs_without_scipy():
