@@ -27,9 +27,9 @@ _EXPORTS = {
     "extensions": ("AdmissibilityReport", "ExtensionParameter",
                    "SelfAdjointExtension", "is_admissible",
                    "pencil_spectral_radius", "selfadjoint_extension"),
-    "gram": ("GramSpace", "factor_psd"),
-    "hankel": ("BlockHankel", "ConditionReport", "MomentSequence",
-               "build_block_hankel", "check_truncated_conditions"),
+    "hankel": ("BlockHankel", "ConditionReport", "GramSpace",
+               "MomentSequence", "build_block_hankel",
+               "check_truncated_conditions", "factor_psd"),
     "measures": ("AtomicMatrixMeasure", "ContourRecovery", "PerronResult",
                  "StieltjesTransform", "VerificationReport",
                  "measure_distance", "moments_from_transform",
@@ -47,28 +47,7 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdmissibilityReport", "AtomicMatrixMeasure", "BlockHankel",
-    "ConditionReport", "ContourRecovery", "DEFAULT", "DeficiencyPair",
-    "DependentDomain", "DimensionMismatch", "ExtensionParameter",
-    "GramSpace",
-    "InsufficientMoments", "MomentProblemError", "MomentSequence",
-    "NormViolation", "NotAdmissible", "NotPSD",
-    "PerronResult", "ProblemFileError",
-    "ScalarEvenResult", "SelfAdjointExtension",
-    "ShiftOperator", "SingularSystem", "SolveResult", "StieltjesTransform",
-    "SweepEntry", "SweepResult", "Tolerances", "VerificationReport",
-    "Workspace", "build_block_hankel", "build_shift",
-    "check_truncated_conditions",
-    "default_parameter",
-    "deficiency_subspaces", "factor_psd",
-    "forbidden_operator", "is_admissible", "measure_distance",
-    "moments_from_transform", "pencil_spectral_radius",
-    "perron_inversion", "prepare", "selfadjoint_extension",
-    "solve_scalar_even", "solve_truncated", "spectral_measure",
-    "theta_sweep", "verify_moments",
-    "verify_recovered_moments", "__version__",
-]
+__all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name):

@@ -23,7 +23,6 @@ form (so its G is exactly Hermitian); nothing m x m is inverted.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 
 import numpy as np
 
@@ -75,11 +74,6 @@ class ExtensionParameter:
         return cls(kind=KIND_ISOMETRIC, matrix=read_only(
             phase[..., None, None] * np.eye(defect, dtype=complex)))
 
-    @classmethod
-    def empty(cls) -> "ExtensionParameter":
-        """The unique parameter when the defect is zero."""
-        return cls.isometric(np.zeros((0, 0), dtype=complex))
-
     def constant_matrix(self, defect: int, tol: Tolerances = DEFAULT) -> np.ndarray:
         """The matrix, checked for shape, norm and (if isometric) isometry,
         all from one singular value call."""
@@ -115,9 +109,8 @@ class AdmissibilityReport:
     """Outcome of the admissibility test for a constant parameter matrix.
 
     margin is the smallest singular value of C_minus V - C_plus (in
-    [0, 2]); None when the defect is zero (then every parameter is
-    vacuously admissible).  forbidden_gap is the smallest singular value
-    of V - X (None only from is_admissible given no forbidden matrix).
+    [0, 2]) and forbidden_gap that of V - X; both are None when the
+    defect is zero (then every parameter is vacuously admissible).
     """
 
     admissible: bool
@@ -129,11 +122,11 @@ class AdmissibilityReport:
 
 
 def _screen(kind: str, stack: np.ndarray, pair: DeficiencyPair,
-            forbidden: np.ndarray | None, tol: Tolerances):
+            forbidden: np.ndarray, tol: Tolerances):
     """The (K,) admissible mask and the K admissibility reports of a
     (K, q, q) stack of parameter matrices of one kind, from one batched
-    singular value call over the V, the C_minus V - C_plus and (with the
-    forbidden matrix X) the V - X of the whole stack, after
+    singular value call over the V, the C_minus V - C_plus and the V - X
+    (X the forbidden matrix) of the whole stack, after
     _check_singular_values has passed the V.
 
     The flags are decided over the whole stack as arrays, and each report
@@ -146,30 +139,25 @@ def _screen(kind: str, stack: np.ndarray, pair: DeficiencyPair,
             forbidden_gap=None, coincides_with_forbidden=False,
             borderline=False),) * k
     plus, minus = pair.complement_rows
-    parts = [stack, minus @ stack - plus]
-    if forbidden is not None:
-        parts.append(stack - forbidden)
-    sv = singular_values(np.concatenate(parts))
+    sv = singular_values(np.concatenate(
+        [stack, minus @ stack - plus, stack - forbidden]))
     _check_singular_values(kind, sv[:k], tol)
-    margins = sv[k:2 * k, -1]
+    margins, gaps = sv[k:2 * k, -1], sv[2 * k:, -1]
     admissible = margins > tol.adm_abs
     borderline = admissible & (margins <= 1e3 * tol.adm_abs)
-    if forbidden is not None:
-        gaps = sv[2 * k:, -1]
-        coincides = (gaps <= tol.adm_abs).tolist()
-        gaps = gaps.tolist()
-    else:
-        gaps, coincides = itertools.repeat(None), itertools.repeat(False)
     return admissible, tuple(map(
         AdmissibilityReport, admissible.tolist(), margins.tolist(),
-        sv[:k, 0].tolist(), gaps, coincides, borderline.tolist()))
+        sv[:k, 0].tolist(), gaps.tolist(), (gaps <= tol.adm_abs).tolist(),
+        borderline.tolist()))
 
 
 def is_admissible(matrix: np.ndarray, shift: ShiftOperator,
                   pair: DeficiencyPair,
                   forbidden: np.ndarray | None = None,
                   tol: Tolerances = DEFAULT) -> AdmissibilityReport:
-    """Decide whether a constant q x q parameter matrix is admissible.
+    """Decide whether a constant q x q parameter matrix is admissible, and
+    measure its gap to the forbidden matrix, pair.forbidden unless another
+    is given.
 
     Anything but a q x q matrix raises ValueError, and NormViolation comes
     when it is not a contraction (operator norm above 1 + norm_abs);
@@ -179,6 +167,8 @@ def is_admissible(matrix: np.ndarray, shift: ShiftOperator,
     v = np.asarray(matrix, dtype=complex)
     if v.shape != (q, q):
         raise ValueError(f"parameter must be {q} x {q}, got {v.shape}")
+    if forbidden is None:
+        forbidden = pair.forbidden
     return _screen(KIND_CONTRACTION, v[None], pair, forbidden, tol)[1][0]
 
 
@@ -303,6 +293,4 @@ def pencil_spectral_radius(shift: ShiftOperator, pair: DeficiencyPair,
     (G - lam)^{-1}: the spectral radius of G, for one q x q matrix V (a
     stack raises ValueError).  C_minus V - C_plus must be nonsingular."""
     g = _generator(shift, pair, as_complex_matrix(vmat, "parameter"))
-    if g.shape[-1] == 0:
-        return 0.0
     return float(np.max(np.abs(np.linalg.eigvals(g))))

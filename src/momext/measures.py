@@ -36,17 +36,19 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import SingularSystem
 from .hankel import MomentSequence
 from .linalg import max_abs, read_only
-from .extensions import (KIND_ISOMETRIC, AdmissibilityReport,
-                         ExtensionParameter, SelfAdjointExtension, _generator,
-                         screen_parameter)
-from .shift import DeficiencyPair, ShiftOperator
 from .tolerances import DEFAULT, Tolerances
+
+if TYPE_CHECKING:    # the transform half imports what it calls when it runs
+    from .extensions import (AdmissibilityReport, ExtensionParameter,
+                             SelfAdjointExtension)
+    from .shift import DeficiencyPair, ShiftOperator
 
 #: points per batched solve in StieltjesTransform.eval_upper_many
 _EVAL_CHUNK = 8192
@@ -360,11 +362,13 @@ class StieltjesTransform:
     def admissibility(self) -> AdmissibilityReport:
         """The report of screen_parameter; an inadmissible parameter raises
         NotAdmissible (on every access: nothing is kept then)."""
+        from .extensions import screen_parameter
         return screen_parameter(self.pair, self.parameter, self.tol)
 
     @functools.cached_property
     def _g(self) -> np.ndarray:
         """G of the screened parameter."""
+        from .extensions import _generator
         self.admissibility                  # NotAdmissible when refused
         return _generator(self.shift, self.pair, self.parameter.matrix)
 
@@ -512,6 +516,7 @@ def perron_inversion(transform: StieltjesTransform, start: float, stop: float,
     eigenvector basis, and NotAdmissible for an inadmissible parameter.
     Every other threshold comes from transform.tol.
     """
+    from .extensions import KIND_ISOMETRIC
     edges = _cell_edges(start, stop, cell_width)
     tol = transform.tol
     g = transform._g

@@ -8,7 +8,7 @@ solve_truncated runs the full construction,
 and theta_sweep walks the unimodular parameter family e^{i theta}, reporting
 which angles are forbidden and how the resulting measures differ.
 
-Everything happens in the block Cholesky frame (momext.gram, momext.shift).
+Everything happens in the block Cholesky frame (momext.hankel, momext.shift).
 The default parameter is V = -X, opposite the forbidden operator X (the
 adjoint of the rotation of the minus defect basis), whose extension closes
 the Jacobi matrix with B = Re Omega: closed forms, with no solve after
@@ -21,8 +21,7 @@ import dataclasses
 
 import numpy as np
 
-from .gram import GramSpace, _factor
-from .hankel import ConditionReport, MomentSequence, _check
+from .hankel import ConditionReport, GramSpace, MomentSequence, _check, _factor
 from .linalg import read_only
 from .measures import (AtomicMatrixMeasure, ContourRecovery,
                        StieltjesTransform, VerificationReport, _assemble,

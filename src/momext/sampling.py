@@ -110,7 +110,7 @@ def random_admissible_isometry(rng: np.random.Generator, shift, pair,
     """
     q = pair.defect
     if q == 0:
-        return ExtensionParameter.empty()
+        return ExtensionParameter.isometric(np.zeros((0, 0)))
     floor = 10.0 * tol.adm_abs if min_margin is None else min_margin
     for _ in range(tries):
         candidate = haar_unitary(rng, q)

@@ -72,8 +72,10 @@ def _hankel(values: np.ndarray, order: int) -> np.ndarray:
 
 
 def _rank_scan(h: np.ndarray, tol: Tolerances) -> tuple[int, float]:
-    """r (the largest k <= d with H_0..H_k all positive definite, -1 if
-    none is) for the section h = H_d, and the last smallest eigenvalue seen."""
+    """r (the largest k <= d with H_0..H_k all positive definite) for the
+    section h = H_d, and the last smallest eigenvalue seen.  r >= 0 once
+    s_0 has passed the checks of solve_scalar_even: H_0 = [s_0] is its own
+    eigenvalue, above pos_rel * s_0."""
     # H_k holds s_0..s_{2k}: the first row and last column of h hold them all
     reach = np.maximum.accumulate(np.abs(np.append(h[0], h[1:, -1])))
     r = -1
@@ -125,9 +127,6 @@ def solve_scalar_even(values, tol: Tolerances = DEFAULT) -> ScalarEvenResult:
 
     h = _hankel(values, d)
     r, emin = _rank_scan(h, tol)
-    if r < 0:
-        return _infeasible(f"the order-0 section [s_0] = [{values[0]:.6g}] "
-                           f"is not positive definite", rank_index=r)
 
     if r == d:
         # H_{d+1} = [[H_d, b], [b^T, s_{2d+2}]] has Schur complement

@@ -8,7 +8,7 @@ is symmetric on D(A) = span{x_0..x_{dN-1}} whenever the leading section is
 positive definite.  Self-adjoint (and more generally quasi-self-adjoint)
 extensions of A are what produce solutions of the moment problem.
 
-In the block Cholesky frame of momext.gram, D(A) is the span of the first
+In the block Cholesky frame of momext.hankel, D(A) is the span of the first
 dN coordinates of C^m and its orthogonal complement the span of the last
 q = m - dN.  A is the m x dN matrix M = img L^{-T} (L the Cholesky factor
 of H_{d-1}): its top dN rows form the Hermitian block Jacobi matrix J_0,
@@ -53,7 +53,7 @@ import math
 import numpy as np
 
 from .errors import DimensionMismatch
-from .gram import GramSpace
+from .hankel import GramSpace
 from .linalg import read_only
 
 

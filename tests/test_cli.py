@@ -206,6 +206,19 @@ def test_solve_exit_codes_distinguish_the_failing_section(tmp_path, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_solve_refuses_dependent_domain_vectors(tmp_path, capsys):
+    # H_1 = diag(1, 1e-9) is positive definite, but on the scale of H_2
+    # the rank cutoff leaves fewer coordinates than domain vectors
+    path = _write(tmp_path, "p.json", {"N": 1,
+                                       "moments": [1, 0, 1e-9, 0, 1e14]})
+    assert main(["solve", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: domain needs 2 independent vectors but the space has "
+        "dimension 1"]
+
+
 def test_theta_flag_and_embedded_theta_agree_at_defect_zero(tmp_path, capsys):
     # --theta is the spec {"constant_unimodular_theta": theta}, so both are
     # sized by the defect of the data, here zero.
@@ -558,16 +571,21 @@ def _loaded_modules(cwd, script):
 CHECK_MODULES = ["momext", "momext.cli", "momext.errors", "momext.hankel",
                  "momext.jsonio", "momext.linalg", "momext.tolerances"]
 
+#: verify checks a measure file against the moments and runs none of the
+#: construction
+VERIFY_ABSENT = {"momext.extensions", "momext.pipeline", "momext.scalar",
+                 "momext.shift"}
+
 
 @pytest.mark.parametrize("argv, absent", [
     (["check", "problem.json"], None),
     (["check", "trail.json"], None),
-    (["verify", "problem.json", "measure.json"],
-     {"momext.pipeline", "momext.scalar"}),
+    (["verify", "problem.json", "measure.json"], VERIFY_ABSENT),
     (["solve", "problem.json"], {"momext.scalar"}),
     (["solve", "problem.json", "--theta", "1.0", "--grid=-2:2:0.5"],
      {"momext.scalar"}),
     (["sweep", "problem.json", "--theta-grid", "4"], {"momext.scalar"}),
+    (["verify", "problem.json", "heavy.json"], VERIFY_ABSENT),
 ])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
     # check answers solvability from the Hankel sections alone; the other

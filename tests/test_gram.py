@@ -13,6 +13,10 @@ Checked here:
 - indefinite input is rejected with the trailing-section error, and
   factor_psd refuses a section exactly when the check finds its data
   unsolvable, with prepare's error,
+- the three domain refusals of the eigvalsh fallback, from factor_psd
+  and prepare alike: a rank below dN, a leading block whose singular
+  values spread beyond 1 / rank_rel, and one that has no Cholesky
+  factor in float64,
 - the screens of the frame decide as the eigvalsh rules of
   tests/eigen_frame.py (the two tests, the rank m, the defect q and the
   exception prepare raises) on full-defect, rank-drop, rescaled and
@@ -27,8 +31,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momext import (DEFAULT, AtomicMatrixMeasure, MomentProblemError,
-                    MomentSequence, NotPSD, build_block_hankel,
+from momext import (DEFAULT, AtomicMatrixMeasure, DependentDomain,
+                    MomentProblemError, MomentSequence, NotPSD,
+                    build_block_hankel,
                     check_truncated_conditions, factor_psd, prepare,
                     solve_truncated)
 from momext.linalg import phase_canonicalize
@@ -286,6 +291,55 @@ def test_factor_psd_refuses_as_prepare_does():
                                else "leading"), values
         assert (str(got), got.section, got.min_eigenvalue) == (
             str(want), want.section, want.min_eigenvalue)
+
+
+def _domain_refusal(seq, tol):
+    """The messages of the DependentDomain that factor_psd and prepare
+    raise."""
+    section = build_block_hankel(seq, (len(seq) - 1) // 2)
+    with pytest.raises(DependentDomain) as from_factor:
+        factor_psd(section, tol)
+    with pytest.raises(DependentDomain) as from_prepare:
+        prepare(seq, tol)
+    return str(from_factor.value), str(from_prepare.value)
+
+
+def test_the_fallback_refuses_a_dependent_domain():
+    # Three refusals that no screen makes, each reached when the first
+    # screen fails and eigvalsh admits both sections.  [1, 0, 1e-9, 0,
+    # 1e14]: H_1 = diag(1, 1e-9) passes the leading test, but on the
+    # scale of H_2 the rank cutoff 1e2 leaves m = 1 < dN = 2.
+    # [1, 0, 1e-8, 0, 1] at rank_rel = 1e-3: the singular values 1e-4
+    # and 1 of the domain vectors spread beyond 1 / rank_rel.
+    rank = ("domain needs 2 independent vectors but the space has "
+            "dimension 1")
+    assert _domain_refusal(MomentSequence.scalar([1, 0, 1e-9, 0, 1e14]),
+                           DEFAULT) == (rank, rank)
+    spread = _domain_refusal(MomentSequence.scalar([1, 0, 1e-8, 0, 1]),
+                             DEFAULT.replace(rank_rel=1e-3))
+    assert spread[0] == spread[1] and spread[0].startswith(
+        "domain vectors are numerically dependent: smallest singular "
+        "value 1.000e-04 vs largest 1.000e+00")
+    # S_0 = [[1, b], [b, b^2]] (S_1 = 0, S_2 = I) at pos_rel = rank_rel =
+    # 0: the Cholesky pivot b^2 - b^2 is exactly 0, so no factor exists,
+    # while eigvalsh puts the null eigenvalue within roundoff of 0, on
+    # either side (above it for about one in seven of these b).  Each b
+    # whose eigvalsh lands above 0 passes every eigvalsh rule and meets
+    # the last refusal.
+    tol = DEFAULT.replace(pos_rel=0.0, rank_rel=0.0)
+    reached = 0
+    for b in np.linspace(0.1, 2.0, 400):
+        seq = MomentSequence.from_arrays(
+            [[[1.0, b], [b, b * b]], np.zeros((2, 2)), np.eye(2)])
+        section = build_block_hankel(seq, 1)
+        if section.leading_eigenvalues[0] <= 0.0:
+            continue
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(section.matrix[:2, :2])
+        message = "the leading section has no Cholesky factor in float64"
+        assert _domain_refusal(seq, tol) == (message, message)
+        reached += 1
+    assert reached
 
 
 def test_spectra_are_read_on_demand_from_one_eigvalsh(monkeypatch):

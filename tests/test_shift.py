@@ -24,8 +24,8 @@ Checked here:
   perturbation raises Re tr(U^H K_minus^H K_plus), and on a hand-derived
   N = 2, q = 1 instance with K_minus^H K_plus = i/3, U = i,
 - the admissibility reports built from arrays: the rule decided row by
-  row, with margins exactly at adm_abs and 1e3 adm_abs, with and without
-  the forbidden operator, for K = 0, 1 and 32.
+  row, with margins exactly at adm_abs and 1e3 adm_abs, for K = 0, 1 and
+  32, and is_admissible given no X measuring the gap to the pair's.
 """
 
 from __future__ import annotations
@@ -495,18 +495,15 @@ def _row_by_row_reports(stack, pair, forbidden, tol):
     array-built reports."""
     k = len(stack)
     plus, minus = pair.complement_rows
-    parts = [stack, minus @ stack - plus]
-    if forbidden is not None:
-        parts.append(stack - forbidden)
-    sv = singular_values(np.concatenate(parts))
-    gaps = sv[2 * k:, -1].tolist() if forbidden is not None else [None] * k
+    sv = singular_values(np.concatenate(
+        [stack, minus @ stack - plus, stack - forbidden]))
     return tuple(AdmissibilityReport(
         admissible=margin > tol.adm_abs, margin=margin,
         parameter_norm=float(norm), forbidden_gap=gap,
-        coincides_with_forbidden=gap is not None and gap <= tol.adm_abs,
+        coincides_with_forbidden=gap <= tol.adm_abs,
         borderline=tol.adm_abs < margin <= 1e3 * tol.adm_abs)
         for norm, margin, gap in zip(sv[:k, 0], sv[k:2 * k, -1].tolist(),
-                                     gaps))
+                                     sv[2 * k:, -1].tolist()))
 
 
 def test_array_built_reports_are_the_row_by_row_rule():
@@ -515,6 +512,7 @@ def test_array_built_reports_are_the_row_by_row_rule():
     # on 1e3 adm_abs and one ulp either side.  Random stacks of K = 0, 1
     # and 32 unitaries and near-forbidden rows on prepared data at q = 1
     # and q = 2 add the rest.  repr compares the flags' types as well.
+    # is_admissible given no X measures the gap to the pair's.
     tol = DEFAULT
     edges = []
     for x in (tol.adm_abs, 1e3 * tol.adm_abs):
@@ -524,11 +522,10 @@ def test_array_built_reports_are_the_row_by_row_rule():
     pair = DeficiencyPair(basis_plus=0.0 * unit, basis_minus=unit, defect=1,
                           omega=unit, forbidden=0.0 * unit)
     stack = values.astype(complex)[:, None, None]
-    for forbidden in (None, pair.forbidden):
-        got = _screen(KIND_CONTRACTION, stack, pair, forbidden, tol)
-        want = _row_by_row_reports(stack, pair, forbidden, tol)
-        assert repr(got[1]) == repr(want)
-        assert np.array_equal(got[0], [r.admissible for r in want])
+    got = _screen(KIND_CONTRACTION, stack, pair, pair.forbidden, tol)
+    want = _row_by_row_reports(stack, pair, pair.forbidden, tol)
+    assert repr(got[1]) == repr(want)
+    assert np.array_equal(got[0], [r.admissible for r in want])
     flags = [(r.admissible, r.borderline) for r in got[1]]
     assert flags[4:10] == [(False, False), (False, False), (True, True),
                            (True, True), (True, True), (True, False)]
@@ -548,11 +545,10 @@ def test_array_built_reports_are_the_row_by_row_rule():
                                  dtype=complex).reshape(k, q, q)
                 stack[:k // 4] = x + 1e-9 * rng.standard_normal()
                 stack[k // 4:k // 2] = x
-                for forbidden in (None, ws.forbidden):
-                    got = _screen(KIND_CONTRACTION, stack, ws.pair,
-                                  forbidden, tol)
-                    want = _row_by_row_reports(stack, ws.pair, forbidden,
-                                               tol)
-                    assert repr(got[1]) == repr(want) and len(want) == k
-                    assert np.array_equal(got[0],
-                                          [r.admissible for r in want])
+                got = _screen(KIND_CONTRACTION, stack, ws.pair, x, tol)
+                want = _row_by_row_reports(stack, ws.pair, x, tol)
+                assert repr(got[1]) == repr(want) and len(want) == k
+                assert np.array_equal(got[0], [r.admissible for r in want])
+                for v in stack:
+                    assert is_admissible(v, ws.shift, ws.pair) == \
+                        is_admissible(v, ws.shift, ws.pair, x)
