@@ -142,10 +142,10 @@ def _parse_grid(text: str):
 
 def _prepare_with_parameter(args, seq, file_spec, tol):
     """The prepared workspace and the parameter to solve with (None for the
-    default scan).
+    default parameter).
 
-    --parameter FILE wins over --theta, which wins over the spec embedded in
-    the problem file; --theta T is the spec {"constant_unimodular_theta": T}.
+    --parameter FILE or --theta (the parser refuses both) wins over the
+    spec in the problem file; --theta T is {"constant_unimodular_theta": T}.
     Unimodular-theta specs are sized by the defect of the workspace; other
     specs are parsed before the data is prepared, so a malformed parameter
     is reported first.
@@ -323,7 +323,7 @@ def _cmd_verify(args) -> int:
     from .measures import verify_moments
     seq, _, tol = parse_problem(_load_text(args.problem))
     tol = _apply_tol_flags(tol, args.tol)
-    measure = parse_measure(_load_text(args.measure))
+    measure = parse_measure(_load_text(args.measure), seq.dim)
     if measure.block_dim != seq.dim:
         raise DimensionMismatch(
             f"measure weights are {measure.block_dim} x {measure.block_dim} "

@@ -361,10 +361,9 @@ class GramSpace:
     """Vectors x_a realizing a PSD Gram matrix in C^ambient_dim.
 
     coords has one row per vector.  eigenvalues (the full spectrum of the
-    factored section in descending order, kept and dropped) and
-    rank_cutoff keep the rank decision visible in reports; they are
-    computed on first read, from the section's one eigvalsh, which a
-    screened factorization never needed.
+    factored section in descending order, kept and dropped) keeps the rank
+    decision visible in reports; it is computed on first read, from the
+    section's one eigvalsh, which a screened factorization never needed.
     """
 
     ambient_dim: int
@@ -372,17 +371,11 @@ class GramSpace:
     order: int
     coords: np.ndarray          # ((d+1)N, ambient_dim), row a is x_a
     section: BlockHankel = dataclasses.field(repr=False)
-    rank_rel: float = dataclasses.field(repr=False)
 
     @property
     def eigenvalues(self) -> np.ndarray:
         """Descending, the full spectrum."""
         return self.section.eigenvalues[::-1]
-
-    @property
-    def rank_cutoff(self) -> float:
-        """The section's rank cutoff, at the rank_rel it was factored with."""
-        return self.section.rank_cutoff(self.rank_rel)
 
 
 def factor_psd(section: BlockHankel, tol: Tolerances = DEFAULT) -> GramSpace:
@@ -399,10 +392,10 @@ def factor_psd(section: BlockHankel, tol: Tolerances = DEFAULT) -> GramSpace:
     dn = section.order * section.block_dim
     h = section.matrix
     return _factor(section, _decide(section, max_abs(h[:dn, :dn]),
-                                    max_abs(h), tol)[2], tol)
+                                    max_abs(h), tol)[2])
 
 
-def _factor(section: BlockHankel, frame, tol: Tolerances) -> GramSpace:
+def _factor(section: BlockHankel, frame) -> GramSpace:
     """The Gram space assembled from the frame that _decide gives; when
     it gives an error instead, that error is raised here, for prepare and
     factor_psd alike.
@@ -429,5 +422,4 @@ def _factor(section: BlockHankel, frame, tol: Tolerances) -> GramSpace:
         order=section.order,
         coords=read_only(coords),
         section=section,
-        rank_rel=tol.rank_rel,
     )

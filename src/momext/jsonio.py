@@ -293,8 +293,11 @@ def measure_to_json(measure: AtomicMatrixMeasure) -> dict:
                       for j in range(measure.n_atoms)]}
 
 
-def measure_from_json(data) -> AtomicMatrixMeasure:
+def parse_measure(text: str, block_dim: int) -> AtomicMatrixMeasure:
+    """The measure in a measure file; block_dim sizes the weights of a file
+    with no atoms, the zero measure."""
     from .measures import AtomicMatrixMeasure
+    data = loads(text)
     _expect(isinstance(data, dict) and "atoms" in data,
             'measure file needs an "atoms" list')
     atoms = data["atoms"]
@@ -315,18 +318,13 @@ def measure_from_json(data) -> AtomicMatrixMeasure:
         locs.append(float(t))
         weights.append(_moment_to_matrix(w, dim, f'atoms[{i}]["W"]'))
     if dim is None:
-        dim = 1
+        dim = block_dim
     try:
         return AtomicMatrixMeasure.from_atoms(
             np.array(locs), np.array(weights).reshape(-1, dim, dim),
             block_dim=dim)
     except ValueError as exc:
         raise ProblemFileError(str(exc)) from exc
-
-
-def parse_measure(text: str) -> AtomicMatrixMeasure:
-    data = loads(text)
-    return measure_from_json(data)
 
 
 # -------------------------------------------------------------- serializers

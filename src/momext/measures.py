@@ -57,6 +57,9 @@ _EVAL_CHUNK = 8192
 #: ValueError before its edges are allocated
 MAX_CELLS = 100_000
 
+#: relative tolerance of a spectral measure's moments against the data
+ATOMIC_REL_TOL = 1e-8
+
 #: relative tolerance of the transform route's checks: the moments it
 #: recovers against the data, and the residues' total mass against S_0
 TRANSFORM_REL_TOL = 1e-6
@@ -88,15 +91,19 @@ class AtomicMatrixMeasure:
         _assemble on the one row of sorted atoms.
 
         Atoms at the same location become one, holding their summed weight.
-        A weight whose smallest eigenvalue is below -1e-8 times the largest
-        |entry| (at least 1) raises ValueError, as does a non-finite
-        location or weight entry.  block_dim sizes the weights when there
-        are no atoms.
+        weights is (J,) for scalar atoms or (J, N, N).  A weight whose
+        smallest eigenvalue is below -1e-8 times the largest |entry| (at
+        least 1) raises ValueError, as do weights of another shape and a
+        non-finite location or weight entry.  block_dim sizes the weights
+        when there are no atoms.
         """
         locs = np.asarray(locations, dtype=float).reshape(-1)
         w = np.asarray(weights, dtype=complex)
         if w.ndim == 1:                      # scalar weights -> 1 x 1 blocks
             w = w.reshape(-1, 1, 1)
+        if w.ndim != 3 or w.shape[1] != w.shape[2]:
+            raise ValueError(f"weights must be (J,) or (J, N, N), got "
+                             f"shape {w.shape}")
         if w.shape[0] != locs.shape[0]:
             raise ValueError("locations and weights disagree in length")
         if not (np.isfinite(locs).all() and np.isfinite(w).all()):
@@ -106,13 +113,6 @@ class AtomicMatrixMeasure:
         order = np.argsort(locs, kind="stable")
         return _assemble(locs[order][None], w[order][None], 0.0, 0.0,
                          1e-8)[0]
-
-    def moment(self, n: int) -> np.ndarray:
-        """integral of x^n dM as an N x N matrix."""
-        if self.n_atoms == 0:
-            return np.zeros((self.block_dim, self.block_dim), dtype=complex)
-        powers = self.locations ** n
-        return np.einsum("j,jkl->kl", powers, self.weights)
 
 
 def _first_non_psd(locs, weights, floor):
@@ -290,7 +290,7 @@ def _verifications(recovered, seq: MomentSequence,
 
 
 def verify_moments(measure: AtomicMatrixMeasure, seq: MomentSequence,
-                   rel_tol: float = 1e-8) -> VerificationReport:
+                   rel_tol: float = ATOMIC_REL_TOL) -> VerificationReport:
     """Compare integral x^n dM against S_n for every prescribed n.
 
     The moments come from _moment_sums on views of the measure's own

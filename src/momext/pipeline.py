@@ -23,10 +23,10 @@ import numpy as np
 
 from .hankel import ConditionReport, GramSpace, MomentSequence, _check, _factor
 from .linalg import read_only
-from .measures import (AtomicMatrixMeasure, ContourRecovery,
-                       StieltjesTransform, VerificationReport, _assemble,
-                       _distances, _moment_sums, _spectral_atoms,
-                       _verifications,
+from .measures import (ATOMIC_REL_TOL, AtomicMatrixMeasure,
+                       ContourRecovery, StieltjesTransform,
+                       VerificationReport, _assemble, _distances,
+                       _moment_sums, _spectral_atoms, _verifications,
                        moments_from_transform, spectral_measure,
                        verify_moments, verify_recovered_moments)
 from .extensions import (KIND_ISOMETRIC, AdmissibilityReport,
@@ -84,7 +84,7 @@ def prepare(seq: MomentSequence, tol: Tolerances = DEFAULT) -> Workspace:
     deficiency_subspaces, forbidden_operator gives.
     """
     report, frame = _check(seq, tol)
-    space = _factor(report.section, frame, tol)
+    space = _factor(report.section, frame)
     shift = build_shift(space)
     pair = deficiency_subspaces(shift)
     return Workspace(sequence=seq, condition=report, space=space, shift=shift,
@@ -161,7 +161,7 @@ def _solve(ws: Workspace, parameter: ExtensionParameter | None,
     if transform is None:
         ext = _selfadjoint_extension(ws.shift, ws.pair, parameter)
         measure = spectral_measure(ext, ws.shift, tol)
-        verification = verify_moments(measure, seq, rel_tol=1e-8)
+        verification = verify_moments(measure, seq, rel_tol=ATOMIC_REL_TOL)
         return SolveResult(kind="atomic", measure=measure, extension=ext,
                            verification=verification, recovery=None,
                            transform_samples=None, transform=None, **common)
@@ -248,7 +248,7 @@ def theta_sweep(seq: MomentSequence, n_thetas: int = 8,
         found_verifications = _verifications(
             _moment_sums(np.nan_to_num(locs) if padded else locs, weights,
                          len(ws.sequence)),
-            ws.sequence, rel_tol=1e-8)
+            ws.sequence, rel_tol=ATOMIC_REL_TOL)
         for i, measure, verification in zip(admitted.tolist(), found,
                                              found_verifications):
             measures[i], verifications[i] = measure, verification

@@ -19,9 +19,8 @@ the line has exactly these power moments, and produce evidence:
 
 Both constructions run the operator pipeline (solve_truncated) on an
 odd-length sequence and verify its measure against all 2d+2 moments.  The
-rank index r is the largest k <= d with H_0..H_k all positive definite
-(scanned in order, stopping at the first failure), so Sylvester's criterion
-applies to everything at or below r.
+rank index r is the largest k <= d with H_0..H_k all positive definite, so
+Sylvester's criterion applies to everything at or below r.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ import numpy as np
 from .errors import InsufficientMoments, NotPSD
 from .hankel import MomentSequence
 from .linalg import max_abs
-from .measures import AtomicMatrixMeasure, verify_moments
+from .measures import ATOMIC_REL_TOL, AtomicMatrixMeasure, verify_moments
 from .tolerances import DEFAULT, Tolerances
 
 VERDICT_ZERO = "unique-zero"
@@ -73,18 +72,19 @@ def _hankel(values: np.ndarray, order: int) -> np.ndarray:
 
 def _rank_scan(h: np.ndarray, tol: Tolerances) -> tuple[int, float]:
     """r (the largest k <= d with H_0..H_k all positive definite) for the
-    section h = H_d, and the last smallest eigenvalue seen.  r >= 0 once
-    s_0 has passed the checks of solve_scalar_even: H_0 = [s_0] is its own
-    eigenvalue, above pos_rel * s_0."""
+    section h = H_d, and the smallest eigenvalue of H_r.  H_k passes when
+    lambda_min(H_k) exceeds pos_rel * max|s_0..s_2k|; as k falls, lambda_min
+    only grows (Cauchy interlacing) and that bound only shrinks, so the
+    passing orders form a prefix, scanned down from d: one eigvalsh for
+    nondegenerate data.  r >= 0 once s_0 has passed the checks of
+    solve_scalar_even (H_0 = [s_0] is its own eigenvalue)."""
     # H_k holds s_0..s_{2k}: the first row and last column of h hold them all
     reach = np.maximum.accumulate(np.abs(np.append(h[0], h[1:, -1])))
-    r = -1
-    for k in range(h.shape[0]):
+    for k in range(h.shape[0] - 1, -1, -1):
         emin = float(np.linalg.eigvalsh(h[:k + 1, :k + 1])[0])
-        if emin <= tol.pos_rel * reach[2 * k]:
-            break
-        r = k
-    return r, emin
+        if emin > tol.pos_rel * reach[2 * k]:
+            return k, emin
+    return -1, emin
 
 
 def _prefix(seq: MomentSequence, count: int) -> MomentSequence:
@@ -161,7 +161,7 @@ def solve_scalar_even(values, tol: Tolerances = DEFAULT) -> ScalarEvenResult:
             f"{exc.min_eigenvalue:.6e}; no nonnegative measure matches",
             rank_index=r)
     coeffs = np.polynomial.polynomial.polyfromroots(measure.locations)
-    report = verify_moments(measure, data, rel_tol=1e-8)
+    report = verify_moments(measure, data, rel_tol=ATOMIC_REL_TOL)
     if not report.passed:
         return _infeasible(
             f"the forced atomic candidate misses the data by "

@@ -6,9 +6,9 @@ names ending in ``_abs`` apply to quantities that are already normalized
 (parameter matrices of norm at most 1 and their admissibility margins,
 which lie in [0, 2]).  A few thresholds are fixed module constants next
 to the code that reads them (the Hermitian check on moments, the
-verification tolerances, among them measures.TRANSFORM_REL_TOL for the
-transform route's moments and the residues' mass in Perron inversion,
-and the sweep's site tolerance); the README lists them.
+verification tolerances measures.ATOMIC_REL_TOL and TRANSFORM_REL_TOL,
+the latter also for the residues' mass in Perron inversion, and the
+sweep's site tolerance); the README lists them.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Random instance generators used by tests and demonstration scripts.
+"""Random instance generators for the tests.
 
 Instances are built from explicit atomic measures, so ground truth is always
 available: d+1 well-separated atoms with positive definite weights give a
@@ -10,10 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .hankel import MomentSequence
-from .measures import AtomicMatrixMeasure
-from .extensions import ExtensionParameter, is_admissible
-from .tolerances import DEFAULT, Tolerances
+from momext import (DEFAULT, AtomicMatrixMeasure, ExtensionParameter,
+                    MomentSequence, Tolerances, is_admissible)
 
 
 def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -61,8 +59,10 @@ def separated_atoms(rng: np.random.Generator, count: int,
 
 
 def _moments_of(measure: AtomicMatrixMeasure, count: int) -> MomentSequence:
+    """S_0..S_{count-1}: the sums of t_j^k W_j over the atoms."""
     return MomentSequence.from_arrays(
-        [measure.moment(k) for k in range(count)])
+        [np.einsum("j,jkl->kl", measure.locations ** k, measure.weights)
+         for k in range(count)])
 
 
 def random_feasible_instance(rng: np.random.Generator, block_dim: int,

@@ -37,12 +37,12 @@ import pytest
 from momext import (ExtensionParameter, MomentSequence, StieltjesTransform,
                     moments_from_transform, prepare, solve_scalar_even,
                     solve_truncated, theta_sweep, verify_recovered_moments)
-from momext.sampling import (random_admissible_isometry,
-                             random_deficient_instance,
-                             random_feasible_instance,
-                             random_strict_contraction, separated_atoms)
 from momext.scalar import (VERDICT_DEGENERATE, VERDICT_INFEASIBLE,
                            VERDICT_NONDEGENERATE, VERDICT_ZERO)
+
+from sampling import (random_admissible_isometry, random_deficient_instance,
+                      random_feasible_instance, random_strict_contraction,
+                      separated_atoms)
 
 SUITE_SEED = 20260815
 LAMBDA_SEED = 914_000          # per-instance seeds for criterion 4 points

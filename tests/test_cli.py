@@ -491,6 +491,21 @@ def test_verify_dimension_mismatch_exits_two(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("scale, exit_code", [(1.0, 2), (0.0, 0)])
+def test_verify_sizes_the_zero_measure_by_the_problem(tmp_path, capsys,
+                                                      scale, exit_code):
+    # a file with no atoms has no weight to read N off: it is the zero
+    # measure of the problem's N, which misses (I, 0, I) and fits zeros
+    eye = [[scale, 0.0], [0.0, scale]]
+    path = _write(tmp_path, "p.json", {
+        "N": 2, "moments": [eye, [[0.0, 0.0], [0.0, 0.0]], eye]})
+    empty = _write(tmp_path, "empty.json", {"atoms": []})
+    code, data = _run(capsys, "verify", path, empty)
+    assert code == exit_code
+    assert data["deviations"] == [scale, 0.0, scale]
+    assert data["passed"] is (scale == 0.0)
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("verify", "--rel-tol", "nan"), ("verify", "--rel-tol", "inf"),
     ("verify", "--rel-tol", "-1"), ("sweep", "--theta-grid", "0"),
@@ -705,6 +720,24 @@ def test_every_export_is_the_object_of_its_home_module():
     for name in names:
         home = importlib.import_module(f"momext.{momext._HOME[name]}")
         assert getattr(momext, name) is getattr(home, name), name
+
+
+def test_every_module_is_exported_or_run_by_a_command(tmp_path):
+    # The package ships what its programs run: each module is the home of
+    # an export or is loaded by some command; test helpers live in tests.
+    for name, payload in CI_FILES.items():
+        _write(tmp_path, name, payload)
+    commands = (["check", "problem.json"],
+                ["solve", "problem.json", "--theta", "1.0", "--grid=-2:2:1"],
+                ["sweep", "problem.json", "--theta-grid", "4"],
+                ["scalar-even", "[1, 1, 1, 1]"],
+                ["verify", "problem.json", "measure.json"])
+    loaded = _loaded_modules(tmp_path, "import momext.cli\n" + "".join(
+        f"momext.cli.main({argv!r})\n" for argv in commands))
+    package = pathlib.Path(momext.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")} - {"__init__"}
+    assert {m for m in modules if m not in momext._EXPORTS
+            and f"momext.{m}" not in loaded} == set()
 
 
 def test_the_lazy_package_surface():

@@ -25,10 +25,10 @@ import pytest
 
 from momext import (ExtensionParameter, MomentSequence, perron_inversion,
                     prepare, solve_truncated)
-from momext.sampling import (haar_unitary, random_admissible_isometry,
-                             random_deficient_instance,
-                             random_feasible_instance,
-                             random_strict_contraction)
+
+from sampling import (haar_unitary, random_admissible_isometry,
+                      random_deficient_instance, random_feasible_instance,
+                      random_strict_contraction)
 
 RNG_SEED = 20261101
 AFFINE_REL = 1e-8

@@ -41,10 +41,9 @@ from momext import (DEFAULT, DimensionMismatch, ExtensionParameter,
                     solve_truncated)
 from momext.extensions import (KIND_ISOMETRIC, _generator, _hermitize,
                                screen_parameter)
-from momext.sampling import (random_admissible_isometry,
-                             random_deficient_instance,
-                             random_feasible_instance,
-                             random_strict_contraction)
+
+from sampling import (random_admissible_isometry, random_deficient_instance,
+                      random_feasible_instance, random_strict_contraction)
 
 RNG_SEED = 20260804
 ORACLE_ATOL = 1e-12

@@ -37,10 +37,10 @@ from momext import (DEFAULT, AtomicMatrixMeasure, DependentDomain,
                     check_truncated_conditions, factor_psd, prepare,
                     solve_truncated)
 from momext.linalg import phase_canonicalize
-from momext.sampling import (random_deficient_instance, random_feasible_instance,
-                             random_psd)
 
 import eigen_frame
+from sampling import (random_deficient_instance, random_feasible_instance,
+                      random_psd)
 
 RNG_SEED = 20260802
 N_RANDOM_INSTANCES = 30
@@ -159,7 +159,7 @@ def test_rank_is_decided_on_the_scale_of_the_section():
     y = one.coords[1, 0]
     assert 0.98 - (y * np.conj(y)).real > 0.0
     assert one.ambient_dim == 1
-    assert one.eigenvalues[1] <= one.rank_cutoff
+    assert one.eigenvalues[1] <= one.section.rank_cutoff(DEFAULT.rank_rel)
     # A second atom of weight 1e-9 is tiny, but far above the cutoff.
     two = _space_for(MomentSequence.scalar([1.0 + 1e-9, 1e-9, 1e-9]))
     assert two.ambient_dim == 2
@@ -224,7 +224,8 @@ def _draws(rng):
                 truth = AtomicMatrixMeasure.from_atoms(
                     locs, np.array([random_psd(rng, n) for _ in locs]))
                 yield "cluster", MomentSequence.from_arrays(
-                    [truth.moment(k) for k in range(2 * d + 1)])
+                    [np.einsum("j,jkl->kl", truth.locations ** k,
+                               truth.weights) for k in range(2 * d + 1)])
 
 
 def test_screens_decide_as_the_eigvalsh_rules():
@@ -360,5 +361,5 @@ def test_spectra_are_read_on_demand_from_one_eigvalsh(monkeypatch):
     assert result.condition.min_eig_leading == float(w_lead[0])
     assert result.condition.min_eig_trailing == float(w[0])
     assert np.array_equal(result.gram_eigenvalues, w[::-1])
-    assert result.workspace.space.rank_cutoff == float(
-        DEFAULT.rank_rel * max(w[-1], 0.0))
+    assert result.workspace.space.section.rank_cutoff(
+        DEFAULT.rank_rel) == float(DEFAULT.rank_rel * max(w[-1], 0.0))

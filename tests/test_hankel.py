@@ -23,7 +23,8 @@ import pytest
 
 from momext import (InsufficientMoments, MomentSequence, build_block_hankel,
                     check_truncated_conditions)
-from momext.sampling import random_feasible_instance
+
+from sampling import random_feasible_instance
 
 RNG_SEED = 20260801
 N_RANDOM_INSTANCES = 25

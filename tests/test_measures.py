@@ -1,7 +1,7 @@
 """Solution measures, Stieltjes transforms, and the two recovery routes.
 
 Checked here:
-- atomic-measure bookkeeping (sorting, merging, moments, mass), with the
+- atomic-measure bookkeeping (sorting, merging, mass), with the
   assembly's merge gap relative to max(1, |t|) and its drop judged in the
   highest moment,
 - the spectral measure of the worked instance (1, 0, 1): atoms -1 and +1
@@ -53,6 +53,7 @@ Checked here:
 from __future__ import annotations
 
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -69,12 +70,10 @@ from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
 from momext.measures import VerificationReport
 from momext.pipeline import SWEEP_SITE_TOL
 from momext.tolerances import DEFAULT
-from momext.sampling import (random_admissible_isometry,
-                             random_deficient_instance,
-                             random_feasible_instance,
-                             random_strict_contraction)
 
 from conftest import moments_of_atoms
+from sampling import (random_admissible_isometry, random_deficient_instance,
+                      random_feasible_instance, random_strict_contraction)
 
 RNG_SEED = 20260805
 ORACLE_ATOL = 1e-12
@@ -124,17 +123,6 @@ def test_atoms_are_sorted_and_merged():
     assert m.weights[1][0, 0] == pytest.approx(4.0)
 
 
-def test_measure_moments_match_direct_sums():
-    rng = np.random.default_rng(RNG_SEED)
-    locs = np.array([-2.0, 0.5, 1.5])
-    weights = np.array([np.diag([1.0, 2.0]), np.eye(2), np.diag([0.5, 3.0])],
-                       dtype=complex)
-    m = AtomicMatrixMeasure.from_atoms(locs, weights)
-    for n, expected in enumerate(moments_of_atoms(locs, weights, 5)):
-        assert np.allclose(m.moment(n), expected, atol=1e-12)
-    del rng
-
-
 def test_merge_gap_is_relative_and_drop_is_judged_in_the_highest_moment():
     # gaps count relative to max(1, |t|): 1e-4 apart merges at 1e6 but not
     # at 1; a weight of 1e-15 at t = 1e3 is 1e-3 of the 2nd moment and kept
@@ -153,6 +141,12 @@ def test_merge_gap_is_relative_and_drop_is_judged_in_the_highest_moment():
 def test_negative_weight_is_rejected():
     with pytest.raises(ValueError):
         AtomicMatrixMeasure.from_atoms([0.0], [[[-1.0]]])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (2, 1, 1, 1), ()])
+def test_weights_of_another_shape_are_refused_by_name(shape):
+    with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
+        AtomicMatrixMeasure.from_atoms([0.0, 1.0], np.ones(shape))
 
 
 def _assembly_rows(rng, n, k=6, j=5):

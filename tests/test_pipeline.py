@@ -19,10 +19,10 @@ Checked here:
   B(-X) = Re Omega,
 - the spectra of the sections computed on first read: a screened solve
   takes no eigvalsh, the first read of the trailing reports
-  (min_eig_trailing, gram_eigenvalues, rank_cutoff) one of H_d, that of
-  min_eig_leading one of H_{d-1}, and a second read none; a refused or
-  undecided section takes both while it is checked; the reported
-  trailing minimum eigenvalue is the smallest Gram eigenvalue,
+  (min_eig_trailing, gram_eigenvalues, the section's rank cutoff) one of
+  H_d, that of min_eig_leading one of H_{d-1}, and a second read none; a
+  refused or undecided section takes both while it is checked; the
+  reported trailing minimum eigenvalue is the smallest Gram eigenvalue,
 - both solution routes (atomic for isometric parameters, transform plus
   closed-form moment recovery for contractions),
 - the admissibility gate on supplied parameters,
@@ -59,9 +59,10 @@ from momext import (AtomicMatrixMeasure, ExtensionParameter, MomentSequence,
 import momext.pipeline
 from momext.linalg import phase_canonicalize
 from momext.pipeline import SWEEP_SITE_TOL
-from momext.sampling import (haar_unitary, random_admissible_isometry,
-                             random_deficient_instance,
-                             random_feasible_instance)
+from momext.tolerances import DEFAULT
+
+from sampling import (haar_unitary, random_admissible_isometry,
+                      random_deficient_instance, random_feasible_instance)
 
 RNG_SEED = 20260807
 ORACLE_ATOL = 1e-12
@@ -196,7 +197,7 @@ def test_spectra_are_computed_on_first_read_once(monkeypatch):
         for _ in range(2):
             result.condition.min_eig_trailing
             result.gram_eigenvalues
-            result.workspace.space.rank_cutoff
+            result.workspace.space.section.rank_cutoff(DEFAULT.rank_rel)
 
     rng = np.random.default_rng(RNG_SEED + 9)
     for n in (2, 8):

@@ -129,6 +129,52 @@ def test_rank_scan_stops_at_first_failure():
     assert _rank_r([-1.0, 0.0, 1.0, 0.0], 1) == -1
 
 
+def _rank_scan_upward(h, tol):
+    """The scan in order from H_0, stopping at the first failure."""
+    reach = np.maximum.accumulate(np.abs(np.append(h[0], h[1:, -1])))
+    r = -1
+    for k in range(h.shape[0]):
+        emin = float(np.linalg.eigvalsh(h[:k + 1, :k + 1])[0])
+        if emin <= tol.pos_rel * reach[2 * k]:
+            break
+        r = k
+    return r
+
+
+def test_rank_scan_from_the_top_finds_the_first_failure(monkeypatch):
+    # The passing orders form a prefix, so the largest passing order is
+    # where the upward scan stops: on atomic data with every atom count,
+    # clustered atoms, pushed-down even moments and plain noise.
+    rng = np.random.default_rng(RNG_SEED + 2)
+    seen = set()
+    for _ in range(600):
+        d = int(rng.integers(0, 6))
+        k = int(rng.integers(1, d + 3))
+        spread = 10.0 ** rng.uniform(-2.0, 1.0)
+        locs = rng.uniform(-spread, spread, k)
+        values = _scalar_moments(locs, rng.uniform(0.1, 2.0, k), 2 * d + 1)
+        kind = rng.integers(0, 3)
+        if kind == 1:
+            j = int(rng.integers(0, d + 1))
+            values[2 * j] -= rng.uniform(0.0, 2.0) * abs(values[2 * j])
+        elif kind == 2:
+            values = rng.standard_normal(2 * d + 1)
+        h = _hankel(values, d)
+        r, emin = _rank_scan(h, DEFAULT)
+        assert r == _rank_scan_upward(h, DEFAULT), values
+        if r >= 0:
+            assert emin == float(np.linalg.eigvalsh(h[:r + 1, :r + 1])[0])
+        seen.add((r == d, r == -1))
+    assert seen == {(True, False), (False, False), (False, True)}
+    # nondegenerate data takes one eigvalsh, that of H_d
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda a: calls.append(a.shape) or real(a))
+    assert _rank_r([1.0, 0.0, 1.0, 0.0, 3.0], 2) == 2
+    assert calls == [(3, 3)]
+
+
 def test_clustered_atoms_get_a_verified_witness():
     # Clustered atoms make H_d ill-conditioned (det H_d is tiny), so the
     # augmented moment must come from a margin on the scale of H_d: one

@@ -18,10 +18,9 @@ import pytest
 
 from momext import ExtensionParameter, pencil_spectral_radius, prepare
 from momext.extensions import _generator
-from momext.sampling import (random_admissible_isometry,
-                             random_deficient_instance,
-                             random_feasible_instance,
-                             random_strict_contraction)
+
+from sampling import (random_admissible_isometry, random_deficient_instance,
+                      random_feasible_instance, random_strict_contraction)
 
 scipy_linalg = pytest.importorskip("scipy.linalg")
 

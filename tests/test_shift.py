@@ -46,10 +46,10 @@ from momext.extensions import KIND_CONTRACTION, AdmissibilityReport, _screen
 from momext.linalg import singular_values
 from momext.shift import DeficiencyPair
 from momext.tolerances import DEFAULT
-from momext.sampling import (haar_unitary, random_admissible_isometry,
-                             random_deficient_instance,
-                             random_feasible_instance,
-                             random_strict_contraction)
+
+from sampling import (haar_unitary, random_admissible_isometry,
+                      random_deficient_instance, random_feasible_instance,
+                      random_strict_contraction)
 
 RNG_SEED = 20260803
 N_RANDOM_INSTANCES = 30

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 
-import eigen_frame
 from momext import prepare, selfadjoint_extension, spectral_measure
-from momext.sampling import (random_admissible_isometry,
-                             random_deficient_instance,
-                             random_feasible_instance)
 from momext.tolerances import DEFAULT
+
+import eigen_frame
+from sampling import (random_admissible_isometry, random_deficient_instance,
+                      random_feasible_instance)
 from test_pipeline import _intertwiner
 
 RNG_SEED = 20261102
