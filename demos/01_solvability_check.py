@@ -4,8 +4,10 @@ A truncated sequence S_0, ..., S_2d of Hermitian N x N matrices admits a
 positive atomic representing measure exactly when two block Hankel
 sections built from it behave: the leading section (orders up to d-1) must
 be positive definite, and the trailing section (orders up to d) positive
-semidefinite.  This script runs that check on four hand-sized inputs and
-prints the evidence behind each verdict.
+semidefinite.  This script runs that check on five hand-sized inputs and
+prints the evidence behind each verdict, with the refusal that the
+construction meets (None when it goes on): the fifth input is solvable
+but outside the covered regime.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ def show(name: str, seq: MomentSequence) -> None:
     print(f"    trailing section: min eigenvalue {report.min_eig_trailing:+.6f}"
           f" -> {'PSD' if report.trailing_psd else 'NOT PSD'}")
     print(f"    solvable: {report.solvable}")
+    print(f"    refusal:  {report.refusal!r}")
     print()
 
 
@@ -51,9 +54,17 @@ def main() -> None:
     show("matrix (N=2) moments of (delta_{-1} + delta_{+1})/2 tensor I",
          MomentSequence.from_arrays([eye, 0.0 * eye, eye]))
 
+    # H_1 = diag(1, 1e-9) is positive definite and H_2 is PSD, but on the
+    # scale of S_4 = 1e14 the rank of H_2 is 1: the two domain vectors are
+    # numerically dependent, and the construction refuses the data.
+    show("scalar s = (1, 0, 1e-9, 0, 1e14): solvable, outside the covered "
+         "regime", MomentSequence.scalar([1.0, 0.0, 1e-9, 0.0, 1e14]))
+
     print("The leading condition failing means even the lower-order data is")
     print("inconsistent; the trailing condition failing means the top moment")
-    print("cannot be reached by any positive measure.")
+    print("cannot be reached by any positive measure.  A refusal on solvable")
+    print("data means the data lies outside the regime the construction")
+    print("covers in float64.")
 
 
 if __name__ == "__main__":

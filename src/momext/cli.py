@@ -3,7 +3,7 @@
 Subcommands:
 
     momext check PROBLEM.json
-        Evaluate the two solvability conditions and report them.
+        Report the solvability conditions and the refusal solve would meet.
 
     momext solve PROBLEM.json [options]
         Run the full construction for one extension parameter.
@@ -18,12 +18,16 @@ Subcommands:
         Check a measure file against the prescribed moments.
 
 Every subcommand prints exactly one line of canonical JSON on stdout, so
-identical inputs give byte-identical output.  Exit codes: 0 success (problem
-solvable, verification passed, sequence not infeasible); 1 malformed input,
-a flag value out of range, a non-finite number in a file or an unwritable
---csv file included; 2 infeasible data, failed verification, or a
-construction error; 3 the leading section not positive definite; 120 the
-output line not written (stdout closed, full, or a pipe nobody reads).
+identical inputs give byte-identical output.  Exit codes (_exit_code maps
+each refusal to its code, so check exits as solve refuses the same data):
+
+    0    success (data prepared, verification passed, sequence not infeasible)
+    1    malformed input (ProblemFileError), flag values out of range included
+    2    trailing section not PSD (NotPSD), data outside the covered regime
+         (DependentDomain), any other construction error, a failed
+         verification, an infeasible scalar sequence
+    3    leading section not positive definite (NotPSD)
+    120  output line not written (stdout closed, full, or a pipe nobody reads)
 """
 
 from __future__ import annotations
@@ -207,11 +211,11 @@ def _cmd_check(args) -> int:
     seq, _, tol = parse_problem(_load_text(args.problem))
     tol = _apply_tol_flags(tol, args.tol)
     report = check_truncated_conditions(seq, tol)
-    _emit(condition_to_json(report))
-    if not report.leading_positive:
-        return EXIT_NOT_POSITIVE
-    if not report.trailing_psd:
-        return EXIT_INFEASIBLE
+    refusal = report.refusal
+    _emit({**condition_to_json(report), "refusal": None if refusal is None
+           else {"error": type(refusal).__name__, "message": str(refusal)}})
+    if refusal is not None:
+        raise refusal
     return EXIT_OK
 
 
@@ -285,8 +289,7 @@ def _cmd_sweep(args) -> int:
     try:
         res = theta_sweep(seq, n_thetas=args.theta_grid, tol=tol)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        raise MomentProblemError(str(exc)) from None
     entries = []
     for entry in res.entries:
         entries.append({
@@ -320,7 +323,7 @@ def _cmd_scalar_even(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .measures import verify_moments
+    from .measures import ATOMIC_REL_TOL, verify_moments
     seq, _, tol = parse_problem(_load_text(args.problem))
     tol = _apply_tol_flags(tol, args.tol)
     measure = parse_measure(_load_text(args.measure), seq.dim)
@@ -328,7 +331,8 @@ def _cmd_verify(args) -> int:
         raise DimensionMismatch(
             f"measure weights are {measure.block_dim} x {measure.block_dim} "
             f"but the moments are {seq.dim} x {seq.dim}")
-    report = verify_moments(measure, seq, rel_tol=args.rel_tol)
+    report = verify_moments(measure, seq, ATOMIC_REL_TOL
+                            if args.rel_tol is None else args.rel_tol)
     _emit(verification_to_json(report))
     return EXIT_OK if report.passed else EXIT_INFEASIBLE
 
@@ -390,31 +394,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("verify", help="check a measure against the moments")
     p.add_argument("problem", help="problem JSON file")
     p.add_argument("measure", help="measure JSON file")
-    p.add_argument("--rel-tol", type=_number(float, 0.0), default=1e-6,
-                   help="relative tolerance on moment deviations "
-                        "(default 1e-6)")
+    p.add_argument("--rel-tol", type=_number(float, 0.0),
+                   help="relative tolerance on moment deviations (default "
+                        "the library's measures.ATOMIC_REL_TOL, 1e-8)")
     _add_tol_flag(p)
     p.set_defaults(func=_cmd_verify)
     return parser
+
+
+def _exit_code(exc: Exception) -> int:
+    """The exit code of a refusal, the one table every command ends by."""
+    if isinstance(exc, _OutputError):
+        return EXIT_UNWRITTEN
+    if isinstance(exc, ProblemFileError):
+        return EXIT_MALFORMED
+    if isinstance(exc, NotPSD) and exc.section == "leading":
+        return EXIT_NOT_POSITIVE
+    return EXIT_INFEASIBLE
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except ProblemFileError as exc:
+    except (MomentProblemError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MALFORMED
-    except NotPSD as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return (EXIT_NOT_POSITIVE if exc.section == "leading"
-                else EXIT_INFEASIBLE)
-    except MomentProblemError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except _OutputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNWRITTEN
+        return _exit_code(exc)
 
 
 def run() -> None:

@@ -184,7 +184,9 @@ def build_block_hankel(seq: MomentSequence, order: int) -> BlockHankel:
 
 @dataclasses.dataclass(frozen=True)
 class ConditionReport:
-    """Solvability conditions for the truncated problem of order d.
+    """Solvability conditions for the truncated problem of order d, and
+    what _decide gives for the section: the frame prepare factors, or the
+    refusal it raises.
 
     The two minimum eigenvalues are read off the spectra of the section,
     computed on first read (one eigvalsh each, kept by the section): a
@@ -195,10 +197,18 @@ class ConditionReport:
     leading_positive: bool      # H_{d-1} > 0
     trailing_psd: bool          # H_d >= 0
     section: BlockHankel = dataclasses.field(repr=False, compare=False)
+    _frame: object = dataclasses.field(repr=False, compare=False)
 
     @property
     def solvable(self) -> bool:
         return self.leading_positive and self.trailing_psd
+
+    @property
+    def refusal(self) -> MomentProblemError | None:
+        """NotPSD when a condition fails, DependentDomain when the data is
+        outside the covered regime, None when prepare goes on."""
+        frame = self._frame
+        return frame if isinstance(frame, MomentProblemError) else None
 
     @property
     def min_eig_leading(self) -> float:
@@ -215,17 +225,10 @@ def check_truncated_conditions(seq: MomentSequence,
 
     The sequence must contain an odd number (>= 3) of moments so both the
     leading section H_{d-1} and the trailing section H_d exist.  The
-    tests are the rules of _decide.  min_eig_trailing is the smallest
-    eigenvalue of the eigvalsh that the Gram factor of H_d reads for its
-    rank and reports.
+    tests and the refusal are the rules of _decide, on scales the largest
+    |entry| of each section.  min_eig_trailing is the smallest eigenvalue
+    of the eigvalsh that the Gram factor of H_d reads for its rank.
     """
-    return _check(seq, tol)[0]
-
-
-def _check(seq: MomentSequence, tol: Tolerances):
-    """check_truncated_conditions, with the frame (or the refusal) that
-    _decide gives for the H_d it built, the report's section; the scales
-    are the largest |entry| of each section, read off the moments."""
     count = len(seq)
     if count < 3 or count % 2 == 0:
         raise InsufficientMoments(
@@ -236,10 +239,9 @@ def _check(seq: MomentSequence, tol: Tolerances):
     reach = seq._reach                  # H_{d-1} holds S_0..S_{2d-2}
     leading, trailing, frame = _decide(trail, float(reach[2 * d - 2]),
                                        float(reach[-1]), tol)
-    report = ConditionReport(block_dim=seq.dim, order=d,
-                             leading_positive=leading, trailing_psd=trailing,
-                             section=trail)
-    return report, frame
+    return ConditionReport(block_dim=seq.dim, order=d,
+                           leading_positive=leading, trailing_psd=trailing,
+                           section=trail, _frame=frame)
 
 
 def _decide(section: BlockHankel, s_lead: float, s_trail: float,

@@ -21,7 +21,8 @@ import dataclasses
 
 import numpy as np
 
-from .hankel import ConditionReport, GramSpace, MomentSequence, _check, _factor
+from .hankel import (ConditionReport, GramSpace, MomentSequence,
+                     check_truncated_conditions, _factor)
 from .linalg import read_only
 from .measures import (ATOMIC_REL_TOL, AtomicMatrixMeasure,
                        ContourRecovery, StieltjesTransform,
@@ -62,29 +63,20 @@ class Workspace:
 
 
 def prepare(seq: MomentSequence, tol: Tolerances = DEFAULT) -> Workspace:
-    """Check solvability and build the operator stage; raises NotPSD if not.
-
-    The leading condition failing raises NotPSD(section="leading"); the
-    trailing one NotPSD(section="trailing"); dependent domain vectors
-    DependentDomain.
+    """Check solvability and build the operator stage, or raise the refusal
+    (NotPSD or DependentDomain) that check_truncated_conditions reports.
 
     One pass over the data: H_d is built once (H_{d-1} is its leading
-    block), and hankel._decide decides the two tests, the rank m and
-    the domain check by three screens of the block Cholesky frame: a
-    Cholesky of H_{d-1} - tI, then one of H_{d-1}, a solve with its
-    factor L and one N x N eigh for the Schur complement Sigma, and a
-    solve with L^H for the rank band.  No eigvalsh runs unless a screen
-    cannot decide; then one eigvalsh of each section decides, on the L
-    and Sigma already taken.  The reported spectra are computed on first
-    read.  Then come another solve with L for the shift, one batched
-    solve with J_0 - conj z0 and J_0 - z0, one q x q eigh and one q x q
-    SVD, which also gives X.  The Workspace is bit for bit the one the
-    public chain check_truncated_conditions,
-    factor_psd(build_block_hankel(...)), build_shift,
-    deficiency_subspaces, forbidden_operator gives.
+    block), and the frame that hankel._decide took for the report (no
+    eigvalsh unless a screen cannot decide) is the Gram space's.  Then
+    come another solve with L for the shift, one batched solve with J_0 -
+    conj z0 and J_0 - z0, one q x q eigh and one q x q SVD, which also
+    gives X.  The Workspace is bit for bit the one the public chain
+    check_truncated_conditions, factor_psd(build_block_hankel(...)),
+    build_shift, deficiency_subspaces, forbidden_operator gives.
     """
-    report, frame = _check(seq, tol)
-    space = _factor(report.section, frame)
+    report = check_truncated_conditions(seq, tol)
+    space = _factor(report.section, report._frame)
     shift = build_shift(space)
     pair = deficiency_subspaces(shift)
     return Workspace(sequence=seq, condition=report, space=space, shift=shift,

@@ -3,7 +3,8 @@
 Exit code map under test: 0 success, 1 malformed input, 2 infeasible data /
 failed verification / construction errors, 3 leading-positivity failure.
 Every command prints exactly one line of canonical JSON, byte-identical
-across repeated runs on the same input.
+across repeated runs on the same input, and check refuses the data that
+solve refuses before a parameter is chosen, with the same code and line.
 """
 
 from __future__ import annotations
@@ -20,15 +21,25 @@ import pytest
 
 import momext.cli
 import momext.pipeline
-from momext import ExtensionParameter, MomentSequence, solve_truncated
+from momext import (ExtensionParameter, MomentProblemError, MomentSequence,
+                    prepare, solve_truncated)
 from momext.cli import main
-from momext.jsonio import measure_to_json
+from momext.jsonio import matrix_to_json, measure_to_json, parse_measure
+from momext.measures import ATOMIC_REL_TOL, verify_moments
+
+from sampling import random_deficient_instance, random_feasible_instance
+from test_gram import NEAR_THRESHOLD
 
 PROBLEM_101 = {"version": 1, "N": 1, "moments": [1.0, 0.0, 1.0]}
 # one atom at 0: the trailing section is singular and the defect is zero
 PROBLEM_DEFECT_0 = {"N": 1, "moments": [1.0, 0.0, 0.0]}
 LEADING_FAILS = {"N": 1, "moments": [-1.0, 0.0, 1.0]}
 TRAILING_FAILS = {"N": 1, "moments": [1.0, 0.0, -1.0]}
+# H_1 = diag(1, 1e-9) is positive definite, but on the scale of H_2 the
+# rank cutoff leaves fewer coordinates than domain vectors
+DEPENDENT_DOMAIN = {"N": 1, "moments": [1, 0, 1e-9, 0, 1e14]}
+DEPENDENT_DOMAIN_ERROR = ("domain needs 2 independent vectors but the "
+                          "space has dimension 1")
 
 
 def _write(tmp_path, name, payload):
@@ -61,6 +72,76 @@ def test_check_exit_codes_distinguish_the_failing_section(tmp_path, capsys):
     assert code == 3 and not data["leading_positive"]
     code, data = _run(capsys, "check", trail)
     assert code == 2 and data["leading_positive"] and not data["trailing_psd"]
+
+
+def test_check_refuses_dependent_domain_vectors(tmp_path, capsys):
+    # Both Hankel conditions hold, so the data is solvable, but solve
+    # refuses it (outside the covered regime): check ends as solve does.
+    path = _write(tmp_path, "p.json", DEPENDENT_DOMAIN)
+    assert main(["check", path]) == 2
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
+    assert data["solvable"] is True
+    assert data["refusal"] == {"error": "DependentDomain",
+                               "message": DEPENDENT_DOMAIN_ERROR}
+    assert captured.err.splitlines() == [f"error: {DEPENDENT_DOMAIN_ERROR}"]
+
+
+def _agreement_corpus(rng):
+    """(name, N, moments) draws: the near-threshold files of the CI
+    exit-code table (both sides of each screen), then random draws with
+    N, d <= 3 that prepare accepts or refuses by each rule: full-defect
+    and rank-drop measures, a single atom (H_{d-1} singular for d >= 2),
+    S_2d raised by 10^e I (the rank of H_d read on a larger scale, as in
+    [1, 0, 1e-9, 0, 1e14]) and S_2d pushed below its floor, half of them
+    under x -> 10^k x with |k| <= 3."""
+    for values, _ in NEAR_THRESHOLD:
+        yield str(values), 1, [np.array([[v]]) for v in values]
+    for i in range(192):
+        n, d = (int(v) for v in rng.integers(1, 4, size=2))
+        draw = (random_feasible_instance, random_deficient_instance)
+        seq, truth = draw[i // 4 % 2](rng, n, d)
+        mats = list(seq.moments)
+        top = np.linalg.eigvalsh(mats[-1])[-1]
+        if i % 4 == 1:
+            loc, weight = truth.locations[0], truth.weights[0]
+            mats = [loc ** k * weight for k in range(2 * d + 1)]
+        elif i % 4 == 2:
+            mats[-1] = mats[-1] + 10.0 ** rng.integers(8, 17) * top * np.eye(n)
+        elif i % 4 == 3:
+            mats[-1] = mats[-1] - (top + 1.0) * np.eye(n)
+        k = int(rng.integers(-3, 4)) if i % 8 >= 4 else 0
+        yield f"draw {i}, 10^{k} x", n, [10.0 ** (k * j) * m
+                                        for j, m in enumerate(mats)]
+
+
+def test_check_exits_as_solve_refuses(tmp_path, capsys):
+    # Whenever prepare refuses the data, check exits with solve's code and
+    # writes solve's error line, after its report names the refusal;
+    # whenever prepare accepts it, check exits 0 with no refusal.
+    refusals = set()
+    for name, n, mats in _agreement_corpus(np.random.default_rng(20261020)):
+        path = _write(tmp_path, "p.json", {
+            "N": n, "moments": [matrix_to_json(m) for m in mats]})
+        try:
+            prepare(MomentSequence.from_arrays(mats))
+            refused = None
+        except MomentProblemError as exc:
+            refused = exc
+        code = main(["check", path])
+        check = capsys.readouterr()
+        report = json.loads(check.out)["refusal"]
+        if refused is None:
+            assert (code, check.err, report) == (0, "", None), name
+            continue
+        refusals.add((type(refused).__name__, getattr(refused, "section",
+                                                      None)))
+        assert report == {"error": type(refused).__name__,
+                          "message": str(refused)}, name
+        assert (code, check.err) == (main(["solve", path]),
+                                     capsys.readouterr().err), name
+    assert refusals == {("NotPSD", "leading"), ("NotPSD", "trailing"),
+                        ("DependentDomain", None)}
 
 
 def test_malformed_inputs_exit_one(tmp_path, capsys):
@@ -207,16 +288,11 @@ def test_solve_exit_codes_distinguish_the_failing_section(tmp_path, capsys):
 
 
 def test_solve_refuses_dependent_domain_vectors(tmp_path, capsys):
-    # H_1 = diag(1, 1e-9) is positive definite, but on the scale of H_2
-    # the rank cutoff leaves fewer coordinates than domain vectors
-    path = _write(tmp_path, "p.json", {"N": 1,
-                                       "moments": [1, 0, 1e-9, 0, 1e14]})
+    path = _write(tmp_path, "p.json", DEPENDENT_DOMAIN)
     assert main(["solve", path]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: domain needs 2 independent vectors but the space has "
-        "dimension 1"]
+    assert captured.err.splitlines() == [f"error: {DEPENDENT_DOMAIN_ERROR}"]
 
 
 def test_theta_flag_and_embedded_theta_agree_at_defect_zero(tmp_path, capsys):
@@ -483,6 +559,23 @@ def test_verify_round_trip(tmp_path, capsys):
     assert code == 2 and data["passed"] is False
 
 
+def test_verify_defaults_to_the_library_tolerance(tmp_path, capsys):
+    # weights 0.5000001 miss (1, 0, 1) by 2e-7: beyond ATOMIC_REL_TOL, so
+    # the command fails the measure as verify_moments does
+    path = _write(tmp_path, "p.json", PROBLEM_101)
+    near = _write(tmp_path, "near.json", {
+        "atoms": [{"t": -1.0, "W": [[0.5000001]]},
+                  {"t": 1.0, "W": [[0.5000001]]}]})
+    code, data = _run(capsys, "verify", path, near)
+    assert code == 2 and data["passed"] is False
+    assert data["rel_tol"] == ATOMIC_REL_TOL
+    library = verify_moments(parse_measure(pathlib.Path(near).read_text(), 1),
+                             MomentSequence.scalar([1, 0, 1]))
+    assert library.passed is False
+    code, data = _run(capsys, "verify", path, near, "--rel-tol", "1e-6")
+    assert code == 0 and data["passed"] is True
+
+
 def test_verify_dimension_mismatch_exits_two(tmp_path, capsys):
     path = _write(tmp_path, "p.json", PROBLEM_101)
     wrong = _write(tmp_path, "wrong.json", {
@@ -573,15 +666,21 @@ def _spawn(cwd, argv, unbuffered=False, args=("-m", "momext.cli"), **kw):
                           cwd=cwd, env=env, **kw)
 
 
-def _loaded_modules(cwd, script):
-    """The momext modules a fresh interpreter holds after running script."""
+def _loaded_modules(cwd, script, stderr=""):
+    """The momext modules a fresh interpreter holds after running script,
+    which must write exactly stderr (nothing, unless a command refuses)."""
     script += ("\nimport json, sys\nprint(json.dumps(sorted("
                "m for m in sys.modules if m.startswith('momext'))))")
     child = _spawn(cwd, [], args=("-c", script), capture_output=True,
                    text=True)
-    assert child.stderr == ""
+    assert child.stderr == stderr
     return json.loads(child.stdout.splitlines()[-1])
 
+
+#: the commands below that refuse their data, and the line they write
+REFUSED = {("check", "trail.json"): (
+    "error: the trailing section (order 1) is not positive semidefinite: "
+    "min eigenvalue -1.000000e+00\n")}
 
 CHECK_MODULES = ["momext", "momext.cli", "momext.errors", "momext.hankel",
                  "momext.jsonio", "momext.linalg", "momext.tolerances"]
@@ -605,10 +704,12 @@ VERIFY_ABSENT = {"momext.extensions", "momext.pipeline", "momext.scalar",
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
     # check answers solvability from the Hankel sections alone; the other
     # commands load the construction, but not a command they do not run.
+    # Each runs to its end: no error line but the one REFUSED names.
     for name, payload in CI_FILES.items():
         _write(tmp_path, name, payload)
     loaded = _loaded_modules(
-        tmp_path, f"import momext.cli\nmomext.cli.main({argv!r})")
+        tmp_path, f"import momext.cli\nmomext.cli.main({argv!r})",
+        REFUSED.get(tuple(argv), ""))
     if absent is None:
         assert loaded == CHECK_MODULES
     else:

@@ -4,6 +4,7 @@ Checked here:
 - block Hankel assembly places S_{r+t} at block (r, t) (asserted entrywise),
 - the solvability report: strict positivity of the order d-1 section and
   semidefiniteness of the order d section, with hand-checked eigenvalues,
+  and the refusal prepare raises on the data,
 - moments of genuine atomic measures always pass, and targeted corruptions
   fail on the correct section,
 - input validation (Hermitian S_n, relative to the largest entry of
@@ -21,8 +22,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from momext import (InsufficientMoments, MomentSequence, build_block_hankel,
-                    check_truncated_conditions)
+from momext import (DependentDomain, InsufficientMoments, MomentSequence,
+                    NotPSD, build_block_hankel, check_truncated_conditions,
+                    prepare)
 
 from sampling import random_feasible_instance
 
@@ -205,6 +207,28 @@ def test_rank_deficient_trailing_section_still_solvable():
     report = check_truncated_conditions(MomentSequence.scalar([1.0, 1.0, 1.0]))
     assert report.solvable
     assert report.min_eig_trailing == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("values, error, solvable", [
+    ([1.0, 0.0, 1.0], None, True),
+    ([-1.0, 0.0, 1.0], NotPSD, False),
+    ([1.0, 0.0, -1.0], NotPSD, False),
+    ([1.0, 0.0, 1e-9, 0.0, 1e14], DependentDomain, True)])
+def test_the_report_carries_the_refusal_prepare_raises(values, error,
+                                                       solvable):
+    # solvable is the two conditions; the refusal is what prepare raises,
+    # also on solvable data outside the covered regime
+    seq = MomentSequence.scalar(values)
+    report = check_truncated_conditions(seq)
+    assert report.solvable is solvable
+    if error is None:
+        assert report.refusal is None
+        prepare(seq)
+        return
+    assert type(report.refusal) is error
+    with pytest.raises(error) as raised:
+        prepare(seq)
+    assert str(raised.value) == str(report.refusal)
 
 
 def test_moments_of_atomic_measures_always_pass():
