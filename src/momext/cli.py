@@ -18,8 +18,8 @@ Subcommands:
         Check a measure file against the prescribed moments.
 
 Every subcommand prints exactly one line of canonical JSON on stdout, so
-identical inputs give byte-identical output.  Exit codes (_exit_code maps
-each refusal to its code, so check exits as solve refuses the same data):
+identical inputs give byte-identical output.  Exit codes (every refusal
+ends through _exit_code, after the command's JSON line if it has one):
 
     0    success (data prepared, verification passed, sequence not infeasible)
     1    malformed input (ProblemFileError), flag values out of range included
@@ -207,7 +207,7 @@ def _emit(obj) -> None:
 
 # --------------------------------------------------------------- subcommands
 
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> None:
     seq, _, tol = parse_problem(_load_text(args.problem))
     tol = _apply_tol_flags(tol, args.tol)
     report = check_truncated_conditions(seq, tol)
@@ -216,7 +216,6 @@ def _cmd_check(args) -> int:
            else {"error": type(refusal).__name__, "message": str(refusal)}})
     if refusal is not None:
         raise refusal
-    return EXIT_OK
 
 
 def _solve_result_json(result) -> dict:
@@ -242,7 +241,7 @@ def _solve_result_json(result) -> dict:
     return out
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> None:
     from .measures import bin_measure, perron_inversion
     from .pipeline import _solve
     seq, file_spec, tol = parse_problem(_load_text(args.problem))
@@ -279,10 +278,9 @@ def _cmd_solve(args) -> int:
             raise ProblemFileError(
                 "--csv needs either an atomic measure or a --grid section")
     _emit(out)
-    return EXIT_OK
 
 
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> None:
     from .pipeline import theta_sweep
     seq, _, tol = parse_problem(_load_text(args.problem))
     tol = _apply_tol_flags(tol, args.tol)
@@ -307,10 +305,9 @@ def _cmd_sweep(args) -> int:
         "entries": entries,
         "distance_matrix": distance,
     })
-    return EXIT_OK
 
 
-def _cmd_scalar_even(args) -> int:
+def _cmd_scalar_even(args) -> None:
     from .scalar import VERDICT_INFEASIBLE, solve_scalar_even
     text = args.moments
     if not text.lstrip().startswith(("[", "{")):
@@ -319,10 +316,11 @@ def _cmd_scalar_even(args) -> int:
     tol = _apply_tol_flags(Tolerances(), args.tol)
     result = solve_scalar_even(values, tol)
     _emit(scalar_result_to_json(result))
-    return EXIT_INFEASIBLE if result.verdict == VERDICT_INFEASIBLE else EXIT_OK
+    if result.verdict == VERDICT_INFEASIBLE:
+        raise MomentProblemError(f"infeasible: {result.certificate}")
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> None:
     from .measures import ATOMIC_REL_TOL, verify_moments
     seq, _, tol = parse_problem(_load_text(args.problem))
     tol = _apply_tol_flags(tol, args.tol)
@@ -334,7 +332,8 @@ def _cmd_verify(args) -> int:
     report = verify_moments(measure, seq, ATOMIC_REL_TOL
                             if args.rel_tol is None else args.rel_tol)
     _emit(verification_to_json(report))
-    return EXIT_OK if report.passed else EXIT_INFEASIBLE
+    if not report.passed:
+        raise MomentProblemError("the measure fails its verification")
 
 
 # --------------------------------------------------------------------- main
@@ -416,7 +415,8 @@ def _exit_code(exc: Exception) -> int:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        args.func(args)
+        return EXIT_OK
     except (MomentProblemError, _OutputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _exit_code(exc)

@@ -17,7 +17,7 @@ is that of the solution, with R(conj lam) = R(lam)^H on the lower
 half-plane.  Every route to G passes one admissibility gate,
 screen_parameter.  G costs one q x q solve, and none for the default
 V = -X, whose block is B(-X) = Re Omega = (Omega + Omega^H) / 2 in closed
-form (so its G is exactly Hermitian); nothing m x m is inverted.
+form (so G is exactly Hermitian), as is its report; nothing m x m is inverted.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ def _check_singular_values(kind: str, sv: np.ndarray, tol: Tolerances):
     norm = max_abs(sv[..., :1])
     if norm > 1.0 + tol.norm_abs:
         raise NormViolation(
-            f"parameter norm {norm:.12g} exceeds 1 + {tol.norm_abs:.1e}")
+            f"parameter norm {norm:.17g} exceeds 1 + {tol.norm_abs:.1e}")
     if kind == KIND_ISOMETRIC and max_abs(sv - 1.0) > tol.norm_abs:
         raise NormViolation(
             f"isometric parameter has singular values off 1 by "
@@ -124,9 +124,10 @@ class AdmissibilityReport:
 def _screen(kind: str, stack: np.ndarray, pair: DeficiencyPair,
             forbidden: np.ndarray, tol: Tolerances):
     """The (K,) admissible mask and the K admissibility reports of a
-    (K, q, q) stack of parameter matrices of one kind, from one batched
-    singular value call over the V, the C_minus V - C_plus and the V - X
-    (X the forbidden matrix) of the whole stack, after
+    (K, q, q) stack of parameter matrices of one kind, measured (for -X
+    too: only screen_parameter reads its report off the pair) by one
+    batched singular value call over the V, the C_minus V - C_plus and
+    the V - X (X the forbidden matrix) of the whole stack, after
     _check_singular_values has passed the V.
 
     The flags are decided over the whole stack as arrays, and each report
@@ -142,13 +143,17 @@ def _screen(kind: str, stack: np.ndarray, pair: DeficiencyPair,
     sv = singular_values(np.concatenate(
         [stack, minus @ stack - plus, stack - forbidden]))
     _check_singular_values(kind, sv[:k], tol)
-    margins, gaps = sv[k:2 * k, -1], sv[2 * k:, -1]
-    admissible = margins > tol.adm_abs
-    borderline = admissible & (margins <= 1e3 * tol.adm_abs)
-    return admissible, tuple(map(
-        AdmissibilityReport, admissible.tolist(), margins.tolist(),
-        sv[:k, 0].tolist(), gaps.tolist(), (gaps <= tol.adm_abs).tolist(),
-        borderline.tolist()))
+    fields = _fields(sv[k:2 * k, -1], sv[:k, 0], sv[2 * k:, -1], tol)
+    return fields[0], tuple(map(AdmissibilityReport,
+                                *map(np.ndarray.tolist, fields)))
+
+
+def _fields(margins, norms, gaps, tol: Tolerances) -> tuple:
+    """The report fields of a parameter with this margin, norm and gap to X
+    (columns, for arrays of them): the one rule of every screen."""
+    ok = margins > tol.adm_abs
+    return (ok, margins, norms, gaps, gaps <= tol.adm_abs,
+            ok & (margins <= 1e3 * tol.adm_abs))
 
 
 def is_admissible(matrix: np.ndarray, shift: ShiftOperator,
@@ -175,11 +180,16 @@ def is_admissible(matrix: np.ndarray, shift: ShiftOperator,
 def screen_parameter(pair: DeficiencyPair, parameter: ExtensionParameter,
                      tol: Tolerances = DEFAULT) -> AdmissibilityReport:
     """The one admissibility gate: a parameter's report, its gap to the
-    pair's X included, from the one singular value call of _screen.  An
-    inadmissible V (sigma_min(C_minus V - C_plus) at most adm_abs) is
-    rejected with its margin as NotAdmissible."""
-    v = parameter._shaped(pair.defect)[None]
-    _, (report,) = _screen(parameter.kind, v, pair, pair.forbidden, tol)
+    pair's X included, from the one singular value call of _screen, or in
+    closed form for V = -X (norm 1, gap 2, margin pair.opposite_margin >=
+    2 / sqrt(1 + q)).  An inadmissible V (sigma_min(C_minus V - C_plus) at
+    most adm_abs) is rejected with its margin as NotAdmissible."""
+    v, x = parameter._shaped(pair.defect), pair.forbidden
+    margin = pair.opposite_margin       # one entry first: most V are not -X
+    if margin is not None and v[0, 0] == -x[0, 0] and (v == -x).all():
+        report = AdmissibilityReport(*_fields(margin, 1.0, 2.0, tol))
+    else:
+        _, (report,) = _screen(parameter.kind, v[None], pair, x, tol)
     if not report.admissible:
         raise NotAdmissible(f"parameter is not admissible (margin "
                             f"{report.margin:.3e}, floor {tol.adm_abs:.1e})",

@@ -87,8 +87,8 @@ def default_parameter(ws: Workspace, tol: Tolerances = DEFAULT):
     """V = -X, the parameter opposite the forbidden operator, screened: the
     parameter, its report and None (kept for callers that unpack three,
     as bench/workloads.py does).  Its extension has B = Re Omega with no
-    solve, its margin is 2 sigma_min(C_plus) and its forbidden gap is 2,
-    all measured by the screen."""
+    solve, and its report (norm 1, gap 2 to X, margin 2 sigma_min(C_plus))
+    is read off the defect stage with no singular value call."""
     parameter = ExtensionParameter(kind=KIND_ISOMETRIC,
                                    matrix=read_only(-ws.forbidden))
     return parameter, screen_parameter(ws.pair, parameter, tol), None

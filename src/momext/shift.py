@@ -146,6 +146,8 @@ class DeficiencyPair:
     defect: int
     omega: np.ndarray           # q x q
     forbidden: np.ndarray       # q x q, unitary: X = U^H
+    #: 2 sigma_min(C_plus), the margin of -X (None on a pair built by hand)
+    opposite_margin: float | None = None
 
     @property
     def complement_rows(self):
@@ -170,8 +172,8 @@ def deficiency_subspaces(shift: ShiftOperator) -> DeficiencyPair:
 
     G^{-1/2} comes from one q x q eigh; at q = 1 G is 1 x 1 and G^{-1/2}
     is 1 / sqrt(Re G) in closed form, what that eigh (LAPACK returns
-    (Re a, [1]) for n = 1) gives bit for bit.  U always comes from the
-    q x q SVD.
+    (Re a, [1]) for n = 1) gives bit for bit; its largest eigenvalue
+    gives the margin of -X.  U always comes from the q x q SVD.
     """
     q, n, dn = shift.defect, shift.block_dim, shift.dom_dim
     if q == 0:
@@ -184,14 +186,16 @@ def deficiency_subspaces(shift: ShiftOperator) -> DeficiencyPair:
     corner = shift.jacobi[dn - n:, dn - n:]
     z0 = complex(corner.trace().real / n,
                  math.sqrt(np.vdot(tail, tail).real / q))
-    points = np.array([np.conj(z0), z0])[:, None, None]
-    eye = np.eye(dn)
-    cols = np.linalg.solve(shift.jacobi - points * eye, np.conj(e.T))
-    eye = eye[:q, :q]                                   # q <= N <= dN
+    shifted = np.array([shift.jacobi] * 2)      # J_0 - conj z0, J_0 - z0
+    diagonals = shifted.reshape(2, -1)[:, ::dn + 1]
+    diagonals[0] -= z0.conjugate()
+    diagonals[1] -= z0
+    cols = np.linalg.solve(shifted, np.conj(e.T))
+    eye = np.eye(q)
     omega = z0 * eye + e @ cols[1]
     gram = eye + np.conj(cols[1].T) @ cols[1]
     if q == 1:          # G is its own eigenvalue, with eigenvector 1
-        root_inv = 1.0 / np.sqrt(gram.real)
+        w, root_inv = gram.real[0], 1.0 / np.sqrt(gram.real)
     else:
         w, u = np.linalg.eigh(gram)
         root_inv = (u / np.sqrt(w)) @ np.conj(u.T)  # G^{-1/2}
@@ -204,7 +208,8 @@ def deficiency_subspaces(shift: ShiftOperator) -> DeficiencyPair:
     return DeficiencyPair(basis_plus=read_only(bases[0]),
                           basis_minus=read_only(bases[1] @ left @ right),
                           defect=q, omega=read_only(omega),
-                          forbidden=read_only(np.conj((left @ right).T)))
+                          forbidden=read_only(np.conj((left @ right).T)),
+                          opposite_margin=2.0 / math.sqrt(w[-1]))
 
 
 def forbidden_operator(shift: ShiftOperator,

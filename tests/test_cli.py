@@ -543,9 +543,13 @@ def test_scalar_even_accepts_a_file(tmp_path, capsys):
 
 
 def test_scalar_even_infeasible_exits_two(capsys):
-    code, data = _run(capsys, "scalar-even", "[0.0, 1.0, 0.0, 0.0]")
-    assert code == 2
+    # the verdict is printed, then refused as every command refuses: one
+    # error line, and the code of the exit table
+    assert main(["scalar-even", "[0.0, 1.0, 0.0, 0.0]"]) == 2
+    captured = capsys.readouterr()
+    data = json.loads(captured.out)
     assert data["verdict"] == "infeasible"
+    assert captured.err == f"error: infeasible: {data['certificate']}\n"
 
 
 def test_verify_round_trip(tmp_path, capsys):
@@ -555,8 +559,10 @@ def test_verify_round_trip(tmp_path, capsys):
     bad = _write(tmp_path, "bad.json", {"atoms": [{"t": 0.0, "W": [[1.0]]}]})
     code, data = _run(capsys, "verify", path, good)
     assert code == 0 and data["passed"] is True
-    code, data = _run(capsys, "verify", path, bad)
-    assert code == 2 and data["passed"] is False
+    assert main(["verify", path, bad]) == 2
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["passed"] is False
+    assert captured.err == "error: the measure fails its verification\n"
 
 
 def test_verify_defaults_to_the_library_tolerance(tmp_path, capsys):
@@ -680,7 +686,9 @@ def _loaded_modules(cwd, script, stderr=""):
 #: the commands below that refuse their data, and the line they write
 REFUSED = {("check", "trail.json"): (
     "error: the trailing section (order 1) is not positive semidefinite: "
-    "min eigenvalue -1.000000e+00\n")}
+    "min eigenvalue -1.000000e+00\n"),
+    ("verify", "problem.json", "heavy.json"): (
+    "error: the measure fails its verification\n")}
 
 CHECK_MODULES = ["momext", "momext.cli", "momext.errors", "momext.hankel",
                  "momext.jsonio", "momext.linalg", "momext.tolerances"]

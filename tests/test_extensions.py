@@ -24,10 +24,16 @@ Checked here:
   NotAdmissible message and the margin of the screen,
 - one report per parameter on every route: screen_parameter, a
   transform's admissibility and solve_truncated's give the same report,
-  gap to X included, for isometric and contraction parameters.
+  gap to X included, for isometric and contraction parameters and for -X,
+- the report of -X in closed form (norm 1, gap 2, margin
+  2 sigma_min(C_plus)): the measured screen's to roundoff, at least
+  2 / sqrt(1 + q), refused only by an adm_abs override, and not refused
+  at norm_abs = 0.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -40,7 +46,7 @@ from momext import (DEFAULT, DimensionMismatch, ExtensionParameter,
                     perron_inversion, prepare, selfadjoint_extension,
                     solve_truncated)
 from momext.extensions import (KIND_ISOMETRIC, _generator, _hermitize,
-                               screen_parameter)
+                               _screen, screen_parameter)
 
 from sampling import (random_admissible_isometry, random_deficient_instance,
                       random_feasible_instance, random_strict_contraction)
@@ -221,6 +227,59 @@ def test_default_parameter_closes_the_jacobi_matrix_with_re_omega():
                     assert residuals[k] == alone.herm_residual
 
 
+def test_the_default_report_is_the_measured_screen_in_closed_form():
+    # -X is not measured: its norm is 1, its gap to X is 2 and its margin
+    # 2 sigma_min(C_plus) = 2 / sqrt(lambda_max(G)), what the screen
+    # measures to roundoff, at q = N and at q < N.  The margin is at least
+    # 2 / sqrt(1 + q), so only an adm_abs override refuses -X, with the
+    # message and margin of every refusal.
+    rng = np.random.default_rng(RNG_SEED + 5)
+    for n in (1, 2, 3, 4):
+        for d in (1, 2, 3):
+            for draw in (random_feasible_instance, random_deficient_instance):
+                seq, _ = draw(rng, n, d)
+                ws = prepare(seq)
+                q = ws.defect
+                if not q:
+                    continue
+                parameter, report, _ = default_parameter(ws)
+                _, (measured,) = _screen(KIND_ISOMETRIC, parameter.matrix[None],
+                                         ws.pair, ws.forbidden, DEFAULT)
+                for field in ("margin", "parameter_norm", "forbidden_gap"):
+                    assert getattr(report, field) == pytest.approx(
+                        getattr(measured, field), rel=1e-12, abs=0.0)
+                assert report == dataclasses.replace(
+                    measured, margin=report.margin, parameter_norm=1.0,
+                    forbidden_gap=2.0)
+                assert report.margin >= 2.0 / np.sqrt(1.0 + q) * (1 - 1e-12)
+                floor = report.margin
+                with pytest.raises(NotAdmissible) as refused:
+                    default_parameter(ws, DEFAULT.replace(adm_abs=floor))
+                assert refused.value.margin == floor
+                assert str(refused.value) == (
+                    f"parameter is not admissible (margin {floor:.3e}, "
+                    f"floor {floor:.1e})")
+
+
+def test_the_default_solves_at_norm_abs_zero():
+    # norm_abs = 0 is a legal floor, and -X is unitary by construction:
+    # its solve is not refused for a measured norm of 1 + ulp.  A norm
+    # that is refused prints in full, never as "1 exceeds 1".
+    tol = DEFAULT.replace(norm_abs=0.0)
+    rng = np.random.default_rng(RNG_SEED + 6)
+    for n in (1, 2, 4, 8):
+        for d in (2, 4):
+            seq, _ = random_feasible_instance(rng, n, d)
+            result = solve_truncated(seq, tol=tol)
+            assert result.admissibility.parameter_norm == 1.0
+            assert result.verification.passed
+    above = ExtensionParameter.contraction([[np.nextafter(1.0, 2.0)]])
+    with pytest.raises(NormViolation) as refused:
+        above.constant_matrix(1, tol)
+    assert str(refused.value) == ("parameter norm 1.0000000000000002 "
+                                  "exceeds 1 + 0.0e+00")
+
+
 def test_only_the_last_block_is_hermitized():
     # The frame of G is Hermitian as written (J_0 by build_shift, E^H as
     # the exact adjoint of E), so _hermitize makes B(V) alone Hermitian.
@@ -355,9 +414,11 @@ def test_every_route_gives_one_report_per_parameter(seq_101):
                                               ws.forbidden, min_margin=0.1)
         contraction = ExtensionParameter.contraction(
             random_strict_contraction(rng, q))
-        for parameter in (isometry, contraction):
+        opposite = ExtensionParameter.isometric(-ws.forbidden)
+        for parameter in (isometry, contraction, opposite):
             report = screen_parameter(ws.pair, parameter)
             assert isinstance(report.forbidden_gap, float)
             transform = StieltjesTransform(ws.shift, ws.pair, parameter)
             assert transform.admissibility == report
             assert solve_truncated(seq, parameter).admissibility == report
+        assert solve_truncated(seq).admissibility == report

@@ -137,12 +137,12 @@ def test_prepare_builds_and_factors_each_section_once(monkeypatch):
     # J_0 - conj z0 and J_0 - z0, an eigh of their q x q Gram matrix
     # (none at q = 1) and an SVD for the rotation of B_minus, whose
     # adjoint is X.  No QR, no inverse and no solve for X.  A default
-    # solve then screens one parameter (its norm, its margin and its
-    # forbidden gap, from one SVD call of a (3, q, q) stack, or from
-    # moduli and no SVD at q = 1), takes one m x m eigh and screens the
-    # atom weights with one batched Cholesky (none at N = 1, where a
-    # weight is its own eigenvalue); eigvalsh runs only when that screen
-    # fails, and there is no solve, since B(-X) = Re Omega.
+    # solve then reads its parameter's report off the defect stage (no
+    # SVD: norm 1, gap 2 and the margin from G's eigenvalues), takes one
+    # m x m eigh and screens the atom weights with one batched Cholesky
+    # (none at N = 1, where a weight is its own eigenvalue); eigvalsh runs
+    # only when that screen fails, and there is no solve, since
+    # B(-X) = Re Omega.
     calls = _count_calls(monkeypatch)
     rng = np.random.default_rng(RNG_SEED + 7)
     for n in (1, 2, 4):
@@ -164,12 +164,10 @@ def test_prepare_builds_and_factors_each_section_once(monkeypatch):
                 in_prepare = list(calls)
                 calls.clear()
                 result = solve_truncated(seq)
-                screen = [("svd", (3, q, q))] if q > 1 else []
                 psd = ([("cholesky", (result.measure.n_atoms, n, n))]
                        if n > 1 else [])
                 assert calls[:len(in_prepare)] == in_prepare
-                assert calls[len(in_prepare):] == screen + [
-                    ("eigh", (1, m, m))] + psd
+                assert calls[len(in_prepare):] == [("eigh", (1, m, m))] + psd
     # A screen that cannot decide (Sigma below -psd_rel, H_2 accepted)
     # hands the eigvalsh rules the factor and Schur complement it took:
     # no second Cholesky of H_1 and no second solve for Y; the last solve

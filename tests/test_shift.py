@@ -355,9 +355,9 @@ def test_sweep_factorizations_do_not_grow_with_the_angles(monkeypatch):
 
 def test_a_solve_screens_its_parameter_once(monkeypatch):
     # The solve's admissibility check and its extension share one screen:
-    # one SVD call after prepare (none at q = 1, where the singular values
-    # are moduli), with the default parameter -X and with a supplied one
-    # alike, and no inverse.
+    # one SVD call after prepare for a supplied parameter (none at q = 1,
+    # where the singular values are moduli), none for the default -X,
+    # whose report is read off the defect stage, and no inverse.
     factorizations = _count_factorizations(monkeypatch)
     rng = np.random.default_rng(RNG_SEED + 9)
     for n in (1, 2):
@@ -369,8 +369,8 @@ def test_a_solve_screens_its_parameter_once(monkeypatch):
         for parameter in parameters:
             per_solve = _minus(factorizations(solve_truncated, seq, parameter),
                                in_prepare)
-            assert per_solve == {"svd": int(ws.defect > 1), "eigh": 1,
-                                 "inv": 0}
+            screened = parameter is not None and ws.defect > 1
+            assert per_solve == {"svd": int(screened), "eigh": 1, "inv": 0}
 
 
 def test_a_transform_screens_its_parameter_once(monkeypatch):
