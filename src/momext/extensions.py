@@ -124,11 +124,13 @@ class AdmissibilityReport:
 def _screen(kind: str, stack: np.ndarray, pair: DeficiencyPair,
             forbidden: np.ndarray, tol: Tolerances):
     """The (K,) admissible mask and the K admissibility reports of a
-    (K, q, q) stack of parameter matrices of one kind, measured (for -X
-    too: only screen_parameter reads its report off the pair) by one
-    batched singular value call over the V, the C_minus V - C_plus and
-    the V - X (X the forbidden matrix) of the whole stack, after
-    _check_singular_values has passed the V.
+    (K, q, q) stack of parameter matrices of one kind.  A row equal to -X,
+    X equal to the pair's, has its report in closed form (norm 1, gap 2,
+    margin pair.opposite_margin >= 2 / sqrt(1 + q)), and a stack of those
+    alone makes no singular value call.  The other rows are measured by one
+    batched singular value call over the V, the C_minus V - C_plus and the
+    V - X (X the forbidden matrix) of the whole stack, after
+    _check_singular_values has passed their V.
 
     The flags are decided over the whole stack as arrays, and each report
     is built from one tolist() per column: the same rule, value for value,
@@ -139,11 +141,26 @@ def _screen(kind: str, stack: np.ndarray, pair: DeficiencyPair,
             admissible=True, margin=None, parameter_norm=0.0,
             forbidden_gap=None, coincides_with_forbidden=False,
             borderline=False),) * k
+    x, opposite = pair.forbidden, None
+    if (pair.opposite_margin is not None
+            and -x.item(0) in stack[:, 0, 0].tolist()  # most V are not -X
+            and (forbidden is x or np.array_equal(forbidden, x))):
+        equal = stack == -x
+        if equal.all():         # the default -X: nothing is measured
+            report = AdmissibilityReport(*_fields(pair.opposite_margin, 1.0,
+                                                  2.0, tol))
+            return np.full(k, report.admissible), (report,) * k
+        opposite = equal.all(axis=(-2, -1))
     plus, minus = pair.complement_rows
     sv = singular_values(np.concatenate(
         [stack, minus @ stack - plus, stack - forbidden]))
-    _check_singular_values(kind, sv[:k], tol)
-    fields = _fields(sv[k:2 * k, -1], sv[:k, 0], sv[2 * k:, -1], tol)
+    _check_singular_values(kind, sv[:k] if opposite is None
+                           else sv[:k][~opposite], tol)
+    values = sv[k:2 * k, -1], sv[:k, 0], sv[2 * k:, -1]   # margin, norm, gap
+    if opposite is not None:    # the closed form in the rows of -X
+        values = [np.where(opposite, closed, measured) for closed, measured
+                  in zip((pair.opposite_margin, 1.0, 2.0), values)]
+    fields = _fields(*values, tol)
     return fields[0], tuple(map(AdmissibilityReport,
                                 *map(np.ndarray.tolist, fields)))
 
@@ -180,16 +197,11 @@ def is_admissible(matrix: np.ndarray, shift: ShiftOperator,
 def screen_parameter(pair: DeficiencyPair, parameter: ExtensionParameter,
                      tol: Tolerances = DEFAULT) -> AdmissibilityReport:
     """The one admissibility gate: a parameter's report, its gap to the
-    pair's X included, from the one singular value call of _screen, or in
-    closed form for V = -X (norm 1, gap 2, margin pair.opposite_margin >=
-    2 / sqrt(1 + q)).  An inadmissible V (sigma_min(C_minus V - C_plus) at
-    most adm_abs) is rejected with its margin as NotAdmissible."""
-    v, x = parameter._shaped(pair.defect), pair.forbidden
-    margin = pair.opposite_margin       # one entry first: most V are not -X
-    if margin is not None and v[0, 0] == -x[0, 0] and (v == -x).all():
-        report = AdmissibilityReport(*_fields(margin, 1.0, 2.0, tol))
-    else:
-        _, (report,) = _screen(parameter.kind, v[None], pair, x, tol)
+    pair's X included, from _screen.  An inadmissible V (sigma_min(C_minus
+    V - C_plus) at most adm_abs) is rejected with its margin as
+    NotAdmissible."""
+    stack = parameter._shaped(pair.defect)[None]
+    _, (report,) = _screen(parameter.kind, stack, pair, pair.forbidden, tol)
     if not report.admissible:
         raise NotAdmissible(f"parameter is not admissible (margin "
                             f"{report.margin:.3e}, floor {tol.adm_abs:.1e})",

@@ -40,6 +40,7 @@ import numpy as np
 
 from .errors import ProblemFileError
 from .hankel import ConditionReport, MomentSequence
+from .linalg import read_only
 from .tolerances import Tolerances
 
 if TYPE_CHECKING:    # the parsers import their types when they run
@@ -211,18 +212,15 @@ def parse_parameter(spec, defect: int = 1) -> ExtensionParameter:
     _expect(set(spec) == {"kind", "matrix"},
             'parameter needs keys {"kind", "matrix"} or '
             '{"constant_unimodular_theta"}')
-    kind = spec["kind"]
-    _expect(kind in ("isometric", "contraction"),
-            f'parameter kind must be "isometric" or "contraction", '
-            f'got {kind!r}')
     mat = spec["matrix"]
-    _expect(isinstance(mat, list) and len(mat) >= 0, "matrix must be a list")
+    _expect(isinstance(mat, list), "matrix must be a list")
     q = len(mat)
     matrix = (_moment_to_matrix(mat, q, "parameter matrix") if q
               else np.zeros((0, 0), dtype=complex))
-    if kind == "isometric":
-        return ExtensionParameter.isometric(matrix)
-    return ExtensionParameter.contraction(matrix)
+    try:
+        return ExtensionParameter(kind=spec["kind"], matrix=read_only(matrix))
+    except ValueError as exc:
+        raise ProblemFileError(str(exc)) from exc
 
 
 def parse_problem(text: str):

@@ -1,18 +1,25 @@
 """Command line contract: output shape, determinism, and exit codes.
 
-Exit code map under test: 0 success, 1 malformed input, 2 infeasible data /
-failed verification / construction errors, 3 leading-positivity failure.
-Every command prints exactly one line of canonical JSON, byte-identical
-across repeated runs on the same input, and check refuses the data that
-solve refuses before a parameter is chosen, with the same code and line.
+This file is the one specification of what each command prints and how it
+exits.  Exit code map under test: 0 success, 1 malformed input, 2
+infeasible data / failed verification / construction errors, 3
+leading-positivity failure, 120 output that cannot be written.  Every
+command prints exactly one line of canonical JSON, byte-identical across
+repeated runs on the same input, and check refuses the data that solve
+refuses before a parameter is chosen, with the same code and line.  Most
+cases run in-process through main(); the launcher tests run the program
+as `python -m momext.cli` and, when it is on PATH, as the installed
+`momext` script.
 """
 
 from __future__ import annotations
 
 import importlib
 import json
+import math
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 
@@ -88,8 +95,8 @@ def test_check_refuses_dependent_domain_vectors(tmp_path, capsys):
 
 
 def _agreement_corpus(rng):
-    """(name, N, moments) draws: the near-threshold files of the CI
-    exit-code table (both sides of each screen), then random draws with
+    """(name, N, moments) draws: the near-threshold files of the command
+    cases (both sides of each screen), then random draws with
     N, d <= 3 that prepare accepts or refuses by each rule: full-defect
     and rank-drop measures, a single atom (H_{d-1} singular for d >= 2),
     S_2d raised by 10^e I (the rank of H_d read on a larger scale, as in
@@ -636,18 +643,130 @@ def test_out_of_range_flag_values_exit_one(tmp_path, capsys, command, flag,
     assert len(errors) == 1 and flag in errors[0] and value in errors[0]
 
 
-# ----------------------------------------------------------- console script
+# ------------------------------------------------------------ command cases
 
-def test_console_script_is_installed(tmp_path):
-    path = _write(tmp_path, "p.json", PROBLEM_101)
-    proc = subprocess.run([sys.executable, "-m", "momext.cli", "check", path],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert json.loads(proc.stdout)["solvable"] is True
+def _fresh_min_eigs(name):
+    """check prints the smallest eigenvalue of each section as a fresh
+    numpy.linalg.eigvalsh of it gives it, whichever of the screens or
+    eigvalsh decided."""
+    moments = CASE_FILES[name]["moments"]
+    d = (len(moments) - 1) // 2
+    h = np.array([[moments[r + t] for t in range(d + 1)]
+                  for r in range(d + 1)], dtype=complex)
+
+    def expect(data):
+        assert data["min_eig_trailing"] == float(np.linalg.eigvalsh(h)[0])
+        assert data["min_eig_leading"] == float(
+            np.linalg.eigvalsh(h[:d, :d])[0])
+    return expect
 
 
-# The files of the console-script exit-code table in CI.
-CI_FILES = {
+def _residue_cells(data):
+    # a unit singular value puts poles on the real axis; the cell masses
+    # still come from the exact route
+    assert data["perron"]["method"] == "residue"
+
+
+def _affine_atoms(data):
+    # the image of (1, 0, 1) under x -> 2x + 1: atoms -1 and 3
+    atoms = [a["t"] for a in data["measure"]["atoms"]]
+    assert len(atoms) == 2
+    assert abs(atoms[0] + 1) <= 1e-12 and abs(atoms[1] - 3) <= 1e-12
+
+
+def _dump_shapes(data):
+    # the shift's action and the coordinate basis of its domain are m x dN
+    def shape(m):
+        return len(m), len(m[0])
+    assert shape(data["operator"]["action"]) == (2, 1)
+    assert shape(data["operator"]["domain_basis"]) == (2, 1)
+    assert shape(data["gram_coords"]) == (2, 2)
+
+
+def _sweep_of_101(data):
+    # pi is the one forbidden angle, and the distance matrix is symmetric
+    # and null only in its row and column
+    assert data["forbidden_thetas"] == [math.pi]
+    dist = data["distance_matrix"]
+    for i, row in enumerate(dist):
+        for j, value in enumerate(row):
+            assert value == dist[j][i], (i, j)
+            assert (value is None) == (4 in (i, j)), (i, j, value)
+
+
+def _block_sweep(data):
+    # defect 2 with a forbidden angle: an angle has a verification exactly
+    # when it has a measure
+    entries = data["entries"]
+    assert len(entries) == 32
+    for i, e in enumerate(entries):
+        assert (e["verification"] is None) == (e["measure"] is None), i
+    assert any(e["measure"] is None for e in entries)
+
+
+def _seven_atom_distances(data):
+    # unit atoms at -3..3, whose pairs meet many clusters of two close
+    # atoms: every printed distance is the definition recomputed in plain
+    # Python from the printed atoms (17 digits round-trip), and every angle
+    # with a measure passes its verification (its moment sums take running
+    # products of negative atoms)
+    tol = momext.pipeline.SWEEP_SITE_TOL
+    measures = [None if e["measure"] is None
+                else [(a["t"], complex(*a["W"][0][0]))
+                      for a in e["measure"]["atoms"]]
+                for e in data["entries"]]
+
+    def window(measure, s):
+        return sum((w for t, w in measure if abs(t - s) <= tol), 0j)
+
+    def distance(a, b):
+        sites = []
+        for t in sorted([t for t, _ in a] + [t for t, _ in b]):
+            if not sites or t - sites[-1] > tol:
+                sites.append(t)
+        return max(abs(window(a, s) - window(b, s)) for s in sites)
+
+    for i, e in enumerate(data["entries"]):
+        assert e["measure"] is None or e["verification"]["passed"] is True, i
+    dist = data["distance_matrix"]
+    merged = 0
+    for i, a in enumerate(measures):
+        for j, b in enumerate(measures):
+            if a is None or b is None or i == j:
+                continue
+            assert dist[i][j] == distance(a, b), (i, j)
+            pooled = sorted(t for t, _ in a + b)
+            merged += any(r - l <= tol for l, r in zip(pooled, pooled[1:]))
+    assert merged > 0
+
+
+def _default_of_block4(data):
+    # the default -X, with X read off the rotation of the defect bases, is
+    # an isometry at the largest distance 2 from X, and the solution
+    # verifies
+    assert data["verification"]["passed"] is True
+    report = data["admissibility"]
+    assert abs(report["forbidden_gap"] - 2) <= 1e-12
+    assert abs(report["parameter_norm"] - 1) <= 1e-12
+
+
+def _unique_extension(data):
+    assert data["defect"] == 0 and data["verification"]["passed"] is True
+
+
+#: the near-threshold files of test_gram.NEAR_THRESHOLD, named for the side
+#: of each screen of the block Cholesky frame they sit on, and the code
+#: check and solve both exit with: H_1 positive definite just above pos_rel
+#: and just below it, a Schur complement below -psd_rel whose H_2 is
+#: accepted and one whose H_2 is refused (both decided by eigvalsh), defect
+#: 0, and 2 x 2 sections with a complement just above -psd_rel, one below
+#: it, and one atom whose complement is roundoff
+NEAR_CODES = {"lead_above": 0, "lead_below": 3, "trail_above": 0,
+              "trail_below": 2, "defect_zero": 0, "small_above": 0,
+              "small_below": 2, "small_atom": 0}
+
+#: the files the command cases read, written into each test's directory
+CASE_FILES = {
     "problem.json": PROBLEM_101,
     "lead.json": LEADING_FAILS,
     "trail.json": TRAILING_FAILS,
@@ -655,21 +774,112 @@ CI_FILES = {
                                {"t": 1, "W": [[0.5]]}]},
     "heavy.json": {"atoms": [{"t": -1, "W": [[0.75]]},
                              {"t": 1, "W": [[0.75]]}]},
+    "unit.json": {"kind": "contraction", "matrix": [[1]]},
+    "unitary.json": {"kind": "unitary", "matrix": [[1]]},
+    "empty.json": {"kind": "isometric", "matrix": []},
+    # a moment far from Hermitian at the scale 1e-12 of its sequence, and
+    # one ahead of a moment of 1e12
+    "tiny_skew.json": {"N": 2, "moments": [
+        [[1e-12, 0], [0, 1e-12]], [[0, 5e-13], [1e-13, 0]],
+        [[1e-12, 0], [0, 1e-12]]]},
+    "growing_skew.json": {"N": 2, "moments": [
+        [[1, 0.5], [0.1, 1]], [[0, 0], [0, 0]], [[1e4, 0], [0, 1e4]],
+        [[0, 0], [0, 0]], [[1e8, 0], [0, 1e8]], [[0, 0], [0, 0]],
+        [[1e12, 0], [0, 1e12]]]},
+    "triple.json": {"N": 2, "moments": [
+        [[1, 0], [0, 1]], [[0, [1, 2, 3]], [0, 0]], [[1, 0], [0, 1]]]},
+    "affine.json": {"version": 1, "N": 1, "moments": [1, 1, 5]},
+    # (I, 0, diag(1, 2)): defect 2, and pi forbidden
+    "block.json": {"N": 2, "moments": [[[1, 0], [0, 1]], [[0, 0], [0, 0]],
+                                       [[1, 0], [0, 2]]]},
+    # S_0 = I, S_1 = A, S_2 = A^2 + I on 4 x 4 weights
+    "block4.json": {"N": 4, "moments": [
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+        [[0, 1, 0, 0], [1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 1, 0]],
+        [[2, 0, 1, 0], [0, 3, 0, 1], [1, 0, 3, 0], [0, 1, 0, 2]]]},
+    "seven.json": {"N": 1, "moments": [sum(t ** n for t in range(-3, 4))
+                                       for n in range(13)]},
+    **{f"{name}.json": {"N": 1, "moments": values} for name, (values, _)
+       in zip(NEAR_CODES, NEAR_THRESHOLD)},
 }
 
+#: (code, argv, expect): each command line's exit code and what its output
+#: holds beyond the rules every case keeps: the text of its error line, or
+#: a check of the JSON it prints
+CASES = [
+    (0, ["scalar-even", "[0, 0, 0, 0]"], None),
+    (0, ["solve", "problem.json", "--parameter", "unit.json",
+         "--grid=-2:2:0.5"], _residue_cells),
+    (1, ["check", "tiny_skew.json"], "moment S_1 is not Hermitian"),
+    (1, ["check", "growing_skew.json"], "moment S_0 is not Hermitian"),
+    (1, ["check", "triple.json"], "moments[1][0][1]: entries must be"),
+    (1, ["solve", "problem.json", "--grid=0:0.5:1"],
+     "grid holds no complete cell"),
+    (1, ["solve", "problem.json", "--parameter", "unitary.json"],
+     "unknown parameter kind 'unitary'"),
+    (0, ["solve", "defect_zero.json", "--parameter", "empty.json"],
+     _unique_extension),
+    *[(code, [command, f"{name}.json"],
+       _fresh_min_eigs(f"{name}.json") if command == "check" else None)
+      for name, code in NEAR_CODES.items() for command in ("check", "solve")],
+    # -X is unitary by construction: its report is not measured, so
+    # norm_abs = 0 refuses no default solve (a measured norm or isometry
+    # defect of 1 ulp refused the 4 x 4 one)
+    (0, ["solve", "problem.json", "--tol", "norm_abs=0"], None),
+    (0, ["solve", "block4.json", "--tol", "norm_abs=0"], None),
+    (0, ["solve", "affine.json"], _affine_atoms),
+    (0, ["solve", "problem.json", "--dump-operator", "--dump-gram"],
+     _dump_shapes),
+    (0, ["sweep", "problem.json", "--theta-grid", "8"], _sweep_of_101),
+    (0, ["sweep", "block.json", "--theta-grid", "32"], _block_sweep),
+    (0, ["sweep", "seven.json", "--theta-grid", "32"], _seven_atom_distances),
+    (0, ["solve", "block4.json"], _default_of_block4),
+]
 
-def _spawn(cwd, argv, unbuffered=False, args=("-m", "momext.cli"), **kw):
-    """python -m momext.cli in a child (or python with other args), with
-    the momext under test on its path and stdout block-buffered, as under a
-    pipe (or unbuffered)."""
+
+@pytest.mark.parametrize("code, argv, expect", CASES,
+                         ids=[" ".join(argv) for _, argv, _ in CASES])
+def test_each_command_line_exits_and_prints_as_specified(
+        tmp_path, capsys, monkeypatch, code, argv, expect):
+    # Every case runs twice and prints the same bytes both times: one line
+    # of JSON or none, and an error line exactly when it refuses.
+    for name, payload in CASE_FILES.items():
+        _write(tmp_path, name, payload)
+    monkeypatch.chdir(tmp_path)
+    first, second = ((main(argv), *capsys.readouterr()) for _ in range(2))
+    assert first == second
+    got, out, err = first
+    assert got == code
+    assert out == "" or (out.count("\n") == 1 and out.endswith("\n"))
+    errors = err.splitlines()
+    assert len(errors) == (0 if code == 0 else 1)
+    assert all(line.startswith("error: ") for line in errors)
+    if isinstance(expect, str):
+        assert expect in err
+    elif expect is not None:
+        expect(json.loads(out))
+
+
+# ---------------------------------------------------------------- launchers
+
+#: the ways to start the program: the module, and the console script when
+#: one is on PATH (pip install puts it there)
+LAUNCHERS = [[sys.executable, "-m", "momext.cli"]]
+if shutil.which("momext"):
+    LAUNCHERS.append([shutil.which("momext")])
+
+
+def _spawn(cwd, argv, unbuffered=False, launcher=LAUNCHERS[0], **kw):
+    """The program (or another command line) in a child, with the momext
+    under test on its path and stdout block-buffered, as under a pipe (or
+    unbuffered)."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     src = str(pathlib.Path(momext.cli.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run([sys.executable, *args, *argv],
-                          cwd=cwd, env=env, **kw)
+    return subprocess.run([*launcher, *argv], cwd=cwd, env=env, **kw)
 
 
 def _loaded_modules(cwd, script, stderr=""):
@@ -677,8 +887,8 @@ def _loaded_modules(cwd, script, stderr=""):
     which must write exactly stderr (nothing, unless a command refuses)."""
     script += ("\nimport json, sys\nprint(json.dumps(sorted("
                "m for m in sys.modules if m.startswith('momext'))))")
-    child = _spawn(cwd, [], args=("-c", script), capture_output=True,
-                   text=True)
+    child = _spawn(cwd, [], launcher=[sys.executable, "-c", script],
+                   capture_output=True, text=True)
     assert child.stderr == stderr
     return json.loads(child.stdout.splitlines()[-1])
 
@@ -713,7 +923,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
     # check answers solvability from the Hankel sections alone; the other
     # commands load the construction, but not a command they do not run.
     # Each runs to its end: no error line but the one REFUSED names.
-    for name, payload in CI_FILES.items():
+    for name, payload in CASE_FILES.items():
         _write(tmp_path, name, payload)
     loaded = _loaded_modules(
         tmp_path, f"import momext.cli\nmomext.cli.main({argv!r})",
@@ -741,23 +951,28 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
 ])
 def test_the_program_exits_as_main_returns(tmp_path, capsys, monkeypatch,
                                            code, argv):
-    # The program ends by os._exit once its output is flushed: its exit
-    # code, stdout, stderr and CSV file are those of an in-process main()
-    # call, which returns.
-    for name, payload in CI_FILES.items():
+    # The program ends by os._exit once its output is flushed: through
+    # each launcher, its exit code, stdout, stderr and CSV file are those
+    # of an in-process main() call, which returns.
+    for name, payload in CASE_FILES.items():
         _write(tmp_path, name, payload)
     (tmp_path / "malformed.json").write_text("{not json", encoding="utf-8")
-    child = _spawn(tmp_path, argv, capture_output=True, text=True)
     csv_path = tmp_path / "cells.csv"
-    child_csv = csv_path.read_text() if "--csv" in argv else None
+    children = []
+    for launcher in LAUNCHERS:
+        child = _spawn(tmp_path, argv, launcher=launcher, capture_output=True,
+                       text=True)
+        children.append((launcher, child, csv_path.read_text()
+                         if "--csv" in argv else None))
     monkeypatch.chdir(tmp_path)
     assert main(argv) == code
     captured = capsys.readouterr()
-    assert child.returncode == code
-    assert child.stdout == captured.out and child.stderr == captured.err
-    if child_csv is not None:
-        assert child_csv == csv_path.read_text()
-        assert child_csv.count("\n") == 9          # a header and 8 cells
+    for launcher, child, child_csv in children:
+        assert (child.returncode, child.stdout, child.stderr) == (
+            code, captured.out, captured.err), launcher
+        if child_csv is not None:
+            assert child_csv == csv_path.read_text()
+            assert child_csv.count("\n") == 9      # a header and 8 cells
 
 
 def test_a_closed_stdout_pipe_keeps_the_ordinary_exit(tmp_path):
@@ -778,7 +993,6 @@ def test_a_closed_stdout_pipe_keeps_the_ordinary_exit(tmp_path):
     assert child.stderr.splitlines()[-1].startswith("BrokenPipeError")
 
 
-
 @pytest.mark.parametrize("stdout", ["closed", "full", "unbuffered"])
 @pytest.mark.parametrize("argv", [
     ["check", "problem.json"],
@@ -793,18 +1007,22 @@ def test_output_that_cannot_be_written_exits_120(tmp_path, stdout, argv):
     # in the write (the sweep's is larger than the buffer, and an
     # unbuffered stdout takes every write at once) or at the flush.
     # argparse's --help text exited 0 either way (it drops a write that
-    # fails, and falls back to stderr when stdout is closed).
+    # fails, and falls back to stderr when stdout is closed).  Each
+    # launcher exits so.
     _write(tmp_path, "problem.json", PROBLEM_101)
-    if stdout == "closed":
-        child = _spawn(tmp_path, argv, stderr=subprocess.PIPE, text=True,
-                       preexec_fn=lambda: os.close(1))
-    else:
-        with open("/dev/full", "w") as full:
-            child = _spawn(tmp_path, argv, unbuffered=stdout == "unbuffered",
-                           stdout=full, stderr=subprocess.PIPE, text=True)
-    assert child.returncode == 120
-    assert child.stderr.startswith("error: cannot write output: ")
-    assert child.stderr.count("\n") == 1
+    for launcher in LAUNCHERS:
+        if stdout == "closed":
+            child = _spawn(tmp_path, argv, launcher=launcher,
+                           stderr=subprocess.PIPE, text=True,
+                           preexec_fn=lambda: os.close(1))
+        else:
+            with open("/dev/full", "w") as full:
+                child = _spawn(tmp_path, argv, launcher=launcher,
+                               unbuffered=stdout == "unbuffered", stdout=full,
+                               stderr=subprocess.PIPE, text=True)
+        assert child.returncode == 120, launcher
+        assert child.stderr.startswith("error: cannot write output: ")
+        assert child.stderr.count("\n") == 1
 
 
 def test_an_unwritable_csv_exits_one(tmp_path):
@@ -834,7 +1052,7 @@ def test_every_export_is_the_object_of_its_home_module():
 def test_every_module_is_exported_or_run_by_a_command(tmp_path):
     # The package ships what its programs run: each module is the home of
     # an export or is loaded by some command; test helpers live in tests.
-    for name, payload in CI_FILES.items():
+    for name, payload in CASE_FILES.items():
         _write(tmp_path, name, payload)
     commands = (["check", "problem.json"],
                 ["solve", "problem.json", "--theta", "1.0", "--grid=-2:2:1"],

@@ -10,7 +10,8 @@ Checked here:
   rejected,
 - pencil geometry: singularities of the (1, 0, 1) family sit at the atom
   positions +-1,
-- parameter validation (shape, norm, isometry defect),
+- parameter validation (shape, norm, isometry defect, and the isometric
+  kind that self-adjoint extensions need),
 - the default V = -X in closed form: its last block B = Re Omega is
   Hermitian bit for bit and within 1e-12 * scale of the q x q solve
   B(-X); solve_truncated, selfadjoint_extension(default_parameter(ws))
@@ -81,6 +82,14 @@ def test_parameter_norm_validation():
     with pytest.raises(NormViolation):
         # Not an isometry: singular value 0.5.
         ExtensionParameter.isometric(0.5 * np.eye(1)).constant_matrix(1)
+
+
+def test_selfadjoint_extensions_need_an_isometric_parameter(seq_101):
+    _, shift, pair = _operator_stage(seq_101)
+    with pytest.raises(ValueError, match="self-adjoint extensions need an "
+                                         "isometric parameter"):
+        selfadjoint_extension(shift, pair,
+                              ExtensionParameter.contraction([[0.5]]))
 
 
 def test_forbidden_angle_raises(seq_101):
@@ -230,7 +239,8 @@ def test_default_parameter_closes_the_jacobi_matrix_with_re_omega():
 def test_the_default_report_is_the_measured_screen_in_closed_form():
     # -X is not measured: its norm is 1, its gap to X is 2 and its margin
     # 2 sigma_min(C_plus) = 2 / sqrt(lambda_max(G)), what the screen
-    # measures to roundoff, at q = N and at q < N.  The margin is at least
+    # measures to roundoff (on the pair without its closed form), at q = N
+    # and at q < N.  The margin is at least
     # 2 / sqrt(1 + q), so only an adm_abs override refuses -X, with the
     # message and margin of every refusal.
     rng = np.random.default_rng(RNG_SEED + 5)
@@ -243,8 +253,9 @@ def test_the_default_report_is_the_measured_screen_in_closed_form():
                 if not q:
                     continue
                 parameter, report, _ = default_parameter(ws)
+                by_hand = dataclasses.replace(ws.pair, opposite_margin=None)
                 _, (measured,) = _screen(KIND_ISOMETRIC, parameter.matrix[None],
-                                         ws.pair, ws.forbidden, DEFAULT)
+                                         by_hand, ws.forbidden, DEFAULT)
                 for field in ("margin", "parameter_norm", "forbidden_gap"):
                     assert getattr(report, field) == pytest.approx(
                         getattr(measured, field), rel=1e-12, abs=0.0)
@@ -421,4 +432,8 @@ def test_every_route_gives_one_report_per_parameter(seq_101):
             transform = StieltjesTransform(ws.shift, ws.pair, parameter)
             assert transform.admissibility == report
             assert solve_truncated(seq, parameter).admissibility == report
+            # X given by value, not as the pair's own array
+            for x in (None, ws.forbidden.copy()):
+                assert is_admissible(parameter.matrix, ws.shift, ws.pair,
+                                     x) == report
         assert solve_truncated(seq).admissibility == report

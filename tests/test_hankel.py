@@ -12,7 +12,8 @@ Checked here:
   error naming the first offending moment, and the stored moments being
   exactly the symmetrized inputs, whether they come as a list or as one
   ready (count, N, N) array (which is left as it was), and kept stacked
-  as one read-only array; a non-finite entry is refused, naming its S_i.
+  as one read-only array; a non-finite entry is refused, naming its S_i,
+  and so is a negative section order.
 """
 
 from __future__ import annotations
@@ -168,6 +169,8 @@ def test_block_hankel_needs_enough_moments():
     seq = MomentSequence.scalar([1.0, 0.0, 1.0])
     with pytest.raises(InsufficientMoments):
         build_block_hankel(seq, 2)
+    with pytest.raises(ValueError, match="Hankel order must be >= 0, got -1"):
+        build_block_hankel(seq, -1)
 
 
 def test_conditions_on_two_atom_instance(seq_101):

@@ -3,7 +3,8 @@
 Checked here:
 - atomic-measure bookkeeping (sorting, merging, mass), with the
   assembly's merge gap relative to max(1, |t|) and its drop judged in the
-  highest moment,
+  highest moment; atom lists and recovered moment lists of the wrong
+  length refused,
 - the spectral measure of the worked instance (1, 0, 1): atoms -1 and +1
   with weights 1/2, and its N = 2 block analogue with weights I/2,
 - measures next to an eigen-angle of the forbidden operator (one atom far
@@ -147,6 +148,15 @@ def test_negative_weight_is_rejected():
 def test_weights_of_another_shape_are_refused_by_name(shape):
     with pytest.raises(ValueError, match=re.escape(f"got shape {shape}")):
         AtomicMatrixMeasure.from_atoms([0.0, 1.0], np.ones(shape))
+
+
+def test_lists_of_unequal_length_are_refused(seq_101):
+    with pytest.raises(ValueError,
+                       match="locations and weights disagree in length"):
+        AtomicMatrixMeasure.from_atoms([0, 1], [1])
+    with pytest.raises(ValueError, match="recovered moment list shorter "
+                                         "than the sequence"):
+        verify_recovered_moments(list(seq_101.moments)[:-1], seq_101)
 
 
 def _assembly_rows(rng, n, k=6, j=5):

@@ -427,31 +427,40 @@ def test_sweep_reads_its_verifications_and_distances_off_one_stack():
 
 def test_sweep_entries_are_the_single_angle_solves():
     # The sweep runs all angles in one array pass; each entry must still be
-    # exactly what its angle gives alone, including an angle at an
-    # eigen-angle of the forbidden operator, which must be flagged.
+    # exactly what its angle gives alone, report included, and an angle at
+    # an eigen-angle of the forbidden operator must be flagged.  On
+    # (I, 0, diag(1, 2)) X is -I bit for bit, so the angle 0 is -X, whose
+    # report the solve reads off the pair: the sweep's must be that one.
     rng = np.random.default_rng(RNG_SEED + 4)
-    thetas = np.linspace(1.0, 2.0 * np.pi - 1.0, 12)
-    for n in (1, 2, 4):
-        for _ in range(2):
-            seq, _ = random_feasible_instance(rng, n, 3)
-            ws = prepare(seq)
-            eigen_angle = np.angle(np.linalg.eigvals(ws.forbidden)[0])
-            res = theta_sweep(seq, thetas=np.append(thetas, eigen_angle))
-            assert not res.entries[-1].admissibility.admissible
-            assert res.entries[-1].measure is None
-            for entry in res.entries:
-                parameter = ExtensionParameter.unimodular(entry.theta,
-                                                          ws.defect)
+    thetas = np.append(np.linspace(1.0, 2.0 * np.pi - 1.0, 12), 0.0)
+    draws = [random_feasible_instance(rng, n, 3)[0]
+             for n in (1, 2, 4) for _ in range(2)]
+    block = MomentSequence.from_arrays([np.eye(2), np.zeros((2, 2)),
+                                        np.diag([1.0, 2.0])])
+    assert np.array_equal(prepare(block).forbidden, -np.eye(2))
+    for seq in draws + [block]:
+        ws = prepare(seq)
+        eigen_angle = np.angle(np.linalg.eigvals(ws.forbidden)[0])
+        res = theta_sweep(seq, thetas=np.append(thetas, eigen_angle))
+        assert not res.entries[-1].admissibility.admissible
+        assert res.entries[-1].measure is None
+        for entry in res.entries:
+            parameter = ExtensionParameter.unimodular(entry.theta, ws.defect)
+            if entry.measure is None:
                 assert entry.admissibility == is_admissible(
                     parameter.matrix, ws.shift, ws.pair, ws.forbidden)
-                if entry.measure is None:
-                    continue
-                alone = solve_truncated(seq, parameter)
-                assert np.array_equal(entry.measure.locations,
-                                      alone.measure.locations)
-                assert np.array_equal(entry.measure.weights,
-                                      alone.measure.weights)
-                assert entry.verification == alone.verification
+                continue
+            alone = solve_truncated(seq, parameter)
+            assert entry.admissibility == alone.admissibility
+            assert np.array_equal(entry.measure.locations,
+                                  alone.measure.locations)
+            assert np.array_equal(entry.measure.weights,
+                                  alone.measure.weights)
+            assert entry.verification == alone.verification
+    # an adm_abs above the margin of -X refuses it in the sweep too
+    res = theta_sweep(block, thetas=[0.0], tol=DEFAULT.replace(adm_abs=2.0))
+    assert res.forbidden_thetas.tolist() == [0.0]
+    assert res.entries[0].measure is None
 
 
 def test_sweep_assembly_and_verification_do_not_grow_with_the_angles(
