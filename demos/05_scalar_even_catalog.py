@@ -5,11 +5,11 @@ classifies the data into exactly one of four outcomes:
 
     unique-zero              all moments vanish; only the zero measure fits
     solvable-nondegenerate   every Hankel section is positive definite;
-                             infinitely many solutions, one witness built
-    unique-degenerate        positivity stops at order r < d; the shift of
-                             s_0..s_{2r+2} has defect zero, and its one
-                             self-adjoint extension gives the only possible
-                             atoms (the kernel-polynomial roots)
+                             infinitely many solutions, and the witness is
+                             the canonical one through s_{2d+1}
+    unique-degenerate        positivity stops at order r < d; the canonical
+                             solution through s_{2r+1} gives the only
+                             possible atoms (the kernel-polynomial roots)
     infeasible               no positive measure reproduces the data
 
 This script runs one worked example per verdict and finishes with a round
@@ -37,8 +37,9 @@ def show(values) -> None:
         print(f"    witness measure: {atoms}")
         print(f"    max reproduction error: {res.max_deviation:.2e}")
     if res.augmented_moment is not None:
-        print(f"    (constructed by extending with "
-              f"s_{len(values)} = {res.augmented_moment:g})")
+        print(f"    (the canonical solution, whose own "
+              f"s_{len(values)} = {res.augmented_moment:g} is the least "
+              f"of any solution)")
     print(f"    note: {res.certificate}")
     print()
 

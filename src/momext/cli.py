@@ -278,6 +278,8 @@ def _cmd_solve(args) -> None:
             raise ProblemFileError(
                 "--csv needs either an atomic measure or a --grid section")
     _emit(out)
+    if not result.verification.passed:
+        raise MomentProblemError("the solution fails its verification")
 
 
 def _cmd_sweep(args) -> None:

@@ -216,22 +216,26 @@ def _generator(shift: ShiftOperator, pair: DeficiencyPair,
 
     A V equal to -X bit for bit gets B = Re Omega; the others get
     B(V) from one batched q x q solve."""
-    dn, q = shift.dom_dim, pair.defect
-    g = np.empty(vmat.shape[:-2] + (dn + q, dn + q), dtype=complex)
-    e = shift.action[dn:]
-    g[..., :dn, :dn] = shift.jacobi
-    g[..., dn:, :dn] = e
-    g[..., :dn, dn:] = np.conj(e.T)
-    if not q:
-        return g
     solved = ~(vmat == -pair.forbidden).all(axis=(-2, -1))
     if solved.all():
-        g[..., dn:, dn:] = _solved_block(pair, vmat)
-        return g
+        return _closure(shift, vmat.shape[:-2], _solved_block(pair, vmat))
     omega = pair.omega
-    g[..., dn:, dn:] = 0.5 * (omega + np.conj(omega.T))     # B(-X)
+    g = _closure(shift, vmat.shape[:-2], 0.5 * (omega + np.conj(omega.T)))
     if solved.any():
+        dn = shift.dom_dim
         g[solved, dn:, dn:] = _solved_block(pair, vmat[solved])
+    return g
+
+
+def _closure(shift: ShiftOperator, batch: tuple, block: np.ndarray):
+    """[[J_0, E^H], [E, B]] for the q x q block B = block over the stack
+    shape batch: the one layout of the extensions of the shift in C^m."""
+    dn = shift.dom_dim
+    g = np.empty(batch + (dn + block.shape[-1],) * 2, dtype=complex)
+    g[..., :dn, :dn] = shift.jacobi
+    g[..., dn:, :dn] = shift.action[dn:]                    # E
+    g[..., :dn, dn:] = np.conj(shift.action[dn:].T)
+    g[..., dn:, dn:] = block
     return g
 
 

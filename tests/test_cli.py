@@ -36,6 +36,7 @@ from momext.measures import ATOMIC_REL_TOL, verify_moments
 
 from sampling import random_deficient_instance, random_feasible_instance
 from test_gram import NEAR_THRESHOLD
+from test_scalar import LARGE_LAST_ODD
 
 PROBLEM_101 = {"version": 1, "N": 1, "moments": [1.0, 0.0, 1.0]}
 # one atom at 0: the trailing section is singular and the defect is zero
@@ -537,7 +538,9 @@ def test_scalar_even_accepts_inline_json(capsys):
     code, data = _run(capsys, "scalar-even", "[1.0, 0.0, 1.0, 0.0]")
     assert code == 0
     assert data["verdict"] == "solvable-nondegenerate"
-    assert data["augmented_moment"] == 2.0
+    assert data["augmented_moment"] == 1.0
+    assert [(a["t"], a["w"]) for a in data["atoms"]] == [
+        pytest.approx((-1.0, 0.5)), pytest.approx((1.0, 0.5))]
 
 
 def test_scalar_even_accepts_a_file(tmp_path, capsys):
@@ -754,6 +757,14 @@ def _unique_extension(data):
     assert data["defect"] == 0 and data["verification"]["passed"] is True
 
 
+def _six_atom_witness(data):
+    # the canonical solution through s_11: a witness one order up raised
+    # DependentDomain ("domain needs 6 independent vectors but the space
+    # has dimension 3") and exited 2
+    assert data["verdict"] == "solvable-nondegenerate"
+    assert len(data["atoms"]) == 6 and data["rank_index"] == 5
+
+
 #: the near-threshold files of test_gram.NEAR_THRESHOLD, named for the side
 #: of each screen of the block Cholesky frame they sit on, and the code
 #: check and solve both exit with: H_1 positive definite just above pos_rel
@@ -799,6 +810,9 @@ CASE_FILES = {
         [[2, 0, 1, 0], [0, 3, 0, 1], [1, 0, 3, 0], [0, 1, 0, 2]]]},
     "seven.json": {"N": 1, "moments": [sum(t ** n for t in range(-3, 4))
                                        for n in range(13)]},
+    # atoms +-3.16e7 with weights 5e-13: a moment sequence whose solve
+    # misses it by its whole scale
+    "tiny_mass.json": {"N": 1, "moments": [1e-12, 0, 1e3]},
     **{f"{name}.json": {"N": 1, "moments": values} for name, (values, _)
        in zip(NEAR_CODES, NEAR_THRESHOLD)},
 }
@@ -808,6 +822,11 @@ CASE_FILES = {
 #: a check of the JSON it prints
 CASES = [
     (0, ["scalar-even", "[0, 0, 0, 0]"], None),
+    (0, ["scalar-even", json.dumps(LARGE_LAST_ODD)], _six_atom_witness),
+    (2, ["scalar-even", "[1e-12, 0, 1e3, 0]"],
+     "total mass s_0 = 1e-12 is at most pos_rel * max|s_n| = 1e-07"),
+    # a failed verification exits 2 after its line, as verify does
+    (2, ["solve", "tiny_mass.json"], "the solution fails its verification"),
     (0, ["solve", "problem.json", "--parameter", "unit.json",
          "--grid=-2:2:0.5"], _residue_cells),
     (1, ["check", "tiny_skew.json"], "moment S_1 is not Hermitian"),
@@ -933,6 +952,20 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):
     else:
         assert set(CHECK_MODULES) <= set(loaded)
         assert not absent & set(loaded)
+
+
+def test_degenerate_scalar_even_loads_no_polynomial_package(tmp_path):
+    # np.poly gives the kernel polynomial, so numpy.polynomial (2.1 ms to
+    # import without a bytecode cache) stays unloaded unless numpy loaded
+    # it itself, as numpy 1.x does on import
+    script = ("import sys, numpy, momext.cli\n"
+              "bare = 'numpy.polynomial' in sys.modules\n"
+              "momext.cli.main(['scalar-even', '[1, 1, 1, 1]'])\n"
+              "print(bare or 'numpy.polynomial' not in sys.modules)")
+    child = _spawn(tmp_path, [], launcher=[sys.executable, "-c", script],
+                   capture_output=True, text=True)
+    assert child.stderr == ""
+    assert child.stdout.splitlines()[-1] == "True"
 
 
 @pytest.mark.parametrize("code, argv", [

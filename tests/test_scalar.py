@@ -1,23 +1,24 @@
 """The even-length scalar variant and its four-way classification.
 
 Worked cases frozen here (each checked by hand):
-- (1, 0, 1, 0): all sections positive definite; the augmentation is
-  s_4 = b^T H_1^{-1} b + lambda_min(H_1) = 2, and the witness measure is
-  {(-sqrt(2), 1/4), (0, 1/2), (sqrt(2), 1/4)},
+- (1, 0, 1, 0): all sections positive definite; the witness is the
+  canonical solution through s_3, {(-1, 1/2), (1, 1/2)}, whose own s_4 is
+  b^T H_1^{-1} b = 1,
 - (1, 1, 1, 1): positivity stops at r = 0; unique solution delta_1,
 - (1, 0, 1, 0, 1, 0): stops at r = 1 < d = 2 with kernel polynomial
   t^2 - 1; unique solution (delta_{-1} + delta_{+1}) / 2,
-- (1, 0.3): d = 0 augments to s_2 = 1.09 and any two-atom witness with
-  mass 1 and mean 0.3 passes,
+- (1, 0.3): d = 0, and the witness is the single atom 0.3 with mass 1,
+  whose own s_2 is 0.09,
 - (0, 1, 0, 0): zero mass with nonzero higher moments is infeasible,
 - (1, 0, 1, 0, 0.5, 0): an indefinite section is infeasible,
 - (0, 0, 0, 0): the zero measure, unique.
 
 Also: the rank scan, witnesses for clustered atoms, the rank-cutoff
 boundary between rank_rel and pos_rel, a randomized round-trip fuzz over
-genuine atomic measures and their degenerate truncations, the witness's
-max_deviation read off the solve's own verification, and non-finite
-moments refused on entry.
+genuine atomic measures and their degenerate truncations, the Gauss
+oracle (d+1 atoms are their own witness), a verdict for every sequence
+with a large last odd moment, the witness's max_deviation read off its
+verification, and non-finite moments refused on entry.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from momext import (DEFAULT, InsufficientMoments, MomentSequence,
-                    solve_scalar_even, verify_moments)
+from momext import (DEFAULT, DependentDomain, InsufficientMoments,
+                    MomentSequence, solve_scalar_even, verify_moments)
 from momext.scalar import (VERDICT_DEGENERATE, VERDICT_INFEASIBLE,
-                           VERDICT_NONDEGENERATE, VERDICT_ZERO, _hankel,
-                           _prefix, _rank_scan)
+                           VERDICT_NONDEGENERATE, VERDICT_ZERO, _rank_scan)
 
 RNG_SEED = 20260806
 N_FUZZ = 200
@@ -54,11 +54,9 @@ def test_nondegenerate_case_with_known_augmentation():
     result = solve_scalar_even(values)
     assert result.verdict == VERDICT_NONDEGENERATE
     assert result.rank_index == 1
-    assert result.augmented_moment == pytest.approx(2.0, abs=1e-12)
-    assert np.allclose(result.roots, [-np.sqrt(2.0), 0.0, np.sqrt(2.0)],
-                       atol=ORACLE_ATOL)
-    assert np.allclose(result.atom_weights, [0.25, 0.5, 0.25],
-                       atol=ORACLE_ATOL)
+    assert result.augmented_moment == pytest.approx(1.0, abs=1e-12)
+    assert np.allclose(result.roots, [-1.0, 1.0], atol=ORACLE_ATOL)
+    assert np.allclose(result.atom_weights, [0.5, 0.5], atol=ORACLE_ATOL)
     _assert_measure_matches(result, values)
 
 
@@ -83,18 +81,24 @@ def test_degenerate_two_atom_case():
 
 
 def test_order_zero_augmentation():
+    # d = 0: the canonical solution through s_1 is one atom at the mean
     result = solve_scalar_even(np.array([1.0, 0.3]))
     assert result.verdict == VERDICT_NONDEGENERATE
-    assert result.augmented_moment == pytest.approx(1.09, abs=1e-12)
-    assert result.atom_weights.sum() == pytest.approx(1.0, abs=1e-10)
-    assert np.dot(result.roots, result.atom_weights) == pytest.approx(
-        0.3, abs=1e-10)
+    assert result.augmented_moment == pytest.approx(0.09, abs=1e-15)
+    assert result.roots.tolist() == [0.3]
+    assert result.atom_weights.tolist() == [1.0]
+    assert result.max_deviation == 0.0
 
 
 def test_zero_mass_with_nonzero_moments_is_infeasible():
     result = solve_scalar_even(np.array([0.0, 1.0, 0.0, 0.0]))
     assert result.verdict == VERDICT_INFEASIBLE
     assert "mass" in result.certificate
+    # a mass under the cutoff names itself and the bound it fell under
+    result = solve_scalar_even(np.array([1e-12, 0.0, 1e3, 0.0]))
+    assert result.verdict == VERDICT_INFEASIBLE
+    assert result.certificate.startswith(
+        "total mass s_0 = 1e-12 is at most pos_rel * max|s_n| = 1e-07")
 
 
 def test_indefinite_section_is_infeasible():
@@ -109,6 +113,14 @@ def test_all_zero_sequence_is_the_zero_measure():
     assert result.roots.size == 0
 
 
+def test_a_rank_cutoff_above_the_scan_leaves_no_defect_to_close():
+    # at rank_rel = 0.5, H_1 = diag(1, 1e-3) has rank 1, although the scan
+    # (at pos_rel) calls it positive definite: the prefix s_0..s_2 has
+    # defect 0, and the refusal says so instead of an IndexError
+    with pytest.raises(DependentDomain, match="order-1 section has rank 1"):
+        solve_scalar_even([1.0, 0.0, 1e-3, 0.0], DEFAULT.replace(rank_rel=0.5))
+
+
 def test_odd_or_empty_input_is_rejected():
     with pytest.raises(InsufficientMoments):
         solve_scalar_even(np.array([1.0, 0.0, 1.0]))
@@ -119,7 +131,7 @@ def test_odd_or_empty_input_is_rejected():
 # --------------------------------------------------------------- components
 
 def _rank_r(values, order_d):
-    return _rank_scan(_hankel(np.array(values), order_d), DEFAULT)[0]
+    return _rank_scan(np.array(values), order_d, DEFAULT)
 
 
 def test_rank_scan_stops_at_first_failure():
@@ -129,11 +141,12 @@ def test_rank_scan_stops_at_first_failure():
     assert _rank_r([-1.0, 0.0, 1.0, 0.0], 1) == -1
 
 
-def _rank_scan_upward(h, tol):
+def _rank_scan_upward(values, d, tol):
     """The scan in order from H_0, stopping at the first failure."""
-    reach = np.maximum.accumulate(np.abs(np.append(h[0], h[1:, -1])))
+    h = np.array([[values[i + j] for j in range(d + 1)] for i in range(d + 1)])
+    reach = np.maximum.accumulate(np.abs(values))
     r = -1
-    for k in range(h.shape[0]):
+    for k in range(d + 1):
         emin = float(np.linalg.eigvalsh(h[:k + 1, :k + 1])[0])
         if emin <= tol.pos_rel * reach[2 * k]:
             break
@@ -159,11 +172,8 @@ def test_rank_scan_from_the_top_finds_the_first_failure(monkeypatch):
             values[2 * j] -= rng.uniform(0.0, 2.0) * abs(values[2 * j])
         elif kind == 2:
             values = rng.standard_normal(2 * d + 1)
-        h = _hankel(values, d)
-        r, emin = _rank_scan(h, DEFAULT)
-        assert r == _rank_scan_upward(h, DEFAULT), values
-        if r >= 0:
-            assert emin == float(np.linalg.eigvalsh(h[:r + 1, :r + 1])[0])
+        r = _rank_scan(values, d, DEFAULT)
+        assert r == _rank_scan_upward(values, d, DEFAULT), values
         seen.add((r == d, r == -1))
     assert seen == {(True, False), (False, False), (False, True)}
     # nondegenerate data takes one eigvalsh, that of H_d
@@ -176,10 +186,11 @@ def test_rank_scan_from_the_top_finds_the_first_failure(monkeypatch):
 
 
 def test_clustered_atoms_get_a_verified_witness():
-    # Clustered atoms make H_d ill-conditioned (det H_d is tiny), so the
-    # augmented moment must come from a margin on the scale of H_d: one
-    # that grows like 1 / det H_d leaves a witness that misses the data
-    # (atoms 0.3, 0.5, 0.7) or a Gram domain that collapses (four atoms).
+    # Clustered atoms make H_d ill-conditioned (det H_d is tiny); a
+    # witness solved one order up from an invented s_{2d+2} that grows
+    # like 1 / det H_d missed the data (atoms 0.3, 0.5, 0.7) or met a Gram
+    # domain that collapses (four atoms).  The canonical solution closes
+    # the prefix's own frame and needs no extra moment.
     for locs in (np.array([0.3, 0.5, 0.7]), np.linspace(0.4, 0.6, 4)):
         values = _scalar_moments(locs, np.ones(len(locs)), 2 * len(locs))
         result = solve_scalar_even(values)
@@ -191,8 +202,9 @@ def test_clustered_atoms_get_a_verified_witness():
 
 def test_rank_cutoff_boundary_stays_degenerate():
     # lambda_min(H_4) / lambda_max sits near 6e-11, between rank_rel and
-    # pos_rel: the scan calls H_4 singular, and the solve must agree (the
-    # Gram space keeps dimension 4, so the defect is zero).
+    # pos_rel: the scan calls H_4 singular, and the forced candidate is
+    # the canonical solution through s_7, with four atoms; no Gram space
+    # is built for H_4.
     values = _scalar_moments(np.linspace(-0.1, 0.1, 5), np.ones(5), 12)
     h4 = np.array([[values[i + j] for j in range(5)] for i in range(5)])
     w = np.linalg.eigvalsh(h4)
@@ -245,11 +257,10 @@ def test_fuzz_roundtrip_over_random_atomic_measures():
     assert min(verdicts.values()) > 10
 
 
-def test_witness_deviation_is_read_off_the_solve_verification():
-    # The nondegenerate witness is verified once, by the solve of the
-    # 2d+3 augmented moments; its max_deviation is the largest of the
-    # first 2d+2 deviations of that report, bit for bit what
-    # verify_moments gives on the data prefix of the augmented sequence.
+def test_witness_deviation_is_read_off_its_verification():
+    # The nondegenerate witness is verified once, on the 2d+2 data
+    # moments; its max_deviation is that report's, bit for bit, and the
+    # witness has d+1 atoms, whose own s_{2d+2} is augmented_moment.
     rng = np.random.default_rng(RNG_SEED + 5)
     seen = 0
     for _ in range(120):
@@ -261,13 +272,67 @@ def test_witness_deviation_is_read_off_the_solve_verification():
         if result.verdict != VERDICT_NONDEGENERATE:
             continue
         seen += 1
-        augmented = MomentSequence.scalar(
-            np.append(values, result.augmented_moment))
-        report = verify_moments(result.measure,
-                                _prefix(augmented, len(values)), 1e-8)
+        report = verify_moments(result.measure, MomentSequence.scalar(values),
+                                1e-8)
         assert result.max_deviation == report.max_deviation, (d, values)
         assert type(result.max_deviation) is float
+        assert result.measure.n_atoms == d + 1
+        own = _scalar_moments(result.roots, result.atom_weights, 2 * d + 3)
+        assert result.augmented_moment == pytest.approx(own[-1], rel=1e-9)
     assert seen > 60
+
+
+def test_gauss_oracle_d_plus_one_atoms_are_their_own_witness():
+    # s_0..s_{2d+1} of d+1 separated atoms: the canonical solution through
+    # s_{2d+1} is that measure itself (Gauss quadrature is exact there).
+    rng = np.random.default_rng(RNG_SEED + 6)
+    for _ in range(100):
+        d = int(rng.integers(0, 6))
+        base = np.linspace(-2.0, 2.0, d + 1) if d else np.zeros(1)
+        locs = base + rng.uniform(-0.25, 0.25, d + 1) * 4.0 / max(d, 1)
+        weights = rng.uniform(0.2, 1.5, d + 1)
+        result = solve_scalar_even(_scalar_moments(locs, weights, 2 * d + 2))
+        assert result.verdict == VERDICT_NONDEGENERATE
+        assert result.measure.n_atoms == d + 1
+        np.testing.assert_allclose(result.roots, locs, rtol=1e-8, atol=1e-8)
+        np.testing.assert_allclose(result.atom_weights, weights, rtol=1e-8)
+
+
+#: s_0..s_11 of a measure with a last odd moment 200 times its own: the
+#: witness solved one order up lost Gram rank and raised DependentDomain
+LARGE_LAST_ODD = [5.4610575262137155, -8.563758631892282, 26.606623671429666,
+                  -55.562564248115265, 182.99654709804756, -431.37931679092725,
+                  1366.028755332899, -3445.600226217211, 10517.391115807455,
+                  -27703.804952538892, 82496.286238896, -5445463.903753885]
+
+
+def test_large_last_odd_moment_gets_a_witness():
+    result = solve_scalar_even(LARGE_LAST_ODD)
+    assert result.verdict == VERDICT_NONDEGENERATE
+    assert result.rank_index == 5 and result.measure.n_atoms == 6
+    assert result.max_deviation <= 1e-14 * max(map(abs, LARGE_LAST_ODD))
+
+
+def test_every_scaled_last_odd_moment_gets_a_verdict():
+    # d+1 to d+3 atoms on [-3, 3] with s_{2d+1} scaled by +-10^U(0, 3):
+    # the sections through order d keep their positivity, and no
+    # construction error may take the place of the verdict.  A witness
+    # solved one order up raised DependentDomain on 36 of these draws.
+    rng = np.random.default_rng(RNG_SEED + 7)
+    worst, verdicts = 0.0, []
+    for _ in range(200):
+        d = int(rng.integers(0, 6))
+        k = d + 1 + int(rng.integers(0, 3))
+        values = _scalar_moments(rng.uniform(-3.0, 3.0, k),
+                                 rng.uniform(0.1, 2.0, k), 2 * d + 2)
+        values[-1] *= rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(0.0, 3.0)
+        result = solve_scalar_even(values)
+        verdicts.append(result.verdict)
+        if result.verdict == VERDICT_NONDEGENERATE:
+            assert result.measure.n_atoms == d + 1
+            worst = max(worst, result.max_deviation / np.abs(values).max())
+    assert verdicts.count(VERDICT_NONDEGENERATE) > 180
+    assert worst <= 1e-8
 
 
 def test_degenerate_verdict_is_unique_to_machine_precision():
