@@ -8,7 +8,8 @@ the line has exactly these power moments, and produce evidence:
                           definite; solutions form a genuine family.  The
                           witness is the canonical solution through
                           s_{2d+1}, and augmented_moment its own s_{2d+2} =
-                          b^T H_d^{-1} b, the boundary of the family.
+                          b^T H_d^{-1} b, the boundary of the family; the
+                          certificate names a miss of its verification.
   unique-degenerate       positivity stops at order r < d: H_r is positive
                           definite and H_{r+1} singular.  The canonical
                           solution through s_{2r+1} (r+1 atoms, the roots
@@ -19,7 +20,8 @@ the line has exactly these power moments, and produce evidence:
 
 The canonical solution (Akhiezer's; the recursive extension of Curto and
 Fialkow) closes the Jacobi matrix of the positive definite prefix
-s_0..s_{2r} with the one real last entry that reproduces s_{2r+1}.
+s_0..s_{2r} with the one real last entry that reproduces s_{2r+1}.  It
+reads only the prefix's Gram frame and shift: no parameter stage runs.
 """
 
 from __future__ import annotations
@@ -31,11 +33,12 @@ import numpy as np
 
 from .errors import DependentDomain, InsufficientMoments
 from .extensions import _closure
-from .hankel import MomentSequence, check_truncated_conditions
+from .hankel import (MomentSequence, build_block_hankel,
+                     check_truncated_conditions, factor_psd)
 from .linalg import max_abs
 from .measures import (ATOMIC_REL_TOL, AtomicMatrixMeasure, _assemble,
                        _spectral_atoms, verify_moments)
-from .pipeline import prepare
+from .shift import build_shift
 from .tolerances import DEFAULT, Tolerances
 
 VERDICT_ZERO = "unique-zero"
@@ -89,20 +92,20 @@ def _rank_scan(values: np.ndarray, d: int, tol: Tolerances) -> int:
 
 def _canonical(data: MomentSequence, r: int, tol: Tolerances):
     """The canonical solution through s_{2r+1} of the positive definite
-    prefix s_0..s_{2r} of data, and its own s_{2r+2}.  In the frame of the
-    prefix (defect 1), x_r = [y, f] and the extension [[J_0, E^T], [E, B]]
-    has (x_r, A x_r) = y^T J_0 y + 2 f E y + f^2 B, which the one real B
-    makes s_{2r+1}; its r+1 atoms come off one eigh, and s_{2r+2} =
-    |A x_r|^2.  At r = 0 it is the single atom s_1 / s_0 with mass s_0."""
+    prefix s_0..s_{2r} of data and its own s_{2r+2}, from the prefix's Gram
+    frame (defect 1) and shift; no parameter stage runs.  With x_r = [y, f]
+    the extension [[J_0, E^T], [E, B]] has (x_r, A x_r) = y^T J_0 y + 2 f E y
+    + f^2 B, which the one real B makes s_{2r+1}; its r+1 atoms come off one
+    eigh, s_{2r+2} = |A x_r|^2.  At r = 0 it is the atom s_1/s_0, mass s_0."""
     s = data.moments[:2 * r + 2, 0, 0].real
     if r == 0:
         return (AtomicMatrixMeasure.from_atoms([s[1] / s[0]], [s[0]]),
                 float(s[1] * s[1] / s[0]))
-    ws = prepare(MomentSequence(dim=1, moments=data.moments[:2 * r + 1]), tol)
-    if not ws.defect:       # only a rank_rel above pos_rel / (r + 1) does it
+    space = factor_psd(build_block_hankel(data, r), tol)
+    if space.ambient_dim == r:  # only a rank_rel above pos_rel / (r + 1)
         raise DependentDomain(f"the order-{r} section has rank {r} at "
                               f"rank_rel = {tol.rank_rel:.1e}")
-    shift, x = ws.shift, ws.space.coords[r].real
+    shift, x = build_shift(space), space.coords[r].real
     y, f = x[:r], x[r]
     within = y @ shift.jacobi.real @ y + 2.0 * f * (shift.action[r].real @ y)
     g = _closure(shift, (), np.array([[(s[-1] - within) / (f * f)]]))
@@ -149,6 +152,9 @@ def solve_scalar_even(values, tol: Tolerances = DEFAULT) -> ScalarEvenResult:
     measure, own = _canonical(data, r, tol)
     report = verify_moments(measure, data, rel_tol=ATOMIC_REL_TOL)
     evidence = dict(rank_index=r, max_deviation=report.max_deviation)
+    miss = "" if report.passed else (
+        f"misses the data by {report.max_deviation:.3e} (beyond "
+        f"{report.rel_tol:.1e} * {report.scale:.3g})")
     if r == d:
         return ScalarEvenResult(
             verdict=VERDICT_NONDEGENERATE, measure=measure,
@@ -156,13 +162,11 @@ def solve_scalar_even(values, tol: Tolerances = DEFAULT) -> ScalarEvenResult:
             certificate=f"all sections through order d = {d} are positive "
                         f"definite; the witness is the canonical solution "
                         f"through s_{2 * d + 1}, with s_{2 * d + 2} = "
-                        f"{own:.12g}")
+                        f"{own:.12g}" + (miss and f", and it {miss}"))
     evidence["null_coeffs"] = np.poly(measure.locations)[::-1]
-    if not report.passed:
+    if miss:
         return _infeasible(**evidence, certificate=(
-            f"the forced atomic candidate misses the data by "
-            f"{report.max_deviation:.3e} (beyond {report.rel_tol:.1e} * "
-            f"{report.scale:.3g}); no measure matches"))
+            f"the forced atomic candidate {miss}; no measure matches"))
     return ScalarEvenResult(
         verdict=VERDICT_DEGENERATE, measure=measure, **evidence,
         certificate=f"positivity degenerates at order {r + 1}; the canonical "

@@ -36,7 +36,7 @@ from momext.measures import ATOMIC_REL_TOL, verify_moments
 
 from sampling import random_deficient_instance, random_feasible_instance
 from test_gram import NEAR_THRESHOLD
-from test_scalar import LARGE_LAST_ODD
+from test_scalar import LARGE_LAST_ODD, WITNESS_MISSES
 
 PROBLEM_101 = {"version": 1, "N": 1, "moments": [1.0, 0.0, 1.0]}
 # one atom at 0: the trailing section is singular and the defect is zero
@@ -765,6 +765,13 @@ def _six_atom_witness(data):
     assert len(data["atoms"]) == 6 and data["rank_index"] == 5
 
 
+def _missed_witness(data):
+    # H_5 is positive definite, so the sequence is not infeasible and the
+    # exit is 0; the certificate names the witness's miss
+    assert data["verdict"] == "solvable-nondegenerate"
+    assert "misses the data by 8.856e-01" in data["certificate"]
+
+
 #: the near-threshold files of test_gram.NEAR_THRESHOLD, named for the side
 #: of each screen of the block Cholesky frame they sit on, and the code
 #: check and solve both exit with: H_1 positive definite just above pos_rel
@@ -823,6 +830,7 @@ CASE_FILES = {
 CASES = [
     (0, ["scalar-even", "[0, 0, 0, 0]"], None),
     (0, ["scalar-even", json.dumps(LARGE_LAST_ODD)], _six_atom_witness),
+    (0, ["scalar-even", json.dumps(WITNESS_MISSES)], _missed_witness),
     (2, ["scalar-even", "[1e-12, 0, 1e3, 0]"],
      "total mass s_0 = 1e-12 is at most pos_rel * max|s_n| = 1e-07"),
     # a failed verification exits 2 after its line, as verify does
@@ -936,6 +944,7 @@ VERIFY_ABSENT = {"momext.extensions", "momext.pipeline", "momext.scalar",
     (["solve", "problem.json", "--theta", "1.0", "--grid=-2:2:0.5"],
      {"momext.scalar"}),
     (["sweep", "problem.json", "--theta-grid", "4"], {"momext.scalar"}),
+    (["scalar-even", "[1, 0, 1, 0]"], {"momext.pipeline"}),
     (["verify", "problem.json", "heavy.json"], VERIFY_ABSENT),
 ])
 def test_each_command_loads_only_the_modules_it_runs(tmp_path, argv, absent):

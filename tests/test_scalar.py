@@ -18,7 +18,8 @@ boundary between rank_rel and pos_rel, a randomized round-trip fuzz over
 genuine atomic measures and their degenerate truncations, the Gauss
 oracle (d+1 atoms are their own witness), a verdict for every sequence
 with a large last odd moment, the witness's max_deviation read off its
-verification, and non-finite moments refused on entry.
+verification, a witness that misses named in its certificate, no SVD on
+the scalar route, and non-finite moments refused on entry.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ import pytest
 
 from momext import (DEFAULT, DependentDomain, InsufficientMoments,
                     MomentSequence, solve_scalar_even, verify_moments)
+from momext.measures import ATOMIC_REL_TOL
 from momext.scalar import (VERDICT_DEGENERATE, VERDICT_INFEASIBLE,
                            VERDICT_NONDEGENERATE, VERDICT_ZERO, _rank_scan)
 
@@ -333,6 +335,61 @@ def test_every_scaled_last_odd_moment_gets_a_verdict():
             worst = max(worst, result.max_deviation / np.abs(values).max())
     assert verdicts.count(VERDICT_NONDEGENERATE) > 180
     assert worst <= 1e-8
+
+
+#: s_0..s_11 whose sections through order 5 are positive definite, but
+#: whose canonical witness (an atom near 1e11 of weight ~1e-114) misses the
+#: data by 0.886, 3.3e-8 of their scale 2.7e7
+WITNESS_MISSES = [8.580070651372884, 5.6691084217287, 16.85074465584889,
+                  45.088210586157864, 131.91164137991873, 387.586103554102,
+                  1144.3059449511322, 3380.5093475081185, 9989.686499076839,
+                  29522.074407671334, 87247.09428229602, 27171000.581983496]
+
+
+def test_a_witness_that_misses_the_data_says_so():
+    # the verdict stands (H_5 is positive definite), and the certificate
+    # names the miss in the words of the infeasible candidate's
+    result = solve_scalar_even(WITNESS_MISSES)
+    assert result.verdict == VERDICT_NONDEGENERATE
+    assert result.rank_index == 5 and result.measure.n_atoms == 6
+    scale = max(map(abs, WITNESS_MISSES))
+    assert result.max_deviation > ATOMIC_REL_TOL * scale
+    assert result.certificate.endswith(
+        f"; the witness is the canonical solution through s_11, with s_12 = "
+        f"{result.augmented_moment:.12g}, and it misses the data by "
+        f"{result.max_deviation:.3e} (beyond 1.0e-08 * {scale:.3g})")
+
+
+def test_the_certificate_names_a_miss_iff_the_witness_misses():
+    # d = 5, d+1 to d+3 atoms on [-1, 3], s_11 scaled by 10^U(0, 3): a few
+    # witnesses miss the 1e-8 verification, and only those say so
+    rng = np.random.default_rng(RNG_SEED + 11)
+    counts = [0, 0]
+    for _ in range(300):
+        k = 6 + int(rng.integers(0, 3))
+        values = _scalar_moments(rng.uniform(-1.0, 3.0, k),
+                                 rng.uniform(0.1, 2.0, k), 12)
+        values[-1] *= 10.0 ** rng.uniform(0.0, 3.0)
+        result = solve_scalar_even(values)
+        if result.verdict != VERDICT_NONDEGENERATE:
+            continue
+        scale = max(1.0, np.abs(values).max())
+        missed = result.max_deviation > ATOMIC_REL_TOL * scale
+        assert ("misses the data" in result.certificate) == missed, values
+        counts[int(missed)] += 1
+    assert counts[0] > 200 and counts[1] >= 1, counts
+
+
+def test_the_canonical_solution_takes_no_singular_value_call(monkeypatch):
+    # the prefix's frame and shift are all it reads: the defect stage,
+    # which would take one SVD for its unitary U, is never built
+    calls = []
+    real = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert solve_scalar_even([1, 0, 1, 0]).verdict == VERDICT_NONDEGENERATE
+    assert solve_scalar_even([1, 0, 1, 0, 1, 0]).verdict == VERDICT_DEGENERATE
+    assert calls == []
 
 
 def test_degenerate_verdict_is_unique_to_machine_precision():
