@@ -18,7 +18,10 @@ are decided in one place, _decide: three screens read them off the
 block Cholesky frame of H_d (the inertia of H_d is that of H_{d-1} plus
 that of the Schur complement, by Haynsworth), and one eigvalsh of each
 section decides only when a screen cannot.  The spectra are otherwise
-computed on first read.
+computed on first read.  The scalar classifier needs no rank rule:
+_rank_scan finds the last order r whose section is positive definite, and
+_factor_prefix factors H_r by one block Cholesky chain whose next Schur
+complement decides H_{r+1} by the trailing rule of _decide.
 
 The same frame realizes H_d >= 0 as a Gram space: factor_psd turns it
 into concrete vectors x_0, ..., x_{(d+1)N-1} in C^m, where m is the
@@ -52,8 +55,8 @@ import numpy as np
 
 from .errors import (DependentDomain, InsufficientMoments, MomentProblemError,
                      NotPSD)
-from .linalg import (as_complex_matrix, hermitize, max_abs,
-                     phase_canonicalize, read_only)
+from .linalg import (as_complex_matrix, max_abs, phase_canonicalize,
+                     read_only)
 from .tolerances import DEFAULT, Tolerances
 
 #: Hermitian-symmetry defect allowed in S_n, relative to the largest |entry|
@@ -90,7 +93,7 @@ class MomentSequence:
             raise ValueError(f"moment S_{i} is not Hermitian: defect "
                              f"{defect[i]:.3e} exceeds {HERM_REL:.1e} * scale "
                              f"{scale[i]:.3e}")
-        return cls(dim=stack.shape[1], moments=read_only(0.5 * (stack + herm)))
+        return cls(stack.shape[1], read_only(0.5 * stack + 0.5 * herm))
 
     @classmethod
     def scalar(cls, values):
@@ -114,8 +117,8 @@ class MomentSequence:
 
 def _stack_moments(arrays) -> np.ndarray:
     """The moments (a list, or an array) as one complex (count, N, N) array.
-    Input that does not stack to one goes through the checks of each moment
-    in turn, so the error names the first offending S_i."""
+    Input that does not stack to one is checked up to its first moment of
+    the wrong shape, so the error names the first offending S_i."""
     try:
         stack = np.asarray(arrays, dtype=complex)
         if len(stack) and stack.ndim == 3 and stack.shape[1] == stack.shape[2]:
@@ -126,13 +129,12 @@ def _stack_moments(arrays) -> np.ndarray:
     if not mats:
         raise InsufficientMoments("a moment sequence needs at least S_0")
     dim = mats[0].shape[0]
-    scale = 0.0
     for i, m in enumerate(mats):
         if m.shape != (dim, dim):
+            if i:       # an earlier moment that fails a check comes first
+                MomentSequence.from_arrays(np.array(mats[:i]))
             raise ValueError(f"moment S_{i} has shape {m.shape}, "
                              f"expected ({dim}, {dim})")
-        scale = max(scale, max_abs(m))
-        hermitize(m, HERM_REL, scale, f"moment S_{i}")
     return np.array(mats)
 
 
@@ -425,3 +427,46 @@ def _factor(section: BlockHankel, frame) -> GramSpace:
         coords=read_only(coords),
         section=section,
     )
+
+
+def _rank_scan(values: np.ndarray, d: int, tol: Tolerances) -> int:
+    """r, the largest k <= d with the scalar sections H_0..H_k of s_0..s_2d
+    all positive definite (-1 if none): H_k passes when lambda_min(H_k)
+    exceeds pos_rel * max|s_0..s_2k|.  As k falls lambda_min only grows
+    (Cauchy interlacing) and that bound only shrinks, so the passing orders
+    form a prefix, scanned down from d: one eigvalsh for nondegenerate data."""
+    idx = np.arange(d + 1)
+    h, reach = values[idx[:, None] + idx], np.maximum.accumulate(abs(values))
+    for k in range(d, -1, -1):
+        floor = tol.pos_rel * reach[2 * k]
+        if np.linalg.eigvalsh(h[:k + 1, :k + 1])[0] > floor:
+            return k
+    return -1
+
+
+def _factor_prefix(seq: MomentSequence, r: int, tol: Tolerances) -> GramSpace:
+    """The Gram space of H_r, positive definite by _rank_scan, at full rank
+    from L of H_{r-1} and _schur.  When seq reaches S_{2r+2}, H_{r+1} >= 0
+    is decided by the trailing rule of _decide: the next Schur complement
+    above -psd_rel * max|H_{r+1}| admits it, else lambda_min(H_{r+1}) does,
+    or NotPSD refuses.  A factor that breaks down, which only a pos_rel
+    near 0 lets past the scan, raises DependentDomain."""
+    top, n = min(r + 1, (len(seq) - 1) // 2), seq.dim
+    h, end = build_block_hankel(seq, top).matrix, (r + 1) * n
+    try:
+        lower = np.linalg.cholesky(h[:end - n, :end - n])
+        frame = (lower, *_schur(h[:end, :end], lower, n), end)
+        if not frame[2][0] > 0.0:       # the last pivot
+            raise np.linalg.LinAlgError
+        space = _factor(BlockHankel(order=r, block_dim=n,
+                                    matrix=h[:end, :end]), frame)
+        pivot = _schur(h, space.coords, n)[1][0] if top > r else math.inf
+    except np.linalg.LinAlgError:
+        raise DependentDomain(f"the order-{r} section has no block Cholesky "
+                              f"factor in float64") from None
+    tau = tol.psd_rel * seq._reach[2 * top]
+    w = pivot if pivot > -tau else np.linalg.eigvalsh(h)[0]
+    if w < -tau:
+        raise NotPSD(f"the order-{top} section has negative eigenvalue "
+                     f"{w:.6e}", section="trailing", min_eigenvalue=float(w))
+    return space

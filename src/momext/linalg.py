@@ -1,5 +1,5 @@
-"""Shared dense linear-algebra helpers: input and Hermitian checks, norms,
-singular values, and the phase convention of eigenvector bases.  Linear
+"""Shared dense linear-algebra helpers: input checks, norms, singular
+values, and the phase convention of eigenvector bases.  Linear
 solves and factorizations are not here; each caller runs numpy's directly.
 
 Everything here is numpy-only and deterministic for identical inputs:
@@ -26,17 +26,6 @@ def max_abs(a) -> float:
     if a.size == 0:
         return 0.0
     return float(np.abs(a).max())
-
-
-def hermitize(a, rel_tol: float, scale: float, what="matrix") -> np.ndarray:
-    """Return (A + A^H)/2 after checking the symmetry defect is at most
-    rel_tol * scale."""
-    a = as_complex_matrix(a, what)
-    defect = max_abs(a - np.conj(a.T))          # the largest |A - A^H|
-    if defect > rel_tol * scale:
-        raise ValueError(f"{what} is not Hermitian: defect {defect:.3e} exceeds "
-                         f"{rel_tol:.1e} * scale {scale:.3e}")
-    return 0.5 * (a + np.conj(a.T))
 
 
 def singular_values(a) -> np.ndarray:

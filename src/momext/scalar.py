@@ -20,8 +20,9 @@ the line has exactly these power moments, and produce evidence:
 
 The canonical solution (Akhiezer's; the recursive extension of Curto and
 Fialkow) closes the Jacobi matrix of the positive definite prefix
-s_0..s_{2r} with the one real last entry that reproduces s_{2r+1}.  It
-reads only the prefix's Gram frame and shift: no parameter stage runs.
+s_0..s_{2r} with the one real last entry that reproduces s_{2r+1}.  One
+block Cholesky chain gives its frame and decides H_{r+1} (momext.hankel's
+_rank_scan and _factor_prefix); rank_rel is not read.
 """
 
 from __future__ import annotations
@@ -31,11 +32,9 @@ import functools
 
 import numpy as np
 
-from .errors import DependentDomain, InsufficientMoments
+from .errors import InsufficientMoments, NotPSD
 from .extensions import _closure
-from .hankel import (MomentSequence, build_block_hankel,
-                     check_truncated_conditions, factor_psd)
-from .linalg import max_abs
+from .hankel import GramSpace, MomentSequence, _factor_prefix, _rank_scan
 from .measures import (ATOMIC_REL_TOL, AtomicMatrixMeasure, _assemble,
                        _spectral_atoms, verify_moments)
 from .shift import build_shift
@@ -74,41 +73,21 @@ class ScalarEvenResult:
 _infeasible = functools.partial(ScalarEvenResult, verdict=VERDICT_INFEASIBLE)
 
 
-def _rank_scan(values: np.ndarray, d: int, tol: Tolerances) -> int:
-    """r, the largest k <= d with H_0..H_k all positive definite.  H_k
-    passes when lambda_min(H_k) exceeds pos_rel * max|s_0..s_2k|; as k
-    falls, lambda_min only grows (Cauchy interlacing) and that bound only
-    shrinks, so the passing orders form a prefix, scanned down from d: one
-    eigvalsh for nondegenerate data.  r >= 0 once s_0 has passed the
-    checks of solve_scalar_even (H_0 = [s_0])."""
-    idx = np.arange(d + 1)
-    h, reach = values[idx[:, None] + idx], np.maximum.accumulate(abs(values))
-    for k in range(d, -1, -1):
-        floor = tol.pos_rel * reach[2 * k]
-        if np.linalg.eigvalsh(h[:k + 1, :k + 1])[0] > floor:
-            return k
-    return -1
-
-
-def _canonical(data: MomentSequence, r: int, tol: Tolerances):
+def _canonical(space: GramSpace | None, s: np.ndarray, tol: Tolerances):
     """The canonical solution through s_{2r+1} of the positive definite
-    prefix s_0..s_{2r} of data and its own s_{2r+2}, from the prefix's Gram
-    frame (defect 1) and shift; no parameter stage runs.  With x_r = [y, f]
-    the extension [[J_0, E^T], [E, B]] has (x_r, A x_r) = y^T J_0 y + 2 f E y
-    + f^2 B, which the one real B makes s_{2r+1}; its r+1 atoms come off one
-    eigh, s_{2r+2} = |A x_r|^2.  At r = 0 it is the atom s_1/s_0, mass s_0."""
-    s = data.moments[:2 * r + 2, 0, 0].real
+    prefix s_0..s_{2r}, whose Gram space (defect 1) is space (None at d = 0),
+    and its own s_{2r+2}.  With x_r = [y, f], the shift's extension [[J_0,
+    E^T], [E, B]] has (x_r, A x_r) = y^T J_0 y + 2 f E y + f^2 B, which the
+    one real B makes s_{2r+1}; its r+1 atoms come off one eigh, s_{2r+2} =
+    |A x_r|^2.  At r = 0 it is the atom s_1/s_0, mass s_0."""
+    r = space.order if space else 0
     if r == 0:
         return (AtomicMatrixMeasure.from_atoms([s[1] / s[0]], [s[0]]),
                 float(s[1] * s[1] / s[0]))
-    space = factor_psd(build_block_hankel(data, r), tol)
-    if space.ambient_dim == r:  # only a rank_rel above pos_rel / (r + 1)
-        raise DependentDomain(f"the order-{r} section has rank {r} at "
-                              f"rank_rel = {tol.rank_rel:.1e}")
     shift, x = build_shift(space), space.coords[r].real
     y, f = x[:r], x[r]
     within = y @ shift.jacobi.real @ y + 2.0 * f * (shift.action[r].real @ y)
-    g = _closure(shift, (), np.array([[(s[-1] - within) / (f * f)]]))
+    g = _closure(shift, (), np.array([[(s[2 * r + 1] - within) / (f * f)]]))
     return (_assemble(*_spectral_atoms(g[None], shift, tol))[0],
             float(np.square(g.real @ x).sum()))
 
@@ -117,13 +96,11 @@ def solve_scalar_even(values, tol: Tolerances = DEFAULT) -> ScalarEvenResult:
     """Classify s_0..s_{2d+1} and return evidence for the verdict.  A
     non-finite moment raises ValueError."""
     values = np.asarray(values, dtype=float).reshape(-1)
-    if not np.isfinite(values).all():
-        raise ValueError("scalar moments must be finite")
     if len(values) < 2 or len(values) % 2 != 0:
         raise InsufficientMoments(
             f"need an even number (>= 2) of scalar moments, got {len(values)}")
-    d = len(values) // 2 - 1
-    scale = max_abs(values)
+    d, data = len(values) // 2 - 1, MomentSequence.scalar(values)
+    scale = data._reach[-1]
 
     if scale == 0.0:
         return ScalarEvenResult(
@@ -140,16 +117,13 @@ def solve_scalar_even(values, tol: Tolerances = DEFAULT) -> ScalarEvenResult:
             f"= {tol.pos_rel * scale:.6g}, so it counts as zero, but higher "
             f"moments are not; only the zero measure has zero mass"))
 
-    r, data = _rank_scan(values, d, tol), MomentSequence.scalar(values)
-    if r < d:       # H_{r+1} is singular at pos_rel: is it negative?
-        report = check_truncated_conditions(
-            MomentSequence(dim=1, moments=data.moments[:2 * r + 3]), tol)
-        if not report.trailing_psd:
-            return _infeasible(rank_index=r, certificate=(
-                f"the order-{r + 1} section has negative eigenvalue "
-                f"{report.min_eig_trailing:.6e}; no nonnegative measure "
-                f"matches"))
-    measure, own = _canonical(data, r, tol)
+    r = _rank_scan(values, d, tol)
+    try:            # below d, H_{r+1} is singular at pos_rel: is it negative?
+        space = _factor_prefix(data, r, tol) if d else None
+    except NotPSD as exc:
+        return _infeasible(rank_index=r, certificate=f"{exc}; no "
+                           f"nonnegative measure matches")
+    measure, own = _canonical(space, values, tol)
     report = verify_moments(measure, data, rel_tol=ATOMIC_REL_TOL)
     evidence = dict(rank_index=r, max_deviation=report.max_deviation)
     miss = "" if report.passed else (

@@ -105,8 +105,8 @@ def build_shift(space: GramSpace) -> ShiftOperator:
     """Construct the shift from one solve with the Cholesky factor L.
 
     The domain vectors were certified independent when the space was
-    factored (DependentDomain comes from factor_psd).  An order-0 space
-    has no domain to shift and raises DimensionMismatch.
+    factored (DependentDomain comes from factor_psd or _factor_prefix).  An
+    order-0 space has no domain to shift and raises DimensionMismatch.
     """
     if space.order == 0:
         raise DimensionMismatch("the shift needs a section of order >= 1: "

@@ -765,6 +765,15 @@ def _six_atom_witness(data):
     assert len(data["atoms"]) == 6 and data["rank_index"] == 5
 
 
+def _huge_atoms(data):
+    # moments near the float64 limit are symmetrized without overflow:
+    # atoms -1 and 1 of weight 5e307 each, from solve and scalar-even
+    atoms = data["measure"]["atoms"] if "measure" in data else data["atoms"]
+    assert [a["t"] for a in atoms] == [-1, 1]
+    assert [a["w"] if "w" in a else a["W"][0][0][0]
+            for a in atoms] == [5e307, 5e307]
+
+
 def _missed_witness(data):
     # H_5 is positive definite, so the sequence is not infeasible and the
     # exit is 0; the certificate names the witness's miss
@@ -820,6 +829,7 @@ CASE_FILES = {
     # atoms +-3.16e7 with weights 5e-13: a moment sequence whose solve
     # misses it by its whole scale
     "tiny_mass.json": {"N": 1, "moments": [1e-12, 0, 1e3]},
+    "huge.json": {"N": 1, "moments": [1e308, 0, 1e308]},
     **{f"{name}.json": {"N": 1, "moments": values} for name, (values, _)
        in zip(NEAR_CODES, NEAR_THRESHOLD)},
 }
@@ -833,6 +843,8 @@ CASES = [
     (0, ["scalar-even", json.dumps(WITNESS_MISSES)], _missed_witness),
     (2, ["scalar-even", "[1e-12, 0, 1e3, 0]"],
      "total mass s_0 = 1e-12 is at most pos_rel * max|s_n| = 1e-07"),
+    (0, ["scalar-even", "[1e308, 0, 1e308, 0]"], _huge_atoms),
+    (0, ["solve", "huge.json"], _huge_atoms),
     # a failed verification exits 2 after its line, as verify does
     (2, ["solve", "tiny_mass.json"], "the solution fails its verification"),
     (0, ["solve", "problem.json", "--parameter", "unit.json",

@@ -1,9 +1,10 @@
 """The demos run the public API end to end: each must exit 0.
 
 Each script demos/0[1-5]_*.py runs in a child interpreter with the momext
-under test on its path, so a demo that stops with an error fails here, on
-every numpy the suite runs on.  The benchmark scripts in bench/ are the
-other outside caller: every name they import from momext must resolve.
+under test on its path and RuntimeWarnings made errors, so a demo that
+stops with an error or warns fails here, on every numpy the suite runs
+on.  The benchmark scripts in bench/ are the other outside caller: every
+name they import from momext must resolve.
 """
 
 from __future__ import annotations
@@ -32,8 +33,11 @@ def test_each_demo_exits_zero(demo):
     src = str(pathlib.Path(momext.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    child = subprocess.run([sys.executable, str(demo)], env=env,
-                           capture_output=True, text=True)
+    # the suite's own warning policy (pyproject's filterwarnings), which
+    # a child interpreter does not inherit
+    child = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
+        env=env, capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
 
 

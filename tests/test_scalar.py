@@ -13,25 +13,31 @@ Worked cases frozen here (each checked by hand):
 - (1, 0, 1, 0, 0.5, 0): an indefinite section is infeasible,
 - (0, 0, 0, 0): the zero measure, unique.
 
-Also: the rank scan, witnesses for clustered atoms, the rank-cutoff
-boundary between rank_rel and pos_rel, a randomized round-trip fuzz over
-genuine atomic measures and their degenerate truncations, the Gauss
-oracle (d+1 atoms are their own witness), a verdict for every sequence
-with a large last odd moment, the witness's max_deviation read off its
-verification, a witness that misses named in its certificate, no SVD on
-the scalar route, and non-finite moments refused on entry.
+Also: the rank scan, rank_rel not reaching the classifier, witnesses for
+clustered atoms, the rank-cutoff boundary between rank_rel and pos_rel, a
+randomized round-trip fuzz over genuine atomic measures and their
+degenerate truncations, the Gauss oracle (d+1 atoms are their own
+witness), a verdict for every sequence with a large last odd moment, the
+witness's max_deviation read off its verification, a witness that misses
+named in its certificate, no SVD on the scalar route, one block Cholesky
+chain per call, a typed refusal when pos_rel near 0 breaks that chain
+down, and non-finite moments refused on entry.
 """
 
 from __future__ import annotations
 
+import collections
+
 import numpy as np
 import pytest
 
-from momext import (DEFAULT, DependentDomain, InsufficientMoments,
+import momext.hankel
+from momext import (DEFAULT, InsufficientMoments, MomentProblemError,
                     MomentSequence, solve_scalar_even, verify_moments)
+from momext.hankel import _rank_scan
 from momext.measures import ATOMIC_REL_TOL
 from momext.scalar import (VERDICT_DEGENERATE, VERDICT_INFEASIBLE,
-                           VERDICT_NONDEGENERATE, VERDICT_ZERO, _rank_scan)
+                           VERDICT_NONDEGENERATE, VERDICT_ZERO)
 
 RNG_SEED = 20260806
 N_FUZZ = 200
@@ -115,12 +121,22 @@ def test_all_zero_sequence_is_the_zero_measure():
     assert result.roots.size == 0
 
 
-def test_a_rank_cutoff_above_the_scan_leaves_no_defect_to_close():
-    # at rank_rel = 0.5, H_1 = diag(1, 1e-3) has rank 1, although the scan
-    # (at pos_rel) calls it positive definite: the prefix s_0..s_2 has
-    # defect 0, and the refusal says so instead of an IndexError
-    with pytest.raises(DependentDomain, match="order-1 section has rank 1"):
-        solve_scalar_even([1.0, 0.0, 1e-3, 0.0], DEFAULT.replace(rank_rel=0.5))
+def test_rank_rel_does_not_reach_scalar_even():
+    # the scan decides positivity at pos_rel, and the prefix's frame is
+    # taken at full rank: H_1 = diag(1, 1e-3), of rank 1 at rank_rel = 0.5,
+    # gives the same witness +-sqrt(1e-3), weights 1/2, at any rank_rel
+    got = [solve_scalar_even([1.0, 0.0, 1e-3, 0.0], DEFAULT.replace(
+        rank_rel=rank_rel)) for rank_rel in (1e-12, 0.5)]
+    for result in got:
+        assert result.verdict == VERDICT_NONDEGENERATE
+        assert result.rank_index == 1
+        np.testing.assert_allclose(result.roots, [-1e-3 ** 0.5, 1e-3 ** 0.5],
+                                   rtol=1e-14)
+        np.testing.assert_allclose(result.atom_weights, [0.5, 0.5],
+                                   rtol=1e-14)
+    assert got[0].roots.tobytes() == got[1].roots.tobytes()
+    assert got[0].atom_weights.tobytes() == got[1].atom_weights.tobytes()
+    assert got[0].certificate == got[1].certificate
 
 
 def test_odd_or_empty_input_is_rejected():
@@ -390,6 +406,49 @@ def test_the_canonical_solution_takes_no_singular_value_call(monkeypatch):
     assert solve_scalar_even([1, 0, 1, 0]).verdict == VERDICT_NONDEGENERATE
     assert solve_scalar_even([1, 0, 1, 0, 1, 0]).verdict == VERDICT_DEGENERATE
     assert calls == []
+
+
+@pytest.mark.parametrize("values, counts", [
+    ([1, 0, 1, 0, 1, 0, 1, 0],
+     {"eigvalsh": 3, "cholesky": 1, "solve": 3, "eigh": 1}),
+    ([1, 0, 1, 0], {"eigvalsh": 1, "cholesky": 1, "solve": 2, "eigh": 1})])
+def test_one_block_cholesky_chain_per_call(monkeypatch, values, counts):
+    # the scan (eigvalsh from H_d down) fixes r; then one Cholesky, of
+    # H_{r-1}, and one solve per Schur complement (H_r, and H_{r+1} below
+    # d) give the frame and decide H_{r+1}; the shift takes one solve and
+    # the atoms one eigh.  No section is decided a second time.
+    for name in ("_decide", "check_truncated_conditions", "factor_psd"):
+        monkeypatch.setattr(momext.hankel, name, None)
+    calls = collections.Counter()
+    for name in ("eigvalsh", "cholesky", "solve", "eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, lambda *a, _name=name,
+                            _real=getattr(np.linalg, name), **k:
+                            calls.update([_name]) or _real(*a, **k))
+    assert solve_scalar_even(values).verdict != VERDICT_INFEASIBLE
+    assert calls == counts
+
+
+@pytest.mark.parametrize("pos_rel", [0.0, 1e-16])
+def test_a_pos_rel_near_zero_gives_a_verdict_or_a_typed_refusal(pos_rel):
+    # at most d atoms make H_d singular, and a pos_rel near 0 lets sections
+    # that are positive only by roundoff past the scan, so the chain's
+    # factor can break down (a failed Cholesky, or a last pivot <= 0):
+    # that refuses with DependentDomain, never a LinAlgError or a
+    # RuntimeWarning (an error under this suite)
+    rng = np.random.default_rng(RNG_SEED + 12)
+    tol = DEFAULT.replace(pos_rel=pos_rel)
+    outcomes = collections.Counter()
+    for _ in range(400):
+        d = int(rng.integers(1, 7))
+        k = int(rng.integers(1, d + 1))
+        locs = rng.uniform(-3.0, 3.0, k) * 10.0 ** rng.uniform(-2.0, 1.0)
+        values = _scalar_moments(locs, rng.uniform(0.05, 2.0, k), 2 * d + 2)
+        try:
+            outcomes[solve_scalar_even(values, tol).verdict] += 1
+        except MomentProblemError as exc:
+            outcomes[type(exc).__name__] += 1
+    assert outcomes[VERDICT_DEGENERATE] > 200, outcomes
+    assert outcomes["DependentDomain"] > 0, outcomes
 
 
 def test_degenerate_verdict_is_unique_to_machine_precision():
